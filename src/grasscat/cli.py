@@ -34,7 +34,7 @@ from .factor import (
     mixture_weights,
     select_dimension_bic,
 )
-from .fit import FitConfig, fit_grassmann, model_correlation, state_counts
+from .fit import FitConfig, fit_grassmann, model_correlation, state_counts, weighted_moments
 from .grassmann import (
     GrassmannParams,
     IndexPartition,
@@ -267,13 +267,7 @@ def _cmd_moments(args) -> int:
         weights = mixture_weights(schema, mf.params.b, mf.params.G, mf.params.sigma_z)
         states = np.asarray(list(weights.keys()), dtype=float)
         w = np.asarray(list(weights.values()))
-        mean = w @ states
-        centered = states - mean
-        cov = (w[:, None] * centered).T @ centered
-        std = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            corr = cov / np.outer(std, std)
-        np.fill_diagonal(corr, 1.0)
+        mean, cov, corr = weighted_moments(states, w)
         labels = schema.index_labels()
     else:
         raise DataError("moments supports grassmann and factor models")

@@ -14,7 +14,8 @@ class InvalidStateError(GrasscatError):
 
 
 class EnumerationCapError(GrasscatError):
-    """A state enumeration would exceed the configured cap."""
+    """A state enumeration would exceed the configured cap, or the cap
+    setting itself is invalid."""
 
 
 class ParameterError(GrasscatError):

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.optimize
 
 from .errors import DataError, ParameterError, SchemaError
-from .fit import StateCounts, state_counts, empirical_moments
+from .fit import StateCounts, _penalized_fit, empirical_moments, state_counts
 from .outputs import SvgCanvas, write_csv
 from .schema import (
     Record,
@@ -38,6 +38,10 @@ from .schema import (
 )
 
 _NORM_EPS = 1e-12
+KAPPA0 = 1.0  # first equal-norm penalty weight
+GRAD_TOL = 1e-7  # L-BFGS-B projected-gradient tolerance
+NORM_SPREAD_TOL = 1e-3  # relative spread of the loading norms that ends the ramps
+INIT_SCALE = 0.1  # standard deviation of the random G and W starts
 
 
 @dataclass(frozen=True)
@@ -324,18 +328,11 @@ def fix_rotation(model: FactorModel) -> tuple[FactorModel, np.ndarray]:
 
 @dataclass
 class FactorFitConfig:
-    """Knobs for fit_factor_model."""
+    """Knobs for fit_factor_model; every random draw flows from ``seed``."""
 
     max_iter: int = 1000
-    grad_tol: float = 1e-7
     restarts: int = 3
     seed: int = 0
-    kappa0: float = 1.0
-    kappa_factor: float = 10.0
-    max_ramps: int = 6
-    norm_spread_tol: float = 1e-3
-    init_scale: float = 0.1
-    equal_norm: bool = True
 
 
 @dataclass
@@ -379,14 +376,11 @@ def bic_parameter_count(q: int, p_z: int, p_x: int = 0) -> int:
     return k
 
 
-def _factor_nll_terms(
-    Y_states: np.ndarray, b: np.ndarray, G: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Per-allowed-state log weight and the log normalizer (canonical gauge)."""
-    logw = Y_states @ b + 0.5 * np.einsum("sk,sk->s", Y_states @ G, Y_states @ G)
-    m = logw.max()
-    logz = m + np.log(np.exp(logw - m).sum())
-    return logw, logz
+def _quadratic_log_weight(Y: np.ndarray, b: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """u^T b + |G^T u|^2 / 2 for every row u of Y: the unnormalized log prior
+    weight of each state in the canonical gauge."""
+    YG = Y @ G
+    return Y @ b + 0.5 * np.einsum("sk,sk->s", YG, YG)
 
 
 def fit_factor_model(
@@ -448,10 +442,10 @@ def fit_factor_model(
 
     def objective(xvec, kappa):
         b, G, s, mu_x, tau, W = split(xvec)
-        logw, logz = _factor_nll_terms(Y_states, b, G)
-        obs_logw = obs_states @ b + 0.5 * np.einsum(
-            "sk,sk->s", obs_states @ G, obs_states @ G
-        )
+        logw = _quadratic_log_weight(Y_states, b, G)
+        m = logw.max()
+        logz = m + np.log(np.exp(logw - m).sum())
+        obs_logw = _quadratic_log_weight(obs_states, b, G)
         nll = -float(obs_counts @ obs_logw) + n * logz
         # expectations under the current prior
         pw = np.exp(logw - logz)
@@ -461,7 +455,7 @@ def fit_factor_model(
         g_b = n * e_u - obs_counts @ obs_states
         g_G = (n * e_uu - emp_uu) @ G
         g_s = 0.0
-        if config.equal_norm and p_z > 0 and kappa > 0.0:
+        if p_z > 0 and kappa > 0.0:
             vecs = coeffs @ G
             norms = np.linalg.norm(vecs, axis=1)
             diff = norms - s
@@ -494,57 +488,41 @@ def fit_factor_model(
         )
         return nll, grad
 
-    seed_seq = np.random.SeedSequence(config.seed)
-    best = None
-    total_iters = 0
-    for child in seed_seq.spawn(config.restarts):
-        rng = np.random.default_rng(child)
-        b0 = _independent_logits(schema, counts)
-        G0 = rng.normal(0.0, config.init_scale, (q, p_z))
+    b0 = _independent_logits(schema, counts)
+
+    def start(rng):
+        G0 = rng.normal(0.0, INIT_SCALE, (q, p_z))
         s0 = float(np.mean(np.linalg.norm(coeffs @ G0, axis=1))) if p_z else 0.0
         parts = [b0, G0.ravel(), [s0]]
         if p_x:
             parts += [X.mean(axis=0), np.log(np.maximum(X.var(axis=0), 1e-4)),
-                      rng.normal(0.0, config.init_scale, (p_x, p_z)).ravel()]
-        x0 = np.concatenate([np.asarray(p, dtype=float).ravel() for p in parts])
-        kappa = config.kappa0 if (config.equal_norm and p_z > 0) else 0.0
-        xcur = x0
-        success = False
-        spread = 0.0
-        for ramp in range(config.max_ramps):
-            f_prev = np.inf
-            for _ in range(10):
-                res = scipy.optimize.minimize(
-                    objective,
-                    xcur,
-                    args=(kappa,),
-                    method="L-BFGS-B",
-                    jac=True,
-                    options={"maxiter": config.max_iter, "gtol": config.grad_tol,
-                             "ftol": 1e-14},
-                )
-                xcur = res.x
-                total_iters += int(res.nit)
-                success = bool(res.success) or res.status == 1
-                if f_prev - res.fun < 1e-9 * max(1.0, abs(res.fun)):
-                    break
-                f_prev = res.fun
-            if kappa == 0.0:
-                break
-            b_f, G_f, *_ = split(xcur)
-            norms = np.linalg.norm(coeffs @ G_f, axis=1)
-            scale = max(float(norms.mean()), _NORM_EPS)
-            spread = float(norms.max() - norms.min()) / scale
-            if spread <= config.norm_spread_tol:
-                break
-            kappa *= config.kappa_factor
-        nll_pure, _ = objective(xcur, 0.0)
-        key = (float(nll_pure), float(np.linalg.norm(xcur)))
-        if best is None or key < best[0]:
-            best = (key, xcur, success, spread)
+                      rng.normal(0.0, INIT_SCALE, (p_x, p_z)).ravel()]
+        return np.concatenate([np.asarray(p, dtype=float).ravel() for p in parts])
 
-    assert best is not None
-    (nll_final, _), xbest, success, spread = best
+    def solve(xvec, kappa):
+        return scipy.optimize.minimize(
+            objective,
+            xvec,
+            args=(kappa,),
+            method="L-BFGS-B",
+            jac=True,
+            options={"maxiter": config.max_iter, "gtol": GRAD_TOL, "ftol": 1e-14},
+        )
+
+    def norm_spread(xvec):
+        _, G_f, *_ = split(xvec)
+        norms = np.linalg.norm(coeffs @ G_f, axis=1)
+        scale = max(float(norms.mean()), _NORM_EPS)
+        return float(norms.max() - norms.min()) / scale
+
+    def key(xvec):
+        return float(objective(xvec, 0.0)[0]), float(np.linalg.norm(xvec))
+
+    # With p_z = 0 there are no loadings: the spread is 0 and one ramp runs.
+    (nll_final, _), xbest, success, total_iters = _penalized_fit(
+        config.seed, config.restarts, KAPPA0, start, solve,
+        lambda xvec: norm_spread(xvec) <= NORM_SPREAD_TOL, key,
+    )
     b_f, G_f, s_f, mu_f, tau_f, W_f = split(xbest)
     model = FactorModel.canonical(
         b=b_f,
@@ -568,27 +546,20 @@ def fit_factor_model(
         contribution_ratios=ratios,
         mean_model=mean_model,
         mean_empirical=mean_emp,
-        norm_spread=spread,
+        norm_spread=norm_spread(xbest),
     )
     return model, report
 
 
 def _independent_logits(schema: VariableSchema, counts: StateCounts) -> np.ndarray:
     """Bias init from per-variable empirical frequencies (smoothed)."""
-    states, weights = counts.as_arrays()
-    n = weights.sum()
     out = np.zeros(schema.q)
-    for j, v in enumerate(schema.variables):
+    for j, (v, level_counts) in enumerate(
+        zip(schema.variables, counts.level_counts(schema))
+    ):
         s, e = schema.blocks[j]
-        block = states[:, s:e]
-        level_counts = np.full(v.levels, 0.5)
-        if v.kind is VariableKind.CATEGORICAL:
-            levels = np.where(block.sum(axis=1) > 0, block.argmax(axis=1) + 1, 0)
-        else:
-            levels = block.sum(axis=1)
-        for lvl, c in zip(levels, weights):
-            level_counts[int(lvl)] += c
-        p = level_counts / level_counts.sum()
+        smoothed = level_counts + 0.5
+        p = smoothed / smoothed.sum()
         if v.kind is VariableKind.CATEGORICAL:
             out[s:e] = np.log(p[1:]) - np.log(p[0])
         else:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.optimize
@@ -28,17 +28,21 @@ from .schema import Record, VariableKind, VariableSchema, encode_record
 from .structure import (
     StructuredParams,
     TAU_C,
+    _raw_lambda,
     aux_loading_matrix,
     dominance_certificate,
     assemble_lambda,
     free_row_indices,
     middle_factor,
-    quasi_diagonal_blocks,
     row_margins,
-    validate_shapes,
 )
 
 INFEASIBLE_NLL = np.inf  # sentinel for states driven to the domain boundary
+
+MU0 = 10.0  # first dominance-penalty weight
+B_CAP = 30.0  # bound on every b entry; empirical log-odds are clipped to it
+INIT_SCALE = 0.1  # standard deviation of the random w and V starts
+MAX_RAMPS = 6  # penalty weights per restart, both estimators: weight0 * 10**k, k < 6
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,25 @@ class StateCounts:
         states = np.asarray([bits for bits, _ in self.items], dtype=int)
         counts = np.asarray([c for _, c in self.items], dtype=float)
         return states, counts
+
+    @functools.cached_property
+    def minor_indices(self) -> list[tuple[np.ndarray, float]]:
+        """Set-bit indices and count of every distinct state, built once."""
+        return [(np.flatnonzero(np.asarray(bits)), float(c)) for bits, c in self.items]
+
+    def level_counts(self, schema: VariableSchema) -> list[np.ndarray]:
+        """Observed count of every level of every variable."""
+        states, weights = self.as_arrays()
+        out = []
+        for j, v in enumerate(schema.variables):
+            s, e = schema.blocks[j]
+            block = states[:, s:e]
+            if v.kind is VariableKind.CATEGORICAL:
+                levels = np.where(block.sum(axis=1) > 0, block.argmax(axis=1) + 1, 0)
+            else:
+                levels = block.sum(axis=1)
+            out.append(np.bincount(levels, weights=weights, minlength=v.levels))
+        return out
 
 
 def state_counts(schema: VariableSchema, rows: Iterable[Record | Sequence[int]]) -> StateCounts:
@@ -74,35 +97,48 @@ def state_counts(schema: VariableSchema, rows: Iterable[Record | Sequence[int]])
     return StateCounts(items=tuple(counts.items()))
 
 
+def weighted_moments(
+    states: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, covariance, and Pearson correlation of the rows of ``states``
+    under the probability weights ``w``."""
+    mean = w @ states
+    centered = states - mean
+    cov = (w[:, None] * centered).T @ centered
+    return mean, cov, _correlation(cov)
+
+
+def _correlation(cov: np.ndarray) -> np.ndarray:
+    std = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        corr = cov / np.outer(std, std)
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
+
 def empirical_moments(
     schema: VariableSchema, counts: StateCounts
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Empirical dummy mean, covariance, and Pearson correlation."""
     states, weights = counts.as_arrays()
-    w = weights / weights.sum()
-    mean = w @ states
-    centered = states - mean
-    cov = (w[:, None] * centered).T @ centered
-    std = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        corr = cov / np.outer(std, std)
-    np.fill_diagonal(corr, 1.0)
-    return mean, cov, corr
+    return weighted_moments(states, weights / weights.sum())
+
+
+def model_correlation(params: GrassmannParams) -> np.ndarray:
+    """Pearson correlation implied by the model moments; exact unit diagonal.
+
+    Entries whose variance vanishes are reported as nan.
+    """
+    _, cov = moments(params)
+    return _correlation(cov)
 
 
 # -- likelihood and analytic gradient ---------------------------------------
-
-def _state_index_arrays(counts: StateCounts) -> list[tuple[np.ndarray, float]]:
-    return [
-        (np.flatnonzero(np.asarray(bits)), float(c)) for bits, c in counts.items
-    ]
-
 
 def negative_log_likelihood(
     schema: VariableSchema, sp: StructuredParams, counts: StateCounts
 ) -> float:
     """Exact data NLL; +inf when any observed state has nonpositive probability."""
-    validate_shapes(schema, sp)
     lam = np.asarray(assemble_lambda(schema, sp).lam)
     return _nll_of_lambda(lam, counts)
 
@@ -115,7 +151,7 @@ def _nll_of_lambda(lam: np.ndarray, counts: StateCounts) -> float:
     lam_mi = lam - np.eye(q)
     total = 0.0
     n = 0.0
-    for idx, c in _state_index_arrays_cache(counts):
+    for idx, c in counts.minor_indices:
         if idx.size:
             sign_m, logdet_m = np.linalg.slogdet(lam_mi[np.ix_(idx, idx)])
             if sign_m <= 0:
@@ -123,11 +159,6 @@ def _nll_of_lambda(lam: np.ndarray, counts: StateCounts) -> float:
             total -= c * logdet_m
         n += c
     return float(total + n * logdet_l)
-
-
-@functools.lru_cache(maxsize=8)
-def _state_index_arrays_cache(counts: StateCounts) -> list[tuple[np.ndarray, float]]:
-    return _state_index_arrays(counts)
 
 
 @dataclass(frozen=True)
@@ -146,7 +177,7 @@ def _grad_lambda(lam: np.ndarray, counts: StateCounts) -> np.ndarray:
     lam_mi = lam - np.eye(q)
     n = 0.0
     G = np.zeros((q, q))
-    for idx, c in _state_index_arrays_cache(counts):
+    for idx, c in counts.minor_indices:
         if idx.size:
             inv_m = np.linalg.inv(lam_mi[np.ix_(idx, idx)])
             G[np.ix_(idx, idx)] -= c * inv_m.T
@@ -188,15 +219,21 @@ def nll_gradient(
     schema: VariableSchema, sp: StructuredParams, counts: StateCounts
 ) -> FitGradient:
     """Analytic NLL gradient; exact wherever the NLL is finite."""
-    validate_shapes(schema, sp)
     lam = np.asarray(assemble_lambda(schema, sp).lam)
+    return _gradient_natural(schema, sp, lam, counts)
+
+
+def _gradient_natural(
+    schema: VariableSchema, sp: StructuredParams, lam: np.ndarray, counts: StateCounts
+) -> FitGradient:
     G = _grad_lambda(lam, counts)
     W = aux_loading_matrix(schema, sp.w, sp.a)
-    g_b = _chain_b(schema, sp.b, G)
-    g_w = _reduce_w(schema, G @ sp.V * sp.omega[None, :])
-    g_V = G.T @ W * sp.omega[None, :]
-    g_omega = np.einsum("ra,rc,ca->a", W, G, sp.V) if sp.a else np.zeros(0)
-    return FitGradient(b=g_b, w=g_w, V=g_V, omega=g_omega)
+    return FitGradient(
+        b=_chain_b(schema, sp.b, G),
+        w=_reduce_w(schema, G @ sp.V * sp.omega[None, :]),
+        V=G.T @ W * sp.omega[None, :],
+        omega=np.einsum("ra,rc,ca->a", W, G, sp.V) if sp.a else np.zeros(0),
+    )
 
 
 # -- dominance penalty -------------------------------------------------------
@@ -262,18 +299,18 @@ class _Packer:
     """Flat-vector view of (b, w, V, rho, E) with omega = sigmoid(rho) and
     C = I + E."""
 
-    def __init__(self, schema: VariableSchema, a: int, optimize_c: bool):
+    def __init__(self, schema: VariableSchema, a: int):
         self.schema = schema
         self.a = a
-        self.optimize_c = optimize_c
-        sizes = [v.block_size for v in schema.variables]
-        self.n_b = sum(sizes)
-        self.n_w = len(sizes) * a
         self.n_v = schema.q * a
-        self.n_rho = a
-        n = schema.q + a
-        self.n_e = n * n if optimize_c else 0
-        self.size = self.n_b + self.n_w + self.n_v + self.n_rho + self.n_e
+        n_b = sum(v.block_size for v in schema.variables)
+        n_w = len(schema) * a
+        self.bounds: list[tuple[float | None, float | None]] = (
+            [(-B_CAP, B_CAP)] * n_b
+            + [(None, None)] * (n_w + self.n_v)
+            + [(-13.8, 13.8)] * a  # keeps omega inside its clamp
+            + [(None, None)] * (schema.q + a) ** 2
+        )
 
     def pack(self, sp: StructuredParams) -> np.ndarray:
         parts = [np.concatenate(sp.b) if sp.b else np.zeros(0)]
@@ -281,9 +318,8 @@ class _Packer:
         parts.append(sp.V.ravel())
         omega = np.clip(sp.omega, 1e-6, 1.0 - 1e-6)
         parts.append(_logit(omega))
-        if self.optimize_c:
-            n = self.schema.q + self.a
-            parts.append((sp.C - np.eye(n)).ravel())
+        n = self.schema.q + self.a
+        parts.append((sp.C - np.eye(n)).ravel())
         return np.concatenate(parts)
 
     def unpack(self, x: np.ndarray) -> StructuredParams:
@@ -303,35 +339,90 @@ class _Packer:
         pos += a
         omega = np.clip(_sigmoid(rho), 1e-6, 1.0 - 1e-6)
         n = schema.q + a
-        if self.optimize_c:
-            C = np.eye(n) + x[pos : pos + n * n].reshape(n, n)
-        else:
-            C = np.eye(n)
+        C = np.eye(n) + x[pos : pos + n * n].reshape(n, n)
         return StructuredParams(b=tuple(b), w=tuple(w), V=V, omega=omega, C=C)
 
-    def pack_grad(
-        self, sp: StructuredParams, g: FitGradient, g_c: np.ndarray | None
-    ) -> np.ndarray:
+    def pack_grad(self, sp: StructuredParams, g: FitGradient, g_c: np.ndarray) -> np.ndarray:
         parts = [np.concatenate(g.b) if g.b else np.zeros(0)]
         parts.append(np.concatenate(g.w) if self.a and g.w else np.zeros(0))
         parts.append(g.V.ravel())
         omega = sp.omega
         parts.append(g.omega * omega * (1.0 - omega))
-        if self.optimize_c:
-            n = self.schema.q + self.a
-            parts.append((g_c if g_c is not None else np.zeros((n, n))).ravel())
+        parts.append(g_c.ravel())
         return np.concatenate(parts)
 
-    def bounds(self, b_cap: float) -> list[tuple[float | None, float | None]]:
-        bounds: list[tuple[float | None, float | None]] = []
-        bounds += [(-b_cap, b_cap)] * self.n_b
-        bounds += [(None, None)] * (self.n_w + self.n_v)
-        bounds += [(-13.8, 13.8)] * self.n_rho  # keeps omega inside its clamp
-        bounds += [(None, None)] * self.n_e
-        return bounds
+
+def _penalized_objective(
+    x: np.ndarray, mu: float, packer: _Packer, counts: StateCounts
+) -> tuple[float, np.ndarray]:
+    """NLL plus the dominance penalty at weight ``mu``, and its gradient, at
+    the flat vector ``x``; ``(inf, 0)`` outside the likelihood's domain."""
+    schema = packer.schema
+    sp = packer.unpack(x)
+    lam = _raw_lambda(schema, sp)
+    nll = _nll_of_lambda(lam, counts)
+    if not np.isfinite(nll):
+        return INFEASIBLE_NLL, np.zeros_like(x)
+    g = _gradient_natural(schema, sp, lam, counts)
+    pen = dominance_penalty(schema, sp, mu)
+    g = FitGradient(
+        b=tuple(gb + pb for gb, pb in zip(g.b, pen.b)),
+        w=tuple(gw + pw for gw, pw in zip(g.w, pen.w)),
+        V=g.V + pen.V,
+        omega=g.omega,
+    )
+    return nll + pen.value, packer.pack_grad(sp, g, pen.C)
 
 
-# -- the fit driver ----------------------------------------------------------
+# -- the restart / penalty-ramp driver ---------------------------------------
+
+def _penalized_fit(
+    seed: int, restarts: int, weight0: float,
+    start: Callable[[np.random.Generator], np.ndarray],
+    solve: Callable[[np.ndarray, float], scipy.optimize.OptimizeResult],
+    constraint_met: Callable[[np.ndarray], bool],
+    key: Callable[[np.ndarray], tuple],
+) -> tuple[tuple, np.ndarray, bool, int]:
+    """Best of ``restarts`` penalized fits: (key, x, success, iterations).
+
+    Restart r starts at ``start(rng)``, rng from the r-th child of
+    ``SeedSequence(seed)``.  Each ramp repeats ``solve(x, weight)``, one
+    L-BFGS-B run, until a run gains less than 1e-9 relative (at most 10
+    runs); ramps stop once ``constraint_met(x)``, else the weight grows
+    tenfold.  The smallest ``key(x)`` wins and ties keep the earlier
+    restart.  ``success``: the winner's last run converged or hit its
+    iteration limit.  ``solve`` is defined in the caller's module because
+    the benchmark tracer names each L-BFGS-B call after its calling module.
+    """
+    best: tuple[tuple, np.ndarray, bool] | None = None
+    iterations = 0
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        x = start(np.random.default_rng(child))
+        weight = weight0
+        success = False
+        for _ in range(MAX_RAMPS):
+            # Restarting L-BFGS-B resets its curvature memory, which reliably
+            # escapes the flat-progress stalls the hinge kinks can cause.
+            f_prev = np.inf
+            for _ in range(10):
+                res = solve(x, weight)
+                x = res.x
+                iterations += int(res.nit)
+                success = bool(res.success) or res.status == 1
+                if f_prev - res.fun < 1e-9 * max(1.0, abs(res.fun)):
+                    break
+                f_prev = res.fun
+            if constraint_met(x):
+                break
+            weight *= 10.0
+        k = key(x)
+        if best is None or k < best[0]:
+            best = (k, x, success)
+    assert best is not None
+    return (*best, iterations)
+
+
+# -- fit_grassmann -----------------------------------------------------------
 
 @dataclass
 class FitConfig:
@@ -342,13 +433,6 @@ class FitConfig:
     grad_tol: float = 1e-6
     restarts: int = 3
     seed: int = 0
-    mu0: float = 10.0
-    mu_factor: float = 10.0
-    max_ramps: int = 6
-    tau_c: float = TAU_C
-    b_cap: float = 30.0
-    init_scale: float = 0.1
-    penalty: bool = True
 
     def __post_init__(self) -> None:
         if self.max_iter <= 0 or self.grad_tol <= 0 or self.restarts <= 0:
@@ -399,33 +483,22 @@ class FitReport:
 
 
 def _initial_b(
-    schema: VariableSchema, counts: StateCounts, b_cap: float, warn: list[str]
+    schema: VariableSchema, counts: StateCounts, warn: list[str]
 ) -> list[np.ndarray]:
     """Independent per-variable empirical log-odds, the always-feasible start."""
-    states, weights = counts.as_arrays()
-    n = weights.sum()
     out = []
-    for j, v in enumerate(schema.variables):
-        s, e = schema.blocks[j]
-        block = states[:, s:e]
-        level_counts = np.zeros(v.levels)
-        if v.kind is VariableKind.CATEGORICAL:
-            levels = np.where(block.sum(axis=1) > 0, block.argmax(axis=1) + 1, 0)
-        else:
-            levels = block.sum(axis=1)
-        for lvl, c in zip(levels, weights):
-            level_counts[int(lvl)] += c
-        p = level_counts / n
+    for v, level_counts in zip(schema.variables, counts.level_counts(schema)):
+        p = level_counts / level_counts.sum()
         with np.errstate(divide="ignore"):
             if v.kind is VariableKind.CATEGORICAL:
                 raw = np.log(p[1:]) - np.log(p[0])
             else:
                 raw = np.log(p[1:]) - np.log(p[:-1])
-        clipped = np.clip(np.nan_to_num(raw, nan=0.0, posinf=b_cap, neginf=-b_cap),
-                          -b_cap, b_cap)
-        if np.any(np.abs(raw) > b_cap) or not np.all(np.isfinite(raw)):
+        clipped = np.clip(np.nan_to_num(raw, nan=0.0, posinf=B_CAP, neginf=-B_CAP),
+                          -B_CAP, B_CAP)
+        if np.any(np.abs(raw) > B_CAP) or not np.all(np.isfinite(raw)):
             warn.append(
-                f"variable {v.name!r}: empirical log-odds clipped to +-{b_cap} "
+                f"variable {v.name!r}: empirical log-odds clipped to +-{B_CAP} "
                 "(a level may be unobserved)"
             )
         out.append(clipped)
@@ -442,101 +515,69 @@ def fit_grassmann(
     Runs ``config.restarts`` random initializations, each optimized with
     L-BFGS-B under the squared-hinge dominance penalty whose weight is raised
     until the free-row margins are feasible.  The lowest NLL wins, with ties
-    broken by the smaller parameter norm.
+    broken by the smaller parameter norm.  When q <= 14 every state
+    probability is also enumerated, and a negative one makes the fit
+    infeasible whatever the dominance margins say.
     """
     config = config or FitConfig()
     counts = data if isinstance(data, StateCounts) else state_counts(schema, data)
     a = config.a
     mean_emp, _, corr_emp = empirical_moments(schema, counts)
     warn: list[str] = []
-    b0 = _initial_b(schema, counts, config.b_cap, warn)
+    b0 = _initial_b(schema, counts, warn)
+    packer = _Packer(schema, a)
 
-    packer = _Packer(schema, a, optimize_c=config.penalty)
-    seed_seq = np.random.SeedSequence(config.seed)
-    child_seeds = seed_seq.spawn(config.restarts)
-
-    def objective(x: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
-        sp = packer.unpack(x)
-        lam = _assemble_raw(schema, sp)
-        nll = _nll_of_lambda(lam, counts)
-        if not np.isfinite(nll):
-            return INFEASIBLE_NLL, np.zeros_like(x)
-        g = _gradient_natural(schema, sp, lam, counts)
-        if config.penalty and mu > 0.0:
-            pen = dominance_penalty(schema, sp, mu, config.tau_c)
-            g = FitGradient(
-                b=tuple(gb + pb for gb, pb in zip(g.b, pen.b)),
-                w=tuple(gw + pw for gw, pw in zip(g.w, pen.w)),
-                V=g.V + pen.V,
-                omega=g.omega,
-            )
-            return nll + pen.value, packer.pack_grad(sp, g, pen.C)
-        return nll, packer.pack_grad(sp, g, None)
-
-    best: tuple[float, float, dict] | None = None
-    total_iters = 0
-    for r in range(config.restarts):
-        rng = np.random.default_rng(child_seeds[r])
-        sp0 = StructuredParams(
+    def start(rng: np.random.Generator) -> np.ndarray:
+        return packer.pack(StructuredParams(
             b=tuple(np.array(v) for v in b0),
-            w=tuple(rng.normal(0.0, config.init_scale, a) for _ in schema.variables),
-            V=rng.normal(0.0, config.init_scale, (schema.q, a)),
+            w=tuple(rng.normal(0.0, INIT_SCALE, a) for _ in schema.variables),
+            V=rng.normal(0.0, INIT_SCALE, (schema.q, a)),
             omega=np.full(a, 0.5),
             C=np.eye(schema.q + a),
-        )
-        x = packer.pack(sp0)
-        mu = config.mu0 if config.penalty else 0.0
-        success = False
-        for ramp in range(config.max_ramps if config.penalty else 1):
-            # Restarting L-BFGS-B resets its curvature memory, which reliably
-            # escapes the flat-progress stalls the hinge kinks can cause.
-            f_prev = np.inf
-            for _ in range(10):
-                res = scipy.optimize.minimize(
-                    objective,
-                    x,
-                    args=(mu,),
-                    method="L-BFGS-B",
-                    jac=True,
-                    bounds=packer.bounds(config.b_cap),
-                    options={"maxiter": config.max_iter, "gtol": config.grad_tol,
-                             "ftol": 1e-14},
-                )
-                x = res.x
-                total_iters += int(res.nit)
-                success = bool(res.success) or res.status == 1
-                if f_prev - res.fun < 1e-9 * max(1.0, abs(res.fun)):
-                    break
-                f_prev = res.fun
-            if not config.penalty:
-                break
-            if dominance_certificate(schema, packer.unpack(x), config.tau_c).passed:
-                break
-            mu *= config.mu_factor
-        sp_fit = packer.unpack(x)
-        feasible = dominance_certificate(schema, sp_fit, config.tau_c).passed
-        nll = _nll_of_lambda(_assemble_raw(schema, sp_fit), counts)
-        norm = float(np.linalg.norm(packer.pack(sp_fit)))
-        cand = {"sp": sp_fit, "feasible": feasible, "success": success}
-        key = (nll, norm)
-        if best is None or key < (best[0], best[1]):
-            best = (nll, norm, cand)
+        ))
 
-    assert best is not None
-    nll, _, cand = best
-    sp_fit = cand["sp"]
+    def solve(x: np.ndarray, mu: float) -> scipy.optimize.OptimizeResult:
+        return scipy.optimize.minimize(
+            _penalized_objective,
+            x,
+            args=(mu, packer, counts),
+            method="L-BFGS-B",
+            jac=True,
+            bounds=packer.bounds,
+            options={"maxiter": config.max_iter, "gtol": config.grad_tol,
+                     "ftol": 1e-14},
+        )
+
+    def key(x: np.ndarray) -> tuple[float, float]:
+        sp = packer.unpack(x)
+        return _nll_of_lambda(_raw_lambda(schema, sp), counts), float(
+            np.linalg.norm(packer.pack(sp))
+        )
+
+    (nll, _), x, success, iterations = _penalized_fit(
+        config.seed, config.restarts, MU0, start, solve,
+        lambda x: dominance_certificate(schema, packer.unpack(x)).passed, key,
+    )
+    sp_fit = packer.unpack(x)
     params = assemble_lambda(schema, sp_fit)
-    report = dominance_certificate(schema, sp_fit, config.tau_c)
+    report = dominance_certificate(schema, sp_fit)
+    feasible = report.passed
     mean_model, _ = moments(params)
     corr_model = model_correlation(params)
     p0_min = None
     if schema.q <= 14:
         p0_min = check_p0(params).min_probability
+        if p0_min < -1e-12:
+            feasible = False
+            warn.append(
+                f"enumeration found a negative state probability (p0_min = "
+                f"{p0_min:.3e}); the model is not a valid distribution"
+            )
     return FitReport(
         nll=float(nll),
-        iterations=total_iters,
-        converged=bool(cand["success"]) and bool(cand["feasible"]),
-        feasible=bool(cand["feasible"]),
+        iterations=iterations,
+        converged=success and feasible,
+        feasible=feasible,
         worst_margin_b=report.worst_b_free,
         worst_margin_b_raw=report.worst_b_raw,
         worst_margin_c=report.worst_c,
@@ -548,35 +589,3 @@ def fit_grassmann(
         p0_min=p0_min,
         warnings=warn,
     )
-
-
-def _assemble_raw(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
-    K = quasi_diagonal_blocks(schema, sp.b)
-    W = aux_loading_matrix(schema, sp.w, sp.a)
-    return np.eye(schema.q) + K + (W * sp.omega[None, :]) @ sp.V.T
-
-
-def _gradient_natural(
-    schema: VariableSchema, sp: StructuredParams, lam: np.ndarray, counts: StateCounts
-) -> FitGradient:
-    G = _grad_lambda(lam, counts)
-    W = aux_loading_matrix(schema, sp.w, sp.a)
-    return FitGradient(
-        b=_chain_b(schema, sp.b, G),
-        w=_reduce_w(schema, G @ sp.V * sp.omega[None, :]),
-        V=G.T @ W * sp.omega[None, :],
-        omega=np.einsum("ra,rc,ca->a", W, G, sp.V) if sp.a else np.zeros(0),
-    )
-
-
-def model_correlation(params: GrassmannParams) -> np.ndarray:
-    """Pearson correlation implied by the model moments; exact unit diagonal.
-
-    Entries whose variance vanishes are reported as nan.
-    """
-    _, cov = moments(params)
-    std = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        corr = cov / np.outer(std, std)
-    np.fill_diagonal(corr, 1.0)
-    return corr

@@ -275,6 +275,14 @@ def extended_lambda(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
     return np.eye(q + a) + full
 
 
+def _raw_lambda(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
+    """lam = I + K + W diag(omega) V^T as a bare array: no shape check, no
+    certificate, no inverse."""
+    K = quasi_diagonal_blocks(schema, sp.b)
+    W = aux_loading_matrix(schema, sp.w, sp.a)
+    return np.eye(schema.q) + K + (W * sp.omega[None, :]) @ sp.V.T
+
+
 def assemble_lambda(
     schema: VariableSchema,
     sp: StructuredParams,
@@ -301,10 +309,7 @@ def assemble_lambda(
                 f"dominance certificate failed: worst B margin {worst:.3e}, "
                 f"worst C margin {report.worst_c:.3e}"
             )
-    K = quasi_diagonal_blocks(schema, sp.b)
-    W = aux_loading_matrix(schema, sp.w, sp.a)
-    lam = np.eye(schema.q) + K + (W * sp.omega[None, :]) @ sp.V.T
-    params = GrassmannParams.from_lambda(lam)
+    params = GrassmannParams.from_lambda(_raw_lambda(schema, sp))
     if certificate == "extended":
         ext = GrassmannParams.from_lambda(extended_lambda(schema, sp))
         report_ext = check_p0(ext)

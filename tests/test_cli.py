@@ -79,6 +79,14 @@ class TestValidate:
     def test_unknown_command_exits_64(self, workdir):
         assert _run(workdir, "frobnicate") == 64
 
+    def test_bad_cap_setting_exits_one(self, workdir, monkeypatch, capsys):
+        monkeypatch.setenv("GRASSCAT_CAP", "abc")
+        assert _run(
+            workdir, "fa", "fit", "--schema", "schema.json", "--data", "data.csv",
+            "--latent-dim", "1", "--out", "fa.json",
+        ) == 1
+        assert "GRASSCAT_CAP" in capsys.readouterr().err
+
 
 class TestFitCommand:
     def test_fit_and_artifacts(self, workdir, capsys):

@@ -250,6 +250,29 @@ class TestFit:
             assert report.worst_margin_b >= -1e-10
             assert report.worst_margin_c >= 1e-8
 
+    def test_negative_state_probability_is_not_feasible(self, monkeypatch):
+        import grasscat.fit
+        from grasscat.grassmann import P0Report
+
+        def negative_p0(params):
+            return P0Report(
+                n_states=2**params.q,
+                min_probability=-0.01,
+                argmin_state=(0,) * params.q,
+                probability_sum=1.0,
+                passed=False,
+            )
+
+        monkeypatch.setattr(grasscat.fit, "check_p0", negative_p0)
+        schema = VariableSchema([VariableDecl("x", CAT, 3)])
+        rows = [Record((0,))] * 25 + [Record((1,))] * 35 + [Record((2,))] * 40
+        report = fit_grassmann(schema, rows, FitConfig(a=0, restarts=1, seed=0))
+        assert report.p0_min == -0.01
+        assert not report.feasible
+        assert not report.converged
+        assert any("p0_min" in w for w in report.warnings)
+        assert report.worst_margin_b >= 0.0  # the dominance margins alone pass
+
 
 class TestModelCorrelation:
     def test_independent_is_identity(self):
@@ -282,15 +305,7 @@ class TestMonotoneDescent:
     def test_penalized_objective_never_increases_across_iterates(self, rng):
         import scipy.optimize
 
-        from grasscat.fit import (
-            FitGradient,
-            _Packer,
-            _assemble_raw,
-            _gradient_natural,
-            _initial_b,
-            _nll_of_lambda,
-            dominance_penalty,
-        )
+        from grasscat.fit import _Packer, _initial_b, _penalized_objective
         from grasscat.structure import StructuredParams
 
         schema = reader_style_schema()
@@ -299,8 +314,8 @@ class TestMonotoneDescent:
         probs = [joint_probability(truth, s.bits) for s in states]
         rows = sample_rows_from_probs(rng, schema, states, probs, 250)
         counts = state_counts(schema, rows)
-        packer = _Packer(schema, 2, optimize_c=True)
-        b0 = _initial_b(schema, counts, 30.0, [])
+        packer = _Packer(schema, 2)
+        b0 = _initial_b(schema, counts, [])
         sp0 = StructuredParams(
             b=tuple(np.asarray(v) for v in b0),
             w=tuple(rng.normal(0, 0.1, 2) for _ in schema.variables),
@@ -311,20 +326,7 @@ class TestMonotoneDescent:
         mu = 10.0
 
         def objective(x):
-            sp = packer.unpack(x)
-            lam = _assemble_raw(schema, sp)
-            nll = _nll_of_lambda(lam, counts)
-            if not np.isfinite(nll):
-                return np.inf, np.zeros_like(x)
-            g = _gradient_natural(schema, sp, lam, counts)
-            pen = dominance_penalty(schema, sp, mu)
-            g = FitGradient(
-                b=tuple(gb + pb for gb, pb in zip(g.b, pen.b)),
-                w=tuple(gw + pw for gw, pw in zip(g.w, pen.w)),
-                V=g.V + pen.V,
-                omega=g.omega,
-            )
-            return nll + pen.value, packer.pack_grad(sp, g, pen.C)
+            return _penalized_objective(x, mu, packer, counts)
 
         values = []
 
@@ -337,7 +339,7 @@ class TestMonotoneDescent:
             method="L-BFGS-B",
             jac=True,
             callback=cb,
-            bounds=packer.bounds(30.0),
+            bounds=packer.bounds,
             options={"maxiter": 150, "ftol": 1e-14},
         )
         assert len(values) > 3

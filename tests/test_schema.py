@@ -220,3 +220,7 @@ def test_env_cap_override(monkeypatch):
         enumerate_allowed_states(schema)
     monkeypatch.setenv("GRASSCAT_CAP", "4")
     assert len(enumerate_allowed_states(schema)) == 4
+    for bad in ("abc", "0", "-3", "2.5"):
+        monkeypatch.setenv("GRASSCAT_CAP", bad)
+        with pytest.raises(EnumerationCapError, match="GRASSCAT_CAP"):
+            enumerate_allowed_states(schema)
