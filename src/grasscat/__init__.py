@@ -39,6 +39,7 @@ from .grassmann import (
     joint_probability,
     marginal_params,
     moments,
+    state_probabilities,
 )
 from .structure import (
     DominanceReport,

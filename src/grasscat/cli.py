@@ -43,6 +43,7 @@ from .grassmann import (
     joint_probability,
     marginal_params,
     moments,
+    state_probabilities,
 )
 from .mixed import MixedParams, MixedPartition, mixed_conditional_density, mixed_marginal_density
 from .modelfile import ModelFile, load_model, save_model
@@ -81,6 +82,39 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer >= ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a float > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+def _latent_aux(text: str) -> str | int:
+    """argparse type: 'auto' or an integer >= 0."""
+    return text if text == "auto" else _nonnegative_int(text)
 
 
 def _emit(obj: dict) -> None:
@@ -232,7 +266,7 @@ def _cmd_fit(args) -> int:
             chosen = (a, rep)
         a, report = chosen
     else:
-        a = int(args.latent_aux)
+        a = args.latent_aux
         report = _fit_once(schema, rows, a, run)
     mf = ModelFile(
         kind="grassmann",
@@ -303,7 +337,7 @@ def _cmd_sample(args) -> int:
     if mf.kind == "grassmann":
         schema, params, _ = _load_grassmann(args.model)
         states = enumerate_allowed_states(schema)
-        probs = np.asarray([joint_probability(params, s.bits) for s in states])
+        probs = state_probabilities(params, [s.bits for s in states])
         if probs.min() < -1e-9:
             raise ParameterError(
                 f"model assigns negative probability {probs.min():.3e}"
@@ -549,12 +583,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fit", help="maximum-likelihood fit of the structured model")
     p.add_argument("--schema", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--latent-aux", default="auto",
+    p.add_argument("--latent-aux", type=_latent_aux, default="auto",
                    help="auxiliary dimension a, or 'auto' for a saturation sweep")
-    p.add_argument("--restarts", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--restarts", type=_positive_int, default=3)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--max-iter", type=_positive_int, default=500)
+    p.add_argument("--tol", type=_positive_float, default=1e-6)
     p.add_argument("--out", required=True)
     p.add_argument("--out-corr", default=None)
     p.set_defaults(func=_cmd_fit)
@@ -571,8 +605,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sample", help="exact sampling by allowed-state enumeration")
     p.add_argument("--model", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_nonnegative_int, required=True)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)
 
@@ -582,23 +616,23 @@ def build_parser() -> _Parser:
     p = fa_sub.add_parser("fit", help="fit the latent-factor model")
     p.add_argument("--schema", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--latent-dim", type=int, default=None)
+    p.add_argument("--latent-dim", type=_nonnegative_int, default=None)
     p.add_argument("--bic-range", default=None,
                    help="A:B; select the dimension by BIC before fitting")
-    p.add_argument("--restarts", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iter", type=int, default=1000)
+    p.add_argument("--restarts", type=_positive_int, default=3)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--max-iter", type=_positive_int, default=1000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fa_fit)
 
     p = fa_sub.add_parser("bic", help="select the latent dimension by BIC")
     p.add_argument("--schema", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--min-dim", type=int, default=0)
-    p.add_argument("--max-dim", type=int, default=3)
-    p.add_argument("--restarts", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iter", type=int, default=1000)
+    p.add_argument("--min-dim", type=_nonnegative_int, default=0)
+    p.add_argument("--max-dim", type=_nonnegative_int, default=3)
+    p.add_argument("--restarts", type=_positive_int, default=2)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--max-iter", type=_positive_int, default=1000)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_fa_bic)
 

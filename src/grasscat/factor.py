@@ -334,6 +334,10 @@ class FactorFitConfig:
     restarts: int = 3
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.max_iter <= 0 or self.restarts <= 0:
+            raise ValueError("max_iter and restarts must be positive")
+
 
 @dataclass
 class FactorFitReport:

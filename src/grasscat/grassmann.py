@@ -147,6 +147,44 @@ def joint_probability(p: GrassmannParams, y: Sequence[int]) -> float:
     return float(prob)
 
 
+def popcount_groups(states: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Rows of a 0/1 state matrix grouped by popcount k, ascending: for each k
+    present, the row positions (n_k,) and their set-bit indices (n_k, k),
+    both in ascending order."""
+    states = np.asarray(states, dtype=bool)
+    popcounts = states.sum(axis=1)
+    groups = []
+    for k in np.unique(popcounts):
+        rows = np.flatnonzero(popcounts == k)
+        groups.append((rows, np.nonzero(states[rows])[1].reshape(rows.size, k)))
+    return groups
+
+
+def state_probabilities(p: GrassmannParams, states: np.ndarray) -> np.ndarray:
+    """:func:`joint_probability` of every row of the 0/1 matrix ``states``.
+
+    One stacked ``slogdet`` per popcount group evaluates the same formula
+    and clamp as the one-state path, so each entry equals it exactly.
+    """
+    states = np.asarray(states)
+    if states.ndim != 2 or states.shape[1] != p.q:
+        raise ParameterError(f"states must have shape (n, {p.q}), got {states.shape}")
+    sign_l, logdet_l = np.linalg.slogdet(p.lam) if p.q else (1.0, 0.0)
+    if sign_l == 0:
+        raise ParameterError("lam is singular")
+    sign = np.ones(len(states))
+    logdet = np.zeros(len(states))
+    for rows, idx in popcount_groups(states):
+        k = idx.shape[1]
+        if k:
+            minors = p.lam[idx[:, :, None], idx[:, None, :]] - np.eye(k)
+            sign[rows], logdet[rows] = np.linalg.slogdet(minors)
+    prob = sign * sign_l * np.exp(logdet - logdet_l)
+    prob[sign == 0] = 0.0
+    prob[(-_CLAMP <= prob) & (prob < 0.0)] = 0.0
+    return prob
+
+
 def marginal_params(p: GrassmannParams, T: Sequence[int]) -> GrassmannParams:
     """Parameter of the marginal distribution over index set T: just sig[T, T]."""
     idx = _as_index_set(T, p.q)
@@ -283,18 +321,12 @@ def all_state_probabilities(p: GrassmannParams, cap: int | None = None) -> np.nd
     if det_l == 0:
         raise ParameterError("lam is singular")
     masks = np.arange(2**q, dtype=np.int64)
-    popcounts = np.zeros(2**q, dtype=int)
     bits = np.zeros((2**q, q), dtype=bool)
     for b in range(q):
         bits[:, b] = (masks >> b) & 1
-    popcounts = bits.sum(axis=1)
     probs = np.empty(2**q)
-    for k in range(q + 1):
-        rows = np.flatnonzero(popcounts == k)
-        if rows.size == 0:
-            continue
-        subsets = np.argsort(~bits[rows], axis=1, kind="stable")[:, :k]
-        subsets = np.sort(subsets, axis=1)
+    for rows, subsets in popcount_groups(bits):
+        k = subsets.shape[1]
         # chunk to bound memory for large q
         chunk = max(1, 2**22 // max(1, k * k))
         for lo in range(0, rows.size, chunk):

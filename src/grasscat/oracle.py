@@ -2,7 +2,7 @@
 
 Everything here recomputes probabilities from first principles with code
 paths deliberately different from the main modules: determinants are expanded
-by cofactors up to order 8 and by an explicit LU factorization above, and
+by cofactors up to order 6 and by an explicit LU factorization above, and
 marginals/conditionals are plain summations and ratios over the full state
 table.  Slowness is acceptable; independence is the point.
 """
@@ -26,19 +26,32 @@ def _naive_det(a: np.ndarray) -> float:
     n = a.shape[0]
     if n == 0:
         return 1.0
-    if n == 1:
-        return float(a[0, 0])
-    if n == 2:
-        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
     if n <= 6:
-        total = 0.0
-        sign = 1.0
-        rest = np.delete(a, 0, axis=0)
-        for j in range(n):
-            if a[0, j] != 0.0:
-                total += sign * a[0, j] * _naive_det(np.delete(rest, j, axis=1))
-            sign = -sign
-        return total
+        rows = a.tolist()
+        memo: dict[tuple[int, ...], float] = {}
+
+        def minor(cols: tuple[int, ...]) -> float:
+            """Determinant of the last len(cols) rows restricted to cols,
+            expanded along its first row; repeated minors are looked up."""
+            if cols in memo:
+                return memo[cols]
+            row = rows[n - len(cols)]
+            if len(cols) == 1:
+                det = row[cols[0]]
+            elif len(cols) == 2:
+                below = rows[n - 1]
+                det = row[cols[0]] * below[cols[1]] - row[cols[1]] * below[cols[0]]
+            else:
+                det = 0.0
+                sign = 1.0
+                for j, c in enumerate(cols):
+                    if row[c] != 0.0:
+                        det += sign * row[c] * minor(cols[:j] + cols[j + 1:])
+                    sign = -sign
+            memo[cols] = det
+            return det
+
+        return minor(tuple(range(n)))
     p, l, u = scipy.linalg.lu(a)
     # det(p) is +-1 depending on the permutation parity
     perm = np.argmax(p, axis=0)

@@ -589,3 +589,42 @@ class TestNumericalExitCode:
         assert _run(tmp_path, "oracle", "check", "--model", "bad.json") == 2
         out = json.loads(capsys.readouterr().out)
         assert not out["ok"]
+
+
+class TestNumericOptionRange:
+    _COMMANDS = {
+        "fit": ["fit", "--schema", "schema.json", "--data", "data.csv", "--out", "m.json"],
+        "fa fit": ["fa", "fit", "--schema", "schema.json", "--data", "data.csv",
+                   "--latent-dim", "1", "--out", "f.json"],
+        "fa bic": ["fa", "bic", "--schema", "schema.json", "--data", "data.csv"],
+        "sample": ["sample", "--model", "m.json", "--n", "5", "--out", "s.csv"],
+    }
+
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            ("fit", "--restarts", "0"),
+            ("fit", "--max-iter", "0"),
+            ("fit", "--tol", "0"),
+            ("fit", "--latent-aux", "-1"),
+            ("fit", "--latent-aux", "x"),
+            ("fit", "--seed", "-1"),
+            ("fa fit", "--restarts", "0"),
+            ("fa fit", "--max-iter", "0"),
+            ("fa fit", "--latent-dim", "-1"),
+            ("fa fit", "--seed", "-1"),
+            ("fa bic", "--restarts", "0"),
+            ("fa bic", "--max-iter", "0"),
+            ("fa bic", "--min-dim", "-1"),
+            ("fa bic", "--max-dim", "-1"),
+            ("fa bic", "--seed", "-1"),
+            ("sample", "--n", "-5"),
+            ("sample", "--seed", "-1"),
+        ],
+    )
+    def test_out_of_range_value_exits_64(self, workdir, capsys, command, option, value):
+        # the last occurrence of an option wins, so appending overrides
+        assert _run(workdir, *self._COMMANDS[command], option, value) == 64
+        err = capsys.readouterr().err
+        assert f"argument {option}:" in err
+        assert "Traceback" not in err

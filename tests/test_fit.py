@@ -22,6 +22,7 @@ from grasscat.structure import StructuredParams, assemble_lambda
 from generators import (
     CAT,
     ORD,
+    random_certified_structured,
     random_schema,
     random_structured,
     random_valid_params,
@@ -100,6 +101,87 @@ class TestNll:
         assert negative_log_likelihood(schema, sp, counts) == negative_log_likelihood(
             schema, sp, again
         )
+
+
+def _reference_nll(lam, counts):
+    """The per-state loop the batched kernel replaced, kept as its reference."""
+    q = lam.shape[0]
+    sign_l, logdet_l = np.linalg.slogdet(lam)
+    if sign_l <= 0:
+        return np.inf
+    lam_mi = lam - np.eye(q)
+    total = 0.0
+    n = 0.0
+    for bits, c in counts.items:
+        idx = np.flatnonzero(np.asarray(bits))
+        if idx.size:
+            sign_m, logdet_m = np.linalg.slogdet(lam_mi[np.ix_(idx, idx)])
+            if sign_m <= 0:
+                return np.inf
+            total -= float(c) * logdet_m
+        n += float(c)
+    return float(total + n * logdet_l)
+
+
+def _reference_grad(lam, counts):
+    q = lam.shape[0]
+    lam_mi = lam - np.eye(q)
+    n = 0.0
+    G = np.zeros((q, q))
+    for bits, c in counts.items:
+        idx = np.flatnonzero(np.asarray(bits))
+        if idx.size:
+            inv_m = np.linalg.inv(lam_mi[np.ix_(idx, idx)])
+            G[np.ix_(idx, idx)] -= float(c) * inv_m.T
+        n += float(c)
+    G += n * np.linalg.inv(lam).T
+    return G
+
+
+class TestBatchedKernelIsExact:
+    """The popcount-batched NLL and gradient equal the per-state loops bit
+    for bit, so the optimizer's path cannot move."""
+
+    @pytest.fixture
+    def q8(self, rng):
+        schema = VariableSchema(
+            [VariableDecl("c3", CAT, 3), VariableDecl("o4", ORD, 4), VariableDecl("c4", CAT, 4)]
+        )
+        params = assemble_lambda(schema, random_certified_structured(rng, schema, 2))
+        states = enumerate_allowed_states(schema)
+        probs = [joint_probability(params, s.bits) for s in states]
+        rows = sample_rows_from_probs(rng, schema, states, probs, 400)
+        counts = state_counts(schema, rows + [Record((0, 0, 0))])
+        assert ((0,) * 8) in dict(counts.items)
+        return schema, params, counts
+
+    def test_nll_and_gradient_at_random_draws(self, q8, rng):
+        from grasscat.fit import _grad_lambda, _nll_of_lambda
+
+        schema, params, counts = q8
+        lams = [np.asarray(params.lam)] + [
+            np.asarray(assemble_lambda(schema, random_structured(rng, schema, a)).lam)
+            for a in (0, 1, 2, 2, 3)
+        ]
+        finite = 0
+        for lam in lams:
+            nll = _nll_of_lambda(lam, counts)
+            assert nll == _reference_nll(lam, counts)
+            if np.isfinite(nll):
+                finite += 1
+                assert np.array_equal(_grad_lambda(lam, counts), _reference_grad(lam, counts))
+        assert finite >= 3
+
+    @pytest.mark.parametrize("diagonal", [1.0, 0.5])
+    def test_singular_or_negative_minor_is_infinite(self, q8, diagonal):
+        from grasscat.fit import _nll_of_lambda
+
+        _, _, counts = q8
+        lam = np.diag(np.linspace(1.5, 2.0, 8))
+        r = next(bits.index(1) for bits, _ in counts.items if sum(bits) == 1)
+        lam[r, r] = diagonal  # the observed 1 x 1 minor lam[r, r] - 1 is 0 or < 0
+        assert np.linalg.slogdet(lam)[0] > 0
+        assert _nll_of_lambda(lam, counts) == np.inf == _reference_nll(lam, counts)
 
 
 class TestGradient:

@@ -14,6 +14,7 @@ from grasscat.grassmann import (
     joint_probability,
     marginal_params,
     moments,
+    state_probabilities,
 )
 from grasscat.oracle import brute_force_table, oracle_conditional, oracle_marginal
 
@@ -276,3 +277,36 @@ def test_reader_matrix_supports_all_allowed_states():
     assert min(probs) > 0.0
     nll = -941 * sum(np.log(pr) / 24 for pr in probs)
     assert np.isfinite(nll)
+
+
+class TestStateProbabilities:
+    """The batched path equals joint_probability state for state, exactly."""
+
+    def test_reader_schema(self):
+        from generators import reader_style_schema
+        from grasscat.schema import enumerate_allowed_states
+
+        p = reader_params()
+        states = enumerate_allowed_states(reader_style_schema())
+        got = state_probabilities(p, [s.bits for s in states])
+        assert np.array_equal(got, [joint_probability(p, s.bits) for s in states])
+
+    def test_certified_q12_model(self):
+        from generators import CAT, ORD, random_certified_structured
+        from grasscat.schema import VariableDecl, VariableSchema, enumerate_allowed_states
+        from grasscat.structure import assemble_lambda
+
+        schema = VariableSchema([
+            VariableDecl("c3", CAT, 3), VariableDecl("o4", ORD, 4), VariableDecl("c4", CAT, 4),
+            VariableDecl("o3", ORD, 3), VariableDecl("c2a", CAT, 2), VariableDecl("c2b", CAT, 2),
+        ])
+        rng = np.random.default_rng(1212)
+        p = assemble_lambda(schema, random_certified_structured(rng, schema, 2))
+        states = enumerate_allowed_states(schema)
+        assert p.q == 12 and len(states) == 576
+        got = state_probabilities(p, [s.bits for s in states])
+        assert np.array_equal(got, [joint_probability(p, s.bits) for s in states])
+
+    def test_wrong_width_rejected(self):
+        with pytest.raises(ParameterError):
+            state_probabilities(reader_params(), np.zeros((3, 5)))
