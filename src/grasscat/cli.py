@@ -9,6 +9,7 @@ error, 2 numerical failure, 64 usage error.  All randomness flows from the
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -331,6 +332,15 @@ def _cmd_prob(args) -> int:
     return 0
 
 
+def _decoded_rows(schema: VariableSchema, draws: np.ndarray, state) -> list[list]:
+    """The level values of each drawn state index, one fresh row per draw;
+    ``state(k)`` gives the DummyState of index k, and each distinct drawn
+    state is decoded once."""
+    distinct, inverse = np.unique(draws, return_inverse=True)
+    values = [decode_state(schema, state(int(k))).values for k in distinct]
+    return [list(values[i]) for i in inverse]
+
+
 def _cmd_sample(args) -> int:
     mf = load_model(args.model)
     rng = np.random.default_rng(args.seed)
@@ -346,12 +356,8 @@ def _cmd_sample(args) -> int:
         probs /= probs.sum()
         draws = np.searchsorted(np.cumsum(probs), rng.random(args.n), side="right")
         draws = np.minimum(draws, len(states) - 1)
-        header = list(schema.names)
-        rows = []
-        for k in draws:
-            rec = decode_state(schema, states[int(k)])
-            rows.append(list(rec.values))
-        write_csv(args.out, header, rows)
+        rows = _decoded_rows(schema, draws, states.__getitem__)
+        write_csv(args.out, list(schema.names), rows)
     elif mf.kind == "factor":
         schema = mf.schema
         model: FactorModel = mf.params
@@ -367,17 +373,13 @@ def _cmd_sample(args) -> int:
             header += [f"x{i + 1}" for i in range(p_x)]
             cov = np.diag(model.psi_noise) + model.W_load @ model.sigma_z @ model.W_load.T
             chol = np.linalg.cholesky(cov)
-        rows = []
-        for k in draws:
-            bits = keys[int(k)]
-            rec = decode_state(schema, DummyState(bits))
-            row = list(rec.values)
-            if p_x:
-                yv = np.asarray(bits, dtype=float)
+        rows = _decoded_rows(schema, draws, lambda k: DummyState(keys[k]))
+        if p_x:
+            for row, k in zip(rows, draws):
+                yv = np.asarray(keys[int(k)], dtype=float)
                 mean = model.mu_x + model.W_load @ model.sigma_z @ model.G.T @ yv
                 x = mean + chol @ rng.standard_normal(p_x)
                 row += [float(v) for v in x]
-            rows.append(row)
         write_csv(args.out, header, rows)
     else:
         raise DataError("sampling supports grassmann and factor models")
@@ -533,10 +535,7 @@ def _cmd_mixed_eval(args) -> int:
 def _cmd_oracle_check(args) -> int:
     schema, params, _ = _load_grassmann(args.model)
     table = brute_force_table(params)
-    max_joint_err = 0.0
-    for mask, prob in enumerate(table.probs):
-        bits = [(mask >> i) & 1 for i in range(params.q)]
-        max_joint_err = max(max_joint_err, abs(prob - joint_probability(params, bits)))
+    max_joint_err = float(np.abs(table.probs - state_probabilities(params, table.states)).max())
     mean, cov = moments(params)
     mean_err = float(np.abs(mean - table.mean).max())
     cov_err = float(np.abs(cov - table.cov).max())
@@ -661,11 +660,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser every command of this process shares: building one costs
+    more than most commands, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def run_command(argv: list[str]) -> int:
     """Dispatch one CLI invocation; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         sys.stderr.write(str(exc) + "\n")
         return 64

@@ -303,6 +303,26 @@ def _minor_dets(mat: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     return np.linalg.det(minors)
 
 
+def _principal_minor_table(mat: np.ndarray) -> np.ndarray:
+    """det(mat[R, R]) for all 2**q index subsets R, indexed by the bit mask of
+    R (bit i set when i is in R); the empty minor is 1.  Callers check the
+    2**q enumeration cap first."""
+    q = mat.shape[0]
+    masks = np.arange(2**q, dtype=np.int64)
+    bits = np.zeros((2**q, q), dtype=bool)
+    for b in range(q):
+        bits[:, b] = (masks >> b) & 1
+    dets = np.empty(2**q)
+    for rows, subsets in popcount_groups(bits):
+        k = subsets.shape[1]
+        # chunk to bound memory for large q
+        chunk = max(1, 2**22 // max(1, k * k))
+        for lo in range(0, rows.size, chunk):
+            sl = slice(lo, lo + chunk)
+            dets[rows[sl]] = _minor_dets(mat, subsets[sl])
+    return dets
+
+
 def all_state_probabilities(p: GrassmannParams, cap: int | None = None) -> np.ndarray:
     """Probabilities of all 2**q states, ordered by the binary value of the
     bit vector with bit 0 least significant."""
@@ -316,23 +336,10 @@ def all_state_probabilities(p: GrassmannParams, cap: int | None = None) -> np.nd
             f"q={q} exceeds the 2**q enumeration cap (cap {limit}); "
             "rely on the structured-parameter dominance certificate instead"
         )
-    lam_mi = p.lam - np.eye(q)
     det_l = np.linalg.det(p.lam) if q else 1.0
     if det_l == 0:
         raise ParameterError("lam is singular")
-    masks = np.arange(2**q, dtype=np.int64)
-    bits = np.zeros((2**q, q), dtype=bool)
-    for b in range(q):
-        bits[:, b] = (masks >> b) & 1
-    probs = np.empty(2**q)
-    for rows, subsets in popcount_groups(bits):
-        k = subsets.shape[1]
-        # chunk to bound memory for large q
-        chunk = max(1, 2**22 // max(1, k * k))
-        for lo in range(0, rows.size, chunk):
-            sl = slice(lo, lo + chunk)
-            probs[rows[sl]] = _minor_dets(lam_mi, subsets[sl]) / det_l
-    return probs
+    return _principal_minor_table(p.lam - np.eye(q)) / det_l
 
 
 @dataclass(frozen=True)

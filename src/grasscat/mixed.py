@@ -14,24 +14,34 @@ exponential tilt applied columnwise.
 Index bookkeeping follows an explicit partition: continuous indices split
 into (J, L, K) and binary into (S, U, T), where J/S are query coordinates,
 L/U are marginalized (missing), and K/T are conditioned on.
+
+Every density reads one table per model: det((lam - I)[R1, R1]) for all
+2**q subsets, indexed by bit mask and computed once by the popcount-batched
+minor kernel that also serves :func:`grasscat.grassmann.all_state_probabilities`.
+The normalized partition weights are cached beside it.  A query gathers the
+rows it needs (the observed ones plus every subset of the free bits), forms
+G^T 1_{R1} for each row by doubling, and applies the exponential tilt and the
+Gaussian factor to all rows at once, with one Cholesky factor and one solve
+against it.  Sums over rows run in mask order through numpy, not one
+subset at a time, so a density can differ from a plain loop over subsets in
+its last digit.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .caps import bit_cap
 from .errors import EnumerationCapError, ParameterError
-from .grassmann import GrassmannParams
+from .grassmann import GrassmannParams, _principal_minor_table
 
 _LOG2PI = float(np.log(2.0 * np.pi))
 
 
-@dataclass(frozen=True, eq=False)  # identity hash lets weight tables memoize
+@dataclass(frozen=True, eq=False)  # array fields: compare by identity
 class MixedParams:
     """(mu, sigma) of the continuous block, the binary matrix parameter lam,
     and the (q, p) interaction matrix with rows g_s."""
@@ -77,6 +87,23 @@ class MixedParams:
     def q(self) -> int:
         return self.lam.shape[0]
 
+    # The two tables below have 2**q entries: read them only after _check_cap.
+
+    @functools.cached_property
+    def _minor_table(self) -> np.ndarray:
+        """det((lam - I)[R1, R1]) of every subset R1, indexed by bit mask."""
+        return _principal_minor_table(self.lam - np.eye(self.q))
+
+    @functools.cached_property
+    def _partition_weights(self) -> np.ndarray:
+        """Normalized pi_{R1}(sigma) of every subset R1, indexed by bit mask."""
+        _, v = _subset_sums((), range(self.q), self.G)
+        terms = _tilted(self._minor_table, 0.5 * _quad(v, self.sigma))
+        total = terms.sum()
+        if not np.isfinite(total) or total <= 0.0:
+            raise ParameterError("mixture normalizer is nonpositive; parameters invalid")
+        return terms / total
+
 
 @dataclass(frozen=True)
 class MixedPartition:
@@ -103,66 +130,52 @@ class MixedPartition:
             raise ParameterError(f"(S, U, T) must partition 0..{q - 1}")
 
 
-def _subsets(indices: tuple[int, ...]):
-    for k in range(len(indices) + 1):
-        yield from itertools.combinations(indices, k)
-
-
 def _check_cap(q: int, cap: int | None) -> None:
     limit = bit_cap(cap)
     if q > limit:
         raise EnumerationCapError(f"q={q} exceeds the 2**q enumeration cap {limit}")
 
 
-def _minor_det(lam_mi: np.ndarray, r1: tuple[int, ...]) -> float:
-    if not r1:
-        return 1.0
-    idx = np.asarray(r1, dtype=int)
-    return float(np.linalg.det(lam_mi[np.ix_(idx, idx)]))
+def _mask(indices) -> int:
+    return sum(1 << int(i) for i in indices)
 
 
-def _log_normal(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
-    d = x - mean
-    n = d.shape[0]
-    if n == 0:
-        return 0.0
+def _subset_sums(base, free, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sets base + R for every subset R of ``free``: their bit masks and
+    their rows of G summed (G^T 1_{R1}, one row per set).
+
+    Built by doubling, so free[k] is bit k of the row number; with base empty
+    and free = 0..q-1 the rows are in mask order.
+    """
+    masks = np.array([_mask(base)], dtype=np.int64)
+    sums = G[list(base)].sum(axis=0, keepdims=True)
+    for i in free:
+        masks = np.concatenate([masks, masks | (1 << int(i))])
+        sums = np.concatenate([sums, sums + G[i]])
+    return masks, sums
+
+
+def _quad(v: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """v_n^T mat v_n for every row v_n of v."""
+    return ((v @ mat) * v).sum(axis=1)
+
+
+def _tilted(dets: np.ndarray, log_tilt: np.ndarray) -> np.ndarray:
+    """det * exp(log_tilt) per row; a minor that is exactly zero weighs zero
+    whatever its tilt."""
+    return np.where(dets == 0.0, 0.0, dets * np.exp(log_tilt))
+
+
+def _log_normals(x: np.ndarray, means: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """log N(x | mean, cov) for every row of ``means``, from one Cholesky
+    factor and one solve against it."""
     chol = np.linalg.cholesky(cov)
-    sol = np.linalg.solve(chol, d)
-    return float(-0.5 * sol @ sol - np.log(np.diag(chol)).sum() - 0.5 * n * _LOG2PI)
-
-
-def _weight_terms(
-    mp: MixedParams, quad_mat: np.ndarray, subsets_iterable
-) -> dict[tuple[int, ...], float]:
-    """Unnormalized log-free weights det * exp(quad/2) per subset; computed in
-    plain (non-log) space since q is capped small."""
-    lam_mi = mp.lam - np.eye(mp.q)
-    out: dict[tuple[int, ...], float] = {}
-    for r1 in subsets_iterable:
-        det = _minor_det(lam_mi, r1)
-        if det == 0.0:
-            out[r1] = 0.0
-            continue
-        ind = np.zeros(mp.q)
-        ind[list(r1)] = 1.0
-        quad = float(ind @ quad_mat @ ind)
-        out[r1] = det * np.exp(0.5 * quad)
-    return out
-
-
-@functools.lru_cache(maxsize=64)
-def _partition_weights_cached(mp: MixedParams) -> dict[tuple[int, ...], float]:
-    quad = mp.G @ mp.sigma @ mp.G.T
-    terms = _weight_terms(mp, quad, _subsets(tuple(range(mp.q))))
-    total = sum(terms.values())
-    if not np.isfinite(total) or total <= 0.0:
-        raise ParameterError("mixture normalizer is nonpositive; parameters invalid")
-    return {k: v / total for k, v in terms.items()}
-
-
-def _partition_weights(mp: MixedParams, cap: int | None = None) -> dict[tuple[int, ...], float]:
-    _check_cap(mp.q, cap)
-    return _partition_weights_cached(mp)
+    sol = np.linalg.solve(chol, (x - means).T)
+    return (
+        -0.5 * (sol * sol).sum(axis=0)
+        - np.log(np.diag(chol)).sum()
+        - 0.5 * x.shape[0] * _LOG2PI
+    )
 
 
 def mixed_joint_density(
@@ -173,14 +186,12 @@ def mixed_joint_density(
     y = np.asarray(y, dtype=int)
     if x.shape != (mp.p,) or y.shape != (mp.q,):
         raise ParameterError("x or y has the wrong length")
-    weights = _partition_weights(mp, cap)
-    r1 = tuple(int(i) for i in np.flatnonzero(y))
-    pi = weights[r1]
+    _check_cap(mp.q, cap)
+    pi = mp._partition_weights[_mask(np.flatnonzero(y))]
     if pi == 0.0:
         return 0.0
-    ind = y.astype(float)
-    mean = mp.mu + mp.sigma @ mp.G.T @ ind
-    return pi * np.exp(_log_normal(x, mean, mp.sigma))
+    mean = mp.mu + mp.sigma @ (mp.G.T @ y)
+    return float(pi * np.exp(_log_normals(x, mean[None, :], mp.sigma)[0]))
 
 
 def mixed_marginal_density(
@@ -198,26 +209,15 @@ def mixed_marginal_density(
     T = list(part.T)
     if x_K.shape != (len(K),) or y_T.shape != (len(T),):
         raise ParameterError("x_K or y_T has the wrong length")
-    weights = _partition_weights(mp, cap)
-    t1 = tuple(t for t, bit in zip(T, y_T) if bit)
-    free = tuple(sorted((*part.S, *part.U)))
-    if K:
-        sigma_kk = mp.sigma[np.ix_(K, K)]
-        sigma_ki = mp.sigma[K, :]
-    total = 0.0
-    for extra in _subsets(free):
-        r1 = tuple(sorted((*t1, *extra)))
-        pi = weights[r1]
-        if pi == 0.0:
-            continue
-        if K:
-            ind = np.zeros(mp.q)
-            ind[list(r1)] = 1.0
-            mean = mp.mu[K] + sigma_ki @ (mp.G.T @ ind)
-            total += pi * np.exp(_log_normal(x_K, mean, sigma_kk))
-        else:
-            total += pi
-    return float(total)
+    _check_cap(mp.q, cap)
+    t1 = [t for t, bit in zip(T, y_T) if bit]
+    masks, v = _subset_sums(t1, sorted((*part.S, *part.U)), mp.G)
+    pi = mp._partition_weights[masks]
+    if not K:
+        return float(pi.sum())
+    keep = pi != 0.0
+    means = mp.mu[K] + v[keep] @ mp.sigma[K, :].T
+    return float(pi[keep] @ np.exp(_log_normals(x_K, means, mp.sigma[np.ix_(K, K)])))
 
 
 def mixed_conditional_density(
@@ -258,63 +258,41 @@ def mixed_conditional_density(
         except np.linalg.LinAlgError as exc:
             raise ParameterError("sigma[K, K] is singular") from exc
         dx = x_K - mp.mu[K]
-        shift_vec = mp.G @ mp.sigma[:, K] @ kk_inv @ dx  # (q,)
+        shift = mp.sigma[:, K] @ kk_inv @ dx  # the tilt adds (G^T 1_{R1}) @ shift
         sigma_jl_cond = (
             mp.sigma[np.ix_(JL, JL)]
             - mp.sigma[np.ix_(JL, K)] @ kk_inv @ mp.sigma[np.ix_(K, JL)]
         )
     else:
-        shift_vec = np.zeros(mp.q)
+        shift = np.zeros(mp.p)
         sigma_jl_cond = mp.sigma[np.ix_(JL, JL)]
 
-    g_jl = mp.G[:, JL] if JL else np.zeros((mp.q, 0))
-    quad = g_jl @ sigma_jl_cond @ g_jl.T
-    lam_mi = mp.lam - np.eye(mp.q)
-
-    def weight(r1: tuple[int, ...]) -> float:
-        det = _minor_det(lam_mi, r1)
-        if det == 0.0:
-            return 0.0
-        ind = np.zeros(mp.q)
-        ind[list(r1)] = 1.0
-        return det * float(np.exp(0.5 * ind @ quad @ ind + ind @ shift_vec))
-
-    t1 = tuple(t for t, bit in zip(T, y_T) if bit)
-    s1 = tuple(s for s, bit in zip(S, y_S) if bit)
-
-    denom = 0.0
-    for extra in _subsets(tuple(sorted(S + U))):
-        denom += weight(tuple(sorted((*t1, *extra))))
+    t1 = [t for t, bit in zip(T, y_T) if bit]
+    s1 = [s for s, bit in zip(S, y_S) if bit]
+    masks, v = _subset_sums(t1, sorted(S + U), mp.G)
+    v_jl = v[:, JL]
+    wgt = _tilted(mp._minor_table[masks], 0.5 * _quad(v_jl, sigma_jl_cond) + v @ shift)
+    denom = wgt.sum()
     if denom <= 0.0:
         raise ParameterError("conditioning event has zero probability")
 
-    # Gaussian conditional pieces for the J coordinates
-    if J:
-        pos_j = [JL.index(j) for j in J]
-        sigma_j_cond = sigma_jl_cond[np.ix_(pos_j, pos_j)]
-        if K:
-            base_mean = mp.mu[J] + mp.sigma[np.ix_(J, K)] @ kk_inv @ dx
-            cross = (
-                mp.sigma[np.ix_(J, JL)]
-                - mp.sigma[np.ix_(J, K)] @ kk_inv @ mp.sigma[np.ix_(K, JL)]
-            )
-        else:
-            base_mean = mp.mu[J]
-            cross = mp.sigma[np.ix_(J, JL)]
-
-    numer = 0.0
-    for extra in _subsets(tuple(U)):
-        r1 = tuple(sorted((*t1, *s1, *extra)))
-        wgt = weight(r1)
-        if wgt == 0.0:
-            continue
-        if J:
-            ind = np.zeros(mp.q)
-            ind[list(r1)] = 1.0
-            mean = base_mean + cross @ (g_jl.T @ ind)
-            numer += wgt * np.exp(_log_normal(x_J, mean, sigma_j_cond))
-        else:
-            numer += wgt
+    # numerator: the rows whose S bits are y_S
+    rows = ((masks & _mask(S)) == _mask(s1)) & (wgt != 0.0)
+    if not J:
+        return float(wgt[rows].sum() / denom)
+    pos_j = [JL.index(j) for j in J]
+    sigma_j_cond = sigma_jl_cond[np.ix_(pos_j, pos_j)]
+    if K:
+        base_mean = mp.mu[J] + mp.sigma[np.ix_(J, K)] @ kk_inv @ dx
+        cross = (
+            mp.sigma[np.ix_(J, JL)]
+            - mp.sigma[np.ix_(J, K)] @ kk_inv @ mp.sigma[np.ix_(K, JL)]
+        )
+    else:
+        base_mean = mp.mu[J]
+        cross = mp.sigma[np.ix_(J, JL)]
+    means = base_mean + v_jl[rows] @ cross.T
+    numer = wgt[rows] @ np.exp(_log_normals(x_J, means, sigma_j_cond))
     return float(numer / denom)
 
 

@@ -125,11 +125,15 @@ def oracle_marginal(table: FullTable, T) -> dict[tuple[int, ...], float]:
     T = tuple(sorted(int(t) for t in T))
     if any(t < 0 or t >= table.q for t in T):
         raise ParameterError(f"index set {T} out of range")
-    out: dict[tuple[int, ...], float] = {}
-    for state, prob in zip(table.states, table.probs):
-        key = tuple(int(state[t]) for t in T)
-        out[key] = out.get(key, 0.0) + float(prob)
-    return dict(sorted(out.items()))
+    # key code: y_T read as a binary number, first index most significant, so
+    # codes ascend in key order; bincount adds each code's terms in state order
+    m = len(T)
+    codes = table.states[:, list(T)] @ (1 << np.arange(m - 1, -1, -1))
+    sums = np.bincount(codes, weights=table.probs, minlength=2**m)
+    return {
+        tuple((code >> (m - 1 - k)) & 1 for k in range(m)): float(total)
+        for code, total in enumerate(sums)
+    }
 
 
 @dataclass(frozen=True)

@@ -88,6 +88,31 @@ class TestValidate:
         assert "GRASSCAT_CAP" in capsys.readouterr().err
 
 
+class TestParserReuse:
+    def test_shared_parser_matches_fresh_parser(self, workdir, capsys, monkeypatch):
+        import grasscat.cli as cli
+
+        commands = [
+            ["validate", "--schema", "schema.json", "--bogus"],
+            ["validate", "--schema", "schema.json", "--data", "data.csv"],
+            ["--version"],
+        ]
+
+        def run_all():
+            results = []
+            for argv in commands:
+                code = _run(workdir, *argv)
+                captured = capsys.readouterr()
+                results.append((code, captured.out, captured.err))
+            return results
+
+        shared = run_all()
+        assert [code for code, _, _ in shared] == [64, 0, 0]
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert run_all() == shared
+
+
 class TestFitCommand:
     def test_fit_and_artifacts(self, workdir, capsys):
         code = _run(

@@ -1,11 +1,14 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from grasscat.errors import EnumerationCapError, ParameterError
 from grasscat.factor import FactorModel, _gaussian_logpdf, mixture_weights, posterior
+import grasscat.mixed
 from grasscat.grassmann import GrassmannParams, joint_probability
 from grasscat.mixed import (
     MixedParams,
@@ -263,3 +266,241 @@ class TestValidation:
                 lam=np.eye(2),
                 G=np.zeros((3, 2)),
             )
+
+
+# -- per-subset reference ------------------------------------------------------
+# Reference densities computed one subset at a time: one det and one Gaussian
+# per subset, summed in subset order.  The batched densities must match them.
+
+def _ref_subsets(indices):
+    for k in range(len(indices) + 1):
+        yield from itertools.combinations(indices, k)
+
+
+def _ref_minor_det(lam_mi, r1):
+    if not r1:
+        return 1.0
+    idx = np.asarray(r1, dtype=int)
+    return float(np.linalg.det(lam_mi[np.ix_(idx, idx)]))
+
+
+def _ref_log_normal(x, mean, cov):
+    d = x - mean
+    n = d.shape[0]
+    if n == 0:
+        return 0.0
+    chol = np.linalg.cholesky(cov)
+    sol = np.linalg.solve(chol, d)
+    return float(-0.5 * sol @ sol - np.log(np.diag(chol)).sum() - 0.5 * n * np.log(2 * np.pi))
+
+
+def _ref_weight(mp, quad, shift, r1):
+    det = _ref_minor_det(mp.lam - np.eye(mp.q), r1)
+    if det == 0.0:
+        return 0.0
+    ind = np.zeros(mp.q)
+    ind[list(r1)] = 1.0
+    return det * float(np.exp(0.5 * ind @ quad @ ind + ind @ shift))
+
+
+def _ref_partition_weights(mp):
+    quad = mp.G @ mp.sigma @ mp.G.T
+    terms = {r1: _ref_weight(mp, quad, np.zeros(mp.q), r1) for r1 in _ref_subsets(tuple(range(mp.q)))}
+    total = sum(terms.values())
+    if not np.isfinite(total) or total <= 0.0:
+        raise ParameterError("mixture normalizer is nonpositive; parameters invalid")
+    return {k: v / total for k, v in terms.items()}
+
+
+def _ref_joint(mp, x, y):
+    weights = _ref_partition_weights(mp)
+    pi = weights[tuple(int(i) for i in np.flatnonzero(y))]
+    if pi == 0.0:
+        return 0.0
+    mean = mp.mu + mp.sigma @ mp.G.T @ np.asarray(y, dtype=float)
+    return pi * np.exp(_ref_log_normal(x, mean, mp.sigma))
+
+
+def _ref_marginal(mp, part, x_K, y_T):
+    weights = _ref_partition_weights(mp)
+    K, T = list(part.K), list(part.T)
+    t1 = tuple(t for t, bit in zip(T, y_T) if bit)
+    total = 0.0
+    for extra in _ref_subsets(tuple(sorted((*part.S, *part.U)))):
+        r1 = tuple(sorted((*t1, *extra)))
+        pi = weights[r1]
+        if pi == 0.0:
+            continue
+        if K:
+            ind = np.zeros(mp.q)
+            ind[list(r1)] = 1.0
+            mean = mp.mu[K] + mp.sigma[K, :] @ (mp.G.T @ ind)
+            total += pi * np.exp(_ref_log_normal(x_K, mean, mp.sigma[np.ix_(K, K)]))
+        else:
+            total += pi
+    return float(total)
+
+
+def _ref_conditional(mp, part, x_J, y_S, x_K, y_T):
+    J, L, K = list(part.J), list(part.L), list(part.K)
+    S, U, T = list(part.S), list(part.U), list(part.T)
+    JL = sorted(J + L)
+    if K:
+        kk_inv = np.linalg.inv(mp.sigma[np.ix_(K, K)])
+        dx = x_K - mp.mu[K]
+        shift = mp.G @ mp.sigma[:, K] @ kk_inv @ dx
+        sigma_jl_cond = (
+            mp.sigma[np.ix_(JL, JL)]
+            - mp.sigma[np.ix_(JL, K)] @ kk_inv @ mp.sigma[np.ix_(K, JL)]
+        )
+    else:
+        shift = np.zeros(mp.q)
+        sigma_jl_cond = mp.sigma[np.ix_(JL, JL)]
+    g_jl = mp.G[:, JL] if JL else np.zeros((mp.q, 0))
+    quad = g_jl @ sigma_jl_cond @ g_jl.T
+    t1 = tuple(t for t, bit in zip(T, y_T) if bit)
+    s1 = tuple(s for s, bit in zip(S, y_S) if bit)
+    denom = sum(
+        _ref_weight(mp, quad, shift, tuple(sorted((*t1, *extra))))
+        for extra in _ref_subsets(tuple(sorted(S + U)))
+    )
+    if denom <= 0.0:
+        raise ParameterError("conditioning event has zero probability")
+    if J:
+        pos_j = [JL.index(j) for j in J]
+        sigma_j_cond = sigma_jl_cond[np.ix_(pos_j, pos_j)]
+        if K:
+            base_mean = mp.mu[J] + mp.sigma[np.ix_(J, K)] @ kk_inv @ dx
+            cross = (
+                mp.sigma[np.ix_(J, JL)]
+                - mp.sigma[np.ix_(J, K)] @ kk_inv @ mp.sigma[np.ix_(K, JL)]
+            )
+        else:
+            base_mean = mp.mu[J]
+            cross = mp.sigma[np.ix_(J, JL)]
+    numer = 0.0
+    for extra in _ref_subsets(tuple(U)):
+        r1 = tuple(sorted((*t1, *s1, *extra)))
+        wgt = _ref_weight(mp, quad, shift, r1)
+        if wgt == 0.0:
+            continue
+        if J:
+            ind = np.zeros(mp.q)
+            ind[list(r1)] = 1.0
+            mean = base_mean + cross @ (g_jl.T @ ind)
+            numer += wgt * np.exp(_ref_log_normal(x_J, mean, sigma_j_cond))
+        else:
+            numer += wgt
+    return float(numer / denom)
+
+
+def _roles(rng, n, kinds, forced):
+    """A role letter per coordinate: ``forced`` when given, else random."""
+    if forced is not None:
+        return [forced] * n
+    return [kinds[i] for i in rng.integers(0, len(kinds), n)]
+
+
+# (x roles, y roles): None draws each coordinate's role at random from
+# query / missing / given; a letter gives every coordinate that role
+ROLE_MIXES = [
+    (None, None),
+    (None, None),
+    ("q", "m"),  # all bits missing
+    ("g", None),  # no continuous query
+    ("m", None),  # no continuous query, empty K
+    (None, "q"),  # no binary marginalization
+    ("q", None),  # empty K
+    ("g", "g"),  # everything given but nothing queried
+    ("q", "q"),  # the full joint
+]
+
+
+def _check_all_densities(mp, rng, rel=1e-12):
+    for x_mix, y_mix in ROLE_MIXES:
+        xr = _roles(rng, mp.p, "qmg", x_mix)
+        yr = _roles(rng, mp.q, "qmg", y_mix)
+        J, L, K = ([i for i, r in enumerate(xr) if r == c] for c in "qmg")
+        S, U, T = ([i for i, r in enumerate(yr) if r == c] for c in "qmg")
+        x = rng.normal(0, 1, mp.p)
+        y = rng.integers(0, 2, mp.q)
+        marg = MixedPartition(J=(), L=J + L, K=K, S=(), U=S + U, T=T)
+        part = MixedPartition(J=J, L=L, K=K, S=S, U=U, T=T)
+        args = (x[J], y[S], x[K], y[T])
+        for batched, reference, call_args in (
+            (mixed_joint_density, _ref_joint, (x, y)),
+            (mixed_marginal_density, _ref_marginal, (marg, x[K], y[T])),
+            (mixed_conditional_density, _ref_conditional, (part, *args)),
+        ):
+            try:
+                want = reference(mp, *call_args)
+            except ParameterError as exc:
+                with pytest.raises(ParameterError, match=str(exc)):
+                    batched(mp, *call_args)
+                continue
+            assert batched(mp, *call_args) == pytest.approx(want, rel=rel, abs=0.0)
+
+
+class TestBatchedMatchesSubsetLoops:
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("q", [0, 1, 4, 10])
+    def test_random_models(self, rng, p, q):
+        for _ in range(2 if q == 10 else 4):
+            _check_all_densities(random_mixed(rng, p, q), rng)
+
+    def test_zero_principal_minor(self, rng):
+        # lam - I has a zero first row: every subset holding bit 0 has a minor
+        # of exactly 0.0, so weight 0 whatever its tilt
+        base = random_mixed(rng, 2, 4)
+        lam = base.lam.copy()
+        lam[0, :] = 0.0
+        lam[0, 0] = 1.0
+        mp = MixedParams(mu=base.mu, sigma=base.sigma, lam=lam, G=base.G)
+        minors = mp._minor_table
+        assert np.all(minors[1::2] == 0.0) and np.all(minors[0::2] != 0.0)
+        assert np.all(mp._partition_weights[1::2] == 0.0)
+        x = rng.normal(0, 1, 2)
+        assert mixed_joint_density(mp, x, (1, 0, 1, 0)) == 0.0
+        part = MixedPartition(J=(0,), L=(), K=(1,), S=(1,), U=(2, 3), T=(0,))
+        with pytest.raises(ParameterError, match="conditioning event has zero probability"):
+            mixed_conditional_density(mp, part, x[[0]], (1,), x[[1]], (1,))
+        _check_all_densities(mp, rng)
+
+    def test_minor_table_equals_per_subset_det(self, rng):
+        mp = random_mixed(rng, 2, 7)
+        lam_mi = mp.lam - np.eye(mp.q)
+        table = mp._minor_table
+        assert table.shape == (2**mp.q,)
+        for mask in range(2**mp.q):
+            idx = [i for i in range(mp.q) if (mask >> i) & 1]
+            want = np.linalg.det(lam_mi[np.ix_(idx, idx)]) if idx else 1.0
+            assert table[mask] == want
+
+    def test_cap_checked_before_any_table(self, rng, monkeypatch):
+        def fail(*args):
+            raise AssertionError("2**q work started before the cap check")
+
+        monkeypatch.setattr(grasscat.mixed, "_principal_minor_table", fail)
+        monkeypatch.setattr(grasscat.mixed, "_subset_sums", fail)
+        mp = random_mixed(rng, 2, 4)
+        part = MixedPartition(J=(0,), L=(), K=(1,), S=(0,), U=(1, 2), T=(3,))
+        calls = [
+            lambda: mixed_joint_density(mp, np.zeros(2), (0, 1, 0, 1), cap=3),
+            lambda: mixed_marginal_density(mp, part, np.zeros(1), (1,), cap=3),
+            lambda: mixed_conditional_density(
+                mp, part, np.zeros(1), (1,), np.zeros(1), (0,), cap=3
+            ),
+        ]
+        for call in calls:
+            with pytest.raises(EnumerationCapError):
+                call()
+        assert "_minor_table" not in vars(mp) and "_partition_weights" not in vars(mp)
+
+    def test_cached_tables_do_not_outlive_their_model(self, rng):
+        mp = random_mixed(rng, 2, 6)
+        mixed_joint_density(mp, np.zeros(2), (1, 0, 0, 0, 0, 1))
+        assert "_partition_weights" in vars(mp)
+        ref = weakref.ref(mp)
+        del mp
+        gc.collect()
+        assert ref() is None
