@@ -37,3 +37,11 @@ def state_cap(override: int | None = None) -> int:
 def bit_cap(override: int | None = None) -> int:
     """Cap on the bit dimension q for full 2**q enumerations."""
     return _cap(override, BIT_CAP_DEFAULT)
+
+
+def check_bit_cap(q: int, override: int | None = None) -> None:
+    """Raise EnumerationCapError when a 2**q enumeration exceeds the bit cap;
+    call it before any 2**q work."""
+    limit = bit_cap(override)
+    if q > limit:
+        raise EnumerationCapError(f"q={q} exceeds the 2**q enumeration cap {limit}")

@@ -9,10 +9,10 @@ error, 2 numerical failure, 64 usage error.  All randomness flows from the
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,10 +29,10 @@ from .errors import (
 )
 from .factor import (
     FactorFitConfig,
-    FactorModel,
+    _prior_table,
+    _x_given_states,
     biplot_export,
     fit_factor_model,
-    mixture_weights,
     select_dimension_bic,
 )
 from .fit import FitConfig, fit_grassmann, model_correlation, state_counts, weighted_moments
@@ -60,20 +60,6 @@ from .schema import (
     load_schema,
 )
 from .structure import assemble_lambda
-
-
-@dataclass
-class RunConfig:
-    """Run-wide knobs shared by the subcommands.
-
-    Defaults: seed 0, restarts 3, max_iter 500, tol 1e-6, latent-aux "auto".
-    Enumeration caps come from GRASSCAT_CAP (see caps module).
-    """
-
-    seed: int = 0
-    restarts: int = 3
-    max_iter: int = 500
-    tol: float = 1e-6
 
 
 class _UsageError(Exception):
@@ -234,22 +220,11 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _fit_once(schema, rows, a: int, run: RunConfig):
-    config = FitConfig(
-        a=a,
-        max_iter=run.max_iter,
-        grad_tol=run.tol,
-        restarts=run.restarts,
-        seed=run.seed,
-    )
-    return fit_grassmann(schema, rows, config)
-
-
 def _cmd_fit(args) -> int:
     schema = load_schema(args.schema)
     rows = load_data_rows(schema, args.data)
-    run = RunConfig(
-        seed=args.seed, restarts=args.restarts, max_iter=args.max_iter, tol=args.tol
+    config = FitConfig(
+        max_iter=args.max_iter, grad_tol=args.tol, restarts=args.restarts, seed=args.seed
     )
     sweep = []
     if args.latent_aux == "auto":
@@ -257,7 +232,7 @@ def _cmd_fit(args) -> int:
         prev_nll = None
         chosen = None
         for a in range(0, min(schema.q, 4) + 1):
-            rep = _fit_once(schema, rows, a, run)
+            rep = fit_grassmann(schema, rows, dataclasses.replace(config, a=a))
             sweep.append({"a": a, "nll": float(rep.nll)})
             if prev_nll is not None:
                 rel = (prev_nll - rep.nll) / max(1.0, abs(prev_nll))
@@ -268,7 +243,7 @@ def _cmd_fit(args) -> int:
         a, report = chosen
     else:
         a = args.latent_aux
-        report = _fit_once(schema, rows, a, run)
+        report = fit_grassmann(schema, rows, dataclasses.replace(config, a=a))
     mf = ModelFile(
         kind="grassmann",
         schema=schema,
@@ -299,9 +274,7 @@ def _cmd_moments(args) -> int:
         labels = schema.index_labels()
     elif mf.kind == "factor":
         schema = mf.schema
-        weights = mixture_weights(schema, mf.params.b, mf.params.G, mf.params.sigma_z)
-        states = np.asarray(list(weights.keys()), dtype=float)
-        w = np.asarray(list(weights.values()))
+        states, w = _prior_table(schema, mf.params.b, mf.params.G, mf.params.sigma_z)
         mean, cov, corr = weighted_moments(states, w)
         labels = schema.index_labels()
     else:
@@ -332,57 +305,40 @@ def _cmd_prob(args) -> int:
     return 0
 
 
-def _decoded_rows(schema: VariableSchema, draws: np.ndarray, state) -> list[list]:
-    """The level values of each drawn state index, one fresh row per draw;
-    ``state(k)`` gives the DummyState of index k, and each distinct drawn
-    state is decoded once."""
-    distinct, inverse = np.unique(draws, return_inverse=True)
-    values = [decode_state(schema, state(int(k))).values for k in distinct]
-    return [list(values[i]) for i in inverse]
-
-
 def _cmd_sample(args) -> int:
     mf = load_model(args.model)
     rng = np.random.default_rng(args.seed)
     if mf.kind == "grassmann":
         schema, params, _ = _load_grassmann(args.model)
-        states = enumerate_allowed_states(schema)
-        probs = state_probabilities(params, [s.bits for s in states])
-        if probs.min() < -1e-9:
-            raise ParameterError(
-                f"model assigns negative probability {probs.min():.3e}"
-            )
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum()
-        draws = np.searchsorted(np.cumsum(probs), rng.random(args.n), side="right")
-        draws = np.minimum(draws, len(states) - 1)
-        rows = _decoded_rows(schema, draws, states.__getitem__)
-        write_csv(args.out, list(schema.names), rows)
+        states = np.asarray([s.bits for s in enumerate_allowed_states(schema)])
+        probs = state_probabilities(params, states)
     elif mf.kind == "factor":
-        schema = mf.schema
-        model: FactorModel = mf.params
-        weights = mixture_weights(schema, model.b, model.G, model.sigma_z)
-        keys = list(weights.keys())
-        probs = np.asarray(list(weights.values()))
-        probs /= probs.sum()
-        draws = np.searchsorted(np.cumsum(probs), rng.random(args.n), side="right")
-        draws = np.minimum(draws, len(keys) - 1)
-        header = list(schema.names)
-        p_x = model.p_x
-        if p_x:
-            header += [f"x{i + 1}" for i in range(p_x)]
-            cov = np.diag(model.psi_noise) + model.W_load @ model.sigma_z @ model.W_load.T
-            chol = np.linalg.cholesky(cov)
-        rows = _decoded_rows(schema, draws, lambda k: DummyState(keys[k]))
-        if p_x:
-            for row, k in zip(rows, draws):
-                yv = np.asarray(keys[int(k)], dtype=float)
-                mean = model.mu_x + model.W_load @ model.sigma_z @ model.G.T @ yv
-                x = mean + chol @ rng.standard_normal(p_x)
-                row += [float(v) for v in x]
-        write_csv(args.out, header, rows)
+        schema, model = mf.schema, mf.params
+        states, probs = _prior_table(schema, model.b, model.G, model.sigma_z)
     else:
         raise DataError("sampling supports grassmann and factor models")
+    if probs.min() < -1e-9:
+        raise ParameterError(f"model assigns negative probability {probs.min():.3e}")
+    probs = np.clip(probs, 0.0, None)
+    probs /= probs.sum()
+    draws = np.searchsorted(np.cumsum(probs), rng.random(args.n), side="right")
+    draws = np.minimum(draws, len(states) - 1)
+    # decode each distinct drawn state once; every draw gets a fresh row
+    distinct, inverse = np.unique(draws, return_inverse=True)
+    values = [
+        decode_state(schema, DummyState(tuple(bits))).values
+        for bits in states[distinct].astype(int).tolist()
+    ]
+    rows = [list(values[i]) for i in inverse]
+    header = list(schema.names)
+    if mf.kind == "factor" and model.p_x:
+        header += [f"x{i + 1}" for i in range(model.p_x)]
+        means, cov = _x_given_states(model, states[distinct])
+        chol = np.linalg.cholesky(cov)
+        for row, i in zip(rows, inverse):
+            x = means[i] + chol @ rng.standard_normal(model.p_x)
+            row += [float(v) for v in x]
+    write_csv(args.out, header, rows)
     _emit({"out": args.out, "n": args.n, "seed": args.seed})
     return 0
 

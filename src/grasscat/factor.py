@@ -12,9 +12,11 @@ prior mixture is constructed so that everything stays closed form:
     p(z|x,y)= N(z | m, S),  S = inv(inv(sigma_z) + W^T psi^-1 W),
               m = mu_z + S (W^T psi^-1 (x - mu_x) + G^T y)
 
-with u ranging over the schema's allowed states only.  The factor score of a
-data row is the posterior mean m.  The model's rotational freedom is fixed by
-diagonalizing G^T G (its nonzero spectrum equals that of G G^T), with axes
+with u ranging over the schema's allowed states only.  One table holds the
+prior: the allowed-state matrix and the normalized weights pi_u, which the
+fit report, the observed density, moments and sampling all read.  The
+factor score of a data row is the posterior mean m.  The model's rotational
+freedom is fixed by diagonalizing G^T G (its nonzero spectrum equals that of G G^T), with axes
 ordered by decreasing eigenvalue share.
 """
 
@@ -49,8 +51,10 @@ class FactorModel:
     """Parameters of the latent-factor model.
 
     psi_noise holds the diagonal of the observation-noise covariance.  The
-    canonical gauge is mu_z = 0 and sigma_z = I; fitted models are canonical,
-    hand-built ones need not be.
+    canonical gauge is mu_z = 0 and sigma_z = I.  A fitted model is
+    canonical up to rounding: fix_rotation leaves sigma_z = Q^T Q, whose
+    off-diagonal entries are of order 1e-16 when p_z >= 2.  Hand-built
+    models may use any positive definite sigma_z.
     """
 
     mu_x: np.ndarray
@@ -98,13 +102,6 @@ class FactorModel:
     def q(self) -> int:
         return self.b.shape[0]
 
-    @property
-    def is_canonical(self) -> bool:
-        return bool(
-            np.all(self.mu_z == 0.0)
-            and np.array_equal(self.sigma_z, np.eye(self.p_z))
-        )
-
     @classmethod
     def canonical(
         cls, b: np.ndarray, G: np.ndarray, mu_x=None, psi_noise=None, W_load=None
@@ -132,9 +129,32 @@ def _allowed_state_matrix(schema: VariableSchema, cap: int | None = None) -> np.
     return np.asarray([s.bits for s in states], dtype=float)
 
 
-def _log_weights(Y: np.ndarray, b: np.ndarray, G: np.ndarray, sigma_z: np.ndarray) -> np.ndarray:
-    A = G @ sigma_z @ G.T
-    return Y @ b + 0.5 * np.einsum("sq,qr,sr->s", Y, A, Y)
+def _quadratic_log_weight(Y: np.ndarray, b: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """u^T b + |G^T u|^2 / 2 for every row u of Y: the unnormalized log prior
+    weight of each state in the canonical gauge.  A general sigma_z = L L^T
+    enters as G L."""
+    YG = Y @ G
+    return Y @ b + 0.5 * np.einsum("sk,sk->s", YG, YG)
+
+
+def _prior_table(
+    schema: VariableSchema,
+    b: np.ndarray,
+    G: np.ndarray,
+    sigma_z: np.ndarray,
+    cap: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The prior mixture: the allowed states as rows of a 0/1 matrix Y, in
+    enumeration order, and their weights
+    pi_u propto exp(u^T b + u^T G sigma_z G^T u / 2), which sum to one."""
+    Y = _allowed_state_matrix(schema, cap)
+    try:
+        root = np.linalg.cholesky(sigma_z)
+    except np.linalg.LinAlgError as exc:
+        raise ParameterError("sigma_z must be positive definite") from exc
+    logw = _quadratic_log_weight(Y, b, G @ root)
+    w = np.exp(logw - logw.max())
+    return Y, w / w.sum()
 
 
 def mixture_weights(
@@ -144,18 +164,10 @@ def mixture_weights(
     sigma_z: np.ndarray,
     cap: int | None = None,
 ) -> dict[tuple[int, ...], float]:
-    """Prior mixture weight of every allowed state; weights sum to one."""
-    b = np.asarray(b, dtype=float)
-    G = np.asarray(G, dtype=float)
-    sigma_z = np.asarray(sigma_z, dtype=float)
-    Y = _allowed_state_matrix(schema, cap)
-    logw = _log_weights(Y, b, G, sigma_z)
-    logw -= logw.max()
-    w = np.exp(logw)
-    w /= w.sum()
-    return {
-        tuple(int(v) for v in row): float(wi) for row, wi in zip(Y.astype(int), w)
-    }
+    """Prior mixture weight of every allowed state, keyed by its bits: a dict
+    view of :func:`_prior_table`."""
+    Y, w = _prior_table(schema, b, G, sigma_z, cap)
+    return {tuple(row): wi for row, wi in zip(Y.astype(int).tolist(), w.tolist())}
 
 
 def _gaussian_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
@@ -179,22 +191,33 @@ def observed_density(
 
     Disallowed states return exactly 0.
     """
-    bits = tuple(int(v) for v in y)
-    weights = mixture_weights(schema, model.b, model.G, model.sigma_z, cap)
-    if bits not in weights:
+    Y, w = _prior_table(schema, model.b, model.G, model.sigma_z, cap)
+    yv = np.asarray([int(v) for v in y], dtype=float)
+    row = np.flatnonzero((Y == yv).all(axis=1)) if yv.shape == Y.shape[1:] else ()
+    if not len(row):
         return 0.0
-    pi = weights[bits]
+    pi = float(w[row[0]])
     if model.p_x == 0:
         if x is not None and len(np.atleast_1d(x)):
             raise ParameterError("model has no continuous block but x was given")
         return pi
     if x is None:
         raise ParameterError("model has a continuous block; x is required")
-    x = np.asarray(x, dtype=float)
-    yv = np.asarray(bits, dtype=float)
-    mean = model.mu_x + model.W_load @ model.sigma_z @ model.G.T @ yv
+    means, cov = _x_given_states(model, yv[None, :])
+    return pi * np.exp(_gaussian_logpdf(np.asarray(x, dtype=float), means[0], cov))
+
+
+def _x_given_states(
+    model: FactorModel, states: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The continuous block given a dummy state y: the mean
+    mu_x + W sigma_z G^T y of each row y of ``states``, and the covariance
+    diag(psi) + W sigma_z W^T that all states share.  Each mean is its own
+    matrix-vector product, so it does not depend on which other rows are asked."""
+    load = model.W_load @ model.sigma_z @ model.G.T
+    means = [model.mu_x + load @ y for y in states]
     cov = np.diag(model.psi_noise) + model.W_load @ model.sigma_z @ model.W_load.T
-    return pi * np.exp(_gaussian_logpdf(x, mean, cov))
+    return means, cov
 
 
 def posterior(
@@ -380,13 +403,6 @@ def bic_parameter_count(q: int, p_z: int, p_x: int = 0) -> int:
     return k
 
 
-def _quadratic_log_weight(Y: np.ndarray, b: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """u^T b + |G^T u|^2 / 2 for every row u of Y: the unnormalized log prior
-    weight of each state in the canonical gauge."""
-    YG = Y @ G
-    return Y @ b + 0.5 * np.einsum("sk,sk->s", YG, YG)
-
-
 def fit_factor_model(
     schema: VariableSchema,
     data: Iterable[Record | Sequence[int]] | StateCounts,
@@ -536,10 +552,7 @@ def fit_factor_model(
         W_load=W_f if p_x else None,
     )
     model, ratios = fix_rotation(model)
-    weights = mixture_weights(schema, model.b, model.G, model.sigma_z)
-    mean_model = np.zeros(q)
-    for bits, wgt in weights.items():
-        mean_model += wgt * np.asarray(bits, dtype=float)
+    Y_prior, w_prior = _prior_table(schema, model.b, model.G, model.sigma_z)
     k = bic_parameter_count(q, p_z, p_x)
     report = FactorFitReport(
         nll=float(nll_final),
@@ -548,7 +561,7 @@ def fit_factor_model(
         k_params=k,
         bic=float(k * np.log(n) + 2.0 * nll_final),
         contribution_ratios=ratios,
-        mean_model=mean_model,
+        mean_model=w_prior @ Y_prior,
         mean_empirical=mean_emp,
         norm_spread=norm_spread(xbest),
     )

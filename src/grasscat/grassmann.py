@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .caps import check_bit_cap
 from .errors import ConditioningError, ParameterError
 
 _CLAMP = 1e-12  # exact-zero structure produces tiny negative round-off
@@ -308,34 +309,28 @@ def _principal_minor_table(mat: np.ndarray) -> np.ndarray:
     R (bit i set when i is in R); the empty minor is 1.  Callers check the
     2**q enumeration cap first."""
     q = mat.shape[0]
-    masks = np.arange(2**q, dtype=np.int64)
-    bits = np.zeros((2**q, q), dtype=bool)
-    for b in range(q):
-        bits[:, b] = (masks >> b) & 1
+    popcounts = np.zeros(1, dtype=np.int8)
+    for _ in range(q):
+        # popcount(m + 2**b) = popcount(m) + 1 for every m < 2**b
+        popcounts = np.concatenate([popcounts, popcounts + 1])
     dets = np.empty(2**q)
-    for rows, subsets in popcount_groups(bits):
-        k = subsets.shape[1]
-        # chunk to bound memory for large q
-        chunk = max(1, 2**22 // max(1, k * k))
+    for k in range(q + 1):
+        rows = np.flatnonzero(popcounts == k)
+        # chunks of about 2**20 minor entries bound the memory at large q;
+        # each chunk's subsets come from its own masks
+        chunk = max(1, 2**20 // max(1, k * k))
         for lo in range(0, rows.size, chunk):
-            sl = slice(lo, lo + chunk)
-            dets[rows[sl]] = _minor_dets(mat, subsets[sl])
+            sub = rows[lo : lo + chunk]
+            bits = (sub[:, None] >> np.arange(q)) & 1
+            dets[sub] = _minor_dets(mat, np.nonzero(bits)[1].reshape(sub.size, k))
     return dets
 
 
 def all_state_probabilities(p: GrassmannParams, cap: int | None = None) -> np.ndarray:
     """Probabilities of all 2**q states, ordered by the binary value of the
     bit vector with bit 0 least significant."""
-    from .caps import bit_cap as _bit_cap
-    from .errors import EnumerationCapError
-
     q = p.q
-    limit = _bit_cap(cap)
-    if q > limit:
-        raise EnumerationCapError(
-            f"q={q} exceeds the 2**q enumeration cap (cap {limit}); "
-            "rely on the structured-parameter dominance certificate instead"
-        )
+    check_bit_cap(q, cap)
     det_l = np.linalg.det(p.lam) if q else 1.0
     if det_l == 0:
         raise ParameterError("lam is singular")

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caps import bit_cap
-from .errors import EnumerationCapError, ParameterError
+from .caps import check_bit_cap
+from .errors import ParameterError
 from .grassmann import GrassmannParams, _principal_minor_table
 
 _LOG2PI = float(np.log(2.0 * np.pi))
@@ -87,7 +87,7 @@ class MixedParams:
     def q(self) -> int:
         return self.lam.shape[0]
 
-    # The two tables below have 2**q entries: read them only after _check_cap.
+    # The two tables below have 2**q entries: read them only after check_bit_cap.
 
     @functools.cached_property
     def _minor_table(self) -> np.ndarray:
@@ -128,12 +128,6 @@ class MixedPartition:
         binr = (*self.S, *self.U, *self.T)
         if sorted(binr) != list(range(q)):
             raise ParameterError(f"(S, U, T) must partition 0..{q - 1}")
-
-
-def _check_cap(q: int, cap: int | None) -> None:
-    limit = bit_cap(cap)
-    if q > limit:
-        raise EnumerationCapError(f"q={q} exceeds the 2**q enumeration cap {limit}")
 
 
 def _mask(indices) -> int:
@@ -186,7 +180,7 @@ def mixed_joint_density(
     y = np.asarray(y, dtype=int)
     if x.shape != (mp.p,) or y.shape != (mp.q,):
         raise ParameterError("x or y has the wrong length")
-    _check_cap(mp.q, cap)
+    check_bit_cap(mp.q, cap)
     pi = mp._partition_weights[_mask(np.flatnonzero(y))]
     if pi == 0.0:
         return 0.0
@@ -209,7 +203,7 @@ def mixed_marginal_density(
     T = list(part.T)
     if x_K.shape != (len(K),) or y_T.shape != (len(T),):
         raise ParameterError("x_K or y_T has the wrong length")
-    _check_cap(mp.q, cap)
+    check_bit_cap(mp.q, cap)
     t1 = [t for t, bit in zip(T, y_T) if bit]
     masks, v = _subset_sums(t1, sorted((*part.S, *part.U)), mp.G)
     pi = mp._partition_weights[masks]
@@ -238,7 +232,7 @@ def mixed_conditional_density(
     missing binaries.
     """
     part.validate(mp.p, mp.q)
-    _check_cap(mp.q, cap)
+    check_bit_cap(mp.q, cap)
     x_J = np.asarray(x_J, dtype=float)
     x_K = np.asarray(x_K, dtype=float)
     y_S = np.asarray(y_S, dtype=int)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .caps import bit_cap
-from .errors import EnumerationCapError, ParameterError
+from .caps import check_bit_cap
+from .errors import ParameterError
 from .grassmann import GrassmannParams
 from .schema import VariableSchema, decode_state, DummyState
 from .errors import InvalidStateError
@@ -94,9 +94,7 @@ class FullTable:
 def brute_force_table(p: GrassmannParams, cap: int | None = None) -> FullTable:
     """Exact state table by per-state determinant evaluation."""
     q = p.q
-    limit = bit_cap(cap)
-    if q > limit:
-        raise EnumerationCapError(f"q={q} exceeds the enumeration cap {limit}")
+    check_bit_cap(q, cap)
     det_l = _naive_det(p.lam) if q else 1.0
     if det_l == 0.0:
         raise ParameterError("lam is singular")

@@ -21,10 +21,12 @@ def fmt_float(x: float) -> str:
 
 
 def _csv_cell(value) -> str:
+    # the text of a float or an int never holds a comma, quote or newline
     if isinstance(value, float):
-        text = fmt_float(value)
-    else:
-        text = str(value)
+        return fmt_float(value)
+    if isinstance(value, int):
+        return str(value)
+    text = str(value)
     if any(ch in text for ch in ',"\n'):
         text = '"' + text.replace('"', '""') + '"'
     return text

@@ -18,7 +18,7 @@ from grasscat.modelfile import (
 )
 from grasscat.mixed import MixedParams
 from grasscat.oracle import brute_force_table, oracle_conditional
-from grasscat.schema import enumerate_allowed_states
+from grasscat.schema import DummyState, enumerate_allowed_states
 from grasscat.structure import assemble_lambda
 
 from generators import (
@@ -553,6 +553,55 @@ class TestSampleFactorContinuous:
         assert out[0] == "A,x1,x2"
         assert len(out) == 51
         assert (tmp_path / "x1.csv").read_bytes() == (tmp_path / "x2.csv").read_bytes()
+
+
+    def test_rows_follow_the_draw_order(self, tmp_path, capsys):
+        # the state draws come first, then one standard-normal vector per row
+        # in row order, around mu_x + W sigma_z G^T y with a general sigma_z
+        from grasscat.factor import FactorModel, mixture_weights
+        from grasscat.schema import decode_state
+
+        schema = reader_style_schema()
+        rng = np.random.default_rng(31)
+        A = rng.normal(0, 1, (2, 2))
+        model = FactorModel(
+            mu_x=rng.normal(0, 1, 3),
+            psi_noise=rng.uniform(0.5, 1.5, 3),
+            W_load=rng.normal(0, 0.7, (3, 2)),
+            b=rng.normal(0, 0.8, schema.q),
+            G=rng.normal(0, 0.6, (schema.q, 2)),
+            mu_z=np.zeros(2),
+            sigma_z=A @ A.T + 0.3 * np.eye(2),
+        )
+        save_model(
+            ModelFile(kind="factor", schema=schema, params=model, fit_report=None),
+            str(tmp_path / "fa.json"),
+        )
+        n = 300
+        assert _run(tmp_path, "sample", "--model", "fa.json", "--n", str(n),
+                    "--seed", "6", "--out", "s.csv") == 0
+        capsys.readouterr()
+        lines = (tmp_path / "s.csv").read_text().splitlines()
+        assert lines[0] == "Working,Age,Edu,x1,x2,x3"
+        states = [s.bits for s in enumerate_allowed_states(schema)]
+        weights = mixture_weights(schema, model.b, model.G, model.sigma_z)
+        probs = np.asarray([weights[bits] for bits in states])
+        draw_rng = np.random.default_rng(6)
+        cum = np.cumsum(probs / probs.sum())
+        draws = np.searchsorted(cum, draw_rng.random(n), side="right")
+        draws = np.minimum(draws, len(states) - 1)
+        chol = np.linalg.cholesky(
+            np.diag(model.psi_noise) + model.W_load @ model.sigma_z @ model.W_load.T
+        )
+        for line, k in zip(lines[1:], draws):
+            cells = line.split(",")
+            y = np.asarray(states[k], dtype=float)
+            x = model.mu_x + model.W_load @ model.sigma_z @ model.G.T @ y
+            x = x + chol @ draw_rng.standard_normal(3)
+            levels = decode_state(schema, DummyState(states[k])).values
+            assert [int(c) for c in cells[:3]] == list(levels)
+            got = [float(c) for c in cells[3:]]
+            np.testing.assert_allclose(got, x, rtol=1e-12, atol=1e-12)
 
 
 class TestMomentsFactor:

@@ -150,6 +150,56 @@ class TestObservedDensity:
         assert total == pytest.approx(direct, rel=1e-10)
 
 
+class TestGeneralSigmaZ:
+    """The prior and the observed density follow the direct formulas for a
+    positive definite sigma_z other than the identity."""
+
+    def _model(self, rng, schema, p_x):
+        A = rng.normal(0, 1, (2, 2))
+        return FactorModel(
+            mu_x=rng.normal(0, 1, p_x),
+            psi_noise=rng.uniform(0.5, 1.5, p_x),
+            W_load=rng.normal(0, 0.7, (p_x, 2)),
+            b=rng.normal(0, 0.8, schema.q),
+            G=rng.normal(0, 0.6, (schema.q, 2)),
+            mu_z=rng.normal(0, 1, 2),
+            sigma_z=A @ A.T + 0.3 * np.eye(2),
+        )
+
+    def _direct_weights(self, schema, model):
+        gram = model.G @ model.sigma_z @ model.G.T
+        raw = {}
+        for s in enumerate_allowed_states(schema):
+            u = np.asarray(s.bits, dtype=float)
+            raw[s.bits] = math.exp(u @ model.b + 0.5 * u @ gram @ u)
+        total = sum(raw.values())
+        return {bits: w / total for bits, w in raw.items()}
+
+    def test_prior_weights(self, rng, reader_schema):
+        model = self._model(rng, reader_schema, 0)
+        got = mixture_weights(reader_schema, model.b, model.G, model.sigma_z)
+        want = self._direct_weights(reader_schema, model)
+        assert list(got) == list(want)
+        for bits, w in want.items():
+            assert got[bits] == pytest.approx(w, rel=1e-12)
+
+    @pytest.mark.parametrize("p_x", [0, 2])
+    def test_observed_density(self, rng, reader_schema, p_x):
+        model = self._model(rng, reader_schema, p_x)
+        x = rng.normal(0, 1, p_x) if p_x else None
+        cov = np.diag(model.psi_noise) + model.W_load @ model.sigma_z @ model.W_load.T
+        for bits, w in self._direct_weights(reader_schema, model).items():
+            want = w
+            if p_x:
+                u = np.asarray(bits, dtype=float)
+                d = x - model.mu_x - model.W_load @ model.sigma_z @ model.G.T @ u
+                want *= math.exp(-0.5 * d @ np.linalg.solve(cov, d)) / math.sqrt(
+                    np.linalg.det(2 * math.pi * cov)
+                )
+            got = observed_density(reader_schema, model, bits, x)
+            assert got == pytest.approx(want, rel=1e-12)
+
+
 class TestPosterior:
     def test_zero_observation_gives_prior_mean(self, rng, reader_schema):
         p_x, p_z = 2, 2

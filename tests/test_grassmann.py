@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from grasscat.errors import ParameterError
 from grasscat.grassmann import (
+    _principal_minor_table,
     GrassmannParams,
     IndexPartition,
     all_state_probabilities,
@@ -310,3 +312,23 @@ class TestStateProbabilities:
     def test_wrong_width_rejected(self):
         with pytest.raises(ParameterError):
             state_probabilities(reader_params(), np.zeros((3, 5)))
+
+
+class TestPrincipalMinorTable:
+    def test_q18_memory_and_values(self):
+        # 2**18 minors in chunks: the peak stays far below the (2**q, q) bit
+        # matrix and index arrays, and chunked entries equal one-by-one dets
+        q = 18
+        rng = np.random.default_rng(1818)
+        mat = rng.normal(0.0, 0.3, (q, q)) + np.eye(q)
+        tracemalloc.start()
+        try:
+            table = _principal_minor_table(mat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert table.shape == (2**q,) and table[0] == 1.0
+        for mask in [*rng.integers(1, 2**q, 300), 2**q - 1]:
+            idx = [i for i in range(q) if (int(mask) >> i) & 1]
+            assert table[mask] == np.linalg.det(mat[np.ix_(idx, idx)])
