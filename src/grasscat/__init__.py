@@ -23,6 +23,7 @@ from .schema import (
     VariableDecl,
     VariableKind,
     VariableSchema,
+    allowed_table,
     decode_state,
     encode_record,
     enumerate_allowed_states,

@@ -53,9 +53,7 @@ from .outputs import write_csv
 from .schema import (
     VariableKind,
     VariableSchema,
-    decode_state,
-    DummyState,
-    enumerate_allowed_states,
+    allowed_table,
     load_data_rows,
     load_schema,
 )
@@ -310,8 +308,7 @@ def _cmd_sample(args) -> int:
     rng = np.random.default_rng(args.seed)
     if mf.kind == "grassmann":
         schema, params, _ = _load_grassmann(args.model)
-        states = np.asarray([s.bits for s in enumerate_allowed_states(schema)])
-        probs = state_probabilities(params, states)
+        probs = state_probabilities(params, allowed_table(schema)[0])
     elif mf.kind == "factor":
         schema, model = mf.schema, mf.params
         states, probs = _prior_table(schema, model.b, model.G, model.sigma_z)
@@ -322,13 +319,10 @@ def _cmd_sample(args) -> int:
     probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
     draws = np.searchsorted(np.cumsum(probs), rng.random(args.n), side="right")
-    draws = np.minimum(draws, len(states) - 1)
-    # decode each distinct drawn state once; every draw gets a fresh row
+    draws = np.minimum(draws, len(probs) - 1)
+    # every draw gets a fresh row of its state's levels
     distinct, inverse = np.unique(draws, return_inverse=True)
-    values = [
-        decode_state(schema, DummyState(tuple(bits))).values
-        for bits in states[distinct].astype(int).tolist()
-    ]
+    values = allowed_table(schema)[1][distinct].tolist()
     rows = [list(values[i]) for i in inverse]
     header = list(schema.names)
     if mf.kind == "factor" and model.p_x:

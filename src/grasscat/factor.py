@@ -35,8 +35,9 @@ from .schema import (
     Record,
     VariableKind,
     VariableSchema,
+    allowed_table,
     encode_record,
-    enumerate_allowed_states,
+    levels_of_bits,
 )
 
 _NORM_EPS = 1e-12
@@ -124,11 +125,6 @@ class FactorModel:
         )
 
 
-def _allowed_state_matrix(schema: VariableSchema, cap: int | None = None) -> np.ndarray:
-    states = enumerate_allowed_states(schema, cap)
-    return np.asarray([s.bits for s in states], dtype=float)
-
-
 def _quadratic_log_weight(Y: np.ndarray, b: np.ndarray, G: np.ndarray) -> np.ndarray:
     """u^T b + |G^T u|^2 / 2 for every row u of Y: the unnormalized log prior
     weight of each state in the canonical gauge.  A general sigma_z = L L^T
@@ -145,9 +141,9 @@ def _prior_table(
     cap: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The prior mixture: the allowed states as rows of a 0/1 matrix Y, in
-    enumeration order, and their weights
+    :func:`allowed_table` order, and their weights
     pi_u propto exp(u^T b + u^T G sigma_z G^T u / 2), which sum to one."""
-    Y = _allowed_state_matrix(schema, cap)
+    Y = allowed_table(schema, cap)[0].astype(float)
     try:
         root = np.linalg.cholesky(sigma_z)
     except np.linalg.LinAlgError as exc:
@@ -189,14 +185,18 @@ def observed_density(
 ) -> float:
     """Joint density of (x, y); the prior weight alone when p_x = 0.
 
-    Disallowed states return exactly 0.
+    Disallowed states return exactly 0; a y whose length is not the schema's
+    dummy dimension raises ParameterError.
     """
-    Y, w = _prior_table(schema, model.b, model.G, model.sigma_z, cap)
     yv = np.asarray([int(v) for v in y], dtype=float)
-    row = np.flatnonzero((Y == yv).all(axis=1)) if yv.shape == Y.shape[1:] else ()
-    if not len(row):
+    if yv.shape != (schema.q,):
+        raise ParameterError(f"y must have length {schema.q}, got shape {yv.shape}")
+    Y, w = _prior_table(schema, model.b, model.G, model.sigma_z, cap)
+    levels = levels_of_bits(schema, yv[None, :])[0]
+    row = np.ravel_multi_index(tuple(levels), [v.levels for v in schema.variables])
+    if not np.array_equal(Y[row], yv):
         return 0.0
-    pi = float(w[row[0]])
+    pi = float(w[row])
     if model.p_x == 0:
         if x is not None and len(np.atleast_1d(x)):
             raise ParameterError("model has no continuous block but x was given")
@@ -429,7 +429,7 @@ def fit_factor_model(
         counts = state_counts(schema, rows)
     mean_emp, _, _ = empirical_moments(schema, counts)
     q = schema.q
-    Y_states = _allowed_state_matrix(schema)
+    Y_states = allowed_table(schema)[0].astype(float)
     obs_states, obs_counts = counts.as_arrays()
     n = obs_counts.sum()
 

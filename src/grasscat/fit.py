@@ -33,7 +33,7 @@ import scipy.optimize
 
 from .errors import DataError, SchemaError
 from .grassmann import GrassmannParams, check_p0, moments, popcount_groups
-from .schema import Record, VariableKind, VariableSchema, encode_record
+from .schema import Record, VariableKind, VariableSchema, encode_record, levels_of_bits
 from .structure import (
     StructuredParams,
     TAU_C,
@@ -111,16 +111,11 @@ class StateCounts:
     def level_counts(self, schema: VariableSchema) -> list[np.ndarray]:
         """Observed count of every level of every variable."""
         states, weights = self.as_arrays()
-        out = []
-        for j, v in enumerate(schema.variables):
-            s, e = schema.blocks[j]
-            block = states[:, s:e]
-            if v.kind is VariableKind.CATEGORICAL:
-                levels = np.where(block.sum(axis=1) > 0, block.argmax(axis=1) + 1, 0)
-            else:
-                levels = block.sum(axis=1)
-            out.append(np.bincount(levels, weights=weights, minlength=v.levels))
-        return out
+        levels = levels_of_bits(schema, states)
+        return [
+            np.bincount(levels[:, j], weights=weights, minlength=v.levels)
+            for j, v in enumerate(schema.variables)
+        ]
 
 
 def state_counts(schema: VariableSchema, rows: Iterable[Record | Sequence[int]]) -> StateCounts:

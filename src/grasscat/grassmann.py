@@ -122,30 +122,12 @@ def _as_index_set(T: Sequence[int], q: int) -> np.ndarray:
 
 
 def joint_probability(p: GrassmannParams, y: Sequence[int]) -> float:
-    """Probability of the full bit vector ``y``.
-
-    Computed as det((lam - I)[R1, R1]) / det(lam).  Values within 1e-12 below
-    zero are clamped to exactly zero; anything more negative is returned as is
-    so invalid parameters remain visible.
-    """
+    """Probability of the full bit vector ``y``: :func:`state_probabilities`
+    of the one row ``y``."""
     y = np.asarray(y)
     if y.shape != (p.q,):
         raise ParameterError(f"y must have length {p.q}, got shape {y.shape}")
-    sign_l, logdet_l = np.linalg.slogdet(p.lam) if p.q else (1.0, 0.0)
-    if sign_l == 0:
-        raise ParameterError("lam is singular")
-    r1 = np.flatnonzero(y)
-    if r1.size:
-        minor = p.lam[np.ix_(r1, r1)] - np.eye(r1.size)
-        sign_m, logdet_m = np.linalg.slogdet(minor)
-    else:
-        sign_m, logdet_m = 1.0, 0.0
-    if sign_m == 0:
-        return 0.0
-    prob = sign_m * sign_l * np.exp(logdet_m - logdet_l)
-    if -_CLAMP <= prob < 0.0:
-        prob = 0.0
-    return float(prob)
+    return float(state_probabilities(p, y[None, :])[0])
 
 
 def popcount_groups(states: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -162,10 +144,12 @@ def popcount_groups(states: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def state_probabilities(p: GrassmannParams, states: np.ndarray) -> np.ndarray:
-    """:func:`joint_probability` of every row of the 0/1 matrix ``states``.
+    """Probability of every row of the 0/1 matrix ``states``.
 
-    One stacked ``slogdet`` per popcount group evaluates the same formula
-    and clamp as the one-state path, so each entry equals it exactly.
+    Each is det((lam - I)[R1, R1]) / det(lam), from one stacked ``slogdet``
+    per popcount group.  Values within 1e-12 below zero are clamped to
+    exactly zero; anything more negative is returned as is so invalid
+    parameters remain visible.
     """
     states = np.asarray(states)
     if states.ndim != 2 or states.shape[1] != p.q:

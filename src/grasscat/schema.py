@@ -9,15 +9,21 @@ form a left-flushed prefix.  Binary variables are categorical with 2 levels.
 
 Block order in the combined dummy vector follows declaration order; nothing
 is reordered behind the user's back.
+
+The allowed states, the Cartesian product of the block patterns, are one
+cached table per schema (:func:`allowed_table`) that every enumeration reads.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .caps import state_cap
 from .errors import DataError, EnumerationCapError, InvalidStateError, SchemaError
@@ -109,6 +115,10 @@ class VariableSchema:
             n *= v.levels
         return n
 
+    @functools.cached_property
+    def _allowed(self) -> tuple[np.ndarray, np.ndarray]:
+        return _build_allowed_table(self)
+
     def index_labels(self) -> tuple[str, ...]:
         """Human-readable label per dummy bit, e.g. ``Age=2`` or ``Edu>=3``."""
         labels: list[str] = []
@@ -178,24 +188,63 @@ def iter_records(schema: VariableSchema) -> Iterator[Record]:
         yield Record(combo)
 
 
-def enumerate_allowed_states(
-    schema: VariableSchema, cap: int | None = None
-) -> list[DummyState]:
-    """All valid dummy states, lexicographic in record space.
+def _build_allowed_table(schema: VariableSchema) -> tuple[np.ndarray, np.ndarray]:
+    counts = [v.levels for v in schema.variables]
+    dtype = np.min_scalar_type(max(counts, default=1) - 1)
+    if counts:
+        levels = np.indices(counts, dtype=dtype).reshape(len(counts), -1).T
+    else:  # np.indices(()) has no state axis to reshape
+        levels = np.zeros((1, 0), dtype=dtype)
+    bits = np.zeros((len(levels), schema.q), dtype=np.int8)
+    for j, v in enumerate(schema.variables):
+        s, e = schema.blocks[j]
+        steps = np.arange(1, v.levels)
+        col = levels[:, j : j + 1]
+        bits[:, s:e] = col == steps if v.kind is VariableKind.CATEGORICAL else col >= steps
+    bits.flags.writeable = False
+    levels.flags.writeable = False
+    return bits, levels
 
-    Raises
-    ------
-    EnumerationCapError
-        If the product of level counts exceeds the cap (default 10**6,
-        overridable via GRASSCAT_CAP).
-    """
+
+def allowed_table(
+    schema: VariableSchema, cap: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The allowed states as read-only arrays: (n, q) 0/1 ``bits`` and
+    (n, len(schema)) ``levels`` in the smallest unsigned dtype.  Row r is the
+    state whose levels have mixed-radix code r, first variable most
+    significant.  Built once per schema instance; the cap (default 10**6,
+    overridable via GRASSCAT_CAP) is checked on every call and raises
+    EnumerationCapError."""
     n = schema.n_states()
     limit = state_cap(cap)
     if n > limit:
         raise EnumerationCapError(
             f"schema has {n} allowed states, exceeding the cap {limit}"
         )
-    return [encode_record(schema, rec) for rec in iter_records(schema)]
+    return schema._allowed
+
+
+def levels_of_bits(schema: VariableSchema, bits: np.ndarray) -> np.ndarray:
+    """Per-variable levels of every row of an (n, q) dummy matrix.  Rows are
+    not validated: a disallowed row still gets levels in range."""
+    bits = np.asarray(bits) != 0
+    out = np.zeros((bits.shape[0], len(schema)), dtype=np.int64)
+    for j, v in enumerate(schema.variables):
+        s, e = schema.blocks[j]
+        block = bits[:, s:e]
+        if v.kind is VariableKind.CATEGORICAL:
+            out[:, j] = np.where(block.any(axis=1), block.argmax(axis=1) + 1, 0)
+        else:
+            out[:, j] = block.sum(axis=1)
+    return out
+
+
+def enumerate_allowed_states(
+    schema: VariableSchema, cap: int | None = None
+) -> list[DummyState]:
+    """The :func:`allowed_table` states as DummyState, under the same cap."""
+    bits, _ = allowed_table(schema, cap)
+    return [DummyState(tuple(row)) for row in bits.tolist()]
 
 
 # -- schema file format ----------------------------------------------------

@@ -15,18 +15,20 @@ where K is block diagonal over the schema's variable blocks:
 
 W repeats a per-variable length-a row across categorical blocks and places it
 only on the first row of ordinal blocks, which preserves both zero patterns
-under the low-rank update.  The auxiliary matrix C (strictly row dominant)
-certifies positivity through the dominance conditions on B = M C, where M is
-the middle factor [[K + W V^T, -W], [-V^T, I]].
+under the low-rank update.  The dominance conditions pair an auxiliary matrix
+C (strictly row dominant) with row dominance of B = M C, where M is the
+middle factor [[K + W V^T, -W], [-V^T, I]].
 
 Row diagonal dominance of B is structurally unattainable on the repeated rows
 of categorical blocks and on the subdiagonal rows of ordinal blocks (those
-rows of M are forced and cannot be dominated for any C).  The certificate
-used here therefore scores the free rows only: the first row of every block
-plus the auxiliary rows.  Raw margins for all rows are still reported.  An
-exhaustive positivity check on the extended (q + a) matrix is available as a
-rigorous alternative: validity of the extended distribution implies validity
-of its observed marginal.
+rows of M are forced and cannot be dominated for any C).  The dominance check
+here therefore scores the free rows only: the first row of every block plus
+the auxiliary rows.  Raw margins for all rows are still reported.  This
+free-row check is a penalty target, not a positivity certificate: parameters
+that pass it can still give an allowed state a negative probability.  The
+exhaustive check on the extended (q + a) matrix is a rigorous alternative:
+validity of the extended distribution implies validity of its observed
+marginal.
 """
 
 from __future__ import annotations
@@ -174,8 +176,8 @@ def aux_loading_matrix(schema: VariableSchema, w_vectors, a: int) -> np.ndarray:
 
 
 def middle_factor(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
-    """The (q+a, q+a) factor [[K + W V^T, -W], [-V^T, I]] whose dominance
-    decomposition certifies positivity.  Note omega does not appear."""
+    """The (q+a, q+a) factor [[K + W V^T, -W], [-V^T, I]] of the dominance
+    conditions.  Note omega does not appear."""
     validate_shapes(schema, sp)
     q, a = schema.q, sp.a
     K = quasi_diagonal_blocks(schema, sp.b)
@@ -190,7 +192,7 @@ def middle_factor(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
 
 def dominance_matrix(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
     """B = M C, the matrix whose row dominance (together with strict row
-    dominance of C) certifies that the assembled parameter is valid."""
+    dominance of C) the dominance conditions ask for."""
     return middle_factor(schema, sp) @ sp.C
 
 
@@ -215,7 +217,8 @@ class DominanceReport:
     ``margins_b`` and ``margins_c`` cover every row.  ``free_rows`` lists the
     structurally attainable rows of B; ``passed`` scores those rows only,
     while ``passed_raw`` applies the unrestricted condition (attainable only
-    for schemas whose blocks are all of size one).
+    for schemas whose blocks are all of size one).  ``passed`` is a penalty
+    target, not a positivity certificate: see the module docstring.
     """
 
     margins_b: np.ndarray

@@ -1,13 +1,19 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import grasscat.schema
+from grasscat.cli import run_command
+from grasscat.errors import ParameterError
 from grasscat.factor import (
     FactorFitConfig,
     FactorModel,
     _gaussian_logpdf,
     _loading_coefficients,
+    _prior_table,
+    _x_given_states,
     bic_parameter_count,
     biplot_data,
     biplot_export,
@@ -28,9 +34,10 @@ from grasscat.schema import (
     encode_record,
     enumerate_allowed_states,
 )
+from grasscat.modelfile import ModelFile, save_model
 from grasscat.structure import categorical_pmf, ordinal_pmf
 
-from generators import CAT, ORD
+from generators import CAT, ORD, reader_style_schema, reader_style_true_params
 
 
 def _variable_pmf_product(schema, beta, bits):
@@ -148,6 +155,96 @@ class TestObservedDensity:
             )
             direct += w * math.exp(_gaussian_logpdf(x, mean, cov))
         assert total == pytest.approx(direct, rel=1e-10)
+
+
+class TestObservedDensityLookup:
+    """observed_density finds its state by the mixed-radix code of y's levels
+    and gives what a scan of the whole prior table gives."""
+
+    SCHEMA = VariableSchema(
+        [VariableDecl("a", CAT, 3), VariableDecl("b", ORD, 4),
+         VariableDecl("c", CAT, 2), VariableDecl("d", ORD, 3)]
+    )
+
+    @staticmethod
+    def _scan(schema, model, y, x):
+        """The whole-table row scan that preceded the row lookup."""
+        Y, w = _prior_table(schema, model.b, model.G, model.sigma_z)
+        yv = np.asarray([int(v) for v in y], dtype=float)
+        row = np.flatnonzero((Y == yv).all(axis=1))
+        if not len(row):
+            return 0.0
+        pi = float(w[row[0]])
+        if model.p_x == 0:
+            return pi
+        means, cov = _x_given_states(model, yv[None, :])
+        return pi * np.exp(_gaussian_logpdf(np.asarray(x, dtype=float), means[0], cov))
+
+    @pytest.mark.parametrize("p_x", [0, 2])
+    def test_equals_full_scan_on_every_bit_vector(self, rng, p_x):
+        schema = self.SCHEMA
+        A = rng.normal(0, 1, (2, 2))
+        model = FactorModel(
+            mu_x=rng.normal(0, 1, p_x),
+            psi_noise=rng.uniform(0.5, 1.5, p_x),
+            W_load=rng.normal(0, 0.7, (p_x, 2)),
+            b=rng.normal(0, 0.8, schema.q),
+            G=rng.normal(0, 0.6, (schema.q, 2)),
+            mu_z=rng.normal(0, 1, 2),
+            sigma_z=A @ A.T + 0.3 * np.eye(2),
+        )
+        x = rng.normal(0, 1, p_x) if p_x else None
+        allowed = set(s.bits for s in enumerate_allowed_states(schema))
+        n_allowed = 0
+        for y in itertools.product((0, 1), repeat=schema.q):
+            got = observed_density(schema, model, y, x)
+            assert got == self._scan(schema, model, y, x)
+            if y in allowed:
+                n_allowed += 1
+                assert got > 0.0
+            else:
+                assert got == 0.0
+        assert n_allowed == schema.n_states()
+        assert observed_density(schema, model, (2,) + (0,) * (schema.q - 1), x) == 0.0
+
+    def test_wrong_length_y_raises(self, reader_schema):
+        model = FactorModel.canonical(
+            b=np.zeros(reader_schema.q), G=np.zeros((reader_schema.q, 1))
+        )
+        for y in [(), (1, 0), (0,) * (reader_schema.q + 1)]:
+            with pytest.raises(ParameterError, match="length"):
+                observed_density(reader_schema, model, y)
+
+
+def test_one_allowed_table_build_per_schema(monkeypatch, rng, tmp_path):
+    """Repeated prior-table readers share one table per schema object; a
+    `sample` command builds the table of the schema it loads once."""
+    builds = []
+    build = grasscat.schema._build_allowed_table
+
+    def counting_build(schema):
+        builds.append(schema)
+        return build(schema)
+
+    monkeypatch.setattr(grasscat.schema, "_build_allowed_table", counting_build)
+    schema = reader_style_schema()
+    model = FactorModel.canonical(
+        b=rng.normal(0, 1, schema.q), G=rng.normal(0, 0.5, (schema.q, 2))
+    )
+    y = encode_record(schema, Record((1, 2, 3))).bits
+    for _ in range(3):
+        observed_density(schema, model, y)
+        _prior_table(schema, model.b, model.G, model.sigma_z)
+        mixture_weights(schema, model.b, model.G, model.sigma_z)
+        enumerate_allowed_states(schema)
+    assert builds == [schema]
+    for kind, params in (("factor", model), ("grassmann", reader_style_true_params())):
+        path = str(tmp_path / f"{kind}.json")
+        save_model(ModelFile(kind, schema, params, None), path)
+        before = len(builds)
+        out = str(tmp_path / f"{kind}.csv")
+        assert run_command(["sample", "--model", path, "--n", "50", "--out", out]) == 0
+        assert len(builds) == before + 1
 
 
 class TestGeneralSigmaZ:

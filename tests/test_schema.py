@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,16 +11,19 @@ from grasscat.errors import (
     InvalidStateError,
     SchemaError,
 )
+import grasscat.schema
 from grasscat.schema import (
     DummyState,
     Record,
     VariableDecl,
     VariableKind,
     VariableSchema,
+    allowed_table,
     decode_state,
     encode_record,
     enumerate_allowed_states,
     iter_records,
+    levels_of_bits,
     load_data_rows,
     load_schema,
     schema_from_dict,
@@ -153,6 +157,75 @@ def schemas_and_records(draw):
 def test_round_trip(schema_record):
     schema, rec = schema_record
     assert decode_state(schema, encode_record(schema, rec)) == rec
+
+
+@st.composite
+def schemas(draw):
+    decls = [
+        VariableDecl(f"v{i}", draw(st.sampled_from([CAT, ORD])), draw(st.integers(2, 5)))
+        for i in range(draw(st.integers(0, 4)))
+    ]
+    return VariableSchema(decls)
+
+
+class TestAllowedTable:
+    @given(schemas())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_record_by_record_encoding(self, schema):
+        bits, levels = allowed_table(schema)
+        records = list(iter_records(schema))
+        assert bits.tolist() == [list(encode_record(schema, r).bits) for r in records]
+        assert levels.tolist() == [list(r.values) for r in records]
+        assert bits.shape == (schema.n_states(), schema.q)
+        assert levels.shape == (schema.n_states(), len(schema))
+        assert not bits.flags.writeable and not levels.flags.writeable
+        assert np.array_equal(levels_of_bits(schema, bits), levels)
+        dims = [v.levels for v in schema.variables]
+        for r, row in enumerate(levels.tolist()):
+            assert np.ravel_multi_index(tuple(row), dims) == r
+
+    def test_levels_dtype_is_smallest_unsigned(self):
+        small = VariableSchema([VariableDecl("a", CAT, 3), VariableDecl("b", ORD, 256)])
+        assert allowed_table(small)[1].dtype == np.uint8
+        wide = VariableSchema([VariableDecl("a", CAT, 257)])
+        assert allowed_table(wide)[1].dtype == np.uint16
+
+    def test_cached_per_schema_instance(self):
+        schema = VariableSchema([VariableDecl("a", CAT, 3), VariableDecl("b", ORD, 4)])
+        first = allowed_table(schema)
+        assert allowed_table(schema)[0] is first[0]
+        assert allowed_table(schema)[1] is first[1]
+
+    def test_cap_checked_on_every_call(self, monkeypatch):
+        schema = VariableSchema([VariableDecl("x", CAT, 4)])
+        monkeypatch.setenv("GRASSCAT_CAP", "4")
+        assert len(allowed_table(schema)[0]) == 4
+        monkeypatch.setenv("GRASSCAT_CAP", "3")
+        with pytest.raises(EnumerationCapError):
+            allowed_table(schema)
+        with pytest.raises(EnumerationCapError):
+            enumerate_allowed_states(schema)
+        with pytest.raises(EnumerationCapError):
+            allowed_table(schema, cap=2)
+
+    def test_over_cap_schema_builds_nothing(self, monkeypatch):
+        def no_build(schema):
+            raise AssertionError("table built before the cap check")
+
+        monkeypatch.setattr(grasscat.schema, "_build_allowed_table", no_build)
+        schema = VariableSchema([VariableDecl(f"v{i}", CAT, 10) for i in range(7)])
+        with pytest.raises(EnumerationCapError):
+            allowed_table(schema)
+        with pytest.raises(EnumerationCapError):
+            allowed_table(VariableSchema([VariableDecl("x", CAT, 4)]), cap=3)
+
+    def test_levels_of_bits_on_disallowed_rows_stays_in_range(self):
+        schema = VariableSchema([VariableDecl("c", CAT, 3), VariableDecl("o", ORD, 3)])
+        rows = np.asarray(list(itertools.product((0, 1), repeat=schema.q)))
+        levels = levels_of_bits(schema, rows)
+        assert levels.shape == (len(rows), 2)
+        assert levels.min() >= 0
+        assert (levels.max(axis=0) <= [2, 2]).all()
 
 
 class TestSchemaFile:
