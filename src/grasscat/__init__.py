@@ -27,6 +27,7 @@ from .schema import (
     decode_state,
     encode_record,
     enumerate_allowed_states,
+    load_data_levels,
     load_data_rows,
     load_schema,
 )

@@ -54,7 +54,7 @@ from .schema import (
     VariableKind,
     VariableSchema,
     allowed_table,
-    load_data_rows,
+    load_data_levels,
     load_schema,
 )
 from .structure import assemble_lambda
@@ -210,8 +210,7 @@ def _cmd_validate(args) -> int:
         "allowed_states": schema.n_states(),
     }
     if args.data:
-        rows = load_data_rows(schema, args.data)
-        counts = state_counts(schema, rows)
+        counts = state_counts(schema, load_data_levels(schema, args.data))
         out["rows"] = counts.n
         out["distinct_states"] = len(counts.items)
     _emit(out)
@@ -220,7 +219,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_fit(args) -> int:
     schema = load_schema(args.schema)
-    rows = load_data_rows(schema, args.data)
+    counts = state_counts(schema, load_data_levels(schema, args.data))
     config = FitConfig(
         max_iter=args.max_iter, grad_tol=args.tol, restarts=args.restarts, seed=args.seed
     )
@@ -230,7 +229,7 @@ def _cmd_fit(args) -> int:
         prev_nll = None
         chosen = None
         for a in range(0, min(schema.q, 4) + 1):
-            rep = fit_grassmann(schema, rows, dataclasses.replace(config, a=a))
+            rep = fit_grassmann(schema, counts, dataclasses.replace(config, a=a))
             sweep.append({"a": a, "nll": float(rep.nll)})
             if prev_nll is not None:
                 rel = (prev_nll - rep.nll) / max(1.0, abs(prev_nll))
@@ -241,7 +240,7 @@ def _cmd_fit(args) -> int:
         a, report = chosen
     else:
         a = args.latent_aux
-        report = fit_grassmann(schema, rows, dataclasses.replace(config, a=a))
+        report = fit_grassmann(schema, counts, dataclasses.replace(config, a=a))
     mf = ModelFile(
         kind="grassmann",
         schema=schema,
@@ -350,7 +349,7 @@ def _parse_dim_range(text: str) -> range:
 
 def _cmd_fa_fit(args) -> int:
     schema = load_schema(args.schema)
-    rows = load_data_rows(schema, args.data)
+    counts = state_counts(schema, load_data_levels(schema, args.data))
     config = FactorFitConfig(
         max_iter=args.max_iter,
         restarts=args.restarts,
@@ -361,13 +360,13 @@ def _cmd_fa_fit(args) -> int:
         raise DataError("give exactly one of --latent-dim or --bic-range")
     if args.bic_range is not None:
         table, model, report = select_dimension_bic(
-            schema, rows, _parse_dim_range(args.bic_range), config
+            schema, counts, _parse_dim_range(args.bic_range), config
         )
         latent_dim = table.chosen
         out["bic_table"] = table.to_dict()
     else:
         latent_dim = args.latent_dim
-        model, report = fit_factor_model(schema, rows, latent_dim, config)
+        model, report = fit_factor_model(schema, counts, latent_dim, config)
     mf = ModelFile(kind="factor", schema=schema, params=model, fit_report=report.to_dict())
     save_model(mf, args.out)
     out["latent_dim"] = latent_dim
@@ -378,7 +377,7 @@ def _cmd_fa_fit(args) -> int:
 
 def _cmd_fa_bic(args) -> int:
     schema = load_schema(args.schema)
-    rows = load_data_rows(schema, args.data)
+    counts = state_counts(schema, load_data_levels(schema, args.data))
     config = FactorFitConfig(
         max_iter=args.max_iter,
         restarts=args.restarts,
@@ -387,7 +386,7 @@ def _cmd_fa_bic(args) -> int:
     if args.min_dim > args.max_dim:
         raise DataError("--min-dim must not exceed --max-dim")
     table, model, report = select_dimension_bic(
-        schema, rows, range(args.min_dim, args.max_dim + 1), config
+        schema, counts, range(args.min_dim, args.max_dim + 1), config
     )
     out = {"table": table.to_dict()}
     if args.out:
@@ -405,9 +404,9 @@ def _cmd_fa_biplot(args) -> int:
     if mf.kind != "factor":
         raise DataError(f"model {args.model} has kind {mf.kind!r}; expected 'factor'")
     schema = mf.schema
-    rows = load_data_rows(schema, args.data)
+    levels = load_data_levels(schema, args.data)
     bp = biplot_export(
-        schema, mf.params, rows, args.out_svg, args.out_scores, args.out_loadings
+        schema, mf.params, levels, args.out_svg, args.out_scores, args.out_loadings
     )
     _emit(
         {

@@ -29,14 +29,21 @@ import numpy as np
 import scipy.optimize
 
 from .errors import DataError, ParameterError, SchemaError
-from .fit import StateCounts, _penalized_fit, empirical_moments, state_counts
+from .fit import (
+    StateCounts,
+    _distinct_levels,
+    _levels_of_rows,
+    _penalized_fit,
+    empirical_moments,
+    state_counts,
+)
 from .outputs import SvgCanvas, write_csv
 from .schema import (
     Record,
     VariableKind,
     VariableSchema,
     allowed_table,
-    encode_record,
+    bits_of_levels,
     levels_of_bits,
 )
 
@@ -227,11 +234,11 @@ def posterior(
     yv = np.asarray(y, dtype=float)
     if yv.shape != (model.q,):
         raise ParameterError(f"y must have length {model.q}")
-    prec_z = np.linalg.inv(model.sigma_z) if model.p_z else np.zeros((0, 0))
     if model.p_x:
         if x is None:
             raise ParameterError("model has a continuous block; x is required")
         x = np.asarray(x, dtype=float)
+        prec_z = np.linalg.inv(model.sigma_z) if model.p_z else np.zeros((0, 0))
         wp = model.W_load.T / model.psi_noise[None, :]
         cov = np.linalg.inv(prec_z + wp @ model.W_load)
         m = model.mu_z + cov @ (wp @ (x - model.mu_x) + model.G.T @ yv)
@@ -405,7 +412,7 @@ def bic_parameter_count(q: int, p_z: int, p_x: int = 0) -> int:
 
 def fit_factor_model(
     schema: VariableSchema,
-    data: Iterable[Record | Sequence[int]] | StateCounts,
+    data: Iterable[Record | Sequence[int]] | np.ndarray | StateCounts,
     p_z: int,
     config: FactorFitConfig | None = None,
     x_data: np.ndarray | None = None,
@@ -425,8 +432,8 @@ def fit_factor_model(
         if x_data is not None:
             raise DataError("x_data requires row-level data, not StateCounts")
     else:
-        rows = list(data)
-        counts = state_counts(schema, rows)
+        levels = _levels_of_rows(schema, data)
+        counts = state_counts(schema, levels)
     mean_emp, _, _ = empirical_moments(schema, counts)
     q = schema.q
     Y_states = allowed_table(schema)[0].astype(float)
@@ -438,12 +445,10 @@ def fit_factor_model(
     Y_rows = None
     if x_data is not None:
         X = np.asarray(x_data, dtype=float)
-        if X.ndim != 2 or X.shape[0] != len(rows):
+        if X.ndim != 2 or X.shape[0] != len(levels):
             raise DataError("x_data must be (n_rows, p_x)")
         p_x = X.shape[1]
-        Y_rows = np.asarray(
-            [encode_record(schema, r).bits for r in rows], dtype=float
-        )
+        Y_rows = bits_of_levels(schema, levels).astype(float)
 
     coeffs = _loading_coefficients(schema)
 
@@ -616,7 +621,7 @@ class BicTable:
 
 def select_dimension_bic(
     schema: VariableSchema,
-    data: Iterable[Record | Sequence[int]] | StateCounts,
+    data: Iterable[Record | Sequence[int]] | np.ndarray | StateCounts,
     p_z_range: Sequence[int],
     config: FactorFitConfig | None = None,
 ) -> tuple[BicTable, FactorModel, FactorFitReport]:
@@ -661,34 +666,19 @@ class BiplotData:
 def biplot_data(
     schema: VariableSchema,
     model: FactorModel,
-    data: Iterable[Record | Sequence[int]],
+    data: Iterable[Record | Sequence[int]] | np.ndarray,
 ) -> BiplotData:
     """Factor scores per distinct record (sized by multiplicity) plus the
     combined loading vectors, padded to two axes when p_z = 1."""
     model, ratios = fix_rotation(model)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    order: list[tuple[int, ...]] = []
-    for i, row in enumerate(data):
-        rec = row if isinstance(row, Record) else Record(tuple(int(v) for v in row))
-        key = rec.values
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(i)
-    if not order:
-        raise DataError("dataset is empty")
-    points = []
-    for key in order:
-        bits = encode_record(schema, Record(key)).bits
-        m, _ = posterior(model, bits)
-        points.append(
-            BiplotPoint(
-                row_id=groups[key][0],
-                record=key,
-                score=m,
-                multiplicity=len(groups[key]),
-            )
+    distinct, first, counts = _distinct_levels(_levels_of_rows(schema, data))
+    points = [
+        BiplotPoint(row_id=row_id, record=tuple(key), score=posterior(model, y)[0],
+                    multiplicity=mult)
+        for row_id, key, y, mult in zip(
+            first.tolist(), distinct.tolist(), bits_of_levels(schema, distinct), counts.tolist()
         )
+    ]
     cl = combined_loadings(schema, model.G)
     labels = []
     vecs = []
@@ -723,13 +713,13 @@ def biplot_data(
 def biplot_export(
     schema: VariableSchema,
     model: FactorModel,
-    data: Iterable[Record | Sequence[int]],
+    data: Iterable[Record | Sequence[int]] | np.ndarray,
     out_svg: str,
     out_scores: str,
     out_loadings: str,
 ) -> BiplotData:
     """Write the scores CSV, loadings CSV, and a two-axis SVG biplot."""
-    bp = biplot_data(schema, model, list(data))
+    bp = biplot_data(schema, model, data)
     p_axes = bp.loading_vectors.shape[1]
     pc_names = [f"pc{i + 1}" for i in range(p_axes)]
     write_csv(

@@ -33,7 +33,15 @@ import scipy.optimize
 
 from .errors import DataError, SchemaError
 from .grassmann import GrassmannParams, check_p0, moments, popcount_groups
-from .schema import Record, VariableKind, VariableSchema, encode_record, levels_of_bits
+from .schema import (
+    Record,
+    VariableKind,
+    VariableSchema,
+    _out_of_range_rows,
+    bits_of_levels,
+    encode_record,
+    levels_of_bits,
+)
 from .structure import (
     StructuredParams,
     TAU_C,
@@ -118,21 +126,71 @@ class StateCounts:
         ]
 
 
-def state_counts(schema: VariableSchema, rows: Iterable[Record | Sequence[int]]) -> StateCounts:
-    """Aggregate records into exact state counts, preserving first-occurrence order."""
-    counts: dict[tuple[int, ...], int] = {}
-    n = 0
-    for i, row in enumerate(rows):
-        rec = row if isinstance(row, Record) else Record(tuple(int(v) for v in row))
+def _checked_record(schema: VariableSchema, i: int, row: Record | Sequence[int]) -> Record:
+    """Row ``i`` as a Record, checked by the one-record reference encoder."""
+    rec = row if isinstance(row, Record) else Record(tuple(int(v) for v in row))
+    try:
+        encode_record(schema, rec)
+    except SchemaError as exc:
+        raise DataError(f"row {i}: {exc}") from exc
+    return rec
+
+
+def _levels_of_rows(
+    schema: VariableSchema, rows: Iterable[Record | Sequence[int]] | np.ndarray
+) -> np.ndarray:
+    """The (n, len(schema)) int64 levels of Records, level sequences or a
+    levels array.  A Record's values must be integers in range (``int(v) ==
+    v``); a sequence's values go through ``int`` first.  A bad row raises
+    ``DataError("row {i}: ...")`` for the first such row, and no rows raise
+    ``DataError("dataset is empty")``."""
+    k = len(schema)
+    levels = None
+    if isinstance(rows, np.ndarray):
+        levels = rows
+    else:
+        rows = list(rows)
         try:
-            bits = encode_record(schema, rec).bits
-        except SchemaError as exc:
-            raise DataError(f"row {i}: {exc}") from exc
-        counts[bits] = counts.get(bits, 0) + 1
-        n += 1
-    if n == 0:
+            levels = np.array(
+                [r.values if isinstance(r, Record) else tuple(int(v) for v in r) for r in rows]
+            )
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if (
+        levels is None
+        or levels.shape != (len(rows), k)
+        or (levels.dtype.kind not in "iub" and levels.size)
+    ):
+        # floats, strings, integers beyond int64 or ragged rows: check row by row
+        levels = np.array(
+            [[int(v) for v in _checked_record(schema, i, r).values] for i, r in enumerate(rows)],
+            dtype=np.int64,
+        ).reshape(len(rows), k)
+    bad = _out_of_range_rows(schema, levels)
+    if bad.size:
+        i = int(bad[0])
+        _checked_record(schema, i, rows[i])  # raises: the reference applies the same range test
+    if not len(levels):
         raise DataError("dataset is empty")
-    return StateCounts(items=tuple(counts.items()))
+    return levels.astype(np.int64, copy=False)
+
+
+def _distinct_levels(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of a levels array in first-occurrence order, with
+    the index of each one's first row and its count."""
+    distinct, first, counts = np.unique(levels, axis=0, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return distinct[order], first[order], counts[order]
+
+
+def state_counts(
+    schema: VariableSchema, rows: Iterable[Record | Sequence[int]] | np.ndarray
+) -> StateCounts:
+    """Aggregate records, level sequences or an (n, len(schema)) levels array
+    into exact state counts, preserving first-occurrence order."""
+    distinct, _, counts = _distinct_levels(_levels_of_rows(schema, rows))
+    bits = bits_of_levels(schema, distinct).tolist()
+    return StateCounts(items=tuple(zip(map(tuple, bits), counts.tolist())))
 
 
 def weighted_moments(
@@ -545,7 +603,7 @@ def _initial_b(
 
 def fit_grassmann(
     schema: VariableSchema,
-    data: Iterable[Record | Sequence[int]] | StateCounts,
+    data: Iterable[Record | Sequence[int]] | np.ndarray | StateCounts,
     config: FitConfig | None = None,
 ) -> FitReport:
     """Penalized quasi-Newton maximum likelihood over the structured family.

@@ -12,6 +12,13 @@ is reordered behind the user's back.
 
 The allowed states, the Cartesian product of the block patterns, are one
 cached table per schema (:func:`allowed_table`) that every enumeration reads.
+
+A data file is read into one (n, len(schema)) levels array
+(:func:`load_data_levels`), checked with whole-array operations and encoded
+by the one vectorized encoder, :func:`bits_of_levels`.
+:func:`load_data_rows` is the Record view of that array.
+:func:`encode_record` and :func:`decode_state` encode and decode one record
+at a time; they are the reference that the array paths are tested against.
 """
 
 from __future__ import annotations
@@ -195,12 +202,7 @@ def _build_allowed_table(schema: VariableSchema) -> tuple[np.ndarray, np.ndarray
         levels = np.indices(counts, dtype=dtype).reshape(len(counts), -1).T
     else:  # np.indices(()) has no state axis to reshape
         levels = np.zeros((1, 0), dtype=dtype)
-    bits = np.zeros((len(levels), schema.q), dtype=np.int8)
-    for j, v in enumerate(schema.variables):
-        s, e = schema.blocks[j]
-        steps = np.arange(1, v.levels)
-        col = levels[:, j : j + 1]
-        bits[:, s:e] = col == steps if v.kind is VariableKind.CATEGORICAL else col >= steps
+    bits = bits_of_levels(schema, levels)
     bits.flags.writeable = False
     levels.flags.writeable = False
     return bits, levels
@@ -222,6 +224,21 @@ def allowed_table(
             f"schema has {n} allowed states, exceeding the cap {limit}"
         )
     return schema._allowed
+
+
+def bits_of_levels(schema: VariableSchema, levels: np.ndarray) -> np.ndarray:
+    """The (n, q) int8 dummy matrix of an (n, len(schema)) array of levels:
+    categorical level l sets bit l of its block, ordinal level l the first l
+    bits.  Levels are not validated: an out-of-range level sets no bit or a
+    whole block."""
+    levels = np.asarray(levels)
+    bits = np.zeros((len(levels), schema.q), dtype=np.int8)
+    for j, v in enumerate(schema.variables):
+        s, e = schema.blocks[j]
+        steps = np.arange(1, v.levels)
+        col = levels[:, j : j + 1]
+        bits[:, s:e] = col == steps if v.kind is VariableKind.CATEGORICAL else col >= steps
+    return bits
 
 
 def levels_of_bits(schema: VariableSchema, bits: np.ndarray) -> np.ndarray:
@@ -303,8 +320,22 @@ def load_schema(path: str) -> VariableSchema:
 
 # -- data file format ------------------------------------------------------
 
-def load_data_rows(schema: VariableSchema, path: str) -> list[Record]:
-    """Read a CSV of integer levels with a header matching the schema names."""
+def _out_of_range_rows(schema: VariableSchema, levels: np.ndarray) -> np.ndarray:
+    """Indices of the rows of an (n, len(schema)) levels array that hold a
+    level outside its variable's range 0..levels-1."""
+    sizes = np.array([v.block_size for v in schema.variables], dtype=np.int64)
+    return np.flatnonzero(((levels < 0) | (levels > sizes)).any(axis=1))
+
+
+def load_data_levels(schema: VariableSchema, path: str) -> np.ndarray:
+    """Read a CSV of integer levels, with a header matching the schema names,
+    into one (n, len(schema)) int64 array.
+
+    Cells are parsed with ``int`` and blank lines are skipped.  The rows are
+    checked as whole arrays, and a fault raises the DataError of the first
+    faulty line (the header is line 1): a wrong cell count, a non-integer
+    cell, or a level out of range, tested in that order on each line.
+    """
     import csv
 
     try:
@@ -321,21 +352,50 @@ def load_data_rows(schema: VariableSchema, path: str) -> list[Record]:
             raise DataError(
                 f"data header {header} does not match schema variables {list(schema.names)}"
             )
-        rows: list[Record] = []
-        for i, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(schema):
-                raise DataError(f"{path}:{i}: expected {len(schema)} cells, got {len(row)}")
-            try:
-                values = tuple(int(cell) for cell in row)
-            except ValueError as exc:
-                raise DataError(f"{path}:{i}: non-integer cell ({exc})") from None
-            try:
-                encode_record(schema, Record(values))
-            except SchemaError as exc:
-                raise DataError(f"{path}:{i}: {exc}") from None
-            rows.append(Record(values))
+        rows: list[list[str]] = []
+        read_error = None
+        try:
+            rows.extend(reader)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            # raised after the lines read before it have been checked
+            read_error = exc
+    k = len(schema)
+    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    lines = (np.flatnonzero(widths) + 2).tolist()  # blank lines are skipped but counted
+    rows = list(itertools.compress(rows, widths))
+    widths = widths[widths > 0]
+    misfit = np.flatnonzero(widths != k)
+    n_sized = int(misfit[0]) if misfit.size else len(rows)
+    values: list[int] = []
+    parse_error = None
+    try:
+        values.extend(map(int, itertools.chain.from_iterable(rows[:n_sized])))
+    except ValueError as exc:  # values holds every cell before the bad one
+        parse_error = exc
+    n_parsed = len(values) // k if parse_error is not None else n_sized
+    values = values[: n_parsed * k]
+    try:
+        levels = np.array(values, dtype=np.int64).reshape(n_parsed, k)
+    except OverflowError:  # a level beyond int64 is out of range
+        levels = np.array(values, dtype=object).reshape(n_parsed, k)
+    bad = _out_of_range_rows(schema, levels)
+    if bad.size:
+        r = int(bad[0])
+        try:
+            encode_record(schema, Record(tuple(values[r * k : (r + 1) * k])))
+        except SchemaError as exc:
+            raise DataError(f"{path}:{lines[r]}: {exc}") from None
+    if parse_error is not None:
+        raise DataError(f"{path}:{lines[n_parsed]}: non-integer cell ({parse_error})")
+    if n_sized < len(rows):
+        raise DataError(f"{path}:{lines[n_sized]}: expected {k} cells, got {len(rows[n_sized])}")
+    if read_error is not None:
+        raise read_error
     if not rows:
         raise DataError(f"data file {path} contains no rows")
-    return rows
+    return levels
+
+
+def load_data_rows(schema: VariableSchema, path: str) -> list[Record]:
+    """The rows of :func:`load_data_levels` as Records of Python ints."""
+    return [Record(tuple(row)) for row in load_data_levels(schema, path).tolist()]

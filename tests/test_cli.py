@@ -483,6 +483,35 @@ class TestFitSweep:
         assert out["a"] == out["sweep"][-2]["a"] if len(out["sweep"]) > 1 else True
 
 
+    def test_sweep_counts_rows_once(self, workdir, capsys, monkeypatch):
+        import grasscat.cli
+        import grasscat.fit
+
+        calls = []
+        real = grasscat.fit.state_counts
+
+        def counting(schema, rows):
+            calls.append(1)
+            return real(schema, rows)
+
+        monkeypatch.setattr(grasscat.cli, "state_counts", counting)
+        monkeypatch.setattr(grasscat.fit, "state_counts", counting)
+        code = _run(
+            workdir,
+            "fit",
+            "--schema", "schema.json",
+            "--data", "data.csv",
+            "--latent-aux", "auto",
+            "--restarts", "1",
+            "--seed", "3",
+            "--max-iter", "200",
+            "--out", "model.json",
+        )
+        assert code == 0
+        assert len(json.loads(capsys.readouterr().out)["sweep"]) >= 2
+        assert len(calls) == 1
+
+
 class TestFaFitBicRange:
     def test_bic_range_selects_and_fits(self, workdir, capsys):
         code = _run(

@@ -318,6 +318,20 @@ class TestPosterior:
         np.testing.assert_allclose(m, G.T @ np.asarray(y, dtype=float), atol=1e-12)
         np.testing.assert_allclose(cov, np.eye(2), atol=1e-12)
 
+    def test_discrete_only_inverts_nothing(self, rng, reader_schema, monkeypatch):
+        model = FactorModel.canonical(
+            b=rng.normal(0, 0.5, reader_schema.q), G=rng.normal(0, 0.5, (reader_schema.q, 2))
+        )
+        y = encode_record(reader_schema, Record((1, 2, 3))).bits
+        want = posterior(model, y)
+
+        def no_inverse(a):
+            raise AssertionError("posterior inverted a matrix without a continuous block")
+
+        monkeypatch.setattr(np.linalg, "inv", no_inverse)
+        got = posterior(model, y)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
     def test_bayes_identity(self, rng, reader_schema):
         p_x, p_z = 1, 2
         model = FactorModel.canonical(
@@ -547,6 +561,27 @@ class TestBiplot:
         assert len(bp.points) == 2
         assert bp.points[0].multiplicity == 2
         assert bp.points[0].row_id == 0
+
+    def test_matches_per_record_grouping(self, reader_schema, rng):
+        model = FactorModel.canonical(
+            b=np.zeros(reader_schema.q), G=rng.normal(0, 0.5, (reader_schema.q, 2))
+        )
+        levels = np.column_stack(
+            [rng.integers(0, v.levels, 300) for v in reader_schema.variables]
+        )
+        rows = [Record(tuple(r)) for r in levels.tolist()]
+        groups = {}
+        for i, rec in enumerate(rows):
+            groups.setdefault(rec.values, []).append(i)
+        rotated, _ = fix_rotation(model)
+        for data in (rows, levels):
+            bp = biplot_data(reader_schema, model, data)
+            assert [p.record for p in bp.points] == list(groups)
+            assert [p.row_id for p in bp.points] == [g[0] for g in groups.values()]
+            assert [p.multiplicity for p in bp.points] == [len(g) for g in groups.values()]
+            for p in bp.points:
+                want, _ = posterior(rotated, encode_record(reader_schema, Record(p.record)).bits)
+                assert np.array_equal(p.score, want)
 
     def test_axis_labels_carry_percentages(self, reader_schema, tmp_path, rng):
         model = FactorModel.canonical(

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from grasscat.errors import DataError
+from grasscat.errors import DataError, SchemaError
 from grasscat.fit import (
     FitConfig,
     StateCounts,
@@ -16,7 +18,7 @@ from grasscat.fit import (
 )
 from grasscat.grassmann import GrassmannParams
 from grasscat.oracle import brute_force_table
-from grasscat.schema import Record, VariableDecl, VariableSchema
+from grasscat.schema import Record, VariableDecl, VariableSchema, encode_record
 from grasscat.structure import StructuredParams, assemble_lambda
 
 from generators import (
@@ -60,6 +62,113 @@ class TestStateCounts:
         schema = VariableSchema([VariableDecl("x", CAT, 3)])
         with pytest.raises(DataError, match="row 1"):
             state_counts(schema, [Record((0,)), Record((9,))])
+
+
+def _ref_state_counts(schema, rows):
+    """The per-row loop state_counts replaced, kept as its reference."""
+    counts = {}
+    n = 0
+    for i, row in enumerate(rows):
+        rec = row if isinstance(row, Record) else Record(tuple(int(v) for v in row))
+        try:
+            bits = encode_record(schema, rec).bits
+        except SchemaError as exc:
+            raise DataError(f"row {i}: {exc}") from exc
+        counts[bits] = counts.get(bits, 0) + 1
+        n += 1
+    if n == 0:
+        raise DataError("dataset is empty")
+    return StateCounts(items=tuple(counts.items()))
+
+
+def _outcome(fn, schema, rows):
+    try:
+        items = fn(schema, rows).items
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+    assert all(type(c) is int for _, c in items)
+    assert all(type(b) is int for bits, _ in items for b in bits)
+    return items
+
+
+# values a row may carry besides plain levels: rejected, accepted, too large
+# for int64, or raising from int()
+TRAPS = (1.5, "1", True, np.float64(2.0), np.int64(1), 10**30, -1, float("inf"), float("nan"))
+
+
+@st.composite
+def schemas_and_rows(draw):
+    kinds = st.sampled_from([CAT, ORD])
+    schema = VariableSchema(
+        VariableDecl(f"v{i}", draw(kinds), draw(st.integers(2, 4)))
+        for i in range(draw(st.integers(0, 4)))
+    )
+    n = draw(st.integers(0, 25))
+    levels = [
+        [draw(st.integers(0, v.levels - 1)) for v in schema.variables] for _ in range(n)
+    ]
+    for _ in range(draw(st.integers(0, 2)) if n and len(schema) else 0):
+        row, col = draw(st.integers(0, n - 1)), draw(st.integers(0, len(schema) - 1))
+        levels[row][col] = draw(st.sampled_from(TRAPS + (schema.variables[col].levels,)))
+    form = draw(st.sampled_from(["record", "tuple", "numpy", "array"]))
+    if form == "record":
+        rows = [Record(tuple(r)) for r in levels]
+    elif form == "tuple":
+        rows = [tuple(r) for r in levels]
+    elif form == "numpy":
+        rows = [np.array(r, dtype=np.int64) for r in levels] if _fits_int64(levels) else levels
+    else:
+        rows = np.array(levels, dtype=np.int64).reshape(n, len(schema)) if _fits_int64(levels) else levels
+    return schema, rows
+
+
+def _fits_int64(levels):
+    return all(
+        isinstance(v, (int, np.integer)) and -(2**63) <= v < 2**63 for row in levels for v in row
+    )
+
+
+class TestStateCountsParity:
+    @given(schemas_and_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_row_reference(self, schema_rows):
+        schema, rows = schema_rows
+        assert _outcome(state_counts, schema, rows) == _outcome(_ref_state_counts, schema, rows)
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            ([Record((1.5,))], "row 0: variable 'x': level 1.5 out of range 0..2"),
+            ([Record(("1",))], "row 0: variable 'x': level '1' out of range 0..2"),
+            ([Record((0,)), Record((10**30,))],
+             f"row 1: variable 'x': level {10**30} out of range 0..2"),
+            ([Record((True,))], (((1, 0), 1),)),
+            ([Record((np.float64(2.0),)), Record((2,))], (((0, 1), 2),)),
+        ],
+    )
+    def test_record_value_traps(self, rows, expected):
+        schema = VariableSchema([VariableDecl("x", CAT, 3)])
+        got = _outcome(state_counts, schema, rows)
+        assert got == _outcome(_ref_state_counts, schema, rows)
+        assert got == (expected if isinstance(expected, tuple) else (DataError, expected))
+
+    def test_zero_variable_schema(self):
+        schema = VariableSchema([])
+        rows = [Record(())] * 3
+        assert state_counts(schema, rows).items == _ref_state_counts(schema, rows).items
+        assert state_counts(schema, rows).items == (((), 3),)
+
+    def test_first_bad_row_wins_whatever_the_fault(self):
+        schema = VariableSchema([VariableDecl("x", CAT, 3), VariableDecl("y", ORD, 3)])
+        rows = [Record((0, 0)), Record((0, 7)), Record((0,)), (float("inf"), 0), ("a", 0)]
+        for start in range(len(rows)):
+            assert _outcome(state_counts, schema, rows[start:]) == _outcome(
+                _ref_state_counts, schema, rows[start:]
+            )
+        assert _outcome(state_counts, schema, rows[3:])[0] is OverflowError
+        assert _outcome(state_counts, schema, rows[1:]) == (
+            DataError, "row 0: variable 'y': level 7 out of range 0..2"
+        )
 
 
 class TestNll:

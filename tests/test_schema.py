@@ -1,3 +1,4 @@
+import csv
 import itertools
 
 import numpy as np
@@ -24,6 +25,7 @@ from grasscat.schema import (
     enumerate_allowed_states,
     iter_records,
     levels_of_bits,
+    load_data_levels,
     load_data_rows,
     load_schema,
     schema_from_dict,
@@ -279,6 +281,128 @@ class TestSchemaFile:
         data.write_text("a\n1\n7\n")
         with pytest.raises(DataError, match=":3"):
             load_data_rows(schema, str(data))
+
+
+def _ref_load(schema, path):
+    """The per-row loader load_data_levels replaced, kept as its reference."""
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read data file {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"data file {path} is empty") from None
+        if tuple(header) != schema.names:
+            raise DataError(
+                f"data header {header} does not match schema variables {list(schema.names)}"
+            )
+        rows = []
+        for i, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(schema):
+                raise DataError(f"{path}:{i}: expected {len(schema)} cells, got {len(row)}")
+            try:
+                values = tuple(int(cell) for cell in row)
+            except ValueError as exc:
+                raise DataError(f"{path}:{i}: non-integer cell ({exc})") from None
+            try:
+                encode_record(schema, Record(values))
+            except SchemaError as exc:
+                raise DataError(f"{path}:{i}: {exc}") from None
+            rows.append(Record(values))
+    if not rows:
+        raise DataError(f"data file {path} contains no rows")
+    return rows
+
+
+def _load_outcome(load, schema, path):
+    try:
+        rows = load(schema, path)
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+    assert all(type(v) is int for r in rows for v in r.values)
+    return rows
+
+
+LOADER_SCHEMA = VariableSchema([VariableDecl("a", CAT, 3), VariableDecl("b", ORD, 12)])
+BIG = str(10**30)
+HUGE_FIELD = "x" * 200_000  # beyond the csv module's field limit
+
+LOADER_CORPUS = {
+    "valid": "a,b\n0,1\n2,11\n1,0\n",
+    "wrong_cell_count": "a,b\n0,1\n1\n",
+    "trailing_comma": "a,b\n0,1,\n",
+    "whitespace_line": "a,b\n0,1\n   \n",
+    "non_integer": "a,b\n0,1\n0,x\n",
+    "non_integer_first_cell_named": "a,b\nq,r\n",
+    "float_cell": "a,b\n1.5,0\n",
+    "negative_level": "a,b\n0,1\n-1,0\n",
+    "level_above_block": "a,b\n0,1\n3,0\n",
+    "level_above_second_block": "a,b\n0,12\n",
+    "big_level": f"a,b\n0,{BIG}\n",
+    "big_negative_level": f"a,b\n-{BIG},0\n",
+    "blank_lines_between_rows": "a,b\n0,1\n\n\n2,3\n\n",
+    "blank_lines_before_error": "a,b\n0,1\n\n\n5,0\n",
+    "range_before_parse": "a,b\n0,1\n3,0\n0,y\n",
+    "parse_before_range": "a,b\n0,y\n3,0\n",
+    "count_before_range": "a,b\n0\n9,9\n",
+    "range_before_count": "a,b\n9,0\n1\n",
+    "parse_before_count": "a,b\n0,1.5\n1\n",
+    "count_before_parse": "a,b\n1,2,3\n0,z\n",
+    "header_only": "a,b\n",
+    "header_and_blank_lines": "a,b\n\n\n",
+    "empty_file": "",
+    "header_mismatch": "b,a\n0,0\n",
+    "plus_and_underscore_cells": "a,b\n +1 ,1_0\n",
+    "quoted_cells": 'a,b\n"2","3"\n',
+    "range_before_csv_error": f"a,b\n9,0\n{HUGE_FIELD}\n",
+    "csv_error": f"a,b\n0,0\n{HUGE_FIELD}\n",
+}
+
+
+class TestLoaderParity:
+    @pytest.mark.parametrize("name", sorted(LOADER_CORPUS))
+    def test_matches_per_row_reference(self, tmp_path, name):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(LOADER_CORPUS[name], encoding="utf-8", newline="")
+        got = _load_outcome(load_data_rows, LOADER_SCHEMA, str(path))
+        assert got == _load_outcome(_ref_load, LOADER_SCHEMA, str(path))
+        if isinstance(got, list):
+            levels = load_data_levels(LOADER_SCHEMA, str(path))
+            assert levels.dtype == np.int64
+            assert levels.tolist() == [list(r.values) for r in got]
+
+    def test_plus_and_underscore_cells_parse_as_int(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(LOADER_CORPUS["plus_and_underscore_cells"])
+        assert load_data_rows(LOADER_SCHEMA, str(path)) == [Record((1, 10))]
+
+    def test_missing_file(self, tmp_path):
+        path = str(tmp_path / "absent.csv")
+        got = _load_outcome(load_data_rows, LOADER_SCHEMA, path)
+        assert got == _load_outcome(_ref_load, LOADER_SCHEMA, path)
+        assert got[0] is DataError
+
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from(["0", "1", "2", "3", "11", "12", "-1", "x", "", " +1 ", "1_0", "1.5", BIG]),
+                min_size=0,
+                max_size=3,
+            ),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_files_match_reference(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("loader") / "data.csv"
+        path.write_text("a,b\n" + "".join(",".join(r) + "\n" for r in rows))
+        got = _load_outcome(load_data_rows, LOADER_SCHEMA, str(path))
+        assert got == _load_outcome(_ref_load, LOADER_SCHEMA, str(path))
 
 
 def test_index_labels():
