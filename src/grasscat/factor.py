@@ -29,19 +29,14 @@ import numpy as np
 import scipy.optimize
 
 from .errors import DataError, ParameterError, SchemaError
-from .fit import (
-    StateCounts,
-    _distinct_levels,
-    _levels_of_rows,
-    _penalized_fit,
-    empirical_moments,
-    state_counts,
-)
+from .fit import StateCounts, _penalized_fit, empirical_moments, state_counts
 from .outputs import SvgCanvas, write_csv
 from .schema import (
     Record,
     VariableKind,
     VariableSchema,
+    _distinct_levels,
+    _levels_of_rows,
     allowed_table,
     bits_of_levels,
     levels_of_bits,
@@ -671,7 +666,13 @@ def biplot_data(
     """Factor scores per distinct record (sized by multiplicity) plus the
     combined loading vectors, padded to two axes when p_z = 1."""
     model, ratios = fix_rotation(model)
-    distinct, first, counts = _distinct_levels(_levels_of_rows(schema, data))
+    try:
+        levels = _levels_of_rows(schema, data)
+    except DataError as exc:
+        if isinstance(exc.__cause__, SchemaError):  # an invalid row: the encoder's error
+            raise exc.__cause__ from None
+        raise
+    distinct, first, counts = _distinct_levels(levels)
     points = [
         BiplotPoint(row_id=row_id, record=tuple(key), score=posterior(model, y)[0],
                     multiplicity=mult)

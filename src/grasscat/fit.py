@@ -31,15 +31,14 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 import scipy.optimize
 
-from .errors import DataError, SchemaError
 from .grassmann import GrassmannParams, check_p0, moments, popcount_groups
 from .schema import (
     Record,
     VariableKind,
     VariableSchema,
-    _out_of_range_rows,
+    _distinct_levels,
+    _levels_of_rows,
     bits_of_levels,
-    encode_record,
     levels_of_bits,
 )
 from .structure import (
@@ -124,63 +123,6 @@ class StateCounts:
             np.bincount(levels[:, j], weights=weights, minlength=v.levels)
             for j, v in enumerate(schema.variables)
         ]
-
-
-def _checked_record(schema: VariableSchema, i: int, row: Record | Sequence[int]) -> Record:
-    """Row ``i`` as a Record, checked by the one-record reference encoder."""
-    rec = row if isinstance(row, Record) else Record(tuple(int(v) for v in row))
-    try:
-        encode_record(schema, rec)
-    except SchemaError as exc:
-        raise DataError(f"row {i}: {exc}") from exc
-    return rec
-
-
-def _levels_of_rows(
-    schema: VariableSchema, rows: Iterable[Record | Sequence[int]] | np.ndarray
-) -> np.ndarray:
-    """The (n, len(schema)) int64 levels of Records, level sequences or a
-    levels array.  A Record's values must be integers in range (``int(v) ==
-    v``); a sequence's values go through ``int`` first.  A bad row raises
-    ``DataError("row {i}: ...")`` for the first such row, and no rows raise
-    ``DataError("dataset is empty")``."""
-    k = len(schema)
-    levels = None
-    if isinstance(rows, np.ndarray):
-        levels = rows
-    else:
-        rows = list(rows)
-        try:
-            levels = np.array(
-                [r.values if isinstance(r, Record) else tuple(int(v) for v in r) for r in rows]
-            )
-        except (TypeError, ValueError, OverflowError):
-            pass
-    if (
-        levels is None
-        or levels.shape != (len(rows), k)
-        or (levels.dtype.kind not in "iub" and levels.size)
-    ):
-        # floats, strings, integers beyond int64 or ragged rows: check row by row
-        levels = np.array(
-            [[int(v) for v in _checked_record(schema, i, r).values] for i, r in enumerate(rows)],
-            dtype=np.int64,
-        ).reshape(len(rows), k)
-    bad = _out_of_range_rows(schema, levels)
-    if bad.size:
-        i = int(bad[0])
-        _checked_record(schema, i, rows[i])  # raises: the reference applies the same range test
-    if not len(levels):
-        raise DataError("dataset is empty")
-    return levels.astype(np.int64, copy=False)
-
-
-def _distinct_levels(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct rows of a levels array in first-occurrence order, with
-    the index of each one's first row and its count."""
-    distinct, first, counts = np.unique(levels, axis=0, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    return distinct[order], first[order], counts[order]
 
 
 def state_counts(

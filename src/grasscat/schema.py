@@ -14,8 +14,8 @@ The allowed states, the Cartesian product of the block patterns, are one
 cached table per schema (:func:`allowed_table`) that every enumeration reads.
 
 A data file is read into one (n, len(schema)) levels array
-(:func:`load_data_levels`), checked with whole-array operations and encoded
-by the one vectorized encoder, :func:`bits_of_levels`.
+(:func:`load_data_levels`), range-checked as one array and encoded by the
+one vectorized encoder, :func:`bits_of_levels`.
 :func:`load_data_rows` is the Record view of that array.
 :func:`encode_record` and :func:`decode_state` encode and decode one record
 at a time; they are the reference that the array paths are tested against.
@@ -28,7 +28,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -327,14 +327,63 @@ def _out_of_range_rows(schema: VariableSchema, levels: np.ndarray) -> np.ndarray
     return np.flatnonzero(((levels < 0) | (levels > sizes)).any(axis=1))
 
 
+def _checked_record(schema: VariableSchema, i: int, row: Record | Sequence[int]) -> Record:
+    """Row ``i`` as a Record, checked by the one-record reference encoder."""
+    rec = row if isinstance(row, Record) else Record(tuple(int(v) for v in row))
+    try:
+        encode_record(schema, rec)
+    except SchemaError as exc:
+        raise DataError(f"row {i}: {exc}") from exc
+    return rec
+
+
+def _levels_of_rows(
+    schema: VariableSchema, rows: Iterable[Record | Sequence[int]] | np.ndarray
+) -> np.ndarray:
+    """The (n, len(schema)) int64 levels of Records, level sequences or a
+    levels array.  An integer array of that shape is range-checked whole;
+    anything else is checked row by row, where a Record's values must be
+    integers in range (``int(v) == v``) and a sequence's go through ``int``.
+    A bad row raises ``DataError("row {i}: ...")`` for the first such row,
+    caused by the encoder's SchemaError, and no rows raise
+    ``DataError("dataset is empty")``."""
+    k = len(schema)
+    if (
+        isinstance(rows, np.ndarray)
+        and rows.dtype.kind in "iub"
+        and rows.ndim == 2
+        and rows.shape[1] == k
+    ):
+        bad = _out_of_range_rows(schema, rows)
+        if bad.size:
+            _checked_record(schema, int(bad[0]), rows[bad[0]])  # raises
+        levels = rows.astype(np.int64, copy=False)
+    else:
+        values = [
+            [int(v) for v in _checked_record(schema, i, r).values] for i, r in enumerate(rows)
+        ]
+        levels = np.array(values, dtype=np.int64).reshape(len(values), k)
+    if not len(levels):
+        raise DataError("dataset is empty")
+    return levels
+
+
+def _distinct_levels(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of a levels array in first-occurrence order, with
+    the index of each one's first row and its count."""
+    distinct, first, counts = np.unique(levels, axis=0, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return distinct[order], first[order], counts[order]
+
+
 def load_data_levels(schema: VariableSchema, path: str) -> np.ndarray:
     """Read a CSV of integer levels, with a header matching the schema names,
     into one (n, len(schema)) int64 array.
 
-    Cells are parsed with ``int`` and blank lines are skipped.  The rows are
-    checked as whole arrays, and a fault raises the DataError of the first
-    faulty line (the header is line 1): a wrong cell count, a non-integer
-    cell, or a level out of range, tested in that order on each line.
+    Cells are parsed with ``int`` and blank lines are skipped.  Reading stops
+    at the first line with a wrong cell count or a non-integer cell; the
+    levels read before it are then range-checked as one array, and the
+    DataError of the earlier faulty line is raised (the header is line 1).
     """
     import csv
 
@@ -342,6 +391,10 @@ def load_data_levels(schema: VariableSchema, path: str) -> np.ndarray:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot read data file {path}: {exc}") from exc
+    k = len(schema)
+    rows: list[tuple[int, ...]] = []
+    lines: list[int] = []
+    fault: Exception | None = None
     with fh:
         reader = csv.reader(fh)
         try:
@@ -352,45 +405,34 @@ def load_data_levels(schema: VariableSchema, path: str) -> np.ndarray:
             raise DataError(
                 f"data header {header} does not match schema variables {list(schema.names)}"
             )
-        rows: list[list[str]] = []
-        read_error = None
         try:
-            rows.extend(reader)
+            for i, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != k:
+                    fault = DataError(f"{path}:{i}: expected {k} cells, got {len(row)}")
+                    break
+                try:
+                    rows.append(tuple(map(int, row)))
+                except ValueError as exc:
+                    fault = DataError(f"{path}:{i}: non-integer cell ({exc})")
+                    break
+                lines.append(i)
         except (csv.Error, UnicodeDecodeError) as exc:
-            # raised after the lines read before it have been checked
-            read_error = exc
-    k = len(schema)
-    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    lines = (np.flatnonzero(widths) + 2).tolist()  # blank lines are skipped but counted
-    rows = list(itertools.compress(rows, widths))
-    widths = widths[widths > 0]
-    misfit = np.flatnonzero(widths != k)
-    n_sized = int(misfit[0]) if misfit.size else len(rows)
-    values: list[int] = []
-    parse_error = None
+            fault = exc  # raised after the lines read before it are checked
     try:
-        values.extend(map(int, itertools.chain.from_iterable(rows[:n_sized])))
-    except ValueError as exc:  # values holds every cell before the bad one
-        parse_error = exc
-    n_parsed = len(values) // k if parse_error is not None else n_sized
-    values = values[: n_parsed * k]
-    try:
-        levels = np.array(values, dtype=np.int64).reshape(n_parsed, k)
+        levels = np.array(rows, dtype=np.int64).reshape(len(rows), k)
     except OverflowError:  # a level beyond int64 is out of range
-        levels = np.array(values, dtype=object).reshape(n_parsed, k)
+        levels = np.array(rows, dtype=object).reshape(len(rows), k)
     bad = _out_of_range_rows(schema, levels)
     if bad.size:
         r = int(bad[0])
         try:
-            encode_record(schema, Record(tuple(values[r * k : (r + 1) * k])))
+            encode_record(schema, Record(rows[r]))
         except SchemaError as exc:
             raise DataError(f"{path}:{lines[r]}: {exc}") from None
-    if parse_error is not None:
-        raise DataError(f"{path}:{lines[n_parsed]}: non-integer cell ({parse_error})")
-    if n_sized < len(rows):
-        raise DataError(f"{path}:{lines[n_sized]}: expected {k} cells, got {len(rows[n_sized])}")
-    if read_error is not None:
-        raise read_error
+    if fault is not None:
+        raise fault
     if not rows:
         raise DataError(f"data file {path} contains no rows")
     return levels

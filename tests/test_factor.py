@@ -6,7 +6,7 @@ import pytest
 
 import grasscat.schema
 from grasscat.cli import run_command
-from grasscat.errors import ParameterError
+from grasscat.errors import DataError, ParameterError, SchemaError
 from grasscat.factor import (
     FactorFitConfig,
     FactorModel,
@@ -582,6 +582,20 @@ class TestBiplot:
             for p in bp.points:
                 want, _ = posterior(rotated, encode_record(reader_schema, Record(p.record)).bits)
                 assert np.array_equal(p.score, want)
+
+    def test_invalid_row_raises_the_encoder_error(self, reader_schema):
+        model = FactorModel.canonical(
+            b=np.zeros(reader_schema.q), G=np.zeros((reader_schema.q, 2))
+        )
+        with pytest.raises(SchemaError) as want:
+            encode_record(reader_schema, Record((0, 9, 0)))
+        for data in ([Record((0, 0, 0)), Record((0, 9, 0))], np.array([[0, 0, 0], [0, 9, 0]])):
+            with pytest.raises(SchemaError) as got:
+                biplot_data(reader_schema, model, data)
+            assert type(got.value) is SchemaError
+            assert str(got.value) == str(want.value)
+        with pytest.raises(DataError, match="dataset is empty"):
+            biplot_data(reader_schema, model, [])
 
     def test_axis_labels_carry_percentages(self, reader_schema, tmp_path, rng):
         model = FactorModel.canonical(

@@ -110,15 +110,18 @@ def schemas_and_rows(draw):
     for _ in range(draw(st.integers(0, 2)) if n and len(schema) else 0):
         row, col = draw(st.integers(0, n - 1)), draw(st.integers(0, len(schema) - 1))
         levels[row][col] = draw(st.sampled_from(TRAPS + (schema.variables[col].levels,)))
-    form = draw(st.sampled_from(["record", "tuple", "numpy", "array"]))
+    form = draw(st.sampled_from(["record", "tuple", "numpy", "array", "float_array"]))
     if form == "record":
         rows = [Record(tuple(r)) for r in levels]
     elif form == "tuple":
         rows = [tuple(r) for r in levels]
     elif form == "numpy":
         rows = [np.array(r, dtype=np.int64) for r in levels] if _fits_int64(levels) else levels
-    else:
+    elif form == "array":
         rows = np.array(levels, dtype=np.int64).reshape(n, len(schema)) if _fits_int64(levels) else levels
+    else:  # checked row by row, where int() truncates as it did for any sequence
+        numeric = not any(isinstance(v, str) for row in levels for v in row)
+        rows = np.array(levels, dtype=float).reshape(n, len(schema)) if numeric else levels
     return schema, rows
 
 
