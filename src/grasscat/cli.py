@@ -190,13 +190,11 @@ def conditional_pattern_probability(
 
 # -- model loading helpers ------------------------------------------------------
 
-def _load_grassmann(path: str) -> tuple[VariableSchema, GrassmannParams, ModelFile]:
+def _load_grassmann(path: str) -> tuple[VariableSchema, GrassmannParams]:
     mf = load_model(path)
     if mf.kind != "grassmann":
         raise DataError(f"model {path} has kind {mf.kind!r}; expected 'grassmann'")
-    assert mf.schema is not None
-    params = assemble_lambda(mf.schema, mf.params)
-    return mf.schema, params, mf
+    return mf.schema, assemble_lambda(mf.schema, mf.params)
 
 
 # -- subcommand implementations ---------------------------------------------------
@@ -265,7 +263,7 @@ def _cmd_fit(args) -> int:
 def _cmd_moments(args) -> int:
     mf = load_model(args.model)
     if mf.kind == "grassmann":
-        schema, params, _ = _load_grassmann(args.model)
+        schema, params = mf.schema, assemble_lambda(mf.schema, mf.params)
         mean, cov = moments(params)
         corr = model_correlation(params)
         labels = schema.index_labels()
@@ -288,7 +286,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_prob(args) -> int:
-    schema, params, _ = _load_grassmann(args.model)
+    schema, params = _load_grassmann(args.model)
     query = parse_pattern(schema, args.query)
     given = parse_pattern(schema, args.given) if args.given else {}
     prob = conditional_pattern_probability(params, query, given)
@@ -306,7 +304,7 @@ def _cmd_sample(args) -> int:
     mf = load_model(args.model)
     rng = np.random.default_rng(args.seed)
     if mf.kind == "grassmann":
-        schema, params, _ = _load_grassmann(args.model)
+        schema, params = mf.schema, assemble_lambda(mf.schema, mf.params)
         probs = state_probabilities(params, allowed_table(schema)[0])
     elif mf.kind == "factor":
         schema, model = mf.schema, mf.params
@@ -482,7 +480,7 @@ def _cmd_mixed_eval(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    schema, params, _ = _load_grassmann(args.model)
+    schema, params = _load_grassmann(args.model)
     table = brute_force_table(params)
     max_joint_err = float(np.abs(table.probs - state_probabilities(params, table.states)).max())
     mean, cov = moments(params)

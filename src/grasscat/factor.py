@@ -140,12 +140,11 @@ def _prior_table(
     b: np.ndarray,
     G: np.ndarray,
     sigma_z: np.ndarray,
-    cap: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The prior mixture: the allowed states as rows of a 0/1 matrix Y, in
     :func:`allowed_table` order, and their weights
     pi_u propto exp(u^T b + u^T G sigma_z G^T u / 2), which sum to one."""
-    Y = allowed_table(schema, cap)[0].astype(float)
+    Y = allowed_table(schema)[0].astype(float)
     try:
         root = np.linalg.cholesky(sigma_z)
     except np.linalg.LinAlgError as exc:
@@ -160,11 +159,10 @@ def mixture_weights(
     b: np.ndarray,
     G: np.ndarray,
     sigma_z: np.ndarray,
-    cap: int | None = None,
 ) -> dict[tuple[int, ...], float]:
     """Prior mixture weight of every allowed state, keyed by its bits: a dict
     view of :func:`_prior_table`."""
-    Y, w = _prior_table(schema, b, G, sigma_z, cap)
+    Y, w = _prior_table(schema, b, G, sigma_z)
     return {tuple(row): wi for row, wi in zip(Y.astype(int).tolist(), w.tolist())}
 
 
@@ -183,7 +181,6 @@ def observed_density(
     model: FactorModel,
     y: Sequence[int],
     x: Sequence[float] | None = None,
-    cap: int | None = None,
 ) -> float:
     """Joint density of (x, y); the prior weight alone when p_x = 0.
 
@@ -193,7 +190,7 @@ def observed_density(
     yv = np.asarray([int(v) for v in y], dtype=float)
     if yv.shape != (schema.q,):
         raise ParameterError(f"y must have length {schema.q}, got shape {yv.shape}")
-    Y, w = _prior_table(schema, model.b, model.G, model.sigma_z, cap)
+    Y, w = _prior_table(schema, model.b, model.G, model.sigma_z)
     levels = levels_of_bits(schema, yv[None, :])[0]
     row = np.ravel_multi_index(tuple(levels), [v.levels for v in schema.variables])
     if not np.array_equal(Y[row], yv):
@@ -287,7 +284,7 @@ def combined_loadings(schema: VariableSchema, G: np.ndarray) -> CombinedLoadings
     return CombinedLoadings(vectors=tuple(vectors), labels=tuple(labels))
 
 
-def _loading_coefficients(schema: VariableSchema, include_base: bool = True) -> np.ndarray:
+def _loading_coefficients(schema: VariableSchema) -> np.ndarray:
     """Rows of coefficients c such that each combined vector equals c @ G."""
     rows = []
     for j, v in enumerate(schema.variables):
@@ -296,16 +293,14 @@ def _loading_coefficients(schema: VariableSchema, include_base: bool = True) -> 
         base = np.zeros(schema.q)
         if v.kind is VariableKind.CATEGORICAL:
             base[s:e] = -1.0 / (k + 1)
-            if include_base:
-                rows.append(base.copy())
+            rows.append(base.copy())
             for l in range(1, v.levels):
                 c = base.copy()
                 c[s + l - 1] += 1.0
                 rows.append(c)
         else:
             base[s:e] = -0.5
-            if include_base:
-                rows.append(base.copy())
+            rows.append(base.copy())
             for l in range(1, v.levels):
                 c = base.copy()
                 c[s : s + l] += 1.0

@@ -293,9 +293,7 @@ class _PenaltyGrads:
     C: np.ndarray
 
 
-def dominance_penalty(
-    schema: VariableSchema, sp: StructuredParams, mu: float, tau_c: float = TAU_C
-) -> _PenaltyGrads:
+def dominance_penalty(schema: VariableSchema, sp: StructuredParams, mu: float) -> _PenaltyGrads:
     """Squared-hinge penalty on negative free-row margins of B and on C rows
     below the strict threshold, with its gradient."""
     a = sp.a
@@ -306,7 +304,7 @@ def dominance_penalty(
     mc = row_margins(sp.C)
     viol_b = np.zeros_like(mb)
     viol_b[free] = np.maximum(0.0, -mb[free])
-    viol_c = np.maximum(0.0, tau_c - mc)
+    viol_c = np.maximum(0.0, TAU_C - mc)
     value = mu * float((viol_b**2).sum() + (viol_c**2).sum())
 
     # d value / d margin = -2 mu viol

@@ -103,10 +103,6 @@ class IndexPartition:
         if not set(T1) <= set(T):
             raise ParameterError("T1 must be a subset of T")
 
-    @property
-    def T0(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.T) - set(self.T1)))
-
     def validate_cover(self, q: int) -> None:
         if set(self.S) | set(self.T) != set(range(q)):
             raise ParameterError(f"S + T must cover 0..{q - 1}")
@@ -310,11 +306,11 @@ def _principal_minor_table(mat: np.ndarray) -> np.ndarray:
     return dets
 
 
-def all_state_probabilities(p: GrassmannParams, cap: int | None = None) -> np.ndarray:
+def all_state_probabilities(p: GrassmannParams) -> np.ndarray:
     """Probabilities of all 2**q states, ordered by the binary value of the
     bit vector with bit 0 least significant."""
     q = p.q
-    check_bit_cap(q, cap)
+    check_bit_cap(q)
     det_l = np.linalg.det(p.lam) if q else 1.0
     if det_l == 0:
         raise ParameterError("lam is singular")
@@ -332,13 +328,13 @@ class P0Report:
     passed: bool
 
 
-def check_p0(p: GrassmannParams, cap: int | None = None) -> P0Report:
+def check_p0(p: GrassmannParams) -> P0Report:
     """Evaluate all 2**q state probabilities and report the minimum and sum.
 
     Passing means min >= -1e-12 and |sum - 1| <= 1e-10, which is equivalent
     to lam - I being a P0-matrix with det(lam) > 0 up to round-off.
     """
-    probs = all_state_probabilities(p, cap=cap)
+    probs = all_state_probabilities(p)
     imin = int(np.argmin(probs))
     state = tuple((imin >> b) & 1 for b in range(p.q))
     total = float(probs.sum())

@@ -172,15 +172,13 @@ def _log_normals(x: np.ndarray, means: np.ndarray, cov: np.ndarray) -> np.ndarra
     )
 
 
-def mixed_joint_density(
-    mp: MixedParams, x: np.ndarray, y, cap: int | None = None
-) -> float:
+def mixed_joint_density(mp: MixedParams, x: np.ndarray, y) -> float:
     """Density of the full vector (x, y); reduces to a plain normal at q = 0."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=int)
     if x.shape != (mp.p,) or y.shape != (mp.q,):
         raise ParameterError("x or y has the wrong length")
-    check_bit_cap(mp.q, cap)
+    check_bit_cap(mp.q)
     pi = mp._partition_weights[_mask(np.flatnonzero(y))]
     if pi == 0.0:
         return 0.0
@@ -193,7 +191,6 @@ def mixed_marginal_density(
     part: MixedPartition,
     x_K: np.ndarray,
     y_T,
-    cap: int | None = None,
 ) -> float:
     """Marginal density of (x_K, y_T): everything else is summed/integrated out."""
     part.validate(mp.p, mp.q)
@@ -203,7 +200,7 @@ def mixed_marginal_density(
     T = list(part.T)
     if x_K.shape != (len(K),) or y_T.shape != (len(T),):
         raise ParameterError("x_K or y_T has the wrong length")
-    check_bit_cap(mp.q, cap)
+    check_bit_cap(mp.q)
     t1 = [t for t, bit in zip(T, y_T) if bit]
     masks, v = _subset_sums(t1, sorted((*part.S, *part.U)), mp.G)
     pi = mp._partition_weights[masks]
@@ -221,7 +218,6 @@ def mixed_conditional_density(
     y_S,
     x_K: np.ndarray,
     y_T,
-    cap: int | None = None,
 ) -> float:
     """Conditional density of (x_J, y_S) given (x_K, y_T), with (L, U)
     marginalized out.
@@ -232,7 +228,7 @@ def mixed_conditional_density(
     missing binaries.
     """
     part.validate(mp.p, mp.q)
-    check_bit_cap(mp.q, cap)
+    check_bit_cap(mp.q)
     x_J = np.asarray(x_J, dtype=float)
     x_K = np.asarray(x_K, dtype=float)
     y_S = np.asarray(y_S, dtype=int)
@@ -295,7 +291,6 @@ def conditional_binary_given_continuous(
     x: np.ndarray,
     T: tuple[int, ...] = (),
     y_T=(),
-    cap: int | None = None,
 ) -> GrassmannParams:
     """Parameter of p(y_S | x, y_T) where S is the complement of T.
 

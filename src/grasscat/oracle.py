@@ -85,16 +85,11 @@ class FullTable:
     def q(self) -> int:
         return self.states.shape[1]
 
-    def probability_of(self, y) -> float:
-        y = np.asarray(y, dtype=int)
-        mask = int(sum(int(b) << i for i, b in enumerate(y)))
-        return float(self.probs[mask])
 
-
-def brute_force_table(p: GrassmannParams, cap: int | None = None) -> FullTable:
+def brute_force_table(p: GrassmannParams) -> FullTable:
     """Exact state table by per-state determinant evaluation."""
     q = p.q
-    check_bit_cap(q, cap)
+    check_bit_cap(q)
     det_l = _naive_det(p.lam) if q else 1.0
     if det_l == 0.0:
         raise ParameterError("lam is singular")

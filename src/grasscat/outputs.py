@@ -59,11 +59,10 @@ class SvgCanvas:
     def _f(x: float) -> str:
         return f"{x:.2f}"
 
-    def line(self, x1, y1, x2, y2, stroke="black", width=1.0, dash: str | None = None):
-        d = f' stroke-dasharray="{dash}"' if dash else ""
+    def line(self, x1, y1, x2, y2, stroke="black", width=1.0):
         self._parts.append(
             f'<line x1="{self._f(x1)}" y1="{self._f(y1)}" x2="{self._f(x2)}" '
-            f'y2="{self._f(y2)}" stroke="{stroke}" stroke-width="{width}"{d}/>'
+            f'y2="{self._f(y2)}" stroke="{stroke}" stroke-width="{width}"/>'
         )
 
     def circle(self, cx, cy, r, fill="steelblue", opacity=0.6):

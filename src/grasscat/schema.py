@@ -112,10 +112,6 @@ class VariableSchema:
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
 
-    def block_indices(self, j: int) -> range:
-        s, e = self.blocks[j]
-        return range(s, e)
-
     def n_states(self) -> int:
         n = 1
         for v in self.variables:
@@ -208,17 +204,15 @@ def _build_allowed_table(schema: VariableSchema) -> tuple[np.ndarray, np.ndarray
     return bits, levels
 
 
-def allowed_table(
-    schema: VariableSchema, cap: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def allowed_table(schema: VariableSchema) -> tuple[np.ndarray, np.ndarray]:
     """The allowed states as read-only arrays: (n, q) 0/1 ``bits`` and
     (n, len(schema)) ``levels`` in the smallest unsigned dtype.  Row r is the
     state whose levels have mixed-radix code r, first variable most
-    significant.  Built once per schema instance; the cap (default 10**6,
-    overridable via GRASSCAT_CAP) is checked on every call and raises
+    significant.  Built once per schema instance; the state cap (10**6 unless
+    GRASSCAT_CAP sets it) is checked on every call and raises
     EnumerationCapError."""
     n = schema.n_states()
-    limit = state_cap(cap)
+    limit = state_cap()
     if n > limit:
         raise EnumerationCapError(
             f"schema has {n} allowed states, exceeding the cap {limit}"
@@ -256,11 +250,9 @@ def levels_of_bits(schema: VariableSchema, bits: np.ndarray) -> np.ndarray:
     return out
 
 
-def enumerate_allowed_states(
-    schema: VariableSchema, cap: int | None = None
-) -> list[DummyState]:
+def enumerate_allowed_states(schema: VariableSchema) -> list[DummyState]:
     """The :func:`allowed_table` states as DummyState, under the same cap."""
-    bits, _ = allowed_table(schema, cap)
+    bits, _ = allowed_table(schema)
     return [DummyState(tuple(row)) for row in bits.tolist()]
 
 

@@ -224,7 +224,6 @@ class DominanceReport:
     margins_b: np.ndarray
     margins_c: np.ndarray
     free_rows: np.ndarray
-    tau_c: float
 
     @property
     def worst_b_free(self) -> float:
@@ -240,23 +239,20 @@ class DominanceReport:
 
     @property
     def passed(self) -> bool:
-        return self.worst_b_free >= 0.0 and self.worst_c >= self.tau_c
+        return self.worst_b_free >= 0.0 and self.worst_c >= TAU_C
 
     @property
     def passed_raw(self) -> bool:
-        return self.worst_b_raw >= 0.0 and self.worst_c >= self.tau_c
+        return self.worst_b_raw >= 0.0 and self.worst_c >= TAU_C
 
 
-def dominance_certificate(
-    schema: VariableSchema, sp: StructuredParams, tau_c: float = TAU_C
-) -> DominanceReport:
+def dominance_certificate(schema: VariableSchema, sp: StructuredParams) -> DominanceReport:
     """Margins of B = M C and of C, plus pass flags."""
     B = dominance_matrix(schema, sp)
     return DominanceReport(
         margins_b=row_margins(B),
         margins_c=row_margins(sp.C),
         free_rows=free_row_indices(schema, sp.a),
-        tau_c=tau_c,
     )
 
 
@@ -290,7 +286,6 @@ def assemble_lambda(
     schema: VariableSchema,
     sp: StructuredParams,
     certificate: str = "none",
-    tau_c: float = TAU_C,
 ) -> GrassmannParams:
     """Assemble lam = I + K + W diag(omega) V^T.
 
@@ -304,7 +299,7 @@ def assemble_lambda(
     if certificate not in ("none", "free", "raw", "extended"):
         raise ValueError(f"unknown certificate mode {certificate!r}")
     if certificate in ("free", "raw"):
-        report = dominance_certificate(schema, sp, tau_c)
+        report = dominance_certificate(schema, sp)
         ok = report.passed if certificate == "free" else report.passed_raw
         if not ok:
             worst = report.worst_b_free if certificate == "free" else report.worst_b_raw

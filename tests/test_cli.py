@@ -16,9 +16,10 @@ from grasscat.modelfile import (
     model_from_document,
     save_model,
 )
+from grasscat.factor import FactorModel
 from grasscat.mixed import MixedParams
 from grasscat.oracle import brute_force_table, oracle_conditional
-from grasscat.schema import DummyState, enumerate_allowed_states
+from grasscat.schema import DummyState, enumerate_allowed_states, schema_to_dict
 from grasscat.structure import assemble_lambda
 
 from generators import (
@@ -692,6 +693,87 @@ class TestNumericalExitCode:
         assert _run(tmp_path, "oracle", "check", "--model", "bad.json") == 2
         out = json.loads(capsys.readouterr().out)
         assert not out["ok"]
+
+
+@pytest.fixture
+def model_files(tmp_path):
+    """A grassmann and a factor model file on the reader schema (24 allowed
+    states, q = 6) and a mixed model file with q = 4."""
+    schema = reader_style_schema()
+    factor = FactorModel.canonical(
+        b=np.linspace(-0.5, 0.5, schema.q), G=np.linspace(-0.4, 0.4, 2 * schema.q).reshape(-1, 2)
+    )
+    mixed = MixedParams(mu=np.zeros(1), sigma=np.eye(1), lam=2.0 * np.eye(4), G=np.zeros((4, 1)))
+    for kind, sch, params in (
+        ("grassmann", schema, reader_style_true_params()),
+        ("factor", schema, factor),
+        ("mixed", None, mixed),
+    ):
+        save_model(ModelFile(kind, sch, params, None), str(tmp_path / f"{kind}.json"))
+    (tmp_path / "schema.json").write_text(json.dumps(schema_to_dict(schema)))
+    rows = ["Working,Age,Edu", "0,1,2", "1,0,3", "0,2,0", "1,1,1"]
+    (tmp_path / "data.csv").write_text("\n".join(rows) + "\n")
+    return tmp_path
+
+
+class TestModelParsedOnce:
+    @pytest.mark.parametrize("kind", ["grassmann", "factor"])
+    @pytest.mark.parametrize("command", ["moments", "sample"])
+    def test_one_load_per_command(self, model_files, capsys, monkeypatch, command, kind):
+        import grasscat.cli
+
+        loads = []
+        real = grasscat.cli.load_model
+
+        def counting(path):
+            loads.append(path)
+            return real(path)
+
+        monkeypatch.setattr(grasscat.cli, "load_model", counting)
+        argv = [command, "--model", f"{kind}.json"]
+        if command == "sample":
+            argv += ["--n", "20", "--out", "s.csv"]
+        assert _run(model_files, *argv) == 0
+        assert loads == [f"{kind}.json"]
+
+
+class TestCapAtCli:
+    """A valid GRASSCAT_CAP smaller than the input stops each enumerating
+    command with exit 1 and the cap message."""
+
+    STATE_MSG = "error: schema has 24 allowed states, exceeding the cap 3\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sample", "--model", "grassmann.json", "--n", "5", "--out", "s.csv"], STATE_MSG),
+            (["sample", "--model", "factor.json", "--n", "5", "--out", "s.csv"], STATE_MSG),
+            (["moments", "--model", "factor.json"], STATE_MSG),
+            (
+                ["fa", "fit", "--schema", "schema.json", "--data", "data.csv",
+                 "--latent-dim", "1", "--restarts", "1", "--out", "fa.json"],
+                STATE_MSG,
+            ),
+            (
+                ["oracle", "check", "--model", "grassmann.json"],
+                "error: q=6 exceeds the 2**q enumeration cap 3\n",
+            ),
+            (
+                ["mixed", "eval", "--model", "mixed.json", "--x", "0.5", "--y", "1,0,1,0"],
+                "error: q=4 exceeds the 2**q enumeration cap 3\n",
+            ),
+        ],
+        ids=[
+            "sample-grassmann", "sample-factor", "moments-factor", "fa-fit", "oracle-check",
+            "mixed-eval",
+        ],
+    )
+    def test_cap_too_small_exits_one(self, model_files, capsys, monkeypatch, argv, message):
+        monkeypatch.setenv("GRASSCAT_CAP", "3")
+        assert _run(model_files, *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == message and captured.out == ""
+        assert not (model_files / "s.csv").exists() and not (model_files / "fa.json").exists()
 
 
 class TestNumericOptionRange:

@@ -6,7 +6,7 @@ import pytest
 
 import grasscat.schema
 from grasscat.cli import run_command
-from grasscat.errors import DataError, ParameterError, SchemaError
+from grasscat.errors import DataError, EnumerationCapError, ParameterError, SchemaError
 from grasscat.factor import (
     FactorFitConfig,
     FactorModel,
@@ -245,6 +245,29 @@ def test_one_allowed_table_build_per_schema(monkeypatch, rng, tmp_path):
         out = str(tmp_path / f"{kind}.csv")
         assert run_command(["sample", "--model", path, "--n", "50", "--out", out]) == 0
         assert len(builds) == before + 1
+
+
+@pytest.mark.parametrize("reader", ["mixture_weights", "observed_density"])
+def test_prior_readers_check_the_cap_before_building_the_table(reader, monkeypatch, rng):
+    def no_build(schema):
+        raise AssertionError("table built before the cap check")
+
+    monkeypatch.setattr(grasscat.schema, "_build_allowed_table", no_build)
+    monkeypatch.setenv("GRASSCAT_CAP", "23")
+    schema = reader_style_schema()  # 24 allowed states
+    model = FactorModel.canonical(
+        b=rng.normal(0, 1, schema.q), G=rng.normal(0, 0.5, (schema.q, 2))
+    )
+    calls = {
+        "mixture_weights": lambda: mixture_weights(schema, model.b, model.G, model.sigma_z),
+        "observed_density": lambda: observed_density(
+            schema, model, encode_record(schema, Record((1, 2, 3))).bits
+        ),
+    }
+    with pytest.raises(
+        EnumerationCapError, match=r"^schema has 24 allowed states, exceeding the cap 23$"
+    ):
+        calls[reader]()
 
 
 class TestGeneralSigmaZ:

@@ -79,10 +79,11 @@ class TestJoint:
             )
         assert total == pytest.approx(1.0, abs=1e-6)
 
-    def test_cap(self, rng):
+    def test_cap(self, rng, monkeypatch):
         mp = random_mixed(rng, 1, 3)
+        monkeypatch.setenv("GRASSCAT_CAP", "2")
         with pytest.raises(EnumerationCapError):
-            mixed_joint_density(mp, np.zeros(1), (0, 0, 0), cap=2)
+            mixed_joint_density(mp, np.zeros(1), (0, 0, 0))
 
 
 class TestMarginal:
@@ -484,12 +485,11 @@ class TestBatchedMatchesSubsetLoops:
         monkeypatch.setattr(grasscat.mixed, "_subset_sums", fail)
         mp = random_mixed(rng, 2, 4)
         part = MixedPartition(J=(0,), L=(), K=(1,), S=(0,), U=(1, 2), T=(3,))
+        monkeypatch.setenv("GRASSCAT_CAP", "3")
         calls = [
-            lambda: mixed_joint_density(mp, np.zeros(2), (0, 1, 0, 1), cap=3),
-            lambda: mixed_marginal_density(mp, part, np.zeros(1), (1,), cap=3),
-            lambda: mixed_conditional_density(
-                mp, part, np.zeros(1), (1,), np.zeros(1), (0,), cap=3
-            ),
+            lambda: mixed_joint_density(mp, np.zeros(2), (0, 1, 0, 1)),
+            lambda: mixed_marginal_density(mp, part, np.zeros(1), (1,)),
+            lambda: mixed_conditional_density(mp, part, np.zeros(1), (1,), np.zeros(1), (0,)),
         ]
         for call in calls:
             with pytest.raises(EnumerationCapError):

@@ -77,11 +77,12 @@ def test_conditional_on_zero_probability_event_flagged():
     assert not both.defined
 
 
-def test_cap_respected():
+def test_cap_respected(monkeypatch):
     rng = np.random.default_rng(10)
     p = random_valid_params(rng, 4)
+    monkeypatch.setenv("GRASSCAT_CAP", "3")
     with pytest.raises(EnumerationCapError):
-        brute_force_table(p, cap=3)
+        brute_force_table(p)
 
 
 def test_oracle_and_core_agree_across_queries():

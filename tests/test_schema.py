@@ -135,10 +135,11 @@ class TestEnumerate:
         assert recs[:3] == [Record((0, 0)), Record((0, 1)), Record((0, 2))]
         assert recs[3] == Record((1, 0))
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         schema = VariableSchema([VariableDecl(f"v{i}", CAT, 10) for i in range(8)])
+        monkeypatch.setenv("GRASSCAT_CAP", str(10**6))
         with pytest.raises(EnumerationCapError):
-            enumerate_allowed_states(schema, cap=10**6)
+            enumerate_allowed_states(schema)
 
 
 @st.composite
@@ -207,8 +208,9 @@ class TestAllowedTable:
             allowed_table(schema)
         with pytest.raises(EnumerationCapError):
             enumerate_allowed_states(schema)
+        monkeypatch.setenv("GRASSCAT_CAP", "2")
         with pytest.raises(EnumerationCapError):
-            allowed_table(schema, cap=2)
+            allowed_table(schema)
 
     def test_over_cap_schema_builds_nothing(self, monkeypatch):
         def no_build(schema):
@@ -218,8 +220,9 @@ class TestAllowedTable:
         schema = VariableSchema([VariableDecl(f"v{i}", CAT, 10) for i in range(7)])
         with pytest.raises(EnumerationCapError):
             allowed_table(schema)
+        monkeypatch.setenv("GRASSCAT_CAP", "3")
         with pytest.raises(EnumerationCapError):
-            allowed_table(VariableSchema([VariableDecl("x", CAT, 4)]), cap=3)
+            allowed_table(VariableSchema([VariableDecl("x", CAT, 4)]))
 
     def test_levels_of_bits_on_disallowed_rows_stays_in_range(self):
         schema = VariableSchema([VariableDecl("c", CAT, 3), VariableDecl("o", ORD, 3)])
