@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -420,8 +421,8 @@ def _cmd_fa_biplot(args) -> int:
 
 
 def _parse_mixed_tokens(text: str, kind: str) -> list[tuple[str, float]]:
-    """Tokens per coordinate: a number (query value), '?' (marginalize), or
-    'g:NUMBER' (condition on the value)."""
+    """Tokens per coordinate: a finite number (query value), '?'
+    (marginalize), or 'g:NUMBER' (condition on the value)."""
     out: list[tuple[str, float]] = []
     text = text.strip()
     if not text:
@@ -430,16 +431,15 @@ def _parse_mixed_tokens(text: str, kind: str) -> list[tuple[str, float]]:
         tok = tok.strip()
         if tok == "?":
             out.append(("missing", 0.0))
-        elif tok.startswith("g:"):
-            try:
-                out.append(("given", float(tok[2:])))
-            except ValueError:
-                raise DataError(f"bad {kind} token {tok!r}") from None
-        else:
-            try:
-                out.append(("query", float(tok)))
-            except ValueError:
-                raise DataError(f"bad {kind} token {tok!r}") from None
+            continue
+        role, num = ("given", tok[2:]) if tok.startswith("g:") else ("query", tok)
+        try:
+            val = float(num)
+        except ValueError:
+            raise DataError(f"bad {kind} token {tok!r}") from None
+        if not math.isfinite(val):
+            raise DataError(f"{kind} token {tok!r} is not a finite number")
+        out.append((role, val))
     return out
 
 

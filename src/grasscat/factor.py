@@ -29,7 +29,8 @@ import numpy as np
 import scipy.optimize
 
 from .errors import DataError, ParameterError, SchemaError
-from .fit import StateCounts, _penalized_fit, empirical_moments, state_counts
+from .fit import StateCounts, _level_logits, _penalized_fit, empirical_moments, state_counts
+from .grassmann import _freeze
 from .outputs import SvgCanvas, write_csv
 from .schema import (
     Record,
@@ -70,9 +71,7 @@ class FactorModel:
 
     def __post_init__(self) -> None:
         for name in ("mu_x", "psi_noise", "W_load", "b", "G", "mu_z", "sigma_z"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
         p_x, p_z, q = self.p_x, self.p_z, self.q
         if self.W_load.shape != (p_x, p_z):
             raise ParameterError(f"W_load shape {self.W_load.shape} != ({p_x},{p_z})")
@@ -285,27 +284,9 @@ def combined_loadings(schema: VariableSchema, G: np.ndarray) -> CombinedLoadings
 
 
 def _loading_coefficients(schema: VariableSchema) -> np.ndarray:
-    """Rows of coefficients c such that each combined vector equals c @ G."""
-    rows = []
-    for j, v in enumerate(schema.variables):
-        s, e = schema.blocks[j]
-        k = v.block_size
-        base = np.zeros(schema.q)
-        if v.kind is VariableKind.CATEGORICAL:
-            base[s:e] = -1.0 / (k + 1)
-            rows.append(base.copy())
-            for l in range(1, v.levels):
-                c = base.copy()
-                c[s + l - 1] += 1.0
-                rows.append(c)
-        else:
-            base[s:e] = -0.5
-            rows.append(base.copy())
-            for l in range(1, v.levels):
-                c = base.copy()
-                c[s : s + l] += 1.0
-                rows.append(c)
-    return np.asarray(rows)
+    """Rows of coefficients c such that each combined vector equals c @ G:
+    the combined loadings of G = I.  Adding 0.0 turns every -0.0 into 0.0."""
+    return np.vstack(combined_loadings(schema, np.eye(schema.q)).vectors) + 0.0
 
 
 # -- rotation fixing ----------------------------------------------------------
@@ -566,16 +547,11 @@ def fit_factor_model(
 def _independent_logits(schema: VariableSchema, counts: StateCounts) -> np.ndarray:
     """Bias init from per-variable empirical frequencies (smoothed)."""
     out = np.zeros(schema.q)
-    for j, (v, level_counts) in enumerate(
-        zip(schema.variables, counts.level_counts(schema))
+    for (s, e), v, level_counts in zip(
+        schema.blocks, schema.variables, counts.level_counts(schema)
     ):
-        s, e = schema.blocks[j]
         smoothed = level_counts + 0.5
-        p = smoothed / smoothed.sum()
-        if v.kind is VariableKind.CATEGORICAL:
-            out[s:e] = np.log(p[1:]) - np.log(p[0])
-        else:
-            out[s:e] = np.log(p[1:]) - np.log(p[:-1])
+        out[s:e] = _level_logits(v.kind, smoothed / smoothed.sum())
     return out
 
 

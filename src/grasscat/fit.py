@@ -518,18 +518,22 @@ class FitReport:
         }
 
 
+def _level_logits(kind: VariableKind, p: np.ndarray) -> np.ndarray:
+    """Per-level logits of one variable from its level frequencies p:
+    log(p_l / p_0) for categorical, log(p_l / p_(l-1)) for ordinal."""
+    if kind is VariableKind.CATEGORICAL:
+        return np.log(p[1:]) - np.log(p[0])
+    return np.log(p[1:]) - np.log(p[:-1])
+
+
 def _initial_b(
     schema: VariableSchema, counts: StateCounts, warn: list[str]
 ) -> list[np.ndarray]:
     """Independent per-variable empirical log-odds, the always-feasible start."""
     out = []
     for v, level_counts in zip(schema.variables, counts.level_counts(schema)):
-        p = level_counts / level_counts.sum()
         with np.errstate(divide="ignore"):
-            if v.kind is VariableKind.CATEGORICAL:
-                raw = np.log(p[1:]) - np.log(p[0])
-            else:
-                raw = np.log(p[1:]) - np.log(p[:-1])
+            raw = _level_logits(v.kind, level_counts / level_counts.sum())
         clipped = np.clip(np.nan_to_num(raw, nan=0.0, posinf=B_CAP, neginf=-B_CAP),
                           -B_CAP, B_CAP)
         if np.any(np.abs(raw) > B_CAP) or not np.all(np.isfinite(raw)):

@@ -10,6 +10,12 @@ with the empty minor's determinant defined as 1.  Validity requires lam - I
 to be a P0-matrix (all principal minors nonnegative) and det(lam) > 0, which
 together make every state probability nonnegative; the probabilities then sum
 to one identically.
+
+Every walk over principal minors groups its index sets with one function,
+:func:`popcount_groups`: :func:`state_probabilities` takes one stacked
+``slogdet`` per group, the 2**q table behind :func:`check_p0` and the mixed
+densities one stacked ``det`` per group of each chunk of masks, and the fit's
+likelihood and gradient one ``slogdet`` and one ``inv`` per group.
 """
 
 from __future__ import annotations
@@ -276,33 +282,21 @@ def conditional_zero_moments(p: GrassmannParams, r: int, s: int) -> tuple[float,
     return float(cond_mean), float(cond_cov)
 
 
-def _minor_dets(mat: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    """Determinants of mat[idx, idx] for a batch of equal-size index rows."""
-    if subsets.shape[1] == 0:
-        return np.ones(subsets.shape[0])
-    minors = mat[subsets[:, :, None], subsets[:, None, :]]
-    return np.linalg.det(minors)
+_TABLE_CHUNK = 2**14  # masks per chunk: bounds the index and minor arrays
 
 
 def _principal_minor_table(mat: np.ndarray) -> np.ndarray:
     """det(mat[R, R]) for all 2**q index subsets R, indexed by the bit mask of
-    R (bit i set when i is in R); the empty minor is 1.  Callers check the
-    2**q enumeration cap first."""
+    R (bit i set when i is in R); the empty minor is 1.  Masks are walked in
+    chunks of 2**14, each grouped by :func:`popcount_groups`, so memory stays
+    bounded at large q.  Callers check the 2**q enumeration cap first."""
     q = mat.shape[0]
-    popcounts = np.zeros(1, dtype=np.int8)
-    for _ in range(q):
-        # popcount(m + 2**b) = popcount(m) + 1 for every m < 2**b
-        popcounts = np.concatenate([popcounts, popcounts + 1])
-    dets = np.empty(2**q)
-    for k in range(q + 1):
-        rows = np.flatnonzero(popcounts == k)
-        # chunks of about 2**20 minor entries bound the memory at large q;
-        # each chunk's subsets come from its own masks
-        chunk = max(1, 2**20 // max(1, k * k))
-        for lo in range(0, rows.size, chunk):
-            sub = rows[lo : lo + chunk]
-            bits = (sub[:, None] >> np.arange(q)) & 1
-            dets[sub] = _minor_dets(mat, np.nonzero(bits)[1].reshape(sub.size, k))
+    dets = np.ones(2**q)
+    for lo in range(0, 2**q, _TABLE_CHUNK):
+        masks = np.arange(lo, min(lo + _TABLE_CHUNK, 2**q))
+        for rows, idx in popcount_groups((masks[:, None] >> np.arange(q)) & 1):
+            if idx.shape[1]:
+                dets[masks[rows]] = np.linalg.det(mat[idx[:, :, None], idx[:, None, :]])
     return dets
 
 

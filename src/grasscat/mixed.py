@@ -36,7 +36,7 @@ import numpy as np
 
 from .caps import check_bit_cap
 from .errors import ParameterError
-from .grassmann import GrassmannParams, _principal_minor_table
+from .grassmann import GrassmannParams, _freeze, _principal_minor_table, _solve_pivot
 
 _LOG2PI = float(np.log(2.0 * np.pi))
 
@@ -52,10 +52,9 @@ class MixedParams:
     G: np.ndarray
 
     def __post_init__(self) -> None:
-        mu = np.asarray(self.mu, dtype=float)
-        sigma = np.asarray(self.sigma, dtype=float)
-        lam = np.asarray(self.lam, dtype=float)
-        G = np.asarray(self.G, dtype=float)
+        for name in ("mu", "sigma", "lam", "G"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        mu, sigma, lam, G = self.mu, self.sigma, self.lam, self.G
         p = mu.shape[0]
         q = lam.shape[0] if lam.ndim == 2 else 0
         if sigma.shape != (p, p):
@@ -74,10 +73,6 @@ class MixedParams:
                 np.linalg.cholesky(sigma)
             except np.linalg.LinAlgError as exc:
                 raise ParameterError("sigma must be positive definite") from exc
-        for name, arr in (("mu", mu), ("sigma", sigma), ("lam", lam), ("G", G)):
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
     @property
     def p(self) -> int:
@@ -263,6 +258,10 @@ def mixed_conditional_density(
     v_jl = v[:, JL]
     wgt = _tilted(mp._minor_table[masks], 0.5 * _quad(v_jl, sigma_jl_cond) + v @ shift)
     denom = wgt.sum()
+    if not np.isfinite(denom):
+        raise ParameterError(
+            "conditional weights overflow; the conditioning values are too extreme"
+        )
     if denom <= 0.0:
         raise ParameterError("conditioning event has zero probability")
 
@@ -315,13 +314,8 @@ def conditional_binary_given_continuous(
     core = lam_mi[np.ix_(Sl, Sl)]
     if t1:
         pivot = mp.lam[np.ix_(t1, t1)] - np.eye(len(t1))
-        rcond = 1.0 / np.linalg.cond(pivot)
-        if not np.isfinite(rcond) or rcond < 1e-12:
-            raise ParameterError(
-                "lam[T1, T1] - I is singular; conditioning event has zero probability"
-            )
-        core = core - mp.lam[np.ix_(Sl, t1)] @ np.linalg.solve(
-            pivot, mp.lam[np.ix_(t1, Sl)]
+        core = core - mp.lam[np.ix_(Sl, t1)] @ _solve_pivot(
+            pivot, mp.lam[np.ix_(t1, Sl)], "lam[T1,T1] - I"
         )
     tilt = np.exp(mp.G[Sl, :] @ (x - mp.mu))
     lam_cond = np.eye(len(Sl)) + core * tilt[None, :]

@@ -47,8 +47,18 @@ def _require_keys(obj: dict, keys: tuple[str, ...], where: str) -> None:
         raise SchemaError(f"{where}: unknown fields {sorted(unknown)}")
 
 
+def _array(obj, where: str) -> np.ndarray:
+    """``obj`` as a float array; a non-numeric entry or a jagged row is a
+    SchemaError naming the field."""
+    try:
+        return np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{where}: expected numbers ({exc})") from None
+
+
 def _matrix(obj, where: str, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
+    """A (rows, cols) float matrix; an empty list is a matrix with no rows."""
+    arr = _array(obj, where)
     if arr.ndim == 1 and arr.size == 0:
         arr = arr.reshape(0, 0 if cols is None else cols)
     if arr.ndim != 2:
@@ -61,7 +71,7 @@ def _matrix(obj, where: str, rows: int | None = None, cols: int | None = None) -
 
 
 def _vector(obj, where: str, length: int | None = None) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
+    arr = _array(obj, where)
     if arr.ndim != 1:
         raise SchemaError(f"{where}: expected a vector")
     if length is not None and arr.shape[0] != length:
@@ -99,10 +109,7 @@ def structured_from_dict(schema: VariableSchema, obj: dict) -> StructuredParams:
         _vector(obj["w"][v.name], f"params.w[{v.name}]", a)
         for v in schema.variables
     )
-    try:
-        V = np.asarray(obj["V"], dtype=float).reshape(schema.q, a)
-    except ValueError as exc:
-        raise SchemaError(f"params.V: expected shape ({schema.q}, {a})") from exc
+    V = _matrix(obj["V"], "params.V", schema.q, a)
     n = schema.q + a
     C = _matrix(obj["C"], "params.C", n, n)
     return StructuredParams(b=b, w=w, V=V, omega=omega, C=C)
@@ -132,12 +139,9 @@ def factor_from_dict(schema: VariableSchema, obj: dict) -> FactorModel:
     mu_x = _vector(obj["mu_x"], "params.mu_x")
     p_x = mu_x.shape[0]
     psi = _vector(obj["psi_noise"], "params.psi_noise", p_x)
-    try:
-        G = np.asarray(obj["G"], dtype=float).reshape(schema.q, p_z)
-        W = np.asarray(obj["W_load"], dtype=float).reshape(p_x, p_z)
-        sigma_z = np.asarray(obj["sigma_z"], dtype=float).reshape(p_z, p_z)
-    except ValueError as exc:
-        raise SchemaError(f"params: inconsistent matrix shapes ({exc})") from exc
+    G = _matrix(obj["G"], "params.G", schema.q, p_z)
+    W = _matrix(obj["W_load"], "params.W_load", p_x, p_z)
+    sigma_z = _matrix(obj["sigma_z"], "params.sigma_z", p_z, p_z)
     return FactorModel(
         mu_x=mu_x, psi_noise=psi, W_load=W, b=b, G=G, mu_z=mu_z, sigma_z=sigma_z
     )
@@ -158,13 +162,11 @@ def mixed_from_dict(obj: dict) -> MixedParams:
     _require_keys(obj, ("mu", "sigma", "lambda", "G"), "params")
     mu = _vector(obj["mu"], "params.mu")
     p = mu.shape[0]
-    lam = np.asarray(obj["lambda"], dtype=float)
-    q = lam.shape[0] if lam.ndim == 2 else 0
-    try:
-        sigma = np.asarray(obj["sigma"], dtype=float).reshape(p, p)
-        G = np.asarray(obj["G"], dtype=float).reshape(q, p)
-    except ValueError as exc:
-        raise SchemaError(f"params: inconsistent matrix shapes ({exc})") from exc
+    lam = _matrix(obj["lambda"], "params.lambda")
+    q = lam.shape[0]
+    lam = _matrix(lam, "params.lambda", q, q)
+    sigma = _matrix(obj["sigma"], "params.sigma", p, p)
+    G = _matrix(obj["G"], "params.G", q, p)
     return MixedParams(mu=mu, sigma=sigma, lam=lam, G=G)
 
 

@@ -26,9 +26,14 @@ here therefore scores the free rows only: the first row of every block plus
 the auxiliary rows.  Raw margins for all rows are still reported.  This
 free-row check is a penalty target, not a positivity certificate: parameters
 that pass it can still give an allowed state a negative probability.  The
-exhaustive check on the extended (q + a) matrix is a rigorous alternative:
+exhaustive check on the extended (q + a) matrix is a rigorous alternative,
+``check_p0(GrassmannParams.from_lambda(extended_lambda(schema, sp)))``:
 validity of the extended distribution implies validity of its observed
-marginal.
+marginal.  :func:`assemble_lambda` runs neither check.
+
+Shapes are checked once, where they are read: :func:`validate_shapes` checks
+V, omega and C, and :func:`quasi_diagonal_blocks` and
+:func:`aux_loading_matrix` check the b and w vectors.
 """
 
 from __future__ import annotations
@@ -37,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, PositivityError, SchemaError
-from .grassmann import GrassmannParams, check_p0
+from .errors import ParameterError, SchemaError
+from .grassmann import GrassmannParams, _freeze
 from .schema import VariableKind, VariableSchema
 
 OMEGA_EPS = 1e-6
@@ -64,16 +69,11 @@ class StructuredParams:
     C: np.ndarray
 
     def __post_init__(self) -> None:
-        def freeze(a):
-            out = np.array(a, dtype=float)
-            out.flags.writeable = False
-            return out
-
-        object.__setattr__(self, "b", tuple(freeze(v) for v in self.b))
-        object.__setattr__(self, "w", tuple(freeze(v) for v in self.w))
-        object.__setattr__(self, "V", freeze(self.V))
-        object.__setattr__(self, "omega", freeze(self.omega))
-        object.__setattr__(self, "C", freeze(self.C))
+        object.__setattr__(self, "b", tuple(_freeze(v) for v in self.b))
+        object.__setattr__(self, "w", tuple(_freeze(v) for v in self.w))
+        object.__setattr__(self, "V", _freeze(self.V))
+        object.__setattr__(self, "omega", _freeze(self.omega))
+        object.__setattr__(self, "C", _freeze(self.C))
 
     @property
     def a(self) -> int:
@@ -97,24 +97,10 @@ class StructuredParams:
 
 
 def validate_shapes(schema: VariableSchema, sp: StructuredParams) -> None:
-    if len(sp.b) != len(schema):
-        raise SchemaError(
-            f"expected {len(schema)} b vectors, got {len(sp.b)}"
-        )
-    for v, bv in zip(schema.variables, sp.b):
-        if bv.shape != (v.block_size,):
-            raise SchemaError(
-                f"variable {v.name!r}: b vector has shape {bv.shape}, "
-                f"expected ({v.block_size},)"
-            )
+    """Check V, omega and C against the schema.  The b and w vectors are
+    checked where they are read, by :func:`quasi_diagonal_blocks` and
+    :func:`aux_loading_matrix`."""
     a = sp.a
-    if len(sp.w) != len(schema):
-        raise SchemaError(f"expected {len(schema)} w vectors, got {len(sp.w)}")
-    for v, wv in zip(schema.variables, sp.w):
-        if wv.shape != (a,):
-            raise SchemaError(
-                f"variable {v.name!r}: w vector has shape {wv.shape}, expected ({a},)"
-            )
     if sp.V.shape != (schema.q, a):
         raise SchemaError(f"V has shape {sp.V.shape}, expected ({schema.q}, {a})")
     if sp.omega.shape != (a,):
@@ -263,7 +249,6 @@ def extended_lambda(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
     full parameter whose observed marginal is the assembled one; its validity
     implies validity of the marginal.
     """
-    validate_shapes(schema, sp)
     q, a = schema.q, sp.a
     M = middle_factor(schema, sp)
     s = np.sqrt(1.0 / sp.omega - 1.0)
@@ -275,48 +260,18 @@ def extended_lambda(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
 
 
 def _raw_lambda(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
-    """lam = I + K + W diag(omega) V^T as a bare array: no shape check, no
-    certificate, no inverse."""
+    """lam = I + K + W diag(omega) V^T as a bare array: no check of V, omega
+    or C, no certificate, no inverse."""
     K = quasi_diagonal_blocks(schema, sp.b)
     W = aux_loading_matrix(schema, sp.w, sp.a)
     return np.eye(schema.q) + K + (W * sp.omega[None, :]) @ sp.V.T
 
 
-def assemble_lambda(
-    schema: VariableSchema,
-    sp: StructuredParams,
-    certificate: str = "none",
-) -> GrassmannParams:
-    """Assemble lam = I + K + W diag(omega) V^T.
-
-    certificate:
-      "none"      assemble without checking (caller's responsibility),
-      "free"      require dominance on the structurally free rows,
-      "raw"       require dominance on every row,
-      "extended"  exhaustively check the extended (q+a) parameter.
-    """
+def assemble_lambda(schema: VariableSchema, sp: StructuredParams) -> GrassmannParams:
+    """Assemble lam = I + K + W diag(omega) V^T, without any positivity
+    check: the caller certifies the result (see the module docstring)."""
     validate_shapes(schema, sp)
-    if certificate not in ("none", "free", "raw", "extended"):
-        raise ValueError(f"unknown certificate mode {certificate!r}")
-    if certificate in ("free", "raw"):
-        report = dominance_certificate(schema, sp)
-        ok = report.passed if certificate == "free" else report.passed_raw
-        if not ok:
-            worst = report.worst_b_free if certificate == "free" else report.worst_b_raw
-            raise PositivityError(
-                f"dominance certificate failed: worst B margin {worst:.3e}, "
-                f"worst C margin {report.worst_c:.3e}"
-            )
-    params = GrassmannParams.from_lambda(_raw_lambda(schema, sp))
-    if certificate == "extended":
-        ext = GrassmannParams.from_lambda(extended_lambda(schema, sp))
-        report_ext = check_p0(ext)
-        if not report_ext.passed:
-            raise PositivityError(
-                "extended positivity check failed: min probability "
-                f"{report_ext.min_probability:.3e}"
-            )
-    return params
+    return GrassmannParams.from_lambda(_raw_lambda(schema, sp))
 
 
 # -- single-variable closed forms -------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -411,6 +412,22 @@ class TestMixedEval:
         out2 = json.loads(capsys.readouterr().out)
         assert out["density"] + out2["density"] == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("x", ["nan", "g:nan", "inf", "g:-inf", "1e400"])
+    def test_non_finite_value_exits_one(self, mixed_model, tmp_path, capsys, x):
+        code = _run(tmp_path, "mixed", "eval", "--model", str(mixed_model), "--x", x, "--y", "1,?")
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "not a finite number" in captured.err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    def test_overflowing_weights_exit_two(self, mixed_model, tmp_path, capsys):
+        code = _run(
+            tmp_path, "mixed", "eval", "--model", str(mixed_model), "--x", "g:5e3", "--y", "1,?"
+        )
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "overflow" in captured.err
+
 
 class TestOracleCommand:
     def test_check_passes_on_fitted_model(self, workdir, capsys):
@@ -463,6 +480,62 @@ class TestModelFileStrictness:
         }
         with pytest.raises(SchemaError, match="format_version"):
             model_from_document(doc)
+
+    @staticmethod
+    def _document(kind: str) -> dict:
+        schema = reader_style_schema()
+        if kind == "grassmann":
+            params = reader_style_true_params()
+        elif kind == "factor":
+            rng = np.random.default_rng(0)
+            params = FactorModel.canonical(b=rng.normal(size=6), G=rng.normal(size=(6, 2)))
+        else:
+            schema = None
+            params = MixedParams(
+                mu=np.zeros(2), sigma=np.eye(2), lam=2.0 * np.eye(3), G=np.ones((3, 2))
+            )
+        return json.loads(dump_model(ModelFile(kind, schema, params, None)))
+
+    @pytest.mark.parametrize(
+        "kind, field, edit",
+        [
+            ("grassmann", "params.omega", lambda p: p.update(omega=["x", "x"])),
+            ("grassmann", "params.C", lambda p: p["C"][3].pop()),
+            ("grassmann", "params.V", lambda p: p.update(V=np.asarray(p["V"]).T.tolist())),
+            ("grassmann", "params.V", lambda p: p.update(V=np.ravel(p["V"]).tolist())),
+            ("grassmann", "params.b[Age]", lambda p: p["b"].update(Age=[0.1, "y"])),
+            ("factor", "params.G", lambda p: p.update(G=np.asarray(p["G"]).T.tolist())),
+            ("factor", "params.sigma_z", lambda p: p.update(sigma_z=[[1.0, 0.0], "ab"])),
+            ("factor", "params.W_load", lambda p: p.update(W_load=[[0.0, 0.0]])),
+            ("mixed", "params.sigma", lambda p: p.update(sigma=[[1.0, 0.0], [0.0]])),
+            ("mixed", "params.lambda", lambda p: p.update(**{"lambda": [[2.0, 0.0, 0.0]] * 2})),
+            ("mixed", "params.G", lambda p: p.update(G=np.asarray(p["G"]).T.tolist())),
+            ("mixed", "params.mu", lambda p: p.update(mu={"a": 1})),
+        ],
+    )
+    def test_malformed_matrix_rejected(self, kind, field, edit):
+        from grasscat.errors import SchemaError
+
+        doc = self._document(kind)
+        edit(doc["params"])
+        with pytest.raises(SchemaError, match=rf"^{re.escape(field)}: "):
+            model_from_document(doc)
+
+    def test_mixed_model_without_binaries_round_trips(self, tmp_path):
+        mp = MixedParams(mu=np.zeros(2), sigma=np.eye(2), lam=np.zeros((0, 0)), G=np.zeros((0, 2)))
+        path = tmp_path / "mixed0.json"
+        save_model(ModelFile("mixed", None, mp, None), str(path))
+        loaded = load_model(str(path)).params
+        assert loaded.q == 0 and loaded.G.shape == (0, 2)
+        assert dump_model(ModelFile("mixed", None, loaded, None)) == path.read_text()
+
+    def test_non_numeric_entry_exits_one_without_traceback(self, tmp_path, capsys):
+        doc = self._document("grassmann")
+        doc["params"]["omega"] = ["x", "x"]
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        assert _run(tmp_path, "moments", "--model", "bad.json") == 1
+        err = capsys.readouterr().err
+        assert "params.omega" in err and "Traceback" not in err
 
 
 class TestFitSweep:

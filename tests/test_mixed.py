@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from grasscat.errors import EnumerationCapError, ParameterError
+from grasscat.errors import ConditioningError, EnumerationCapError, ParameterError
 from grasscat.factor import FactorModel, _gaussian_logpdf, mixture_weights, posterior
 import grasscat.mixed
 from grasscat.grassmann import GrassmannParams, joint_probability
@@ -194,6 +194,14 @@ class TestConditional:
         for bits in itertools.product((0, 1), repeat=2):
             want = mixed_conditional_density(mp, part, np.zeros(0), bits, x, (1,))
             assert joint_probability(gp, bits) == pytest.approx(want, rel=1e-8)
+
+    def test_zero_probability_pivot_raises_conditioning_error(self):
+        # lam[2, 2] - 1 = 0: y_2 = 1 has probability zero
+        mp = MixedParams(
+            mu=np.zeros(1), sigma=np.eye(1), lam=np.diag([2.0, 2.0, 1.0]), G=np.zeros((3, 1))
+        )
+        with pytest.raises(ConditioningError, match="probability zero"):
+            conditional_binary_given_continuous(mp, np.zeros(1), T=(2,), y_T=(1,))
 
 
 class TestFactorBridge:

@@ -1,11 +1,12 @@
+import inspect
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from grasscat.errors import ParameterError, PositivityError, SchemaError
-from grasscat.grassmann import check_p0, joint_probability
+from grasscat.errors import ParameterError, SchemaError
+from grasscat.grassmann import GrassmannParams, check_p0, joint_probability
 from grasscat.schema import (
     Record,
     VariableDecl,
@@ -123,17 +124,21 @@ class TestAssemble:
         schema = reader_style_schema()
         rng = np.random.default_rng(1)
         sp = random_certified_structured(rng, schema, a=2)
-        assemble_lambda(schema, sp, certificate="free")
-        assemble_lambda(schema, sp, certificate="extended")
-        # the raw certificate is unattainable for ordinal blocks
-        with pytest.raises(PositivityError):
-            assemble_lambda(schema, sp, certificate="raw")
+        report = dominance_certificate(schema, sp)
+        assert report.passed
+        assert check_p0(GrassmannParams.from_lambda(extended_lambda(schema, sp))).passed
+        # the raw condition is unattainable for ordinal blocks
+        assert not report.passed_raw
 
     def test_failed_certificate_reports_margin(self):
         schema = VariableSchema([VariableDecl("x", CAT, 3)])
         sp = StructuredParams.independent(schema, [np.array([0.0, 5.0])])
-        with pytest.raises(PositivityError, match="margin"):
-            assemble_lambda(schema, sp, certificate="free")
+        report = dominance_certificate(schema, sp)
+        assert not report.passed
+        assert report.worst_b_free < 0
+
+    def test_no_certificate_option(self):
+        assert list(inspect.signature(assemble_lambda).parameters) == ["schema", "sp"]
 
 
 class TestStructuralZeros:
