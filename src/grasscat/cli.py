@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -47,7 +48,7 @@ from .grassmann import (
     moments,
     state_probabilities,
 )
-from .mixed import MixedParams, MixedPartition, mixed_conditional_density, mixed_marginal_density
+from .mixed import MixedParams, MixedPartition, mixed_conditional_density
 from .modelfile import ModelFile, load_model, save_model
 from .oracle import brute_force_table, oracle_marginal
 from .outputs import write_csv
@@ -468,14 +469,9 @@ def _cmd_mixed_eval(args) -> int:
     x_K = np.asarray([x_tokens[i][1] for i in K])
     y_S = np.asarray([int(y_tokens[i][1]) for i in S])
     y_T = np.asarray([int(y_tokens[i][1]) for i in T])
-    if K or T:
-        density = mixed_conditional_density(mp, part, x_J, y_S, x_K, y_T)
-        mode = "conditional"
-    else:
-        marg = MixedPartition(J=(), L=L, K=J, S=(), U=U, T=S)
-        density = mixed_marginal_density(mp, marg, x_J, y_S)
-        mode = "marginal" if (L or U) else "joint"
-    _emit({"mode": mode, "density": float(density)})
+    density = mixed_conditional_density(mp, part, x_J, y_S, x_K, y_T)
+    mode = "conditional" if K or T else "marginal" if L or U else "joint"
+    _emit({"mode": mode, "density": density})
     return 0
 
 
@@ -614,10 +610,23 @@ def _parser() -> _Parser:
     return build_parser()
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """``--x -0.5,1`` as ``--x=-0.5,1`` (likewise ``--y``): argparse reads a
+    separate token that starts with '-' and is not a plain number as an
+    option, so a value list that starts negative needs the '=' form."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in ("--x", "--y") and re.match(r"-[0-9.]", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def run_command(argv: list[str]) -> int:
     """Dispatch one CLI invocation; returns the process exit code."""
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_attach_negative_values(argv))
     except _UsageError as exc:
         sys.stderr.write(str(exc) + "\n")
         return 64

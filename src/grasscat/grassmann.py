@@ -11,11 +11,13 @@ to be a P0-matrix (all principal minors nonnegative) and det(lam) > 0, which
 together make every state probability nonnegative; the probabilities then sum
 to one identically.
 
-Every walk over principal minors groups its index sets with one function,
-:func:`popcount_groups`: :func:`state_probabilities` takes one stacked
-``slogdet`` per group, the 2**q table behind :func:`check_p0` and the mixed
-densities one stacked ``det`` per group of each chunk of masks, and the fit's
-likelihood and gradient one ``slogdet`` and one ``inv`` per group.
+Every principal minor comes from one kernel, :func:`_log_minors`: the
+rows of a 0/1 matrix grouped by popcount with :func:`popcount_groups`, and
+one stacked ``slogdet`` per group.  :func:`state_probabilities` calls it for
+the rows it is given, :func:`all_state_probabilities` (and through it
+:func:`check_p0`) for each chunk of 2**14 masks, and the mixed densities of
+:mod:`grasscat.mixed` for the subsets they sum over.  The fit's likelihood
+and gradient walk the same groups with one ``slogdet`` and one ``inv`` each.
 """
 
 from __future__ import annotations
@@ -139,17 +141,29 @@ def popcount_groups(states: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     states = np.asarray(states, dtype=bool)
     popcounts = states.sum(axis=1)
     groups = []
-    for k in np.unique(popcounts):
+    for k in np.flatnonzero(np.bincount(popcounts)):
         rows = np.flatnonzero(popcounts == k)
         groups.append((rows, np.nonzero(states[rows])[1].reshape(rows.size, k)))
     return groups
 
 
+def _log_minors(mat: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sign and log|det| of mat[R, R] for the index set R of every row of the
+    0/1 matrix ``states``, from one stacked ``slogdet`` per popcount group;
+    the empty minor is (1, 0) and a singular one (0, -inf)."""
+    sign = np.ones(len(states))
+    logdet = np.zeros(len(states))
+    for rows, idx in popcount_groups(states):
+        if idx.shape[1]:
+            sign[rows], logdet[rows] = np.linalg.slogdet(mat[idx[:, :, None], idx[:, None, :]])
+    return sign, logdet
+
+
 def state_probabilities(p: GrassmannParams, states: np.ndarray) -> np.ndarray:
     """Probability of every row of the 0/1 matrix ``states``.
 
-    Each is det((lam - I)[R1, R1]) / det(lam), from one stacked ``slogdet``
-    per popcount group.  Values within 1e-12 below zero are clamped to
+    Each is det((lam - I)[R1, R1]) / det(lam), with the minors from
+    :func:`_log_minors`.  Values within 1e-12 below zero are clamped to
     exactly zero; anything more negative is returned as is so invalid
     parameters remain visible.
     """
@@ -159,13 +173,7 @@ def state_probabilities(p: GrassmannParams, states: np.ndarray) -> np.ndarray:
     sign_l, logdet_l = np.linalg.slogdet(p.lam) if p.q else (1.0, 0.0)
     if sign_l == 0:
         raise ParameterError("lam is singular")
-    sign = np.ones(len(states))
-    logdet = np.zeros(len(states))
-    for rows, idx in popcount_groups(states):
-        k = idx.shape[1]
-        if k:
-            minors = p.lam[idx[:, :, None], idx[:, None, :]] - np.eye(k)
-            sign[rows], logdet[rows] = np.linalg.slogdet(minors)
+    sign, logdet = _log_minors(p.lam - np.eye(p.q), states)
     prob = sign * sign_l * np.exp(logdet - logdet_l)
     prob[sign == 0] = 0.0
     prob[(-_CLAMP <= prob) & (prob < 0.0)] = 0.0
@@ -282,33 +290,24 @@ def conditional_zero_moments(p: GrassmannParams, r: int, s: int) -> tuple[float,
     return float(cond_mean), float(cond_cov)
 
 
-_TABLE_CHUNK = 2**14  # masks per chunk: bounds the index and minor arrays
+_CHUNK = 2**14  # masks per kernel call: bounds the bit rows and the minors
 
 
-def _principal_minor_table(mat: np.ndarray) -> np.ndarray:
-    """det(mat[R, R]) for all 2**q index subsets R, indexed by the bit mask of
-    R (bit i set when i is in R); the empty minor is 1.  Masks are walked in
-    chunks of 2**14, each grouped by :func:`popcount_groups`, so memory stays
-    bounded at large q.  Callers check the 2**q enumeration cap first."""
-    q = mat.shape[0]
-    dets = np.ones(2**q)
-    for lo in range(0, 2**q, _TABLE_CHUNK):
-        masks = np.arange(lo, min(lo + _TABLE_CHUNK, 2**q))
-        for rows, idx in popcount_groups((masks[:, None] >> np.arange(q)) & 1):
-            if idx.shape[1]:
-                dets[masks[rows]] = np.linalg.det(mat[idx[:, :, None], idx[:, None, :]])
-    return dets
+def _mask_bits(masks: np.ndarray, q: int) -> np.ndarray:
+    """The 0/1 rows of bit masks, bit i of each mask in column i."""
+    return (masks[:, None] & (1 << np.arange(q))) != 0
 
 
 def all_state_probabilities(p: GrassmannParams) -> np.ndarray:
     """Probabilities of all 2**q states, ordered by the binary value of the
-    bit vector with bit 0 least significant."""
-    q = p.q
-    check_bit_cap(q)
-    det_l = np.linalg.det(p.lam) if q else 1.0
-    if det_l == 0:
-        raise ParameterError("lam is singular")
-    return _principal_minor_table(p.lam - np.eye(q)) / det_l
+    bit vector with bit 0 least significant: :func:`state_probabilities` of
+    each chunk of 2**14 masks, so memory stays bounded at large q."""
+    check_bit_cap(p.q)
+    probs = np.empty(2**p.q)
+    for lo in range(0, probs.size, _CHUNK):
+        masks = np.arange(lo, min(lo + _CHUNK, probs.size))
+        probs[lo : lo + masks.size] = state_probabilities(p, _mask_bits(masks, p.q))
+    return probs
 
 
 @dataclass(frozen=True)
@@ -325,8 +324,10 @@ class P0Report:
 def check_p0(p: GrassmannParams) -> P0Report:
     """Evaluate all 2**q state probabilities and report the minimum and sum.
 
-    Passing means min >= -1e-12 and |sum - 1| <= 1e-10, which is equivalent
-    to lam - I being a P0-matrix with det(lam) > 0 up to round-off.
+    The minimum is read after :func:`state_probabilities` clamps values in
+    [-1e-12, 0) to 0.0.  Passing means min >= -1e-12 and |sum - 1| <= 1e-10,
+    which is equivalent to lam - I being a P0-matrix with det(lam) > 0 up to
+    round-off.
     """
     probs = all_state_probabilities(p)
     imin = int(np.argmin(probs))

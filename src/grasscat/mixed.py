@@ -15,28 +15,29 @@ Index bookkeeping follows an explicit partition: continuous indices split
 into (J, L, K) and binary into (S, U, T), where J/S are query coordinates,
 L/U are marginalized (missing), and K/T are conditioned on.
 
-Every density reads one table per model: det((lam - I)[R1, R1]) for all
-2**q subsets, indexed by bit mask and computed once by the popcount-batched
-minor kernel that also serves :func:`grasscat.grassmann.all_state_probabilities`.
-The normalized partition weights are cached beside it.  A query gathers the
-rows it needs (the observed ones plus every subset of the free bits), forms
-G^T 1_{R1} for each row by doubling, and applies the exponential tilt and the
-Gaussian factor to all rows at once, with one Cholesky factor and one solve
-against it.  Sums over rows run in mask order through numpy, not one
-subset at a time, so a density can differ from a plain loop over subsets in
-its last digit.
+Every density is :func:`mixed_conditional_density`; the joint and the
+marginal densities are conditionals with nothing given.  A query lists the
+subsets it sums over (the observed bits plus every subset of the free ones),
+forms G^T 1_{R1} for each by doubling, and takes their log principal minors
+of lam - I from :func:`grasscat.grassmann._log_minors` in chunks of 2**14.
+It adds the exponential tilt in log space and subtracts the largest
+log-weight before ``exp``, so conditioning values far in the tails do not
+overflow; the Gaussian factor of all rows comes from one Cholesky factor and
+one solve against it.  Nothing is cached on the model: a conditional costs
+2**(free bits) minors, a joint or marginal 2**q for its normalizer.  Sums over
+rows run in mask order through numpy, not one subset at a time, so a density
+can differ from a plain loop over subsets in its last digits.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .caps import check_bit_cap
 from .errors import ParameterError
-from .grassmann import GrassmannParams, _freeze, _principal_minor_table, _solve_pivot
+from .grassmann import _CHUNK, GrassmannParams, _freeze, _log_minors, _mask_bits, _solve_pivot
 
 _LOG2PI = float(np.log(2.0 * np.pi))
 
@@ -81,23 +82,6 @@ class MixedParams:
     @property
     def q(self) -> int:
         return self.lam.shape[0]
-
-    # The two tables below have 2**q entries: read them only after check_bit_cap.
-
-    @functools.cached_property
-    def _minor_table(self) -> np.ndarray:
-        """det((lam - I)[R1, R1]) of every subset R1, indexed by bit mask."""
-        return _principal_minor_table(self.lam - np.eye(self.q))
-
-    @functools.cached_property
-    def _partition_weights(self) -> np.ndarray:
-        """Normalized pi_{R1}(sigma) of every subset R1, indexed by bit mask."""
-        _, v = _subset_sums((), range(self.q), self.G)
-        terms = _tilted(self._minor_table, 0.5 * _quad(v, self.sigma))
-        total = terms.sum()
-        if not np.isfinite(total) or total <= 0.0:
-            raise ParameterError("mixture normalizer is nonpositive; parameters invalid")
-        return terms / total
 
 
 @dataclass(frozen=True)
@@ -149,12 +133,6 @@ def _quad(v: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return ((v @ mat) * v).sum(axis=1)
 
 
-def _tilted(dets: np.ndarray, log_tilt: np.ndarray) -> np.ndarray:
-    """det * exp(log_tilt) per row; a minor that is exactly zero weighs zero
-    whatever its tilt."""
-    return np.where(dets == 0.0, 0.0, dets * np.exp(log_tilt))
-
-
 def _log_normals(x: np.ndarray, means: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """log N(x | mean, cov) for every row of ``means``, from one Cholesky
     factor and one solve against it."""
@@ -169,16 +147,8 @@ def _log_normals(x: np.ndarray, means: np.ndarray, cov: np.ndarray) -> np.ndarra
 
 def mixed_joint_density(mp: MixedParams, x: np.ndarray, y) -> float:
     """Density of the full vector (x, y); reduces to a plain normal at q = 0."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=int)
-    if x.shape != (mp.p,) or y.shape != (mp.q,):
-        raise ParameterError("x or y has the wrong length")
-    check_bit_cap(mp.q)
-    pi = mp._partition_weights[_mask(np.flatnonzero(y))]
-    if pi == 0.0:
-        return 0.0
-    mean = mp.mu + mp.sigma @ (mp.G.T @ y)
-    return float(pi * np.exp(_log_normals(x, mean[None, :], mp.sigma)[0]))
+    everything = MixedPartition(J=range(mp.p), L=(), K=(), S=range(mp.q), U=(), T=())
+    return mixed_conditional_density(mp, everything, x, y, (), ())
 
 
 def mixed_marginal_density(
@@ -188,22 +158,10 @@ def mixed_marginal_density(
     y_T,
 ) -> float:
     """Marginal density of (x_K, y_T): everything else is summed/integrated out."""
-    part.validate(mp.p, mp.q)
-    x_K = np.asarray(x_K, dtype=float)
-    y_T = np.asarray(y_T, dtype=int)
-    K = list(part.K)
-    T = list(part.T)
-    if x_K.shape != (len(K),) or y_T.shape != (len(T),):
-        raise ParameterError("x_K or y_T has the wrong length")
-    check_bit_cap(mp.q)
-    t1 = [t for t, bit in zip(T, y_T) if bit]
-    masks, v = _subset_sums(t1, sorted((*part.S, *part.U)), mp.G)
-    pi = mp._partition_weights[masks]
-    if not K:
-        return float(pi.sum())
-    keep = pi != 0.0
-    means = mp.mu[K] + v[keep] @ mp.sigma[K, :].T
-    return float(pi[keep] @ np.exp(_log_normals(x_K, means, mp.sigma[np.ix_(K, K)])))
+    queried = MixedPartition(
+        J=part.K, L=(*part.J, *part.L), K=(), S=part.T, U=(*part.S, *part.U), T=()
+    )
+    return mixed_conditional_density(mp, queried, x_K, y_T, (), ())
 
 
 def mixed_conditional_density(
@@ -220,7 +178,8 @@ def mixed_conditional_density(
     Weights use the Schur complement of the retained continuous block and an
     exponential shift from the conditioning values; the continuous factor is
     the usual Gaussian conditional, one component per assignment of the
-    missing binaries.
+    missing binaries.  With K and T empty it is the marginal density of
+    (x_J, y_S), and with L and U empty as well the joint density.
     """
     part.validate(mp.p, mp.q)
     check_bit_cap(mp.q)
@@ -255,18 +214,32 @@ def mixed_conditional_density(
     t1 = [t for t, bit in zip(T, y_T) if bit]
     s1 = [s for s, bit in zip(S, y_S) if bit]
     masks, v = _subset_sums(t1, sorted(S + U), mp.G)
+    sign, log_w = np.empty(masks.size), np.empty(masks.size)
+    lam_mi = mp.lam - np.eye(mp.q)
+    for lo in range(0, masks.size, _CHUNK):
+        chunk = slice(lo, lo + _CHUNK)
+        sign[chunk], log_w[chunk] = _log_minors(lam_mi, _mask_bits(masks[chunk], mp.q))
+    # a zero minor weighs zero whatever its tilt
+    live = sign != 0.0
+    masks, v, sign = masks[live], v[live], sign[live]
     v_jl = v[:, JL]
-    wgt = _tilted(mp._minor_table[masks], 0.5 * _quad(v_jl, sigma_jl_cond) + v @ shift)
-    denom = wgt.sum()
-    if not np.isfinite(denom):
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        log_w = log_w[live] + 0.5 * _quad(v_jl, sigma_jl_cond) + v @ shift
+    if not np.isfinite(log_w).all():
         raise ParameterError(
-            "conditional weights overflow; the conditioning values are too extreme"
+            "log-weights overflow; the parameters or conditioning values are too extreme"
         )
-    if denom <= 0.0:
-        raise ParameterError("conditioning event has zero probability")
+    wgt = sign * np.exp(log_w - log_w.max(initial=-np.inf))
+    denom = wgt.sum()
+    if not denom > 0.0:
+        raise ParameterError(
+            "conditioning event has zero probability"
+            if K or T
+            else "mixture normalizer is nonpositive; parameters invalid"
+        )
 
     # numerator: the rows whose S bits are y_S
-    rows = ((masks & _mask(S)) == _mask(s1)) & (wgt != 0.0)
+    rows = (masks & _mask(S)) == _mask(s1)
     if not J:
         return float(wgt[rows].sum() / denom)
     pos_j = [JL.index(j) for j in J]

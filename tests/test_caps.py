@@ -36,10 +36,10 @@ def _oracle():
 
 
 CASES = {
-    "check_p0": (_check_p0, [(grasscat.grassmann, "_principal_minor_table")]),
+    "check_p0": (_check_p0, [(grasscat.grassmann, "_log_minors")]),
     "mixed": (
         _mixed,
-        [(grasscat.mixed, "_principal_minor_table"), (grasscat.mixed, "_subset_sums")],
+        [(grasscat.mixed, "_log_minors"), (grasscat.mixed, "_subset_sums")],
     ),
     "oracle": (_oracle, [(grasscat.oracle, "_naive_det")]),
 }

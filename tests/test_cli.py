@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -419,14 +420,43 @@ class TestMixedEval:
         assert code == 1 and captured.out == ""
         assert "not a finite number" in captured.err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
-    def test_overflowing_weights_exit_two(self, mixed_model, tmp_path, capsys):
-        code = _run(
-            tmp_path, "mixed", "eval", "--model", str(mixed_model), "--x", "g:5e3", "--y", "1,?"
+    @pytest.mark.parametrize("x", ["g:5e3", "g:-5e3"])
+    def test_tail_conditioning_values(self, mixed_model, tmp_path, capsys, x):
+        # p(y_0 = 1 | x) over the four subsets R of {0, 1}: log-weight
+        # log det((lam - I)[R, R]) + x * sum(G[R]), since mu = 0 and sigma = 1
+        log_w = {(): 0.0, (0,): math.log(1.0), (1,): math.log(0.8), (0, 1): math.log(0.74)}
+        log_w = {r: lw + float(x[2:]) * sum((0.5, -0.3)[i] for i in r) for r, lw in log_w.items()}
+        top = max(log_w.values())
+        total = sum(math.exp(lw - top) for lw in log_w.values())
+        want = sum(math.exp(lw - top) for r, lw in log_w.items() if 0 in r) / total
+        code = _run(tmp_path, "mixed", "eval", "--model", str(mixed_model), "--x", x, "--y", "1,?")
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["density"] == want
+        assert want == (1.0 if x == "g:5e3" else 0.0)
+
+    def test_overflowing_weights_exit_two(self, tmp_path, capsys):
+        mp = MixedParams(
+            mu=np.array([0.0]),
+            sigma=np.array([[1.0]]),
+            lam=np.eye(2) + np.array([[1.0, 0.3], [0.2, 0.8]]),
+            G=np.array([[2.0], [-0.3]]),
         )
+        path = tmp_path / "steep.json"
+        save_model(ModelFile(kind="mixed", schema=None, params=mp, fit_report=None), str(path))
+        code = _run(tmp_path, "mixed", "eval", "--model", str(path), "--x", "g:1e308", "--y", "1,?")
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "overflow" in captured.err
+
+    def test_negative_first_value_without_equals(self, mixed_model, tmp_path, capsys):
+        outputs = []
+        for argv in (["--x", "-5e-1"], ["--x=-5e-1"]):
+            code = _run(tmp_path, "mixed", "eval", "--model", str(mixed_model), *argv, "--y", "1,0")
+            outputs.append((code, *capsys.readouterr()))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+        assert json.loads(outputs[0][1])["mode"] == "joint"
+        code = _run(tmp_path, "mixed", "eval", "--model", str(mixed_model), "--x", "--y", "1,0")
+        assert code == 64 and "expected one argument" in capsys.readouterr().err
 
 
 class TestOracleCommand:

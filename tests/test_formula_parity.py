@@ -1,10 +1,10 @@
 """Bit-for-bit parity of the shared formulas with their former second copies.
 
-Each ``_ref_*`` function below is the separate implementation that a shared
-formula replaced: the popcount-ordered 2**q minor table, the hand-written
-loading-coefficient rows, and the per-kind level-logit branches of the two
-bias initializers.  The shared code must reproduce them exactly, including
-the sign of every zero.
+Each ``_ref_*`` function below is a separate implementation of a shared
+formula: one ``slogdet`` per principal minor for the popcount-grouped minor
+kernel, the hand-written loading-coefficient rows, and the per-kind
+level-logit branches of the two bias initializers.  The shared code must
+reproduce them exactly, including the sign of every zero.
 """
 
 import warnings
@@ -14,7 +14,7 @@ import pytest
 
 from grasscat.factor import _independent_logits, _loading_coefficients
 from grasscat.fit import B_CAP, _initial_b, state_counts
-from grasscat.grassmann import _principal_minor_table
+from grasscat.grassmann import _log_minors
 from grasscat.schema import VariableDecl, VariableKind, VariableSchema
 from grasscat.structure import _raw_lambda
 
@@ -27,27 +27,17 @@ def _assert_identical(got: np.ndarray, want: np.ndarray) -> None:
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def _ref_minor_dets(mat, subsets):
-    if subsets.shape[1] == 0:
-        return np.ones(subsets.shape[0])
-    minors = mat[subsets[:, :, None], subsets[:, None, :]]
-    return np.linalg.det(minors)
+def _ref_log_minors(mat, states):
+    sign, logdet = np.ones(len(states)), np.zeros(len(states))
+    for n, row in enumerate(states):
+        idx = np.flatnonzero(row)
+        if idx.size:
+            sign[n], logdet[n] = np.linalg.slogdet(mat[np.ix_(idx, idx)])
+    return sign, logdet
 
 
-def _ref_principal_minor_table(mat):
-    q = mat.shape[0]
-    popcounts = np.zeros(1, dtype=np.int8)
-    for _ in range(q):
-        popcounts = np.concatenate([popcounts, popcounts + 1])
-    dets = np.empty(2**q)
-    for k in range(q + 1):
-        rows = np.flatnonzero(popcounts == k)
-        chunk = max(1, 2**20 // max(1, k * k))
-        for lo in range(0, rows.size, chunk):
-            sub = rows[lo : lo + chunk]
-            bits = (sub[:, None] >> np.arange(q)) & 1
-            dets[sub] = _ref_minor_dets(mat, np.nonzero(bits)[1].reshape(sub.size, k))
-    return dets
+def _all_masks(q):
+    return (np.arange(2**q)[:, None] >> np.arange(q)) & 1
 
 
 def _ref_loading_coefficients(schema):
@@ -109,17 +99,22 @@ def _ref_independent_logits(schema, counts):
 
 
 class TestMinorTable:
+    @staticmethod
+    def _assert_kernel_matches(mat):
+        states = _all_masks(mat.shape[0])
+        for got, want in zip(_log_minors(mat, states), _ref_log_minors(mat, states)):
+            _assert_identical(got, want)
+
     @pytest.mark.parametrize("q", [0, 1, 5, 12, 16])
     def test_dense_matrix(self, q):
-        mat = np.random.default_rng(q).normal(size=(q, q))
-        _assert_identical(_principal_minor_table(mat), _ref_principal_minor_table(mat))
+        self._assert_kernel_matches(np.random.default_rng(q).normal(size=(q, q)))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_structured_matrix_with_exact_zeros(self, seed):
         rng = np.random.default_rng(seed)
         schema = random_schema(rng, max_q=12, min_vars=3)
         mat = _raw_lambda(schema, random_structured(rng, schema, a=2)) - np.eye(schema.q)
-        _assert_identical(_principal_minor_table(mat), _ref_principal_minor_table(mat))
+        self._assert_kernel_matches(mat)
 
 
 def _random_level_schema(rng):

@@ -6,7 +6,6 @@ import pytest
 
 from grasscat.errors import ParameterError
 from grasscat.grassmann import (
-    _principal_minor_table,
     GrassmannParams,
     IndexPartition,
     all_state_probabilities,
@@ -316,19 +315,30 @@ class TestStateProbabilities:
 
 class TestPrincipalMinorTable:
     def test_q18_memory_and_values(self):
-        # 2**18 minors in chunks: the peak stays far below the (2**q, q) bit
-        # matrix and index arrays, and chunked entries equal one-by-one dets
+        # 2**18 probabilities in chunks: the peak stays far below the (2**q, q)
+        # bit matrix and index arrays, and chunked entries equal one-row calls
         q = 18
         rng = np.random.default_rng(1818)
-        mat = rng.normal(0.0, 0.3, (q, q)) + np.eye(q)
+        p = GrassmannParams.from_lambda(rng.normal(0.0, 0.3, (q, q)) + 2.0 * np.eye(q))
         tracemalloc.start()
         try:
-            table = _principal_minor_table(mat)
+            probs = all_state_probabilities(p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
-        assert table.shape == (2**q,) and table[0] == 1.0
-        for mask in [*rng.integers(1, 2**q, 300), 2**q - 1]:
-            idx = [i for i in range(q) if (int(mask) >> i) & 1]
-            assert table[mask] == np.linalg.det(mat[np.ix_(idx, idx)])
+        assert probs.shape == (2**q,)
+        for mask in [0, *rng.integers(1, 2**q, 300), 2**q - 1]:
+            bits = [(int(mask) >> i) & 1 for i in range(q)]
+            assert probs[mask] == state_probabilities(p, [bits])[0]
+
+    @pytest.mark.parametrize("q", [0, 1, 5, 15])
+    def test_equals_state_probabilities_of_every_mask(self, q):
+        # at q=15 the 2**15 masks span two chunks of the walk
+        if q:
+            p = random_valid_params(np.random.default_rng(q), q)
+        else:
+            p = GrassmannParams.from_lambda(np.zeros((0, 0)))
+        masks = np.arange(2**q)
+        bits = (masks[:, None] >> np.arange(q)) & 1
+        assert np.array_equal(all_state_probabilities(p), state_probabilities(p, bits))

@@ -1,7 +1,5 @@
-import gc
 import itertools
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +7,7 @@ import pytest
 from grasscat.errors import ConditioningError, EnumerationCapError, ParameterError
 from grasscat.factor import FactorModel, _gaussian_logpdf, mixture_weights, posterior
 import grasscat.mixed
-from grasscat.grassmann import GrassmannParams, joint_probability
+from grasscat.grassmann import GrassmannParams, _log_minors, _mask_bits, joint_probability
 from grasscat.mixed import (
     MixedParams,
     MixedPartition,
@@ -465,9 +463,8 @@ class TestBatchedMatchesSubsetLoops:
         lam[0, :] = 0.0
         lam[0, 0] = 1.0
         mp = MixedParams(mu=base.mu, sigma=base.sigma, lam=lam, G=base.G)
-        minors = mp._minor_table
-        assert np.all(minors[1::2] == 0.0) and np.all(minors[0::2] != 0.0)
-        assert np.all(mp._partition_weights[1::2] == 0.0)
+        sign, _ = _log_minors(mp.lam - np.eye(mp.q), _mask_bits(np.arange(2**mp.q), mp.q))
+        assert np.all(sign[1::2] == 0.0) and np.all(sign[0::2] != 0.0)
         x = rng.normal(0, 1, 2)
         assert mixed_joint_density(mp, x, (1, 0, 1, 0)) == 0.0
         part = MixedPartition(J=(0,), L=(), K=(1,), S=(1,), U=(2, 3), T=(0,))
@@ -475,21 +472,20 @@ class TestBatchedMatchesSubsetLoops:
             mixed_conditional_density(mp, part, x[[0]], (1,), x[[1]], (1,))
         _check_all_densities(mp, rng)
 
-    def test_minor_table_equals_per_subset_det(self, rng):
+    def test_log_minors_equal_per_subset_slogdet(self, rng):
         mp = random_mixed(rng, 2, 7)
         lam_mi = mp.lam - np.eye(mp.q)
-        table = mp._minor_table
-        assert table.shape == (2**mp.q,)
+        sign, logdet = _log_minors(lam_mi, _mask_bits(np.arange(2**mp.q), mp.q))
         for mask in range(2**mp.q):
             idx = [i for i in range(mp.q) if (mask >> i) & 1]
-            want = np.linalg.det(lam_mi[np.ix_(idx, idx)]) if idx else 1.0
-            assert table[mask] == want
+            want = np.linalg.slogdet(lam_mi[np.ix_(idx, idx)]) if idx else (1.0, 0.0)
+            assert sign[mask] == want[0] and logdet[mask] == want[1]
 
     def test_cap_checked_before_any_table(self, rng, monkeypatch):
         def fail(*args):
             raise AssertionError("2**q work started before the cap check")
 
-        monkeypatch.setattr(grasscat.mixed, "_principal_minor_table", fail)
+        monkeypatch.setattr(grasscat.mixed, "_log_minors", fail)
         monkeypatch.setattr(grasscat.mixed, "_subset_sums", fail)
         mp = random_mixed(rng, 2, 4)
         part = MixedPartition(J=(0,), L=(), K=(1,), S=(0,), U=(1, 2), T=(3,))
@@ -502,13 +498,11 @@ class TestBatchedMatchesSubsetLoops:
         for call in calls:
             with pytest.raises(EnumerationCapError):
                 call()
-        assert "_minor_table" not in vars(mp) and "_partition_weights" not in vars(mp)
 
-    def test_cached_tables_do_not_outlive_their_model(self, rng):
+    def test_queries_cache_nothing_on_the_model(self, rng):
         mp = random_mixed(rng, 2, 6)
+        part = MixedPartition(J=(0,), L=(), K=(1,), S=(0,), U=(1, 2), T=(3, 4, 5))
         mixed_joint_density(mp, np.zeros(2), (1, 0, 0, 0, 0, 1))
-        assert "_partition_weights" in vars(mp)
-        ref = weakref.ref(mp)
-        del mp
-        gc.collect()
-        assert ref() is None
+        mixed_marginal_density(mp, part, np.zeros(1), (1, 0, 1))
+        mixed_conditional_density(mp, part, np.zeros(1), (1,), np.zeros(1), (0, 1, 0))
+        assert set(vars(mp)) == {"mu", "sigma", "lam", "G"}
