@@ -1,19 +1,20 @@
 """Maximum-likelihood estimation of the structured parameters.
 
-The objective is the exact negative log likelihood
+The objective is the exact negative log likelihood, with an analytic
+gradient from d log det A = trace(A^-1 dA).  Since lam - I = K + W Omega V^T
+with K block diagonal, the matrix determinant lemma leaves only a x a
+determinants (a is the auxiliary dimension):
 
-    nll = - sum_s n_s [ log det((lam - I)[R1(s), R1(s)]) - log det lam ]
+    nll = sum_s n_s [ sum_v (log Z_v - beta_v(l_sv)) + log det Abar - log det A_s ]
+    A_s = I + sum_v x_v(l_sv) w_v^T,     Abar = I + sum_v xbar_v w_v^T
 
-over the observed state counts, with an analytic gradient obtained from
-d log det M = trace(M^-1 dM) chained through the structured parametrization.
-
-Both evaluate the observed minors in batches: the distinct nonempty states
-are grouped by popcount once per ``StateCounts``, and each group takes one
-stacked ``slogdet`` (likelihood) or one stacked ``inv`` (gradient).  The
-per-state terms are still summed one at a time in state order (a cumulative
-sum, and a ``bincount`` scatter for the gradient), so every value equals the
-plain per-state loop bit for bit and the optimizer's path does not depend on
-how the states were batched.
+Level l >= 1 of variable v ends on bit r_v(l) = s_v + l - 1 (s_v is the
+block's first bit) and has logit beta_v(l): b_l if v is categorical, b_1 +
+... + b_l if ordinal.  Then x_v(l) = e^-beta_v(l) omega * V[r_v(l)], Z_v =
+1 + sum_l e^beta_v(l) and xbar_v = omega * sum_(r in v) V[r] / Z_v; level 0
+has beta = 0 and x = 0.  An evaluation is one stacked ``slogdet`` and, for
+the gradient, one stacked ``inv`` over (distinct states, a, a): O(states *
+k * a^2), whatever the states' popcounts.
 
 The dominance certificate is enforced by a smooth squared-hinge penalty on
 the free-row margins of B = M C and on the strict margins of C, with the
@@ -24,14 +25,14 @@ the likelihood itself.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.optimize
 
-from .grassmann import GrassmannParams, check_p0, moments, popcount_groups
+from .errors import InvalidStateError, ParameterError
+from .grassmann import GrassmannParams, check_p0, moments
 from .schema import (
     Record,
     VariableKind,
@@ -44,7 +45,6 @@ from .schema import (
 from .structure import (
     StructuredParams,
     TAU_C,
-    _raw_lambda,
     aux_loading_matrix,
     dominance_certificate,
     assemble_lambda,
@@ -62,24 +62,6 @@ MAX_RAMPS = 6  # penalty weights per restart, both estimators: weight0 * 10**k, 
 
 
 @dataclass(frozen=True)
-class _MinorPlan:
-    """The distinct nonempty states grouped by popcount.
-
-    ``groups`` holds, per popcount k, the states' positions in ``weights``
-    (state order), their set-bit indices (n_k, k) and their counts.
-    ``order`` permutes the concatenated entries of the groups' k x k blocks
-    into state order, and ``cells`` is each entry's flat index r * q + s in
-    that order.  ``n`` counts every row, the all-zero state included.
-    """
-
-    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    weights: np.ndarray
-    n: float
-    cells: np.ndarray
-    order: np.ndarray
-
-
-@dataclass(frozen=True)
 class StateCounts:
     """Multiset of observed dummy states: sufficient statistics for the fit."""
 
@@ -93,27 +75,6 @@ class StateCounts:
         states = np.asarray([bits for bits, _ in self.items], dtype=int)
         counts = np.asarray([c for _, c in self.items], dtype=float)
         return states, counts
-
-    @functools.cached_property
-    def minor_plan(self) -> _MinorPlan:
-        """Popcount-grouped minor indices of the nonempty states, built once."""
-        states, counts = self.as_arrays()
-        q = states.shape[1]
-        nonempty = states.any(axis=1)
-        weights = counts[nonempty]
-        groups, cells, owner = [], [], []
-        for rows, idx in popcount_groups(states[nonempty]):
-            groups.append((rows, idx, weights[rows]))
-            cells.append((idx[:, :, None] * q + idx[:, None, :]).ravel())
-            owner.append(np.repeat(rows, idx.shape[1] ** 2))
-        order = np.argsort(np.concatenate(owner), kind="stable") if owner else np.zeros(0, int)
-        return _MinorPlan(
-            groups=tuple(groups),
-            weights=weights,
-            n=float(counts.sum()),
-            cells=np.concatenate(cells)[order] if cells else np.zeros(0, int),
-            order=order,
-        )
 
     def level_counts(self, schema: VariableSchema) -> list[np.ndarray]:
         """Observed count of every level of every variable."""
@@ -173,28 +134,36 @@ def model_correlation(params: GrassmannParams) -> np.ndarray:
 
 # -- likelihood and analytic gradient ---------------------------------------
 
-def negative_log_likelihood(
-    schema: VariableSchema, sp: StructuredParams, counts: StateCounts
-) -> float:
-    """Exact data NLL; +inf when any observed state has nonpositive probability."""
-    lam = np.asarray(assemble_lambda(schema, sp).lam)
-    return _nll_of_lambda(lam, counts)
+@dataclass(frozen=True)
+class _StatePlan:
+    """Per-dataset arrays of the likelihood: each distinct state's last bit
+    r_v(l) per variable (q at level 0), its count, the count of the level
+    each bit ends, the b -> beta map and the variables' bit memberships."""
+
+    last_bits: np.ndarray
+    weights: np.ndarray
+    bit_counts: np.ndarray
+    beta_of_b: np.ndarray
+    members: np.ndarray
 
 
-def _nll_of_lambda(lam: np.ndarray, counts: StateCounts) -> float:
-    sign_l, logdet_l = np.linalg.slogdet(lam)
-    if sign_l <= 0:
-        return INFEASIBLE_NLL
-    plan = counts.minor_plan
-    lam_mi = lam - np.eye(lam.shape[0])
-    logdets = np.empty(plan.weights.size)
-    for rows, idx, _ in plan.groups:
-        signs, logdets[rows] = np.linalg.slogdet(lam_mi[idx[:, :, None], idx[:, None, :]])
-        if np.any(signs <= 0):
-            return INFEASIBLE_NLL
-    # cumsum adds in state order, one term at a time; np.sum is pairwise
-    total = 0.0 - np.cumsum(plan.weights * logdets)[-1] if logdets.size else 0.0
-    return float(total + plan.n * logdet_l)
+def _state_plan(schema: VariableSchema, counts: StateCounts) -> _StatePlan:
+    """The likelihood's per-dataset plan; every observed state must be allowed."""
+    states, weights = counts.as_arrays()
+    levels = levels_of_bits(schema, states)
+    if not np.array_equal(bits_of_levels(schema, levels), states):
+        raise InvalidStateError("an observed state is not an allowed dummy state")
+    q, k = schema.q, len(schema)
+    starts = np.asarray([s for s, _ in schema.blocks], dtype=int)
+    last_bits = np.where(levels > 0, starts + levels - 1, q)
+    bit_counts = np.bincount(last_bits.ravel(), np.repeat(weights, k), minlength=q + 1)[:q]
+    beta_of_b = np.zeros((q, q))
+    members = np.zeros((k, q))
+    for j, (v, (s, e)) in enumerate(zip(schema.variables, schema.blocks)):
+        block = np.eye if v.kind is VariableKind.CATEGORICAL else np.tri
+        beta_of_b[s:e, s:e] = block(e - s)
+        members[j, s:e] = 1.0
+    return _StatePlan(last_bits, weights, bit_counts, beta_of_b, members)
 
 
 @dataclass(frozen=True)
@@ -207,22 +176,84 @@ class FitGradient:
     omega: np.ndarray
 
 
-def _grad_lambda(lam: np.ndarray, counts: StateCounts) -> np.ndarray:
-    """d nll / d lam = N inv(lam)^T - sum_s n_s scatter(inv(minor_s)^T)."""
-    q = lam.shape[0]
-    plan = counts.minor_plan
-    lam_mi = lam - np.eye(q)
-    blocks = [
-        (c[:, None, None] * np.linalg.inv(lam_mi[idx[:, :, None], idx[:, None, :]])
-         .transpose(0, 2, 1)).ravel()
-        for _, idx, c in plan.groups
-    ]
-    entries = np.concatenate(blocks)[plan.order] if blocks else np.zeros(0)
-    # bincount adds each cell's entries in state order, one at a time
-    G = 0.0 - np.bincount(plan.cells, weights=entries, minlength=q * q).reshape(q, q)
-    G += plan.n * np.linalg.inv(lam).T
-    return G
+def _likelihood(
+    schema: VariableSchema, sp: StructuredParams, plan: _StatePlan, gradient: bool
+) -> tuple[float, FitGradient | None]:
+    """The NLL and, if ``gradient``, its gradient, from a x a determinants;
+    ``(inf, None)`` when det A_s of an observed state or det Abar has sign
+    <= 0, or when e^-beta overflows on a bit an observed level ends on."""
+    q, a = schema.q, sp.a
+    W = np.reshape(sp.w, (len(schema), a))
+    beta = plan.beta_of_b @ (np.concatenate(sp.b) if sp.b else np.zeros(0))
+    # log Z_v with the largest of 0 and the block's beta factored out
+    top = np.max(plan.members * beta, axis=1, initial=0.0)
+    log_z = top + np.log(np.exp(-top) + plan.members @ np.exp(beta - top @ plan.members))
+    inv_z = np.exp(-log_z)
+    sums = (plan.members @ sp.V) * inv_z[:, None]
+    x_bar = sums * sp.omega
+    ends = plan.bit_counts > 0
+    decay = np.zeros(q)
+    x = np.zeros((q + 1, a))  # x_v(l) on the bit each level ends on; row q is level 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay[ends] = np.exp(-beta[ends])
+        x[:q] = decay[:, None] * sp.V * sp.omega
+    if not np.isfinite(x).all():
+        return INFEASIBLE_NLL, None
+    X = x.take(plan.last_bits, axis=0)
+    A = np.eye(a) + X.transpose(0, 2, 1) @ W
+    A_bar = np.eye(a) + x_bar.T @ W
+    sign, logdet = np.linalg.slogdet(A)
+    sign_bar, logdet_bar = np.linalg.slogdet(A_bar)
+    if sign_bar <= 0 or np.any(sign <= 0):
+        return INFEASIBLE_NLL, None
+    n = plan.weights.sum()
+    nll = float(n * (log_z.sum() + logdet_bar) - plan.bit_counts @ beta - plan.weights @ logdet)
+    if not gradient:
+        return nll, None
+    # d log det A = tr(A^-1 dA): d/dx_v is A^-T w_v and d/dw_v is A^-1 x_v
+    inv_A = np.linalg.inv(A)
+    inv_bar = np.linalg.inv(A_bar)
+    to_x = plan.weights[:, None, None] * (W @ inv_A)
+    to_x_bar = n * (W @ inv_bar)
+    # per bit: the sum of n_s A_s^-T w_v over the states whose level of v ends there
+    ends_at = plan.last_bits.ravel()
+    cols = [np.bincount(ends_at, to_x[..., c].ravel(), minlength=q + 1) for c in range(a)]
+    per_bit = np.reshape(cols, (a, q + 1)).T[:q]
+    share = np.exp(beta - log_z @ plan.members)  # e^beta / Z_v of each bit's level
+    g_beta = (
+        (x[:q] * per_bit).sum(axis=1) - plan.bit_counts
+        + share * ((n - (x_bar * to_x_bar).sum(axis=1)) @ plan.members)
+    )
+    g_b = plan.beta_of_b.T @ g_beta
+    g_w = n * x_bar @ inv_bar.T - np.tensordot(plan.weights, X @ inv_A.transpose(0, 2, 1), 1)
+    return nll, FitGradient(
+        b=tuple(g_b[s:e] for s, e in schema.blocks),
+        w=tuple(g_w),
+        V=sp.omega * (plan.members.T @ (to_x_bar * inv_z[:, None]) - decay[:, None] * per_bit),
+        omega=(to_x_bar * sums).sum(axis=0) - (decay[:, None] * sp.V * per_bit).sum(axis=0),
+    )
 
+
+def negative_log_likelihood(
+    schema: VariableSchema, sp: StructuredParams, counts: StateCounts
+) -> float:
+    """Exact data NLL; +inf when any observed state has nonpositive probability."""
+    middle_factor(schema, sp)  # raises SchemaError on a malformed b, w, V, omega or C
+    return _likelihood(schema, sp, _state_plan(schema, counts), gradient=False)[0]
+
+
+def nll_gradient(
+    schema: VariableSchema, sp: StructuredParams, counts: StateCounts
+) -> FitGradient:
+    """Analytic NLL gradient, exact where the NLL is finite; ParameterError where it is inf."""
+    middle_factor(schema, sp)  # raises SchemaError on a malformed b, w, V, omega or C
+    _, grad = _likelihood(schema, sp, _state_plan(schema, counts), gradient=True)
+    if grad is None:
+        raise ParameterError("the NLL is +inf at these parameters; it has no gradient")
+    return grad
+
+
+# -- dominance penalty -------------------------------------------------------
 
 def _chain_b(
     schema: VariableSchema, b_vectors: tuple[np.ndarray, ...], G: np.ndarray
@@ -252,29 +283,6 @@ def _reduce_w(schema: VariableSchema, G_ambient: np.ndarray) -> tuple[np.ndarray
             out.append(G_ambient[s].copy())
     return tuple(out)
 
-
-def nll_gradient(
-    schema: VariableSchema, sp: StructuredParams, counts: StateCounts
-) -> FitGradient:
-    """Analytic NLL gradient; exact wherever the NLL is finite."""
-    lam = np.asarray(assemble_lambda(schema, sp).lam)
-    return _gradient_natural(schema, sp, lam, counts)
-
-
-def _gradient_natural(
-    schema: VariableSchema, sp: StructuredParams, lam: np.ndarray, counts: StateCounts
-) -> FitGradient:
-    G = _grad_lambda(lam, counts)
-    W = aux_loading_matrix(schema, sp.w, sp.a)
-    return FitGradient(
-        b=_chain_b(schema, sp.b, G),
-        w=_reduce_w(schema, G @ sp.V * sp.omega[None, :]),
-        V=G.T @ W * sp.omega[None, :],
-        omega=np.einsum("ra,rc,ca->a", W, G, sp.V) if sp.a else np.zeros(0),
-    )
-
-
-# -- dominance penalty -------------------------------------------------------
 
 def _margin_grad_rows(mat: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     """Gradient of sum_k coeff_k * margin_k(mat) with margin = 2|d| - row sum."""
@@ -389,17 +397,15 @@ class _Packer:
 
 
 def _penalized_objective(
-    x: np.ndarray, mu: float, packer: _Packer, counts: StateCounts
+    x: np.ndarray, mu: float, packer: _Packer, plan: _StatePlan
 ) -> tuple[float, np.ndarray]:
     """NLL plus the dominance penalty at weight ``mu``, and its gradient, at
     the flat vector ``x``; ``(inf, 0)`` outside the likelihood's domain."""
     schema = packer.schema
     sp = packer.unpack(x)
-    lam = _raw_lambda(schema, sp)
-    nll = _nll_of_lambda(lam, counts)
-    if not np.isfinite(nll):
+    nll, g = _likelihood(schema, sp, plan, gradient=True)
+    if g is None:
         return INFEASIBLE_NLL, np.zeros_like(x)
-    g = _gradient_natural(schema, sp, lam, counts)
     pen = dominance_penalty(schema, sp, mu)
     g = FitGradient(
         b=tuple(gb + pb for gb, pb in zip(g.b, pen.b)),
@@ -566,6 +572,7 @@ def fit_grassmann(
     warn: list[str] = []
     b0 = _initial_b(schema, counts, warn)
     packer = _Packer(schema, a)
+    plan = _state_plan(schema, counts)
 
     def start(rng: np.random.Generator) -> np.ndarray:
         return packer.pack(StructuredParams(
@@ -580,7 +587,7 @@ def fit_grassmann(
         return scipy.optimize.minimize(
             _penalized_objective,
             x,
-            args=(mu, packer, counts),
+            args=(mu, packer, plan),
             method="L-BFGS-B",
             jac=True,
             bounds=packer.bounds,
@@ -590,7 +597,7 @@ def fit_grassmann(
 
     def key(x: np.ndarray) -> tuple[float, float]:
         sp = packer.unpack(x)
-        return _nll_of_lambda(_raw_lambda(schema, sp), counts), float(
+        return _likelihood(schema, sp, plan, gradient=False)[0], float(
             np.linalg.norm(packer.pack(sp))
         )
 

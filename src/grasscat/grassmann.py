@@ -12,12 +12,11 @@ together make every state probability nonnegative; the probabilities then sum
 to one identically.
 
 Every principal minor comes from one kernel, :func:`_log_minors`: the
-rows of a 0/1 matrix grouped by popcount with :func:`popcount_groups`, and
-one stacked ``slogdet`` per group.  :func:`state_probabilities` calls it for
-the rows it is given, :func:`all_state_probabilities` (and through it
-:func:`check_p0`) for each chunk of 2**14 masks, and the mixed densities of
-:mod:`grasscat.mixed` for the subsets they sum over.  The fit's likelihood
-and gradient walk the same groups with one ``slogdet`` and one ``inv`` each.
+rows of a 0/1 matrix grouped by popcount, and one stacked ``slogdet`` per
+group.  :func:`state_probabilities` calls it for the rows it is given,
+:func:`all_state_probabilities` (and through it :func:`check_p0`) for each
+chunk of 2**14 masks, and the mixed densities of :mod:`grasscat.mixed` for
+the subsets they sum over.
 """
 
 from __future__ import annotations
@@ -134,28 +133,20 @@ def joint_probability(p: GrassmannParams, y: Sequence[int]) -> float:
     return float(state_probabilities(p, y[None, :])[0])
 
 
-def popcount_groups(states: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Rows of a 0/1 state matrix grouped by popcount k, ascending: for each k
-    present, the row positions (n_k,) and their set-bit indices (n_k, k),
-    both in ascending order."""
-    states = np.asarray(states, dtype=bool)
-    popcounts = states.sum(axis=1)
-    groups = []
-    for k in np.flatnonzero(np.bincount(popcounts)):
-        rows = np.flatnonzero(popcounts == k)
-        groups.append((rows, np.nonzero(states[rows])[1].reshape(rows.size, k)))
-    return groups
-
-
 def _log_minors(mat: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sign and log|det| of mat[R, R] for the index set R of every row of the
-    0/1 matrix ``states``, from one stacked ``slogdet`` per popcount group;
-    the empty minor is (1, 0) and a singular one (0, -inf)."""
+    0/1 matrix ``states``, from one stacked ``slogdet`` per popcount; the
+    empty minor is (1, 0) and a singular one (0, -inf)."""
+    states = np.asarray(states, dtype=bool)
+    popcounts = states.sum(axis=1)
     sign = np.ones(len(states))
     logdet = np.zeros(len(states))
-    for rows, idx in popcount_groups(states):
-        if idx.shape[1]:
-            sign[rows], logdet[rows] = np.linalg.slogdet(mat[idx[:, :, None], idx[:, None, :]])
+    flat, q = mat.ravel(), mat.shape[0]
+    for k in 1 + np.flatnonzero(np.bincount(popcounts)[1:]):
+        rows = np.flatnonzero(popcounts == k)
+        idx = np.nonzero(states[rows])[1].reshape(rows.size, k)
+        cells = idx[:, :, None] * q + idx[:, None, :]
+        sign[rows], logdet[rows] = np.linalg.slogdet(flat.take(cells))
     return sign, logdet
 
 

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grasscat.errors import DataError, SchemaError
+from grasscat.errors import DataError, InvalidStateError, ParameterError, SchemaError
 from grasscat.fit import (
+    B_CAP,
     FitConfig,
+    FitGradient,
     StateCounts,
     empirical_moments,
     fit_grassmann,
@@ -15,11 +17,18 @@ from grasscat.fit import (
     negative_log_likelihood,
     nll_gradient,
     state_counts,
+    _chain_b,
+    _reduce_w,
 )
 from grasscat.grassmann import GrassmannParams
 from grasscat.oracle import brute_force_table
 from grasscat.schema import Record, VariableDecl, VariableSchema, encode_record
-from grasscat.structure import StructuredParams, assemble_lambda
+from grasscat.structure import (
+    StructuredParams,
+    assemble_lambda,
+    aux_loading_matrix,
+    ordinal_pmf,
+)
 
 from generators import (
     CAT,
@@ -196,10 +205,30 @@ class TestNll:
 
     def test_zero_probability_state_flags_infinite(self):
         schema = VariableSchema([VariableDecl("x", CAT, 3)])
-        # drive level-2 probability to (effectively) zero
+        # level 2 has probability e^-200 / (2 + e^-200): tiny, not zero
         sp = StructuredParams.independent(schema, [np.array([0.0, -200.0])])
         counts = state_counts(schema, [Record((2,))])
-        assert negative_log_likelihood(schema, sp, counts) == np.inf
+        assert negative_log_likelihood(schema, sp, counts) == pytest.approx(
+            200.69314718055995, rel=1e-12
+        )
+        assert negative_log_likelihood(*_one_factor_cat3(1.0)) == np.inf
+
+    def test_disallowed_state_and_infinite_gradient_raise(self):
+        schema = VariableSchema([VariableDecl("x", CAT, 3)])
+        sp = StructuredParams.independent(schema, [np.zeros(2)])
+        with pytest.raises(InvalidStateError):
+            negative_log_likelihood(schema, sp, StateCounts(items=(((1, 1), 1),)))
+        with pytest.raises(ParameterError):
+            nll_gradient(*_one_factor_cat3(1.0))
+
+    def test_improbable_ordinal_level_is_exact(self):
+        schema = VariableSchema([VariableDecl("x", ORD, 4)])
+        b = np.array([-30.0, 1.0, 2.0])
+        sp = StructuredParams.independent(schema, [b])
+        counts = state_counts(schema, [Record((1,))])
+        assert negative_log_likelihood(schema, sp, counts) == pytest.approx(
+            -math.log(ordinal_pmf(b, [1, 0, 0])), rel=1e-12
+        )
 
     def test_counts_and_rows_agree_exactly(self, rng):
         schema = reader_style_schema()
@@ -250,50 +279,93 @@ def _reference_grad(lam, counts):
     return G
 
 
+def _reference_natural_grad(schema, sp, lam, counts):
+    """_reference_grad chained to (b, w, V, omega), the chain rule the
+    a-space kernel replaced."""
+    G = _reference_grad(lam, counts)
+    W = aux_loading_matrix(schema, sp.w, sp.a)
+    return FitGradient(
+        b=_chain_b(schema, sp.b, G),
+        w=_reduce_w(schema, G @ sp.V * sp.omega[None, :]),
+        V=G.T @ W * sp.omega[None, :],
+        omega=np.einsum("ra,rc,ca->a", W, G, sp.V) if sp.a else np.zeros(0),
+    )
+
+
+def _flat(g):
+    return np.concatenate([*g.b, *g.w, g.V.ravel(), g.omega])
+
+
+def _assert_matches_reference(schema, sp, counts):
+    """The a-space NLL and gradient against the per-state lambda-space loops:
+    the same finiteness, and 1e-12 relative where finite.  Returns the NLL."""
+    lam = np.asarray(assemble_lambda(schema, sp).lam)
+    nll, want = negative_log_likelihood(schema, sp, counts), _reference_nll(lam, counts)
+    assert np.isfinite(nll) == np.isfinite(want)
+    if np.isfinite(nll):
+        assert nll == pytest.approx(want, rel=1e-12, abs=0)
+        got = _flat(nll_gradient(schema, sp, counts))
+        ref = _flat(_reference_natural_grad(schema, sp, lam, counts))
+        assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+    return nll
+
+
+def _one_factor_cat3(diagonal):
+    """Cat(3), a = 1, three rows at level 1, with lam[0, 0] = diagonal: the
+    observed minor lam[0, 0] - 1 = 1 + w / 2 is zero at diagonal 1 and
+    negative below, while det lam = 3 + w / 2 stays positive."""
+    schema = VariableSchema([VariableDecl("x", CAT, 3)])
+    sp = StructuredParams(
+        b=(np.zeros(2),), w=(np.array([2.0 * (diagonal - 2.0)]),),
+        V=np.array([[1.0], [0.0]]), omega=np.array([0.5]), C=np.eye(3),
+    )
+    return schema, sp, state_counts(schema, [Record((1,))] * 3)
+
+
 class TestBatchedKernelIsExact:
-    """The popcount-batched NLL and gradient equal the per-state loops bit
-    for bit, so the optimizer's path cannot move."""
+    """The a-space NLL and gradient agree with the per-state lambda-space
+    loops within 1e-12 relative, and are infinite exactly where they are."""
 
     @pytest.fixture
     def q8(self, rng):
         schema = VariableSchema(
             [VariableDecl("c3", CAT, 3), VariableDecl("o4", ORD, 4), VariableDecl("c4", CAT, 4)]
         )
-        params = assemble_lambda(schema, random_certified_structured(rng, schema, 2))
+        sp = random_certified_structured(rng, schema, 2)
+        params = assemble_lambda(schema, sp)
         states = enumerate_allowed_states(schema)
         probs = [joint_probability(params, s.bits) for s in states]
         rows = sample_rows_from_probs(rng, schema, states, probs, 400)
         counts = state_counts(schema, rows + [Record((0, 0, 0))])
         assert ((0,) * 8) in dict(counts.items)
-        return schema, params, counts
+        return schema, sp, counts
 
     def test_nll_and_gradient_at_random_draws(self, q8, rng):
-        from grasscat.fit import _grad_lambda, _nll_of_lambda
-
-        schema, params, counts = q8
-        lams = [np.asarray(params.lam)] + [
-            np.asarray(assemble_lambda(schema, random_structured(rng, schema, a)).lam)
-            for a in (0, 1, 2, 2, 3)
-        ]
-        finite = 0
-        for lam in lams:
-            nll = _nll_of_lambda(lam, counts)
-            assert nll == _reference_nll(lam, counts)
-            if np.isfinite(nll):
-                finite += 1
-                assert np.array_equal(_grad_lambda(lam, counts), _reference_grad(lam, counts))
+        schema, sp, counts = q8
+        draws = [sp] + [random_structured(rng, schema, a) for a in (0, 1, 2, 2, 3)]
+        finite = sum(np.isfinite(_assert_matches_reference(schema, d, counts)) for d in draws)
         assert finite >= 3
 
     @pytest.mark.parametrize("diagonal", [1.0, 0.5])
-    def test_singular_or_negative_minor_is_infinite(self, q8, diagonal):
-        from grasscat.fit import _nll_of_lambda
+    def test_singular_or_negative_minor_is_infinite(self, diagonal):
+        schema, sp, counts = _one_factor_cat3(diagonal)
+        lam = np.asarray(assemble_lambda(schema, sp).lam)
+        assert lam[0, 0] == diagonal and np.linalg.slogdet(lam)[0] > 0
+        nll = negative_log_likelihood(schema, sp, counts)
+        assert nll == np.inf == _reference_nll(lam, counts)
 
-        _, _, counts = q8
-        lam = np.diag(np.linspace(1.5, 2.0, 8))
-        r = next(bits.index(1) for bits, _ in counts.items if sum(bits) == 1)
-        lam[r, r] = diagonal  # the observed 1 x 1 minor lam[r, r] - 1 is 0 or < 0
-        assert np.linalg.slogdet(lam)[0] > 0
-        assert _nll_of_lambda(lam, counts) == np.inf == _reference_nll(lam, counts)
+    @pytest.mark.parametrize("a", [0, 2])
+    def test_unobserved_levels_at_the_bound(self, rng, a):
+        """e^-beta overflows on the levels no row reaches; the kernel never
+        computes it there."""
+        schema = VariableSchema([VariableDecl("o30", ORD, 30), VariableDecl("c3", CAT, 3)])
+        sp = random_structured(rng, schema, a)
+        b = (np.concatenate([sp.b[0][:3], np.full(26, -B_CAP)]), sp.b[1])
+        sp = StructuredParams(b=b, w=sp.w, V=sp.V, omega=sp.omega, C=sp.C)
+        rows = np.stack([rng.integers(0, 4, 300), rng.integers(0, 3, 300)], axis=1)
+        counts = state_counts(schema, rows)
+        assert np.isfinite(_assert_matches_reference(schema, sp, counts))
+        assert np.isfinite(_flat(nll_gradient(schema, sp, counts))).all()
 
 
 class TestGradient:
@@ -467,6 +539,19 @@ class TestFit:
         assert any("p0_min" in w for w in report.warnings)
         assert report.worst_margin_b >= 0.0  # the dominance margins alone pass
 
+    def test_plan_is_built_once_per_fit(self, monkeypatch):
+        import grasscat.fit
+
+        calls = []
+        build = grasscat.fit._state_plan
+        monkeypatch.setattr(
+            grasscat.fit, "_state_plan", lambda *args: calls.append(args) or build(*args)
+        )
+        schema = VariableSchema([VariableDecl("x", CAT, 3), VariableDecl("y", ORD, 3)])
+        rows = [Record((i % 3, i % 7 % 3)) for i in range(60)]
+        fit_grassmann(schema, rows, FitConfig(a=1, restarts=2, seed=0, max_iter=50))
+        assert len(calls) == 1
+
 
 class TestModelCorrelation:
     def test_independent_is_identity(self):
@@ -499,7 +584,7 @@ class TestMonotoneDescent:
     def test_penalized_objective_never_increases_across_iterates(self, rng):
         import scipy.optimize
 
-        from grasscat.fit import _Packer, _initial_b, _penalized_objective
+        from grasscat.fit import _Packer, _initial_b, _penalized_objective, _state_plan
         from grasscat.structure import StructuredParams
 
         schema = reader_style_schema()
@@ -518,9 +603,10 @@ class TestMonotoneDescent:
             C=np.eye(schema.q + 2),
         )
         mu = 10.0
+        plan = _state_plan(schema, counts)
 
         def objective(x):
-            return _penalized_objective(x, mu, packer, counts)
+            return _penalized_objective(x, mu, packer, plan)
 
         values = []
 
