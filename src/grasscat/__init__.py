@@ -14,7 +14,6 @@ from .errors import (
     GrasscatError,
     InvalidStateError,
     ParameterError,
-    PositivityError,
     SchemaError,
 )
 from .schema import (

@@ -26,7 +26,6 @@ from .errors import (
     GrasscatError,
     InvalidStateError,
     ParameterError,
-    PositivityError,
     SchemaError,
 )
 from .factor import (
@@ -637,7 +636,7 @@ def run_command(argv: list[str]) -> int:
     except (SchemaError, DataError, InvalidStateError, EnumerationCapError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (ParameterError, ConditioningError, PositivityError) as exc:
+    except (ParameterError, ConditioningError) as exc:
         sys.stderr.write(f"numerical error: {exc}\n")
         return 2
     except GrasscatError as exc:

@@ -26,9 +26,5 @@ class ConditioningError(GrasscatError):
     """Conditioning on an event of probability zero, or a degenerate pivot block."""
 
 
-class PositivityError(GrasscatError):
-    """A requested positivity certificate failed."""
-
-
 class DataError(GrasscatError):
     """Bad input data: unreadable rows, empty datasets, malformed files."""

@@ -20,7 +20,9 @@ The dominance certificate is enforced by a smooth squared-hinge penalty on
 the free-row margins of B = M C and on the strict margins of C, with the
 penalty weight raised on a schedule until the margins are feasible.  The
 slack factor C rides along as extra optimization variables; it never enters
-the likelihood itself.
+the likelihood itself.  The margins do not certify positivity, so every fit
+also checks the probability of each allowed state, the only states whose
+minors the parametrization does not make zero.
 """
 
 from __future__ import annotations
@@ -32,13 +34,14 @@ import numpy as np
 import scipy.optimize
 
 from .errors import InvalidStateError, ParameterError
-from .grassmann import GrassmannParams, check_p0, moments
+from .grassmann import GrassmannParams, moments, state_probabilities
 from .schema import (
     Record,
     VariableKind,
     VariableSchema,
     _distinct_levels,
     _levels_of_rows,
+    allowed_table,
     bits_of_levels,
     levels_of_bits,
 )
@@ -499,7 +502,7 @@ class FitReport:
     mean_empirical: np.ndarray
     corr_model: np.ndarray
     corr_empirical: np.ndarray
-    p0_min: float | None
+    p0_min: float
     warnings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -511,7 +514,7 @@ class FitReport:
             "worst_margin_b": float(self.worst_margin_b),
             "worst_margin_b_raw": float(self.worst_margin_b_raw),
             "worst_margin_c": float(self.worst_margin_c),
-            "p0_min": None if self.p0_min is None else float(self.p0_min),
+            "p0_min": float(self.p0_min),
             "mean_model": [float(v) for v in self.mean_model],
             "mean_empirical": [float(v) for v in self.mean_empirical],
             "max_mean_error": float(
@@ -538,7 +541,7 @@ def _initial_b(
     """Independent per-variable empirical log-odds, the always-feasible start."""
     out = []
     for v, level_counts in zip(schema.variables, counts.level_counts(schema)):
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):  # log 0 - log 0 is nan
             raw = _level_logits(v.kind, level_counts / level_counts.sum())
         clipped = np.clip(np.nan_to_num(raw, nan=0.0, posinf=B_CAP, neginf=-B_CAP),
                           -B_CAP, B_CAP)
@@ -561,12 +564,13 @@ def fit_grassmann(
     Runs ``config.restarts`` random initializations, each optimized with
     L-BFGS-B under the squared-hinge dominance penalty whose weight is raised
     until the free-row margins are feasible.  The lowest NLL wins, with ties
-    broken by the smaller parameter norm.  When q <= 14 every state
-    probability is also enumerated, and a negative one makes the fit
-    infeasible whatever the dominance margins say.
+    broken by the smaller parameter norm.  The fitted model's probability
+    of every allowed state is then evaluated, and a negative one makes the
+    fit infeasible whatever the dominance margins say.
     """
     config = config or FitConfig()
     counts = data if isinstance(data, StateCounts) else state_counts(schema, data)
+    allowed = allowed_table(schema)[0]  # the state cap fails before any optimizing
     a = config.a
     mean_emp, _, corr_emp = empirical_moments(schema, counts)
     warn: list[str] = []
@@ -611,15 +615,13 @@ def fit_grassmann(
     feasible = report.passed
     mean_model, _ = moments(params)
     corr_model = model_correlation(params)
-    p0_min = None
-    if schema.q <= 14:
-        p0_min = check_p0(params).min_probability
-        if p0_min < -1e-12:
-            feasible = False
-            warn.append(
-                f"enumeration found a negative state probability (p0_min = "
-                f"{p0_min:.3e}); the model is not a valid distribution"
-            )
+    p0_min = float(state_probabilities(params, allowed).min())
+    if p0_min < -1e-12:
+        feasible = False
+        warn.append(
+            f"enumeration found a negative state probability (p0_min = "
+            f"{p0_min:.3e}); the model is not a valid distribution"
+        )
     return FitReport(
         nll=float(nll),
         iterations=iterations,

@@ -852,6 +852,7 @@ class TestCapAtCli:
             (["sample", "--model", "grassmann.json", "--n", "5", "--out", "s.csv"], STATE_MSG),
             (["sample", "--model", "factor.json", "--n", "5", "--out", "s.csv"], STATE_MSG),
             (["moments", "--model", "factor.json"], STATE_MSG),
+            (["fit", "--schema", "schema.json", "--data", "data.csv", "--out", "m.json"], STATE_MSG),
             (
                 ["fa", "fit", "--schema", "schema.json", "--data", "data.csv",
                  "--latent-dim", "1", "--restarts", "1", "--out", "fa.json"],
@@ -867,16 +868,23 @@ class TestCapAtCli:
             ),
         ],
         ids=[
-            "sample-grassmann", "sample-factor", "moments-factor", "fa-fit", "oracle-check",
-            "mixed-eval",
+            "sample-grassmann", "sample-factor", "moments-factor", "fit", "fa-fit",
+            "oracle-check", "mixed-eval",
         ],
     )
     def test_cap_too_small_exits_one(self, model_files, capsys, monkeypatch, argv, message):
+        import scipy.optimize
+
+        def no_optimizing(*args, **kwargs):
+            raise AssertionError("the cap must stop the command before it optimizes")
+
+        monkeypatch.setattr(scipy.optimize, "minimize", no_optimizing)
         monkeypatch.setenv("GRASSCAT_CAP", "3")
         assert _run(model_files, *argv) == 1
         captured = capsys.readouterr()
         assert captured.err == message and captured.out == ""
-        assert not (model_files / "s.csv").exists() and not (model_files / "fa.json").exists()
+        for out in ("s.csv", "fa.json", "m.json", "m.json.corr.csv"):
+            assert not (model_files / out).exists()
 
 
 class TestNumericOptionRange:

@@ -20,13 +20,14 @@ from grasscat.fit import (
     _chain_b,
     _reduce_w,
 )
-from grasscat.grassmann import GrassmannParams
+from grasscat.grassmann import GrassmannParams, state_probabilities
 from grasscat.oracle import brute_force_table
-from grasscat.schema import Record, VariableDecl, VariableSchema, encode_record
+from grasscat.schema import Record, VariableDecl, VariableSchema, allowed_table, encode_record
 from grasscat.structure import (
     StructuredParams,
     assemble_lambda,
     aux_loading_matrix,
+    dominance_certificate,
     ordinal_pmf,
 )
 
@@ -466,6 +467,24 @@ class TestGradient:
         assert worst <= 1e-5
 
 
+def _dominance_counterexample(pad: int) -> tuple[VariableSchema, StructuredParams]:
+    """An Ord(4), a = 1 model whose free-row margins pass (worst 0.1038) while
+    allowed state (1, 1, 1) has probability -6.319e-3, followed by ``pad``
+    uncoupled Cat(2) variables, which leave the margins unchanged and scale
+    that probability by 2**-pad."""
+    schema = VariableSchema(
+        [VariableDecl("x", ORD, 4)] + [VariableDecl(f"z{i}", CAT, 2) for i in range(pad)]
+    )
+    sp = StructuredParams(
+        b=(np.array([-1.59, -1.84, -1.5]),) + (np.zeros(1),) * pad,
+        w=(np.array([0.05]),) + (np.zeros(1),) * pad,
+        V=np.vstack([[[-0.1], [-0.01], [-0.41]], np.zeros((pad, 1))]),
+        omega=np.array([0.73]),
+        C=np.eye(schema.q + 1),
+    )
+    return schema, sp
+
+
 class TestFit:
     def test_single_categorical_recovers_frequencies(self):
         schema = VariableSchema([VariableDecl("x", CAT, 3)])
@@ -518,18 +537,15 @@ class TestFit:
 
     def test_negative_state_probability_is_not_feasible(self, monkeypatch):
         import grasscat.fit
-        from grasscat.grassmann import P0Report
 
-        def negative_p0(params):
-            return P0Report(
-                n_states=2**params.q,
-                min_probability=-0.01,
-                argmin_state=(0,) * params.q,
-                probability_sum=1.0,
-                passed=False,
-            )
+        real = grasscat.fit.state_probabilities
 
-        monkeypatch.setattr(grasscat.fit, "check_p0", negative_p0)
+        def one_negative(params, states):
+            probs = real(params, states)
+            probs[0] = -0.01
+            return probs
+
+        monkeypatch.setattr(grasscat.fit, "state_probabilities", one_negative)
         schema = VariableSchema([VariableDecl("x", CAT, 3)])
         rows = [Record((0,))] * 25 + [Record((1,))] * 35 + [Record((2,))] * 40
         report = fit_grassmann(schema, rows, FitConfig(a=0, restarts=1, seed=0))
@@ -538,6 +554,53 @@ class TestFit:
         assert not report.converged
         assert any("p0_min" in w for w in report.warnings)
         assert report.worst_margin_b >= 0.0  # the dominance margins alone pass
+
+    def test_adjacent_unobserved_ordinal_levels_start_at_zero_logit(self):
+        # log(0) - log(0) is nan: the start maps it to 0 without a RuntimeWarning
+        schema = VariableSchema([VariableDecl("x", ORD, 4)])
+        rows = [Record((0,))] * 5 + [Record((1,))] * 5
+        report = fit_grassmann(schema, rows, FitConfig(a=0, restarts=1, seed=0, max_iter=5))
+        assert any("clipped" in w for w in report.warnings)
+
+    def test_p0_min_is_the_allowed_state_minimum(self, monkeypatch):
+        import grasscat.grassmann
+
+        def no_full_enumeration(params):
+            raise AssertionError("the fit enumerated all 2**q states")
+
+        monkeypatch.setattr(grasscat.grassmann, "all_state_probabilities", no_full_enumeration)
+        schema = VariableSchema([
+            VariableDecl("x", CAT, 3), VariableDecl("y", ORD, 4),
+            VariableDecl("z", CAT, 3), VariableDecl("u", CAT, 2),
+        ])
+        assert schema.q == 8
+        rows = [Record((i % 3, i % 4, i % 5 % 3, i % 7 % 2)) for i in range(120)]
+        report = fit_grassmann(schema, rows, FitConfig(a=1, restarts=1, seed=0, max_iter=50))
+        params = assemble_lambda(schema, report.params)
+        assert report.p0_min == state_probabilities(params, allowed_table(schema)[0]).min()
+
+    def test_dominance_margins_do_not_certify_positivity(self):
+        schema, sp = _dominance_counterexample(pad=0)
+        report = dominance_certificate(schema, sp)
+        assert report.passed
+        assert report.worst_b_free == pytest.approx(0.1038, abs=1e-4)
+        params = assemble_lambda(schema, sp)
+        assert joint_probability(params, [1, 1, 1]) == pytest.approx(-6.319e-3, abs=1e-6)
+
+    def test_uncertified_fit_above_q14_is_not_feasible(self, monkeypatch):
+        import grasscat.fit
+
+        schema, sp = _dominance_counterexample(pad=12)
+        assert schema.q == 15
+        assert dominance_certificate(schema, sp).worst_b_free == pytest.approx(0.1038, abs=1e-4)
+        fitted = ((0.0, 0.0), grasscat.fit._Packer(schema, 1).pack(sp), True, 0)
+        monkeypatch.setattr(grasscat.fit, "_penalized_fit", lambda *args: fitted)
+        rows = [Record((0,) * len(schema))] * 10
+        report = fit_grassmann(schema, rows, FitConfig(a=1, restarts=1, seed=0))
+        assert report.p0_min == pytest.approx(-1.543e-6, abs=1e-9)
+        assert not report.feasible
+        assert not report.converged
+        assert any("p0_min" in w for w in report.warnings)
 
     def test_plan_is_built_once_per_fit(self, monkeypatch):
         import grasscat.fit
