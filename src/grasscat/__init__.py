@@ -49,7 +49,6 @@ from .structure import (
     aux_loading_matrix,
     categorical_pmf,
     dominance_certificate,
-    dominance_matrix,
     extended_lambda,
     middle_factor,
     ordinal_pmf,

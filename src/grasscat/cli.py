@@ -402,6 +402,11 @@ def _cmd_fa_biplot(args) -> int:
     mf = load_model(args.model)
     if mf.kind != "factor":
         raise DataError(f"model {args.model} has kind {mf.kind!r}; expected 'factor'")
+    if mf.params.p_x:  # the data CSV holds no continuous columns
+        raise DataError(
+            f"model {args.model} has a continuous block (p_x = {mf.params.p_x}); "
+            "fa biplot supports factor models with p_x = 0"
+        )
     schema = mf.schema
     levels = load_data_levels(schema, args.data)
     bp = biplot_export(

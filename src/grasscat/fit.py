@@ -16,13 +16,14 @@ has beta = 0 and x = 0.  An evaluation is one stacked ``slogdet`` and, for
 the gradient, one stacked ``inv`` over (distinct states, a, a): O(states *
 k * a^2), whatever the states' popcounts.
 
-The dominance certificate is enforced by a smooth squared-hinge penalty on
+The dominance conditions are enforced by a smooth squared-hinge penalty on
 the free-row margins of B = M C and on the strict margins of C, with the
-penalty weight raised on a schedule until the margins are feasible.  The
-slack factor C rides along as extra optimization variables; it never enters
-the likelihood itself.  The margins do not certify positivity, so every fit
-also checks the probability of each allowed state, the only states whose
-minors the parametrization does not make zero.
+penalty weight raised on a schedule until the margins pass.  The slack
+matrix C rides along as extra optimization variables and is dropped after
+the fit; it never enters the likelihood.  The margins do not certify
+positivity, so they are diagnostics: a fit is feasible when every allowed
+state, the only states whose minors the parametrization does not make
+zero, has a nonnegative probability.
 """
 
 from __future__ import annotations
@@ -241,7 +242,7 @@ def negative_log_likelihood(
     schema: VariableSchema, sp: StructuredParams, counts: StateCounts
 ) -> float:
     """Exact data NLL; +inf when any observed state has nonpositive probability."""
-    middle_factor(schema, sp)  # raises SchemaError on a malformed b, w, V, omega or C
+    middle_factor(schema, sp)  # raises SchemaError on a malformed b, w, V or omega
     return _likelihood(schema, sp, _state_plan(schema, counts), gradient=False)[0]
 
 
@@ -249,7 +250,7 @@ def nll_gradient(
     schema: VariableSchema, sp: StructuredParams, counts: StateCounts
 ) -> FitGradient:
     """Analytic NLL gradient, exact where the NLL is finite; ParameterError where it is inf."""
-    middle_factor(schema, sp)  # raises SchemaError on a malformed b, w, V, omega or C
+    middle_factor(schema, sp)  # raises SchemaError on a malformed b, w, V or omega
     _, grad = _likelihood(schema, sp, _state_plan(schema, counts), gradient=True)
     if grad is None:
         raise ParameterError("the NLL is +inf at these parameters; it has no gradient")
@@ -304,15 +305,17 @@ class _PenaltyGrads:
     C: np.ndarray
 
 
-def dominance_penalty(schema: VariableSchema, sp: StructuredParams, mu: float) -> _PenaltyGrads:
-    """Squared-hinge penalty on negative free-row margins of B and on C rows
-    below the strict threshold, with its gradient."""
+def dominance_penalty(
+    schema: VariableSchema, sp: StructuredParams, C: np.ndarray, mu: float
+) -> _PenaltyGrads:
+    """Squared-hinge penalty on negative free-row margins of B = M C and on
+    rows of the slack C below the strict threshold, with its gradient."""
     a = sp.a
     M = middle_factor(schema, sp)
-    B = M @ sp.C
+    B = M @ C
     free = free_row_indices(schema, a)
     mb = row_margins(B)
-    mc = row_margins(sp.C)
+    mc = row_margins(C)
     viol_b = np.zeros_like(mb)
     viol_b[free] = np.maximum(0.0, -mb[free])
     viol_c = np.maximum(0.0, TAU_C - mc)
@@ -320,8 +323,8 @@ def dominance_penalty(schema: VariableSchema, sp: StructuredParams, mu: float) -
 
     # d value / d margin = -2 mu viol
     G_B = _margin_grad_rows(B, -2.0 * mu * viol_b)
-    G_C = _margin_grad_rows(sp.C, -2.0 * mu * viol_c)
-    G_M = G_B @ sp.C.T
+    G_C = _margin_grad_rows(C, -2.0 * mu * viol_c)
+    G_M = G_B @ C.T
     G_C = G_C + M.T @ G_B
 
     q = schema.q
@@ -344,7 +347,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 class _Packer:
     """Flat-vector view of (b, w, V, rho, E) with omega = sigmoid(rho) and
-    C = I + E."""
+    the penalty's slack C = I + E."""
 
     def __init__(self, schema: VariableSchema, a: int):
         self.schema = schema
@@ -359,17 +362,17 @@ class _Packer:
             + [(None, None)] * (schema.q + a) ** 2
         )
 
-    def pack(self, sp: StructuredParams) -> np.ndarray:
+    def pack(self, sp: StructuredParams, C: np.ndarray) -> np.ndarray:
         parts = [np.concatenate(sp.b) if sp.b else np.zeros(0)]
         parts.append(np.concatenate(sp.w) if self.a and sp.w else np.zeros(0))
         parts.append(sp.V.ravel())
         omega = np.clip(sp.omega, 1e-6, 1.0 - 1e-6)
         parts.append(_logit(omega))
         n = self.schema.q + self.a
-        parts.append((sp.C - np.eye(n)).ravel())
+        parts.append((C - np.eye(n)).ravel())
         return np.concatenate(parts)
 
-    def unpack(self, x: np.ndarray) -> StructuredParams:
+    def unpack(self, x: np.ndarray) -> tuple[StructuredParams, np.ndarray]:
         schema, a = self.schema, self.a
         pos = 0
         b = []
@@ -387,7 +390,7 @@ class _Packer:
         omega = np.clip(_sigmoid(rho), 1e-6, 1.0 - 1e-6)
         n = schema.q + a
         C = np.eye(n) + x[pos : pos + n * n].reshape(n, n)
-        return StructuredParams(b=tuple(b), w=tuple(w), V=V, omega=omega, C=C)
+        return StructuredParams(b=tuple(b), w=tuple(w), V=V, omega=omega), C
 
     def pack_grad(self, sp: StructuredParams, g: FitGradient, g_c: np.ndarray) -> np.ndarray:
         parts = [np.concatenate(g.b) if g.b else np.zeros(0)]
@@ -405,11 +408,11 @@ def _penalized_objective(
     """NLL plus the dominance penalty at weight ``mu``, and its gradient, at
     the flat vector ``x``; ``(inf, 0)`` outside the likelihood's domain."""
     schema = packer.schema
-    sp = packer.unpack(x)
+    sp, C = packer.unpack(x)
     nll, g = _likelihood(schema, sp, plan, gradient=True)
     if g is None:
         return INFEASIBLE_NLL, np.zeros_like(x)
-    pen = dominance_penalty(schema, sp, mu)
+    pen = dominance_penalty(schema, sp, C, mu)
     g = FitGradient(
         b=tuple(gb + pb for gb, pb in zip(g.b, pen.b)),
         w=tuple(gw + pw for gw, pw in zip(g.w, pen.w)),
@@ -563,10 +566,10 @@ def fit_grassmann(
 
     Runs ``config.restarts`` random initializations, each optimized with
     L-BFGS-B under the squared-hinge dominance penalty whose weight is raised
-    until the free-row margins are feasible.  The lowest NLL wins, with ties
-    broken by the smaller parameter norm.  The fitted model's probability
-    of every allowed state is then evaluated, and a negative one makes the
-    fit infeasible whatever the dominance margins say.
+    until the free-row margins pass.  The lowest NLL wins, with ties broken
+    by the smaller norm of the optimizer vector, slack included.  The fit is
+    feasible when the fitted model gives no allowed state a probability
+    below -1e-12; the margins are reported but do not decide it.
     """
     config = config or FitConfig()
     counts = data if isinstance(data, StateCounts) else state_counts(schema, data)
@@ -584,8 +587,7 @@ def fit_grassmann(
             w=tuple(rng.normal(0.0, INIT_SCALE, a) for _ in schema.variables),
             V=rng.normal(0.0, INIT_SCALE, (schema.q, a)),
             omega=np.full(a, 0.5),
-            C=np.eye(schema.q + a),
-        ))
+        ), np.eye(schema.q + a))
 
     def solve(x: np.ndarray, mu: float) -> scipy.optimize.OptimizeResult:
         return scipy.optimize.minimize(
@@ -600,24 +602,23 @@ def fit_grassmann(
         )
 
     def key(x: np.ndarray) -> tuple[float, float]:
-        sp = packer.unpack(x)
+        sp, C = packer.unpack(x)
         return _likelihood(schema, sp, plan, gradient=False)[0], float(
-            np.linalg.norm(packer.pack(sp))
+            np.linalg.norm(packer.pack(sp, C))
         )
 
     (nll, _), x, success, iterations = _penalized_fit(
         config.seed, config.restarts, MU0, start, solve,
-        lambda x: dominance_certificate(schema, packer.unpack(x)).passed, key,
+        lambda x: dominance_certificate(schema, *packer.unpack(x)).passed, key,
     )
-    sp_fit = packer.unpack(x)
+    sp_fit, C_fit = packer.unpack(x)
     params = assemble_lambda(schema, sp_fit)
-    report = dominance_certificate(schema, sp_fit)
-    feasible = report.passed
+    report = dominance_certificate(schema, sp_fit, C_fit)
     mean_model, _ = moments(params)
     corr_model = model_correlation(params)
     p0_min = float(state_probabilities(params, allowed).min())
-    if p0_min < -1e-12:
-        feasible = False
+    feasible = p0_min >= -1e-12
+    if not feasible:
         warn.append(
             f"enumeration found a negative state probability (p0_min = "
             f"{p0_min:.3e}); the model is not a valid distribution"

@@ -7,7 +7,9 @@ The on-disk document is
 
 with a fixed key order and strict parsing: unknown fields anywhere are
 rejected.  Serialization is canonical (two-space indent, LF), so
-parse -> serialize reproduces the input byte for byte.
+parse -> serialize reproduces the input byte for byte.  The one exception
+is ``params.C`` of a grassmann model, the fit's slack matrix, which older
+files carry: it is shape-checked, then dropped.
 """
 
 from __future__ import annotations
@@ -87,12 +89,11 @@ def structured_to_dict(schema: VariableSchema, sp: StructuredParams) -> dict:
         "w": {v.name: [float(x) for x in wv] for v, wv in zip(schema.variables, sp.w)},
         "V": [[float(x) for x in row] for row in sp.V],
         "omega": [float(x) for x in sp.omega],
-        "C": [[float(x) for x in row] for row in sp.C],
     }
 
 
 def structured_from_dict(schema: VariableSchema, obj: dict) -> StructuredParams:
-    _require_keys(obj, ("b", "w", "V", "omega", "C"), "params")
+    _require_keys(obj, ("b", "w", "V", "omega", *(("C",) if "C" in obj else ())), "params")
     for field in ("b", "w"):
         entry = obj[field]
         if not isinstance(entry, dict) or set(entry) != set(schema.names):
@@ -110,9 +111,9 @@ def structured_from_dict(schema: VariableSchema, obj: dict) -> StructuredParams:
         for v in schema.variables
     )
     V = _matrix(obj["V"], "params.V", schema.q, a)
-    n = schema.q + a
-    C = _matrix(obj["C"], "params.C", n, n)
-    return StructuredParams(b=b, w=w, V=V, omega=omega, C=C)
+    if "C" in obj:  # the fit's slack, stored by older files: checked, then dropped
+        _matrix(obj["C"], "params.C", schema.q + a, schema.q + a)
+    return StructuredParams(b=b, w=w, V=V, omega=omega)
 
 
 # -- factor params -------------------------------------------------------------

@@ -15,9 +15,11 @@ where K is block diagonal over the schema's variable blocks:
 
 W repeats a per-variable length-a row across categorical blocks and places it
 only on the first row of ordinal blocks, which preserves both zero patterns
-under the low-rank update.  The dominance conditions pair an auxiliary matrix
-C (strictly row dominant) with row dominance of B = M C, where M is the
-middle factor [[K + W V^T, -W], [-V^T, I]].
+under the low-rank update.  The model is (b, w, V, omega); nothing else
+enters lam.  The dominance conditions pair a slack matrix C (strictly row
+dominant) with row dominance of B = M C, where M is the middle factor
+[[K + W V^T, -W], [-V^T, I]].  C is not a model parameter: the fit's
+dominance penalty optimizes it and passes it to :func:`dominance_certificate`.
 
 Row diagonal dominance of B is structurally unattainable on the repeated rows
 of categorical blocks and on the subdiagonal rows of ordinal blocks (those
@@ -32,8 +34,8 @@ validity of the extended distribution implies validity of its observed
 marginal.  :func:`assemble_lambda` runs neither check.
 
 Shapes are checked once, where they are read: :func:`validate_shapes` checks
-V, omega and C, and :func:`quasi_diagonal_blocks` and
-:func:`aux_loading_matrix` check the b and w vectors.
+V and omega, :func:`quasi_diagonal_blocks` and :func:`aux_loading_matrix`
+check the b and w vectors, and :func:`dominance_certificate` checks C.
 """
 
 from __future__ import annotations
@@ -52,28 +54,24 @@ TAU_C = 1e-8
 
 @dataclass(frozen=True)
 class StructuredParams:
-    """Per-variable parameters plus the low-rank coupling and slack factor.
+    """Per-variable parameters plus the low-rank coupling.
 
     b: one vector per variable, length = block size.
     w: one vector per variable, length = a (auxiliary dimension).
     V: (q, a) coupling directions.
     omega: (a,) diagonal weights in [OMEGA_EPS, 1 - OMEGA_EPS].
-    C: (q + a, q + a) strictly row dominant slack factor; it does not enter
-       the likelihood, only the dominance certificate.
     """
 
     b: tuple[np.ndarray, ...]
     w: tuple[np.ndarray, ...]
     V: np.ndarray
     omega: np.ndarray
-    C: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "b", tuple(_freeze(v) for v in self.b))
         object.__setattr__(self, "w", tuple(_freeze(v) for v in self.w))
         object.__setattr__(self, "V", _freeze(self.V))
         object.__setattr__(self, "omega", _freeze(self.omega))
-        object.__setattr__(self, "C", _freeze(self.C))
 
     @property
     def a(self) -> int:
@@ -83,7 +81,7 @@ class StructuredParams:
     def independent(
         cls, schema: VariableSchema, b_vectors, a: int = 0
     ) -> "StructuredParams":
-        """Parameters with no coupling: W = 0, V = 0, omega = 1/2, C = I."""
+        """Parameters with no coupling: W = 0, V = 0, omega = 1/2."""
         q = schema.q
         b = tuple(np.asarray(v, dtype=float) for v in b_vectors)
         w = tuple(np.zeros(a) for _ in schema.variables)
@@ -92,12 +90,11 @@ class StructuredParams:
             w=w,
             V=np.zeros((q, a)),
             omega=np.full(a, 0.5),
-            C=np.eye(q + a),
         )
 
 
 def validate_shapes(schema: VariableSchema, sp: StructuredParams) -> None:
-    """Check V, omega and C against the schema.  The b and w vectors are
+    """Check V and omega against the schema.  The b and w vectors are
     checked where they are read, by :func:`quasi_diagonal_blocks` and
     :func:`aux_loading_matrix`."""
     a = sp.a
@@ -109,9 +106,6 @@ def validate_shapes(schema: VariableSchema, sp: StructuredParams) -> None:
         raise ParameterError(
             f"omega entries must lie in [{OMEGA_EPS}, {1 - OMEGA_EPS}]"
         )
-    n = schema.q + a
-    if sp.C.shape != (n, n):
-        raise SchemaError(f"C has shape {sp.C.shape}, expected ({n}, {n})")
 
 
 def quasi_diagonal_blocks(schema: VariableSchema, b_vectors) -> np.ndarray:
@@ -176,12 +170,6 @@ def middle_factor(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
     return M
 
 
-def dominance_matrix(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
-    """B = M C, the matrix whose row dominance (together with strict row
-    dominance of C) the dominance conditions ask for."""
-    return middle_factor(schema, sp) @ sp.C
-
-
 def row_margins(mat: np.ndarray) -> np.ndarray:
     """Per-row dominance margins |m_kk| - sum_{l != k} |m_kl|."""
     d = np.abs(np.diag(mat))
@@ -232,12 +220,16 @@ class DominanceReport:
         return self.worst_b_raw >= 0.0 and self.worst_c >= TAU_C
 
 
-def dominance_certificate(schema: VariableSchema, sp: StructuredParams) -> DominanceReport:
-    """Margins of B = M C and of C, plus pass flags."""
-    B = dominance_matrix(schema, sp)
+def dominance_certificate(
+    schema: VariableSchema, sp: StructuredParams, C: np.ndarray
+) -> DominanceReport:
+    """Margins of B = M C and of the (q + a, q + a) slack C, plus pass flags."""
+    n = schema.q + sp.a
+    if C.shape != (n, n):
+        raise SchemaError(f"C has shape {C.shape}, expected ({n}, {n})")
     return DominanceReport(
-        margins_b=row_margins(B),
-        margins_c=row_margins(sp.C),
+        margins_b=row_margins(middle_factor(schema, sp) @ C),
+        margins_c=row_margins(C),
         free_rows=free_row_indices(schema, sp.a),
     )
 
@@ -260,8 +252,8 @@ def extended_lambda(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
 
 
 def _raw_lambda(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
-    """lam = I + K + W diag(omega) V^T as a bare array: no check of V, omega
-    or C, no certificate, no inverse."""
+    """lam = I + K + W diag(omega) V^T as a bare array: no check of V or
+    omega, no certificate, no inverse."""
     K = quasi_diagonal_blocks(schema, sp.b)
     W = aux_loading_matrix(schema, sp.w, sp.a)
     return np.eye(schema.q) + K + (W * sp.omega[None, :]) @ sp.V.T

@@ -8,10 +8,11 @@ Two families of valid parameters are used throughout:
   binary distributions.
 
 * ``random_certified_structured`` draws structured parameters and keeps a
-  draw when (a) the free-row dominance margins pass and (b) the extended
-  (q + a) parameter passes the exhaustive positivity check.  Validity of the
-  extended distribution implies validity of its observed marginal, so the
-  generator never relies on enumerating the observed state space itself.
+  draw when (a) the free-row dominance margins pass with slack C = I and
+  (b) the extended (q + a) parameter passes the exhaustive positivity check.
+  Validity of the extended distribution implies validity of its observed
+  marginal, so the generator never relies on enumerating the observed state
+  space itself.
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ def random_structured(
         w=tuple(rng.normal(0.0, w_scale, a) for _ in schema.variables),
         V=rng.normal(0.0, w_scale, (schema.q, a)),
         omega=rng.uniform(0.2, 0.8, a),
-        C=np.eye(schema.q + a),
     )
 
 
@@ -121,7 +121,7 @@ def random_certified_structured(
     max_tries: int = 200,
 ) -> StructuredParams:
     """Rejection-sample structured parameters that pass both the free-row
-    dominance margins and the extended positivity enumeration."""
+    dominance margins (slack C = I) and the extended positivity enumeration."""
     scale = 0.3
     for attempt in range(max_tries):
         sp = StructuredParams(
@@ -129,9 +129,8 @@ def random_certified_structured(
             w=tuple(rng.normal(0.0, scale, a) for _ in schema.variables),
             V=rng.normal(0.0, scale, (schema.q, a)),
             omega=rng.uniform(0.2, 0.8, a),
-            C=np.eye(schema.q + a),
         )
-        report = dominance_certificate(schema, sp)
+        report = dominance_certificate(schema, sp, np.eye(schema.q + a))
         if report.worst_b_free < 0.0:
             scale *= 0.9
             continue
@@ -162,7 +161,6 @@ def reader_style_true_params(seed: int = 2024) -> StructuredParams:
         w=(np.array([0.5, -0.3]), np.array([-0.4, 0.5]), np.array([0.6, 0.4])),
         V=rng.normal(0.0, 0.35, (schema.q, 2)),
         omega=np.array([0.4, 0.6]),
-        C=np.eye(schema.q + 2),
     )
 
 

@@ -272,8 +272,8 @@ def test_06_gradient_correctness():
                     b1[j][i] += h
                     b2[j][i] -= h
                     fd = (
-                        nll_of(StructuredParams(tuple(b1), sp.w, sp.V, sp.omega, sp.C))
-                        - nll_of(StructuredParams(tuple(b2), sp.w, sp.V, sp.omega, sp.C))
+                        nll_of(StructuredParams(tuple(b1), sp.w, sp.V, sp.omega))
+                        - nll_of(StructuredParams(tuple(b2), sp.w, sp.V, sp.omega))
                     ) / (2 * h)
                     check(fd, grad.b[j][i])
             for j in range(len(sp.w)):
@@ -283,8 +283,8 @@ def test_06_gradient_correctness():
                     w1[j][i] += h
                     w2[j][i] -= h
                     fd = (
-                        nll_of(StructuredParams(sp.b, tuple(w1), sp.V, sp.omega, sp.C))
-                        - nll_of(StructuredParams(sp.b, tuple(w2), sp.V, sp.omega, sp.C))
+                        nll_of(StructuredParams(sp.b, tuple(w1), sp.V, sp.omega))
+                        - nll_of(StructuredParams(sp.b, tuple(w2), sp.V, sp.omega))
                     ) / (2 * h)
                     check(fd, grad.w[j][i])
             for r in range(schema.q):
@@ -293,8 +293,8 @@ def test_06_gradient_correctness():
                     V1[r, i] += h
                     V2[r, i] -= h
                     fd = (
-                        nll_of(StructuredParams(sp.b, sp.w, V1, sp.omega, sp.C))
-                        - nll_of(StructuredParams(sp.b, sp.w, V2, sp.omega, sp.C))
+                        nll_of(StructuredParams(sp.b, sp.w, V1, sp.omega))
+                        - nll_of(StructuredParams(sp.b, sp.w, V2, sp.omega))
                     ) / (2 * h)
                     check(fd, grad.V[r, i])
             for k in range(a):
@@ -302,8 +302,8 @@ def test_06_gradient_correctness():
                 o1[k] += h
                 o2[k] -= h
                 fd = (
-                    nll_of(StructuredParams(sp.b, sp.w, sp.V, o1, sp.C))
-                    - nll_of(StructuredParams(sp.b, sp.w, sp.V, o2, sp.C))
+                    nll_of(StructuredParams(sp.b, sp.w, sp.V, o1))
+                    - nll_of(StructuredParams(sp.b, sp.w, sp.V, o2))
                 ) / (2 * h)
                 check(fd, grad.omega[k])
             if a == 0:

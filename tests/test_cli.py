@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -155,6 +159,7 @@ class TestFitCommand:
         text = (workdir / "model.json").read_text()
         mf = load_model(str(workdir / "model.json"))
         assert dump_model(mf) == text
+        assert list(json.loads(text)["params"]) == ["b", "w", "V", "omega"]
 
 
 class TestProbCommand:
@@ -332,6 +337,26 @@ class TestFactorCommands:
         assert loadings[0] == "variable,level_label,pc1,pc2"
         # 2 + 3 + 4 levels
         assert len(loadings) == 1 + 9
+
+    def test_fa_biplot_refuses_a_continuous_block(self, workdir, capsys):
+        rng = np.random.default_rng(0)
+        model = FactorModel.canonical(
+            b=rng.normal(size=6), G=rng.normal(size=(6, 1)), mu_x=np.zeros(2),
+            psi_noise=np.ones(2), W_load=np.ones((2, 1)),
+        )
+        save_model(ModelFile("factor", reader_style_schema(), model, None), str(workdir / "fa.json"))
+        code = _run(
+            workdir,
+            "fa", "biplot",
+            "--model", "fa.json",
+            "--data", "data.csv",
+            "--out-svg", "b.svg",
+            "--out-scores", "s.csv",
+            "--out-loadings", "l.csv",
+        )
+        assert code == 1
+        assert "p_x = 2" in capsys.readouterr().err
+        assert not any((workdir / name).exists() for name in ("b.svg", "s.csv", "l.csv"))
 
     def test_fa_biplot_deterministic(self, workdir, capsys):
         _run(
@@ -530,7 +555,7 @@ class TestModelFileStrictness:
         "kind, field, edit",
         [
             ("grassmann", "params.omega", lambda p: p.update(omega=["x", "x"])),
-            ("grassmann", "params.C", lambda p: p["C"][3].pop()),
+            ("grassmann", "params.C", lambda p: p.update(C=[[1.0] * 8] * 7)),
             ("grassmann", "params.V", lambda p: p.update(V=np.asarray(p["V"]).T.tolist())),
             ("grassmann", "params.V", lambda p: p.update(V=np.ravel(p["V"]).tolist())),
             ("grassmann", "params.b[Age]", lambda p: p["b"].update(Age=[0.1, "y"])),
@@ -549,6 +574,22 @@ class TestModelFileStrictness:
         doc = self._document(kind)
         edit(doc["params"])
         with pytest.raises(SchemaError, match=rf"^{re.escape(field)}: "):
+            model_from_document(doc)
+
+    def test_legacy_slack_is_checked_then_dropped(self):
+        from grasscat.errors import SchemaError
+
+        doc = self._document("grassmann")
+        want = dump_model(model_from_document(doc))
+        doc["params"]["C"] = np.eye(8).tolist()  # the fit's slack, as older files store it
+        mf = model_from_document(doc)
+        assert dump_model(mf) == want
+        np.testing.assert_array_equal(
+            assemble_lambda(mf.schema, mf.params).lam,
+            assemble_lambda(mf.schema, reader_style_true_params()).lam,
+        )
+        doc["params"]["D"] = [[1.0]]
+        with pytest.raises(SchemaError, match=r"^params: unknown fields \['D'\]"):
             model_from_document(doc)
 
     def test_mixed_model_without_binaries_round_trips(self, tmp_path):
@@ -775,7 +816,6 @@ class TestNumericalExitCode:
                 w=tuple(rng.normal(0, 1.2, 2) for _ in schema.variables),
                 V=rng.normal(0, 1.2, (schema.q, 2)),
                 omega=rng.uniform(0.2, 0.8, 2),
-                C=np.eye(schema.q + 2),
             )
             from grasscat.grassmann import check_p0
             from grasscat.structure import assemble_lambda
@@ -924,3 +964,32 @@ class TestNumericOptionRange:
         err = capsys.readouterr().err
         assert f"argument {option}:" in err
         assert "Traceback" not in err
+
+
+class TestConsoleScript:
+    ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+    def test_main_exit_codes(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from grasscat.cli import main\n"
+            "for argv in (['--version'], ['validate', '--schema', 'missing.json'], ['fit']):\n"
+            "    sys.argv = ['grasscat', *argv]\n"
+            "    try:\n"
+            "        main()\n"
+            "    except SystemExit as exc:\n"
+            "        print('exit', exc.code)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(self.ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        codes = [line for line in proc.stdout.splitlines() if line.startswith("exit ")]
+        assert codes == ["exit 0", "exit 1", "exit 64"], proc.stderr
+
+    def test_script_entry_point(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(self.ROOT / "pyproject.toml", "rb") as fh:
+            project = tomllib.load(fh)["project"]
+        assert project["scripts"] == {"grasscat": "grasscat.cli:main"}

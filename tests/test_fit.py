@@ -318,7 +318,7 @@ def _one_factor_cat3(diagonal):
     schema = VariableSchema([VariableDecl("x", CAT, 3)])
     sp = StructuredParams(
         b=(np.zeros(2),), w=(np.array([2.0 * (diagonal - 2.0)]),),
-        V=np.array([[1.0], [0.0]]), omega=np.array([0.5]), C=np.eye(3),
+        V=np.array([[1.0], [0.0]]), omega=np.array([0.5]),
     )
     return schema, sp, state_counts(schema, [Record((1,))] * 3)
 
@@ -362,7 +362,7 @@ class TestBatchedKernelIsExact:
         schema = VariableSchema([VariableDecl("o30", ORD, 30), VariableDecl("c3", CAT, 3)])
         sp = random_structured(rng, schema, a)
         b = (np.concatenate([sp.b[0][:3], np.full(26, -B_CAP)]), sp.b[1])
-        sp = StructuredParams(b=b, w=sp.w, V=sp.V, omega=sp.omega, C=sp.C)
+        sp = StructuredParams(b=b, w=sp.w, V=sp.V, omega=sp.omega)
         rows = np.stack([rng.integers(0, 4, 300), rng.integers(0, 3, 300)], axis=1)
         counts = state_counts(schema, rows)
         assert np.isfinite(_assert_matches_reference(schema, sp, counts))
@@ -374,7 +374,7 @@ class TestGradient:
         def with_b(j, i, eps):
             b = [v.copy() for v in sp.b]
             b[j][i] += eps
-            return StructuredParams(b=tuple(b), w=sp.w, V=sp.V, omega=sp.omega, C=sp.C)
+            return StructuredParams(b=tuple(b), w=sp.w, V=sp.V, omega=sp.omega)
 
         g = nll_gradient(schema, sp, counts)
         worst = 0.0
@@ -439,8 +439,8 @@ class TestGradient:
             om1[k] += h
             om2[k] -= h
             fd = (
-                nll_of(StructuredParams(b=sp.b, w=sp.w, V=sp.V, omega=om1, C=sp.C))
-                - nll_of(StructuredParams(b=sp.b, w=sp.w, V=sp.V, omega=om2, C=sp.C))
+                nll_of(StructuredParams(b=sp.b, w=sp.w, V=sp.V, omega=om1))
+                - nll_of(StructuredParams(b=sp.b, w=sp.w, V=sp.V, omega=om2))
             ) / (2 * h)
             worst = max(worst, abs(fd - g.omega[k]) / max(1.0, abs(fd)))
         for r in range(schema.q):
@@ -449,8 +449,8 @@ class TestGradient:
                 V1[r, k] += h
                 V2[r, k] -= h
                 fd = (
-                    nll_of(StructuredParams(b=sp.b, w=sp.w, V=V1, omega=sp.omega, C=sp.C))
-                    - nll_of(StructuredParams(b=sp.b, w=sp.w, V=V2, omega=sp.omega, C=sp.C))
+                    nll_of(StructuredParams(b=sp.b, w=sp.w, V=V1, omega=sp.omega))
+                    - nll_of(StructuredParams(b=sp.b, w=sp.w, V=V2, omega=sp.omega))
                 ) / (2 * h)
                 worst = max(worst, abs(fd - g.V[r, k]) / max(1.0, abs(fd)))
         for j in range(len(schema)):
@@ -460,8 +460,8 @@ class TestGradient:
                 w1[j][k] += h
                 w2[j][k] -= h
                 fd = (
-                    nll_of(StructuredParams(b=sp.b, w=tuple(w1), V=sp.V, omega=sp.omega, C=sp.C))
-                    - nll_of(StructuredParams(b=sp.b, w=tuple(w2), V=sp.V, omega=sp.omega, C=sp.C))
+                    nll_of(StructuredParams(b=sp.b, w=tuple(w1), V=sp.V, omega=sp.omega))
+                    - nll_of(StructuredParams(b=sp.b, w=tuple(w2), V=sp.V, omega=sp.omega))
                 ) / (2 * h)
                 worst = max(worst, abs(fd - g.w[j][k]) / max(1.0, abs(fd)))
         assert worst <= 1e-5
@@ -480,7 +480,6 @@ def _dominance_counterexample(pad: int) -> tuple[VariableSchema, StructuredParam
         w=(np.array([0.05]),) + (np.zeros(1),) * pad,
         V=np.vstack([[[-0.1], [-0.01], [-0.41]], np.zeros((pad, 1))]),
         omega=np.array([0.73]),
-        C=np.eye(schema.q + 1),
     )
     return schema, sp
 
@@ -531,9 +530,26 @@ class TestFit:
         probs = [joint_probability(truth, s.bits) for s in states]
         rows = sample_rows_from_probs(rng, schema, states, probs, 300)
         report = fit_grassmann(schema, rows, FitConfig(a=1, restarts=1, seed=5))
-        if report.feasible:
-            assert report.worst_margin_b >= -1e-10
-            assert report.worst_margin_c >= 1e-8
+        assert report.feasible == (report.p0_min >= -1e-12)
+        assert np.isfinite([report.worst_margin_b, report.worst_margin_c]).all()
+
+    def test_failed_margins_do_not_make_a_fit_infeasible(self, monkeypatch):
+        import grasscat.fit
+        from grasscat.structure import DominanceReport
+
+        class Failed(DominanceReport):
+            passed = False
+
+        real = grasscat.fit.dominance_certificate
+        monkeypatch.setattr(
+            grasscat.fit, "dominance_certificate", lambda *args: Failed(**vars(real(*args)))
+        )
+        schema = VariableSchema([VariableDecl("x", CAT, 3)])
+        rows = [Record((0,))] * 25 + [Record((1,))] * 35 + [Record((2,))] * 40
+        report = fit_grassmann(schema, rows, FitConfig(a=0, restarts=1, seed=0))
+        assert report.p0_min >= -1e-12
+        assert report.feasible
+        assert report.converged
 
     def test_negative_state_probability_is_not_feasible(self, monkeypatch):
         import grasscat.fit
@@ -581,7 +597,7 @@ class TestFit:
 
     def test_dominance_margins_do_not_certify_positivity(self):
         schema, sp = _dominance_counterexample(pad=0)
-        report = dominance_certificate(schema, sp)
+        report = dominance_certificate(schema, sp, np.eye(schema.q + 1))
         assert report.passed
         assert report.worst_b_free == pytest.approx(0.1038, abs=1e-4)
         params = assemble_lambda(schema, sp)
@@ -592,8 +608,9 @@ class TestFit:
 
         schema, sp = _dominance_counterexample(pad=12)
         assert schema.q == 15
-        assert dominance_certificate(schema, sp).worst_b_free == pytest.approx(0.1038, abs=1e-4)
-        fitted = ((0.0, 0.0), grasscat.fit._Packer(schema, 1).pack(sp), True, 0)
+        C = np.eye(schema.q + 1)
+        assert dominance_certificate(schema, sp, C).worst_b_free == pytest.approx(0.1038, abs=1e-4)
+        fitted = ((0.0, 0.0), grasscat.fit._Packer(schema, 1).pack(sp, C), True, 0)
         monkeypatch.setattr(grasscat.fit, "_penalized_fit", lambda *args: fitted)
         rows = [Record((0,) * len(schema))] * 10
         report = fit_grassmann(schema, rows, FitConfig(a=1, restarts=1, seed=0))
@@ -663,7 +680,6 @@ class TestMonotoneDescent:
             w=tuple(rng.normal(0, 0.1, 2) for _ in schema.variables),
             V=rng.normal(0, 0.1, (schema.q, 2)),
             omega=np.full(2, 0.5),
-            C=np.eye(schema.q + 2),
         )
         mu = 10.0
         plan = _state_plan(schema, counts)
@@ -678,7 +694,7 @@ class TestMonotoneDescent:
 
         scipy.optimize.minimize(
             objective,
-            packer.pack(sp0),
+            packer.pack(sp0, np.eye(schema.q + 2)),
             method="L-BFGS-B",
             jac=True,
             callback=cb,

@@ -20,7 +20,6 @@ from grasscat.structure import (
     aux_loading_matrix,
     categorical_pmf,
     dominance_certificate,
-    dominance_matrix,
     extended_lambda,
     free_row_indices,
     middle_factor,
@@ -124,7 +123,7 @@ class TestAssemble:
         schema = reader_style_schema()
         rng = np.random.default_rng(1)
         sp = random_certified_structured(rng, schema, a=2)
-        report = dominance_certificate(schema, sp)
+        report = dominance_certificate(schema, sp, np.eye(schema.q + 2))
         assert report.passed
         assert check_p0(GrassmannParams.from_lambda(extended_lambda(schema, sp))).passed
         # the raw condition is unattainable for ordinal blocks
@@ -133,7 +132,7 @@ class TestAssemble:
     def test_failed_certificate_reports_margin(self):
         schema = VariableSchema([VariableDecl("x", CAT, 3)])
         sp = StructuredParams.independent(schema, [np.array([0.0, 5.0])])
-        report = dominance_certificate(schema, sp)
+        report = dominance_certificate(schema, sp, np.eye(2))
         assert not report.passed
         assert report.worst_b_free < 0
 
@@ -159,19 +158,20 @@ class TestDominance:
         schema = VariableSchema([VariableDecl("c", CAT, 3), VariableDecl("o", ORD, 3)])
         b = [np.array([0.3, -0.4]), np.array([0.2, -0.9])]
         sp = StructuredParams.independent(schema, b, a=0)
-        B = dominance_matrix(schema, sp)
+        M = middle_factor(schema, sp)
         K = quasi_diagonal_blocks(schema, b)
-        np.testing.assert_allclose(B, K, atol=1e-15)
+        np.testing.assert_allclose(M, K, atol=1e-15)
 
     def test_factorization_identity(self):
         rng = np.random.default_rng(2)
         schema = random_schema(rng, 6)
         sp = random_structured(rng, schema, a=2)
         C = np.eye(schema.q + 2) + rng.normal(0, 0.05, (schema.q + 2, schema.q + 2))
-        sp = StructuredParams(b=sp.b, w=sp.w, V=sp.V, omega=sp.omega, C=C)
-        B = dominance_matrix(schema, sp)
-        M = middle_factor(schema, sp)
-        np.testing.assert_allclose(B @ np.linalg.inv(sp.C), M, atol=1e-9)
+        report = dominance_certificate(schema, sp, C)
+        np.testing.assert_array_equal(report.margins_b, row_margins(middle_factor(schema, sp) @ C))
+        np.testing.assert_array_equal(report.margins_c, row_margins(C))
+        with pytest.raises(SchemaError, match="C has shape"):
+            dominance_certificate(schema, sp, C[:-1])
 
     def test_scalar_margins(self):
         # single binary variable, a = 1: 2x2 case by hand
@@ -181,9 +181,8 @@ class TestDominance:
             w=(np.array([0.3]),),
             V=np.array([[0.2]]),
             omega=np.array([0.5]),
-            C=np.eye(2),
         )
-        B = dominance_matrix(schema, sp)
+        B = middle_factor(schema, sp)
         eb = math.exp(0.5)
         want = np.array([[eb + 0.3 * 0.2, -0.3], [-0.2, 1.0]])
         np.testing.assert_allclose(B, want, atol=1e-12)
@@ -208,7 +207,7 @@ class TestDominance:
             )
             a = int(rng.integers(0, 3))
             sp = random_structured(rng, schema, a, b_scale=0.8, w_scale=0.25)
-            report = dominance_certificate(schema, sp)
+            report = dominance_certificate(schema, sp, np.eye(schema.q + a))
             if not report.passed_raw:
                 continue
             found += 1
@@ -296,7 +295,6 @@ class TestOmegaBounds:
                     w=(np.zeros(1),),
                     V=np.zeros((1, 1)),
                     omega=np.array([1.0]),
-                    C=np.eye(2),
                 ),
             )
 
