@@ -40,7 +40,8 @@ from .fit import FitConfig, fit_grassmann, model_correlation, state_counts, weig
 from .grassmann import (
     GrassmannParams,
     IndexPartition,
-    check_p0,
+    _p0_report,
+    all_state_probabilities,
     conditional_params,
     joint_probability,
     marginal_params,
@@ -50,7 +51,7 @@ from .grassmann import (
 from .mixed import MixedParams, MixedPartition, mixed_conditional_density
 from .modelfile import ModelFile, load_model, save_model
 from .oracle import brute_force_table, oracle_marginal
-from .outputs import write_csv
+from .outputs import _csv_line, write_csv
 from .schema import (
     VariableKind,
     VariableSchema,
@@ -318,18 +319,18 @@ def _cmd_sample(args) -> int:
     probs /= probs.sum()
     draws = np.searchsorted(np.cumsum(probs), rng.random(args.n), side="right")
     draws = np.minimum(draws, len(probs) - 1)
-    # every draw gets a fresh row of its state's levels
+    # each distinct state's level cells are formatted once
     distinct, inverse = np.unique(draws, return_inverse=True)
-    values = allowed_table(schema)[1][distinct].tolist()
-    rows = [list(values[i]) for i in inverse]
+    levels = [_csv_line(v) for v in allowed_table(schema)[1][distinct].tolist()]
+    rows = [levels[i] for i in inverse]
     header = list(schema.names)
     if mf.kind == "factor" and model.p_x:
         header += [f"x{i + 1}" for i in range(model.p_x)]
         means, cov = _x_given_states(model, states[distinct])
         chol = np.linalg.cholesky(cov)
-        for row, i in zip(rows, inverse):
+        for r, i in enumerate(inverse):
             x = means[i] + chol @ rng.standard_normal(model.p_x)
-            row += [float(v) for v in x]
+            rows[r] += "," + _csv_line([float(v) for v in x])
     write_csv(args.out, header, rows)
     _emit({"out": args.out, "n": args.n, "seed": args.seed})
     return 0
@@ -482,7 +483,8 @@ def _cmd_mixed_eval(args) -> int:
 def _cmd_oracle_check(args) -> int:
     schema, params = _load_grassmann(args.model)
     table = brute_force_table(params)
-    max_joint_err = float(np.abs(table.probs - state_probabilities(params, table.states)).max())
+    probs = all_state_probabilities(params)
+    max_joint_err = float(np.abs(table.probs - probs).max())
     mean, cov = moments(params)
     mean_err = float(np.abs(mean - table.mean).max())
     cov_err = float(np.abs(cov - table.cov).max())
@@ -491,7 +493,7 @@ def _cmd_oracle_check(args) -> int:
         marg = oracle_marginal(table, [t])
         m1 = 1.0 - params.sig[t, t]
         marg_err = max(marg_err, abs(marg[(1,)] - m1))
-    report = check_p0(params)
+    report = _p0_report(probs, params.q)
     ok = (
         report.passed
         and max_joint_err <= 1e-10

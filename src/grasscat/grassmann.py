@@ -320,9 +320,14 @@ def check_p0(p: GrassmannParams) -> P0Report:
     which is equivalent to lam - I being a P0-matrix with det(lam) > 0 up to
     round-off.
     """
-    probs = all_state_probabilities(p)
+    return _p0_report(all_state_probabilities(p), p.q)
+
+
+def _p0_report(probs: np.ndarray, q: int) -> P0Report:
+    """The :func:`check_p0` report of the :func:`all_state_probabilities`
+    vector ``probs`` over q bits."""
     imin = int(np.argmin(probs))
-    state = tuple((imin >> b) & 1 for b in range(p.q))
+    state = tuple((imin >> b) & 1 for b in range(q))
     total = float(probs.sum())
     passed = probs[imin] >= -1e-12 and abs(total - 1.0) <= 1e-10
     return P0Report(

@@ -1,10 +1,11 @@
 """Brute-force reference implementations used by the test suite.
 
 Everything here recomputes probabilities from first principles with code
-paths deliberately different from the main modules: determinants are expanded
-by cofactors up to order 6 and by an explicit LU factorization above, and
+paths deliberately different from the main modules: determinants come from
+Gaussian elimination with partial pivoting written out in numpy (no
+``np.linalg``, no ``scipy.linalg`` and no ``grassmann`` helper), and
 marginals/conditionals are plain summations and ratios over the full state
-table.  Slowness is acceptable; independence is the point.
+table.  Independence is the point.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .caps import check_bit_cap
 from .errors import ParameterError
@@ -20,55 +20,32 @@ from .grassmann import GrassmannParams
 from .schema import VariableSchema, decode_state, DummyState
 from .errors import InvalidStateError
 
+_CHUNK = 2**14  # masks per elimination pass: bounds the stacked minors
 
-def _naive_det(a: np.ndarray) -> float:
-    """Determinant by cofactor expansion (order <= 6) or explicit LU above."""
-    n = a.shape[0]
-    if n == 0:
-        return 1.0
-    if n <= 6:
-        rows = a.tolist()
-        memo: dict[tuple[int, ...], float] = {}
 
-        def minor(cols: tuple[int, ...]) -> float:
-            """Determinant of the last len(cols) rows restricted to cols,
-            expanded along its first row; repeated minors are looked up."""
-            if cols in memo:
-                return memo[cols]
-            row = rows[n - len(cols)]
-            if len(cols) == 1:
-                det = row[cols[0]]
-            elif len(cols) == 2:
-                below = rows[n - 1]
-                det = row[cols[0]] * below[cols[1]] - row[cols[1]] * below[cols[0]]
-            else:
-                det = 0.0
-                sign = 1.0
-                for j, c in enumerate(cols):
-                    if row[c] != 0.0:
-                        det += sign * row[c] * minor(cols[:j] + cols[j + 1:])
-                    sign = -sign
-            memo[cols] = det
-            return det
-
-        return minor(tuple(range(n)))
-    p, l, u = scipy.linalg.lu(a)
-    # det(p) is +-1 depending on the permutation parity
-    perm = np.argmax(p, axis=0)
-    parity = 1.0
-    seen = np.zeros(n, dtype=bool)
-    for i in range(n):
-        if seen[i]:
-            continue
-        j = i
-        ln = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            ln += 1
-        if ln % 2 == 0:
-            parity = -parity
-    return float(parity * np.prod(np.diag(u)))
+def _naive_det(a: np.ndarray):
+    """Determinant of every matrix of a stack (..., n, n), a float for one
+    matrix: Gaussian elimination with partial pivoting, each row swap
+    flipping the sign.  Elimination meets an all-zero pivot column in a
+    matrix with repeated rows or a zero column, so its determinant is 0.0."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[-1]
+    stack = a.reshape(int(np.prod(a.shape[:-2])), n, n).copy()
+    det = np.ones(len(stack))
+    rows = np.arange(len(stack))
+    for k in range(n):
+        piv = k + np.argmax(np.abs(stack[:, k:, k]), axis=1)
+        top = stack[:, k, k:].copy()
+        stack[:, k, k:] = stack[rows, piv, k:]
+        stack[rows, piv, k:] = top
+        det[piv != k] *= -1.0
+        pivot = stack[:, k, k]
+        det *= pivot
+        # a zero pivot is the largest of an all-zero column: nothing to eliminate
+        factor = stack[:, k + 1 :, k] / np.where(pivot == 0.0, 1.0, pivot)[:, None]
+        stack[:, k + 1 :, k + 1 :] -= factor[:, :, None] * stack[:, None, k, k + 1 :]
+    det += 0.0  # no -0.0
+    return float(det[0]) if a.ndim == 2 else det.reshape(a.shape[:-2])
 
 
 @dataclass(frozen=True)
@@ -87,21 +64,26 @@ class FullTable:
 
 
 def brute_force_table(p: GrassmannParams) -> FullTable:
-    """Exact state table by per-state determinant evaluation."""
+    """Exact state table, state m holding bit i of mask m in column i: the
+    minors of each chunk of masks by one :func:`_naive_det` per popcount."""
     q = p.q
     check_bit_cap(q)
-    det_l = _naive_det(p.lam) if q else 1.0
+    det_l = _naive_det(p.lam)
     if det_l == 0.0:
         raise ParameterError("lam is singular")
-    lam_mi = p.lam - np.eye(q)
+    flat = (p.lam - np.eye(q)).ravel()
     n = 2**q
-    states = np.zeros((n, q), dtype=int)
-    probs = np.zeros(n)
-    for mask in range(n):
-        idx = [i for i in range(q) if (mask >> i) & 1]
-        states[mask, idx] = 1
-        sub = lam_mi[np.ix_(idx, idx)]
-        probs[mask] = _naive_det(sub) / det_l
+    states = (np.arange(n)[:, None] >> np.arange(q)) & 1
+    probs = np.ones(n)
+    for lo in range(0, n, _CHUNK):
+        chunk = states[lo : lo + _CHUNK]
+        popcounts = chunk.sum(axis=1)
+        for k in range(1, q + 1):
+            rows = np.flatnonzero(popcounts == k)
+            if rows.size:
+                idx = np.nonzero(chunk[rows])[1].reshape(rows.size, k)
+                probs[lo + rows] = _naive_det(flat[idx[:, :, None] * q + idx[:, None, :]])
+    probs /= det_l
     mean = probs @ states
     centered = states - mean
     cov = (probs[:, None] * centered).T @ centered

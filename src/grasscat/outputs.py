@@ -32,10 +32,16 @@ def _csv_cell(value) -> str:
     return text
 
 
+def _csv_line(cells: Sequence) -> str:
+    """One CSV line of cells, without its line ending."""
+    return ",".join(_csv_cell(c) for c in cells)
+
+
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """RFC-4180 cells, LF line endings."""
-    lines = [",".join(_csv_cell(c) for c in header)]
-    lines.extend(",".join(_csv_cell(c) for c in row) for row in rows)
+    """RFC-4180 cells, LF line endings.  A row given as a str is a line that
+    :func:`_csv_line` already formatted, written as is."""
+    lines = [_csv_line(header)]
+    lines.extend(row if isinstance(row, str) else _csv_line(row) for row in rows)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("\n".join(lines) + "\n")

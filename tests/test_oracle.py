@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from grasscat.errors import EnumerationCapError
+from grasscat.errors import EnumerationCapError, ParameterError
 from grasscat.grassmann import (
     GrassmannParams,
     IndexPartition,
+    all_state_probabilities,
     conditional_params,
     joint_probability,
     marginal_params,
@@ -17,7 +21,10 @@ from grasscat.oracle import (
     oracle_marginal,
 )
 
-from generators import random_valid_params
+from grasscat.schema import VariableDecl, VariableSchema
+from grasscat.structure import assemble_lambda
+
+from generators import CAT, ORD, random_certified_structured, random_valid_params
 from reference_values import READER_LAMBDA_MINUS_I
 
 
@@ -26,6 +33,82 @@ def test_naive_det_matches_lapack():
     for n in (1, 2, 3, 5, 6, 8, 10):
         a = rng.normal(size=(n, n))
         assert _naive_det(a) == pytest.approx(np.linalg.det(a), rel=1e-9)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_stacked_naive_det_matches_slogdet(n):
+    rng = np.random.default_rng(n)
+    stack = rng.normal(size=(2, 5, n, n))
+    # a permutation matrix: an n-cycle has parity (-1)**(n - 1), a swap is odd
+    stack[0, 0] = np.roll(np.eye(n), 1, axis=0)
+    stack[0, 1] = np.eye(n)[[1, 0, *range(2, n)]] if n > 1 else -np.eye(1)
+    stack[0, 2] = stack[0, 1] @ np.diag(rng.uniform(0.5, 2.0, n))
+    got = _naive_det(stack)
+    assert got.shape == (2, 5)
+    for idx in np.ndindex(2, 5):
+        sign, logdet = np.linalg.slogdet(stack[idx])
+        assert np.sign(got[idx]) == sign
+        assert got[idx] == pytest.approx(sign * np.exp(logdet), rel=1e-9)
+        assert _naive_det(stack[idx]) == got[idx]
+    assert got[0, 0] == (-1.0) ** (n - 1)
+    assert got[0, 1] == -1.0
+
+
+def test_naive_det_is_exactly_zero_on_singular_stacks():
+    rng = np.random.default_rng(3)
+    stack = rng.normal(size=(6, 5, 5))
+    stack[0, 3] = stack[0, 1]
+    stack[1, 4] = stack[1, 0]
+    stack[2, :, 2] = 0.0
+    stack[3, :, 0] = 0.0
+    stack[4, 2] = 0.0
+    stack[5] = 0.0
+    got = _naive_det(stack)
+    assert got.tolist() == [0.0] * 6
+    assert not np.signbit(got).any()
+
+
+def test_table_matches_kernel_on_certified_q12():
+    spec = [(CAT, 3), (ORD, 4), (CAT, 4), (ORD, 3), (CAT, 2), (CAT, 2)]
+    schema = VariableSchema([VariableDecl(f"v{i}", k, m) for i, (k, m) in enumerate(spec)])
+    sp = random_certified_structured(np.random.default_rng(12), schema, 2)
+    p = assemble_lambda(schema, sp)
+    assert p.q == 12
+    table = brute_force_table(p)
+    assert np.abs(table.probs - all_state_probabilities(p)).max() <= 1e-12
+
+
+def test_table_is_independent_of_lapack(monkeypatch):
+    p = random_valid_params(np.random.default_rng(8), 8)
+    want = brute_force_table(p).probs
+
+    def _refuse(*args, **kwargs):
+        raise AssertionError("the oracle called a library factorization")
+
+    for owner, attr in ((np.linalg, "det"), (np.linalg, "slogdet"), (np.linalg, "inv"),
+                        (scipy.linalg, "lu")):
+        monkeypatch.setattr(owner, attr, _refuse)
+    table = brute_force_table(p)
+    np.testing.assert_array_equal(table.probs, want)
+
+
+def test_table_peak_memory_q16():
+    # 25.2 MiB was the tracemalloc peak of the one-mask-at-a-time table on
+    # this model; the bound is that peak plus 2 MiB
+    p = random_valid_params(np.random.default_rng(16), 16)
+    tracemalloc.start()
+    try:
+        brute_force_table(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (25.2 + 2.0) * 2**20
+
+
+def test_underflowing_det_is_singular():
+    p = GrassmannParams.from_lambda(1e-25 * np.eye(16))
+    with pytest.raises(ParameterError, match="lam is singular"):
+        brute_force_table(p)
 
 
 def test_independent_table():
