@@ -51,7 +51,7 @@ from .grassmann import (
 from .mixed import MixedParams, MixedPartition, mixed_conditional_density
 from .modelfile import ModelFile, load_model, save_model
 from .oracle import brute_force_table, oracle_marginal
-from .outputs import _csv_line, write_csv
+from .outputs import _csv_rows, write_csv
 from .schema import (
     VariableKind,
     VariableSchema,
@@ -321,16 +321,17 @@ def _cmd_sample(args) -> int:
     draws = np.minimum(draws, len(probs) - 1)
     # each distinct state's level cells are formatted once
     distinct, inverse = np.unique(draws, return_inverse=True)
-    levels = [_csv_line(v) for v in allowed_table(schema)[1][distinct].tolist()]
-    rows = [levels[i] for i in inverse]
+    levels = _csv_rows(allowed_table(schema)[1][distinct])
+    rows = [levels[i] for i in inverse.tolist()]
     header = list(schema.names)
     if mf.kind == "factor" and model.p_x:
         header += [f"x{i + 1}" for i in range(model.p_x)]
         means, cov = _x_given_states(model, states[distinct])
         chol = np.linalg.cholesky(cov)
-        for r, i in enumerate(inverse):
-            x = means[i] + chol @ rng.standard_normal(model.p_x)
-            rows[r] += "," + _csv_line([float(v) for v in x])
+        means = np.reshape(means, (len(distinct), model.p_x))  # also when n = 0
+        # row r takes the r-th standard-normal vector of the stream
+        x = means[inverse] + rng.standard_normal((args.n, model.p_x)) @ chol.T
+        rows = [row + "," + cells for row, cells in zip(rows, _csv_rows(x))]
     write_csv(args.out, header, rows)
     _emit({"out": args.out, "n": args.n, "seed": args.seed})
     return 0
@@ -418,7 +419,7 @@ def _cmd_fa_biplot(args) -> int:
             "out_svg": args.out_svg,
             "out_scores": args.out_scores,
             "out_loadings": args.out_loadings,
-            "points": len(bp.points),
+            "points": len(bp.row_ids),
             "padded": bp.padded,
             "contribution_ratios": [float(r) for r in bp.contribution_ratios],
         }

@@ -31,7 +31,7 @@ import scipy.optimize
 from .errors import DataError, ParameterError, SchemaError
 from .fit import StateCounts, _level_logits, _penalized_fit, empirical_moments, state_counts
 from .grassmann import _freeze
-from .outputs import SvgCanvas, write_csv
+from .outputs import SvgCanvas, _csv_rows, write_csv
 from .schema import (
     Record,
     VariableKind,
@@ -235,8 +235,23 @@ def posterior(
         m = model.mu_z + cov @ (wp @ (x - model.mu_x) + model.G.T @ yv)
     else:
         cov = model.sigma_z
-        m = model.mu_z + model.sigma_z @ (model.G.T @ yv)
+        m = _scores(model, yv[None, :])[0]
     return m, cov
+
+
+def _scores(model: FactorModel, Y: np.ndarray) -> np.ndarray:
+    """The factor scores mu_z + sigma_z G^T y of every row y of the (n, q)
+    stack Y, when there is no continuous block.  Both products accumulate
+    one column at a time in index order, so a row's bits do not depend on
+    how many rows share the stack (a matrix product may block and reorder
+    its sums by the stack's size)."""
+    gy = np.zeros((Y.shape[0], model.p_z))
+    for j in range(model.q):
+        gy += Y[:, j, None] * model.G[j]
+    m = np.zeros_like(gy)
+    for k in range(model.p_z):
+        m += gy[:, k, None] * model.sigma_z[:, k]
+    return model.mu_z + m
 
 
 # -- combined loading vectors ------------------------------------------------
@@ -622,11 +637,27 @@ class BiplotPoint:
 
 @dataclass(frozen=True)
 class BiplotData:
-    points: tuple[BiplotPoint, ...]
+    """One row per distinct record, in first-occurrence order: the index of
+    its first data row, its levels, its factor score and its count."""
+
+    row_ids: np.ndarray  # (n_points,) int64
+    records: np.ndarray  # (n_points, n_variables) int64
+    scores: np.ndarray  # (n_points, n_axes)
+    multiplicities: np.ndarray  # (n_points,) int64
     loading_labels: tuple[str, ...]
-    loading_vectors: np.ndarray  # (n_labels, p_z)
+    loading_vectors: np.ndarray  # (n_labels, n_axes)
     contribution_ratios: np.ndarray
     padded: bool
+
+    @property
+    def points(self) -> tuple[BiplotPoint, ...]:
+        return tuple(
+            BiplotPoint(row_id=i, record=tuple(rec), score=score, multiplicity=mult)
+            for i, rec, score, mult in zip(
+                self.row_ids.tolist(), self.records.tolist(), self.scores,
+                self.multiplicities.tolist(),
+            )
+        )
 
 
 def biplot_data(
@@ -644,37 +675,21 @@ def biplot_data(
             raise exc.__cause__ from None
         raise
     distinct, first, counts = _distinct_levels(levels)
-    points = [
-        BiplotPoint(row_id=row_id, record=tuple(key), score=posterior(model, y)[0],
-                    multiplicity=mult)
-        for row_id, key, y, mult in zip(
-            first.tolist(), distinct.tolist(), bits_of_levels(schema, distinct), counts.tolist()
-        )
-    ]
+    scores = _scores(model, bits_of_levels(schema, distinct))
     cl = combined_loadings(schema, model.G)
-    labels = []
-    vecs = []
-    for j in range(len(schema)):
-        for l, lab in enumerate(cl.labels[j]):
-            labels.append(lab)
-            vecs.append(cl.vectors[j][l])
-    vectors = np.asarray(vecs)
+    labels = [lab for block in cl.labels for lab in block]
+    vectors = np.vstack(cl.vectors)
     padded = model.p_z < 2
     if padded:
         pad = 2 - model.p_z
         vectors = np.hstack([vectors, np.zeros((vectors.shape[0], pad))])
-        points = [
-            BiplotPoint(
-                row_id=p.row_id,
-                record=p.record,
-                score=np.concatenate([p.score, np.zeros(pad)]),
-                multiplicity=p.multiplicity,
-            )
-            for p in points
-        ]
+        scores = np.hstack([scores, np.zeros((scores.shape[0], pad))])
         ratios = np.concatenate([ratios, np.zeros(pad)])
     return BiplotData(
-        points=tuple(points),
+        row_ids=first,
+        records=distinct,
+        scores=scores,
+        multiplicities=counts,
         loading_labels=tuple(labels),
         loading_vectors=vectors,
         contribution_ratios=ratios,
@@ -697,10 +712,7 @@ def biplot_export(
     write_csv(
         out_scores,
         ["row_id", *pc_names, "multiplicity"],
-        [
-            [p.row_id, *[float(v) for v in p.score], p.multiplicity]
-            for p in bp.points
-        ],
+        _csv_rows(bp.row_ids, bp.scores, bp.multiplicities),
     )
     loading_rows = []
     idx = 0
@@ -718,7 +730,7 @@ def biplot_export(
 def _draw_biplot(bp: BiplotData, path: str) -> None:
     size = 640
     margin = 70.0
-    scores = np.asarray([p.score[:2] for p in bp.points])
+    scores = bp.scores[:, :2]
     arrows = bp.loading_vectors[:, :2]
     extent = max(
         float(np.abs(scores).max(initial=0.0)),
@@ -727,20 +739,18 @@ def _draw_biplot(bp: BiplotData, path: str) -> None:
     ) * 1.15
     span = size - 2 * margin
 
-    def sx(v: float) -> float:
+    def sx(v):
         return margin + (v + extent) / (2 * extent) * span
 
-    def sy(v: float) -> float:
+    def sy(v):
         return size - margin - (v + extent) / (2 * extent) * span
 
     canvas = SvgCanvas(size, size)
     canvas.line(margin, sy(0.0), size - margin, sy(0.0), stroke="#999", width=0.8)
     canvas.line(sx(0.0), margin, sx(0.0), size - margin, stroke="#999", width=0.8)
     # circle areas exactly proportional to multiplicity, largest radius 9
-    max_mult = max(p.multiplicity for p in bp.points)
-    for p in bp.points:
-        r = 9.0 * np.sqrt(p.multiplicity / max_mult)
-        canvas.circle(sx(p.score[0]), sy(p.score[1]), r)
+    r = 9.0 * np.sqrt(bp.multiplicities / bp.multiplicities.max())
+    canvas.circles(sx(scores[:, 0]), sy(scores[:, 1]), r)
     for label, vec in zip(bp.loading_labels, arrows):
         x2, y2 = sx(vec[0]), sy(vec[1])
         canvas.line(sx(0.0), sy(0.0), x2, y2, stroke="crimson", width=1.4)

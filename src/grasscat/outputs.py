@@ -7,17 +7,18 @@ identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DataError
+
+FLOAT_SPEC = ".17g"  # every float cell: 17 significant digits, a float64 round trip
 
 
 def fmt_float(x: float) -> str:
     """17-significant-digit decimal form, stable across runs."""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return f"{float(x):.17g}"
+    return format(float(x), FLOAT_SPEC)
 
 
 def _csv_cell(value) -> str:
@@ -37,9 +38,27 @@ def _csv_line(cells: Sequence) -> str:
     return ",".join(_csv_cell(c) for c in cells)
 
 
+def _fill_rows(template: str, *columns: np.ndarray) -> list[str]:
+    """``template % row`` for every row of the columns set side by side, one
+    ``%`` per row.  Each column argument is an (n,) or (n, k) array."""
+    cols = [c for a in columns for c in (a[:, None] if a.ndim == 1 else a).T.tolist()]
+    return [template % row for row in zip(*cols)]
+
+
+def _csv_rows(*columns: np.ndarray) -> list[str]:
+    """The CSV lines of numeric columns set side by side: ``%d`` for integer
+    columns, ``FLOAT_SPEC`` for float ones, so each line is the one
+    :func:`_csv_line` gives for the same int and float cells."""
+    specs = []
+    for a in columns:
+        spec = "%d" if np.issubdtype(a.dtype, np.integer) else "%" + FLOAT_SPEC
+        specs += [spec] * (1 if a.ndim == 1 else a.shape[1])
+    return _fill_rows(",".join(specs), *columns)
+
+
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """RFC-4180 cells, LF line endings.  A row given as a str is a line that
-    :func:`_csv_line` already formatted, written as is."""
+    :func:`_csv_line` or :func:`_csv_rows` already formatted, written as is."""
     lines = [_csv_line(header)]
     lines.extend(row if isinstance(row, str) else _csv_line(row) for row in rows)
     try:
@@ -52,6 +71,8 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
 class SvgCanvas:
     """Minimal SVG assembly with fixed-precision coordinates."""
 
+    _SPEC = ".2f"  # every coordinate and length
+
     def __init__(self, width: int, height: int):
         self.width = width
         self.height = height
@@ -63,7 +84,7 @@ class SvgCanvas:
 
     @staticmethod
     def _f(x: float) -> str:
-        return f"{x:.2f}"
+        return format(x, SvgCanvas._SPEC)
 
     def line(self, x1, y1, x2, y2, stroke="black", width=1.0):
         self._parts.append(
@@ -71,11 +92,14 @@ class SvgCanvas:
             f'y2="{self._f(y2)}" stroke="{stroke}" stroke-width="{width}"/>'
         )
 
-    def circle(self, cx, cy, r, fill="steelblue", opacity=0.6):
-        self._parts.append(
-            f'<circle cx="{self._f(cx)}" cy="{self._f(cy)}" r="{self._f(r)}" '
-            f'fill="{fill}" fill-opacity="{opacity}"/>'
-        )
+    def circles(self, cx: np.ndarray, cy: np.ndarray, r: np.ndarray,
+                fill="steelblue", opacity=0.6):
+        """One circle per entry of the equal-length coordinate arrays."""
+        c = "%" + self._SPEC
+        self._parts.extend(_fill_rows(
+            f'<circle cx="{c}" cy="{c}" r="{c}" fill="{fill}" fill-opacity="{opacity}"/>',
+            cx, cy, r,
+        ))
 
     def polygon(self, points: Sequence[tuple[float, float]], fill="crimson"):
         pts = " ".join(f"{self._f(x)},{self._f(y)}" for x, y in points)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -688,6 +689,44 @@ class TestFaFitBicRange:
         assert code == 1
 
 
+class TestSampleBytesPinned:
+    """SHA-256 of the `sample` CSVs of two fixed models over three draws,
+    recorded when the level cells were formatted one cell at a time."""
+
+    DIGESTS = {
+        "grassmann": "03ed480fdc999133780118651bcc9b729ceb3134dce7d206e2f30ccd35576124",
+        "factor": "dc2dc0cd04a0f705a9d049892f5efd287467b4737d824a388c3516309a406092",
+    }
+
+    @staticmethod
+    def _model(kind):
+        if kind == "grassmann":
+            return ModelFile(kind="grassmann", schema=reader_style_schema(),
+                             params=reader_style_true_params(), fit_report=None)
+        from grasscat.schema import VariableDecl, VariableKind, VariableSchema
+
+        cat, ord_ = VariableKind.CATEGORICAL, VariableKind.ORDINAL
+        schema = VariableSchema([
+            VariableDecl(name, kind, levels) for name, kind, levels in
+            (("A", cat, 3), ("B", ord_, 4), ("C", cat, 4), ("D", ord_, 3), ("E", cat, 2))
+        ])
+        rng = np.random.default_rng(17)
+        model = FactorModel.canonical(b=rng.normal(0, 0.8, schema.q),
+                                      G=rng.normal(0, 0.6, (schema.q, 2)))
+        return ModelFile(kind="factor", schema=schema, params=model, fit_report=None)
+
+    @pytest.mark.parametrize("kind", ["grassmann", "factor"])
+    def test_sample_bytes(self, kind, tmp_path, capsys):
+        save_model(self._model(kind), str(tmp_path / "m.json"))
+        digest = hashlib.sha256()
+        for n, seed in ((3000, 1), (57, 2), (0, 3)):
+            assert _run(tmp_path, "sample", "--model", "m.json", "--n", str(n),
+                        "--seed", str(seed), "--out", "s.csv") == 0
+            digest.update((tmp_path / "s.csv").read_bytes())
+        capsys.readouterr()
+        assert digest.hexdigest() == self.DIGESTS[kind]
+
+
 class TestSampleFactorContinuous:
     def test_continuous_block_columns(self, tmp_path, capsys):
         from grasscat.factor import FactorModel
@@ -727,6 +766,10 @@ class TestSampleFactorContinuous:
         assert out[0] == "A,x1,x2"
         assert len(out) == 51
         assert (tmp_path / "x1.csv").read_bytes() == (tmp_path / "x2.csv").read_bytes()
+        assert _run(tmp_path, "sample", "--model", "fa.json", "--n", "0",
+                    "--seed", "4", "--out", "x0.csv") == 0
+        capsys.readouterr()
+        assert (tmp_path / "x0.csv").read_text() == "A,x1,x2\n"
 
 
     def test_rows_follow_the_draw_order(self, tmp_path, capsys):

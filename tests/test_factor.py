@@ -13,6 +13,7 @@ from grasscat.factor import (
     _gaussian_logpdf,
     _loading_coefficients,
     _prior_table,
+    _scores,
     _x_given_states,
     bic_parameter_count,
     biplot_data,
@@ -605,6 +606,35 @@ class TestBiplot:
             for p in bp.points:
                 want, _ = posterior(rotated, encode_record(reader_schema, Record(p.record)).bits)
                 assert np.array_equal(p.score, want)
+
+    @pytest.mark.parametrize("p_z", [0, 1, 2, 3])
+    def test_scores_do_not_depend_on_the_batch(self, p_z):
+        # a general mu_z and sigma_z, so both products and the shift matter
+        schema = VariableSchema([
+            VariableDecl(name, kind, levels) for name, kind, levels in
+            (("A", CAT, 3), ("B", ORD, 4), ("C", CAT, 4), ("D", ORD, 3), ("E", CAT, 2))
+        ])
+        rng = np.random.default_rng(40 + p_z)
+        A = rng.normal(0, 1, (p_z, p_z))
+        model = FactorModel(
+            mu_x=np.zeros(0), psi_noise=np.zeros(0), W_load=np.zeros((0, p_z)),
+            b=rng.normal(0, 0.5, schema.q), G=rng.normal(0, 0.7, (schema.q, p_z)),
+            mu_z=rng.normal(0, 1, p_z), sigma_z=A @ A.T + 0.3 * np.eye(p_z),
+        )
+        levels = np.column_stack([rng.integers(0, v.levels, 500) for v in schema.variables])
+        rotated, _ = fix_rotation(model)
+        for data in (levels[:1], levels):
+            bits = [encode_record(schema, Record(tuple(r))).bits for r in data.tolist()]
+            batch = _scores(model, np.asarray(bits, dtype=float))
+            for y, row in zip(bits, batch):
+                assert np.array_equal(posterior(model, y)[0], row)
+            bp = biplot_data(schema, model, data)
+            assert bp.scores.shape == (len(bp.points), max(p_z, 2))
+            assert bp.padded == (p_z < 2)
+            assert np.all(bp.scores[:, p_z:] == 0.0)
+            for p in bp.points:
+                want, _ = posterior(rotated, encode_record(schema, Record(p.record)).bits)
+                assert np.array_equal(p.score[:p_z], want)
 
     def test_invalid_row_raises_the_encoder_error(self, reader_schema):
         model = FactorModel.canonical(

@@ -1,6 +1,6 @@
 import numpy as np
 
-from grasscat.outputs import write_csv
+from grasscat.outputs import FLOAT_SPEC, SvgCanvas, _csv_line, _csv_rows, fmt_float, write_csv
 
 
 def test_write_csv_cells(tmp_path):
@@ -20,3 +20,34 @@ def test_write_csv_cells(tmp_path):
         b"3,-7,True,False\n"
         b'"x,y","q""t","n\nl",ok\n'
     )
+
+
+def test_csv_rows_match_csv_line_on_levels():
+    levels = np.random.default_rng(5).integers(-3, 12, (200, 7)).astype(np.int64)
+    assert _csv_rows(levels) == [_csv_line(row) for row in levels.tolist()]
+    assert _csv_rows(levels[:0]) == []
+
+
+def test_csv_rows_match_csv_line_on_floats():
+    special = [float("nan"), -float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
+               5e-324, -5e-324, 1e-300, 0.1, 1.0 / 3.0, 1e300, -2.5]
+    rng = np.random.default_rng(6)
+    floats = np.concatenate([special, rng.normal(0.0, 1e3, 39)]).reshape(-1, 2)
+    ids = np.arange(len(floats), dtype=np.int64) * 7 - 20
+    got = _csv_rows(ids, floats, ids[::-1])
+    want = [_csv_line([i, *row, j]) for i, row, j in
+            zip(ids.tolist(), floats.tolist(), ids[::-1].tolist())]
+    assert got == want
+    assert got[0].split(",")[1:3] == ["nan", "nan"]
+    assert [fmt_float(x) for x in special] == [format(x, FLOAT_SPEC) for x in special]
+
+
+def test_circles_format_each_coordinate_as_before():
+    rng = np.random.default_rng(7)
+    cx, cy, r = rng.normal(300.0, 100.0, (3, 40))
+    canvas = SvgCanvas(10, 10)
+    canvas.circles(cx, cy, r)
+    assert canvas._parts[2:] == [
+        f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{z:.2f}" fill="steelblue" fill-opacity="0.6"/>'
+        for x, y, z in zip(cx, cy, r)
+    ]
