@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .errors import DataError, ParameterError, SchemaError
 from .fit import StateCounts, _level_logits, _penalized_fit, empirical_moments, state_counts
@@ -511,6 +510,8 @@ def fit_factor_model(
         return np.concatenate([np.asarray(p, dtype=float).ravel() for p in parts])
 
     def solve(xvec, kappa):
+        import scipy.optimize  # only the fits need it; read commands load faster without
+
         return scipy.optimize.minimize(
             objective,
             xvec,

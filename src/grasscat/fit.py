@@ -12,9 +12,15 @@ Level l >= 1 of variable v ends on bit r_v(l) = s_v + l - 1 (s_v is the
 block's first bit) and has logit beta_v(l): b_l if v is categorical, b_1 +
 ... + b_l if ordinal.  Then x_v(l) = e^-beta_v(l) omega * V[r_v(l)], Z_v =
 1 + sum_l e^beta_v(l) and xbar_v = omega * sum_(r in v) V[r] / Z_v; level 0
-has beta = 0 and x = 0.  An evaluation is one stacked ``slogdet`` and, for
-the gradient, one stacked ``inv`` over (distinct states, a, a): O(states *
-k * a^2), whatever the states' popcounts.
+has beta = 0 and x = 0.  Write x_r and w_r for the x and w of the level
+ending on bit r.  An evaluation holds the matrices structure of arrays, as
+one (a, a, m + 1) stack over the m distinct observed states with Abar
+last.  With E the (q, m) 0/1 indicator of the bits the states' levels end
+on, one GEMM gives every A_s - I = sum_r E[r, s] x_r w_r^T, one batched
+Gauss-Jordan elimination gives every sign, log|det| and, for the gradient,
+inverse, and a second GEMM, E (n_s A_s^-1), gives the gradient's per-bit
+sums: O(m q a^2 + m a^3) arithmetic in O(a^2) numpy calls, whatever the
+states' popcounts, and no LAPACK call.
 
 The dominance conditions are enforced by a smooth squared-hinge penalty on
 the free-row margins of B = M C and on the strict margins of C, with the
@@ -29,10 +35,9 @@ zero, has a nonnegative probability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .errors import InvalidStateError, ParameterError
 from .grassmann import GrassmannParams, moments, state_probabilities
@@ -56,6 +61,9 @@ from .structure import (
     middle_factor,
     row_margins,
 )
+
+if TYPE_CHECKING:
+    from scipy.optimize import OptimizeResult
 
 INFEASIBLE_NLL = np.inf  # sentinel for states driven to the domain boundary
 
@@ -140,11 +148,13 @@ def model_correlation(params: GrassmannParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _StatePlan:
-    """Per-dataset arrays of the likelihood: each distinct state's last bit
-    r_v(l) per variable (q at level 0), its count, the count of the level
-    each bit ends, the b -> beta map and the variables' bit memberships."""
+    """Per-dataset arrays of the likelihood over the m distinct observed
+    states: the (q, m) 0/1 indicator ``ends``, whose entry (r, s) is 1 when
+    a level of state s ends on bit r; the states' counts; the count of the
+    level each bit ends; the b -> beta map and the variables' bit
+    memberships."""
 
-    last_bits: np.ndarray
+    ends: np.ndarray
     weights: np.ndarray
     bit_counts: np.ndarray
     beta_of_b: np.ndarray
@@ -160,14 +170,54 @@ def _state_plan(schema: VariableSchema, counts: StateCounts) -> _StatePlan:
     q, k = schema.q, len(schema)
     starts = np.asarray([s for s, _ in schema.blocks], dtype=int)
     last_bits = np.where(levels > 0, starts + levels - 1, q)
-    bit_counts = np.bincount(last_bits.ravel(), np.repeat(weights, k), minlength=q + 1)[:q]
+    ends = np.zeros((q + 1, len(weights)))  # row q collects the level-0 entries
+    ends[last_bits, np.arange(len(weights))[:, None]] = 1.0
+    ends = ends[:q]
     beta_of_b = np.zeros((q, q))
     members = np.zeros((k, q))
     for j, (v, (s, e)) in enumerate(zip(schema.variables, schema.blocks)):
         block = np.eye if v.kind is VariableKind.CATEGORICAL else np.tri
         beta_of_b[s:e, s:e] = block(e - s)
         members[j, s:e] = 1.0
-    return _StatePlan(last_bits, weights, bit_counts, beta_of_b, members)
+    return _StatePlan(ends, weights, ends @ weights, beta_of_b, members)
+
+
+def _gauss_jordan(
+    A: np.ndarray, inverse: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Sign, log|det| and, if ``inverse``, the inverse of each matrix of an
+    (a, a, n) stack held matrix index first, so that every step works on
+    contiguous n-vectors.  Gauss-Jordan elimination with partial pivoting:
+    each row swap flips the sign.  A singular matrix meets a zero pivot; it
+    gets sign 0, and a unit pivot in its place lets the elimination run on
+    without a warning, leaving its log|det| and inverse meaningless."""
+    a, n = A.shape[0], A.shape[2]
+    width = 2 * a if inverse else a
+    M = np.zeros((a, width, n))  # [A | I], reduced in place to [I | A^-1]
+    M[:, :a] = A
+    if inverse:
+        M.reshape(width * a, n)[a :: width + 1] = 1.0
+    pivots = np.empty((a, n))
+    sign = np.ones(n)
+    for j in range(a):
+        for r in range(j + 1, a):  # ends with the largest |M[r, j]|, r >= j, in row j
+            swap = np.abs(M[r, j]) > np.abs(M[j, j])
+            if swap.any():
+                top = M[j].copy()
+                np.copyto(M[j], M[r], where=swap)
+                np.copyto(M[r], top, where=swap)
+                np.negative(sign, out=sign, where=swap)
+        d = pivots[j]
+        d[:] = M[j, j]
+        if not d.all():
+            zero = d == 0.0
+            sign[zero] = 0.0
+            d[zero] = 1.0
+        row = M[j] / d
+        M -= M[:, j, None] * row
+        M[j] = row
+    sign *= np.sign(pivots).prod(axis=0)
+    return sign, np.log(np.abs(pivots)).sum(axis=0), M[:, a:] if inverse else None
 
 
 @dataclass(frozen=True)
@@ -187,49 +237,50 @@ def _likelihood(
     ``(inf, None)`` when det A_s of an observed state or det Abar has sign
     <= 0, or when e^-beta overflows on a bit an observed level ends on."""
     q, a = schema.q, sp.a
-    W = np.reshape(sp.w, (len(schema), a))
+    m = len(plan.weights)
+    W = np.concatenate(sp.w).reshape(len(schema), a) if sp.w else np.zeros((0, a))
     beta = plan.beta_of_b @ (np.concatenate(sp.b) if sp.b else np.zeros(0))
     # log Z_v with the largest of 0 and the block's beta factored out
-    top = np.max(plan.members * beta, axis=1, initial=0.0)
+    top = (plan.members * beta).max(axis=1, initial=0.0)
     log_z = top + np.log(np.exp(-top) + plan.members @ np.exp(beta - top @ plan.members))
     inv_z = np.exp(-log_z)
     sums = (plan.members @ sp.V) * inv_z[:, None]
     x_bar = sums * sp.omega
     ends = plan.bit_counts > 0
     decay = np.zeros(q)
-    x = np.zeros((q + 1, a))  # x_v(l) on the bit each level ends on; row q is level 0
     with np.errstate(over="ignore", invalid="ignore"):
         decay[ends] = np.exp(-beta[ends])
-        x[:q] = decay[:, None] * sp.V * sp.omega
+        x = decay[:, None] * sp.V * sp.omega  # x_v(l) on the bit each level ends on
     if not np.isfinite(x).all():
         return INFEASIBLE_NLL, None
-    X = x.take(plan.last_bits, axis=0)
-    A = np.eye(a) + X.transpose(0, 2, 1) @ W
-    A_bar = np.eye(a) + x_bar.T @ W
-    sign, logdet = np.linalg.slogdet(A)
-    sign_bar, logdet_bar = np.linalg.slogdet(A_bar)
-    if sign_bar <= 0 or np.any(sign <= 0):
+    w_bit = W.take(schema.block_maps.var, axis=0)  # each bit's w_v
+    # A_s - I = sum_r E[r, s] x_r w_r^T over the m states, then Abar - I: (a, a, m + 1)
+    A = np.empty((a * a, m + 1))
+    np.matmul((x[:, :, None] * w_bit[:, None, :]).reshape(q, a * a).T, plan.ends,
+              out=A[:, :m])
+    A[:, m] = (x_bar.T @ W).ravel()
+    A[:: a + 1] += 1.0
+    sign, logdet, inv = _gauss_jordan(A.reshape(a, a, m + 1), gradient)
+    if (sign <= 0).any():
         return INFEASIBLE_NLL, None
     n = plan.weights.sum()
-    nll = float(n * (log_z.sum() + logdet_bar) - plan.bit_counts @ beta - plan.weights @ logdet)
+    nll = float(n * (log_z.sum() + logdet[m]) - plan.bit_counts @ beta
+                - plan.weights @ logdet[:m])
     if not gradient:
         return nll, None
-    # d log det A = tr(A^-1 dA): d/dx_v is A^-T w_v and d/dw_v is A^-1 x_v
-    inv_A = np.linalg.inv(A)
-    inv_bar = np.linalg.inv(A_bar)
-    to_x = plan.weights[:, None, None] * (W @ inv_A)
+    # d log det A = tr(A^-1 dA): d/dx_v is A^-T w_v and d/dw_v is A^-1 x_v.
+    # T_r = sum_s E[r, s] n_s A_s^-1 gathers both per bit, in one GEMM.
+    inv_bar = inv[:, :, m]
+    T = (plan.ends @ (inv[:, :, :m] * plan.weights).reshape(a * a, m).T).reshape(q, a, a)
+    per_bit = (w_bit[:, :, None] * T).sum(axis=1)  # sum of n_s A_s^-T w_v, per bit
     to_x_bar = n * (W @ inv_bar)
-    # per bit: the sum of n_s A_s^-T w_v over the states whose level of v ends there
-    ends_at = plan.last_bits.ravel()
-    cols = [np.bincount(ends_at, to_x[..., c].ravel(), minlength=q + 1) for c in range(a)]
-    per_bit = np.reshape(cols, (a, q + 1)).T[:q]
     share = np.exp(beta - log_z @ plan.members)  # e^beta / Z_v of each bit's level
     g_beta = (
-        (x[:q] * per_bit).sum(axis=1) - plan.bit_counts
+        (x * per_bit).sum(axis=1) - plan.bit_counts
         + share * ((n - (x_bar * to_x_bar).sum(axis=1)) @ plan.members)
     )
     g_b = plan.beta_of_b.T @ g_beta
-    g_w = n * x_bar @ inv_bar.T - np.tensordot(plan.weights, X @ inv_A.transpose(0, 2, 1), 1)
+    g_w = n * x_bar @ inv_bar.T - plan.members @ (T * x[:, None, :]).sum(axis=2)
     return nll, FitGradient(
         b=tuple(g_b[s:e] for s, e in schema.blocks),
         w=tuple(g_w),
@@ -427,7 +478,7 @@ def _penalized_objective(
 def _penalized_fit(
     seed: int, restarts: int, weight0: float,
     start: Callable[[np.random.Generator], np.ndarray],
-    solve: Callable[[np.ndarray, float], scipy.optimize.OptimizeResult],
+    solve: Callable[[np.ndarray, float], OptimizeResult],
     constraint_met: Callable[[np.ndarray], bool],
     key: Callable[[np.ndarray], tuple],
 ) -> tuple[tuple, np.ndarray, bool, int]:
@@ -589,7 +640,9 @@ def fit_grassmann(
             omega=np.full(a, 0.5),
         ), np.eye(schema.q + a))
 
-    def solve(x: np.ndarray, mu: float) -> scipy.optimize.OptimizeResult:
+    def solve(x: np.ndarray, mu: float) -> OptimizeResult:
+        import scipy.optimize  # only the fits need it; read commands load faster without
+
         return scipy.optimize.minimize(
             _penalized_objective,
             x,

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import ParameterError, SchemaError
 from .grassmann import GrassmannParams, _freeze
-from .schema import VariableKind, VariableSchema
+from .schema import VariableSchema
 
 OMEGA_EPS = 1e-6
 TAU_C = 1e-8
@@ -108,51 +108,48 @@ def validate_shapes(schema: VariableSchema, sp: StructuredParams) -> None:
         )
 
 
+def _checked_vectors(schema: VariableSchema, vectors, name: str, sizes) -> list[np.ndarray]:
+    """The per-variable ``name`` vectors as float arrays; SchemaError unless
+    there is one per variable, of length ``sizes[j]`` for variable j."""
+    vectors = [np.asarray(v, dtype=float) for v in vectors]
+    if len(vectors) != len(schema):
+        raise SchemaError(f"expected {len(schema)} {name} vectors, got {len(vectors)}")
+    for v, vec, size in zip(schema.variables, vectors, sizes):
+        if vec.shape != (size,):
+            raise SchemaError(
+                f"variable {v.name!r}: {name} vector has shape {vec.shape}, "
+                f"expected ({size},)"
+            )
+    return vectors
+
+
 def quasi_diagonal_blocks(schema: VariableSchema, b_vectors) -> np.ndarray:
     """The block-diagonal core K: repeated exponential rows for categorical
     blocks, subdiagonal -1 plus a cumulative-product first row for ordinal
     blocks.  Off-block entries are exactly zero."""
-    b_vectors = [np.asarray(v, dtype=float) for v in b_vectors]
-    if len(b_vectors) != len(schema):
-        raise SchemaError(f"expected {len(schema)} b vectors, got {len(b_vectors)}")
+    maps = schema.block_maps
+    b_vectors = _checked_vectors(schema, b_vectors, "b", maps.sizes)
+    padded = np.zeros((len(schema), maps.width))
+    if b_vectors:
+        padded.ravel()[maps.pad_dst] = np.concatenate(b_vectors)
+    # a categorical row keeps b; an ordinal row's exponents are its
+    # cumulative sums (np.add.accumulate is np.cumsum without its wrapper)
+    exps = np.exp(np.where(maps.ordinal, np.add.accumulate(padded, axis=1), padded))
     K = np.zeros((schema.q, schema.q))
-    for j, v in enumerate(schema.variables):
-        bv = b_vectors[j]
-        if bv.shape != (v.block_size,):
-            raise SchemaError(
-                f"variable {v.name!r}: b vector has shape {bv.shape}, "
-                f"expected ({v.block_size},)"
-            )
-        s, e = schema.blocks[j]
-        if v.kind is VariableKind.CATEGORICAL:
-            K[s:e, s:e] = np.exp(bv)[None, :]
-        else:
-            n = v.block_size
-            if n > 1:
-                K[s : e, s : e] += np.diag(np.full(n - 1, -1.0), -1)
-            K[s, s:e] = np.exp(np.cumsum(bv))
+    K.ravel()[maps.k_dst] = exps.ravel()[maps.k_src]
+    K.ravel()[maps.sub_dst] = -1.0
     return K
 
 
 def aux_loading_matrix(schema: VariableSchema, w_vectors, a: int) -> np.ndarray:
     """The (q, a) matrix W: identical rows within categorical blocks, only
     the first row nonzero within ordinal blocks."""
-    w_vectors = [np.asarray(v, dtype=float) for v in w_vectors]
-    if len(w_vectors) != len(schema):
-        raise SchemaError(f"expected {len(schema)} w vectors, got {len(w_vectors)}")
-    W = np.zeros((schema.q, a))
-    for j, v in enumerate(schema.variables):
-        wv = w_vectors[j]
-        if wv.shape != (a,):
-            raise SchemaError(
-                f"variable {v.name!r}: w vector has shape {wv.shape}, expected ({a},)"
-            )
-        s, e = schema.blocks[j]
-        if v.kind is VariableKind.CATEGORICAL:
-            W[s:e, :] = wv[None, :]
-        else:
-            W[s, :] = wv
-    return W
+    maps = schema.block_maps
+    w_vectors = _checked_vectors(schema, w_vectors, "w", [a] * len(schema))
+    rows = np.zeros((len(schema) + 1, a))  # the last row is the zero row
+    if w_vectors:
+        rows[:-1] = w_vectors
+    return rows.take(maps.w_src, axis=0)
 
 
 def middle_factor(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:

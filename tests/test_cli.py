@@ -1031,6 +1031,21 @@ class TestConsoleScript:
         codes = [line for line in proc.stdout.splitlines() if line.startswith("exit ")]
         assert codes == ["exit 0", "exit 1", "exit 64"], proc.stderr
 
+    def test_read_command_does_not_import_scipy(self, model_files):
+        """Only the fits run L-BFGS-B, so only they import scipy.optimize."""
+        script = (
+            "import sys\n"
+            "from grasscat.cli import run_command\n"
+            "code = run_command(['prob', '--model', 'grassmann.json', '--query', 'Age=1'])\n"
+            "print('exit', code, 'scipy' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(self.ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=model_files, env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.stdout.splitlines()[-1] == "exit 0 False", proc.stderr
+
     def test_script_entry_point(self):
         tomllib = pytest.importorskip("tomllib")
         with open(self.ROOT / "pyproject.toml", "rb") as fh:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from grasscat.errors import DataError, InvalidStateError, ParameterError, SchemaError
 from grasscat.fit import (
     B_CAP,
+    MU0,
     FitConfig,
     FitGradient,
     StateCounts,
@@ -17,8 +19,12 @@ from grasscat.fit import (
     negative_log_likelihood,
     nll_gradient,
     state_counts,
+    _Packer,
     _chain_b,
+    _gauss_jordan,
+    _penalized_objective,
     _reduce_w,
+    _state_plan,
 )
 from grasscat.grassmann import GrassmannParams, state_probabilities
 from grasscat.oracle import brute_force_table
@@ -343,9 +349,68 @@ class TestBatchedKernelIsExact:
 
     def test_nll_and_gradient_at_random_draws(self, q8, rng):
         schema, sp, counts = q8
-        draws = [sp] + [random_structured(rng, schema, a) for a in (0, 1, 2, 2, 3)]
+        draws = [sp] + [random_structured(rng, schema, a) for a in (0, 1, 2, 2, 3, 4, 5)]
         finite = sum(np.isfinite(_assert_matches_reference(schema, d, counts)) for d in draws)
         assert finite >= 3
+
+    @pytest.mark.parametrize("w1, finite", [(1.0, True), (-1.0, False), (0.0, False)])
+    def test_zero_leading_entry_swaps_rows(self, w1, finite):
+        """State (1, 0) has A_s = [[0, w1 / 2], [-1, 1 + w1 / 2]]: its
+        elimination must swap rows, and det A_s = w1 / 2 is positive,
+        negative or exactly zero.  The other states pivot in place."""
+        schema = VariableSchema([VariableDecl("x", CAT, 2), VariableDecl("y", CAT, 3)])
+        sp = StructuredParams(
+            b=(np.zeros(1), np.array([0.3, -0.2])),
+            w=(np.array([-2.0, w1]), np.array([0.1, -0.2])),
+            V=np.array([[1.0, 1.0], [0.3, -0.4], [0.2, 0.5]]),
+            omega=np.array([0.5, 0.5]),
+        )
+        rows = [(1, 0)] * 3 + [(0, 0)] * 4 + [(0, 1), (0, 2), (0, 2)]
+        counts = state_counts(schema, np.array(rows))
+        lam = np.asarray(assemble_lambda(schema, sp).lam)
+        assert lam[0, 0] - 1.0 == w1 / 2.0  # the minor of state (1, 0) is det A_s exactly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nll = _assert_matches_reference(schema, sp, counts)
+        assert np.isfinite(nll) == finite
+
+    def test_elimination_matches_lapack(self, rng):
+        """Sign, log|det| and inverse of random stacks, a third of them
+        with a zero leading entry (singular at a = 1), against np.linalg."""
+        for a in range(1, 6):
+            stack = rng.normal(size=(40, a, a))
+            stack[::3, 0, 0] = 0.0
+            sign, logdet, inv = _gauss_jordan(np.ascontiguousarray(stack.transpose(1, 2, 0)), True)
+            want_sign, want_logdet = np.linalg.slogdet(stack)
+            np.testing.assert_array_equal(sign, want_sign)
+            ok = want_sign != 0
+            assert ok.sum() == (40 if a > 1 else 26)
+            np.testing.assert_allclose(logdet[ok], want_logdet[ok], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(inv.transpose(2, 0, 1)[ok], np.linalg.inv(stack[ok]),
+                                       rtol=1e-9, atol=1e-9)
+            det_only = _gauss_jordan(stack.transpose(1, 2, 0), False)
+            np.testing.assert_array_equal(det_only[0], sign)
+            assert det_only[2] is None
+
+    def test_objective_makes_no_lapack_call(self, rng, monkeypatch):
+        schema = reader_style_schema()
+        counts = state_counts(schema, np.stack(
+            [rng.integers(0, v.levels, 300) for v in schema.variables], axis=1))
+        packer = _Packer(schema, 2)
+        plan = _state_plan(schema, counts)
+        sp = reader_style_true_params()
+        x = packer.pack(sp, np.eye(schema.q + 2))
+        value, grad = _penalized_objective(x, MU0, packer, plan)
+        assert np.isfinite(value)
+
+        def lapack(*args, **kwargs):
+            raise AssertionError("the objective called np.linalg")
+
+        for name in ("slogdet", "inv", "det", "solve"):
+            monkeypatch.setattr(np.linalg, name, lapack)
+        got_value, got_grad = _penalized_objective(x, MU0, packer, plan)
+        assert got_value == pytest.approx(value, rel=1e-12, abs=0)
+        np.testing.assert_allclose(got_grad, grad, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("diagonal", [1.0, 0.5])
     def test_singular_or_negative_minor_is_infinite(self, diagonal):

@@ -16,6 +16,7 @@ from grasscat.schema import (
 )
 from grasscat.structure import (
     StructuredParams,
+    _raw_lambda,
     assemble_lambda,
     aux_loading_matrix,
     categorical_pmf,
@@ -86,6 +87,36 @@ class TestAuxLoading:
         schema = VariableSchema([VariableDecl("x", CAT, 3)])
         W = aux_loading_matrix(schema, [np.zeros(0)], a=0)
         assert W.shape == (2, 0)
+
+
+def _reference_k_and_w(schema, sp):
+    """K and W built one block at a time: the loops the cached index maps
+    replaced, kept as their reference."""
+    K = np.zeros((schema.q, schema.q))
+    W = np.zeros((schema.q, sp.a))
+    for v, (s, e), bv, wv in zip(schema.variables, schema.blocks, sp.b, sp.w):
+        if v.kind is CAT:
+            K[s:e, s:e] = np.exp(bv)[None, :]
+            W[s:e, :] = wv[None, :]
+        else:
+            K[s:e, s:e] += np.diag(np.full(e - s - 1, -1.0), -1)
+            K[s, s:e] = np.exp(np.cumsum(bv))
+            W[s, :] = wv
+    return K, W
+
+
+def test_index_maps_match_the_block_loops_bit_for_bit(rng):
+    for _ in range(300):
+        schema = random_schema(rng, int(rng.integers(1, 25)), max_levels=int(rng.integers(2, 9)))
+        sp = random_structured(rng, schema, int(rng.integers(0, 5)), b_scale=3.0)
+        K, W = _reference_k_and_w(schema, sp)
+        assert np.array_equal(quasi_diagonal_blocks(schema, sp.b), K)
+        assert np.array_equal(aux_loading_matrix(schema, sp.w, sp.a), W)
+        lam = np.eye(schema.q) + K + (W * sp.omega[None, :]) @ sp.V.T
+        assert np.array_equal(_raw_lambda(schema, sp), lam)
+    empty = VariableSchema([])
+    assert quasi_diagonal_blocks(empty, []).shape == (0, 0)
+    assert aux_loading_matrix(empty, [], 2).shape == (0, 2)
 
 
 class TestAssemble:
