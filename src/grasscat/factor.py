@@ -423,7 +423,11 @@ def fit_factor_model(
     q = schema.q
     Y_states = allowed_table(schema)[0].astype(float)
     obs_states, obs_counts = counts.as_arrays()
+    obs_states = obs_states.astype(float)
     n = obs_counts.sum()
+    # the data's terms of the gradient do not depend on the parameters
+    emp_u = obs_counts @ obs_states
+    emp_uu = (obs_states * obs_counts[:, None]).T @ obs_states
 
     p_x = 0
     X = None
@@ -461,8 +465,7 @@ def fit_factor_model(
         pw = np.exp(logw - logz)
         e_u = pw @ Y_states
         e_uu = (Y_states * pw[:, None]).T @ Y_states
-        emp_uu = (obs_states * obs_counts[:, None]).T @ obs_states
-        g_b = n * e_u - obs_counts @ obs_states
+        g_b = n * e_u - emp_u
         g_G = (n * e_uu - emp_uu) @ G
         g_s = 0.0
         if p_z > 0 and kappa > 0.0:

@@ -30,6 +30,12 @@ the fit; it never enters the likelihood.  The margins do not certify
 positivity, so they are diagnostics: a fit is feasible when every allowed
 state, the only states whose minors the parametrization does not make
 zero, has a nonnegative probability.
+
+Inside a fit the parameters live only in L-BFGS-B's flat vector (b, w, V,
+rho = logit(omega), C - I).  The objective reads views of it and returns its
+gradient in the same order.  A StructuredParams is built from it only
+between L-BFGS-B runs: for the restart key, the margins and the result.  The public
+NLL and gradient check a StructuredParams and pass its flat layout on.
 """
 
 from __future__ import annotations
@@ -54,11 +60,13 @@ from .schema import (
 from .structure import (
     StructuredParams,
     TAU_C,
-    aux_loading_matrix,
-    dominance_certificate,
+    _aux_loading,
+    _middle,
+    _quasi_diagonal,
     assemble_lambda,
+    dominance_certificate,
+    flat_params,
     free_row_indices,
-    middle_factor,
     row_margins,
 )
 
@@ -231,34 +239,36 @@ class FitGradient:
 
 
 def _likelihood(
-    schema: VariableSchema, sp: StructuredParams, plan: _StatePlan, gradient: bool
-) -> tuple[float, FitGradient | None]:
-    """The NLL and, if ``gradient``, its gradient, from a x a determinants;
-    ``(inf, None)`` when det A_s of an observed state or det Abar has sign
-    <= 0, or when e^-beta overflows on a bit an observed level ends on."""
-    q, a = schema.q, sp.a
+    schema: VariableSchema, b: np.ndarray, w: np.ndarray, V: np.ndarray,
+    omega: np.ndarray, plan: _StatePlan, gradient: bool,
+) -> tuple[float, np.ndarray | None]:
+    """The NLL and, if ``gradient``, its gradient in (b, w, V, omega) laid
+    end to end, at b laid end to end and the (variables, a) w rows, from
+    a x a determinants; ``(inf, None)`` when det A_s of an observed state
+    or det Abar has sign <= 0, or when e^-beta overflows on a bit an
+    observed level ends on."""
+    q, a = V.shape
     m = len(plan.weights)
-    W = np.concatenate(sp.w).reshape(len(schema), a) if sp.w else np.zeros((0, a))
-    beta = plan.beta_of_b @ (np.concatenate(sp.b) if sp.b else np.zeros(0))
+    beta = plan.beta_of_b @ b
     # log Z_v with the largest of 0 and the block's beta factored out
     top = (plan.members * beta).max(axis=1, initial=0.0)
     log_z = top + np.log(np.exp(-top) + plan.members @ np.exp(beta - top @ plan.members))
     inv_z = np.exp(-log_z)
-    sums = (plan.members @ sp.V) * inv_z[:, None]
-    x_bar = sums * sp.omega
+    sums = (plan.members @ V) * inv_z[:, None]
+    x_bar = sums * omega
     ends = plan.bit_counts > 0
     decay = np.zeros(q)
     with np.errstate(over="ignore", invalid="ignore"):
         decay[ends] = np.exp(-beta[ends])
-        x = decay[:, None] * sp.V * sp.omega  # x_v(l) on the bit each level ends on
+        x = decay[:, None] * V * omega  # x_v(l) on the bit each level ends on
     if not np.isfinite(x).all():
         return INFEASIBLE_NLL, None
-    w_bit = W.take(schema.block_maps.var, axis=0)  # each bit's w_v
+    w_bit = w.take(schema.block_maps.var, axis=0)  # each bit's w_v
     # A_s - I = sum_r E[r, s] x_r w_r^T over the m states, then Abar - I: (a, a, m + 1)
     A = np.empty((a * a, m + 1))
     np.matmul((x[:, :, None] * w_bit[:, None, :]).reshape(q, a * a).T, plan.ends,
               out=A[:, :m])
-    A[:, m] = (x_bar.T @ W).ravel()
+    A[:, m] = (x_bar.T @ w).ravel()
     A[:: a + 1] += 1.0
     sign, logdet, inv = _gauss_jordan(A.reshape(a, a, m + 1), gradient)
     if (sign <= 0).any():
@@ -273,19 +283,17 @@ def _likelihood(
     inv_bar = inv[:, :, m]
     T = (plan.ends @ (inv[:, :, :m] * plan.weights).reshape(a * a, m).T).reshape(q, a, a)
     per_bit = (w_bit[:, :, None] * T).sum(axis=1)  # sum of n_s A_s^-T w_v, per bit
-    to_x_bar = n * (W @ inv_bar)
+    to_x_bar = n * (w @ inv_bar)
     share = np.exp(beta - log_z @ plan.members)  # e^beta / Z_v of each bit's level
     g_beta = (
         (x * per_bit).sum(axis=1) - plan.bit_counts
         + share * ((n - (x_bar * to_x_bar).sum(axis=1)) @ plan.members)
     )
-    g_b = plan.beta_of_b.T @ g_beta
     g_w = n * x_bar @ inv_bar.T - plan.members @ (T * x[:, None, :]).sum(axis=2)
-    return nll, FitGradient(
-        b=tuple(g_b[s:e] for s, e in schema.blocks),
-        w=tuple(g_w),
-        V=sp.omega * (plan.members.T @ (to_x_bar * inv_z[:, None]) - decay[:, None] * per_bit),
-        omega=(to_x_bar * sums).sum(axis=0) - (decay[:, None] * sp.V * per_bit).sum(axis=0),
+    g_V = omega * (plan.members.T @ (to_x_bar * inv_z[:, None]) - decay[:, None] * per_bit)
+    g_omega = (to_x_bar * sums).sum(axis=0) - (decay[:, None] * V * per_bit).sum(axis=0)
+    return nll, np.concatenate(
+        [plan.beta_of_b.T @ g_beta, g_w.ravel(), g_V.ravel(), g_omega]
     )
 
 
@@ -293,19 +301,22 @@ def negative_log_likelihood(
     schema: VariableSchema, sp: StructuredParams, counts: StateCounts
 ) -> float:
     """Exact data NLL; +inf when any observed state has nonpositive probability."""
-    middle_factor(schema, sp)  # raises SchemaError on a malformed b, w, V or omega
-    return _likelihood(schema, sp, _state_plan(schema, counts), gradient=False)[0]
+    # flat_params raises SchemaError or ParameterError on a malformed b, w, V or omega
+    return _likelihood(schema, *flat_params(schema, sp), _state_plan(schema, counts),
+                       gradient=False)[0]
 
 
 def nll_gradient(
     schema: VariableSchema, sp: StructuredParams, counts: StateCounts
 ) -> FitGradient:
     """Analytic NLL gradient, exact where the NLL is finite; ParameterError where it is inf."""
-    middle_factor(schema, sp)  # raises SchemaError on a malformed b, w, V or omega
-    _, grad = _likelihood(schema, sp, _state_plan(schema, counts), gradient=True)
+    _, grad = _likelihood(schema, *flat_params(schema, sp), _state_plan(schema, counts),
+                          gradient=True)
     if grad is None:
         raise ParameterError("the NLL is +inf at these parameters; it has no gradient")
-    return grad
+    b, w, V, omega = np.split(grad, np.cumsum([schema.q, sp.a * len(schema), sp.V.size]))
+    return FitGradient(tuple(b[s:e] for s, e in schema.blocks),
+                       tuple(w.reshape(len(schema), sp.a)), V.reshape(sp.V.shape), omega)
 
 
 # -- dominance penalty -------------------------------------------------------
@@ -347,22 +358,16 @@ def _margin_grad_rows(mat: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     return G
 
 
-@dataclass
-class _PenaltyGrads:
-    value: float
-    b: tuple[np.ndarray, ...]
-    w: tuple[np.ndarray, ...]
-    V: np.ndarray
-    C: np.ndarray
-
-
 def dominance_penalty(
-    schema: VariableSchema, sp: StructuredParams, C: np.ndarray, mu: float
-) -> _PenaltyGrads:
+    schema: VariableSchema, b: np.ndarray, w: np.ndarray, V: np.ndarray, C: np.ndarray, mu: float
+) -> tuple[float, np.ndarray, np.ndarray]:
     """Squared-hinge penalty on negative free-row margins of B = M C and on
-    rows of the slack C below the strict threshold, with its gradient."""
-    a = sp.a
-    M = middle_factor(schema, sp)
+    rows of the slack C below the strict threshold, at b laid end to end and
+    the (variables, a) w rows: its value, its gradient in (b, w, V) laid end
+    to end, and its gradient in C."""
+    q, a = V.shape
+    W = _aux_loading(schema, w)
+    M = _middle(_quasi_diagonal(schema, b), W, V)
     B = M @ C
     free = free_row_indices(schema, a)
     mb = row_margins(B)
@@ -378,12 +383,10 @@ def dominance_penalty(
     G_M = G_B @ C.T
     G_C = G_C + M.T @ G_B
 
-    q = schema.q
-    W = aux_loading_matrix(schema, sp.w, a)
-    g_b = _chain_b(schema, sp.b, G_M[:q, :q])
-    g_w = _reduce_w(schema, G_M[:q, :q] @ sp.V - G_M[:q, q:])
+    g_b = _chain_b(schema, [b[s:e] for s, e in schema.blocks], G_M[:q, :q])
+    g_w = _reduce_w(schema, G_M[:q, :q] @ V - G_M[:q, q:])
     g_V = G_M[:q, :q].T @ W - G_M[q:, :q].T
-    return _PenaltyGrads(value=value, b=g_b, w=g_w, V=g_V, C=G_C)
+    return value, np.concatenate([*g_b, *g_w, g_V.ravel()]), G_C
 
 
 # -- parameter packing -------------------------------------------------------
@@ -397,60 +400,38 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 class _Packer:
-    """Flat-vector view of (b, w, V, rho, E) with omega = sigmoid(rho) and
-    the penalty's slack C = I + E."""
+    """Flat-vector layout of (b, w, V, rho, E) with omega = sigmoid(rho) and
+    the penalty's slack C = I + E: b laid end to end, then the (variables,
+    a) w rows, V, rho and E, each flattened."""
 
     def __init__(self, schema: VariableSchema, a: int):
         self.schema = schema
         self.a = a
-        self.n_v = schema.q * a
-        n_b = sum(v.block_size for v in schema.variables)
-        n_w = len(schema) * a
+        q, k = schema.q, len(schema)
+        self.cuts = np.cumsum([q, k * a, q * a, a])  # where w, V, rho and E start
         self.bounds: list[tuple[float | None, float | None]] = (
-            [(-B_CAP, B_CAP)] * n_b
-            + [(None, None)] * (n_w + self.n_v)
+            [(-B_CAP, B_CAP)] * q
+            + [(None, None)] * ((k + q) * a)
             + [(-13.8, 13.8)] * a  # keeps omega inside its clamp
-            + [(None, None)] * (schema.q + a) ** 2
+            + [(None, None)] * (q + a) ** 2
         )
 
     def pack(self, sp: StructuredParams, C: np.ndarray) -> np.ndarray:
-        parts = [np.concatenate(sp.b) if sp.b else np.zeros(0)]
-        parts.append(np.concatenate(sp.w) if self.a and sp.w else np.zeros(0))
-        parts.append(sp.V.ravel())
         omega = np.clip(sp.omega, 1e-6, 1.0 - 1e-6)
-        parts.append(_logit(omega))
-        n = self.schema.q + self.a
-        parts.append((C - np.eye(n)).ravel())
-        return np.concatenate(parts)
+        return np.concatenate([*sp.b, *sp.w, sp.V.ravel(), _logit(omega),
+                               (C - np.eye(self.schema.q + self.a)).ravel()])
 
-    def unpack(self, x: np.ndarray) -> tuple[StructuredParams, np.ndarray]:
-        schema, a = self.schema, self.a
-        pos = 0
-        b = []
-        for v in schema.variables:
-            b.append(x[pos : pos + v.block_size].copy())
-            pos += v.block_size
-        w = []
-        for _ in schema.variables:
-            w.append(x[pos : pos + a].copy())
-            pos += a
-        V = x[pos : pos + self.n_v].reshape(schema.q, a).copy()
-        pos += self.n_v
-        rho = x[pos : pos + a]
-        pos += a
+    def unpack(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(b, w, V, omega, C) at ``x``: b, w and V are views of it."""
+        q, k, a = self.schema.q, len(self.schema), self.a
+        b, w, V, rho, E = np.split(x, self.cuts)
         omega = np.clip(_sigmoid(rho), 1e-6, 1.0 - 1e-6)
-        n = schema.q + a
-        C = np.eye(n) + x[pos : pos + n * n].reshape(n, n)
-        return StructuredParams(b=tuple(b), w=tuple(w), V=V, omega=omega), C
+        return b, w.reshape(k, a), V.reshape(q, a), omega, np.eye(q + a) + E.reshape(q + a, q + a)
 
-    def pack_grad(self, sp: StructuredParams, g: FitGradient, g_c: np.ndarray) -> np.ndarray:
-        parts = [np.concatenate(g.b) if g.b else np.zeros(0)]
-        parts.append(np.concatenate(g.w) if self.a and g.w else np.zeros(0))
-        parts.append(g.V.ravel())
-        omega = sp.omega
-        parts.append(g.omega * omega * (1.0 - omega))
-        parts.append(g_c.ravel())
-        return np.concatenate(parts)
+    def params(self, x: np.ndarray) -> tuple[StructuredParams, np.ndarray]:
+        """The model and the slack C at ``x``."""
+        b, w, V, omega, C = self.unpack(x)
+        return StructuredParams(tuple(b[s:e] for s, e in self.schema.blocks), tuple(w), V, omega), C
 
 
 def _penalized_objective(
@@ -458,19 +439,15 @@ def _penalized_objective(
 ) -> tuple[float, np.ndarray]:
     """NLL plus the dominance penalty at weight ``mu``, and its gradient, at
     the flat vector ``x``; ``(inf, 0)`` outside the likelihood's domain."""
-    schema = packer.schema
-    sp, C = packer.unpack(x)
-    nll, g = _likelihood(schema, sp, plan, gradient=True)
+    b, w, V, omega, C = packer.unpack(x)
+    nll, g = _likelihood(packer.schema, b, w, V, omega, plan, gradient=True)
     if g is None:
         return INFEASIBLE_NLL, np.zeros_like(x)
-    pen = dominance_penalty(schema, sp, C, mu)
-    g = FitGradient(
-        b=tuple(gb + pb for gb, pb in zip(g.b, pen.b)),
-        w=tuple(gw + pw for gw, pw in zip(g.w, pen.w)),
-        V=g.V + pen.V,
-        omega=g.omega,
+    pen, g_pen, g_c = dominance_penalty(packer.schema, b, w, V, C, mu)
+    n = len(g_pen)  # g ends with the omega gradient; chain it to rho
+    return nll + pen, np.concatenate(
+        [g[:n] + g_pen, g[n:] * omega * (1.0 - omega), g_c.ravel()]
     )
-    return nll + pen.value, packer.pack_grad(sp, g, pen.C)
 
 
 # -- the restart / penalty-ramp driver ---------------------------------------
@@ -655,16 +632,14 @@ def fit_grassmann(
         )
 
     def key(x: np.ndarray) -> tuple[float, float]:
-        sp, C = packer.unpack(x)
-        return _likelihood(schema, sp, plan, gradient=False)[0], float(
-            np.linalg.norm(packer.pack(sp, C))
-        )
+        nll = _likelihood(schema, *packer.unpack(x)[:4], plan, gradient=False)[0]
+        return nll, float(np.linalg.norm(packer.pack(*packer.params(x))))
 
     (nll, _), x, success, iterations = _penalized_fit(
         config.seed, config.restarts, MU0, start, solve,
-        lambda x: dominance_certificate(schema, *packer.unpack(x)).passed, key,
+        lambda x: dominance_certificate(schema, *packer.params(x)).passed, key,
     )
-    sp_fit, C_fit = packer.unpack(x)
+    sp_fit, C_fit = packer.params(x)
     params = assemble_lambda(schema, sp_fit)
     report = dominance_certificate(schema, sp_fit, C_fit)
     mean_model, _ = moments(params)

@@ -33,9 +33,10 @@ exhaustive check on the extended (q + a) matrix is a rigorous alternative,
 validity of the extended distribution implies validity of its observed
 marginal.  :func:`assemble_lambda` runs neither check.
 
-Shapes are checked once, where they are read: :func:`validate_shapes` checks
-V and omega, :func:`quasi_diagonal_blocks` and :func:`aux_loading_matrix`
-check the b and w vectors, and :func:`dominance_certificate` checks C.
+Shapes are checked once, where they are read: the public builders check
+their input, and :func:`flat_params` checks all of (b, w, V, omega).  The
+fit's objective reads views of its optimizer vector, whose layout fixes
+the shapes, through the unchecked bodies of K, W and the middle factor.
 """
 
 from __future__ import annotations
@@ -95,8 +96,7 @@ class StructuredParams:
 
 def validate_shapes(schema: VariableSchema, sp: StructuredParams) -> None:
     """Check V and omega against the schema.  The b and w vectors are
-    checked where they are read, by :func:`quasi_diagonal_blocks` and
-    :func:`aux_loading_matrix`."""
+    checked where they are read."""
     a = sp.a
     if sp.V.shape != (schema.q, a):
         raise SchemaError(f"V has shape {sp.V.shape}, expected ({schema.q}, {a})")
@@ -108,9 +108,10 @@ def validate_shapes(schema: VariableSchema, sp: StructuredParams) -> None:
         )
 
 
-def _checked_vectors(schema: VariableSchema, vectors, name: str, sizes) -> list[np.ndarray]:
-    """The per-variable ``name`` vectors as float arrays; SchemaError unless
-    there is one per variable, of length ``sizes[j]`` for variable j."""
+def _checked_vectors(schema: VariableSchema, vectors, name: str, sizes) -> np.ndarray:
+    """The per-variable ``name`` vectors laid end to end as one float array;
+    SchemaError unless there is one per variable, of length ``sizes[j]`` for
+    variable j."""
     vectors = [np.asarray(v, dtype=float) for v in vectors]
     if len(vectors) != len(schema):
         raise SchemaError(f"expected {len(schema)} {name} vectors, got {len(vectors)}")
@@ -120,18 +121,31 @@ def _checked_vectors(schema: VariableSchema, vectors, name: str, sizes) -> list[
                 f"variable {v.name!r}: {name} vector has shape {vec.shape}, "
                 f"expected ({size},)"
             )
-    return vectors
+    return np.concatenate(vectors) if vectors else np.zeros(0)
+
+
+def flat_params(schema: VariableSchema, sp: StructuredParams) -> tuple[np.ndarray, ...]:
+    """``sp`` checked against the schema, as the fit's optimizer vector lays
+    it out: b laid end to end, the (variables, a) w rows, V and omega."""
+    validate_shapes(schema, sp)
+    b = _checked_vectors(schema, sp.b, "b", schema.block_maps.sizes)
+    w = _checked_vectors(schema, sp.w, "w", [sp.a] * len(schema))
+    return b, w.reshape(len(schema), sp.a), sp.V, sp.omega
 
 
 def quasi_diagonal_blocks(schema: VariableSchema, b_vectors) -> np.ndarray:
     """The block-diagonal core K: repeated exponential rows for categorical
     blocks, subdiagonal -1 plus a cumulative-product first row for ordinal
     blocks.  Off-block entries are exactly zero."""
+    b = _checked_vectors(schema, b_vectors, "b", schema.block_maps.sizes)
+    return _quasi_diagonal(schema, b)
+
+
+def _quasi_diagonal(schema: VariableSchema, b: np.ndarray) -> np.ndarray:
+    """K from the b vectors laid end to end, unchecked."""
     maps = schema.block_maps
-    b_vectors = _checked_vectors(schema, b_vectors, "b", maps.sizes)
     padded = np.zeros((len(schema), maps.width))
-    if b_vectors:
-        padded.ravel()[maps.pad_dst] = np.concatenate(b_vectors)
+    padded.ravel()[maps.pad_dst] = b
     # a categorical row keeps b; an ordinal row's exponents are its
     # cumulative sums (np.add.accumulate is np.cumsum without its wrapper)
     exps = np.exp(np.where(maps.ordinal, np.add.accumulate(padded, axis=1), padded))
@@ -144,25 +158,31 @@ def quasi_diagonal_blocks(schema: VariableSchema, b_vectors) -> np.ndarray:
 def aux_loading_matrix(schema: VariableSchema, w_vectors, a: int) -> np.ndarray:
     """The (q, a) matrix W: identical rows within categorical blocks, only
     the first row nonzero within ordinal blocks."""
-    maps = schema.block_maps
-    w_vectors = _checked_vectors(schema, w_vectors, "w", [a] * len(schema))
-    rows = np.zeros((len(schema) + 1, a))  # the last row is the zero row
-    if w_vectors:
-        rows[:-1] = w_vectors
-    return rows.take(maps.w_src, axis=0)
+    w = _checked_vectors(schema, w_vectors, "w", [a] * len(schema))
+    return _aux_loading(schema, w.reshape(len(schema), a))
+
+
+def _aux_loading(schema: VariableSchema, w: np.ndarray) -> np.ndarray:
+    """W from the (variables, a) w rows, unchecked."""
+    rows = np.zeros((len(schema) + 1, w.shape[1]))  # the last row is the zero row
+    rows[:-1] = w
+    return rows.take(schema.block_maps.w_src, axis=0)
 
 
 def middle_factor(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
     """The (q+a, q+a) factor [[K + W V^T, -W], [-V^T, I]] of the dominance
     conditions.  Note omega does not appear."""
-    validate_shapes(schema, sp)
-    q, a = schema.q, sp.a
-    K = quasi_diagonal_blocks(schema, sp.b)
-    W = aux_loading_matrix(schema, sp.w, a)
+    b, w, V, _ = flat_params(schema, sp)
+    return _middle(_quasi_diagonal(schema, b), _aux_loading(schema, w), V)
+
+
+def _middle(K: np.ndarray, W: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The middle factor from K, W and V, unchecked."""
+    q, a = V.shape
     M = np.zeros((q + a, q + a))
-    M[:q, :q] = K + W @ sp.V.T
+    M[:q, :q] = K + W @ V.T
     M[:q, q:] = -W
-    M[q:, :q] = -sp.V.T
+    M[q:, :q] = -V.T
     M[q:, q:] = np.eye(a)
     return M
 

@@ -1046,6 +1046,15 @@ class TestConsoleScript:
         )
         assert proc.stdout.splitlines()[-1] == "exit 0 False", proc.stderr
 
+    def test_module_runs_main(self, tmp_path):
+        """``python -m grasscat.cli`` runs the CLI rather than only importing it."""
+        env = {**os.environ, "PYTHONPATH": str(self.ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "grasscat.cli", "--version"], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "grasscat 0.1.0\n"), proc.stderr
+
     def test_script_entry_point(self):
         tomllib = pytest.importorskip("tomllib")
         with open(self.ROOT / "pyproject.toml", "rb") as fh:

@@ -30,6 +30,7 @@ from grasscat.grassmann import GrassmannParams, state_probabilities
 from grasscat.oracle import brute_force_table
 from grasscat.schema import Record, VariableDecl, VariableSchema, allowed_table, encode_record
 from grasscat.structure import (
+    TAU_C,
     StructuredParams,
     assemble_lambda,
     aux_loading_matrix,
@@ -411,6 +412,53 @@ class TestBatchedKernelIsExact:
         got_value, got_grad = _penalized_objective(x, MU0, packer, plan)
         assert got_value == pytest.approx(value, rel=1e-12, abs=0)
         np.testing.assert_allclose(got_grad, grad, rtol=1e-12, atol=0)
+
+    def test_objective_builds_no_typed_parameters(self, q8, monkeypatch):
+        """The objective reads the optimizer vector's views: it builds no
+        StructuredParams and no FitGradient, and returns the same bits."""
+        import grasscat.fit
+
+        schema, sp, counts = q8
+        packer = _Packer(schema, sp.a)
+        plan = _state_plan(schema, counts)
+        x = packer.pack(sp, np.eye(schema.q + sp.a))
+        value, grad = _penalized_objective(x, MU0, packer, plan)
+        assert np.isfinite(value)
+
+        def typed(*args, **kwargs):
+            raise AssertionError("the objective built a typed parameter object")
+
+        monkeypatch.setattr(grasscat.fit, "StructuredParams", typed)
+        monkeypatch.setattr(grasscat.fit, "FitGradient", typed)
+        got_value, got_grad = _penalized_objective(x, MU0, packer, plan)
+        assert got_value == value
+        np.testing.assert_array_equal(got_grad, grad)
+
+    @pytest.mark.parametrize("a", [1, 2])
+    def test_packed_gradient_matches_finite_differences(self, q8, rng, a):
+        """Central differences of the penalized objective in every coordinate
+        of the packed (b, w, V, rho, E) vector, where both the free-row hinge
+        and the slack hinge are active."""
+        schema, sp, counts = q8
+        if a != sp.a:
+            sp = random_certified_structured(rng, schema, a)
+        packer = _Packer(schema, a)
+        plan = _state_plan(schema, counts)
+        C = np.eye(schema.q + a) + rng.normal(0.0, 0.3, (schema.q + a, schema.q + a))
+        x = packer.pack(sp, C)
+        margins = dominance_certificate(schema, sp, C)
+        assert margins.worst_b_free < 0.0 and margins.worst_c < TAU_C
+        value, grad = _penalized_objective(x, 100.0, packer, plan)
+        assert np.isfinite(value)
+        h = 1e-6
+        worst = 0.0
+        for i in range(len(x)):
+            step = np.zeros_like(x)
+            step[i] = h
+            fd = (_penalized_objective(x + step, 100.0, packer, plan)[0]
+                  - _penalized_objective(x - step, 100.0, packer, plan)[0]) / (2 * h)
+            worst = max(worst, abs(fd - grad[i]) / max(1.0, abs(fd)))
+        assert worst <= 1e-5
 
     @pytest.mark.parametrize("diagonal", [1.0, 0.5])
     def test_singular_or_negative_minor_is_infinite(self, diagonal):
