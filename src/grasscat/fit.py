@@ -24,12 +24,15 @@ states' popcounts, and no LAPACK call.
 
 The dominance conditions are enforced by a smooth squared-hinge penalty on
 the free-row margins of B = M C and on the strict margins of C, with the
-penalty weight raised on a schedule until the margins pass.  The slack
-matrix C rides along as extra optimization variables and is dropped after
-the fit; it never enters the likelihood.  The margins do not certify
-positivity, so they are diagnostics: a fit is feasible when every allowed
-state, the only states whose minors the parametrization does not make
-zero, has a nonnegative probability.
+penalty weight raised on a schedule until the margins pass.  The penalty
+fills only the free rows of M and leaves them in place among zero rows, so
+every BLAS product rounds as the full-matrix one did; its gradient reaches
+the packed (b, w, V) through the schema's index maps, with no loop over
+the variables.  The slack matrix C rides along as extra optimization
+variables and is dropped after the fit; it never enters the likelihood.
+The margins do not certify positivity, so they are diagnostics: a fit is
+feasible when every allowed state, the only states whose minors the
+parametrization does not make zero, has a nonnegative probability.
 
 Inside a fit the parameters live only in L-BFGS-B's flat vector (b, w, V,
 rho = logit(omega), C - I).  The objective reads views of it and returns its
@@ -60,14 +63,11 @@ from .schema import (
 from .structure import (
     StructuredParams,
     TAU_C,
-    _aux_loading,
+    _block_exps,
     _middle,
-    _quasi_diagonal,
     assemble_lambda,
     dominance_certificate,
     flat_params,
-    free_row_indices,
-    row_margins,
 )
 
 if TYPE_CHECKING:
@@ -321,41 +321,7 @@ def nll_gradient(
 
 # -- dominance penalty -------------------------------------------------------
 
-def _chain_b(
-    schema: VariableSchema, b_vectors: tuple[np.ndarray, ...], G: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """Chain an ambient gradient matrix through the quasi-diagonal core."""
-    out = []
-    for j, v in enumerate(schema.variables):
-        s, e = schema.blocks[j]
-        bv = b_vectors[j]
-        if v.kind is VariableKind.CATEGORICAL:
-            out.append(np.exp(bv) * G[s:e, s:e].sum(axis=0))
-        else:
-            psi = np.exp(np.cumsum(bv))
-            contrib = psi * G[s, s:e]
-            out.append(contrib[::-1].cumsum()[::-1])
-    return tuple(out)
-
-
-def _reduce_w(schema: VariableSchema, G_ambient: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Collapse an ambient (q, a) gradient onto the per-variable w vectors."""
-    out = []
-    for j, v in enumerate(schema.variables):
-        s, e = schema.blocks[j]
-        if v.kind is VariableKind.CATEGORICAL:
-            out.append(G_ambient[s:e].sum(axis=0))
-        else:
-            out.append(G_ambient[s].copy())
-    return tuple(out)
-
-
-def _margin_grad_rows(mat: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """Gradient of sum_k coeff_k * margin_k(mat) with margin = 2|d| - row sum."""
-    G = -np.sign(mat) * coeff[:, None]
-    diag = np.diag(G).copy() + 2.0 * np.sign(np.diag(mat)) * coeff
-    np.fill_diagonal(G, diag)
-    return G
+_FLOORS = np.array([[0.0], [TAU_C]])  # the least passing margin of B's rows and of C's
 
 
 def dominance_penalty(
@@ -366,27 +332,42 @@ def dominance_penalty(
     the (variables, a) w rows: its value, its gradient in (b, w, V) laid end
     to end, and its gradient in C."""
     q, a = V.shape
-    W = _aux_loading(schema, w)
-    M = _middle(_quasi_diagonal(schema, b), W, V)
-    B = M @ C
-    free = free_row_indices(schema, a)
-    mb = row_margins(B)
-    mc = row_margins(C)
-    viol_b = np.zeros_like(mb)
-    viol_b[free] = np.maximum(0.0, -mb[free])
-    viol_c = np.maximum(0.0, TAU_C - mc)
-    value = mu * float((viol_b**2).sum() + (viol_c**2).sum())
+    n = q + a
+    maps = schema.block_maps
+    # M's free rows, zero elsewhere, so B's other rows are zero and score nothing
+    exps = _block_exps(schema, b)
+    K = np.zeros((q, q))
+    K.ravel()[maps.first_dst] = exps.ravel()[maps.pad_dst]
+    W = np.zeros((q, a))
+    W[maps.starts] = w
+    M = _middle(K, W, V)
+    # one hinge over the stack [B, C]: margin = 2|diagonal entry| - row's absolute sum
+    T = np.empty((2, n, n))
+    np.matmul(M, C, out=T[0])
+    T[1] = C
+    A = np.abs(T)
+    margins = 2.0 * A.reshape(2, n * n)[:, :: n + 1] - A.sum(axis=2)
+    viol = np.maximum(0.0, _FLOORS - margins)
+    sums = (viol**2).sum(axis=1)
+    value = mu * float(sums[0] + sums[1])
 
-    # d value / d margin = -2 mu viol
-    G_B = _margin_grad_rows(B, -2.0 * mu * viol_b)
-    G_C = _margin_grad_rows(C, -2.0 * mu * viol_c)
+    coeff = -2.0 * mu * viol  # d value / d margin
+    S = np.sign(T)
+    G = -S * coeff[:, :, None]
+    G.reshape(2, n * n)[:, :: n + 1] += 2.0 * S.reshape(2, n * n)[:, :: n + 1] * coeff
+    G_B, G_C = G
     G_M = G_B @ C.T
-    G_C = G_C + M.T @ G_B
-
-    g_b = _chain_b(schema, [b[s:e] for s, e in schema.blocks], G_M[:q, :q])
-    g_w = _reduce_w(schema, G_M[:q, :q] @ V - G_M[:q, q:])
-    g_V = G_M[:q, :q].T @ W - G_M[q:, :q].T
-    return value, np.concatenate([*g_b, *g_w, g_V.ravel()]), G_C
+    G_C += M.T @ G_B
+    G_K = G_M[:q, :q]
+    # d/db: e^beta times each bit's entry of G_K; an ordinal block sums it
+    # over the bit and the bits after it (a reversed cumulative sum)
+    padded = np.zeros((len(schema), maps.width))
+    padded.ravel()[maps.pad_dst] = G_K.ravel()[maps.first_dst]
+    padded *= exps
+    g_b = np.where(maps.ordinal, np.add.accumulate(padded[:, ::-1], axis=1)[:, ::-1], padded)
+    g_w = (G_K @ V - G_M[:q, q:])[maps.starts]
+    g_V = G_K.T @ W - G_M[q:, :q].T
+    return value, np.concatenate([g_b.ravel()[maps.pad_dst], g_w.ravel(), g_V.ravel()]), G_C
 
 
 # -- parameter packing -------------------------------------------------------
@@ -408,7 +389,8 @@ class _Packer:
         self.schema = schema
         self.a = a
         q, k = schema.q, len(schema)
-        self.cuts = np.cumsum([q, k * a, q * a, a])  # where w, V, rho and E start
+        self.cuts = tuple(np.cumsum([q, k * a, q * a, a]).tolist())  # where w, V, rho and E start
+        self.eye = np.eye(q + a)
         self.bounds: list[tuple[float | None, float | None]] = (
             [(-B_CAP, B_CAP)] * q
             + [(None, None)] * ((k + q) * a)
@@ -419,14 +401,15 @@ class _Packer:
     def pack(self, sp: StructuredParams, C: np.ndarray) -> np.ndarray:
         omega = np.clip(sp.omega, 1e-6, 1.0 - 1e-6)
         return np.concatenate([*sp.b, *sp.w, sp.V.ravel(), _logit(omega),
-                               (C - np.eye(self.schema.q + self.a)).ravel()])
+                               (C - self.eye).ravel()])
 
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
         """(b, w, V, omega, C) at ``x``: b, w and V are views of it."""
         q, k, a = self.schema.q, len(self.schema), self.a
-        b, w, V, rho, E = np.split(x, self.cuts)
-        omega = np.clip(_sigmoid(rho), 1e-6, 1.0 - 1e-6)
-        return b, w.reshape(k, a), V.reshape(q, a), omega, np.eye(q + a) + E.reshape(q + a, q + a)
+        i, j, l, m = self.cuts
+        omega = _sigmoid(x[l:m]).clip(1e-6, 1.0 - 1e-6)  # the method skips np.clip's dispatch
+        return (x[:i], x[i:j].reshape(k, a), x[j:l].reshape(q, a), omega,
+                self.eye + x[m:].reshape(q + a, q + a))
 
     def params(self, x: np.ndarray) -> tuple[StructuredParams, np.ndarray]:
         """The model and the slack C at ``x``."""
@@ -444,10 +427,12 @@ def _penalized_objective(
     if g is None:
         return INFEASIBLE_NLL, np.zeros_like(x)
     pen, g_pen, g_c = dominance_penalty(packer.schema, b, w, V, C, mu)
-    n = len(g_pen)  # g ends with the omega gradient; chain it to rho
-    return nll + pen, np.concatenate(
-        [g[:n] + g_pen, g[n:] * omega * (1.0 - omega), g_c.ravel()]
-    )
+    _, _, i, m = packer.cuts  # g ends with the omega gradient; chain it to rho
+    grad = np.empty(len(x))
+    np.add(g[:i], g_pen, out=grad[:i])
+    grad[i:m] = g[i:] * omega * (1.0 - omega)
+    grad[m:] = g_c.ravel()
+    return nll + pen, grad
 
 
 # -- the restart / penalty-ramp driver ---------------------------------------

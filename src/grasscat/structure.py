@@ -36,7 +36,8 @@ marginal.  :func:`assemble_lambda` runs neither check.
 Shapes are checked once, where they are read: the public builders check
 their input, and :func:`flat_params` checks all of (b, w, V, omega).  The
 fit's objective reads views of its optimizer vector, whose layout fixes
-the shapes, through the unchecked bodies of K, W and the middle factor.
+the shapes, through the unchecked e^beta of K's first rows
+(:func:`_block_exps`) and the unchecked middle factor.
 """
 
 from __future__ import annotations
@@ -144,15 +145,22 @@ def quasi_diagonal_blocks(schema: VariableSchema, b_vectors) -> np.ndarray:
 def _quasi_diagonal(schema: VariableSchema, b: np.ndarray) -> np.ndarray:
     """K from the b vectors laid end to end, unchecked."""
     maps = schema.block_maps
+    K = np.zeros((schema.q, schema.q))
+    K.ravel()[maps.k_dst] = _block_exps(schema, b).ravel()[maps.k_src]
+    K.ravel()[maps.sub_dst] = -1.0
+    return K
+
+
+def _block_exps(schema: VariableSchema, b: np.ndarray) -> np.ndarray:
+    """The entries e^beta of every block's first row of K, from the b
+    vectors laid end to end: one row per variable, zero-padded to the
+    widest block before the exponential."""
+    maps = schema.block_maps
     padded = np.zeros((len(schema), maps.width))
     padded.ravel()[maps.pad_dst] = b
     # a categorical row keeps b; an ordinal row's exponents are its
     # cumulative sums (np.add.accumulate is np.cumsum without its wrapper)
-    exps = np.exp(np.where(maps.ordinal, np.add.accumulate(padded, axis=1), padded))
-    K = np.zeros((schema.q, schema.q))
-    K.ravel()[maps.k_dst] = exps.ravel()[maps.k_src]
-    K.ravel()[maps.sub_dst] = -1.0
-    return K
+    return np.exp(np.where(maps.ordinal, np.add.accumulate(padded, axis=1), padded))
 
 
 def aux_loading_matrix(schema: VariableSchema, w_vectors, a: int) -> np.ndarray:
@@ -196,9 +204,7 @@ def row_margins(mat: np.ndarray) -> np.ndarray:
 def free_row_indices(schema: VariableSchema, a: int) -> np.ndarray:
     """Rows of B whose dominance is structurally attainable: the first row of
     each variable block plus all auxiliary rows."""
-    rows = [schema.blocks[j][0] for j in range(len(schema))]
-    rows.extend(range(schema.q, schema.q + a))
-    return np.asarray(rows, dtype=int)
+    return np.concatenate([schema.block_maps.starts, np.arange(schema.q, schema.q + a)])
 
 
 @dataclass(frozen=True)

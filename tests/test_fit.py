@@ -20,27 +20,37 @@ from grasscat.fit import (
     nll_gradient,
     state_counts,
     _Packer,
-    _chain_b,
     _gauss_jordan,
     _penalized_objective,
-    _reduce_w,
     _state_plan,
+    dominance_penalty,
 )
 from grasscat.grassmann import GrassmannParams, state_probabilities
 from grasscat.oracle import brute_force_table
-from grasscat.schema import Record, VariableDecl, VariableSchema, allowed_table, encode_record
+from grasscat.schema import (
+    Record,
+    VariableDecl,
+    VariableKind,
+    VariableSchema,
+    allowed_table,
+    encode_record,
+)
 from grasscat.structure import (
     TAU_C,
     StructuredParams,
     assemble_lambda,
     aux_loading_matrix,
     dominance_certificate,
+    free_row_indices,
+    middle_factor,
     ordinal_pmf,
+    row_margins,
 )
 
 from generators import (
     CAT,
     ORD,
+    dominance_friendly_b,
     random_certified_structured,
     random_schema,
     random_structured,
@@ -287,6 +297,33 @@ def _reference_grad(lam, counts):
     return G
 
 
+def _chain_b(schema, b_vectors, G):
+    """Chain an ambient gradient matrix through the quasi-diagonal core."""
+    out = []
+    for j, v in enumerate(schema.variables):
+        s, e = schema.blocks[j]
+        bv = b_vectors[j]
+        if v.kind is VariableKind.CATEGORICAL:
+            out.append(np.exp(bv) * G[s:e, s:e].sum(axis=0))
+        else:
+            psi = np.exp(np.cumsum(bv))
+            contrib = psi * G[s, s:e]
+            out.append(contrib[::-1].cumsum()[::-1])
+    return tuple(out)
+
+
+def _reduce_w(schema, G_ambient):
+    """Collapse an ambient (q, a) gradient onto the per-variable w vectors."""
+    out = []
+    for j, v in enumerate(schema.variables):
+        s, e = schema.blocks[j]
+        if v.kind is VariableKind.CATEGORICAL:
+            out.append(G_ambient[s:e].sum(axis=0))
+        else:
+            out.append(G_ambient[s].copy())
+    return tuple(out)
+
+
 def _reference_natural_grad(schema, sp, lam, counts):
     """_reference_grad chained to (b, w, V, omega), the chain rule the
     a-space kernel replaced."""
@@ -434,11 +471,12 @@ class TestBatchedKernelIsExact:
         assert got_value == value
         np.testing.assert_array_equal(got_grad, grad)
 
-    @pytest.mark.parametrize("a", [1, 2])
+    @pytest.mark.parametrize("a", [0, 1, 2])
     def test_packed_gradient_matches_finite_differences(self, q8, rng, a):
         """Central differences of the penalized objective in every coordinate
         of the packed (b, w, V, rho, E) vector, where both the free-row hinge
-        and the slack hinge are active."""
+        and the slack hinge are active.  ``fit --latent-aux auto`` starts
+        every sweep at a = 0."""
         schema, sp, counts = q8
         if a != sp.a:
             sp = random_certified_structured(rng, schema, a)
@@ -578,6 +616,180 @@ class TestGradient:
                 ) / (2 * h)
                 worst = max(worst, abs(fd - g.w[j][k]) / max(1.0, abs(fd)))
         assert worst <= 1e-5
+
+
+def _margin_grad_rows(mat, coeff):
+    """Gradient of sum_k coeff_k * margin_k(mat) with margin = 2|d| - row sum."""
+    G = -np.sign(mat) * coeff[:, None]
+    diag = np.diag(G).copy() + 2.0 * np.sign(np.diag(mat)) * coeff
+    np.fill_diagonal(G, diag)
+    return G
+
+
+def _reference_penalty(schema, b, w, V, C, mu):
+    """The full-matrix dominance penalty the free-row one replaced: it builds
+    the whole middle factor M, takes the margins of every row of B = M C and
+    chains the gradient through per-variable loops."""
+    q, a = V.shape
+    sp = StructuredParams(tuple(b[s:e] for s, e in schema.blocks), tuple(w), V, np.full(a, 0.5))
+    W = aux_loading_matrix(schema, sp.w, a)
+    M = middle_factor(schema, sp)
+    B = M @ C
+    free = free_row_indices(schema, a)
+    mb = row_margins(B)
+    mc = row_margins(C)
+    viol_b = np.zeros_like(mb)
+    viol_b[free] = np.maximum(0.0, -mb[free])
+    viol_c = np.maximum(0.0, TAU_C - mc)
+    value = mu * float((viol_b**2).sum() + (viol_c**2).sum())
+    G_B = _margin_grad_rows(B, -2.0 * mu * viol_b)
+    G_C = _margin_grad_rows(C, -2.0 * mu * viol_c)
+    G_M = G_B @ C.T
+    G_C = G_C + M.T @ G_B
+    g_b = _chain_b(schema, sp.b, G_M[:q, :q])
+    g_w = _reduce_w(schema, G_M[:q, :q] @ V - G_M[:q, q:])
+    g_V = G_M[:q, :q].T @ W - G_M[q:, :q].T
+    return value, np.concatenate([*g_b, *g_w, g_V.ravel()]), G_C
+
+
+def _penalty_schema(rng):
+    """One to five variables of either kind with 2 to 5 levels; Cat(2) and
+    Ord(2) give blocks of one bit."""
+    kinds = [CAT, ORD]
+    decls = [VariableDecl(f"v{j}", kinds[rng.integers(2)], int(rng.integers(2, 6)))
+             for j in range(rng.integers(1, 6))]
+    return VariableSchema(decls)
+
+
+def _penalty_point(rng, schema, a, passing):
+    """(b laid end to end, (variables, a) w rows, V, C): dominant first
+    rows, a weak coupling and C = I plus a little noise when ``passing``,
+    else everything at unit scale, with C = I plus large noise and a zero
+    on its diagonal."""
+    q, n = schema.q, schema.q + a
+    if passing:
+        b = np.concatenate(dominance_friendly_b(rng, schema))
+        scale, noise = 1e-3, 1e-4
+    else:
+        b = rng.normal(0.0, 1.0, q)
+        scale, noise = 1.0, 0.5
+    w = rng.normal(0.0, scale, (len(schema), a))
+    V = rng.normal(0.0, scale, (q, a))
+    C = np.eye(n) + rng.normal(0.0, noise, (n, n))
+    if not passing:
+        r = rng.integers(n)
+        C[r, r] = 0.0  # fails row r of C
+    return b, w, V, C
+
+
+def _certificate(schema, b, w, V, C):
+    sp = StructuredParams(tuple(b[s:e] for s, e in schema.blocks), tuple(w), V,
+                          np.full(V.shape[1], 0.5))
+    return dominance_certificate(schema, sp, C)
+
+
+class TestDominancePenalty:
+    """The penalty builds only M's free rows and no per-variable loop; it
+    returns the bits of the full-matrix penalty and vanishes exactly where
+    the dominance certificate passes."""
+
+    @pytest.mark.parametrize("a", [0, 1, 2, 3])
+    def test_matches_the_full_matrix_penalty_bit_for_bit(self, rng, a):
+        kinds = set()
+        for draw in range(60):
+            passing = draw % 3 == 0
+            while True:  # until a free row of B fails, as a 1 x 1 B never does
+                schema = _penalty_schema(rng)
+                b, w, V, C = _penalty_point(rng, schema, a, passing)
+                report = _certificate(schema, b, w, V, C)
+                if passing or report.worst_b_free < 0.0:
+                    break
+            assert report.passed if passing else report.worst_c < TAU_C
+            kinds.update((v.kind, v.block_size == 1) for v in schema.variables)
+            mu = float(10.0 ** rng.integers(0, 4))
+            value, grad, grad_c = dominance_penalty(schema, b, w, V, C, mu)
+            want_value, want_grad, want_c = _reference_penalty(schema, b, w, V, C, mu)
+            assert value == want_value
+            np.testing.assert_array_equal(grad, want_grad)
+            np.testing.assert_array_equal(grad_c, want_c)
+            assert (value == 0.0) == passing
+            if passing:
+                assert not grad.any() and not grad_c.any()
+        assert kinds == {(CAT, True), (CAT, False), (ORD, True), (ORD, False)}
+
+    @pytest.mark.parametrize("a", [0, 1, 2])
+    def test_vanishes_exactly_where_the_certificate_passes(self, rng, a):
+        outcomes = []
+        for _ in range(200):
+            schema = _penalty_schema(rng)
+            b, w, V, C = _penalty_point(rng, schema, a, passing=True)
+            t = rng.uniform(0.0, 4.5)  # from the passing point toward failing ones
+            w, V, C = w * 10.0**t, V * 10.0**t, np.eye(len(C)) + (C - np.eye(len(C))) * 10.0**t
+            passed = _certificate(schema, b, w, V, C).passed
+            assert (dominance_penalty(schema, b, w, V, C, 10.0)[0] == 0.0) == passed
+            outcomes.append(passed)
+        assert 40 <= sum(outcomes) <= 160, sum(outcomes)
+
+    @staticmethod
+    def _straddle(schema, point, lo, hi):
+        """Bisect the scalar t of ``point(t)`` down to the two adjacent
+        doubles where the certificate flips, from ``lo`` (fails) to ``hi``
+        (passes), and check that the penalty vanishes on the passing side
+        only."""
+        passes = lambda t: _certificate(schema, *point(t)).passed
+        assert not passes(lo) and passes(hi)
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+        assert np.nextafter(lo, hi) == hi
+        assert dominance_penalty(schema, *point(lo), 1.0)[0] > 0.0
+        assert dominance_penalty(schema, *point(hi), 1.0)[0] == 0.0
+
+    @pytest.mark.parametrize("a", [0, 1, 2])
+    def test_agrees_on_both_sides_of_the_free_row_boundary(self, rng, a):
+        """The lead logit of one variable moves its free row of B across a
+        zero margin, with C = I."""
+        checked = 0
+        while checked < 10:
+            schema = _penalty_schema(rng)
+            b, w, V, _ = _penalty_point(rng, schema, a, passing=True)
+            w, V = w * 300.0, V * 300.0  # a coupling that a low lead cannot dominate
+            C = np.eye(schema.q + a)
+            s = schema.blocks[rng.integers(len(schema))][0]
+
+            def point(t):
+                moved = b.copy()
+                moved[s] = t
+                return moved, w, V, C
+
+            if _certificate(schema, *point(-6.0)).passed or not _certificate(
+                    schema, *point(6.0)).passed:
+                continue  # the row passes at both ends, or another row fails
+            self._straddle(schema, point, -6.0, 6.0)
+            checked += 1
+
+    @pytest.mark.parametrize("a", [0, 1, 2])
+    def test_agrees_on_both_sides_of_the_slack_threshold(self, rng, a):
+        """The diagonal entry of a row of C whose other entries are tiny
+        moves that row's margin across TAU_C.  The row is not a free row of
+        B, so B's free rows keep passing."""
+        checked = 0
+        while checked < 10:
+            schema = _penalty_schema(rng)
+            rows = np.setdiff1d(np.arange(schema.q), free_row_indices(schema, a))
+            if not rows.size:
+                continue  # every block has one bit
+            b, w, V, C = _penalty_point(rng, schema, a, passing=True)
+            r = rng.choice(rows)
+            tiny = rng.normal(0.0, 1e-9, len(C))
+
+            def point(t):
+                moved = C.copy()
+                moved[r] = tiny
+                moved[r, r] = t
+                return b, w, V, moved
+
+            self._straddle(schema, point, 0.0, 1.0)
+            checked += 1
 
 
 def _dominance_counterexample(pad: int) -> tuple[VariableSchema, StructuredParams]:
