@@ -144,18 +144,14 @@ def parse_pattern(schema: VariableSchema, text: str) -> dict[int, int]:
             raise DataError(
                 f"clause {clause!r}: level out of range 0..{var.block_size}"
             )
-        if op == ">=":
-            if var.kind is not VariableKind.ORDINAL:
-                raise DataError(f"clause {clause!r}: >= applies to ordinal variables only")
-            for l in range(level):
-                assignment[s + l] = 1
-        else:
-            if var.kind is VariableKind.CATEGORICAL:
-                for l in range(var.block_size):
-                    assignment[s + l] = 1 if l == level - 1 else 0
-            else:
-                for l in range(var.block_size):
-                    assignment[s + l] = 1 if l < level else 0
+        ordinal = var.kind is VariableKind.ORDINAL
+        if op == ">=" and not ordinal:
+            raise DataError(f"clause {clause!r}: >= applies to ordinal variables only")
+        # bit s + l - 1 stands for level l; '>=' fixes only the bits it sets
+        for l in range(1, var.block_size + 1):
+            bit = l <= level if ordinal else l == level
+            if op == "=" or bit:
+                assignment[s + l - 1] = int(bit)
     return assignment
 
 
@@ -313,9 +309,8 @@ def _cmd_sample(args) -> int:
         states, probs = _prior_table(schema, model.b, model.G, model.sigma_z)
     else:
         raise DataError("sampling supports grassmann and factor models")
-    if probs.min() < -1e-9:
+    if probs.min() < 0.0:  # state_probabilities already zeroes values in [-1e-12, 0)
         raise ParameterError(f"model assigns negative probability {probs.min():.3e}")
-    probs = np.clip(probs, 0.0, None)
     probs /= probs.sum()
     draws = np.searchsorted(np.cumsum(probs), rng.random(args.n), side="right")
     draws = np.minimum(draws, len(probs) - 1)

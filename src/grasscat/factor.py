@@ -80,16 +80,14 @@ class FactorModel:
             raise ParameterError(f"sigma_z shape {self.sigma_z.shape} != ({p_z},{p_z})")
         if self.psi_noise.shape != (p_x,):
             raise ParameterError("psi_noise must be the diagonal, one entry per x")
-        if p_x and np.any(self.psi_noise <= 0):
+        if np.any(self.psi_noise <= 0):
             raise ParameterError("psi_noise entries must be positive")
-        if p_z:
-            sym = np.abs(self.sigma_z - self.sigma_z.T).max()
-            if sym > 1e-10:
-                raise ParameterError("sigma_z must be symmetric")
-            try:
-                np.linalg.cholesky(self.sigma_z)
-            except np.linalg.LinAlgError as exc:
-                raise ParameterError("sigma_z must be positive definite") from exc
+        if np.abs(self.sigma_z - self.sigma_z.T).max(initial=0.0) > 1e-10:
+            raise ParameterError("sigma_z must be symmetric")
+        try:
+            np.linalg.cholesky(self.sigma_z)
+        except np.linalg.LinAlgError as exc:
+            raise ParameterError("sigma_z must be positive definite") from exc
 
     @property
     def p_x(self) -> int:
@@ -228,7 +226,7 @@ def posterior(
         if x is None:
             raise ParameterError("model has a continuous block; x is required")
         x = np.asarray(x, dtype=float)
-        prec_z = np.linalg.inv(model.sigma_z) if model.p_z else np.zeros((0, 0))
+        prec_z = np.linalg.inv(model.sigma_z)
         wp = model.W_load.T / model.psi_noise[None, :]
         cov = np.linalg.inv(prec_z + wp @ model.W_load)
         m = model.mu_z + cov @ (wp @ (x - model.mu_x) + model.G.T @ yv)
@@ -313,8 +311,6 @@ def fix_rotation(model: FactorModel) -> tuple[FactorModel, np.ndarray]:
     distribution unchanged.  Returns the rotated model and the contribution
     ratio of each axis.
     """
-    if model.p_z < 1:
-        return model, np.zeros(0)
     gram = model.G.T @ model.G
     eigvals, eigvecs = np.linalg.eigh(gram)
     order = np.argsort(eigvals)[::-1]
@@ -446,12 +442,9 @@ def fit_factor_model(
         b = xvec[pos : pos + q]; pos += q
         G = xvec[pos : pos + q * p_z].reshape(q, p_z); pos += q * p_z
         s = xvec[pos]; pos += 1
-        if p_x:
-            mu_x = xvec[pos : pos + p_x]; pos += p_x
-            tau = xvec[pos : pos + p_x]; pos += p_x
-            W = xvec[pos : pos + p_x * p_z].reshape(p_x, p_z); pos += p_x * p_z
-        else:
-            mu_x = np.zeros(0); tau = np.zeros(0); W = np.zeros((0, p_z))
+        mu_x = xvec[pos : pos + p_x]; pos += p_x
+        tau = xvec[pos : pos + p_x]; pos += p_x
+        W = xvec[pos : pos + p_x * p_z].reshape(p_x, p_z); pos += p_x * p_z
         return b, G, s, mu_x, tau, W
 
     def objective(xvec, kappa):
@@ -468,7 +461,7 @@ def fit_factor_model(
         g_b = n * e_u - emp_u
         g_G = (n * e_uu - emp_uu) @ G
         g_s = 0.0
-        if p_z > 0 and kappa > 0.0:
+        if p_z > 0 and kappa > 0.0:  # at p_z = 0 the penalty would still score s
             vecs = coeffs @ G
             norms = np.linalg.norm(vecs, axis=1)
             diff = norms - s
@@ -479,7 +472,7 @@ def fit_factor_model(
             g_G = g_G + 2.0 * kappa * coeffs.T @ (diff[:, None] * units)
             g_s = -2.0 * kappa * diff.sum()
         g_mu = np.zeros(0); g_tau = np.zeros(0); g_W = np.zeros((0, p_z))
-        if p_x:
+        if p_x:  # X is None without a continuous block
             psi = np.exp(tau)
             cov = np.diag(psi) + W @ W.T
             prec = np.linalg.inv(cov)
@@ -505,9 +498,9 @@ def fit_factor_model(
 
     def start(rng):
         G0 = rng.normal(0.0, INIT_SCALE, (q, p_z))
-        s0 = float(np.mean(np.linalg.norm(coeffs @ G0, axis=1))) if p_z else 0.0
+        s0 = float(np.mean(np.linalg.norm(coeffs @ G0, axis=1)))
         parts = [b0, G0.ravel(), [s0]]
-        if p_x:
+        if p_x:  # X is None without a continuous block
             parts += [X.mean(axis=0), np.log(np.maximum(X.var(axis=0), 1e-4)),
                       rng.normal(0.0, INIT_SCALE, (p_x, p_z)).ravel()]
         return np.concatenate([np.asarray(p, dtype=float).ravel() for p in parts])
@@ -542,9 +535,9 @@ def fit_factor_model(
     model = FactorModel.canonical(
         b=b_f,
         G=G_f,
-        mu_x=mu_f if p_x else None,
-        psi_noise=np.exp(tau_f) if p_x else None,
-        W_load=W_f if p_x else None,
+        mu_x=mu_f,
+        psi_noise=np.exp(tau_f),
+        W_load=W_f,
     )
     model, ratios = fix_rotation(model)
     Y_prior, w_prior = _prior_table(schema, model.b, model.G, model.sigma_z)

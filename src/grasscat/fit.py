@@ -175,18 +175,15 @@ def _state_plan(schema: VariableSchema, counts: StateCounts) -> _StatePlan:
     levels = levels_of_bits(schema, states)
     if not np.array_equal(bits_of_levels(schema, levels), states):
         raise InvalidStateError("an observed state is not an allowed dummy state")
-    q, k = schema.q, len(schema)
-    starts = np.asarray([s for s, _ in schema.blocks], dtype=int)
-    last_bits = np.where(levels > 0, starts + levels - 1, q)
+    maps, q = schema.block_maps, schema.q
+    last_bits = np.where(levels > 0, maps.starts + levels - 1, q)
     ends = np.zeros((q + 1, len(weights)))  # row q collects the level-0 entries
     ends[last_bits, np.arange(len(weights))[:, None]] = 1.0
     ends = ends[:q]
-    beta_of_b = np.zeros((q, q))
-    members = np.zeros((k, q))
-    for j, (v, (s, e)) in enumerate(zip(schema.variables, schema.blocks)):
-        block = np.eye if v.kind is VariableKind.CATEGORICAL else np.tri
-        beta_of_b[s:e, s:e] = block(e - s)
-        members[j, s:e] = 1.0
+    # beta_r sums b over bit r alone (categorical) or its block's bits up to r
+    same = np.tril(maps.var[:, None] == maps.var)
+    beta_of_b = (same & (maps.ordinal[maps.var] | np.eye(q, dtype=bool))).astype(float)
+    members = (np.arange(len(schema))[:, None] == maps.var).astype(float)
     return _StatePlan(ends, weights, ends @ weights, beta_of_b, members)
 
 
@@ -394,7 +391,7 @@ class _Packer:
         self.bounds: list[tuple[float | None, float | None]] = (
             [(-B_CAP, B_CAP)] * q
             + [(None, None)] * ((k + q) * a)
-            + [(-13.8, 13.8)] * a  # keeps omega inside its clamp
+            + [(-13.8, 13.8)] * a  # omega in [1.0156e-6, 1 - 1.0156e-6]: inside OMEGA_EPS
             + [(None, None)] * (q + a) ** 2
         )
 
@@ -407,7 +404,7 @@ class _Packer:
         """(b, w, V, omega, C) at ``x``: b, w and V are views of it."""
         q, k, a = self.schema.q, len(self.schema), self.a
         i, j, l, m = self.cuts
-        omega = _sigmoid(x[l:m]).clip(1e-6, 1.0 - 1e-6)  # the method skips np.clip's dispatch
+        omega = _sigmoid(x[l:m])  # L-BFGS-B evaluates only inside rho's bounds
         return (x[:i], x[i:j].reshape(k, a), x[j:l].reshape(q, a), omega,
                 self.eye + x[m:].reshape(q + a, q + a))
 

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DataError, SchemaError
 from .factor import FactorModel
 from .mixed import MixedParams
-from .schema import VariableSchema, schema_from_dict, schema_to_dict
+from .schema import VariableSchema, _read_json, schema_from_dict, schema_to_dict
 from .structure import StructuredParams
 
 FORMAT_VERSION = 1
@@ -236,13 +236,4 @@ def save_model(mf: ModelFile, path: str) -> None:
 
 
 def load_model(path: str) -> ModelFile:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read model file {path}: {exc}") from exc
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"model file {path} is not valid JSON: {exc}") from exc
-    return model_from_document(obj)
+    return model_from_document(_read_json(path, "model"))

@@ -80,9 +80,8 @@ def brute_force_table(p: GrassmannParams) -> FullTable:
         popcounts = chunk.sum(axis=1)
         for k in range(1, q + 1):
             rows = np.flatnonzero(popcounts == k)
-            if rows.size:
-                idx = np.nonzero(chunk[rows])[1].reshape(rows.size, k)
-                probs[lo + rows] = _naive_det(flat[idx[:, :, None] * q + idx[:, None, :]])
+            idx = np.nonzero(chunk[rows])[1].reshape(rows.size, k)
+            probs[lo + rows] = _naive_det(flat[idx[:, :, None] * q + idx[:, None, :]])
     probs /= det_l
     mean = probs @ states
     centered = states - mean
@@ -90,8 +89,7 @@ def brute_force_table(p: GrassmannParams) -> FullTable:
     std = np.sqrt(np.clip(np.diag(cov), 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
         corr = cov / np.outer(std, std)
-    if q:
-        np.fill_diagonal(corr, 1.0)
+    np.fill_diagonal(corr, 1.0)
     return FullTable(states=states, probs=probs, mean=mean, cov=cov, corr=corr)
 
 
@@ -127,9 +125,7 @@ def oracle_conditional(table: FullTable, S, T, y_T) -> OracleConditional:
     y_T = tuple(int(b) for b in y_T)
     if len(y_T) != len(T):
         raise ParameterError("y_T length must match T")
-    sel = np.all(table.states[:, T] == np.asarray(y_T), axis=1) if T else np.ones(
-        len(table.probs), dtype=bool
-    )
+    sel = np.all(table.states[:, T] == np.asarray(y_T), axis=1)
     denom = float(table.probs[sel].sum())
     out: dict[tuple[int, ...], float] = {}
     if denom <= 1e-300:

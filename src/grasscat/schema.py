@@ -378,15 +378,21 @@ def schema_from_dict(obj: object) -> VariableSchema:
     return VariableSchema(decls)
 
 
-def load_schema(path: str) -> VariableSchema:
+def _read_json(path: str, what: str) -> object:
+    """The JSON document in the ``what`` file at ``path``.  A file that
+    cannot be read raises DataError; one that is not UTF-8, not JSON or
+    nested past the parser's recursion limit raises SchemaError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise DataError(f"cannot read schema file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"schema file {path} is not valid JSON: {exc}") from exc
-    return schema_from_dict(obj)
+        raise DataError(f"cannot read {what} file {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError too
+        raise SchemaError(f"{what} file {path} is not valid JSON: {exc}") from exc
+
+
+def load_schema(path: str) -> VariableSchema:
+    return schema_from_dict(_read_json(path, "schema"))
 
 
 # -- data file format ------------------------------------------------------
@@ -452,9 +458,10 @@ def load_data_levels(schema: VariableSchema, path: str) -> np.ndarray:
     into one (n, len(schema)) int64 array.
 
     Cells are parsed with ``int`` and blank lines are skipped.  Reading stops
-    at the first line with a wrong cell count or a non-integer cell; the
-    levels read before it are then range-checked as one array, and the
-    DataError of the earlier faulty line is raised (the header is line 1).
+    at the first line with a wrong cell count, a non-integer cell or a csv
+    error, or at bytes that are not UTF-8; the levels read before it are then
+    range-checked as one array, and the DataError of the earlier faulty line
+    is raised (the header is line 1).
     """
     import csv
 
@@ -465,18 +472,17 @@ def load_data_levels(schema: VariableSchema, path: str) -> np.ndarray:
     k = len(schema)
     rows: list[tuple[int, ...]] = []
     lines: list[int] = []
-    fault: Exception | None = None
+    fault: DataError | None = None
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"data file {path} is empty") from None
-        if tuple(header) != schema.names:
-            raise DataError(
-                f"data header {header} does not match schema variables {list(schema.names)}"
-            )
-        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"data file {path} is empty")
+            if tuple(header) != schema.names:
+                raise DataError(
+                    f"data header {header} does not match schema variables {list(schema.names)}"
+                )
             for i, row in enumerate(reader, start=2):
                 if not row:
                     continue
@@ -489,8 +495,11 @@ def load_data_levels(schema: VariableSchema, path: str) -> np.ndarray:
                     fault = DataError(f"{path}:{i}: non-integer cell ({exc})")
                     break
                 lines.append(i)
-        except (csv.Error, UnicodeDecodeError) as exc:
-            fault = exc  # raised after the lines read before it are checked
+        except csv.Error as exc:  # raised after the rows before it are checked
+            fault = DataError(f"{path}:{reader.line_num}: {exc}")
+        except UnicodeDecodeError as exc:  # decoded by the chunk: no line or offset to name
+            bad = exc.object[exc.start : exc.end]
+            fault = DataError(f"data file {path} is not UTF-8 text: {exc.reason} {bad!r}")
     try:
         levels = np.array(rows, dtype=np.int64).reshape(len(rows), k)
     except OverflowError:  # a level beyond int64 is out of range

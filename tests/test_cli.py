@@ -902,6 +902,60 @@ def model_files(tmp_path):
     return tmp_path
 
 
+class TestMalformedFiles:
+    """A file that cannot be decoded or parsed exits 1 with one error line."""
+
+    DEEP = b"[" * 100_000
+    HUGE_FIELD = b"x" * 200_000  # beyond the csv module's field limit
+
+    @pytest.mark.parametrize(
+        "name, content, argv",
+        [
+            ("schema.json", b'{"variables": [\xff]}', ["validate", "--schema", "bad"]),
+            ("schema.json", DEEP, ["validate", "--schema", "bad"]),
+            ("model.json", b'{"kind": "\xff"}', ["moments", "--model", "bad"]),
+            ("model.json", DEEP, ["moments", "--model", "bad"]),
+            ("data.csv", b"Working,Age,Edu\n0,1,\xff\n",
+             ["validate", "--schema", "schema.json", "--data", "bad"]),
+            ("data.csv", b"Working,Age,Edu\n0,1,2\n" + HUGE_FIELD + b"\n",
+             ["validate", "--schema", "schema.json", "--data", "bad"]),
+        ],
+        ids=["schema-not-utf8", "schema-too-deep", "model-not-utf8", "model-too-deep",
+             "data-not-utf8", "data-huge-field"],
+    )
+    def test_exits_one_without_traceback(self, model_files, capsys, name, content, argv):
+        (model_files / f"bad.{name}").write_bytes(content)
+        argv = [f"bad.{name}" if a == "bad" else a for a in argv]
+        assert _run(model_files, *argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and f"bad.{name}" in err
+
+    def test_csv_error_names_its_line(self, model_files, capsys):
+        (model_files / "bad.csv").write_bytes(b"Working,Age,Edu\n0,1,2\n" + self.HUGE_FIELD)
+        assert _run(model_files, "validate", "--schema", "schema.json", "--data", "bad.csv") == 1
+        assert capsys.readouterr().err.startswith("error: bad.csv:3: field larger than field limit")
+
+
+class TestSampleRefusesNegativeProbabilities:
+    def test_any_negative_value_exits_two(self, model_files, capsys, monkeypatch):
+        import grasscat.cli
+
+        real = grasscat.cli.state_probabilities
+
+        def one_negative(params, states):
+            probs = real(params, states)
+            probs[3] = -5e-10
+            return probs
+
+        monkeypatch.setattr(grasscat.cli, "state_probabilities", one_negative)
+        argv = ["sample", "--model", "grassmann.json", "--n", "10", "--out", "s.csv"]
+        assert _run(model_files, *argv) == 2
+        err = capsys.readouterr().err
+        assert err == "numerical error: model assigns negative probability -5.000e-10\n"
+        assert not (model_files / "s.csv").exists()
+
+
 class TestModelParsedOnce:
     @pytest.mark.parametrize("kind", ["grassmann", "factor"])
     @pytest.mark.parametrize("command", ["moments", "sample"])

@@ -295,28 +295,38 @@ def _ref_load(schema, path):
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"data file {path} is empty") from None
-        if tuple(header) != schema.names:
-            raise DataError(
-                f"data header {header} does not match schema variables {list(schema.names)}"
-            )
-        rows = []
-        for i, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(schema):
-                raise DataError(f"{path}:{i}: expected {len(schema)} cells, got {len(row)}")
-            try:
-                values = tuple(int(cell) for cell in row)
-            except ValueError as exc:
-                raise DataError(f"{path}:{i}: non-integer cell ({exc})") from None
-            try:
-                encode_record(schema, Record(values))
-            except SchemaError as exc:
-                raise DataError(f"{path}:{i}: {exc}") from None
-            rows.append(Record(values))
+            return _ref_load_rows(schema, path, reader)
+        except UnicodeDecodeError as exc:
+            bad = exc.object[exc.start : exc.end]
+            raise DataError(f"data file {path} is not UTF-8 text: {exc.reason} {bad!r}") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def _ref_load_rows(schema, path, reader):
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"data file {path} is empty") from None
+    if tuple(header) != schema.names:
+        raise DataError(
+            f"data header {header} does not match schema variables {list(schema.names)}"
+        )
+    rows = []
+    for i, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(schema):
+            raise DataError(f"{path}:{i}: expected {len(schema)} cells, got {len(row)}")
+        try:
+            values = tuple(int(cell) for cell in row)
+        except ValueError as exc:
+            raise DataError(f"{path}:{i}: non-integer cell ({exc})") from None
+        try:
+            encode_record(schema, Record(values))
+        except SchemaError as exc:
+            raise DataError(f"{path}:{i}: {exc}") from None
+        rows.append(Record(values))
     if not rows:
         raise DataError(f"data file {path} contains no rows")
     return rows
@@ -364,6 +374,7 @@ LOADER_CORPUS = {
     "quoted_cells": 'a,b\n"2","3"\n',
     "range_before_csv_error": f"a,b\n9,0\n{HUGE_FIELD}\n",
     "csv_error": f"a,b\n0,0\n{HUGE_FIELD}\n",
+    "csv_error_in_header": f"{HUGE_FIELD}\n0,0\n",
 }
 
 
@@ -383,6 +394,14 @@ class TestLoaderParity:
         path = tmp_path / "data.csv"
         path.write_text(LOADER_CORPUS["plus_and_underscore_cells"])
         assert load_data_rows(LOADER_SCHEMA, str(path)) == [Record((1, 10))]
+
+    @pytest.mark.parametrize("text", [b"\xff,b\n0,0\n", b"a,b\n0,0\n1,\xff\n", b"a,b\n9,0\n1,\xff\n"])
+    def test_undecodable_bytes_match_reference(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text)
+        got = _load_outcome(load_data_rows, LOADER_SCHEMA, str(path))
+        assert got == _load_outcome(_ref_load, LOADER_SCHEMA, str(path))
+        assert got[0] is DataError
 
     def test_missing_file(self, tmp_path):
         path = str(tmp_path / "absent.csv")

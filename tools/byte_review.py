@@ -1,0 +1,219 @@
+"""Compare every byte the CLI writes between two source trees.
+
+    python3 tools/byte_review.py OLD_TREE [NEW_TREE] [--seed N]
+
+NEW_TREE defaults to this checkout.  The inputs are written once into a
+temporary directory: the benchmark's seed-N inputs of the fit, factor and
+query workloads (``bench/gen.py`` of this checkout) and the small dataset of
+the CLI determinism test (acceptance criterion 11).  Each tree then runs
+one fixed command list in its own child process, with its ``src`` on
+PYTHONPATH, one BLAS thread, and a fresh copy of the inputs as the working
+directory.  The tool prints every command whose stdout, stderr, exit code
+or output-file SHA-256 differs between the trees, and exits 1 on any
+difference, 0 when every byte matches.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Runs in each child: reads the command list, runs every command in-process
+# through run_command, and prints one result per command as JSON.
+_RUNNER = r"""
+import contextlib, hashlib, io, json, os, sys, traceback
+from grasscat.cli import run_command
+
+results = []
+with open(sys.argv[1], encoding="utf-8") as fh:
+    commands = json.load(fh)
+for argv, outputs in commands:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run_command(argv)
+        except Exception:  # a traceback is a result to compare, not the end of the run
+            code = "raised"
+            traceback.print_exc(file=err)
+    files = {}
+    for name in outputs:
+        if os.path.exists(name):
+            with open(name, "rb") as fh:
+                files[name] = hashlib.sha256(fh.read()).hexdigest()
+        else:
+            files[name] = None
+    results.append({"code": code, "stdout": out.getvalue(), "stderr": err.getvalue(),
+                    "files": files})
+json.dump(results, sys.stdout)
+"""
+
+
+def write_inputs(inputs: str, seed: int) -> dict:
+    """Write every input file under ``inputs`` and return the query pool."""
+    for workload in ("fit", "factor", "query"):
+        subprocess.run(
+            [sys.executable, os.path.join(ROOT, "bench", "gen.py"), "--workload", workload,
+             "--seed", str(seed), "--out", os.path.join(inputs, workload)],
+            check=True,
+        )
+    _write_determinism_inputs(os.path.join(inputs, "acc"))
+    with open(os.path.join(inputs, "query", "expect.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _write_determinism_inputs(out: str) -> None:
+    """The schema, data and mixed model of tests/test_acceptance.py's
+    test_11_cli_determinism."""
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+    import numpy as np
+
+    from generators import reader_style_schema, reader_style_true_params, sample_rows_from_probs
+    from grasscat.grassmann import joint_probability
+    from grasscat.mixed import MixedParams
+    from grasscat.modelfile import ModelFile, save_model
+    from grasscat.schema import enumerate_allowed_states, schema_to_dict
+    from grasscat.structure import assemble_lambda
+
+    os.makedirs(out)
+    schema = reader_style_schema()
+    with open(os.path.join(out, "schema.json"), "w", encoding="utf-8") as fh:
+        json.dump(schema_to_dict(schema), fh)
+    truth = assemble_lambda(schema, reader_style_true_params())
+    states = enumerate_allowed_states(schema)
+    probs = [joint_probability(truth, s.bits) for s in states]
+    rows = sample_rows_from_probs(np.random.default_rng(1111), schema, states, probs, 300)
+    lines = [",".join(schema.names)] + [",".join(map(str, r.values)) for r in rows]
+    with open(os.path.join(out, "data.csv"), "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    lam = np.eye(2) + np.array([[1.0, 0.3], [0.2, 0.8]])
+    mp = MixedParams(mu=np.array([0.0]), sigma=np.array([[1.0]]), lam=lam,
+                     G=np.array([[0.5], [-0.3]]))
+    save_model(ModelFile("mixed", None, mp, None), os.path.join(out, "mixed.json"))
+
+
+def command_list(seed: int, pool: dict) -> list[tuple[list[str], list[str]]]:
+    """(argv, output files) of every command, paths relative to the work
+    directory."""
+    cmds: list[tuple[list[str], list[str]]] = []
+
+    def add(argv, *outputs):
+        cmds.append((argv, list(outputs)))
+
+    # fit workload
+    fit_models = []
+    for tag, name, extra in (
+        ("fit-q8", "q8-a2", ["--latent-aux", "2"]),
+        ("fit-q8", "q8-auto", []),
+        ("fit-q16", "q16-a2", ["--latent-aux", "2", "--restarts", "1"]),
+    ):
+        model = f"fit/{name}.model.json"
+        add(["fit", "--schema", f"fit/{tag}.schema.json", "--data", f"fit/{tag}.csv",
+             *extra, "--out", model], model, model + ".corr.csv")
+        fit_models.append(model)
+    for tag in ("fit-q8", "fit-q16"):
+        add(["validate", "--schema", f"fit/{tag}.schema.json", "--data", f"fit/{tag}.csv"])
+    for model in fit_models:
+        add(["moments", "--model", model])
+
+    # factor workload
+    fa = "factor/fa-q16.model.json"
+    add(["fa", "bic", "--schema", "factor/fa-q12.schema.json", "--data", "factor/fa-q12.csv"])
+    add(["fa", "fit", "--latent-dim", "2", "--schema", "factor/fa-q16.schema.json",
+         "--data", "factor/fa-q16.csv", "--out", fa], fa)
+    biplot = ("factor/bp.svg", "factor/bp.scores.csv", "factor/bp.loadings.csv")
+    add(["fa", "biplot", "--model", fa, "--data", "factor/fa-q16.csv", "--out-svg", biplot[0],
+         "--out-scores", biplot[1], "--out-loadings", biplot[2]], *biplot)
+    add(["moments", "--model", fa])
+    add(["sample", "--model", fa, "--n", "10000", "--seed", str(seed),
+         "--out", "factor/fa-sample.csv"], "factor/fa-sample.csv")
+
+    # query workload
+    q16, q12, mixed = ("query/query-q16.model.json", "query/query-q12.model.json",
+                       "query/mixed.model.json")
+    add(["sample", "--model", q16, "--n", "10000", "--seed", str(seed),
+         "--out", "query/q16-sample.csv"], "query/q16-sample.csv")
+    add(["moments", "--model", q16])
+    add(["oracle", "check", "--model", q12])
+    for item in pool["marginal"] + pool["conditional"]:
+        add(["prob", "--model", q16, "--query", item["query"]]
+            + (["--given", item["given"]] if item["given"] else []))
+    for item in pool["mixed"]:
+        add(["mixed", "eval", "--model", mixed, f"--x={item['x']}", f"--y={item['y']}"])
+
+    # the determinism test's commands
+    add(["validate", "--schema", "acc/schema.json", "--data", "acc/data.csv"])
+    add(["fit", "--schema", "acc/schema.json", "--data", "acc/data.csv", "--latent-aux", "1",
+         "--restarts", "1", "--seed", "3", "--max-iter", "300", "--out", "acc/model.json",
+         "--out-corr", "acc/corr.csv"], "acc/model.json", "acc/corr.csv")
+    add(["moments", "--model", "acc/model.json"])
+    add(["prob", "--model", "acc/model.json", "--query", "Edu>=2", "--given", "Age=1"])
+    add(["sample", "--model", "acc/model.json", "--n", "400", "--seed", "9",
+         "--out", "acc/samples.csv"], "acc/samples.csv")
+    add(["fa", "fit", "--schema", "acc/schema.json", "--data", "acc/data.csv", "--latent-dim",
+         "2", "--restarts", "1", "--seed", "5", "--max-iter", "300", "--out", "acc/fa.json"],
+        "acc/fa.json")
+    acc_biplot = ("acc/bi.svg", "acc/sc.csv", "acc/ld.csv")
+    add(["fa", "biplot", "--model", "acc/fa.json", "--data", "acc/data.csv",
+         "--out-svg", acc_biplot[0], "--out-scores", acc_biplot[1],
+         "--out-loadings", acc_biplot[2]], *acc_biplot)
+    add(["fa", "bic", "--schema", "acc/schema.json", "--data", "acc/data.csv", "--min-dim", "0",
+         "--max-dim", "1", "--restarts", "1", "--seed", "5", "--max-iter", "300"])
+    add(["mixed", "eval", "--model", "acc/mixed.json", "--x", "0.4", "--y", "1,g:0"])
+    add(["oracle", "check", "--model", "acc/model.json"])
+    return cmds
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("old", help="source tree to compare against")
+    ap.add_argument("new", nargs="?", default=ROOT, help="source tree under review")
+    ap.add_argument("--seed", type=int, default=1, help="seed of the benchmark inputs")
+    args = ap.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(prefix="byte-review-") as tmp:
+        inputs = os.path.join(tmp, "inputs")
+        cmds = command_list(args.seed, write_inputs(inputs, args.seed))
+        with open(os.path.join(tmp, "commands.json"), "w", encoding="utf-8") as fh:
+            json.dump(cmds, fh)
+        children = []
+        for side, tree in (("old", args.old), ("new", args.new)):
+            work = os.path.join(tmp, side)
+            shutil.copytree(inputs, work)
+            env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"),
+                       OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+            children.append(subprocess.Popen(
+                [sys.executable, "-c", _RUNNER, os.path.join(tmp, "commands.json")],
+                cwd=work, env=env, stdout=subprocess.PIPE, text=True,
+            ))
+        results = []
+        for child in children:
+            out, _ = child.communicate()
+            if child.returncode:
+                print(f"a child process exited with {child.returncode}", file=sys.stderr)
+                return 2
+            results.append(json.loads(out))
+
+    differ = 0
+    for (cmd, _), old, new in zip(cmds, *results):
+        what = [key for key in ("code", "stdout", "stderr") if old[key] != new[key]]
+        what += [f"file {name}" for name, digest in old["files"].items()
+                 if digest != new["files"][name]]
+        if what:
+            differ += 1
+            print(f"DIFFERS ({', '.join(what)}): grasscat {' '.join(cmd)}")
+    n_files = sum(len(outputs) for _, outputs in cmds)
+    nonzero = sum(r["code"] != 0 for r in results[1])
+    print(f"{len(cmds)} commands ({nonzero} exit nonzero in the new tree), {n_files} output "
+          f"files, seed {args.seed}: {differ} commands differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
