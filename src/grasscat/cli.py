@@ -55,6 +55,7 @@ from .outputs import _csv_rows, write_csv
 from .schema import (
     VariableKind,
     VariableSchema,
+    _distinct_levels,
     allowed_table,
     load_data_levels,
     load_schema,
@@ -206,9 +207,9 @@ def _cmd_validate(args) -> int:
         "allowed_states": schema.n_states(),
     }
     if args.data:
-        counts = state_counts(schema, load_data_levels(schema, args.data))
-        out["rows"] = counts.n
-        out["distinct_states"] = len(counts.items)
+        levels = load_data_levels(schema, args.data)
+        out["rows"] = len(levels)
+        out["distinct_states"] = len(_distinct_levels(levels)[1])
     _emit(out)
     return 0
 

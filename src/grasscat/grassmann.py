@@ -39,6 +39,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_square(mat: np.ndarray, name: str) -> None:
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ParameterError(f"{name} must be square, got shape {mat.shape}")
+
+
 @dataclass(frozen=True)
 class GrassmannParams:
     """Matrix parameter of the distribution and its cached inverse.
@@ -52,8 +57,7 @@ class GrassmannParams:
 
     def __post_init__(self) -> None:
         lam, sig = self.lam, self.sig
-        if lam.ndim != 2 or lam.shape[0] != lam.shape[1]:
-            raise ParameterError(f"lam must be square, got shape {lam.shape}")
+        _check_square(lam, "lam")
         if sig.shape != lam.shape:
             raise ParameterError("lam and sig shapes differ")
         if not (np.isfinite(lam).all() and np.isfinite(sig).all()):
@@ -69,6 +73,7 @@ class GrassmannParams:
     @classmethod
     def from_lambda(cls, lam: np.ndarray) -> "GrassmannParams":
         lam = np.asarray(lam, dtype=float)
+        _check_square(lam, "lam")
         try:
             sig = np.linalg.inv(lam)
         except np.linalg.LinAlgError as exc:
@@ -78,6 +83,7 @@ class GrassmannParams:
     @classmethod
     def from_sigma(cls, sig: np.ndarray) -> "GrassmannParams":
         sig = np.asarray(sig, dtype=float)
+        _check_square(sig, "sig")
         try:
             lam = np.linalg.inv(sig)
         except np.linalg.LinAlgError as exc:

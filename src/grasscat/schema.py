@@ -17,7 +17,10 @@ parametrization's matrices (:class:`BlockMaps`) are cached per schema too.
 
 A data file is read into one (n, len(schema)) levels array
 (:func:`load_data_levels`), range-checked as one array and encoded by the
-one vectorized encoder, :func:`bits_of_levels`.
+one vectorized encoder, :func:`bits_of_levels`.  A plain file (digits,
+``,`` and ``\\n`` only, a full row on every line, every level in range) is
+parsed in bulk by numpy; every other file is read by the csv line loop,
+which also names the first faulty line of a bad file.
 :func:`load_data_rows` is the Record view of that array.
 :func:`encode_record` and :func:`decode_state` encode and decode one record
 at a time; they are the reference that the array paths are tested against.
@@ -447,33 +450,109 @@ def _levels_of_rows(
 
 def _distinct_levels(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct rows of a levels array in first-occurrence order, with
-    the index of each one's first row and its count."""
-    distinct, first, counts = np.unique(levels, axis=0, return_index=True, return_counts=True)
+    the index of each one's first row and its count.
+
+    Each row is one opaque key: its int64 cells viewed as a single void
+    scalar, so one 1-D ``np.unique`` sorts the keys.  A leading zero cell
+    gives every key at least 8 bytes, so a schema with no variables still
+    has one (empty) key per row.
+    """
+    n, k = levels.shape
+    keyed = np.zeros((n, k + 1), dtype=np.int64)
+    keyed[:, 1:] = levels
+    keys = keyed.view(np.dtype((np.void, keyed.itemsize * (k + 1))))[:, 0]
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
     order = np.argsort(first)
-    return distinct[order], first[order], counts[order]
+    first = first[order]
+    return levels[first], first, counts[order]
+
+
+_CELL_DIGITS = 18  # 10**18 - 1 < 2**63, so no strict cell overflows int64
+_POW10 = 10 ** np.arange(_CELL_DIGITS, dtype=np.int64)
+
+
+def _strict_levels(schema: VariableSchema, data: bytes) -> np.ndarray | None:
+    """The levels of a data file's bytes parsed in bulk, or None if the file
+    is not strict or holds a level out of range.
+
+    A strict file has a header line (no ``"`` or ``\\r``) whose csv cells are
+    the schema names, then one or more lines of exactly ``len(schema)``
+    cells of 1 to 18 ASCII digits, separated by one ``,`` and each ended by
+    ``\\n``.  Python's ``int`` reads such a file to the same levels, so only
+    the files this rejects need the per-line loop.
+    """
+    import csv
+
+    k = len(schema)
+    end = data.find(b"\n")
+    head = data[:end]
+    if end < 0 or b'"' in head or b"\r" in head:
+        return None
+    try:
+        header = next(csv.reader([head.decode("utf-8")]), [])
+    except (UnicodeDecodeError, csv.Error):
+        return None
+    if tuple(header) != schema.names:
+        return None
+    body = np.frombuffer(data, dtype=np.uint8, offset=end + 1)
+    if not body.size or body[-1] != ord("\n"):
+        return None
+    digits = body - np.uint8(ord("0"))  # wraps: only '0'..'9' fall below 10
+    ends = np.flatnonzero(digits >= 10)  # the byte that closes each cell
+    seps = body[ends]
+    n = int(np.count_nonzero(seps == ord("\n")))
+    if seps.size != n * k:
+        return None
+    pattern = np.full(k, ord(","), dtype=np.uint8)
+    pattern[-1] = ord("\n")
+    if not (seps.reshape(n, k) == pattern).all():
+        return None
+    widths = np.diff(ends, prepend=-1) - 1
+    width = int(widths.max())
+    if widths.min() < 1 or width > _CELL_DIGITS:
+        return None
+    # cells right-aligned in a (cells, width) table; a place past a cell's
+    # width reads an earlier byte (or wraps to the last ones) and is masked to 0
+    place = np.arange(width - 1, -1, -1)
+    table = np.where(place < widths[:, None], digits[ends[:, None] - 1 - place], 0)
+    levels = (table @ _POW10[place]).reshape(n, k)
+    if _out_of_range_rows(schema, levels).size:
+        return None
+    return levels
 
 
 def load_data_levels(schema: VariableSchema, path: str) -> np.ndarray:
     """Read a CSV of integer levels, with a header matching the schema names,
     into one (n, len(schema)) int64 array.
 
-    Cells are parsed with ``int`` and blank lines are skipped.  Reading stops
-    at the first line with a wrong cell count, a non-integer cell or a csv
-    error, or at bytes that are not UTF-8; the levels read before it are then
-    range-checked as one array, and the DataError of the earlier faulty line
-    is raised (the header is line 1).
+    The file is read once.  A strict file (see :func:`_strict_levels`: plain
+    digits, ``,`` and ``\\n``, a full row on every line) with every level in
+    range is parsed in bulk.  Any other file is read line by line, where
+    cells are parsed with ``int`` and blank lines are skipped.  Reading
+    stops at the first line with a wrong cell count, a non-integer cell or a
+    csv error, or at bytes that are not UTF-8; the levels read before it are
+    then range-checked as one array, and the DataError of the earlier faulty
+    line is raised (the header is line 1).
     """
-    import csv
-
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read data file {path}: {exc}") from exc
+    levels = _strict_levels(schema, data)
+    return _loop_levels(schema, path, data) if levels is None else levels
+
+
+def _loop_levels(schema: VariableSchema, path: str, data: bytes) -> np.ndarray:
+    """:func:`load_data_levels` for any file, one csv line at a time."""
+    import csv
+    import io
+
     k = len(schema)
     rows: list[tuple[int, ...]] = []
     lines: list[int] = []
     fault: DataError | None = None
-    with fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)

@@ -77,6 +77,17 @@ class TestValidate:
         out = json.loads(capsys.readouterr().out)
         assert out["ok"] and out["q"] == 6 and out["rows"] == 400
 
+    def test_counts_match_state_counts(self, workdir, capsys):
+        from grasscat.fit import state_counts
+        from grasscat.schema import load_data_levels, load_schema
+
+        assert _run(workdir, "validate", "--schema", "schema.json", "--data", "data.csv") == 0
+        out = json.loads(capsys.readouterr().out)
+        schema = load_schema(str(workdir / "schema.json"))
+        counts = state_counts(schema, load_data_levels(schema, str(workdir / "data.csv")))
+        assert (out["rows"], out["distinct_states"]) == (counts.n, len(counts.items))
+        assert counts.n > len(counts.items) > 1
+
     def test_bad_schema_exits_one(self, workdir, tmp_path):
         (workdir / "bad.json").write_text('{"variables": [{"name": "x"}]}')
         assert _run(workdir, "validate", "--schema", "bad.json") == 1

@@ -32,6 +32,12 @@ class TestConstruction:
         with pytest.raises(ParameterError):
             GrassmannParams.from_lambda(np.ones((2, 2)))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 3)])
+    @pytest.mark.parametrize("build, name", [("from_lambda", "lam"), ("from_sigma", "sig")])
+    def test_non_square_input_rejected_as_non_square(self, build, name, shape):
+        with pytest.raises(ParameterError, match=rf"^{name} must be square, got shape \({shape[0]}, 3\)$"):
+            getattr(GrassmannParams, build)(np.zeros(shape))
+
     def test_inconsistent_pair_rejected(self):
         lam = np.diag([2.0, 2.0])
         with pytest.raises(ParameterError):

@@ -19,6 +19,7 @@ from grasscat.schema import (
     VariableDecl,
     VariableKind,
     VariableSchema,
+    _distinct_levels,
     allowed_table,
     decode_state,
     encode_record,
@@ -332,6 +333,16 @@ def _ref_load_rows(schema, path, reader):
     return rows
 
 
+def _assert_matches_reference(schema, path):
+    got = _load_outcome(load_data_rows, schema, str(path))
+    assert got == _load_outcome(_ref_load, schema, str(path))
+    if isinstance(got, list):
+        levels = load_data_levels(schema, str(path))
+        assert levels.dtype == np.int64
+        assert levels.shape == (len(got), len(schema))
+        assert levels.tolist() == [list(r.values) for r in got]
+
+
 def _load_outcome(load, schema, path):
     try:
         rows = load(schema, path)
@@ -342,6 +353,7 @@ def _load_outcome(load, schema, path):
 
 
 LOADER_SCHEMA = VariableSchema([VariableDecl("a", CAT, 3), VariableDecl("b", ORD, 12)])
+NO_VARIABLES = VariableSchema([])
 BIG = str(10**30)
 HUGE_FIELD = "x" * 200_000  # beyond the csv module's field limit
 
@@ -375,20 +387,36 @@ LOADER_CORPUS = {
     "range_before_csv_error": f"a,b\n9,0\n{HUGE_FIELD}\n",
     "csv_error": f"a,b\n0,0\n{HUGE_FIELD}\n",
     "csv_error_in_header": f"{HUGE_FIELD}\n0,0\n",
+    "crlf_line_ends": "a,b\r\n0,1\r\n2,11\r\n",
+    "no_final_newline": "a,b\n0,1\n2,11",
+    "trailing_blank_line": "a,b\n0,1\n2,11\n\n",
+    "leading_zeros": "a,b\n002,007\n00,0\n",
+    "leading_zeros_out_of_range": "a,b\n0,1\n007,0\n",
+    "cell_18_digits": f"a,b\n0,{'0' * 17}9\n{'0' * 18},0\n",
+    "cell_18_digits_out_of_range": f"a,b\n0,1\n0,{'9' * 18}\n",
+    "cell_19_digits": f"a,b\n0,{'0' * 18}9\n",
+    "cell_19_digits_out_of_range": f"a,b\n0,{'9' * 19}\n",
+    "cell_20_digits": f"a,b\n0,{'0' * 19}9\n",
+    "cell_20_digits_out_of_range": f"a,b\n{'9' * 20},0\n",
+    "header_with_quote": '"a",b\n0,1\n2,11\n',
+    "header_with_bom": "\ufeffa,b\n0,1\n",
+    "header_with_cr": "a,b\r0,1\n2,11\n",
+    "header_with_crlf": "a,b\r\n0,1\n2,11\n",
+    "unterminated_quote_in_header": '"a,b\n0,1\n',
+    "no_variables_blank_rows": (NO_VARIABLES, "\n\n\n"),
+    "no_variables_cell": (NO_VARIABLES, "\n\n0\n"),
+    "no_variables_header": (NO_VARIABLES, "a\n\n"),
 }
 
 
 class TestLoaderParity:
     @pytest.mark.parametrize("name", sorted(LOADER_CORPUS))
     def test_matches_per_row_reference(self, tmp_path, name):
+        entry = LOADER_CORPUS[name]
+        schema, text = entry if isinstance(entry, tuple) else (LOADER_SCHEMA, entry)
         path = tmp_path / f"{name}.csv"
-        path.write_text(LOADER_CORPUS[name], encoding="utf-8", newline="")
-        got = _load_outcome(load_data_rows, LOADER_SCHEMA, str(path))
-        assert got == _load_outcome(_ref_load, LOADER_SCHEMA, str(path))
-        if isinstance(got, list):
-            levels = load_data_levels(LOADER_SCHEMA, str(path))
-            assert levels.dtype == np.int64
-            assert levels.tolist() == [list(r.values) for r in got]
+        path.write_text(text, encoding="utf-8", newline="")
+        _assert_matches_reference(schema, path)
 
     def test_plus_and_underscore_cells_parse_as_int(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -425,6 +453,90 @@ class TestLoaderParity:
         path.write_text("a,b\n" + "".join(",".join(r) + "\n" for r in rows))
         got = _load_outcome(load_data_rows, LOADER_SCHEMA, str(path))
         assert got == _load_outcome(_ref_load, LOADER_SCHEMA, str(path))
+
+    @given(
+        st.sampled_from(["a,b\n", "a,b\r\n", '"a",b\n', "a,b", ""]),
+        st.text(alphabet='0129,\n\r" +-x', max_size=40),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_random_bytes_match_reference(self, tmp_path_factory, header, body):
+        path = tmp_path_factory.mktemp("loader") / "data.csv"
+        path.write_bytes((header + body).encode("ascii"))
+        _assert_matches_reference(LOADER_SCHEMA, path)
+
+    def test_undecodable_byte_past_first_chunk_matches_reference(self, tmp_path):
+        # the text is decoded by 8 KiB chunk, so the rows read before the
+        # bad byte depend on the chunking, which must match the reference
+        for bad_row in (100, 3000):
+            rows = ["0,1"] * 4000
+            rows[bad_row] = "9,0"
+            rows[3500] = "1,\xff"
+            path = tmp_path / f"data{bad_row}.csv"
+            path.write_bytes(("a,b\n" + "\n".join(rows) + "\n").encode("latin-1"))
+            got = _load_outcome(load_data_rows, LOADER_SCHEMA, str(path))
+            assert got == _load_outcome(_ref_load, LOADER_SCHEMA, str(path))
+            assert got[0] is DataError
+
+    def test_bench_shaped_file_takes_the_bulk_path(self, tmp_path, monkeypatch):
+        # one row per line, "\n" line ends, one- and two-digit cells, as
+        # bench/data.py writes them; a bulk path that always fell back
+        # would pass every parity test
+        schema = VariableSchema(
+            [VariableDecl("c", CAT, 4), VariableDecl("o", ORD, 12), VariableDecl("x", CAT, 2)]
+        )
+        rng = np.random.default_rng(5)
+        levels = rng.integers(0, [4, 12, 2], size=(500, 3))
+        path = tmp_path / "data.csv"
+        lines = ["c,o,x"] + [",".join(map(str, row)) for row in levels.tolist()]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+        expected = [list(r.values) for r in _ref_load(schema, str(path))]
+
+        def no_loop(*args):
+            raise AssertionError("fell back to the per-line loop")
+
+        monkeypatch.setattr(grasscat.schema, "_loop_levels", no_loop)
+        got = load_data_levels(schema, str(path))
+        assert got.dtype == np.int64
+        assert got.tolist() == expected == levels.tolist()
+
+
+def _ref_distinct_levels(levels):
+    """The np.unique(axis=0) body _distinct_levels replaced, kept as its reference."""
+    distinct, first, counts = np.unique(levels, axis=0, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return distinct[order], first[order], counts[order]
+
+
+class TestDistinctLevels:
+    @given(
+        st.integers(1, 40),
+        st.integers(0, 5),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_unique_rows_reference(self, n, k, top, seed):
+        levels = np.random.default_rng(seed).integers(0, top, size=(n, k))
+        got = _distinct_levels(levels)
+        ref = _ref_distinct_levels(levels)
+        for g, r in zip(got, ref):
+            assert g.dtype == r.dtype
+            assert np.array_equal(g, r)
+
+    @pytest.mark.parametrize(
+        "levels",
+        [
+            np.array([[3, 1]]),
+            np.array([[1, 2], [1, 2], [0, 5], [1, 2], [0, 5]]),
+            np.zeros((4, 0), dtype=np.int64),
+            np.array([[-1, 2**62], [2**62, -1], [-1, 2**62]]),
+        ],
+        ids=["one_row", "repeated_rows", "no_variables", "wide_values"],
+    )
+    def test_edge_cases_match_reference(self, levels):
+        for g, r in zip(_distinct_levels(levels), _ref_distinct_levels(levels)):
+            assert g.dtype == r.dtype
+            assert np.array_equal(g, r)
 
 
 def test_index_labels():
