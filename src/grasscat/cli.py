@@ -36,7 +36,7 @@ from .factor import (
     fit_factor_model,
     select_dimension_bic,
 )
-from .fit import FitConfig, fit_grassmann, model_correlation, state_counts, weighted_moments
+from .fit import FitConfig, _correlation, fit_grassmann, state_counts, weighted_moments
 from .grassmann import (
     GrassmannParams,
     IndexPartition,
@@ -264,7 +264,7 @@ def _cmd_moments(args) -> int:
     if mf.kind == "grassmann":
         schema, params = mf.schema, assemble_lambda(mf.schema, mf.params)
         mean, cov = moments(params)
-        corr = model_correlation(params)
+        corr = _correlation(cov)
         labels = schema.index_labels()
     elif mf.kind == "factor":
         schema = mf.schema

@@ -271,26 +271,17 @@ def combined_loadings(schema: VariableSchema, G: np.ndarray) -> CombinedLoadings
     G = np.asarray(G, dtype=float)
     if G.shape[0] != schema.q:
         raise SchemaError(f"G has {G.shape[0]} rows, schema dummy dimension is {schema.q}")
-    p_z = G.shape[1]
     vectors = []
     labels = []
-    for j, v in enumerate(schema.variables):
-        s, e = schema.blocks[j]
+    for (s, e), v in zip(schema.blocks, schema.variables):
         rows = G[s:e]
-        block_sum = rows.sum(axis=0)
-        k = v.block_size
-        out = np.zeros((v.levels, p_z))
         if v.kind is VariableKind.CATEGORICAL:
-            out[0] = -block_sum / (k + 1)
-            for l in range(1, v.levels):
-                out[l] = -block_sum / (k + 1) + rows[l - 1]
-        else:
-            out[0] = -0.5 * block_sum
-            run = np.zeros(p_z)
-            for l in range(1, v.levels):
-                run = run + rows[l - 1]
-                out[l] = -0.5 * block_sum + run
-        vectors.append(out)
+            base, steps = -rows.sum(axis=0) / v.levels, rows
+        else:  # level l adds the first l rows, summed from +0.0 up
+            base = -0.5 * rows.sum(axis=0)
+            steps = np.add.accumulate(np.vstack([np.zeros_like(base), rows]))[1:]
+        # level 0 is base itself: adding a zero row would turn -0.0 into +0.0
+        vectors.append(np.vstack([base, base + steps]))
         labels.append(tuple(f"{v.name}={l}" for l in range(v.levels)))
     return CombinedLoadings(vectors=tuple(vectors), labels=tuple(labels))
 
@@ -348,6 +339,8 @@ class FactorFitConfig:
     def __post_init__(self) -> None:
         if self.max_iter <= 0 or self.restarts <= 0:
             raise ValueError("max_iter and restarts must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass

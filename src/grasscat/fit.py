@@ -497,6 +497,8 @@ class FitConfig:
             raise ValueError("max_iter, grad_tol, and restarts must be positive")
         if self.a < 0:
             raise ValueError("a must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -587,17 +589,17 @@ def fit_grassmann(
     a = config.a
     mean_emp, _, corr_emp = empirical_moments(schema, counts)
     warn: list[str] = []
-    b0 = _initial_b(schema, counts, warn)
     packer = _Packer(schema, a)
     plan = _state_plan(schema, counts)
+    x0 = np.zeros(len(packer.bounds))  # rho = logit(1/2) and C - I are zero
+    # the empty head keeps np.concatenate defined for a schema with no variables
+    x0[: schema.q] = np.concatenate([np.zeros(0), *_initial_b(schema, counts, warn)])
+    i, _, l, _ = packer.cuts  # the w rows, then V, lie in x[i:l]
 
     def start(rng: np.random.Generator) -> np.ndarray:
-        return packer.pack(StructuredParams(
-            b=tuple(np.array(v) for v in b0),
-            w=tuple(rng.normal(0.0, INIT_SCALE, a) for _ in schema.variables),
-            V=rng.normal(0.0, INIT_SCALE, (schema.q, a)),
-            omega=np.full(a, 0.5),
-        ), np.eye(schema.q + a))
+        x = x0.copy()
+        x[i:l] = rng.normal(0.0, INIT_SCALE, l - i)
+        return x
 
     def solve(x: np.ndarray, mu: float) -> OptimizeResult:
         import scipy.optimize  # only the fits need it; read commands load faster without
@@ -624,8 +626,8 @@ def fit_grassmann(
     sp_fit, C_fit = packer.params(x)
     params = assemble_lambda(schema, sp_fit)
     report = dominance_certificate(schema, sp_fit, C_fit)
-    mean_model, _ = moments(params)
-    corr_model = model_correlation(params)
+    mean_model, cov_model = moments(params)
+    corr_model = _correlation(cov_model)
     p0_min = float(state_probabilities(params, allowed).min())
     feasible = p0_min >= -1e-12
     if not feasible:

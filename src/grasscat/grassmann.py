@@ -44,6 +44,17 @@ def _check_square(mat: np.ndarray, name: str) -> None:
         raise ParameterError(f"{name} must be square, got shape {mat.shape}")
 
 
+def _inverse_pair(mat, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """``mat`` as a float array and its inverse; ParameterError unless it is
+    square and nonsingular."""
+    mat = np.asarray(mat, dtype=float)
+    _check_square(mat, name)
+    try:
+        return mat, np.linalg.inv(mat)
+    except np.linalg.LinAlgError as exc:
+        raise ParameterError(f"{name} is singular: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class GrassmannParams:
     """Matrix parameter of the distribution and its cached inverse.
@@ -72,22 +83,12 @@ class GrassmannParams:
 
     @classmethod
     def from_lambda(cls, lam: np.ndarray) -> "GrassmannParams":
-        lam = np.asarray(lam, dtype=float)
-        _check_square(lam, "lam")
-        try:
-            sig = np.linalg.inv(lam)
-        except np.linalg.LinAlgError as exc:
-            raise ParameterError(f"lam is singular: {exc}") from exc
+        lam, sig = _inverse_pair(lam, "lam")
         return cls(lam=lam, sig=sig)
 
     @classmethod
     def from_sigma(cls, sig: np.ndarray) -> "GrassmannParams":
-        sig = np.asarray(sig, dtype=float)
-        _check_square(sig, "sig")
-        try:
-            lam = np.linalg.inv(sig)
-        except np.linalg.LinAlgError as exc:
-            raise ParameterError(f"sig is singular: {exc}") from exc
+        sig, lam = _inverse_pair(sig, "sig")
         return cls(lam=lam, sig=sig)
 
     @property
@@ -204,6 +205,13 @@ def _solve_pivot(block: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
         ) from exc
 
 
+def _pivot_correction(lam: np.ndarray, S, T1) -> np.ndarray:
+    """lam[S,T1] inv(lam[T1,T1] - I) lam[T1,S], the term that conditioning
+    on y_T1 = 1 subtracts from lam's S rows and columns."""
+    pivot = lam[np.ix_(T1, T1)] - np.eye(len(T1))
+    return lam[np.ix_(S, T1)] @ _solve_pivot(pivot, lam[np.ix_(T1, S)], "lam[T1,T1] - I")
+
+
 def conditional_params(p: GrassmannParams, part: IndexPartition) -> GrassmannParams:
     """Parameter of the conditional distribution of y_S given y_T.
 
@@ -229,15 +237,9 @@ def conditional_params(p: GrassmannParams, part: IndexPartition) -> GrassmannPar
     schur = tilde[np.ix_(S, S)] - tilde[np.ix_(S, T)] @ solve_ts
 
     # cross-check through the lam-side formula whenever it is defined
-    lam_ss = p.lam[np.ix_(S, S)]
+    lam_form = p.lam[np.ix_(S, S)]
     if T1.size:  # skips np.ix_ on empty sets and a 0 x 0 solve, as above
-        pivot = p.lam[np.ix_(T1, T1)] - np.eye(T1.size)
-        corr = p.lam[np.ix_(S, T1)] @ _solve_pivot(
-            pivot, p.lam[np.ix_(T1, S)], "lam[T1,T1] - I"
-        )
-        lam_form = lam_ss - corr
-    else:
-        lam_form = lam_ss
+        lam_form = lam_form - _pivot_correction(p.lam, S, T1)
     try:
         sig_from_lam = np.linalg.inv(lam_form)
     except np.linalg.LinAlgError as exc:

@@ -37,7 +37,9 @@ import numpy as np
 
 from .caps import check_bit_cap
 from .errors import ParameterError
-from .grassmann import _CHUNK, GrassmannParams, _freeze, _log_minors, _mask_bits, _solve_pivot
+from .grassmann import (
+    _CHUNK, GrassmannParams, _freeze, _log_minors, _mask_bits, _pivot_correction,
+)
 
 _LOG2PI = float(np.log(2.0 * np.pi))
 
@@ -283,10 +285,7 @@ def conditional_binary_given_continuous(
     t1 = [t for t, bit in zip(T, y_T) if bit]
     Sl = list(S)
     lam_mi = mp.lam - np.eye(mp.q)
-    pivot = mp.lam[np.ix_(t1, t1)] - np.eye(len(t1))
-    core = lam_mi[np.ix_(Sl, Sl)] - mp.lam[np.ix_(Sl, t1)] @ _solve_pivot(
-        pivot, mp.lam[np.ix_(t1, Sl)], "lam[T1,T1] - I"
-    )
+    core = lam_mi[np.ix_(Sl, Sl)] - _pivot_correction(mp.lam, Sl, t1)
     tilt = np.exp(mp.G[Sl, :] @ (x - mp.mu))
     lam_cond = np.eye(len(Sl)) + core * tilt[None, :]
     return GrassmannParams.from_lambda(lam_cond)

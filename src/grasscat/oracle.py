@@ -17,8 +17,6 @@ import numpy as np
 from .caps import check_bit_cap
 from .errors import ParameterError
 from .grassmann import GrassmannParams
-from .schema import VariableSchema, decode_state, DummyState
-from .errors import InvalidStateError
 
 _CHUNK = 2**14  # masks per elimination pass: bounds the stacked minors
 
@@ -134,18 +132,3 @@ def oracle_conditional(table: FullTable, S, T, y_T) -> OracleConditional:
         key = tuple(int(state[s]) for s in S)
         out[key] = out.get(key, 0.0) + float(prob) / denom
     return OracleConditional(probs=dict(sorted(out.items())), defined=True)
-
-
-def allowed_restriction(
-    table: FullTable, schema: VariableSchema
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the table that satisfy the schema's block constraints."""
-    keep = []
-    for i, state in enumerate(table.states):
-        try:
-            decode_state(schema, DummyState(tuple(int(b) for b in state)))
-        except InvalidStateError:
-            continue
-        keep.append(i)
-    keep = np.asarray(keep, dtype=int)
-    return table.states[keep], table.probs[keep]

@@ -29,11 +29,10 @@ at a time; they are the reference that the array paths are tested against.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -193,12 +192,6 @@ def decode_state(schema: VariableSchema, state: DummyState) -> Record:
                 )
             values.append(level)
     return Record(tuple(values))
-
-
-def iter_records(schema: VariableSchema) -> Iterator[Record]:
-    """All records in lexicographic order (first variable most significant)."""
-    for combo in itertools.product(*(range(v.levels) for v in schema.variables)):
-        yield Record(combo)
 
 
 def _build_allowed_table(schema: VariableSchema) -> tuple[np.ndarray, np.ndarray]:

@@ -34,7 +34,8 @@ validity of the extended distribution implies validity of its observed
 marginal.  :func:`assemble_lambda` runs neither check.
 
 Shapes are checked once, where they are read: the public builders check
-their input, and :func:`flat_params` checks all of (b, w, V, omega).  The
+their input, and :func:`flat_params` is the one check of a whole
+(b, w, V, omega), which every path from a StructuredParams runs.  The
 fit's objective reads views of its optimizer vector, whose layout fixes
 the shapes, through the unchecked e^beta of K's first rows
 (:func:`_block_exps`) and the unchecked middle factor.
@@ -95,20 +96,6 @@ class StructuredParams:
         )
 
 
-def validate_shapes(schema: VariableSchema, sp: StructuredParams) -> None:
-    """Check V and omega against the schema.  The b and w vectors are
-    checked where they are read."""
-    a = sp.a
-    if sp.V.shape != (schema.q, a):
-        raise SchemaError(f"V has shape {sp.V.shape}, expected ({schema.q}, {a})")
-    if sp.omega.shape != (a,):
-        raise SchemaError(f"omega has shape {sp.omega.shape}, expected ({a},)")
-    if np.any(sp.omega < OMEGA_EPS) or np.any(sp.omega > 1.0 - OMEGA_EPS):
-        raise ParameterError(
-            f"omega entries must lie in [{OMEGA_EPS}, {1 - OMEGA_EPS}]"
-        )
-
-
 def _checked_vectors(schema: VariableSchema, vectors, name: str, sizes) -> np.ndarray:
     """The per-variable ``name`` vectors laid end to end as one float array;
     SchemaError unless there is one per variable, of length ``sizes[j]`` for
@@ -127,11 +114,20 @@ def _checked_vectors(schema: VariableSchema, vectors, name: str, sizes) -> np.nd
 
 def flat_params(schema: VariableSchema, sp: StructuredParams) -> tuple[np.ndarray, ...]:
     """``sp`` checked against the schema, as the fit's optimizer vector lays
-    it out: b laid end to end, the (variables, a) w rows, V and omega."""
-    validate_shapes(schema, sp)
+    it out: b laid end to end, the (variables, a) w rows, V and omega.
+    This is the one check of a StructuredParams: V, omega, b, then w."""
+    a = sp.a
+    if sp.V.shape != (schema.q, a):
+        raise SchemaError(f"V has shape {sp.V.shape}, expected ({schema.q}, {a})")
+    if sp.omega.shape != (a,):
+        raise SchemaError(f"omega has shape {sp.omega.shape}, expected ({a},)")
+    if np.any(sp.omega < OMEGA_EPS) or np.any(sp.omega > 1.0 - OMEGA_EPS):
+        raise ParameterError(
+            f"omega entries must lie in [{OMEGA_EPS}, {1 - OMEGA_EPS}]"
+        )
     b = _checked_vectors(schema, sp.b, "b", schema.block_maps.sizes)
-    w = _checked_vectors(schema, sp.w, "w", [sp.a] * len(schema))
-    return b, w.reshape(len(schema), sp.a), sp.V, sp.omega
+    w = _checked_vectors(schema, sp.w, "w", [a] * len(schema))
+    return b, w.reshape(len(schema), a), sp.V, sp.omega
 
 
 def quasi_diagonal_blocks(schema: VariableSchema, b_vectors) -> np.ndarray:
@@ -275,17 +271,16 @@ def extended_lambda(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
 
 
 def _raw_lambda(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
-    """lam = I + K + W diag(omega) V^T as a bare array: no check of V or
-    omega, no certificate, no inverse."""
-    K = quasi_diagonal_blocks(schema, sp.b)
-    W = aux_loading_matrix(schema, sp.w, sp.a)
-    return np.eye(schema.q) + K + (W * sp.omega[None, :]) @ sp.V.T
+    """lam = I + K + W diag(omega) V^T as a bare array, from ``sp`` as
+    :func:`flat_params` checks it: no certificate, no inverse."""
+    b, w, V, omega = flat_params(schema, sp)
+    W = _aux_loading(schema, w)
+    return np.eye(schema.q) + _quasi_diagonal(schema, b) + (W * omega[None, :]) @ V.T
 
 
 def assemble_lambda(schema: VariableSchema, sp: StructuredParams) -> GrassmannParams:
     """Assemble lam = I + K + W diag(omega) V^T, without any positivity
     check: the caller certifies the result (see the module docstring)."""
-    validate_shapes(schema, sp)
     return GrassmannParams.from_lambda(_raw_lambda(schema, sp))
 
 

@@ -1125,3 +1125,34 @@ class TestConsoleScript:
         with open(self.ROOT / "pyproject.toml", "rb") as fh:
             project = tomllib.load(fh)["project"]
         assert project["scripts"] == {"grasscat": "grasscat.cli:main"}
+
+
+class TestFitSweepStopRule:
+    def test_sweep_stops_below_1e_3_relative_gain(self, workdir, capsys, monkeypatch):
+        # gains: 1e-2 at a = 1, 5.05e-3 at a = 2, 4.06e-4 at a = 3
+        import dataclasses
+
+        import grasscat.cli
+
+        nlls = {0: 1000.0, 1: 990.0, 2: 985.0, 3: 984.6}
+        real = grasscat.cli.fit_grassmann
+
+        def scripted(schema, counts, config):
+            return dataclasses.replace(real(schema, counts, config), nll=nlls[config.a])
+
+        monkeypatch.setattr(grasscat.cli, "fit_grassmann", scripted)
+        code = _run(
+            workdir,
+            "fit",
+            "--schema", "schema.json",
+            "--data", "data.csv",
+            "--latent-aux", "auto",
+            "--restarts", "1",
+            "--max-iter", "5",
+            "--out", "model.json",
+        )
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["sweep"] == [{"a": a, "nll": nll} for a, nll in nlls.items()]
+        assert out["a"] == 2
+        assert load_model(str(workdir / "model.json")).params.a == 2

@@ -765,3 +765,53 @@ def test_initial_objective_matches_independent_model(rng, reader_schema):
             _variable_pmf_product(reader_schema, b0, bits)
         )
     assert nll_weights == pytest.approx(nll_direct, rel=1e-12)
+
+
+def _ref_combined_vectors(schema, G):
+    """The combined loadings filled one level at a time, the ordinal running
+    sum starting from +0.0: the reference for the block-at-once version."""
+    vectors = []
+    for (s, e), v in zip(schema.blocks, schema.variables):
+        rows = G[s:e]
+        block_sum = rows.sum(axis=0)
+        k = v.block_size
+        out = np.zeros((v.levels, G.shape[1]))
+        if v.kind is CAT:
+            out[0] = -block_sum / (k + 1)
+            for l in range(1, v.levels):
+                out[l] = -block_sum / (k + 1) + rows[l - 1]
+        else:
+            out[0] = -0.5 * block_sum
+            run = np.zeros(G.shape[1])
+            for l in range(1, v.levels):
+                run = run + rows[l - 1]
+                out[l] = -0.5 * block_sum + run
+        vectors.append(out)
+    return vectors
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestCombinedLoadingsSignedZeros:
+    def test_matches_the_per_level_loop_bit_for_bit(self):
+        from generators import random_schema
+
+        rng = np.random.default_rng(269)
+        for _ in range(200):
+            schema = random_schema(rng, max_q=9, max_levels=5)
+            p_z = int(rng.integers(0, 4))
+            G = rng.choice([0.0, -0.0, 1.0, -1.0, 0.25, -3.5], size=(schema.q, p_z))
+            got = combined_loadings(schema, G).vectors
+            want = _ref_combined_vectors(schema, G)
+            assert len(got) == len(want)
+            assert all(_same_bits(a, b) for a, b in zip(got, want))
+            coeffs = np.vstack(_ref_combined_vectors(schema, np.eye(schema.q))) + 0.0
+            assert _same_bits(_loading_coefficients(schema), coeffs)
+
+
+class TestFactorFitConfigSeed:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            FactorFitConfig(seed=-2)

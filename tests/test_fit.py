@@ -1038,3 +1038,62 @@ class TestDegenerateData:
         report = fit_grassmann(schema, rows, FitConfig(a=0, restarts=1, seed=0))
         assert any("clipped" in w for w in report.warnings)
         assert np.abs(report.params.b[0]).max() <= 30.0 + 1e-9
+
+
+class TestDocumentedRules:
+    def test_state_just_below_minus_1e_12_makes_the_fit_infeasible(self, monkeypatch):
+        import grasscat.fit
+
+        real = grasscat.fit.state_probabilities
+
+        def one_slightly_negative(params, states):
+            probs = real(params, states)
+            probs[0] = -5e-10
+            return probs
+
+        monkeypatch.setattr(grasscat.fit, "state_probabilities", one_slightly_negative)
+        schema = VariableSchema([VariableDecl("x", CAT, 3)])
+        rows = [Record((0,))] * 25 + [Record((1,))] * 35 + [Record((2,))] * 40
+        report = fit_grassmann(schema, rows, FitConfig(a=0, restarts=1, seed=0))
+        assert report.p0_min == -5e-10
+        assert not report.feasible
+        assert not report.converged
+        assert any("p0_min" in w for w in report.warnings)
+
+    def test_penalty_weight_ramps_through_at_most_six_weights(self):
+        from types import SimpleNamespace
+
+        from grasscat.fit import _penalized_fit
+
+        weights = []
+
+        def solve(x, weight):
+            weights.append(weight)
+            return SimpleNamespace(x=x, fun=1.0, nit=1, success=True, status=0)
+
+        _penalized_fit(0, 1, 10.0, lambda rng: np.zeros(1), solve,
+                       lambda x: False, lambda x: (0.0,))
+        assert sorted(set(weights)) == [10.0, 1e2, 1e3, 1e4, 1e5, 1e6]
+
+    def test_unobserved_level_starts_at_minus_30(self, monkeypatch):
+        import grasscat.fit
+
+        starts = []
+
+        def start_only(seed, restarts, weight0, start, *rest):
+            starts.append(start(np.random.default_rng(seed)))
+            return (0.0, 0.0), starts[-1], True, 0
+
+        monkeypatch.setattr(grasscat.fit, "_penalized_fit", start_only)
+        schema = VariableSchema([VariableDecl("x", CAT, 3)])
+        rows = [Record((0,))] * 10 + [Record((1,))] * 10  # level 2 never seen
+        report = fit_grassmann(schema, rows, FitConfig(a=1, restarts=1, seed=0))
+        assert starts[0][1] == -30.0
+        assert any("clipped to +-30.0" in w for w in report.warnings)
+        assert _Packer(schema, 1).bounds[: schema.q] == [(-30.0, 30.0)] * schema.q
+
+
+class TestFitConfigSeed:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            FitConfig(seed=-1)

@@ -348,3 +348,15 @@ class TestPrincipalMinorTable:
         masks = np.arange(2**q)
         bits = (masks[:, None] >> np.arange(q)) & 1
         assert np.array_equal(all_state_probabilities(p), state_probabilities(p, bits))
+
+
+class TestClamp:
+    # a one-bit lam gives the state y = 1 the probability (lam - 1) / lam
+    def test_round_off_within_1e_12_below_zero_is_clamped_to_plus_zero(self):
+        p = GrassmannParams.from_lambda(np.array([[1.0 - 5e-13]]))
+        prob = state_probabilities(p, np.array([[1]]))[0]
+        assert prob == 0.0 and not np.signbit(prob)
+
+    def test_a_value_further_below_zero_is_returned_as_is(self):
+        p = GrassmannParams.from_lambda(np.array([[1.0 - 5e-10]]))
+        assert state_probabilities(p, np.array([[1]]))[0] == pytest.approx(-5e-10, rel=1e-6)

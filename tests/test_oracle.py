@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from grasscat.errors import EnumerationCapError, ParameterError
+from grasscat.errors import EnumerationCapError, InvalidStateError, ParameterError
 from grasscat.grassmann import (
     GrassmannParams,
     IndexPartition,
@@ -21,11 +21,25 @@ from grasscat.oracle import (
     oracle_marginal,
 )
 
-from grasscat.schema import VariableDecl, VariableSchema
+from grasscat.schema import DummyState, VariableDecl, VariableSchema, decode_state
 from grasscat.structure import assemble_lambda
 
 from generators import CAT, ORD, random_certified_structured, random_valid_params
 from reference_values import READER_LAMBDA_MINUS_I
+
+
+def allowed_restriction(table, schema: VariableSchema) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the table that satisfy the schema's block constraints, found
+    by decoding one state at a time."""
+    keep = []
+    for i, state in enumerate(table.states):
+        try:
+            decode_state(schema, DummyState(tuple(int(b) for b in state)))
+        except InvalidStateError:
+            continue
+        keep.append(i)
+    keep = np.asarray(keep, dtype=int)
+    return table.states[keep], table.probs[keep]
 
 
 def test_naive_det_matches_lapack():
@@ -118,7 +132,6 @@ def test_independent_table():
 
 def test_reader_mass_sits_on_allowed_states():
     from generators import reader_style_schema
-    from grasscat.oracle import allowed_restriction
 
     params = GrassmannParams.from_lambda(np.eye(6) + READER_LAMBDA_MINUS_I)
     table = brute_force_table(params)

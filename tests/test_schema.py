@@ -24,7 +24,6 @@ from grasscat.schema import (
     decode_state,
     encode_record,
     enumerate_allowed_states,
-    iter_records,
     levels_of_bits,
     load_data_levels,
     load_data_rows,
@@ -35,6 +34,13 @@ from grasscat.schema import (
 
 CAT = VariableKind.CATEGORICAL
 ORD = VariableKind.ORDINAL
+
+
+def iter_records(schema: VariableSchema):
+    """All records in lexicographic order (first variable most significant),
+    one at a time: the reference the allowed-state table is checked against."""
+    for combo in itertools.product(*(range(v.levels) for v in schema.variables)):
+        yield Record(combo)
 
 
 def test_block_layout():
