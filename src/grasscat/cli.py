@@ -344,14 +344,17 @@ def _parse_dim_range(text: str) -> range:
     return range(lo_i, hi_i + 1)
 
 
-def _cmd_fa_fit(args) -> int:
+def _factor_inputs(args) -> tuple:
+    """The schema, the data's state counts and the fit config of ``fa fit``
+    and ``fa bic``, read in that order."""
     schema = load_schema(args.schema)
     counts = state_counts(schema, load_data_levels(schema, args.data))
-    config = FactorFitConfig(
-        max_iter=args.max_iter,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
+    config = FactorFitConfig(max_iter=args.max_iter, restarts=args.restarts, seed=args.seed)
+    return schema, counts, config
+
+
+def _cmd_fa_fit(args) -> int:
+    schema, counts, config = _factor_inputs(args)
     out: dict = {"out": args.out}
     if (args.latent_dim is None) == (args.bic_range is None):
         raise DataError("give exactly one of --latent-dim or --bic-range")
@@ -373,13 +376,7 @@ def _cmd_fa_fit(args) -> int:
 
 
 def _cmd_fa_bic(args) -> int:
-    schema = load_schema(args.schema)
-    counts = state_counts(schema, load_data_levels(schema, args.data))
-    config = FactorFitConfig(
-        max_iter=args.max_iter,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
+    schema, counts, config = _factor_inputs(args)
     if args.min_dim > args.max_dim:
         raise DataError("--min-dim must not exceed --max-dim")
     table, model, report = select_dimension_bic(

@@ -28,7 +28,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, ParameterError, SchemaError
-from .fit import StateCounts, _level_logits, _penalized_fit, empirical_moments, state_counts
+from .fit import (
+    StateCounts, _check_integers, _level_logits, _penalized_fit, empirical_moments, state_counts,
+)
 from .grassmann import _freeze
 from .outputs import SvgCanvas, _csv_rows, write_csv
 from .schema import (
@@ -337,6 +339,7 @@ class FactorFitConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_integers(self, ("max_iter", "restarts", "seed"))
         if self.max_iter <= 0 or self.restarts <= 0:
             raise ValueError("max_iter and restarts must be positive")
         if self.seed < 0:
@@ -378,10 +381,7 @@ def bic_parameter_count(q: int, p_z: int, p_x: int = 0) -> int:
     """Free-parameter count with the rotation gauge removed:
     q biases + q*p_z loadings - p_z(p_z-1)/2, plus (2 + p_z) p_x when a
     continuous block is present."""
-    k = q + q * p_z - p_z * (p_z - 1) // 2
-    if p_x:
-        k += p_x * (2 + p_z)
-    return k
+    return q + q * p_z - p_z * (p_z - 1) // 2 + p_x * (2 + p_z)
 
 
 def fit_factor_model(
@@ -430,15 +430,11 @@ def fit_factor_model(
 
     coeffs = _loading_coefficients(schema)
 
+    at_G, at_s, at_mu, at_tau, at_W = np.cumsum([q, q * p_z, 1, p_x, p_x]).tolist()
+
     def split(xvec):
-        pos = 0
-        b = xvec[pos : pos + q]; pos += q
-        G = xvec[pos : pos + q * p_z].reshape(q, p_z); pos += q * p_z
-        s = xvec[pos]; pos += 1
-        mu_x = xvec[pos : pos + p_x]; pos += p_x
-        tau = xvec[pos : pos + p_x]; pos += p_x
-        W = xvec[pos : pos + p_x * p_z].reshape(p_x, p_z); pos += p_x * p_z
-        return b, G, s, mu_x, tau, W
+        return (xvec[:at_G], xvec[at_G:at_s].reshape(q, p_z), xvec[at_s],
+                xvec[at_mu:at_tau], xvec[at_tau:at_W], xvec[at_W:].reshape(p_x, p_z))
 
     def objective(xvec, kappa):
         b, G, s, mu_x, tau, W = split(xvec)
@@ -469,7 +465,8 @@ def fit_factor_model(
             psi = np.exp(tau)
             cov = np.diag(psi) + W @ W.T
             prec = np.linalg.inv(cov)
-            means = mu_x[None, :] + Y_rows @ G @ W.T
+            YG = Y_rows @ G
+            means = mu_x[None, :] + YG @ W.T
             resid = X - means
             sol = resid @ prec
             _, logdet = np.linalg.slogdet(cov)
@@ -480,7 +477,7 @@ def fit_factor_model(
             S = resid.T @ resid
             d_cov = 0.5 * (len(X) * prec - prec @ S @ prec)
             g_tau = np.diag(d_cov) * psi
-            g_W = 2.0 * d_cov @ W - sol.T @ (Y_rows @ G)
+            g_W = 2.0 * d_cov @ W - sol.T @ YG
             g_G = g_G - (Y_rows.T @ sol) @ W
         grad = np.concatenate(
             [g_b, g_G.ravel(), [g_s], g_mu, g_tau, g_W.ravel()]
@@ -704,14 +701,11 @@ def biplot_export(
         ["row_id", *pc_names, "multiplicity"],
         _csv_rows(bp.row_ids, bp.scores, bp.multiplicities),
     )
-    loading_rows = []
-    idx = 0
-    for j, v in enumerate(schema.variables):
-        for l in range(v.levels):
-            loading_rows.append(
-                [v.name, bp.loading_labels[idx], *[float(c) for c in bp.loading_vectors[idx]]]
-            )
-            idx += 1
+    names = [v.name for v in schema.variables for _ in range(v.levels)]
+    loading_rows = [
+        [name, label, *[float(c) for c in vec]]
+        for name, label, vec in zip(names, bp.loading_labels, bp.loading_vectors)
+    ]
     write_csv(out_loadings, ["variable", "level_label", *pc_names], loading_rows)
     _draw_biplot(bp, out_svg)
     return bp

@@ -35,9 +35,9 @@ feasible when every allowed state, the only states whose minors the
 parametrization does not make zero, has a nonnegative probability.
 
 Inside a fit the parameters live only in L-BFGS-B's flat vector (b, w, V,
-rho = logit(omega), C - I).  The objective reads views of it and returns its
-gradient in the same order.  A StructuredParams is built from it only
-between L-BFGS-B runs: for the restart key, the margins and the result.  The public
+rho = logit(omega), C - I).  The objective, the ramp check (a zero penalty)
+and the restart key (the NLL, then the vector's norm) read views of it.  A
+StructuredParams is built once per fit, for the result only.  The public
 NLL and gradient check a StructuredParams and pass its flat layout on.
 """
 
@@ -408,11 +408,6 @@ class _Packer:
         return (x[:i], x[i:j].reshape(k, a), x[j:l].reshape(q, a), omega,
                 self.eye + x[m:].reshape(q + a, q + a))
 
-    def params(self, x: np.ndarray) -> tuple[StructuredParams, np.ndarray]:
-        """The model and the slack C at ``x``."""
-        b, w, V, omega, C = self.unpack(x)
-        return StructuredParams(tuple(b[s:e] for s, e in self.schema.blocks), tuple(w), V, omega), C
-
 
 def _penalized_objective(
     x: np.ndarray, mu: float, packer: _Packer, plan: _StatePlan
@@ -482,6 +477,15 @@ def _penalized_fit(
 
 # -- fit_grassmann -----------------------------------------------------------
 
+def _check_integers(config, names: tuple[str, ...]) -> None:
+    """ValueError naming the first field of ``names`` in ``config`` that is
+    not an integer; a bool is not one."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class FitConfig:
     """Knobs for fit_grassmann; every random draw flows from ``seed``."""
@@ -493,6 +497,7 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_integers(self, ("a", "max_iter", "restarts", "seed"))
         if self.max_iter <= 0 or self.grad_tol <= 0 or self.restarts <= 0:
             raise ValueError("max_iter, grad_tol, and restarts must be positive")
         if self.a < 0:
@@ -615,17 +620,21 @@ def fit_grassmann(
                      "ftol": 1e-14},
         )
 
+    def constraint_met(x: np.ndarray) -> bool:
+        b, w, V, _, C = packer.unpack(x)
+        return dominance_penalty(schema, b, w, V, C, 1.0)[0] == 0.0
+
     def key(x: np.ndarray) -> tuple[float, float]:
         nll = _likelihood(schema, *packer.unpack(x)[:4], plan, gradient=False)[0]
-        return nll, float(np.linalg.norm(packer.pack(*packer.params(x))))
+        return nll, float(np.linalg.norm(x))
 
     (nll, _), x, success, iterations = _penalized_fit(
-        config.seed, config.restarts, MU0, start, solve,
-        lambda x: dominance_certificate(schema, *packer.params(x)).passed, key,
+        config.seed, config.restarts, MU0, start, solve, constraint_met, key,
     )
-    sp_fit, C_fit = packer.params(x)
+    b, w, V, omega, C = packer.unpack(x)
+    sp_fit = StructuredParams(tuple(b[s:e] for s, e in schema.blocks), tuple(w), V, omega)
     params = assemble_lambda(schema, sp_fit)
-    report = dominance_certificate(schema, sp_fit, C_fit)
+    report = dominance_certificate(schema, sp_fit, C)
     mean_model, cov_model = moments(params)
     corr_model = _correlation(cov_model)
     p0_min = float(state_probabilities(params, allowed).min())

@@ -197,20 +197,21 @@ def mixed_conditional_density(
 
     JL = sorted(J + L)
     if K:  # at K = {} the general block takes 35-67 us, these branches 6-11 us
-        sigma_kk = mp.sigma[np.ix_(K, K)]
         try:
-            kk_inv = np.linalg.inv(sigma_kk)
+            kk_inv = np.linalg.inv(mp.sigma[np.ix_(K, K)])
         except np.linalg.LinAlgError as exc:
             raise ParameterError("sigma[K, K] is singular") from exc
         dx = x_K - mp.mu[K]
         shift = mp.sigma[:, K] @ kk_inv @ dx  # the tilt adds (G^T 1_{R1}) @ shift
-        sigma_jl_cond = (
-            mp.sigma[np.ix_(JL, JL)]
-            - mp.sigma[np.ix_(JL, K)] @ kk_inv @ mp.sigma[np.ix_(K, JL)]
-        )
+        # J and JL take separate products: BLAS rounds a row by the product's row count
+        gain_jl, gain_j = mp.sigma[np.ix_(JL, K)] @ kk_inv, mp.sigma[np.ix_(J, K)] @ kk_inv
+        sigma_jl_cond = mp.sigma[np.ix_(JL, JL)] - gain_jl @ mp.sigma[np.ix_(K, JL)]
+        base_mean = mp.mu[J] + gain_j @ dx
+        cross = mp.sigma[np.ix_(J, JL)] - gain_j @ mp.sigma[np.ix_(K, JL)]
     else:
         shift = np.zeros(mp.p)
         sigma_jl_cond = mp.sigma[np.ix_(JL, JL)]
+        base_mean, cross = mp.mu[J], mp.sigma[np.ix_(J, JL)]
 
     t1 = [t for t, bit in zip(T, y_T) if bit]
     s1 = [s for s, bit in zip(S, y_S) if bit]
@@ -245,15 +246,6 @@ def mixed_conditional_density(
         return float(wgt[rows].sum() / denom)
     pos_j = [JL.index(j) for j in J]
     sigma_j_cond = sigma_jl_cond[np.ix_(pos_j, pos_j)]
-    if K:  # the same K = {} saving as above
-        base_mean = mp.mu[J] + mp.sigma[np.ix_(J, K)] @ kk_inv @ dx
-        cross = (
-            mp.sigma[np.ix_(J, JL)]
-            - mp.sigma[np.ix_(J, K)] @ kk_inv @ mp.sigma[np.ix_(K, JL)]
-        )
-    else:
-        base_mean = mp.mu[J]
-        cross = mp.sigma[np.ix_(J, JL)]
     means = base_mean + v_jl[rows] @ cross.T
     numer = wgt[rows] @ np.exp(_log_normals(x_J, means, sigma_j_cond))
     return float(numer / denom)

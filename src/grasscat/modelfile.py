@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, SchemaError
+from .errors import SchemaError
 from .factor import FactorModel
 from .mixed import MixedParams
+from .outputs import _write_text
 from .schema import VariableSchema, _read_json, schema_from_dict, schema_to_dict
 from .structure import StructuredParams
 
@@ -228,11 +229,7 @@ def dump_model(mf: ModelFile) -> str:
 
 
 def save_model(mf: ModelFile, path: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(dump_model(mf))
-    except OSError as exc:
-        raise DataError(f"cannot write model file {path}: {exc}") from exc
+    _write_text(path, dump_model(mf), "model file ")
 
 
 def load_model(path: str) -> ModelFile:

@@ -5,7 +5,9 @@ paths deliberately different from the main modules: determinants come from
 Gaussian elimination with partial pivoting written out in numpy (no
 ``np.linalg``, no ``scipy.linalg`` and no ``grassmann`` helper), and
 marginals/conditionals are plain summations and ratios over the full state
-table.  Independence is the point.
+table.  Independence is the point.  The table's moments are those of its
+weighted states (:func:`grasscat.fit.weighted_moments`), not the closed
+form of :func:`grasscat.grassmann.moments` that ``oracle check`` tests.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from .caps import check_bit_cap
 from .errors import ParameterError
+from .fit import weighted_moments
 from .grassmann import GrassmannParams
 
 _CHUNK = 2**14  # masks per elimination pass: bounds the stacked minors
@@ -81,13 +84,7 @@ def brute_force_table(p: GrassmannParams) -> FullTable:
             idx = np.nonzero(chunk[rows])[1].reshape(rows.size, k)
             probs[lo + rows] = _naive_det(flat[idx[:, :, None] * q + idx[:, None, :]])
     probs /= det_l
-    mean = probs @ states
-    centered = states - mean
-    cov = (probs[:, None] * centered).T @ centered
-    std = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        corr = cov / np.outer(std, std)
-    np.fill_diagonal(corr, 1.0)
+    mean, cov, corr = weighted_moments(states, probs)
     return FullTable(states=states, probs=probs, mean=mean, cov=cov, corr=corr)
 
 

@@ -61,11 +61,17 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
     :func:`_csv_line` or :func:`_csv_rows` already formatted, written as is."""
     lines = [_csv_line(header)]
     lines.extend(row if isinstance(row, str) else _csv_line(row) for row in rows)
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_text(path: str, text: str, what: str = "") -> None:
+    """Write ``text`` to ``path`` as UTF-8 with no newline translation;
+    DataError "cannot write {what}{path}: ..." on any OSError."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text)
     except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc
+        raise DataError(f"cannot write {what}{path}: {exc}") from exc
 
 
 class SvgCanvas:
@@ -122,8 +128,4 @@ class SvgCanvas:
         )
 
     def save(self, path: str) -> None:
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write("\n".join(self._parts) + "\n</svg>\n")
-        except OSError as exc:
-            raise DataError(f"cannot write {path}: {exc}") from exc
+        _write_text(path, "\n".join(self._parts) + "\n</svg>\n")

@@ -116,6 +116,8 @@ def flat_params(schema: VariableSchema, sp: StructuredParams) -> tuple[np.ndarra
     """``sp`` checked against the schema, as the fit's optimizer vector lays
     it out: b laid end to end, the (variables, a) w rows, V and omega.
     This is the one check of a StructuredParams: V, omega, b, then w."""
+    if sp.V.ndim != 2:
+        raise SchemaError(f"V has shape {sp.V.shape}, expected ({schema.q}, a)")
     a = sp.a
     if sp.V.shape != (schema.q, a):
         raise SchemaError(f"V has shape {sp.V.shape}, expected ({schema.q}, {a})")

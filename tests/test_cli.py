@@ -417,6 +417,36 @@ class TestFactorCommands:
         assert len(out["table"]["rows"]) == 2
 
 
+class TestFactorCommandConfig:
+    """``fa fit`` and ``fa bic`` hand --max-iter, --restarts and --seed to
+    the factor fit's config."""
+
+    @pytest.mark.parametrize("command", [
+        ["fa", "fit", "--latent-dim", "1", "--out", "fa.json"],
+        ["fa", "bic", "--min-dim", "1", "--max-dim", "1"],
+    ])
+    def test_options_reach_the_config(self, workdir, capsys, monkeypatch, command):
+        import grasscat.cli
+        import grasscat.factor
+
+        configs = []
+        real = grasscat.factor.fit_factor_model
+
+        def record(schema, data, p_z, config=None, x_data=None):
+            configs.append(config)
+            return real(schema, data, p_z, config, x_data)
+
+        monkeypatch.setattr(grasscat.factor, "fit_factor_model", record)
+        monkeypatch.setattr(grasscat.cli, "fit_factor_model", record)
+        argv = [*command, "--schema", "schema.json", "--data", "data.csv",
+                "--max-iter", "7", "--restarts", "2", "--seed", "11"]
+        assert _run(workdir, *argv) == 0
+        capsys.readouterr()
+        assert configs and all(
+            (c.max_iter, c.restarts, c.seed) == (7, 2, 11) for c in configs
+        )
+
+
 class TestMixedEval:
     @pytest.fixture
     def mixed_model(self, tmp_path):

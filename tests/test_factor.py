@@ -815,3 +815,70 @@ class TestFactorFitConfigSeed:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             FactorFitConfig(seed=-2)
+
+
+class TestFactorFitConfigIntegers:
+    """Every integer field refuses a float or a bool, naming the field,
+    before its range check; numpy integers are integers."""
+
+    @pytest.mark.parametrize("field", ["max_iter", "restarts", "seed"])
+    def test_non_integer_field_rejected(self, field):
+        for value in (1.5, -1.5, 2.0, True):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                FactorFitConfig(**{field: value})
+        assert getattr(FactorFitConfig(**{field: np.int64(2)}), field) == 2
+
+
+class TestFactorObjectiveGradient:
+    def test_gradient_with_a_continuous_block_matches_finite_differences(
+            self, monkeypatch, rng):
+        """Central differences of the factor fit's penalized objective in
+        every coordinate of (b, G, s, mu_x, tau, W), taken from the solve
+        that fit_factor_model hands to the restart driver."""
+        from types import SimpleNamespace
+
+        import scipy.optimize
+
+        import grasscat.factor
+
+        captured = {}
+
+        def capture(seed, restarts, weight0, start, solve, constraint_met, key):
+            captured.update(start=start, solve=solve)
+            return (0.0, 0.0), start(np.random.default_rng(seed)), True, 0
+
+        monkeypatch.setattr(grasscat.factor, "_penalized_fit", capture)
+        schema = VariableSchema([VariableDecl("a", CAT, 3), VariableDecl("b", ORD, 3)])
+        n, p_z, p_x = 60, 2, 2
+        rows = np.stack([rng.integers(0, 3, n), rng.integers(0, 3, n)], axis=1)
+        fit_factor_model(schema, rows, p_z, FactorFitConfig(restarts=1),
+                         x_data=rng.normal(0.0, 1.0, (n, p_x)))
+        monkeypatch.setattr(scipy.optimize, "minimize",
+                            lambda fun, x0, args, **kw: SimpleNamespace(fun=fun, args=args))
+        res = captured["solve"](None, 10.0)  # kappa = 10: the equal-norm penalty is live
+        x = captured["start"](rng) + rng.normal(0.0, 0.3, 1)
+        value, grad = res.fun(x, *res.args)
+        assert len(x) == schema.q * (1 + p_z) + 1 + p_x * (2 + p_z)
+        h = 1e-6
+        for i in range(len(x)):
+            step = np.zeros_like(x)
+            step[i] = h
+            fd = (res.fun(x + step, *res.args)[0] - res.fun(x - step, *res.args)[0]) / (2 * h)
+            assert fd == pytest.approx(grad[i], rel=1e-5, abs=1e-5), i
+
+
+def test_loadings_csv_rows_follow_the_schema(reader_schema, tmp_path, rng):
+    """One loadings row per level: the variable's name, the level label and
+    the level's loading vector, in schema order."""
+    model = FactorModel.canonical(
+        b=np.zeros(reader_schema.q), G=rng.normal(0, 0.5, (reader_schema.q, 2))
+    )
+    out = tmp_path / "l.csv"
+    bp = biplot_export(reader_schema, model, [Record((1, 2, 3)), Record((0, 1, 0))],
+                       str(tmp_path / "b.svg"), str(tmp_path / "s.csv"), str(out))
+    lines = out.read_text().splitlines()
+    assert lines[0] == "variable,level_label,pc1,pc2"
+    names = ["Working"] * 2 + ["Age"] * 3 + ["Edu"] * 4
+    assert len(lines) == 1 + len(names) == 1 + len(bp.loading_labels)
+    for line, name, label, vec in zip(lines[1:], names, bp.loading_labels, bp.loading_vectors):
+        assert line == ",".join([name, label, *(format(float(c), ".17g") for c in vec)])

@@ -1097,3 +1097,177 @@ class TestFitConfigSeed:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             FitConfig(seed=-1)
+
+
+class TestFitConfigIntegers:
+    """Every integer field refuses a float or a bool, naming the field,
+    before its range check; numpy integers are integers."""
+
+    @pytest.mark.parametrize("field", ["a", "max_iter", "restarts", "seed"])
+    def test_non_integer_field_rejected(self, field):
+        for value in (1.5, -1.5, 2.0, True):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                FitConfig(**{field: value})
+        assert getattr(FitConfig(**{field: np.int64(2)}), field) == 2
+
+
+def _driver_rules(monkeypatch, schema, rows, a):
+    """The start, solve, ramp check and restart key that fit_grassmann hands
+    to the restart driver, and the packer of their vectors."""
+    import grasscat.fit
+
+    captured = {"packer": _Packer(schema, a)}
+
+    def capture(seed, restarts, weight0, start, solve, constraint_met, key):
+        captured.update(start=start, solve=solve, constraint_met=constraint_met, key=key)
+        return (0.0, 0.0), start(np.random.default_rng(seed)), True, 0
+
+    monkeypatch.setattr(grasscat.fit, "_penalized_fit", capture)
+    fit_grassmann(schema, rows, FitConfig(a=a, restarts=1, seed=0))
+    return captured
+
+
+def _params_at(schema, packer, x):
+    """The model and the slack C at the optimizer vector ``x``."""
+    b, w, V, omega, C = packer.unpack(x)
+    sp = StructuredParams(tuple(b[s:e] for s, e in schema.blocks), tuple(w), V, omega)
+    return sp, C
+
+
+def _random_rows(rng, schema, n=200):
+    return np.stack([rng.integers(0, v.levels, n) for v in schema.variables], axis=1)
+
+
+class TestFitDriverRules:
+    """The two rules fit_grassmann gives the restart driver: the restart key
+    is (the NLL, the norm of the optimizer vector), and the ramp stops
+    exactly when the dominance certificate passes."""
+
+    def test_one_certificate_and_one_typed_model_per_fit(self, monkeypatch):
+        """Ramps and restarts read the optimizer vector; only the result
+        builds a StructuredParams and asks for the certificate."""
+        import grasscat.fit
+
+        calls = []
+        for name in ("dominance_certificate", "StructuredParams"):
+            real = getattr(grasscat.fit, name)
+            monkeypatch.setattr(grasscat.fit, name, lambda *args, _real=real, _name=name:
+                                calls.append(_name) or _real(*args))
+        schema = VariableSchema([VariableDecl("x", CAT, 3), VariableDecl("y", ORD, 3)])
+        rows = [Record((i % 3, i % 7 % 3)) for i in range(60)]
+        fit_grassmann(schema, rows, FitConfig(a=1, restarts=2, seed=0, max_iter=50))
+        assert sorted(calls) == ["StructuredParams", "dominance_certificate"]
+
+    @pytest.mark.parametrize("a", [0, 1, 2])
+    def test_key_is_the_nll_then_the_vector_norm(self, monkeypatch, rng, a):
+        schema = _penalty_schema(rng)
+        rows = _random_rows(rng, schema)
+        rules = _driver_rules(monkeypatch, schema, rows, a)
+        packer, counts = rules["packer"], state_counts(schema, rows)
+        for _ in range(20):
+            x = rules["start"](rng)
+            x[: schema.q] += rng.normal(0.0, 0.5, schema.q)
+            sp, _ = _params_at(schema, packer, x)
+            assert rules["key"](x) == (
+                negative_log_likelihood(schema, sp, counts), float(np.linalg.norm(x))
+            )
+
+    def test_equal_nll_goes_to_the_smaller_norm(self, monkeypatch, rng):
+        """The slack C never enters the likelihood, so moving it changes the
+        norm alone."""
+        schema = VariableSchema([VariableDecl("x", CAT, 3), VariableDecl("y", ORD, 3)])
+        rows = _random_rows(rng, schema)
+        rules = _driver_rules(monkeypatch, schema, rows, 1)
+        _, _, _, m = rules["packer"].cuts
+        small = rules["start"](rng)
+        large = small.copy()
+        large[m:] += rng.normal(0.0, 1.0, len(large) - m)
+        key_small, key_large = rules["key"](small), rules["key"](large)
+        assert key_small[0] == key_large[0]
+        assert key_small < key_large
+
+    @pytest.mark.parametrize("a", [0, 1, 2])
+    def test_ramp_check_is_the_certificate_on_random_iterates(self, monkeypatch, rng, a):
+        outcomes = []
+        for _ in range(8):
+            schema = _penalty_schema(rng)
+            rows = _random_rows(rng, schema)
+            rules = _driver_rules(monkeypatch, schema, rows, a)
+            packer = rules["packer"]
+            for draw in range(24):
+                b, w, V, C = _penalty_point(rng, schema, a, passing=draw % 2 == 0)
+                sp = StructuredParams(tuple(b[s:e] for s, e in schema.blocks), tuple(w), V,
+                                      rng.uniform(0.1, 0.9, a))
+                x = packer.pack(sp, C)
+                x += rng.normal(0.0, 10.0 ** rng.uniform(-8.0, -2.0), len(x))
+                passed = dominance_certificate(schema, *_params_at(schema, packer, x)).passed
+                assert rules["constraint_met"](x) == passed
+                outcomes.append(passed)
+            # and the iterates of L-BFGS-B runs at the first two weights
+            x = rules["start"](rng)
+            for weight in (10.0, 100.0):
+                x = rules["solve"](x, weight).x
+                passed = dominance_certificate(schema, *_params_at(schema, packer, x)).passed
+                assert rules["constraint_met"](x) == passed
+        assert 0 < sum(outcomes) < len(outcomes)
+
+    @staticmethod
+    def _straddle(schema, packer, constraint_met, point, lo, hi):
+        """Bisect the scalar t of the vector ``point(t)`` down to the two
+        adjacent doubles where the certificate flips, from ``lo`` (fails) to
+        ``hi`` (passes); the ramp check must flip between the same two."""
+        passes = lambda t: dominance_certificate(
+            schema, *_params_at(schema, packer, point(t))).passed
+        assert not passes(lo) and passes(hi)
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+        assert np.nextafter(lo, hi) == hi
+        assert not constraint_met(point(lo))
+        assert constraint_met(point(hi))
+
+    @pytest.mark.parametrize("a", [1, 2])
+    def test_ramp_check_flips_with_the_certificate_at_a_free_row(self, monkeypatch, rng, a):
+        """The lead logit of one variable moves its free row of B across a
+        zero margin, with C = I."""
+        checked = 0
+        while checked < 6:
+            schema = _penalty_schema(rng)
+            rows = _random_rows(rng, schema)
+            rules = _driver_rules(monkeypatch, schema, rows, a)
+            packer = rules["packer"]
+            b, w, V, _ = _penalty_point(rng, schema, a, passing=True)
+            s = schema.blocks[rng.integers(len(schema))][0]
+            sp = StructuredParams(tuple(b[i:e] for i, e in schema.blocks), tuple(w * 300.0),
+                                  V * 300.0, np.full(a, 0.5))
+            base = packer.pack(sp, np.eye(schema.q + a))
+
+            def point(t):
+                x = base.copy()
+                x[s] = t
+                return x
+
+            if rules["constraint_met"](point(-6.0)) or not rules["constraint_met"](point(6.0)):
+                continue  # the row passes at both ends, or another row fails
+            self._straddle(schema, packer, rules["constraint_met"], point, -6.0, 6.0)
+            checked += 1
+
+    @pytest.mark.parametrize("a", [1, 2])
+    def test_ramp_check_at_the_smallest_ordinal_diagonal(self, monkeypatch, rng, a):
+        """An Ord(30) with every b at -B_CAP: its free row's diagonal is
+        e^-30 and its later entries underflow.  Scaling the coupling moves
+        that row across a zero margin."""
+        schema = VariableSchema([VariableDecl("o30", ORD, 30)])
+        rows = _random_rows(rng, schema)
+        rules = _driver_rules(monkeypatch, schema, rows, a)
+        packer = rules["packer"]
+        w = rng.normal(0.0, 1.0, (1, a))
+        V = rng.normal(0.0, 1e-3, (schema.q, a))  # weak enough for the auxiliary rows
+        V[0] = 0.0  # the diagonal stays e^-30; the coupling moves the rest of the row
+
+        def point(t):
+            sp = StructuredParams((np.full(schema.q, -B_CAP),), (w[0] * t,), V, np.full(a, 0.5))
+            return packer.pack(sp, np.eye(schema.q + a))
+
+        sp0, C0 = _params_at(schema, packer, point(0.0))
+        assert dominance_certificate(schema, sp0, C0).passed
+        self._straddle(schema, packer, rules["constraint_met"], point, 1.0, 0.0)

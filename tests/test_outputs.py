@@ -1,6 +1,13 @@
-import numpy as np
+import re
 
+import numpy as np
+import pytest
+
+from grasscat.errors import DataError
+from grasscat.modelfile import ModelFile, save_model
 from grasscat.outputs import FLOAT_SPEC, SvgCanvas, _csv_line, _csv_rows, fmt_float, write_csv
+from grasscat.schema import VariableDecl, VariableKind, VariableSchema
+from grasscat.structure import StructuredParams
 
 
 def test_write_csv_cells(tmp_path):
@@ -51,3 +58,17 @@ def test_circles_format_each_coordinate_as_before():
         f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{z:.2f}" fill="steelblue" fill-opacity="0.6"/>'
         for x, y, z in zip(cx, cy, r)
     ]
+
+
+def test_every_writer_names_the_file_it_cannot_write(tmp_path):
+    """CSV, SVG and model files share one writer; each failure is a
+    DataError naming the path, and a model file says so."""
+    path = str(tmp_path / "missing" / "out")
+    with pytest.raises(DataError, match=f"^cannot write {re.escape(path)}: "):
+        write_csv(path, ["a"], [[1]])
+    with pytest.raises(DataError, match=f"^cannot write {re.escape(path)}: "):
+        SvgCanvas(10, 10).save(path)
+    schema = VariableSchema([VariableDecl("x", VariableKind.CATEGORICAL, 2)])
+    mf = ModelFile("grassmann", schema, StructuredParams.independent(schema, [[0.0]]), None)
+    with pytest.raises(DataError, match=f"^cannot write model file {re.escape(path)}: "):
+        save_model(mf, path)

@@ -342,3 +342,28 @@ def test_conditioning_on_impossible_pattern_raises():
     part = IndexPartition(S=(0, 3, 4, 5), T=(1, 2), T1=(1, 2))
     with pytest.raises(ConditioningError):
         conditional_params(params, part)
+
+
+class TestOneDimensionalV:
+    """A 1-D V fails V's own check, before anything reads its second axis."""
+
+    @staticmethod
+    def _one_dim_v():
+        schema = VariableSchema([VariableDecl("x", CAT, 3)])
+        sp = StructuredParams(
+            b=(np.zeros(2),), w=(np.zeros(1),), V=np.zeros(2), omega=np.full(1, 0.5)
+        )
+        return schema, sp
+
+    def test_assemble_lambda_names_v(self):
+        schema, sp = self._one_dim_v()
+        with pytest.raises(SchemaError, match=r"V has shape \(2,\), expected \(2, a\)"):
+            assemble_lambda(schema, sp)
+
+    def test_negative_log_likelihood_names_v(self):
+        from grasscat.fit import negative_log_likelihood, state_counts
+
+        schema, sp = self._one_dim_v()
+        counts = state_counts(schema, [Record((0,)), Record((2,))])
+        with pytest.raises(SchemaError, match=r"V has shape \(2,\)"):
+            negative_log_likelihood(schema, sp, counts)

@@ -1,0 +1,159 @@
+"""Plant one-line changes in a copy of the tree and check that tests fail.
+
+    python3 tools/mutants.py [NAME ...]
+
+Each mutant is (name, file, old text, new text, tests).  For each one the
+tool copies this checkout (without ``.git`` and caches) into a temporary
+directory, replaces the single occurrence of the old text with the new
+one, and runs pytest on the listed tests there, with one BLAS thread.  A
+mutant is killed when pytest reports a failing test, and survives when
+every listed test passes.  The listed tests are first run once on an
+unchanged copy, which must pass.  NAME arguments run only the mutants
+whose name contains one of them.  Exit status: 0 when every mutant run is
+killed, 1 when one survives, 2 when a mutant's old text is not found
+exactly once, pytest cannot run the tests, or the unchanged copy fails.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_IGNORE = shutil.ignore_patterns(
+    ".git", "__pycache__", "*.pyc", ".pytest_cache", ".hypothesis", ".bench_*", ".benchmarks"
+)
+
+FIT = "src/grasscat/fit.py"
+MIXED = "src/grasscat/mixed.py"
+
+# (name, file, old text, new text, tests): the old text occurs once in the file
+MUTANTS = [
+    # the eight planted changes of the test-strength roadmap item
+    ("clamp", "src/grasscat/grassmann.py",
+     "_CLAMP = 1e-12", "_CLAMP = 1e-9",
+     ["tests/test_grassmann.py::TestClamp"]),
+    ("feasible-threshold", FIT,
+     "feasible = p0_min >= -1e-12", "feasible = p0_min >= -1e-9",
+     ["tests/test_fit.py::TestDocumentedRules"]),
+    ("max-ramps", FIT,
+     "MAX_RAMPS = 6", "MAX_RAMPS = 5",
+     ["tests/test_fit.py::TestDocumentedRules"]),
+    ("b-cap", FIT,
+     "B_CAP = 30.0", "B_CAP = 20.0",
+     ["tests/test_fit.py::TestDocumentedRules"]),
+    ("latent-aux-saturation", "src/grasscat/cli.py",
+     "if rel < 1e-3:", "if rel < 1e-2:",
+     ["tests/test_cli.py::TestFitSweepStopRule"]),
+    ("gauss-jordan-swap-sign", FIT,
+     "                np.negative(sign, out=sign, where=swap)\n", "",
+     ["tests/test_fit.py::TestBatchedKernelIsExact"]),
+    ("strict-levels-always-falls-back", "src/grasscat/schema.py",
+     '    import csv\n\n    k = len(schema)\n',
+     '    import csv\n\n    return None\n    k = len(schema)\n',
+     ["tests/test_schema.py::TestLoaderParity"]),
+    ("norm-spread-tol", "src/grasscat/factor.py",
+     "NORM_SPREAD_TOL = 1e-3", "NORM_SPREAD_TOL = 1e-2",
+     ["tests/test_factor.py::TestFactorFit"]),
+    # the fit driver's ramp check and restart key
+    ("ramp-check-always-met", FIT,
+     "C, 1.0)[0] == 0.0", "C, 1.0)[0] >= 0.0",
+     ["tests/test_fit.py::TestFitDriverRules"]),
+    ("key-without-norm", FIT,
+     "return nll, float(np.linalg.norm(x))", "return nll, 0.0",
+     ["tests/test_fit.py::TestFitDriverRules"]),
+    # the mixed density's conditioning block
+    ("mixed-mean-without-shift", MIXED,
+     "base_mean = mp.mu[J] + gain_j @ dx", "base_mean = mp.mu[J]",
+     ["tests/test_mixed.py"]),
+    ("mixed-tilt-without-shift", MIXED,
+     "0.5 * _quad(v_jl, sigma_jl_cond) + v @ shift", "0.5 * _quad(v_jl, sigma_jl_cond)",
+     ["tests/test_mixed.py"]),
+    ("mixed-cov-sign", MIXED,
+     "mp.sigma[np.ix_(JL, JL)] - gain_jl @", "mp.sigma[np.ix_(JL, JL)] + gain_jl @",
+     ["tests/test_mixed.py"]),
+    ("mixed-cross-sign", MIXED,
+     "mp.sigma[np.ix_(J, JL)] - gain_j @", "mp.sigma[np.ix_(J, JL)] + gain_j @",
+     ["tests/test_mixed.py"]),
+    # the oracle's moments
+    ("oracle-moments-bit-order", "src/grasscat/oracle.py",
+     "weighted_moments(states, probs)", "weighted_moments(states[:, ::-1], probs)",
+     ["tests/test_oracle.py", "tests/test_cli.py::TestOracleCommand"]),
+    # the one text-file writer
+    ("writer-drops-what", "src/grasscat/outputs.py",
+     'f"cannot write {what}{path}: {exc}"', 'f"cannot write {path}: {exc}"',
+     ["tests/test_outputs.py"]),
+    # the factor fit's vector split, continuous block, biplot rows and BIC count
+    ("factor-split-swaps-mu-tau", "src/grasscat/factor.py",
+     "xvec[at_mu:at_tau], xvec[at_tau:at_W]", "xvec[at_tau:at_W], xvec[at_mu:at_tau]",
+     ["tests/test_factor.py::TestFactorObjectiveGradient"]),
+    ("factor-g-w-sign", "src/grasscat/factor.py",
+     "g_W = 2.0 * d_cov @ W - sol.T @ YG", "g_W = 2.0 * d_cov @ W + sol.T @ YG",
+     ["tests/test_factor.py::TestFactorObjectiveGradient"]),
+    ("biplot-names-shifted", "src/grasscat/factor.py",
+     "for _ in range(v.levels)]", "for _ in range(v.levels)][::-1]",
+     ["tests/test_factor.py::test_loadings_csv_rows_follow_the_schema"]),
+    ("bic-count-continuous", "src/grasscat/factor.py",
+     "+ p_x * (2 + p_z)", "+ p_x * (1 + p_z)",
+     ["tests/test_factor.py", "tests/test_acceptance.py"]),
+    ("fa-inputs-seed", "src/grasscat/cli.py",
+     "restarts=args.restarts, seed=args.seed)", "restarts=args.restarts, seed=0)",
+     ["tests/test_cli.py::TestFactorCommandConfig"]),
+    # the checks this change added
+    ("flat-params-1d-v", "src/grasscat/structure.py",
+     "    if sp.V.ndim != 2:\n", "    if sp.V.ndim > 2:\n",
+     ["tests/test_structure.py"]),
+    ("config-accepts-bool", FIT,
+     "if isinstance(value, bool) or not", "if not",
+     ["tests/test_fit.py::TestFitConfigIntegers", "tests/test_factor.py"]),
+]
+
+
+def _run_tests(tree: str, tests: list[str]) -> int:
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONHASHSEED="0",
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL, timeout=1800).returncode
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or any(a in m[0] for a in argv)]
+    status = 0
+    with tempfile.TemporaryDirectory(prefix="grasscat-mutants-") as tmp:
+        base = os.path.join(tmp, "base")
+        shutil.copytree(ROOT, base, ignore=_IGNORE)
+        all_tests = sorted({t for m in chosen for t in m[4]})
+        if _run_tests(base, all_tests) != 0:
+            print("the unchanged tree fails the listed tests", flush=True)
+            return 2
+        for name, rel, old, new, tests in chosen:
+            tree = os.path.join(tmp, name)
+            shutil.copytree(base, tree, ignore=_IGNORE)
+            path = os.path.join(tree, rel)
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            if text.count(old) != 1:
+                print(f"{name}: its old text occurs {text.count(old)} times in {rel}", flush=True)
+                return 2
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text.replace(old, new))
+            start = time.perf_counter()
+            code = _run_tests(tree, tests)
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"pytest exit {code}")
+            print(f"{name:34s} {verdict:10s} {time.perf_counter() - start:6.1f} s  "
+                  f"{' '.join(tests)}", flush=True)
+            if code not in (0, 1):
+                return 2
+            if code == 0:
+                status = 1
+            shutil.rmtree(tree)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
