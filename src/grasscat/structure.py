@@ -245,11 +245,12 @@ def dominance_certificate(
     schema: VariableSchema, sp: StructuredParams, C: np.ndarray
 ) -> DominanceReport:
     """Margins of B = M C and of the (q + a, q + a) slack C, plus pass flags."""
+    M = middle_factor(schema, sp)  # checks sp before anything reads sp.a
     n = schema.q + sp.a
     if C.shape != (n, n):
         raise SchemaError(f"C has shape {C.shape}, expected ({n}, {n})")
     return DominanceReport(
-        margins_b=row_margins(middle_factor(schema, sp) @ C),
+        margins_b=row_margins(M @ C),
         margins_c=row_margins(C),
         free_rows=free_row_indices(schema, sp.a),
     )
@@ -262,8 +263,8 @@ def extended_lambda(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
     full parameter whose observed marginal is the assembled one; its validity
     implies validity of the marginal.
     """
+    M = middle_factor(schema, sp)  # checks sp before anything reads sp.a
     q, a = schema.q, sp.a
-    M = middle_factor(schema, sp)
     s = np.sqrt(1.0 / sp.omega - 1.0)
     full = M.copy()
     full[:q, q:] *= s[None, :]

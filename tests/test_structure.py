@@ -360,6 +360,13 @@ class TestOneDimensionalV:
         with pytest.raises(SchemaError, match=r"V has shape \(2,\), expected \(2, a\)"):
             assemble_lambda(schema, sp)
 
+    def test_dominance_certificate_and_extended_lambda_name_v(self):
+        schema, sp = self._one_dim_v()
+        with pytest.raises(SchemaError, match=r"V has shape \(2,\)"):
+            dominance_certificate(schema, sp, np.eye(3))
+        with pytest.raises(SchemaError, match=r"V has shape \(2,\)"):
+            extended_lambda(schema, sp)
+
     def test_negative_log_likelihood_names_v(self):
         from grasscat.fit import negative_log_likelihood, state_counts
 
