@@ -14,10 +14,13 @@ prior mixture is constructed so that everything stays closed form:
 
 with u ranging over the schema's allowed states only.  One table holds the
 prior: the allowed-state matrix and the normalized weights pi_u, which the
-fit report, the observed density, moments and sampling all read.  The
-factor score of a data row is the posterior mean m.  The model's rotational
-freedom is fixed by diagonalizing G^T G (its nonzero spectrum equals that of G G^T), with axes
-ordered by decreasing eigenvalue share.
+fit report, the observed density, moments and sampling all read.  The fit
+reads the same table: the data are one count per allowed state, and the
+gradient in (b, G) is each state's expected minus observed count applied
+to u and u u^T.  The factor score of a data row is the posterior mean m.
+The model's rotational freedom is fixed by diagonalizing G^T G (its nonzero
+spectrum equals that of G G^T), with axes ordered by decreasing eigenvalue
+share.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, ParameterError, SchemaError
+from .errors import DataError, InvalidStateError, ParameterError, SchemaError
 from .fit import (
     StateCounts, _check_integers, _level_logits, _penalized_fit, empirical_moments, state_counts,
 )
@@ -39,9 +42,10 @@ from .schema import (
     VariableSchema,
     _distinct_levels,
     _levels_of_rows,
+    allowed_levels,
     allowed_table,
     bits_of_levels,
-    levels_of_bits,
+    table_rows,
 )
 
 _NORM_EPS = 1e-12
@@ -125,12 +129,14 @@ class FactorModel:
         )
 
 
-def _quadratic_log_weight(Y: np.ndarray, b: np.ndarray, G: np.ndarray) -> np.ndarray:
+def _quadratic_log_weight(
+    Y: np.ndarray, b: np.ndarray, G: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """u^T b + |G^T u|^2 / 2 for every row u of Y: the unnormalized log prior
-    weight of each state in the canonical gauge.  A general sigma_z = L L^T
-    enters as G L."""
+    weight of each state in the canonical gauge, and the product Y G that
+    the fit's gradient reads.  A general sigma_z = L L^T enters as G L."""
     YG = Y @ G
-    return Y @ b + 0.5 * np.einsum("sk,sk->s", YG, YG)
+    return Y @ b + 0.5 * np.einsum("sk,sk->s", YG, YG), YG
 
 
 def _prior_table(
@@ -147,7 +153,7 @@ def _prior_table(
         root = np.linalg.cholesky(sigma_z)
     except np.linalg.LinAlgError as exc:
         raise ParameterError("sigma_z must be positive definite") from exc
-    logw = _quadratic_log_weight(Y, b, G @ root)
+    logw = _quadratic_log_weight(Y, b, G @ root)[0]
     w = np.exp(logw - logw.max())
     return Y, w / w.sum()
 
@@ -188,10 +194,10 @@ def observed_density(
     yv = np.asarray([int(v) for v in y], dtype=float)
     if yv.shape != (schema.q,):
         raise ParameterError(f"y must have length {schema.q}, got shape {yv.shape}")
-    Y, w = _prior_table(schema, model.b, model.G, model.sigma_z)
-    levels = levels_of_bits(schema, yv[None, :])[0]
-    row = np.ravel_multi_index(tuple(levels), [v.levels for v in schema.variables])
-    if not np.array_equal(Y[row], yv):
+    w = _prior_table(schema, model.b, model.G, model.sigma_z)[1]
+    try:
+        row = table_rows(schema, allowed_levels(schema, yv[None, :]))[0]
+    except InvalidStateError:
         return 0.0
     pi = float(w[row])
     if model.p_x == 0:
@@ -380,7 +386,10 @@ class FactorFitReport:
 def bic_parameter_count(q: int, p_z: int, p_x: int = 0) -> int:
     """Free-parameter count with the rotation gauge removed:
     q biases + q*p_z loadings - p_z(p_z-1)/2, plus (2 + p_z) p_x when a
-    continuous block is present."""
+    continuous block is present.  The stacked loadings [G; W] have rank at
+    most q + p_x, so a larger p_z adds no parameter: it is counted as
+    q + p_x."""
+    p_z = min(p_z, q + p_x)
     return q + q * p_z - p_z * (p_z - 1) // 2 + p_x * (2 + p_z)
 
 
@@ -394,6 +403,10 @@ def fit_factor_model(
     """Maximum likelihood over (b, G) in the canonical gauge, with the
     equal-norm penalty on all combined loading vectors (shared free target
     norm), then rotation fixing.
+
+    The data enter as one count per row of :func:`allowed_table`; a state
+    that is not allowed raises InvalidStateError.  At p_z = 1 the report
+    warns of every categorical variable with an odd number of levels.
 
     ``x_data`` attaches an (N, p_x) continuous block aligned with the rows;
     (mu_x, psi_noise, W_load) are then estimated jointly.
@@ -412,11 +425,17 @@ def fit_factor_model(
     q = schema.q
     Y_states = allowed_table(schema)[0].astype(float)
     obs_states, obs_counts = counts.as_arrays()
-    obs_states = obs_states.astype(float)
     n = obs_counts.sum()
-    # the data's terms of the gradient do not depend on the parameters
-    emp_u = obs_counts @ obs_states
-    emp_uu = (obs_states * obs_counts[:, None]).T @ obs_states
+    # the data as one count per allowed state, in the table's row order
+    rows = table_rows(schema, allowed_levels(schema, obs_states))
+    observed = np.bincount(rows, weights=obs_counts, minlength=len(Y_states))
+    # an odd number of equal-norm vectors on a line can sum to zero only at norm 0
+    warnings = [
+        f"categorical variable {v.name!r} has an odd number of levels ({v.levels}): "
+        "at p_z = 1 its combined loadings sum to zero, so equal norms force every loading to 0"
+        for v in schema.variables
+        if p_z == 1 and v.kind is VariableKind.CATEGORICAL and v.levels % 2 == 1
+    ]
 
     p_x = 0
     X = None
@@ -438,17 +457,14 @@ def fit_factor_model(
 
     def objective(xvec, kappa):
         b, G, s, mu_x, tau, W = split(xvec)
-        logw = _quadratic_log_weight(Y_states, b, G)
+        logw, UG = _quadratic_log_weight(Y_states, b, G)
         m = logw.max()
         logz = m + np.log(np.exp(logw - m).sum())
-        obs_logw = _quadratic_log_weight(obs_states, b, G)
-        nll = -float(obs_counts @ obs_logw) + n * logz
-        # expectations under the current prior
-        pw = np.exp(logw - logz)
-        e_u = pw @ Y_states
-        e_uu = (Y_states * pw[:, None]).T @ Y_states
-        g_b = n * e_u - emp_u
-        g_G = (n * e_uu - emp_uu) @ G
+        nll = n * logz - float(observed @ logw)
+        # expected minus observed count of every allowed state, on u and u u^T
+        excess = n * np.exp(logw - logz) - observed
+        g_b = excess @ Y_states
+        g_G = Y_states.T @ (excess[:, None] * UG)
         g_s = 0.0
         if p_z > 0 and kappa > 0.0:  # at p_z = 0 the penalty would still score s
             vecs = coeffs @ G
@@ -542,6 +558,7 @@ def fit_factor_model(
         mean_model=w_prior @ Y_prior,
         mean_empirical=mean_emp,
         norm_spread=norm_spread(xbest),
+        warnings=warnings,
     )
     return model, report
 

@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidStateError, ParameterError
+from .errors import ParameterError
 from .grassmann import GrassmannParams, moments, state_probabilities
 from .schema import (
     Record,
@@ -56,6 +56,7 @@ from .schema import (
     VariableSchema,
     _distinct_levels,
     _levels_of_rows,
+    allowed_levels,
     allowed_table,
     bits_of_levels,
     levels_of_bits,
@@ -172,9 +173,7 @@ class _StatePlan:
 def _state_plan(schema: VariableSchema, counts: StateCounts) -> _StatePlan:
     """The likelihood's per-dataset plan; every observed state must be allowed."""
     states, weights = counts.as_arrays()
-    levels = levels_of_bits(schema, states)
-    if not np.array_equal(bits_of_levels(schema, levels), states):
-        raise InvalidStateError("an observed state is not an allowed dummy state")
+    levels = allowed_levels(schema, states)
     maps, q = schema.block_maps, schema.q
     last_bits = np.where(levels > 0, maps.starts + levels - 1, q)
     ends = np.zeros((q + 1, len(weights)))  # row q collects the level-0 entries

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -293,6 +294,23 @@ def allowed_table(schema: VariableSchema) -> tuple[np.ndarray, np.ndarray]:
             f"schema has {n} allowed states, exceeding the cap {limit}"
         )
     return schema._allowed
+
+
+def table_rows(schema: VariableSchema, levels: np.ndarray) -> np.ndarray:
+    """The :func:`allowed_table` row of every row of an (n, len(schema))
+    array of in-range levels: its mixed-radix code, as an int64 vector."""
+    radices = [v.levels for v in schema.variables]
+    place = [math.prod(radices[j + 1:]) for j in range(len(radices))]
+    return np.asarray(levels, dtype=np.int64) @ np.array(place, dtype=np.int64)
+
+
+def allowed_levels(schema: VariableSchema, bits: np.ndarray) -> np.ndarray:
+    """:func:`levels_of_bits` of an (n, q) dummy matrix whose every row is an
+    allowed state; InvalidStateError when a row does not encode its levels."""
+    levels = levels_of_bits(schema, bits)
+    if not np.array_equal(bits_of_levels(schema, levels), bits):
+        raise InvalidStateError("an observed state is not an allowed dummy state")
+    return levels
 
 
 def bits_of_levels(schema: VariableSchema, levels: np.ndarray) -> np.ndarray:

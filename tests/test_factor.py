@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 
 import grasscat.schema
 from grasscat.cli import run_command
-from grasscat.errors import DataError, EnumerationCapError, ParameterError, SchemaError
+from grasscat.errors import (
+    DataError, EnumerationCapError, InvalidStateError, ParameterError, SchemaError,
+)
 from grasscat.factor import (
     FactorFitConfig,
     FactorModel,
@@ -35,6 +38,7 @@ from grasscat.schema import (
     encode_record,
     enumerate_allowed_states,
 )
+from grasscat.fit import StateCounts, state_counts
 from grasscat.modelfile import ModelFile, save_model
 from grasscat.structure import categorical_pmf, ordinal_pmf
 
@@ -463,6 +467,32 @@ class TestBicCount:
         assert bic_parameter_count(4, 3) == 4 + 12 - 3
         assert bic_parameter_count(6, 2, p_x=2) == 17 + 2 * 4
 
+    @pytest.mark.parametrize("q, p_x", [(1, 0), (2, 0), (5, 0), (2, 1), (3, 2)])
+    def test_count_stops_at_the_rank_of_the_stacked_loadings(self, q, p_x):
+        """Past p_z = q + p_x the loadings add nothing: the count is that of
+        b, mu_x, psi and the full symmetric Gram matrix of [G; W]."""
+        r = q + p_x
+        full = q + 2 * p_x + r * (r + 1) // 2
+        counts = [bic_parameter_count(q, p_z, p_x) for p_z in range(r + 5)]
+        assert counts[r:] == [full] * 5
+        assert all(a < b for a, b in zip(counts[:r], counts[1:r + 1]))
+
+    def test_fa_bic_chooses_zero_when_every_dimension_fits_equally(self, tmp_path, capsys):
+        """One Cat(3) variable: p_z = 0 already fits its three frequencies, so
+        every p_z reaches the same NLL and BIC must choose 0."""
+        (tmp_path / "s.json").write_text(
+            json.dumps({"variables": [{"name": "c", "kind": "categorical", "levels": 3}]}))
+        levels = np.random.default_rng(0).choice(3, 300, p=[0.5, 0.3, 0.2])
+        (tmp_path / "d.csv").write_text("c\n" + "".join(f"{v}\n" for v in levels))
+        assert run_command(["fa", "bic", "--schema", str(tmp_path / "s.json"),
+                            "--data", str(tmp_path / "d.csv"), "--min-dim", "0",
+                            "--max-dim", "6", "--restarts", "1"]) == 0
+        table = json.loads(capsys.readouterr().out)["table"]
+        assert [r["k_params"] for r in table["rows"]] == [2, 4, 5, 5, 5, 5, 5]
+        nlls = [r["nll"] for r in table["rows"]]
+        assert max(nlls) - min(nlls) <= 1e-9 * nlls[0]
+        assert table["chosen"] == 0
+
 
 class TestFactorFit:
     def _rows_from_model(self, rng, schema, model, n):
@@ -827,6 +857,85 @@ class TestFactorFitConfigIntegers:
             with pytest.raises(ValueError, match=f"{field} must be an integer"):
                 FactorFitConfig(**{field: value})
         assert getattr(FactorFitConfig(**{field: np.int64(2)}), field) == 2
+
+
+class TestFactorFitOnThePriorTable:
+    SCHEMA = VariableSchema([VariableDecl("a", CAT, 3), VariableDecl("b", ORD, 3)])
+    MESSAGE = "^an observed state is not an allowed dummy state$"
+
+    @staticmethod
+    def _captured(monkeypatch):
+        """Replace the restart driver by one that records its arguments and
+        returns the first start, so a fit builds its report without optimizing."""
+        import grasscat.factor
+
+        captured = {}
+
+        def capture(seed, restarts, weight0, start, solve, constraint_met, key):
+            captured.update(start=start, key=key)
+            return (0.0, 0.0), start(np.random.default_rng(seed)), True, 0
+
+        monkeypatch.setattr(grasscat.factor, "_penalized_fit", capture)
+        return captured
+
+    @pytest.mark.parametrize("bad", [(1, 1, 0, 0), (0, 0, 0, 1), (0, 2, 0, 0)])
+    def test_a_disallowed_state_is_refused(self, bad):
+        counts = StateCounts(items=((bad, 2), ((0, 0, 1, 0), 3), ((1, 0, 1, 1), 4)))
+        with pytest.raises(InvalidStateError, match=self.MESSAGE):
+            fit_factor_model(self.SCHEMA, counts, 1)
+        with pytest.raises(InvalidStateError, match=self.MESSAGE):
+            select_dimension_bic(self.SCHEMA, counts, [0, 1])
+
+    @pytest.mark.parametrize("which", ["equal radices", "reader", "mixed"])
+    def test_nll_is_the_data_log_density(self, monkeypatch, rng, which):
+        """The unpenalized objective equals -sum n_y log pi_y over the observed
+        states, each read from observed_density: every count lands on its own
+        table row."""
+        schema = {
+            "equal radices": self.SCHEMA,
+            "reader": reader_style_schema(),
+            "mixed": VariableSchema([VariableDecl("o", ORD, 4), VariableDecl("c", CAT, 2),
+                                     VariableDecl("k", CAT, 3)]),
+        }[which]
+        captured = self._captured(monkeypatch)
+        table = grasscat.schema.allowed_table(schema)[1]
+        counts = state_counts(schema, table[rng.integers(0, len(table), 80)])
+        q, p_z = schema.q, 2
+        fit_factor_model(schema, counts, p_z, FactorFitConfig(restarts=1))
+        for _ in range(3):
+            x = captured["start"](rng) + rng.normal(0.0, 0.5, q * (1 + p_z) + 1)
+            model = FactorModel.canonical(b=x[:q], G=x[q:q * (1 + p_z)].reshape(q, p_z))
+            want = -sum(c * math.log(observed_density(schema, model, bits))
+                        for bits, c in counts.items)
+            assert captured["key"](x)[0] == pytest.approx(want, rel=1e-12)
+
+    def test_p_z_one_warns_of_each_odd_categorical_variable(self, monkeypatch, rng):
+        self._captured(monkeypatch)
+        schema = VariableSchema([VariableDecl("a", CAT, 3), VariableDecl("b", ORD, 3),
+                                 VariableDecl("c", CAT, 4), VariableDecl("d", CAT, 5)])
+        rows = np.stack([rng.integers(0, v.levels, 50) for v in schema.variables], axis=1)
+        for p_z in (0, 1, 2):
+            _, report = fit_factor_model(schema, rows, p_z, FactorFitConfig(restarts=1))
+            if p_z != 1:
+                assert report.warnings == []
+                continue
+            assert report.to_dict()["warnings"] == report.warnings == [
+                f"categorical variable {name!r} has an odd number of levels ({levels}): "
+                "at p_z = 1 its combined loadings sum to zero, so equal norms force every "
+                "loading to 0"
+                for name, levels in (("a", 3), ("d", 5))
+            ]
+
+    def test_p_z_one_collapses_to_the_independent_model(self):
+        """The collapse the warning names: with one Cat(3) variable, p_z = 1
+        ends at p_z = 0's NLL with its loadings at 0."""
+        schema = VariableSchema([VariableDecl("c", CAT, 3)])
+        levels = np.random.default_rng(0).choice(3, 300, p=[0.5, 0.3, 0.2])[:, None]
+        _, base = fit_factor_model(schema, levels, 0, FactorFitConfig(restarts=1))
+        model, report = fit_factor_model(schema, levels, 1, FactorFitConfig(restarts=1))
+        assert report.nll == pytest.approx(base.nll, rel=1e-12)
+        assert np.abs(model.G).max() <= 1e-6
+        assert len(report.warnings) == 1 and "'c'" in report.warnings[0]
 
 
 class TestFactorObjectiveGradient:

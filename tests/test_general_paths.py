@@ -311,20 +311,20 @@ def _ref_objective(xvec, kappa, schema, counts, p_z):
     coeffs = _loading_coefficients(schema)
     Y_states = allowed_table(schema)[0].astype(float)
     obs_states, obs_counts = counts.as_arrays()
-    obs_states = obs_states.astype(float)
     n = obs_counts.sum()
-    emp_u = obs_counts @ obs_states
-    emp_uu = (obs_states * obs_counts[:, None]).T @ obs_states
+    observed = np.zeros(len(Y_states))  # whole counts: any summation order is exact
+    for state, count in zip(obs_states, obs_counts):
+        observed[(Y_states == state).all(axis=1)] += count
     b = xvec[:q]
     G = xvec[q : q + q * p_z].reshape(q, p_z)
     s = xvec[q + q * p_z]
-    logw = _quadratic_log_weight(Y_states, b, G)
+    logw, UG = _quadratic_log_weight(Y_states, b, G)
     m = logw.max()
     logz = m + np.log(np.exp(logw - m).sum())
-    nll = -float(obs_counts @ _quadratic_log_weight(obs_states, b, G)) + n * logz
-    pw = np.exp(logw - logz)
-    g_b = n * (pw @ Y_states) - emp_u
-    g_G = (n * ((Y_states * pw[:, None]).T @ Y_states) - emp_uu) @ G
+    nll = n * logz - float(observed @ logw)
+    excess = n * np.exp(logw - logz) - observed
+    g_b = excess @ Y_states
+    g_G = Y_states.T @ (excess[:, None] * UG)
     g_s = 0.0
     if p_z > 0 and kappa > 0.0:
         vecs = coeffs @ G

@@ -20,6 +20,7 @@ from grasscat.schema import (
     VariableKind,
     VariableSchema,
     _distinct_levels,
+    allowed_levels,
     allowed_table,
     decode_state,
     encode_record,
@@ -30,6 +31,7 @@ from grasscat.schema import (
     load_schema,
     schema_from_dict,
     schema_to_dict,
+    table_rows,
 )
 
 CAT = VariableKind.CATEGORICAL
@@ -193,6 +195,35 @@ class TestAllowedTable:
         dims = [v.levels for v in schema.variables]
         for r, row in enumerate(levels.tolist()):
             assert np.ravel_multi_index(tuple(row), dims) == r
+
+    @given(schemas())
+    @settings(max_examples=200, deadline=None)
+    def test_table_rows_number_the_table(self, schema):
+        bits, levels = allowed_table(schema)
+        rows = table_rows(schema, levels)
+        assert rows.dtype == np.int64
+        assert np.array_equal(rows, np.arange(schema.n_states()))
+        assert np.array_equal(table_rows(schema, allowed_levels(schema, bits)), rows)
+
+    def test_table_rows_put_the_first_variable_first(self):
+        schema = VariableSchema([VariableDecl("a", CAT, 3), VariableDecl("b", ORD, 3)])
+        assert table_rows(schema, np.array([[1, 0], [0, 1], [2, 1]])).tolist() == [3, 1, 7]
+
+    def test_allowed_levels_refuses_every_disallowed_row(self):
+        schema = VariableSchema([VariableDecl("c", CAT, 3), VariableDecl("o", ORD, 4)])
+        allowed = set(map(tuple, allowed_table(schema)[0].tolist()))
+        message = "^an observed state is not an allowed dummy state$"
+        for row in itertools.product((0, 1), repeat=schema.q):
+            bits = np.array([row])
+            if row in allowed:
+                assert np.array_equal(allowed_levels(schema, bits), levels_of_bits(schema, bits))
+            else:
+                with pytest.raises(InvalidStateError, match=message):
+                    allowed_levels(schema, bits)
+                with pytest.raises(InvalidStateError, match=message):  # one bad row in a batch
+                    allowed_levels(schema, np.vstack([allowed_table(schema)[0], bits]))
+        with pytest.raises(InvalidStateError, match=message):  # a set bit reads 1, not 2
+            allowed_levels(schema, np.array([[0, 2, 0, 0, 0]]))
 
     def test_levels_dtype_is_smallest_unsigned(self):
         small = VariableSchema([VariableDecl("a", CAT, 3), VariableDecl("b", ORD, 256)])

@@ -28,8 +28,10 @@ _IGNORE = shutil.ignore_patterns(
     ".git", "__pycache__", "*.pyc", ".pytest_cache", ".hypothesis", ".bench_*", ".benchmarks"
 )
 
+FACTOR = "src/grasscat/factor.py"
 FIT = "src/grasscat/fit.py"
 MIXED = "src/grasscat/mixed.py"
+SCHEMA = "src/grasscat/schema.py"
 
 # (name, file, old text, new text, tests): the old text occurs once in the file
 MUTANTS = [
@@ -52,11 +54,11 @@ MUTANTS = [
     ("gauss-jordan-swap-sign", FIT,
      "                np.negative(sign, out=sign, where=swap)\n", "",
      ["tests/test_fit.py::TestBatchedKernelIsExact"]),
-    ("strict-levels-always-falls-back", "src/grasscat/schema.py",
+    ("strict-levels-always-falls-back", SCHEMA,
      '    import csv\n\n    k = len(schema)\n',
      '    import csv\n\n    return None\n    k = len(schema)\n',
      ["tests/test_schema.py::TestLoaderParity"]),
-    ("norm-spread-tol", "src/grasscat/factor.py",
+    ("norm-spread-tol", FACTOR,
      "NORM_SPREAD_TOL = 1e-3", "NORM_SPREAD_TOL = 1e-2",
      ["tests/test_factor.py::TestFactorFit"]),
     # the fit driver's ramp check and restart key
@@ -88,16 +90,16 @@ MUTANTS = [
      'f"cannot write {what}{path}: {exc}"', 'f"cannot write {path}: {exc}"',
      ["tests/test_outputs.py"]),
     # the factor fit's vector split, continuous block, biplot rows and BIC count
-    ("factor-split-swaps-mu-tau", "src/grasscat/factor.py",
+    ("factor-split-swaps-mu-tau", FACTOR,
      "xvec[at_mu:at_tau], xvec[at_tau:at_W]", "xvec[at_tau:at_W], xvec[at_mu:at_tau]",
      ["tests/test_factor.py::TestFactorObjectiveGradient"]),
-    ("factor-g-w-sign", "src/grasscat/factor.py",
+    ("factor-g-w-sign", FACTOR,
      "g_W = 2.0 * d_cov @ W - sol.T @ YG", "g_W = 2.0 * d_cov @ W + sol.T @ YG",
      ["tests/test_factor.py::TestFactorObjectiveGradient"]),
-    ("biplot-names-shifted", "src/grasscat/factor.py",
+    ("biplot-names-shifted", FACTOR,
      "for _ in range(v.levels)]", "for _ in range(v.levels)][::-1]",
      ["tests/test_factor.py::test_loadings_csv_rows_follow_the_schema"]),
-    ("bic-count-continuous", "src/grasscat/factor.py",
+    ("bic-count-continuous", FACTOR,
      "+ p_x * (2 + p_z)", "+ p_x * (1 + p_z)",
      ["tests/test_factor.py", "tests/test_acceptance.py"]),
     ("fa-inputs-seed", "src/grasscat/cli.py",
@@ -110,6 +112,26 @@ MUTANTS = [
     ("config-accepts-bool", FIT,
      "if isinstance(value, bool) or not", "if not",
      ["tests/test_fit.py::TestFitConfigIntegers", "tests/test_factor.py"]),
+    # the factor fit on the prior's table: its gradient, the table-row rule,
+    # the allowed-state check, the p_z = 1 warning and the BIC count's clamp
+    ("factor-excess-sign", FACTOR,
+     "excess = n * np.exp(logw - logz) - observed", "excess = observed - n * np.exp(logw - logz)",
+     ["tests/test_factor.py::TestFactorObjectiveGradient"]),
+    ("table-rows-reversed", SCHEMA,
+     "math.prod(radices[j + 1:])", "math.prod(radices[:j])",
+     ["tests/test_schema.py::TestAllowedTable",
+      "tests/test_factor.py::TestFactorFitOnThePriorTable"]),
+    ("allowed-check-dropped", SCHEMA,
+     "    if not np.array_equal(bits_of_levels(schema, levels), bits):\n"
+     "        raise InvalidStateError(", "    if False:\n        raise InvalidStateError(",
+     ["tests/test_schema.py::TestAllowedTable",
+      "tests/test_factor.py::TestFactorFitOnThePriorTable"]),
+    ("odd-level-test-inverted", FACTOR,
+     "v.levels % 2 == 1", "v.levels % 2 == 0",
+     ["tests/test_factor.py::TestFactorFitOnThePriorTable"]),
+    ("bic-clamp-dropped", FACTOR,
+     "    p_z = min(p_z, q + p_x)\n", "",
+     ["tests/test_factor.py::TestBicCount"]),
 ]
 
 
