@@ -36,7 +36,14 @@ from .factor import (
     fit_factor_model,
     select_dimension_bic,
 )
-from .fit import FitConfig, _correlation, fit_grassmann, state_counts, weighted_moments
+from .fit import (
+    FitConfig,
+    _allowed_state_probabilities,
+    _correlation,
+    fit_grassmann,
+    state_counts,
+    weighted_moments,
+)
 from .grassmann import (
     GrassmannParams,
     IndexPartition,
@@ -46,7 +53,6 @@ from .grassmann import (
     joint_probability,
     marginal_params,
     moments,
-    state_probabilities,
 )
 from .mixed import MixedParams, MixedPartition, mixed_conditional_density
 from .modelfile import ModelFile, load_model, save_model
@@ -301,22 +307,27 @@ def _cmd_prob(args) -> int:
 
 def _cmd_sample(args) -> int:
     mf = load_model(args.model)
-    rng = np.random.default_rng(args.seed)
+    schema, rng = mf.schema, np.random.default_rng(args.seed)
     if mf.kind == "grassmann":
-        schema, params = mf.schema, assemble_lambda(mf.schema, mf.params)
-        probs = state_probabilities(params, allowed_table(schema)[0])
+        probs = _allowed_state_probabilities(schema, mf.params)
     elif mf.kind == "factor":
-        schema, model = mf.schema, mf.params
+        model = mf.params
         states, probs = _prior_table(schema, model.b, model.G, model.sigma_z)
     else:
         raise DataError("sampling supports grassmann and factor models")
-    if probs.min() < 0.0:  # state_probabilities already zeroes values in [-1e-12, 0)
+    if probs.min() < 0.0:  # the table already zeroes values in [-1e-12, 0)
         raise ParameterError(f"model assigns negative probability {probs.min():.3e}")
     probs /= probs.sum()
-    draws = np.searchsorted(np.cumsum(probs), rng.random(args.n), side="right")
+    # the uniforms in increasing order give nondecreasing draws: each run of
+    # equal draws is one distinct state, whose level cells are formatted once
+    uniforms = rng.random(args.n)
+    order = np.argsort(uniforms)
+    draws = np.searchsorted(np.cumsum(probs), uniforms[order], side="right")
     draws = np.minimum(draws, len(probs) - 1)
-    # each distinct state's level cells are formatted once
-    distinct, inverse = np.unique(draws, return_inverse=True)
+    first = np.diff(draws, prepend=-1) != 0
+    distinct = draws[first]
+    inverse = np.empty(args.n, dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
     levels = _csv_rows(allowed_table(schema)[1][distinct])
     rows = [levels[i] for i in inverse.tolist()]
     header = list(schema.names)

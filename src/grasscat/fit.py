@@ -22,6 +22,13 @@ inverse, and a second GEMM, E (n_s A_s^-1), gives the gradient's per-bit
 sums: O(m q a^2 + m a^3) arithmetic in O(a^2) numpy calls, whatever the
 states' popcounts, and no LAPACK call.
 
+The same per-bit tables give the probability of every allowed state,
+e^(sum_v beta_v(l_v) - sum_v log Z_v) det A_s / det Abar, for ``sample``
+and for the fit's certificate ``p0_min``; neither forms lam.  Each level
+adds one term to (A_s - I, sum_v beta_v), so the table is an outer sum
+over the variables' levels in the table's mixed-radix order, taken in
+chunks of 2**14 states.
+
 The dominance conditions are enforced by a smooth squared-hinge penalty on
 the free-row margins of B = M C and on the strict margins of C, with the
 penalty weight raised on a schedule until the margins pass.  The penalty
@@ -48,8 +55,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ParameterError
-from .grassmann import GrassmannParams, moments, state_probabilities
+from .errors import DataError, ParameterError
+from .grassmann import _CHUNK, _CLAMP, GrassmannParams, moments, state_probabilities
 from .schema import (
     Record,
     VariableKind,
@@ -93,6 +100,9 @@ class StateCounts:
         return sum(c for _, c in self.items)
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (m, q) states and their counts; DataError when there are none."""
+        if not self.items:
+            raise DataError("dataset is empty")
         states = np.asarray([bits for bits, _ in self.items], dtype=int)
         counts = np.asarray([c for _, c in self.items], dtype=float)
         return states, counts
@@ -179,11 +189,17 @@ def _state_plan(schema: VariableSchema, counts: StateCounts) -> _StatePlan:
     ends = np.zeros((q + 1, len(weights)))  # row q collects the level-0 entries
     ends[last_bits, np.arange(len(weights))[:, None]] = 1.0
     ends = ends[:q]
+    return _StatePlan(ends, weights, ends @ weights, *_bit_maps(schema))
+
+
+def _bit_maps(schema: VariableSchema) -> tuple[np.ndarray, np.ndarray]:
+    """The (q, q) b -> beta map and the (variables, q) bit memberships."""
+    maps, q = schema.block_maps, schema.q
     # beta_r sums b over bit r alone (categorical) or its block's bits up to r
     same = np.tril(maps.var[:, None] == maps.var)
     beta_of_b = (same & (maps.ordinal[maps.var] | np.eye(q, dtype=bool))).astype(float)
     members = (np.arange(len(schema))[:, None] == maps.var).astype(float)
-    return _StatePlan(ends, weights, ends @ weights, beta_of_b, members)
+    return beta_of_b, members
 
 
 def _gauss_jordan(
@@ -224,6 +240,31 @@ def _gauss_jordan(
     return sign, np.log(np.abs(pivots)).sum(axis=0), M[:, a:] if inverse else None
 
 
+def _bit_tables(
+    b: np.ndarray, V: np.ndarray, omega: np.ndarray, beta_of_b: np.ndarray,
+    members: np.ndarray, on: np.ndarray,
+) -> tuple[np.ndarray, ...] | None:
+    """The per-bit and per-variable tables of the a-space determinants at b
+    laid end to end: beta, log Z_v, 1 / Z_v, the V sums over each block
+    divided by Z_v, xbar_v, e^-beta and x.  e^-beta and x are computed on
+    the bits of the boolean mask ``on`` and are 0 elsewhere; None when
+    e^-beta overflows on one of those bits."""
+    beta = beta_of_b @ b
+    # log Z_v with the largest of 0 and the block's beta factored out
+    top = (members * beta).max(axis=1, initial=0.0)
+    log_z = top + np.log(np.exp(-top) + members @ np.exp(beta - top @ members))
+    inv_z = np.exp(-log_z)
+    sums = (members @ V) * inv_z[:, None]
+    x_bar = sums * omega
+    decay = np.zeros(len(beta))
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay[on] = np.exp(-beta[on])
+        x = decay[:, None] * V * omega  # x_v(l) on the bit each level ends on
+    if not np.isfinite(x).all():
+        return None
+    return beta, log_z, inv_z, sums, x_bar, decay, x
+
+
 @dataclass(frozen=True)
 class FitGradient:
     """NLL gradient in the natural parameters (b, w, V, omega)."""
@@ -245,20 +286,10 @@ def _likelihood(
     observed level ends on."""
     q, a = V.shape
     m = len(plan.weights)
-    beta = plan.beta_of_b @ b
-    # log Z_v with the largest of 0 and the block's beta factored out
-    top = (plan.members * beta).max(axis=1, initial=0.0)
-    log_z = top + np.log(np.exp(-top) + plan.members @ np.exp(beta - top @ plan.members))
-    inv_z = np.exp(-log_z)
-    sums = (plan.members @ V) * inv_z[:, None]
-    x_bar = sums * omega
-    ends = plan.bit_counts > 0
-    decay = np.zeros(q)
-    with np.errstate(over="ignore", invalid="ignore"):
-        decay[ends] = np.exp(-beta[ends])
-        x = decay[:, None] * V * omega  # x_v(l) on the bit each level ends on
-    if not np.isfinite(x).all():
+    tables = _bit_tables(b, V, omega, plan.beta_of_b, plan.members, plan.bit_counts > 0)
+    if tables is None:
         return INFEASIBLE_NLL, None
+    beta, log_z, inv_z, sums, x_bar, decay, x = tables
     w_bit = w.take(schema.block_maps.var, axis=0)  # each bit's w_v
     # A_s - I = sum_r E[r, s] x_r w_r^T over the m states, then Abar - I: (a, a, m + 1)
     A = np.empty((a * a, m + 1))
@@ -291,6 +322,61 @@ def _likelihood(
     return nll, np.concatenate(
         [plan.beta_of_b.T @ g_beta, g_w.ravel(), g_V.ravel(), g_omega]
     )
+
+
+def _allowed_state_probabilities(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
+    """Probability of every row of :func:`allowed_table` under ``sp``, from
+    a x a determinants: e^(sum_v beta_v(l_v) - sum_v log Z_v) det A_s / det Abar.
+
+    Each level contributes one term to (A_s - I, sum_v beta_v(l_v)), zero at
+    level 0.  The terms of the trailing variables are summed over every
+    combination of their levels once, in table order, as long as that block
+    fits in a chunk of 2**14 states; each chunk adds the gathered terms of
+    its rows' leading levels to it.  The rules of
+    :func:`grassmann.state_probabilities` hold: values in [-1e-12, 0) become
+    0.0, a singular A_s gives +0.0, and a singular Abar (so lam) raises
+    ParameterError.  Where a parameter is not finite or e^-beta overflows on
+    a bit, the lam-space minors give the table."""
+    b, w, V, omega = flat_params(schema, sp)
+    q, a = V.shape
+    tables = None
+    if all(np.isfinite(v).all() for v in (b, w, V, omega)):  # else lam's checks refuse them
+        tables = _bit_tables(b, V, omega, *_bit_maps(schema), np.ones(q, dtype=bool))
+    if tables is None:
+        return state_probabilities(assemble_lambda(schema, sp), allowed_table(schema)[0])
+    beta, log_z, _, _, x_bar, _, x = tables
+    sign_bar, logdet_bar, _ = _gauss_jordan((np.eye(a) + x_bar.T @ w)[:, :, None], False)
+    if sign_bar[0] == 0:
+        raise ParameterError("lam is singular")
+    maps = schema.block_maps
+    # column l of a variable's terms is its level l: (x w^T flattened, beta)
+    terms = np.zeros((a * a + 1, q + len(schema)))
+    at = np.arange(q) + maps.var + 1
+    terms[: a * a, at] = (x[:, :, None] * w.take(maps.var, axis=0)[:, None, :]).reshape(q, a * a).T
+    terms[a * a, at] = beta
+    radices = [v.levels for v in schema.variables]
+    level0 = np.cumsum([0] + radices)[:-1]
+    split, inner = len(radices), np.zeros((a * a + 1, 1))
+    while split and inner.shape[1] * radices[split - 1] <= _CHUNK:
+        split -= 1
+        block = terms[:, level0[split] : level0[split] + radices[split]]
+        inner = (block[:, :, None] + inner[:, None, :]).reshape(a * a + 1, -1)
+    levels = allowed_table(schema)[1]
+    size = inner.shape[1]
+    step = _CHUNK // size * size
+    log_norm = log_z.sum() + logdet_bar[0]
+    probs = np.empty(len(levels))
+    for lo in range(0, len(levels), step):
+        heads = terms[:, levels[lo : lo + step : size, :split] + level0[:split]].sum(axis=2)
+        chunk = (heads[:, :, None] + inner[:, None, :]).reshape(a * a + 1, -1)
+        A = chunk[: a * a]  # A_s - I over the chunk's states
+        A[:: a + 1] += 1.0
+        sign, logdet, _ = _gauss_jordan(A.reshape(a, a, chunk.shape[1]), False)
+        p = sign * sign_bar[0] * np.exp(chunk[a * a] + logdet - log_norm)
+        p[sign == 0] = 0.0  # a singular A_s over det Abar < 0 is -0.0; report +0.0
+        probs[lo : lo + len(p)] = p
+    probs[(-_CLAMP <= probs) & (probs < 0.0)] = 0.0
+    return probs
 
 
 def negative_log_likelihood(
@@ -589,7 +675,7 @@ def fit_grassmann(
     """
     config = config or FitConfig()
     counts = data if isinstance(data, StateCounts) else state_counts(schema, data)
-    allowed = allowed_table(schema)[0]  # the state cap fails before any optimizing
+    allowed_table(schema)  # the state cap fails before any optimizing
     a = config.a
     mean_emp, _, corr_emp = empirical_moments(schema, counts)
     warn: list[str] = []
@@ -636,7 +722,7 @@ def fit_grassmann(
     report = dominance_certificate(schema, sp_fit, C)
     mean_model, cov_model = moments(params)
     corr_model = _correlation(cov_model)
-    p0_min = float(state_probabilities(params, allowed).min())
+    p0_min = float(_allowed_state_probabilities(schema, sp_fit).min())
     feasible = p0_min >= -1e-12
     if not feasible:
         warn.append(

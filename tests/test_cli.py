@@ -982,14 +982,14 @@ class TestSampleRefusesNegativeProbabilities:
     def test_any_negative_value_exits_two(self, model_files, capsys, monkeypatch):
         import grasscat.cli
 
-        real = grasscat.cli.state_probabilities
+        real = grasscat.cli._allowed_state_probabilities
 
-        def one_negative(params, states):
-            probs = real(params, states)
+        def one_negative(schema, sp):
+            probs = real(schema, sp)
             probs[3] = -5e-10
             return probs
 
-        monkeypatch.setattr(grasscat.cli, "state_probabilities", one_negative)
+        monkeypatch.setattr(grasscat.cli, "_allowed_state_probabilities", one_negative)
         argv = ["sample", "--model", "grassmann.json", "--n", "10", "--out", "s.csv"]
         assert _run(model_files, *argv) == 2
         err = capsys.readouterr().err

@@ -886,6 +886,10 @@ class TestFactorFitOnThePriorTable:
         with pytest.raises(InvalidStateError, match=self.MESSAGE):
             select_dimension_bic(self.SCHEMA, counts, [0, 1])
 
+    def test_empty_counts_are_an_empty_dataset(self):
+        with pytest.raises(DataError, match="^dataset is empty$"):
+            fit_factor_model(self.SCHEMA, StateCounts(items=()), 1)
+
     @pytest.mark.parametrize("which", ["equal radices", "reader", "mixed"])
     def test_nll_is_the_data_log_density(self, monkeypatch, rng, which):
         """The unpenalized objective equals -sum n_y log pi_y over the observed

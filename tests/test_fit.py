@@ -20,6 +20,7 @@ from grasscat.fit import (
     nll_gradient,
     state_counts,
     _Packer,
+    _allowed_state_probabilities,
     _gauss_jordan,
     _penalized_objective,
     _state_plan,
@@ -879,14 +880,14 @@ class TestFit:
     def test_negative_state_probability_is_not_feasible(self, monkeypatch):
         import grasscat.fit
 
-        real = grasscat.fit.state_probabilities
+        real = grasscat.fit._allowed_state_probabilities
 
-        def one_negative(params, states):
-            probs = real(params, states)
+        def one_negative(schema, sp):
+            probs = real(schema, sp)
             probs[0] = -0.01
             return probs
 
-        monkeypatch.setattr(grasscat.fit, "state_probabilities", one_negative)
+        monkeypatch.setattr(grasscat.fit, "_allowed_state_probabilities", one_negative)
         schema = VariableSchema([VariableDecl("x", CAT, 3)])
         rows = [Record((0,))] * 25 + [Record((1,))] * 35 + [Record((2,))] * 40
         report = fit_grassmann(schema, rows, FitConfig(a=0, restarts=1, seed=0))
@@ -917,8 +918,10 @@ class TestFit:
         assert schema.q == 8
         rows = [Record((i % 3, i % 4, i % 5 % 3, i % 7 % 2)) for i in range(120)]
         report = fit_grassmann(schema, rows, FitConfig(a=1, restarts=1, seed=0, max_iter=50))
+        assert report.p0_min == _allowed_state_probabilities(schema, report.params).min()
         params = assemble_lambda(schema, report.params)
-        assert report.p0_min == state_probabilities(params, allowed_table(schema)[0]).min()
+        lam_space = state_probabilities(params, allowed_table(schema)[0]).min()
+        assert report.p0_min == pytest.approx(lam_space, rel=1e-12, abs=1e-15)
 
     def test_dominance_margins_do_not_certify_positivity(self):
         schema, sp = _dominance_counterexample(pad=0)
@@ -1031,7 +1034,153 @@ class TestMonotoneDescent:
         assert (diffs <= 1e-9 * np.maximum(1.0, np.abs(values[:-1]))).all()
 
 
+class TestAllowedStateTable:
+    """The a-space probability of every allowed state against the lam-space
+    minors of grassmann.state_probabilities."""
+
+    @staticmethod
+    def _lam_space(schema, sp):
+        return state_probabilities(assemble_lambda(schema, sp), allowed_table(schema)[0])
+
+    def _assert_matches(self, schema, sp):
+        table, want = _allowed_state_probabilities(schema, sp), self._lam_space(schema, sp)
+        assert np.array_equal(np.sign(table), np.sign(want))
+        assert np.abs(table - want).max() <= 1e-12
+        return table
+
+    @staticmethod
+    def _one_bit_each(V, b=None):
+        """Cat(2) variables with a = 1, w_v = 1 and omega = 1/2, so that
+        t_v = V[v] / 2 and det A_s = 1 + sum of t_v over the variables at
+        level 1."""
+        k = len(V)
+        schema = VariableSchema([VariableDecl(f"v{j}", CAT, 2) for j in range(k)])
+        b = np.zeros(k) if b is None else b
+        sp = StructuredParams(tuple(b[:, None]), (np.ones(1),) * k,
+                              np.asarray(V, dtype=float)[:, None], np.full(1, 0.5))
+        return schema, sp
+
+    @pytest.mark.parametrize("a", [0, 1, 2, 3])
+    def test_matches_lam_space_minors(self, rng, a):
+        negative = 0
+        for _ in range(6):
+            schema = random_schema(rng, 16)
+            for w_scale in (0.4, 1.5):  # the wide coupling leaves some models invalid
+                table = self._assert_matches(schema, random_structured(rng, schema, a,
+                                                                       w_scale=w_scale))
+                negative += (table < 0.0).any()
+        assert negative > 0 or a == 0
+
+    @pytest.mark.parametrize("a", [0, 1, 2, 3])
+    def test_certified_models_match_and_have_no_negative_state(self, rng, a):
+        for _ in range(3):
+            schema = random_schema(rng, 8, min_vars=2)
+            table = self._assert_matches(schema, random_certified_structured(rng, schema, a))
+            assert table.min() >= 0.0 and table.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @staticmethod
+    def _ord30_at_the_bound(rng, a):
+        """The Ord(30) fixture with its last 26 b at -B_CAP: beta reaches -780."""
+        schema = VariableSchema([VariableDecl("o30", ORD, 30), VariableDecl("c3", CAT, 3)])
+        sp = random_structured(rng, schema, a)
+        b = (np.concatenate([sp.b[0][:3], np.full(26, -B_CAP)]), sp.b[1])
+        return schema, StructuredParams(b=b, w=sp.w, V=sp.V, omega=sp.omega)
+
+    @pytest.mark.parametrize("a", [1, 2])
+    def test_overflowing_decay_falls_back_to_lam_space(self, rng, a):
+        """e^-beta overflows on the Ord(30)'s last bits, so the table is the
+        lam-space one, bit for bit."""
+        schema, sp = self._ord30_at_the_bound(rng, a)
+        assert np.array_equal(_allowed_state_probabilities(schema, sp),
+                              self._lam_space(schema, sp))
+
+    @pytest.mark.parametrize("which", ["random", "ord30 at a = 0"])
+    def test_a_finite_model_builds_no_lambda(self, rng, monkeypatch, which):
+        """At a = 0 no x is formed, so the Ord(30) fixture stays in a-space."""
+        import grasscat.fit
+
+        def no_lambda(*args):
+            raise AssertionError("the table assembled lam")
+
+        if which == "random":
+            schema = random_schema(rng, 12)
+            sp = random_structured(rng, schema, 2)
+        else:
+            schema, sp = self._ord30_at_the_bound(rng, 0)
+        want = self._lam_space(schema, sp)
+        monkeypatch.setattr(grasscat.fit, "assemble_lambda", no_lambda)
+        table = _allowed_state_probabilities(schema, sp)
+        assert np.array_equal(np.sign(table), np.sign(want))
+        assert np.abs(table - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("decls", [[(CAT, 3)] * 9, [(CAT, 2)] * 15, [(ORD, 5), (CAT, 4)] * 4])
+    def test_chunks_of_at_most_2_14_states(self, rng, monkeypatch, decls):
+        import grasscat.fit
+
+        schema = VariableSchema([VariableDecl(f"v{j}", kind, levels)
+                                 for j, (kind, levels) in enumerate(decls)])
+        assert schema.n_states() > 2**14
+        sizes = []
+        real = grasscat.fit._gauss_jordan
+
+        def recording(A, inverse):
+            sizes.append(A.shape[2])
+            return real(A, inverse)
+
+        monkeypatch.setattr(grasscat.fit, "_gauss_jordan", recording)
+        self._assert_matches(schema, random_structured(rng, schema, 2, b_scale=0.5))
+        assert sizes[0] == 1  # det Abar
+        assert len(sizes) > 2 and max(sizes) <= 2**14
+        assert sum(sizes[1:]) == schema.n_states()
+
+    def test_small_negative_values_clamp_to_zero(self):
+        # p(v0 = 1) = (1 + V/2) / (2 + V/2) under V = -2 - d: about -d/2
+        for d, want in ((2e-10, -1e-10), (2e-13, 0.0)):
+            schema, sp = self._one_bit_each([-2.0 - d])
+            table = self._assert_matches(schema, sp)
+            assert table[1] == pytest.approx(want, rel=1e-4)
+            assert not np.signbit(table[1]) or want < 0.0
+
+    def test_negative_det_abar_sets_every_sign(self):
+        # det Abar = 1 - 1.5 = -0.5 and det A_1 = -2: p = (-1, 2)
+        schema, sp = self._one_bit_each([-6.0])
+        assert np.allclose(self._assert_matches(schema, sp), [-1.0, 2.0], rtol=0, atol=1e-15)
+
+    def test_singular_state_matrix_is_positive_zero(self):
+        # det Abar = 1 - 0.5 - 1.5 = -1 and the state (1, 0) has det A_s = 1 - 1 = 0
+        schema, sp = self._one_bit_each([-2.0, -6.0])
+        table = self._assert_matches(schema, sp)
+        assert np.allclose(table, [-0.25, 0.5, 0.0, 0.75], rtol=0, atol=1e-15)
+        assert table[2] == 0.0 and not np.signbit(table[2])
+
+    @pytest.mark.parametrize("field,value", [("b", np.inf), ("b", np.nan), ("w", np.nan),
+                                             ("V", np.inf), ("omega", np.nan)])
+    def test_non_finite_parameters_raise_as_lam_does(self, field, value):
+        schema, sp = self._one_bit_each([0.5, -0.5])
+        parts = {"b": list(sp.b), "w": list(sp.w), "V": sp.V.copy(), "omega": sp.omega.copy()}
+        target = parts[field]
+        if isinstance(target, list):
+            target[0] = np.full_like(target[0], value)
+        else:
+            target.flat[0] = value
+        bad = StructuredParams(tuple(parts["b"]), tuple(parts["w"]), parts["V"], parts["omega"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # lam's own assembly may warn
+            with pytest.raises(ParameterError, match="^parameters contain non-finite entries$"):
+                _allowed_state_probabilities(schema, bad)
+
+    def test_singular_abar_raises(self):
+        schema, sp = self._one_bit_each([-4.0])  # det Abar = 1 - 1 = 0
+        with pytest.raises(ParameterError, match="^lam is singular$"):
+            _allowed_state_probabilities(schema, sp)
+
+
 class TestDegenerateData:
+    def test_empty_counts_are_an_empty_dataset(self):
+        schema = VariableSchema([VariableDecl("x", CAT, 3)])
+        with pytest.raises(DataError, match="^dataset is empty$"):
+            fit_grassmann(schema, StateCounts(items=()), FitConfig(a=1, restarts=1))
+
     def test_unobserved_category_caps_bias_and_warns(self):
         schema = VariableSchema([VariableDecl("x", CAT, 3)])
         rows = [Record((0,))] * 10 + [Record((1,))] * 10  # level 2 never seen
@@ -1044,14 +1193,14 @@ class TestDocumentedRules:
     def test_state_just_below_minus_1e_12_makes_the_fit_infeasible(self, monkeypatch):
         import grasscat.fit
 
-        real = grasscat.fit.state_probabilities
+        real = grasscat.fit._allowed_state_probabilities
 
-        def one_slightly_negative(params, states):
-            probs = real(params, states)
+        def one_slightly_negative(schema, sp):
+            probs = real(schema, sp)
             probs[0] = -5e-10
             return probs
 
-        monkeypatch.setattr(grasscat.fit, "state_probabilities", one_slightly_negative)
+        monkeypatch.setattr(grasscat.fit, "_allowed_state_probabilities", one_slightly_negative)
         schema = VariableSchema([VariableDecl("x", CAT, 3)])
         rows = [Record((0,))] * 25 + [Record((1,))] * 35 + [Record((2,))] * 40
         report = fit_grassmann(schema, rows, FitConfig(a=0, restarts=1, seed=0))

@@ -9,7 +9,8 @@ branch as it stood, and each comparison asks for equal shapes, dtypes,
 values and signs of zero, so the tests check numpy's empty algebra on every
 numpy version they run on.  The fit's state plan and the pattern parser are
 compared with copies of the per-variable loops that the block maps and one
-encoding rule replaced.
+encoding rule replaced.  The allowed-state table runs at q = 0 and a = 0
+with no branch of its own, and is checked there against its closed forms.
 """
 
 import itertools
@@ -28,7 +29,13 @@ from grasscat.factor import (
     fix_rotation,
     posterior,
 )
-from grasscat.fit import _Packer, _sigmoid, _state_plan, state_counts
+from grasscat.fit import (
+    _allowed_state_probabilities,
+    _Packer,
+    _sigmoid,
+    _state_plan,
+    state_counts,
+)
 from grasscat.grassmann import (
     GrassmannParams,
     IndexPartition,
@@ -40,7 +47,7 @@ from grasscat.grassmann import (
 from grasscat.mixed import MixedParams, conditional_binary_given_continuous
 from grasscat.oracle import brute_force_table, oracle_conditional
 from grasscat.schema import VariableDecl, VariableKind, VariableSchema, allowed_table
-from grasscat.structure import OMEGA_EPS
+from grasscat.structure import OMEGA_EPS, StructuredParams
 
 from generators import CAT, ORD, random_schema, random_valid_params, reader_style_schema
 from test_mixed import random_mixed
@@ -465,6 +472,29 @@ def test_state_plan_matches_the_per_variable_loop(rng):
         for g, w in zip(got, _ref_state_plan(schema, counts)):
             assert_same(g, w)
             assert g.flags.c_contiguous == w.flags.c_contiguous
+
+
+@pytest.mark.parametrize("a", [0, 2])
+def test_allowed_state_table_without_variables_is_one(a):
+    sp = StructuredParams((), (), np.zeros((0, a)), np.full(a, 0.5))
+    assert_same(_allowed_state_probabilities(VariableSchema([]), sp), np.ones(1))
+
+
+def test_allowed_state_table_without_coupling_is_the_product_of_margins(rng):
+    """At a = 0 every det is of a 0 x 0 matrix, and each state's probability
+    is the product of its variables' own level probabilities."""
+    for schema in _schemas(rng):
+        sp = StructuredParams.independent(
+            schema, [rng.normal(0.0, 1.0, v.block_size) for v in schema.variables])
+        levels = allowed_table(schema)[1]
+        want = np.ones(len(levels))
+        for j, (v, b) in enumerate(zip(schema.variables, sp.b)):
+            logits = np.concatenate([[0.0], b if v.kind is VariableKind.CATEGORICAL
+                                     else np.cumsum(b)])
+            want *= (np.exp(logits) / np.exp(logits).sum())[levels[:, j]]
+        table = _allowed_state_probabilities(schema, sp)
+        assert table.shape == want.shape
+        assert np.allclose(table, want, rtol=1e-13, atol=0.0)
 
 
 def _ref_parse_pattern(schema, text):

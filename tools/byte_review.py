@@ -121,6 +121,8 @@ def command_list(seed: int, pool: dict) -> list[tuple[list[str], list[str]]]:
         add(["validate", "--schema", f"fit/{tag}.schema.json", "--data", f"fit/{tag}.csv"])
     for model in fit_models:
         add(["moments", "--model", model])
+        add(["sample", "--model", model, "--n", "1000", "--seed", str(seed),
+             "--out", model + ".sample.csv"], model + ".sample.csv")
 
     # factor workload
     fa = "factor/fa-q16.model.json"

@@ -132,6 +132,21 @@ MUTANTS = [
     ("bic-clamp-dropped", FACTOR,
      "    p_z = min(p_z, q + p_x)\n", "",
      ["tests/test_factor.py::TestBicCount"]),
+    # the a-space table of every allowed state, and the likelihood's state plan
+    ("allowed-table-abar-sign-dropped", FIT,
+     "sign * sign_bar[0] * np.exp(", "sign * np.exp(",
+     ["tests/test_fit.py::TestAllowedStateTable"]),
+    ("allowed-table-clamp", FIT,
+     "probs[(-_CLAMP <= probs)", "probs[(-1e-9 <= probs)",
+     ["tests/test_fit.py::TestAllowedStateTable"]),
+    ("decay-overflow-guard-inverted", FIT,
+     "    if not np.isfinite(x).all():\n        return None\n",
+     "    if np.isfinite(x).all():\n        return None\n",
+     ["tests/test_fit.py::TestAllowedStateTable"]),
+    ("state-plan-ends-level-zero", FIT,
+     "maps.starts + levels - 1, q)", "maps.starts + levels - 1, 0)",
+     ["tests/test_general_paths.py::test_state_plan_matches_the_per_variable_loop",
+      "tests/test_fit.py::TestNll"]),
 ]
 
 
