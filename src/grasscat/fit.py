@@ -24,10 +24,9 @@ states' popcounts, and no LAPACK call.
 
 The same per-bit tables give the probability of every allowed state,
 e^(sum_v beta_v(l_v) - sum_v log Z_v) det A_s / det Abar, for ``sample``
-and for the fit's certificate ``p0_min``; neither forms lam.  Each level
-adds one term to (A_s - I, sum_v beta_v), so the table is an outer sum
-over the variables' levels in the table's mixed-radix order, taken in
-chunks of 2**14 states.
+and for the fit's certificate ``p0_min``; neither forms lam.  Each chunk
+of 2**14 allowed states is built as the likelihood's stack is, by one GEMM
+against the chunk's E, with sum_v beta_v(l_v) as one more row.
 
 The dominance conditions are enforced by a smooth squared-hinge penalty on
 the free-row margins of B = M C and on the strict margins of C, with the
@@ -56,7 +55,9 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .grassmann import _CHUNK, _CLAMP, GrassmannParams, moments, state_probabilities
+from .grassmann import (
+    _CHUNK, _CLAMP, GrassmannParams, _probabilities, moments, state_probabilities,
+)
 from .schema import (
     Record,
     VariableKind,
@@ -183,13 +184,20 @@ class _StatePlan:
 def _state_plan(schema: VariableSchema, counts: StateCounts) -> _StatePlan:
     """The likelihood's per-dataset plan; every observed state must be allowed."""
     states, weights = counts.as_arrays()
-    levels = allowed_levels(schema, states)
-    maps, q = schema.block_maps, schema.q
-    last_bits = np.where(levels > 0, maps.starts + levels - 1, q)
-    ends = np.zeros((q + 1, len(weights)))  # row q collects the level-0 entries
-    ends[last_bits, np.arange(len(weights))[:, None]] = 1.0
-    ends = ends[:q]
+    allowed_levels(schema, states)
+    ends = _ends(schema, states)
     return _StatePlan(ends, weights, ends @ weights, *_bit_maps(schema))
+
+
+def _ends(schema: VariableSchema, bits: np.ndarray) -> np.ndarray:
+    """The C-contiguous (q, n) 0/1 indicator of the bits the levels of the
+    (n, q) allowed states ``bits`` end on: the set bits, less each ordinal
+    bit whose successor in its block is also set."""
+    var = schema.block_maps.var
+    chained = np.flatnonzero(schema.block_maps.ordinal[var[:-1], 0] & (var[:-1] == var[1:]))
+    ends = bits.T.astype(float, order="C")
+    ends[chained] -= ends[chained + 1]
+    return ends
 
 
 def _bit_maps(schema: VariableSchema) -> tuple[np.ndarray, np.ndarray]:
@@ -207,10 +215,11 @@ def _gauss_jordan(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Sign, log|det| and, if ``inverse``, the inverse of each matrix of an
     (a, a, n) stack held matrix index first, so that every step works on
-    contiguous n-vectors.  Gauss-Jordan elimination with partial pivoting:
-    each row swap flips the sign.  A singular matrix meets a zero pivot; it
-    gets sign 0, and a unit pivot in its place lets the elimination run on
-    without a warning, leaving its log|det| and inverse meaningless."""
+    contiguous n-vectors.  Gauss-Jordan elimination with partial pivoting,
+    each row swap flipping the sign; without ``inverse``, of the rows below
+    each pivot only.  A singular matrix meets a zero pivot; it gets sign 0,
+    and a unit pivot in its place lets the elimination run on without a
+    warning, leaving its log|det| and inverse meaningless."""
     a, n = A.shape[0], A.shape[2]
     width = 2 * a if inverse else a
     M = np.zeros((a, width, n))  # [A | I], reduced in place to [I | A^-1]
@@ -234,7 +243,8 @@ def _gauss_jordan(
             sign[zero] = 0.0
             d[zero] = 1.0
         row = M[j] / d
-        M -= M[:, j, None] * row
+        rows = M if inverse else M[j + 1 :]
+        rows -= rows[:, j, None] * row
         M[j] = row
     sign *= np.sign(pivots).prod(axis=0)
     return sign, np.log(np.abs(pivots)).sum(axis=0), M[:, a:] if inverse else None
@@ -328,54 +338,36 @@ def _allowed_state_probabilities(schema: VariableSchema, sp: StructuredParams) -
     """Probability of every row of :func:`allowed_table` under ``sp``, from
     a x a determinants: e^(sum_v beta_v(l_v) - sum_v log Z_v) det A_s / det Abar.
 
-    Each level contributes one term to (A_s - I, sum_v beta_v(l_v)), zero at
-    level 0.  The terms of the trailing variables are summed over every
-    combination of their levels once, in table order, as long as that block
-    fits in a chunk of 2**14 states; each chunk adds the gathered terms of
-    its rows' leading levels to it.  The rules of
-    :func:`grassmann.state_probabilities` hold: values in [-1e-12, 0) become
-    0.0, a singular A_s gives +0.0, and a singular Abar (so lam) raises
-    ParameterError.  Where a parameter is not finite or e^-beta overflows on
-    a bit, the lam-space minors give the table."""
+    Each chunk of 2**14 rows is built as :func:`_likelihood` builds its
+    states: one GEMM of the per-bit terms (x_r w_r^T flattened, beta_r)
+    against the chunk's :func:`_ends` gives every (A_s - I, sum_v beta_v).
+    The rules of :func:`grassmann.state_probabilities` hold: values in
+    [-1e-12, 0) become 0.0, a singular A_s gives +0.0, and a singular Abar
+    (so lam) raises ParameterError.  Where a parameter is not finite or
+    e^-beta overflows on a bit, the lam-space minors give the table."""
     b, w, V, omega = flat_params(schema, sp)
     q, a = V.shape
+    bits = allowed_table(schema)[0]
     tables = None
     if all(np.isfinite(v).all() for v in (b, w, V, omega)):  # else lam's checks refuse them
         tables = _bit_tables(b, V, omega, *_bit_maps(schema), np.ones(q, dtype=bool))
     if tables is None:
-        return state_probabilities(assemble_lambda(schema, sp), allowed_table(schema)[0])
+        return state_probabilities(assemble_lambda(schema, sp), bits)
     beta, log_z, _, _, x_bar, _, x = tables
     sign_bar, logdet_bar, _ = _gauss_jordan((np.eye(a) + x_bar.T @ w)[:, :, None], False)
     if sign_bar[0] == 0:
         raise ParameterError("lam is singular")
-    maps = schema.block_maps
-    # column l of a variable's terms is its level l: (x w^T flattened, beta)
-    terms = np.zeros((a * a + 1, q + len(schema)))
-    at = np.arange(q) + maps.var + 1
-    terms[: a * a, at] = (x[:, :, None] * w.take(maps.var, axis=0)[:, None, :]).reshape(q, a * a).T
-    terms[a * a, at] = beta
-    radices = [v.levels for v in schema.variables]
-    level0 = np.cumsum([0] + radices)[:-1]
-    split, inner = len(radices), np.zeros((a * a + 1, 1))
-    while split and inner.shape[1] * radices[split - 1] <= _CHUNK:
-        split -= 1
-        block = terms[:, level0[split] : level0[split] + radices[split]]
-        inner = (block[:, :, None] + inner[:, None, :]).reshape(a * a + 1, -1)
-    levels = allowed_table(schema)[1]
-    size = inner.shape[1]
-    step = _CHUNK // size * size
+    w_bit = w.take(schema.block_maps.var, axis=0)
+    terms = np.vstack([(x[:, :, None] * w_bit[:, None, :]).reshape(q, a * a).T, beta])
     log_norm = log_z.sum() + logdet_bar[0]
-    probs = np.empty(len(levels))
-    for lo in range(0, len(levels), step):
-        heads = terms[:, levels[lo : lo + step : size, :split] + level0[:split]].sum(axis=2)
-        chunk = (heads[:, :, None] + inner[:, None, :]).reshape(a * a + 1, -1)
+    probs = np.empty(len(bits))
+    for lo in range(0, len(bits), _CHUNK):
+        chunk = terms @ _ends(schema, bits[lo : lo + _CHUNK])
+        n = chunk.shape[1]
         A = chunk[: a * a]  # A_s - I over the chunk's states
         A[:: a + 1] += 1.0
-        sign, logdet, _ = _gauss_jordan(A.reshape(a, a, chunk.shape[1]), False)
-        p = sign * sign_bar[0] * np.exp(chunk[a * a] + logdet - log_norm)
-        p[sign == 0] = 0.0  # a singular A_s over det Abar < 0 is -0.0; report +0.0
-        probs[lo : lo + len(p)] = p
-    probs[(-_CLAMP <= probs) & (probs < 0.0)] = 0.0
+        sign, logdet, _ = _gauss_jordan(A.reshape(a, a, n), False)
+        probs[lo : lo + n] = _probabilities(sign, chunk[a * a] + logdet - log_norm, sign_bar[0])
     return probs
 
 
@@ -723,7 +715,7 @@ def fit_grassmann(
     mean_model, cov_model = moments(params)
     corr_model = _correlation(cov_model)
     p0_min = float(_allowed_state_probabilities(schema, sp_fit).min())
-    feasible = p0_min >= -1e-12
+    feasible = p0_min >= -_CLAMP
     if not feasible:
         warn.append(
             f"enumeration found a negative state probability (p0_min = "

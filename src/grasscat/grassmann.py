@@ -174,8 +174,15 @@ def state_probabilities(p: GrassmannParams, states: np.ndarray) -> np.ndarray:
     if sign_l == 0:
         raise ParameterError("lam is singular")
     sign, logdet = _log_minors(p.lam - np.eye(p.q), states)
-    prob = sign * sign_l * np.exp(logdet - logdet_l)
-    prob[sign == 0] = 0.0  # a singular minor over det(lam) < 0 is -0.0; report +0.0
+    return _probabilities(sign, logdet - logdet_l, sign_l)
+
+
+def _probabilities(sign: np.ndarray, log_ratio: np.ndarray, sign_norm: float) -> np.ndarray:
+    """sign * sign_norm * e^log_ratio for states whose determinants have
+    signs ``sign`` and log|ratios| ``log_ratio`` to a normalizer of sign
+    ``sign_norm``; values in [-1e-12, 0) are clamped to 0.0."""
+    prob = sign * sign_norm * np.exp(log_ratio)
+    prob[sign == 0] = 0.0  # a singular one over a negative normalizer is -0.0; report +0.0
     prob[(-_CLAMP <= prob) & (prob < 0.0)] = 0.0
     return prob
 
@@ -336,7 +343,7 @@ def _p0_report(probs: np.ndarray, q: int) -> P0Report:
     imin = int(np.argmin(probs))
     state = tuple((imin >> b) & 1 for b in range(q))
     total = float(probs.sum())
-    passed = probs[imin] >= -1e-12 and abs(total - 1.0) <= 1e-10
+    passed = probs[imin] >= -_CLAMP and abs(total - 1.0) <= 1e-10
     return P0Report(
         n_states=probs.size,
         min_probability=float(probs[imin]),

@@ -618,6 +618,27 @@ class TestModelFileStrictness:
         with pytest.raises(SchemaError, match=rf"^{re.escape(field)}: "):
             model_from_document(doc)
 
+    @pytest.mark.parametrize(
+        "kind, edit, message",
+        [
+            ("grassmann", lambda p: p.update(V=p["V"][:-1]), "params.V: expected 6 rows, got 5"),
+            ("grassmann", lambda p: p.update(V=[r[:1] for r in p["V"]]),
+             "params.V: expected 2 columns, got 1"),
+            ("grassmann", lambda p: p.update(V=np.ravel(p["V"]).tolist()),
+             "params.V: expected a matrix"),
+            ("grassmann", lambda p: p["b"].update(Age=[0.1, 0.2, 0.3]),
+             "params.b[Age]: expected length 2, got 3"),
+            ("mixed", lambda p: p.update(mu=[[0.0, 0.0]]), "params.mu: expected a vector"),
+        ],
+    )
+    def test_each_shape_check_names_its_fault(self, kind, edit, message):
+        from grasscat.errors import SchemaError
+
+        doc = self._document(kind)
+        edit(doc["params"])
+        with pytest.raises(SchemaError, match=rf"^{re.escape(message)}$"):
+            model_from_document(doc)
+
     def test_legacy_slack_is_checked_then_dropped(self):
         from grasscat.errors import SchemaError
 

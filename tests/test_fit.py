@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grasscat.errors import DataError, InvalidStateError, ParameterError, SchemaError
@@ -21,6 +21,7 @@ from grasscat.fit import (
     state_counts,
     _Packer,
     _allowed_state_probabilities,
+    _ends,
     _gauss_jordan,
     _penalized_objective,
     _state_plan,
@@ -35,6 +36,8 @@ from grasscat.schema import (
     VariableSchema,
     allowed_table,
     encode_record,
+    levels_of_bits,
+    table_rows,
 )
 from grasscat.structure import (
     TAU_C,
@@ -1173,6 +1176,87 @@ class TestAllowedStateTable:
         schema, sp = self._one_bit_each([-4.0])  # det Abar = 1 - 1 = 0
         with pytest.raises(ParameterError, match="^lam is singular$"):
             _allowed_state_probabilities(schema, sp)
+
+
+def _ref_ends(schema, bits):
+    """The level-based scatter _state_plan used before _ends: row r is 1
+    where a state's level ends on bit r, level 0 ending on no bit."""
+    levels = levels_of_bits(schema, bits)
+    q = schema.q
+    starts = np.asarray([s for s, _ in schema.blocks], dtype=int)
+    last_bits = np.where(levels > 0, starts + levels - 1, q)
+    ends = np.zeros((q + 1, len(bits)))  # row q collects the level-0 entries
+    ends[last_bits, np.arange(len(bits))[:, None]] = 1.0
+    return ends[:q]
+
+
+@st.composite
+def _schemas(draw):
+    return VariableSchema([
+        VariableDecl(f"v{i}", draw(st.sampled_from([CAT, ORD])), draw(st.integers(2, 5)))
+        for i in range(draw(st.integers(0, 4)))
+    ])
+
+
+# the bench's fit-q8 and fit-q16 schemas
+_Q8 = [(CAT, 3), (ORD, 4), (CAT, 4)]
+_Q16 = _Q8 + [(ORD, 3), (CAT, 2), (CAT, 2), (ORD, 3), (CAT, 3)]
+
+
+class TestOneConstruction:
+    """The allowed-state table builds its a x a matrices as the likelihood
+    does, from the level-end indicator of _ends, and eliminates them
+    forward only."""
+
+    @given(_schemas())
+    @example(VariableSchema([]))
+    @example(VariableSchema([VariableDecl("o", ORD, 2)]))
+    @settings(max_examples=200, deadline=None)
+    def test_ends_is_the_level_scatter(self, schema):
+        bits = allowed_table(schema)[0]
+        ends = _ends(schema, bits)
+        assert np.array_equal(ends, _ref_ends(schema, bits))
+        assert ends.shape == (schema.q, schema.n_states()) and ends.dtype == float
+        assert ends.flags.c_contiguous
+
+    @pytest.mark.parametrize("a", [0, 1, 2, 3, 4])
+    def test_forward_elimination_keeps_every_pivot(self, rng, a):
+        """Sign and log|det| without the inverse are those with it, bit for
+        bit, on stacks with row swaps and exact zero pivots (entries in
+        {-1, 0, 1} make many matrices singular)."""
+        stack = rng.normal(size=(a, a, 900))
+        stack[:, :, ::2] = rng.integers(-1, 2, size=(a, a, 450))
+        stack[:1, :1, ::3] = 0.0
+        full, forward = _gauss_jordan(stack, True), _gauss_jordan(stack, False)
+        assert np.array_equal(forward[0], full[0]) and np.array_equal(forward[1], full[1])
+        assert forward[2] is None
+        if a:
+            assert (full[0] == 0).any() and (full[0] != 0).sum() > 300
+        if a > 1:
+            assert (np.abs(stack[1:, 0]) > np.abs(stack[0, 0])).any()  # a row swap
+
+    @pytest.mark.parametrize("decls, n_rows", [(_Q8, 2000), (_Q16, 1000)])
+    def test_table_scores_the_data_as_the_likelihood(self, rng, decls, n_rows):
+        """-sum_s n_s log table[row_s] is the NLL to 1e-12 relative."""
+        schema = VariableSchema([VariableDecl(f"v{j}", kind, levels)
+                                 for j, (kind, levels) in enumerate(decls)])
+        truth = _allowed_state_probabilities(schema, random_structured(rng, schema, 2,
+                                                                       w_scale=0.2))
+        assert truth.min() > 0.0
+        levels = allowed_table(schema)[1][rng.choice(len(truth), n_rows, p=truth / truth.sum())]
+        counts = state_counts(schema, levels)
+        states, weights = counts.as_arrays()
+        rows = table_rows(schema, levels_of_bits(schema, states))
+        finite = 0
+        for a in range(4):
+            for _ in range(5):
+                sp = random_structured(rng, schema, a)
+                nll = negative_log_likelihood(schema, sp, counts)
+                table = _allowed_state_probabilities(schema, sp)[rows]
+                if np.isfinite(nll):  # else some det A_s or det Abar has sign <= 0
+                    finite += 1
+                    assert -(weights @ np.log(table)) == pytest.approx(nll, rel=1e-12, abs=0)
+        assert finite >= 10
 
 
 class TestDegenerateData:

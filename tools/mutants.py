@@ -30,17 +30,19 @@ _IGNORE = shutil.ignore_patterns(
 
 FACTOR = "src/grasscat/factor.py"
 FIT = "src/grasscat/fit.py"
+GRASSMANN = "src/grasscat/grassmann.py"
 MIXED = "src/grasscat/mixed.py"
+MODELFILE = "src/grasscat/modelfile.py"
 SCHEMA = "src/grasscat/schema.py"
 
 # (name, file, old text, new text, tests): the old text occurs once in the file
 MUTANTS = [
     # the eight planted changes of the test-strength roadmap item
-    ("clamp", "src/grasscat/grassmann.py",
+    ("clamp", GRASSMANN,
      "_CLAMP = 1e-12", "_CLAMP = 1e-9",
      ["tests/test_grassmann.py::TestClamp"]),
     ("feasible-threshold", FIT,
-     "feasible = p0_min >= -1e-12", "feasible = p0_min >= -1e-9",
+     "feasible = p0_min >= -_CLAMP", "feasible = p0_min >= -1e-9",
      ["tests/test_fit.py::TestDocumentedRules"]),
     ("max-ramps", FIT,
      "MAX_RAMPS = 6", "MAX_RAMPS = 5",
@@ -134,19 +136,74 @@ MUTANTS = [
      ["tests/test_factor.py::TestBicCount"]),
     # the a-space table of every allowed state, and the likelihood's state plan
     ("allowed-table-abar-sign-dropped", FIT,
-     "sign * sign_bar[0] * np.exp(", "sign * np.exp(",
+     "log_norm, sign_bar[0])", "log_norm, 1.0)",
      ["tests/test_fit.py::TestAllowedStateTable"]),
-    ("allowed-table-clamp", FIT,
-     "probs[(-_CLAMP <= probs)", "probs[(-1e-9 <= probs)",
+    ("allowed-table-clamp", GRASSMANN,
+     "prob[(-_CLAMP <= prob)", "prob[(-1e-9 <= prob)",
      ["tests/test_fit.py::TestAllowedStateTable"]),
     ("decay-overflow-guard-inverted", FIT,
      "    if not np.isfinite(x).all():\n        return None\n",
      "    if np.isfinite(x).all():\n        return None\n",
      ["tests/test_fit.py::TestAllowedStateTable"]),
-    ("state-plan-ends-level-zero", FIT,
-     "maps.starts + levels - 1, q)", "maps.starts + levels - 1, 0)",
+    ("state-plan-ends-predecessor", FIT,
+     "ends[chained] -= ends[chained + 1]", "ends[chained + 1] -= ends[chained]",
      ["tests/test_general_paths.py::test_state_plan_matches_the_per_variable_loop",
       "tests/test_fit.py::TestNll"]),
+    # one construction for the table and the likelihood, and one probability rule
+    ("gauss-jordan-forward-only-inverse", FIT,
+     "rows = M if inverse else M[j + 1 :]", "rows = M[j + 1 :]",
+     ["tests/test_fit.py::TestBatchedKernelIsExact"]),
+    ("ends-without-successor", FIT,
+     "    ends[chained] -= ends[chained + 1]\n", "",
+     ["tests/test_fit.py::TestOneConstruction"]),
+    ("ends-ordinal-mask-dropped", FIT,
+     "schema.block_maps.ordinal[var[:-1], 0] & (var[:-1] == var[1:])", "(var[:-1] == var[1:])",
+     ["tests/test_fit.py::TestOneConstruction"]),
+    ("probabilities-negative-zero", GRASSMANN,
+     "    prob[sign == 0] = 0.0", "",
+     ["tests/test_fit.py::TestAllowedStateTable", "tests/test_grassmann.py"]),
+    # the kernels: the likelihood's gradient terms, the minors' popcount
+    # groups, the oracle's determinant, the dummy encoding, the distinct-row
+    # order, the CSV template and the model file's shape checks
+    ("likelihood-share-dropped", FIT,
+     "share = np.exp(beta - log_z @ plan.members)", "share = np.exp(beta)",
+     ["tests/test_fit.py::TestBatchedKernelIsExact"]),
+    ("likelihood-g-w-sign", FIT,
+     "g_w = n * x_bar @ inv_bar.T - plan.members", "g_w = n * x_bar @ inv_bar.T + plan.members",
+     ["tests/test_fit.py::TestBatchedKernelIsExact"]),
+    ("likelihood-g-v-decay-sign", FIT,
+     "- decay[:, None] * per_bit)", "+ decay[:, None] * per_bit)",
+     ["tests/test_fit.py::TestBatchedKernelIsExact"]),
+    ("likelihood-g-omega-sign", FIT,
+     "(to_x_bar * sums).sum(axis=0) - (decay", "(to_x_bar * sums).sum(axis=0) + (decay",
+     ["tests/test_fit.py::TestBatchedKernelIsExact"]),
+    ("log-minors-skip-top-popcount", GRASSMANN,
+     "np.bincount(popcounts)[1:]", "np.bincount(popcounts)[1:-1]",
+     ["tests/test_grassmann.py"]),
+    ("naive-det-swap-parity", "src/grasscat/oracle.py",
+     "det[piv != k] *= -1.0", "det[piv != k] *= 1.0",
+     ["tests/test_oracle.py"]),
+    ("bits-of-levels-ordinal", SCHEMA,
+     "else col >= steps", "else col > steps",
+     ["tests/test_schema.py"]),
+    ("distinct-levels-sorted-order", SCHEMA,
+     "order = np.argsort(first)", "order = np.arange(len(first))",
+     ["tests/test_schema.py"]),
+    ("csv-rows-separator", "src/grasscat/outputs.py",
+     '_fill_rows(",".join(specs)', '_fill_rows(", ".join(specs)',
+     ["tests/test_outputs.py"]),
+    ("modelfile-matrix-ndim", MODELFILE,
+     "    if arr.ndim != 2:\n", "    if arr.ndim > 2:\n",
+     ["tests/test_cli.py::TestModelFileStrictness"]),
+    ("modelfile-matrix-rows", MODELFILE,
+     "    if rows is not None and arr.shape[0] != rows:\n", "    if False:\n",
+     ["tests/test_cli.py::TestModelFileStrictness"]),
+    ("modelfile-matrix-cols", MODELFILE,
+     "    if cols is not None and arr.shape[1] != cols:\n", "    if False:\n",
+     ["tests/test_cli.py::TestModelFileStrictness"]),
+    ("modelfile-vector-length", MODELFILE,
+     "    if length is not None and arr.shape[0] != length:\n", "    if False:\n",
+     ["tests/test_cli.py::TestModelFileStrictness"]),
 ]
 
 
