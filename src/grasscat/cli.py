@@ -40,24 +40,16 @@ from .fit import (
     FitConfig,
     _allowed_state_probabilities,
     _correlation,
+    _pattern_probabilities,
     fit_grassmann,
     state_counts,
     weighted_moments,
 )
-from .grassmann import (
-    GrassmannParams,
-    IndexPartition,
-    _p0_report,
-    all_state_probabilities,
-    conditional_params,
-    joint_probability,
-    marginal_params,
-    moments,
-)
+from .grassmann import _p0_report, all_state_probabilities, moments
 from .mixed import MixedParams, MixedPartition, mixed_conditional_density
 from .modelfile import ModelFile, load_model, save_model
 from .oracle import brute_force_table, oracle_marginal
-from .outputs import _csv_rows, write_csv
+from .outputs import _csv_rows, _level_rows, write_csv
 from .schema import (
     VariableKind,
     VariableSchema,
@@ -66,7 +58,7 @@ from .schema import (
     load_data_levels,
     load_schema,
 )
-from .structure import assemble_lambda
+from .structure import StructuredParams, assemble_lambda
 
 
 class _UsageError(Exception):
@@ -162,44 +154,35 @@ def parse_pattern(schema: VariableSchema, text: str) -> dict[int, int]:
     return assignment
 
 
-def _pattern_probability(
-    params: GrassmannParams, assignment: dict[int, int]
-) -> float:
-    if not assignment:
-        return 1.0
-    T = sorted(assignment)
-    marg = marginal_params(params, T)
-    return joint_probability(marg, [assignment[t] for t in T])
-
-
 def conditional_pattern_probability(
-    params: GrassmannParams,
+    schema: VariableSchema,
+    sp: StructuredParams,
     query: dict[int, int],
     given: dict[int, int],
 ) -> float:
-    """p(query-pattern | given-pattern) through the marginal/conditional
-    parameter formulas (not enumeration)."""
+    """p(query-pattern | given-pattern) under the structured parameters
+    ``sp``: the ratio of P(query and given) to P(given), both from one call
+    of :func:`fit._pattern_probabilities` (not enumeration)."""
     overlap = set(query) & set(given)
     if overlap:
         raise DataError(f"query and given overlap on dummy indices {sorted(overlap)}")
-    if not given:
-        return _pattern_probability(params, query)
-    T = tuple(sorted(given))
-    S = tuple(i for i in range(params.q) if i not in set(T))
-    T1 = tuple(t for t in T if given[t] == 1)
-    cond = conditional_params(params, IndexPartition(S=S, T=T, T1=T1))
-    pos = {idx: k for k, idx in enumerate(S)}
-    sub_assignment = {pos[i]: bit for i, bit in query.items()}
-    return _pattern_probability(cond, sub_assignment)
+    both = {**query, **given}
+    bits = np.array([[p.get(r, -1) for r in range(schema.q)] for p in (both, given)])
+    joint, p_given = _pattern_probabilities(schema, sp, bits >= 0, bits == 1)
+    if p_given == 0.0:
+        raise ConditioningError("conditioning event has probability zero")
+    if p_given < 0.0:
+        raise ParameterError(f"conditioning event has negative probability {p_given:.3e}")
+    return float(joint / p_given)
 
 
 # -- model loading helpers ------------------------------------------------------
 
-def _load_grassmann(path: str) -> tuple[VariableSchema, GrassmannParams]:
+def _load_grassmann(path: str) -> ModelFile:
     mf = load_model(path)
     if mf.kind != "grassmann":
         raise DataError(f"model {path} has kind {mf.kind!r}; expected 'grassmann'")
-    return mf.schema, assemble_lambda(mf.schema, mf.params)
+    return mf
 
 
 # -- subcommand implementations ---------------------------------------------------
@@ -291,10 +274,15 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_prob(args) -> int:
-    schema, params = _load_grassmann(args.model)
-    query = parse_pattern(schema, args.query)
-    given = parse_pattern(schema, args.given) if args.given else {}
-    prob = conditional_pattern_probability(params, query, given)
+    mf = _load_grassmann(args.model)
+    try:
+        query = parse_pattern(mf.schema, args.query)
+        given = parse_pattern(mf.schema, args.given) if args.given else {}
+    except DataError:
+        # a model that cannot be scored is reported before a bad pattern
+        conditional_pattern_probability(mf.schema, mf.params, {}, {})
+        raise
+    prob = conditional_pattern_probability(mf.schema, mf.params, query, given)
     _emit(
         {
             "query": args.query,
@@ -328,8 +316,8 @@ def _cmd_sample(args) -> int:
     distinct = draws[first]
     inverse = np.empty(args.n, dtype=np.int64)
     inverse[order] = np.cumsum(first) - 1
-    levels = _csv_rows(allowed_table(schema)[1][distinct])
-    rows = [levels[i] for i in inverse.tolist()]
+    rows = np.array(_level_rows(allowed_table(schema)[1][distinct]), dtype=object)
+    rows = rows[inverse].tolist()
     header = list(schema.names)
     if mf.kind == "factor" and model.p_x:
         header += [f"x{i + 1}" for i in range(model.p_x)]
@@ -486,7 +474,8 @@ def _cmd_mixed_eval(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    schema, params = _load_grassmann(args.model)
+    mf = _load_grassmann(args.model)
+    params = assemble_lambda(mf.schema, mf.params)
     table = brute_force_table(params)
     probs = all_state_probabilities(params)
     max_joint_err = float(np.abs(table.probs - probs).max())

@@ -26,7 +26,10 @@ The same per-bit tables give the probability of every allowed state,
 e^(sum_v beta_v(l_v) - sum_v log Z_v) det A_s / det Abar, for ``sample``
 and for the fit's certificate ``p0_min``; neither forms lam.  Each chunk
 of 2**14 allowed states is built as the likelihood's stack is, by one GEMM
-against the chunk's E, with sum_v beta_v(l_v) as one more row.
+against the chunk's E, with sum_v beta_v(l_v) as one more row.  A pattern
+of fixed bits, which ``prob`` scores, is one a x a determinant too: det A_s
+is affine in each variable's column, so a variable summed over the levels
+the pattern leaves it collapses to one column (:func:`_pattern_probabilities`).
 
 The dominance conditions are enforced by a smooth squared-hinge penalty on
 the free-row margins of B = M C and on the strict margins of C, with the
@@ -250,22 +253,30 @@ def _gauss_jordan(
     return sign, np.log(np.abs(pivots)).sum(axis=0), M[:, a:] if inverse else None
 
 
-def _bit_tables(
+def _variable_tables(
     b: np.ndarray, V: np.ndarray, omega: np.ndarray, beta_of_b: np.ndarray,
-    members: np.ndarray, on: np.ndarray,
-) -> tuple[np.ndarray, ...] | None:
-    """The per-bit and per-variable tables of the a-space determinants at b
-    laid end to end: beta, log Z_v, 1 / Z_v, the V sums over each block
-    divided by Z_v, xbar_v, e^-beta and x.  e^-beta and x are computed on
-    the bits of the boolean mask ``on`` and are 0 elsewhere; None when
-    e^-beta overflows on one of those bits."""
+    members: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """beta, log Z_v, 1 / Z_v, the V sums over each block divided by Z_v
+    and xbar_v at b laid end to end."""
     beta = beta_of_b @ b
     # log Z_v with the largest of 0 and the block's beta factored out
     top = (members * beta).max(axis=1, initial=0.0)
     log_z = top + np.log(np.exp(-top) + members @ np.exp(beta - top @ members))
     inv_z = np.exp(-log_z)
     sums = (members @ V) * inv_z[:, None]
-    x_bar = sums * omega
+    return beta, log_z, inv_z, sums, sums * omega
+
+
+def _bit_tables(
+    b: np.ndarray, V: np.ndarray, omega: np.ndarray, beta_of_b: np.ndarray,
+    members: np.ndarray, on: np.ndarray,
+) -> tuple[np.ndarray, ...] | None:
+    """The :func:`_variable_tables` of the a-space determinants, then e^-beta
+    and x.  e^-beta and x are computed on the bits of the boolean mask
+    ``on`` and are 0 elsewhere; None when e^-beta overflows on one of those
+    bits."""
+    beta, log_z, inv_z, sums, x_bar = _variable_tables(b, V, omega, beta_of_b, members)
     decay = np.zeros(len(beta))
     with np.errstate(over="ignore", invalid="ignore"):
         decay[on] = np.exp(-beta[on])
@@ -369,6 +380,81 @@ def _allowed_state_probabilities(schema: VariableSchema, sp: StructuredParams) -
         sign, logdet, _ = _gauss_jordan(A.reshape(a, a, n), False)
         probs[lo : lo + n] = _probabilities(sign, chunk[a * a] + logdet - log_norm, sign_bar[0])
     return probs
+
+
+_BORDER_BELOW = 1e-3  # s_v under which a pattern's column is bordered, not divided by s_v
+
+
+def _pattern_probabilities(
+    schema: VariableSchema, sp: StructuredParams, fixed: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """Probability under ``sp`` of each pattern of dummy bits, from a x a
+    determinants: row i of the (n, q) 0/1 arrays ``fixed`` and ``values``
+    marks the bits pattern i fixes and gives their values.
+
+    det A_s is affine in each variable's column, and e^beta_v(l) x_v(l) =
+    omega * V[r_v(l)], so summing variable v over the set L_v of its levels
+    whose bits agree with the pattern gives one column.  With s_v =
+    sum_(l in L_v) e^beta_v(l) / Z_v and u_v = omega * sum_(l in L_v)
+    V[r_v(l)] / Z_v, that column is u_v / s_v, and
+
+        P = prod_(constrained v) s_v * det A_L / det Abar,   A_L = I + sum_v (u_v / s_v) w_v^T.
+
+    A variable the pattern leaves free keeps s_v = 1 and u_v = xbar_v
+    exactly, and A_L is built as Abar plus the constrained variables'
+    changes, so the empty pattern gives exactly 1.0.  Dividing by s_v costs
+    about eps / s_v of relative accuracy, and cannot divide by s_v = 0, so a
+    constrained variable with s_v < 1e-3 keeps its column undivided in a
+    border instead: row a + j holds (-w_v, s_v) and column a + j holds
+    u_v - s_v xbar_v, and the bordered determinant is s_v times the divided
+    one.  The border is as wide as the most such variables of any pattern,
+    with a unit diagonal in unused slots; usually it is empty.  A pattern
+    that leaves a variable no level has a zero border column, so it gives
+    +0.0.  The patterns and Abar, last, are one stacked elimination.  The
+    rules of :func:`grassmann._probabilities` hold, and a singular Abar (so
+    lam) raises ParameterError, as does a parameter that is not finite."""
+    b, w, V, omega = flat_params(schema, sp)
+    if not np.isfinite(np.concatenate([b, w.ravel(), V.ravel(), omega])).all():
+        raise ParameterError("parameters contain non-finite entries")
+    q, a = V.shape
+    n = len(fixed)
+    var = schema.block_maps.var
+    beta_of_b, members = _bit_maps(schema)
+    beta, log_z, inv_z, _, x_bar = _variable_tables(b, V, omega, beta_of_b, members)
+    # the bits each pattern, then Abar's empty one, fixes, and those it fixes to 1
+    fixes = np.zeros((2, q, n + 1))
+    fixes[0, :, :n] = fixed.T
+    fixes[1, :, :n] = (fixed * values).T
+    set_bits = members @ fixes[1]
+    # the level ending on bit r sets the bits of row r of beta_of_b and clears
+    # the rest of its block; level 0 clears the whole block
+    agree = beta_of_b @ (fixes[0] - 2.0 * fixes[1]) + set_bits[var] == 0
+    share = np.exp(beta - log_z[var])  # e^beta / Z_v of the level ending on each bit
+    mass = members @ (share[:, None] * agree) + inv_z[:, None] * (set_bits == 0)
+    constrained = members @ fixes[0] > 0
+    border = constrained & (mass < _BORDER_BELOW)
+    s = np.where(constrained & ~border, mass, 1.0)
+    # A_L - Abar = sum_r E[r] omega V[r] w_r^T / Z_v, E[r] = [level agrees] / s_v - 1
+    per_bit = V * (omega * inv_z[var, None])
+    terms = (per_bit[:, :, None] * w[var][:, None, :]).reshape(q, a * a).T
+    A = terms @ np.where(border[var], 0.0, agree / s[var] - 1.0)
+    A += (np.eye(a) + x_bar.T @ w).reshape(a * a, 1)
+    M = A.reshape(a, a, n + 1)
+    if border.any():
+        v, i = np.nonzero(border)
+        j = a + np.cumsum(border, axis=0)[v, i] - 1
+        k = int(j.max()) + 1
+        bordered = np.zeros((k, k, n + 1))
+        bordered[:a, :a] = M
+        bordered[a:, a:] = np.eye(k - a)[:, :, None]
+        bordered[:a, j, i] = per_bit.T @ (members[v].T * agree[:, i]) - x_bar[v].T * mass[v, i]
+        bordered[j, :a, i] = -w[v]
+        bordered[j, j, i] = mass[v, i]
+        M = bordered
+    sign, logdet, _ = _gauss_jordan(M, False)
+    if sign[n] == 0:
+        raise ParameterError("lam is singular")
+    return _probabilities(sign[:n], (np.log(s).sum(axis=0) + logdet - logdet[n])[:n], sign[n])
 
 
 def negative_log_likelihood(

@@ -16,11 +16,12 @@ rows of a 0/1 matrix grouped by popcount, and one stacked ``slogdet`` per
 group.  :func:`state_probabilities` calls it for the rows it is given,
 :func:`all_state_probabilities` (and through it :func:`check_p0`) for each
 chunk of 2**14 masks, and the mixed densities of :mod:`grasscat.mixed` for
-the subsets they sum over.  ``prob``, ``moments``, ``check_p0`` and
-``oracle check`` read lam through this module.  The allowed states of a
-structured model, which ``sample`` and the fit's certificate score, come
-from a x a determinants in :mod:`grasscat.fit` instead, and reach this
-kernel only where a parameter is not finite or e^-beta overflows.
+the subsets they sum over.  ``moments``, ``check_p0`` and ``oracle check``
+read lam through this module.  A structured model's pattern probabilities
+(``prob``) and allowed states (``sample``, the fit's certificate) come
+from a x a determinants in :mod:`grasscat.fit` instead; the allowed states
+reach this kernel only where a parameter is not finite or e^-beta
+overflows.  The marginal and conditional parameters serve a general lam.
 """
 
 from __future__ import annotations

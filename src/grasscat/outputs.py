@@ -56,12 +56,23 @@ def _csv_rows(*columns: np.ndarray) -> list[str]:
     return _fill_rows(",".join(specs), *columns)
 
 
+def _level_rows(levels: np.ndarray) -> list[str]:
+    """The :func:`_csv_rows` lines of an (n, k) array of nonnegative integer
+    levels: each level's text comes from one table, and each line is
+    joined once."""
+    text = np.array([str(l) for l in range(int(levels.max(initial=0)) + 1)], dtype=object)
+    return [",".join(row) for row in text[levels].tolist()]
+
+
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """RFC-4180 cells, LF line endings.  A row given as a str is a line that
     :func:`_csv_line` or :func:`_csv_rows` already formatted, written as is."""
-    lines = [_csv_line(header)]
-    lines.extend(row if isinstance(row, str) else _csv_line(row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    lines = [_csv_line(header), *rows]
+    try:
+        text = "\n".join(lines)  # every row is a formatted line
+    except TypeError:
+        text = "\n".join(row if isinstance(row, str) else _csv_line(row) for row in lines)
+    _write_text(path, text + "\n")
 
 
 def _write_text(path: str, text: str, what: str = "") -> None:

@@ -211,7 +211,7 @@ class TestProbCommand:
         schema = mf.schema
         query = parse_pattern(schema, "Edu>=2")
         given = parse_pattern(schema, "Age=1")
-        got = conditional_pattern_probability(params, query, given)
+        got = conditional_pattern_probability(schema, mf.params, query, given)
         T = sorted(given)
         S = sorted(query)
         want = oracle_conditional(table, tuple(S), tuple(T), [given[t] for t in T])
@@ -233,7 +233,15 @@ class TestProbCommand:
         )
         assert code == 0
         out = json.loads(capsys.readouterr().out)
-        assert 0.0 <= out["probability"] <= 1.0
+        mf = load_model(str(model_path))
+        table = brute_force_table(assemble_lambda(mf.schema, mf.params))
+        query = parse_pattern(mf.schema, "Edu>=3")
+        given = parse_pattern(mf.schema, "Age=2")
+        S, T = sorted(query), sorted(given)
+        want = oracle_conditional(table, tuple(S), tuple(T), [given[t] for t in T])
+        assert want.defined
+        target = want.probs.get(tuple(query[i] for i in S), 0.0)
+        assert out["probability"] == pytest.approx(target, rel=1e-12, abs=1e-15)
 
 
 class TestSampleCommand:
@@ -1207,3 +1215,14 @@ class TestFitSweepStopRule:
         assert out["sweep"] == [{"a": a, "nll": nll} for a, nll in nlls.items()]
         assert out["a"] == 2
         assert load_model(str(workdir / "model.json")).params.a == 2
+
+
+def test_sample_of_a_model_without_variables(tmp_path, capsys):
+    """One allowed state with no level cells: n empty rows under an empty header."""
+    from grasscat.schema import VariableSchema
+    from grasscat.structure import StructuredParams
+
+    sp = StructuredParams((), (), np.zeros((0, 1)), np.full(1, 0.5))
+    save_model(ModelFile("grassmann", VariableSchema([]), sp, None), str(tmp_path / "m.json"))
+    assert _run(tmp_path, "sample", "--model", "m.json", "--n", "3", "--out", "s.csv") == 0
+    assert (tmp_path / "s.csv").read_bytes() == b"\n\n\n\n"

@@ -5,7 +5,15 @@ import pytest
 
 from grasscat.errors import DataError
 from grasscat.modelfile import ModelFile, save_model
-from grasscat.outputs import FLOAT_SPEC, SvgCanvas, _csv_line, _csv_rows, fmt_float, write_csv
+from grasscat.outputs import (
+    FLOAT_SPEC,
+    SvgCanvas,
+    _csv_line,
+    _csv_rows,
+    _level_rows,
+    fmt_float,
+    write_csv,
+)
 from grasscat.schema import VariableDecl, VariableKind, VariableSchema
 from grasscat.structure import StructuredParams
 
@@ -47,6 +55,26 @@ def test_csv_rows_match_csv_line_on_floats():
     assert got == want
     assert got[0].split(",")[1:3] == ["nan", "nan"]
     assert [fmt_float(x) for x in special] == [format(x, FLOAT_SPEC) for x in special]
+
+
+def test_level_rows_match_csv_rows():
+    rng = np.random.default_rng(7)
+    for dtype, top in ((np.uint8, 255), (np.uint16, 300), (np.int64, 12)):
+        levels = rng.integers(0, top + 1, (500, 6)).astype(dtype)
+        assert _level_rows(levels) == _csv_rows(levels)
+    assert _level_rows(np.zeros((0, 6), dtype=np.uint8)) == []
+    assert _level_rows(np.zeros((3, 0), dtype=np.uint8)) == ["", "", ""]  # no variables
+
+
+def test_write_csv_takes_lines_cells_and_iterators(tmp_path):
+    path = tmp_path / "rows.csv"
+    lines = _csv_rows(np.arange(6).reshape(3, 2))
+    want = b"a,b\n0,1\n2,3\n4,5\n"
+    for rows in (lines, iter(lines), [lines[0], [2, 3], lines[2]], [[0, 1], (2, 3), [4, 5]]):
+        write_csv(str(path), ["a", "b"], rows)
+        assert path.read_bytes() == want
+    write_csv(str(path), ["a", "b"], [])
+    assert path.read_bytes() == b"a,b\n"
 
 
 def test_circles_format_each_coordinate_as_before():

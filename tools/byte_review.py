@@ -10,7 +10,9 @@ one fixed command list in its own child process, with its ``src`` on
 PYTHONPATH, one BLAS thread, and a fresh copy of the inputs as the working
 directory.  The tool prints every command whose stdout, stderr, exit code
 or output-file SHA-256 differs between the trees, and exits 1 on any
-difference, 0 when every byte matches.
+difference, 0 when every byte matches.  Where both stdouts parse as JSON
+with the same keys and shapes, it also prints the largest absolute and
+relative differences of their numeric leaves.
 """
 
 from __future__ import annotations
@@ -172,6 +174,37 @@ def command_list(seed: int, pool: dict) -> list[tuple[list[str], list[str]]]:
     return cmds
 
 
+def _numeric_leaves(old, new, pairs: list) -> bool:
+    """Append the (old, new) pairs of numeric leaves of two parsed JSON
+    values to ``pairs``; False when their keys or shapes differ."""
+    if isinstance(old, dict):
+        return (isinstance(new, dict) and list(old) == list(new)
+                and all(_numeric_leaves(old[k], new[k], pairs) for k in old))
+    if isinstance(old, list):
+        return (isinstance(new, list) and len(old) == len(new)
+                and all(_numeric_leaves(a, b, pairs) for a, b in zip(old, new)))
+    numeric = [isinstance(x, (int, float)) and not isinstance(x, bool) for x in (old, new)]
+    if numeric[0] and numeric[1]:
+        pairs.append((old, new))
+    return numeric[0] == numeric[1]
+
+
+def numeric_gap(old: str, new: str) -> str:
+    """' (largest numeric difference: abs A, rel R)' of two stdouts that
+    parse as JSON with the same keys and shapes, else ''."""
+    try:
+        a, b = json.loads(old), json.loads(new)
+    except ValueError:
+        return ""
+    pairs: list = []
+    if not _numeric_leaves(a, b, pairs) or not pairs:
+        return ""
+    gaps = [(abs(x - y), abs(x - y) / max(abs(x), abs(y))) if x != y else (0.0, 0.0)
+            for x, y in pairs]
+    return (f" (largest numeric difference: abs {max(g for g, _ in gaps):.3g}, "
+            f"rel {max(r for _, r in gaps):.3g})")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old", help="source tree to compare against")
@@ -209,7 +242,8 @@ def main(argv=None) -> int:
                  if digest != new["files"][name]]
         if what:
             differ += 1
-            print(f"DIFFERS ({', '.join(what)}): grasscat {' '.join(cmd)}")
+            gap = numeric_gap(old["stdout"], new["stdout"]) if "stdout" in what else ""
+            print(f"DIFFERS ({', '.join(what)}): grasscat {' '.join(cmd)}{gap}")
     n_files = sum(len(outputs) for _, outputs in cmds)
     nonzero = sum(r["code"] != 0 for r in results[1])
     print(f"{len(cmds)} commands ({nonzero} exit nonzero in the new tree), {n_files} output "

@@ -28,6 +28,7 @@ _IGNORE = shutil.ignore_patterns(
     ".git", "__pycache__", "*.pyc", ".pytest_cache", ".hypothesis", ".bench_*", ".benchmarks"
 )
 
+CLI = "src/grasscat/cli.py"
 FACTOR = "src/grasscat/factor.py"
 FIT = "src/grasscat/fit.py"
 GRASSMANN = "src/grasscat/grassmann.py"
@@ -50,7 +51,7 @@ MUTANTS = [
     ("b-cap", FIT,
      "B_CAP = 30.0", "B_CAP = 20.0",
      ["tests/test_fit.py::TestDocumentedRules"]),
-    ("latent-aux-saturation", "src/grasscat/cli.py",
+    ("latent-aux-saturation", CLI,
      "if rel < 1e-3:", "if rel < 1e-2:",
      ["tests/test_cli.py::TestFitSweepStopRule"]),
     ("gauss-jordan-swap-sign", FIT,
@@ -104,7 +105,7 @@ MUTANTS = [
     ("bic-count-continuous", FACTOR,
      "+ p_x * (2 + p_z)", "+ p_x * (1 + p_z)",
      ["tests/test_factor.py", "tests/test_acceptance.py"]),
-    ("fa-inputs-seed", "src/grasscat/cli.py",
+    ("fa-inputs-seed", CLI,
      "restarts=args.restarts, seed=args.seed)", "restarts=args.restarts, seed=0)",
      ["tests/test_cli.py::TestFactorCommandConfig"]),
     # the checks this change added
@@ -204,6 +205,28 @@ MUTANTS = [
     ("modelfile-vector-length", MODELFILE,
      "    if length is not None and arr.shape[0] != length:\n", "    if False:\n",
      ["tests/test_cli.py::TestModelFileStrictness"]),
+    # prob's pattern probabilities: the impossible pattern's zero, the
+    # constrained-only product, the border row, the given's sign checks and
+    # the model checked before the patterns
+    ("pattern-impossible-divided", FIT,
+     "border = constrained & (mass < _BORDER_BELOW)",
+     "border = constrained & (mass > 0.0) & (mass < _BORDER_BELOW)",
+     ["tests/test_patterns.py::TestRules"]),
+    ("pattern-free-variable-mass", FIT,
+     "s = np.where(constrained & ~border, mass, 1.0)", "s = np.where(~border, mass, 1.0)",
+     ["tests/test_patterns.py::TestRules"]),
+    ("pattern-border-row-sign", FIT,
+     "bordered[j, :a, i] = -w[v]", "bordered[j, :a, i] = w[v]",
+     ["tests/test_patterns.py::TestAgreement"]),
+    ("prob-given-zero-unchecked", CLI,
+     "    if p_given == 0.0:\n", "    if False:\n",
+     ["tests/test_patterns.py"]),
+    ("prob-given-negative-unchecked", CLI,
+     "    if p_given < 0.0:\n", "    if False:\n",
+     ["tests/test_patterns.py"]),
+    ("prob-pattern-before-model", CLI,
+     "        conditional_pattern_probability(mf.schema, mf.params, {}, {})\n", "",
+     ["tests/test_patterns.py::TestProbCommand"]),
 ]
 
 
