@@ -29,7 +29,9 @@ of 2**14 allowed states is built as the likelihood's stack is, by one GEMM
 against the chunk's E, with sum_v beta_v(l_v) as one more row.  A pattern
 of fixed bits, which ``prob`` scores, is one a x a determinant too: det A_s
 is affine in each variable's column, so a variable summed over the levels
-the pattern leaves it collapses to one column (:func:`_pattern_probabilities`).
+the pattern leaves it collapses to one column (:func:`_pattern_probabilities`),
+kept undivided in a border where its share is below 1e-3; a state with a
+level that rare is scored as the pattern that fixes every bit.
 
 The dominance conditions are enforced by a smooth squared-hinge penalty on
 the free-row margins of B = M C and on the strict margins of C, with the
@@ -58,9 +60,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .grassmann import (
-    _CHUNK, _CLAMP, GrassmannParams, _probabilities, moments, state_probabilities,
-)
+from .grassmann import _CHUNK, _CLAMP, GrassmannParams, _probabilities, moments
 from .schema import (
     Record,
     VariableKind,
@@ -257,33 +257,27 @@ def _variable_tables(
     b: np.ndarray, V: np.ndarray, omega: np.ndarray, beta_of_b: np.ndarray,
     members: np.ndarray,
 ) -> tuple[np.ndarray, ...]:
-    """beta, log Z_v, 1 / Z_v, the V sums over each block divided by Z_v
-    and xbar_v at b laid end to end."""
+    """beta, log Z_v, 1 / Z_v, the V sums over each block divided by Z_v,
+    xbar_v and each bit's level's share e^beta / Z_v, at b laid end to end."""
     beta = beta_of_b @ b
     # log Z_v with the largest of 0 and the block's beta factored out
     top = (members * beta).max(axis=1, initial=0.0)
     log_z = top + np.log(np.exp(-top) + members @ np.exp(beta - top @ members))
     inv_z = np.exp(-log_z)
     sums = (members @ V) * inv_z[:, None]
-    return beta, log_z, inv_z, sums, sums * omega
+    return beta, log_z, inv_z, sums, sums * omega, np.exp(beta - log_z @ members)
 
 
-def _bit_tables(
-    b: np.ndarray, V: np.ndarray, omega: np.ndarray, beta_of_b: np.ndarray,
-    members: np.ndarray, on: np.ndarray,
-) -> tuple[np.ndarray, ...] | None:
-    """The :func:`_variable_tables` of the a-space determinants, then e^-beta
-    and x.  e^-beta and x are computed on the bits of the boolean mask
-    ``on`` and are 0 elsewhere; None when e^-beta overflows on one of those
-    bits."""
-    beta, log_z, inv_z, sums, x_bar = _variable_tables(b, V, omega, beta_of_b, members)
+def _bit_terms(
+    beta: np.ndarray, V: np.ndarray, omega: np.ndarray, on: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """e^-beta and x of the a-space determinants, computed on the bits of
+    the boolean mask ``on`` and 0 elsewhere; an overflow is left as inf or
+    nan for the caller to test."""
     decay = np.zeros(len(beta))
     with np.errstate(over="ignore", invalid="ignore"):
         decay[on] = np.exp(-beta[on])
-        x = decay[:, None] * V * omega  # x_v(l) on the bit each level ends on
-    if not np.isfinite(x).all():
-        return None
-    return beta, log_z, inv_z, sums, x_bar, decay, x
+        return decay, decay[:, None] * V * omega  # x_v(l) on the bit each level ends on
 
 
 @dataclass(frozen=True)
@@ -303,14 +297,15 @@ def _likelihood(
     """The NLL and, if ``gradient``, its gradient in (b, w, V, omega) laid
     end to end, at b laid end to end and the (variables, a) w rows, from
     a x a determinants; ``(inf, None)`` when det A_s of an observed state
-    or det Abar has sign <= 0, or when e^-beta overflows on a bit an
-    observed level ends on."""
+    or det Abar has sign <= 0, or when x overflows on a bit an observed
+    level ends on."""
     q, a = V.shape
     m = len(plan.weights)
-    tables = _bit_tables(b, V, omega, plan.beta_of_b, plan.members, plan.bit_counts > 0)
-    if tables is None:
+    beta, log_z, inv_z, sums, x_bar, share = _variable_tables(b, V, omega, plan.beta_of_b,
+                                                              plan.members)
+    decay, x = _bit_terms(beta, V, omega, plan.bit_counts > 0)
+    if not np.isfinite(x).all():
         return INFEASIBLE_NLL, None
-    beta, log_z, inv_z, sums, x_bar, decay, x = tables
     w_bit = w.take(schema.block_maps.var, axis=0)  # each bit's w_v
     # A_s - I = sum_r E[r, s] x_r w_r^T over the m states, then Abar - I: (a, a, m + 1)
     A = np.empty((a * a, m + 1))
@@ -332,7 +327,6 @@ def _likelihood(
     T = (plan.ends @ (inv[:, :, :m] * plan.weights).reshape(a * a, m).T).reshape(q, a, a)
     per_bit = (w_bit[:, :, None] * T).sum(axis=1)  # sum of n_s A_s^-T w_v, per bit
     to_x_bar = n * (w @ inv_bar)
-    share = np.exp(beta - log_z @ plan.members)  # e^beta / Z_v of each bit's level
     g_beta = (
         (x * per_bit).sum(axis=1) - plan.bit_counts
         + share * ((n - (x_bar * to_x_bar).sum(axis=1)) @ plan.members)
@@ -345,6 +339,17 @@ def _likelihood(
     )
 
 
+_BORDER_BELOW = 1e-3  # s_v under which a column is bordered, not divided by s_v
+
+
+def _finite_params(schema: VariableSchema, sp: StructuredParams) -> tuple[np.ndarray, ...]:
+    """:func:`flat_params` of ``sp``; ParameterError when an entry is not finite."""
+    b, w, V, omega = flat_params(schema, sp)
+    if not np.isfinite(np.concatenate([b, w.ravel(), V.ravel(), omega])).all():
+        raise ParameterError("parameters contain non-finite entries")
+    return b, w, V, omega
+
+
 def _allowed_state_probabilities(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
     """Probability of every row of :func:`allowed_table` under ``sp``, from
     a x a determinants: e^(sum_v beta_v(l_v) - sum_v log Z_v) det A_s / det Abar.
@@ -352,19 +357,20 @@ def _allowed_state_probabilities(schema: VariableSchema, sp: StructuredParams) -
     Each chunk of 2**14 rows is built as :func:`_likelihood` builds its
     states: one GEMM of the per-bit terms (x_r w_r^T flattened, beta_r)
     against the chunk's :func:`_ends` gives every (A_s - I, sum_v beta_v).
-    The rules of :func:`grassmann.state_probabilities` hold: values in
-    [-1e-12, 0) become 0.0, a singular A_s gives +0.0, and a singular Abar
-    (so lam) raises ParameterError.  Where a parameter is not finite or
-    e^-beta overflows on a bit, the lam-space minors give the table."""
-    b, w, V, omega = flat_params(schema, sp)
+    x_r divides by its level's share e^beta / Z_v, so it is formed only where
+    the share is at least 1e-3; a state with a rarer level is the pattern
+    fixing every bit, for the border of :func:`_pattern_probabilities`.  The
+    rules of :func:`grassmann.state_probabilities` hold: [-1e-12, 0) becomes
+    0.0, a singular A_s gives +0.0, and a singular Abar (so lam), a parameter
+    that is not finite or an x that overflows raises ParameterError."""
+    b, w, V, omega = _finite_params(schema, sp)
     q, a = V.shape
     bits = allowed_table(schema)[0]
-    tables = None
-    if all(np.isfinite(v).all() for v in (b, w, V, omega)):  # else lam's checks refuse them
-        tables = _bit_tables(b, V, omega, *_bit_maps(schema), np.ones(q, dtype=bool))
-    if tables is None:
-        return state_probabilities(assemble_lambda(schema, sp), bits)
-    beta, log_z, _, _, x_bar, _, x = tables
+    beta, log_z, _, _, x_bar, share = _variable_tables(b, V, omega, *_bit_maps(schema))
+    rare = share < _BORDER_BELOW
+    x = _bit_terms(beta, V, omega, ~rare)[1]
+    if not np.isfinite(x).all():
+        raise ParameterError("x = e^-beta omega * V overflows on a level's bit")
     sign_bar, logdet_bar, _ = _gauss_jordan((np.eye(a) + x_bar.T @ w)[:, :, None], False)
     if sign_bar[0] == 0:
         raise ParameterError("lam is singular")
@@ -379,10 +385,10 @@ def _allowed_state_probabilities(schema: VariableSchema, sp: StructuredParams) -
         A[:: a + 1] += 1.0
         sign, logdet, _ = _gauss_jordan(A.reshape(a, a, n), False)
         probs[lo : lo + n] = _probabilities(sign, chunk[a * a] + logdet - log_norm, sign_bar[0])
+        if rare.any():  # the states with a level on a rare bit
+            rows = lo + np.flatnonzero(rare @ _ends(schema, bits[lo : lo + _CHUNK]))
+            probs[rows] = _pattern_probabilities(schema, sp, np.ones((rows.size, q)), bits[rows])
     return probs
-
-
-_BORDER_BELOW = 1e-3  # s_v under which a pattern's column is bordered, not divided by s_v
 
 
 def _pattern_probabilities(
@@ -413,14 +419,12 @@ def _pattern_probabilities(
     +0.0.  The patterns and Abar, last, are one stacked elimination.  The
     rules of :func:`grassmann._probabilities` hold, and a singular Abar (so
     lam) raises ParameterError, as does a parameter that is not finite."""
-    b, w, V, omega = flat_params(schema, sp)
-    if not np.isfinite(np.concatenate([b, w.ravel(), V.ravel(), omega])).all():
-        raise ParameterError("parameters contain non-finite entries")
+    b, w, V, omega = _finite_params(schema, sp)
     q, a = V.shape
     n = len(fixed)
     var = schema.block_maps.var
     beta_of_b, members = _bit_maps(schema)
-    beta, log_z, inv_z, _, x_bar = _variable_tables(b, V, omega, beta_of_b, members)
+    beta, log_z, inv_z, _, x_bar, share = _variable_tables(b, V, omega, beta_of_b, members)
     # the bits each pattern, then Abar's empty one, fixes, and those it fixes to 1
     fixes = np.zeros((2, q, n + 1))
     fixes[0, :, :n] = fixed.T
@@ -429,7 +433,6 @@ def _pattern_probabilities(
     # the level ending on bit r sets the bits of row r of beta_of_b and clears
     # the rest of its block; level 0 clears the whole block
     agree = beta_of_b @ (fixes[0] - 2.0 * fixes[1]) + set_bits[var] == 0
-    share = np.exp(beta - log_z[var])  # e^beta / Z_v of the level ending on each bit
     mass = members @ (share[:, None] * agree) + inv_z[:, None] * (set_bits == 0)
     constrained = members @ fixes[0] > 0
     border = constrained & (mass < _BORDER_BELOW)

@@ -19,9 +19,8 @@ chunk of 2**14 masks, and the mixed densities of :mod:`grasscat.mixed` for
 the subsets they sum over.  ``moments``, ``check_p0`` and ``oracle check``
 read lam through this module.  A structured model's pattern probabilities
 (``prob``) and allowed states (``sample``, the fit's certificate) come
-from a x a determinants in :mod:`grasscat.fit` instead; the allowed states
-reach this kernel only where a parameter is not finite or e^-beta
-overflows.  The marginal and conditional parameters serve a general lam.
+from a x a determinants in :mod:`grasscat.fit` instead.  The marginal and
+conditional parameters serve a general lam.
 """
 
 from __future__ import annotations

@@ -196,22 +196,19 @@ def mixed_conditional_density(
         raise ParameterError("y_S or y_T has the wrong length")
 
     JL = sorted(J + L)
-    if K:  # at K = {} the general block takes 35-67 us, these branches 6-11 us
+    shift = np.zeros(mp.p)  # the tilt adds (G^T 1_{R1}) @ shift
+    sigma_jl_cond = mp.sigma[np.ix_(JL, JL)]
+    mean_jl = mp.mu[JL]
+    if K:  # at K = {} the conditioning takes 35-67 us, skipping it 6-11 us
         try:
             kk_inv = np.linalg.inv(mp.sigma[np.ix_(K, K)])
         except np.linalg.LinAlgError as exc:
             raise ParameterError("sigma[K, K] is singular") from exc
         dx = x_K - mp.mu[K]
-        shift = mp.sigma[:, K] @ kk_inv @ dx  # the tilt adds (G^T 1_{R1}) @ shift
-        # J and JL take separate products: BLAS rounds a row by the product's row count
-        gain_jl, gain_j = mp.sigma[np.ix_(JL, K)] @ kk_inv, mp.sigma[np.ix_(J, K)] @ kk_inv
-        sigma_jl_cond = mp.sigma[np.ix_(JL, JL)] - gain_jl @ mp.sigma[np.ix_(K, JL)]
-        base_mean = mp.mu[J] + gain_j @ dx
-        cross = mp.sigma[np.ix_(J, JL)] - gain_j @ mp.sigma[np.ix_(K, JL)]
-    else:
-        shift = np.zeros(mp.p)
-        sigma_jl_cond = mp.sigma[np.ix_(JL, JL)]
-        base_mean, cross = mp.mu[J], mp.sigma[np.ix_(J, JL)]
+        shift = mp.sigma[:, K] @ kk_inv @ dx
+        gain_jl = mp.sigma[np.ix_(JL, K)] @ kk_inv
+        sigma_jl_cond = sigma_jl_cond - gain_jl @ mp.sigma[np.ix_(K, JL)]
+        mean_jl = mean_jl + gain_jl @ dx
 
     t1 = [t for t, bit in zip(T, y_T) if bit]
     s1 = [s for s, bit in zip(S, y_S) if bit]
@@ -246,7 +243,7 @@ def mixed_conditional_density(
         return float(wgt[rows].sum() / denom)
     pos_j = [JL.index(j) for j in J]
     sigma_j_cond = sigma_jl_cond[np.ix_(pos_j, pos_j)]
-    means = base_mean + v_jl[rows] @ cross.T
+    means = mean_jl[pos_j] + v_jl[rows] @ sigma_jl_cond[pos_j].T
     numer = wgt[rows] @ np.exp(_log_normals(x_J, means, sigma_j_cond))
     return float(numer / denom)
 

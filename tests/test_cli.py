@@ -1026,6 +1026,43 @@ class TestSampleRefusesNegativeProbabilities:
         assert not (model_files / "s.csv").exists()
 
 
+class TestSampleRareLevels:
+    def test_draws_follow_the_lam_space_probabilities(self, tmp_path, rng, capsys):
+        """An Ord(4) with b[1:] at -B_CAP, the value the fit gives an
+        unobserved level, on a model lam certifies (the rare levels' V rows
+        lie along w_o4, so their states keep a positive probability):
+        ``sample`` draws the rows that inverting the cumulative lam-space
+        probabilities gives."""
+        from grasscat.fit import B_CAP
+        from grasscat.grassmann import check_p0, state_probabilities
+        from grasscat.schema import VariableDecl, VariableKind, VariableSchema, allowed_table
+        from grasscat.structure import StructuredParams
+
+        from generators import random_certified_structured
+
+        schema = VariableSchema([VariableDecl("c3", VariableKind.CATEGORICAL, 3),
+                                 VariableDecl("o4", VariableKind.ORDINAL, 4),
+                                 VariableDecl("c4", VariableKind.CATEGORICAL, 4)])
+        sp = random_certified_structured(rng, schema, 2)
+        b = (sp.b[0], np.concatenate([sp.b[1][:1], np.full(2, -B_CAP)]), sp.b[2])
+        V = sp.V.copy()
+        V[3:5] = sp.w[1]  # the bits levels 2 and 3 of o4 end on
+        sp = StructuredParams(b, sp.w, V, sp.omega)
+        lam = assemble_lambda(schema, sp)
+        assert check_p0(lam).passed
+        save_model(ModelFile("grassmann", schema, sp, None), str(tmp_path / "m.json"))
+        argv = ["sample", "--model", "m.json", "--n", "3000", "--seed", "5", "--out", "s.csv"]
+        assert _run(tmp_path, *argv) == 0
+        capsys.readouterr()
+        bits, levels = allowed_table(schema)
+        probs = state_probabilities(lam, bits)
+        uniforms = np.random.default_rng(5).random(3000)
+        draws = np.searchsorted(np.cumsum(probs / probs.sum()), uniforms, side="right")
+        want = [",".join(map(str, row)) for row in levels[np.minimum(draws, len(probs) - 1)]]
+        assert (tmp_path / "s.csv").read_text().splitlines() == ["c3,o4,c4", *want]
+        assert (levels[draws, 1] >= 2).any()  # some draws reach the rare levels
+
+
 class TestModelParsedOnce:
     @pytest.mark.parametrize("kind", ["grassmann", "factor"])
     @pytest.mark.parametrize("command", ["moments", "sample"])

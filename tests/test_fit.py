@@ -1090,16 +1090,48 @@ class TestAllowedStateTable:
         return schema, StructuredParams(b=b, w=sp.w, V=sp.V, omega=sp.omega)
 
     @pytest.mark.parametrize("a", [1, 2])
-    def test_overflowing_decay_falls_back_to_lam_space(self, rng, a):
-        """e^-beta overflows on the Ord(30)'s last bits, so the table is the
-        lam-space one, bit for bit."""
-        schema, sp = self._ord30_at_the_bound(rng, a)
-        assert np.array_equal(_allowed_state_probabilities(schema, sp),
-                              self._lam_space(schema, sp))
+    def test_overflowing_decay_takes_the_pattern_border(self, rng, monkeypatch, a):
+        """e^-beta overflows on the Ord(30)'s last bits.  Their shares are
+        below 1e-3, so exactly the states at level 4 or above, the ones whose
+        level ends on such a bit, are scored by the pattern kernel's border,
+        and the table matches lam-space and sums to 1."""
+        import grasscat.fit
 
-    @pytest.mark.parametrize("which", ["random", "ord30 at a = 0"])
+        schema, sp = self._ord30_at_the_bound(rng, a)
+        scored = []
+        real = grasscat.fit._pattern_probabilities
+
+        def recording(schema, sp, fixed, values):
+            scored.append(values)
+            return real(schema, sp, fixed, values)
+
+        monkeypatch.setattr(grasscat.fit, "_pattern_probabilities", recording)
+        table = self._assert_matches(schema, sp)
+        assert table.sum() == pytest.approx(1.0, abs=1e-12)
+        bits, levels = allowed_table(schema)
+        assert len(scored) == 1 and np.array_equal(scored[0], bits[levels[:, 0] >= 4])
+
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    def test_levels_at_the_bound_match_lam_space(self, rng, a):
+        """An Ord(4) and an Ord(5) with b[1:] at -B_CAP, the value the fit gives
+        an unobserved level: the shares of their upper levels are e^-30 and
+        less, and dividing by them put the table far off lam-space."""
+        schema = VariableSchema([VariableDecl(f"v{j}", kind, levels) for j, (kind, levels)
+                                 in enumerate([(CAT, 3), (ORD, 4), (CAT, 4), (ORD, 5)])])
+        for w_scale in (0.4, 1.5):
+            sp = random_structured(rng, schema, a, w_scale=w_scale)
+            b = [np.concatenate([v[:1], np.full(v.size - 1, -B_CAP)]) if j in (1, 3) else v
+                 for j, v in enumerate(sp.b)]
+            sp = StructuredParams(tuple(b), sp.w, sp.V, sp.omega)
+            table = _allowed_state_probabilities(schema, sp)
+            # no sign check: lam's own rounding leaves states near e^-60 at +-1e-21
+            assert np.abs(table - self._lam_space(schema, sp)).max() <= 1e-12
+            assert table.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("which", ["random", *(f"ord30 at a = {a}" for a in range(4))])
     def test_a_finite_model_builds_no_lambda(self, rng, monkeypatch, which):
-        """At a = 0 no x is formed, so the Ord(30) fixture stays in a-space."""
+        """Neither the per-bit GEMM nor the border of the rare states forms
+        lam, even where e^-beta overflows."""
         import grasscat.fit
 
         def no_lambda(*args):
@@ -1109,7 +1141,7 @@ class TestAllowedStateTable:
             schema = random_schema(rng, 12)
             sp = random_structured(rng, schema, 2)
         else:
-            schema, sp = self._ord30_at_the_bound(rng, 0)
+            schema, sp = self._ord30_at_the_bound(rng, int(which[-1]))
         want = self._lam_space(schema, sp)
         monkeypatch.setattr(grasscat.fit, "assemble_lambda", no_lambda)
         table = _allowed_state_probabilities(schema, sp)
@@ -1175,6 +1207,12 @@ class TestAllowedStateTable:
     def test_singular_abar_raises(self):
         schema, sp = self._one_bit_each([-4.0])  # det Abar = 1 - 1 = 0
         with pytest.raises(ParameterError, match="^lam is singular$"):
+            _allowed_state_probabilities(schema, sp)
+
+    def test_finite_parameters_whose_x_overflows_raise(self):
+        # x_0 = e^2 * 1e308 / 2 overflows, though every parameter is finite
+        schema, sp = self._one_bit_each([1e308, 0.5], b=np.array([-2.0, 0.0]))
+        with pytest.raises(ParameterError, match="overflows"):
             _allowed_state_probabilities(schema, sp)
 
 

@@ -66,6 +66,7 @@ def write_inputs(inputs: str, seed: int) -> dict:
             check=True,
         )
     _write_determinism_inputs(os.path.join(inputs, "acc"))
+    _write_rare_level_model(os.path.join(inputs, "query"))
     with open(os.path.join(inputs, "query", "expect.json"), encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -98,6 +99,27 @@ def _write_determinism_inputs(out: str) -> None:
     mp = MixedParams(mu=np.array([0.0]), sigma=np.array([[1.0]]), lam=lam,
                      G=np.array([[0.5], [-0.3]]))
     save_model(ModelFile("mixed", None, mp, None), os.path.join(out, "mixed.json"))
+
+
+def _write_rare_level_model(query: str) -> None:
+    """query-q12 with the b of its Ord(4) ``v1`` beyond the first at -30, the
+    value the fit gives an unobserved level, as ``rare.model.json``.  v1's V
+    rows on those levels are set to w_v1, which keeps every allowed state's
+    probability positive, so ``sample`` draws from it."""
+    with open(os.path.join(query, "query-q12.model.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    params = doc["params"]
+    first = 0  # v1's first bit
+    for var in doc["schema"]["variables"]:
+        if var["name"] == "v1":
+            break
+        first += var["levels"] - 1
+    b = params["b"]["v1"]
+    b[1:] = [-30.0] * (len(b) - 1)
+    for r in range(first + 1, first + len(b)):  # the bits levels 2, 3, ... end on
+        params["V"][r] = list(params["w"]["v1"])
+    with open(os.path.join(query, "rare.model.json"), "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
 
 
 def command_list(seed: int, pool: dict) -> list[tuple[list[str], list[str]]]:
@@ -150,6 +172,12 @@ def command_list(seed: int, pool: dict) -> list[tuple[list[str], list[str]]]:
             + (["--given", item["given"]] if item["given"] else []))
     for item in pool["mixed"]:
         add(["mixed", "eval", "--model", mixed, f"--x={item['x']}", f"--y={item['y']}"])
+    rare = "query/rare.model.json"
+    add(["sample", "--model", rare, "--n", "10000", "--seed", str(seed),
+         "--out", "query/rare-sample.csv"], "query/rare-sample.csv")
+    add(["prob", "--model", rare, "--query", "v1>=2"])
+    add(["prob", "--model", rare, "--query", "v1=3", "--given", "v0=1"])
+    add(["oracle", "check", "--model", rare])
 
     # the determinism test's commands
     add(["validate", "--schema", "acc/schema.json", "--data", "acc/data.csv"])

@@ -73,16 +73,16 @@ MUTANTS = [
      ["tests/test_fit.py::TestFitDriverRules"]),
     # the mixed density's conditioning block
     ("mixed-mean-without-shift", MIXED,
-     "base_mean = mp.mu[J] + gain_j @ dx", "base_mean = mp.mu[J]",
+     "mean_jl = mean_jl + gain_jl @ dx", "mean_jl = mean_jl",
      ["tests/test_mixed.py"]),
     ("mixed-tilt-without-shift", MIXED,
      "0.5 * _quad(v_jl, sigma_jl_cond) + v @ shift", "0.5 * _quad(v_jl, sigma_jl_cond)",
      ["tests/test_mixed.py"]),
     ("mixed-cov-sign", MIXED,
-     "mp.sigma[np.ix_(JL, JL)] - gain_jl @", "mp.sigma[np.ix_(JL, JL)] + gain_jl @",
+     "sigma_jl_cond - gain_jl @", "sigma_jl_cond + gain_jl @",
      ["tests/test_mixed.py"]),
     ("mixed-cross-sign", MIXED,
-     "mp.sigma[np.ix_(J, JL)] - gain_j @", "mp.sigma[np.ix_(J, JL)] + gain_j @",
+     "mean_jl[pos_j] + v_jl[rows] @", "mean_jl[pos_j] - v_jl[rows] @",
      ["tests/test_mixed.py"]),
     # the oracle's moments
     ("oracle-moments-bit-order", "src/grasscat/oracle.py",
@@ -143,9 +143,12 @@ MUTANTS = [
      "prob[(-_CLAMP <= prob)", "prob[(-1e-9 <= prob)",
      ["tests/test_fit.py::TestAllowedStateTable"]),
     ("decay-overflow-guard-inverted", FIT,
-     "    if not np.isfinite(x).all():\n        return None\n",
-     "    if np.isfinite(x).all():\n        return None\n",
+     "    if not np.isfinite(x).all():\n        raise ParameterError(",
+     "    if np.isfinite(x).all():\n        raise ParameterError(",
      ["tests/test_fit.py::TestAllowedStateTable"]),
+    ("table-rare-split-dropped", FIT,
+     "rare = share < _BORDER_BELOW", "rare = share < 0.0",
+     ["tests/test_fit.py::TestAllowedStateTable::test_levels_at_the_bound_match_lam_space"]),
     ("state-plan-ends-predecessor", FIT,
      "ends[chained] -= ends[chained + 1]", "ends[chained + 1] -= ends[chained]",
      ["tests/test_general_paths.py::test_state_plan_matches_the_per_variable_loop",
@@ -167,7 +170,7 @@ MUTANTS = [
     # groups, the oracle's determinant, the dummy encoding, the distinct-row
     # order, the CSV template and the model file's shape checks
     ("likelihood-share-dropped", FIT,
-     "share = np.exp(beta - log_z @ plan.members)", "share = np.exp(beta)",
+     "np.exp(beta - log_z @ members)", "np.exp(beta)",
      ["tests/test_fit.py::TestBatchedKernelIsExact"]),
     ("likelihood-g-w-sign", FIT,
      "g_w = n * x_bar @ inv_bar.T - plan.members", "g_w = n * x_bar @ inv_bar.T + plan.members",
