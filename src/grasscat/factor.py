@@ -147,13 +147,17 @@ def _prior_table(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The prior mixture: the allowed states as rows of a 0/1 matrix Y, in
     :func:`allowed_table` order, and their weights
-    pi_u propto exp(u^T b + u^T G sigma_z G^T u / 2), which sum to one."""
+    pi_u propto exp(u^T b + u^T G sigma_z G^T u / 2), which sum to one.
+    ParameterError when a log-weight is not finite (it overflows)."""
     Y = allowed_table(schema)[0].astype(float)
     try:
         root = np.linalg.cholesky(sigma_z)
     except np.linalg.LinAlgError as exc:
         raise ParameterError("sigma_z must be positive definite") from exc
-    logw = _quadratic_log_weight(Y, b, G @ root)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        logw = _quadratic_log_weight(Y, b, G @ root)[0]
+    if not np.isfinite(logw).all():
+        raise ParameterError("a prior log-weight overflows")
     w = np.exp(logw - logw.max())
     return Y, w / w.sum()
 
@@ -632,14 +636,6 @@ def select_dimension_bic(
 # -- biplot --------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BiplotPoint:
-    row_id: int
-    record: tuple[int, ...]
-    score: np.ndarray
-    multiplicity: int
-
-
-@dataclass(frozen=True)
 class BiplotData:
     """One row per distinct record, in first-occurrence order: the index of
     its first data row, its levels, its factor score and its count."""
@@ -652,16 +648,6 @@ class BiplotData:
     loading_vectors: np.ndarray  # (n_labels, n_axes)
     contribution_ratios: np.ndarray
     padded: bool
-
-    @property
-    def points(self) -> tuple[BiplotPoint, ...]:
-        return tuple(
-            BiplotPoint(row_id=i, record=tuple(rec), score=score, multiplicity=mult)
-            for i, rec, score, mult in zip(
-                self.row_ids.tolist(), self.records.tolist(), self.scores,
-                self.multiplicities.tolist(),
-            )
-        )
 
 
 def biplot_data(

@@ -49,7 +49,12 @@ Inside a fit the parameters live only in L-BFGS-B's flat vector (b, w, V,
 rho = logit(omega), C - I).  The objective, the ramp check (a zero penalty)
 and the restart key (the NLL, then the vector's norm) read views of it.  A
 StructuredParams is built once per fit, for the result only.  The public
-NLL and gradient check a StructuredParams and pass its flat layout on.
+NLL and gradient, the table and ``prob`` check a StructuredParams once,
+finiteness included, with :func:`structure.flat_params`.  What overflows
+after it meets the one rule of :func:`grassmann._probabilities` (sign 0
+gives +0.0; a nonzero sign with a log-ratio or probability that is not
+finite raises), which the NLL keeps as +inf unless every sign is > 0 and
+the NLL is finite.
 """
 
 from __future__ import annotations
@@ -273,11 +278,10 @@ def _bit_terms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """e^-beta and x of the a-space determinants, computed on the bits of
     the boolean mask ``on`` and 0 elsewhere; an overflow is left as inf or
-    nan for the caller to test."""
+    nan for the caller's rule, under the caller's errstate."""
     decay = np.zeros(len(beta))
-    with np.errstate(over="ignore", invalid="ignore"):
-        decay[on] = np.exp(-beta[on])
-        return decay, decay[:, None] * V * omega  # x_v(l) on the bit each level ends on
+    decay[on] = np.exp(-beta[on])
+    return decay, decay[:, None] * V * omega  # x_v(l) on the bit each level ends on
 
 
 @dataclass(frozen=True)
@@ -296,29 +300,28 @@ def _likelihood(
 ) -> tuple[float, np.ndarray | None]:
     """The NLL and, if ``gradient``, its gradient in (b, w, V, omega) laid
     end to end, at b laid end to end and the (variables, a) w rows, from
-    a x a determinants; ``(inf, None)`` when det A_s of an observed state
-    or det Abar has sign <= 0, or when x overflows on a bit an observed
-    level ends on."""
+    a x a determinants; ``(inf, None)`` unless det A_s of every observed
+    state and det Abar have sign > 0 and the NLL is finite, so an overflow
+    (x, x w^T, the GEMM or an elimination) gives +inf, never nan."""
     q, a = V.shape
     m = len(plan.weights)
-    beta, log_z, inv_z, sums, x_bar, share = _variable_tables(b, V, omega, plan.beta_of_b,
-                                                              plan.members)
-    decay, x = _bit_terms(beta, V, omega, plan.bit_counts > 0)
-    if not np.isfinite(x).all():
+    with np.errstate(over="ignore", invalid="ignore"):  # what overflows fails the rule below
+        beta, log_z, inv_z, sums, x_bar, share = _variable_tables(b, V, omega, plan.beta_of_b,
+                                                                  plan.members)
+        decay, x = _bit_terms(beta, V, omega, plan.bit_counts > 0)
+        w_bit = w.take(schema.block_maps.var, axis=0)  # each bit's w_v
+        # A_s - I = sum_r E[r, s] x_r w_r^T over the m states, then Abar - I: (a, a, m + 1)
+        A = np.empty((a * a, m + 1))
+        np.matmul((x[:, :, None] * w_bit[:, None, :]).reshape(q, a * a).T, plan.ends,
+                  out=A[:, :m])
+        A[:, m] = (x_bar.T @ w).ravel()
+        A[:: a + 1] += 1.0
+        sign, logdet, inv = _gauss_jordan(A.reshape(a, a, m + 1), gradient)
+        n = plan.weights.sum()
+        nll = float(n * (log_z.sum() + logdet[m]) - plan.bit_counts @ beta
+                    - plan.weights @ logdet[:m])
+    if not ((sign > 0).all() and np.isfinite(nll)):
         return INFEASIBLE_NLL, None
-    w_bit = w.take(schema.block_maps.var, axis=0)  # each bit's w_v
-    # A_s - I = sum_r E[r, s] x_r w_r^T over the m states, then Abar - I: (a, a, m + 1)
-    A = np.empty((a * a, m + 1))
-    np.matmul((x[:, :, None] * w_bit[:, None, :]).reshape(q, a * a).T, plan.ends,
-              out=A[:, :m])
-    A[:, m] = (x_bar.T @ w).ravel()
-    A[:: a + 1] += 1.0
-    sign, logdet, inv = _gauss_jordan(A.reshape(a, a, m + 1), gradient)
-    if (sign <= 0).any():
-        return INFEASIBLE_NLL, None
-    n = plan.weights.sum()
-    nll = float(n * (log_z.sum() + logdet[m]) - plan.bit_counts @ beta
-                - plan.weights @ logdet[:m])
     if not gradient:
         return nll, None
     # d log det A = tr(A^-1 dA): d/dx_v is A^-T w_v and d/dw_v is A^-1 x_v.
@@ -342,14 +345,7 @@ def _likelihood(
 _BORDER_BELOW = 1e-3  # s_v under which a column is bordered, not divided by s_v
 
 
-def _finite_params(schema: VariableSchema, sp: StructuredParams) -> tuple[np.ndarray, ...]:
-    """:func:`flat_params` of ``sp``; ParameterError when an entry is not finite."""
-    b, w, V, omega = flat_params(schema, sp)
-    if not np.isfinite(np.concatenate([b, w.ravel(), V.ravel(), omega])).all():
-        raise ParameterError("parameters contain non-finite entries")
-    return b, w, V, omega
-
-
+@np.errstate(over="ignore", invalid="ignore")  # what overflows fails _probabilities' rule
 def _allowed_state_probabilities(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
     """Probability of every row of :func:`allowed_table` under ``sp``, from
     a x a determinants: e^(sum_v beta_v(l_v) - sum_v log Z_v) det A_s / det Abar.
@@ -360,17 +356,15 @@ def _allowed_state_probabilities(schema: VariableSchema, sp: StructuredParams) -
     x_r divides by its level's share e^beta / Z_v, so it is formed only where
     the share is at least 1e-3; a state with a rarer level is the pattern
     fixing every bit, for the border of :func:`_pattern_probabilities`.  The
-    rules of :func:`grassmann.state_probabilities` hold: [-1e-12, 0) becomes
-    0.0, a singular A_s gives +0.0, and a singular Abar (so lam), a parameter
-    that is not finite or an x that overflows raises ParameterError."""
-    b, w, V, omega = _finite_params(schema, sp)
+    rule of :func:`grassmann._probabilities` holds: [-1e-12, 0) becomes 0.0,
+    a singular A_s gives +0.0, and an overflow (x, x w^T, the GEMM, Abar),
+    a singular Abar (so lam) or a non-finite parameter raises ParameterError."""
+    b, w, V, omega = flat_params(schema, sp)
     q, a = V.shape
     bits = allowed_table(schema)[0]
     beta, log_z, _, _, x_bar, share = _variable_tables(b, V, omega, *_bit_maps(schema))
     rare = share < _BORDER_BELOW
     x = _bit_terms(beta, V, omega, ~rare)[1]
-    if not np.isfinite(x).all():
-        raise ParameterError("x = e^-beta omega * V overflows on a level's bit")
     sign_bar, logdet_bar, _ = _gauss_jordan((np.eye(a) + x_bar.T @ w)[:, :, None], False)
     if sign_bar[0] == 0:
         raise ParameterError("lam is singular")
@@ -391,6 +385,7 @@ def _allowed_state_probabilities(schema: VariableSchema, sp: StructuredParams) -
     return probs
 
 
+@np.errstate(over="ignore", invalid="ignore")  # what overflows fails _probabilities' rule
 def _pattern_probabilities(
     schema: VariableSchema, sp: StructuredParams, fixed: np.ndarray, values: np.ndarray
 ) -> np.ndarray:
@@ -417,9 +412,9 @@ def _pattern_probabilities(
     with a unit diagonal in unused slots; usually it is empty.  A pattern
     that leaves a variable no level has a zero border column, so it gives
     +0.0.  The patterns and Abar, last, are one stacked elimination.  The
-    rules of :func:`grassmann._probabilities` hold, and a singular Abar (so
-    lam) raises ParameterError, as does a parameter that is not finite."""
-    b, w, V, omega = _finite_params(schema, sp)
+    rule of :func:`grassmann._probabilities` holds; an overflow, a singular
+    Abar (so lam) or a non-finite parameter raises ParameterError."""
+    b, w, V, omega = flat_params(schema, sp)
     q, a = V.shape
     n = len(fixed)
     var = schema.block_maps.var
@@ -463,7 +458,8 @@ def _pattern_probabilities(
 def negative_log_likelihood(
     schema: VariableSchema, sp: StructuredParams, counts: StateCounts
 ) -> float:
-    """Exact data NLL; +inf when any observed state has nonpositive probability."""
+    """Exact data NLL; +inf when any observed state has nonpositive probability
+    or the NLL overflows."""
     # flat_params raises SchemaError or ParameterError on a malformed b, w, V or omega
     return _likelihood(schema, *flat_params(schema, sp), _state_plan(schema, counts),
                        gradient=False)[0]

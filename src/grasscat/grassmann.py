@@ -20,7 +20,11 @@ the subsets they sum over.  ``moments``, ``check_p0`` and ``oracle check``
 read lam through this module.  A structured model's pattern probabilities
 (``prob``) and allowed states (``sample``, the fit's certificate) come
 from a x a determinants in :mod:`grasscat.fit` instead.  The marginal and
-conditional parameters serve a general lam.
+conditional parameters serve a general lam.  Both end in one rule,
+:func:`_probabilities`, on parameters checked once, finiteness included
+(``GrassmannParams``, or :func:`structure.flat_params` for a structured
+model): a state of sign 0 gives +0.0 (a singular minor's log|det| is
+-inf), and any other whose log-ratio or probability overflows raises.
 """
 
 from __future__ import annotations
@@ -180,9 +184,14 @@ def state_probabilities(p: GrassmannParams, states: np.ndarray) -> np.ndarray:
 def _probabilities(sign: np.ndarray, log_ratio: np.ndarray, sign_norm: float) -> np.ndarray:
     """sign * sign_norm * e^log_ratio for states whose determinants have
     signs ``sign`` and log|ratios| ``log_ratio`` to a normalizer of sign
-    ``sign_norm``; values in [-1e-12, 0) are clamped to 0.0."""
-    prob = sign * sign_norm * np.exp(log_ratio)
+    ``sign_norm``; values in [-1e-12, 0) are clamped to 0.0 and a state of
+    sign 0 gives +0.0, whatever its log-ratio.  ParameterError when another
+    state's log-ratio, or any probability, is not finite (an overflow)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        prob = sign * sign_norm * np.exp(log_ratio)
     prob[sign == 0] = 0.0  # a singular one over a negative normalizer is -0.0; report +0.0
+    if not (np.isfinite(prob).all() and np.isfinite(log_ratio[sign != 0]).all()):
+        raise ParameterError("a state probability overflows: a determinant is not finite")
     prob[(-_CLAMP <= prob) & (prob < 0.0)] = 0.0
     return prob
 

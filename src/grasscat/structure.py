@@ -33,12 +33,14 @@ exhaustive check on the extended (q + a) matrix is a rigorous alternative,
 validity of the extended distribution implies validity of its observed
 marginal.  :func:`assemble_lambda` runs neither check.
 
-Shapes are checked once, where they are read: the public builders check
-their input, and :func:`flat_params` is the one check of a whole
-(b, w, V, omega), which every path from a StructuredParams runs.  The
-fit's objective reads views of its optimizer vector, whose layout fixes
-the shapes, through the unchecked e^beta of K's first rows
-(:func:`_block_exps`) and the unchecked middle factor.
+Parameters are checked once, where they are read: the public builders
+check their input, and :func:`flat_params` is the one check of a whole
+(b, w, V, omega), finiteness included, which every path from a
+StructuredParams runs; what overflows later meets the one probability rule,
+:func:`grassmann._probabilities`.  The fit's objective reads views of its
+optimizer vector, whose layout fixes the shapes, through the unchecked
+e^beta of K's first rows (:func:`_block_exps`) and the unchecked middle
+factor.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ def _checked_vectors(schema: VariableSchema, vectors, name: str, sizes) -> np.nd
 def flat_params(schema: VariableSchema, sp: StructuredParams) -> tuple[np.ndarray, ...]:
     """``sp`` checked against the schema, as the fit's optimizer vector lays
     it out: b laid end to end, the (variables, a) w rows, V and omega.
-    This is the one check of a StructuredParams: V, omega, b, then w."""
+    This is the one check of a StructuredParams: V, omega, b, w, finiteness."""
     if sp.V.ndim != 2:
         raise SchemaError(f"V has shape {sp.V.shape}, expected ({schema.q}, a)")
     a = sp.a
@@ -129,7 +131,10 @@ def flat_params(schema: VariableSchema, sp: StructuredParams) -> tuple[np.ndarra
         )
     b = _checked_vectors(schema, sp.b, "b", schema.block_maps.sizes)
     w = _checked_vectors(schema, sp.w, "w", [a] * len(schema))
-    return b, w.reshape(len(schema), a), sp.V, sp.omega
+    flat = (b, w.reshape(len(schema), a), sp.V, sp.omega)
+    if not all(np.isfinite(part).all() for part in flat):
+        raise ParameterError("parameters contain non-finite entries")
+    return flat
 
 
 def quasi_diagonal_blocks(schema: VariableSchema, b_vectors) -> np.ndarray:

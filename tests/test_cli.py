@@ -1026,6 +1026,49 @@ class TestSampleRefusesNegativeProbabilities:
         assert not (model_files / "s.csv").exists()
 
 
+class TestOverflowingModelsExitTwo:
+    """Finite models whose a-space terms or prior weights overflow:
+    Cat(2)+Cat(2) with a = 1, omega = 1/2 and V = [[1e308], [0.5]] at
+    b = (0, 0), w = (10, 1) (A) and at b = (-2, 0), w = (1, 1) (B), and a
+    factor model with b = 0 and G = [[1e200], [1e200]] (F).  Each command
+    exits 2 with one line and writes no file."""
+
+    @staticmethod
+    def _save(tmp_path):
+        from grasscat.schema import VariableDecl, VariableKind, VariableSchema
+        from grasscat.structure import StructuredParams
+
+        schema = VariableSchema([VariableDecl(f"v{j}", VariableKind.CATEGORICAL, 2)
+                                 for j in range(2)])
+        V, omega = np.array([[1e308], [0.5]]), np.full(1, 0.5)
+        models = {
+            "A": StructuredParams((np.zeros(1), np.zeros(1)), (np.array([10.0]), np.ones(1)),
+                                  V, omega),
+            "B": StructuredParams((np.array([-2.0]), np.zeros(1)), (np.ones(1), np.ones(1)),
+                                  V, omega),
+            "F": FactorModel.canonical(b=np.zeros(2), G=np.full((2, 1), 1e200)),
+        }
+        for name, params in models.items():
+            kind = "factor" if name == "F" else "grassmann"
+            save_model(ModelFile(kind, schema, params, None), str(tmp_path / f"{name}.json"))
+
+    @pytest.mark.parametrize("model,argv", [
+        ("A", ["sample", "--n", "5", "--out", "s.csv"]),
+        ("A", ["prob", "--query", "v0=1"]),
+        ("B", ["prob", "--query", "v0=1"]),
+        ("F", ["sample", "--n", "5", "--out", "s.csv"]),
+        ("F", ["moments"]),
+    ], ids=["A-sample", "A-prob", "B-prob", "F-sample", "F-moments"])
+    def test_exits_two_with_one_line(self, tmp_path, capsys, model, argv):
+        self._save(tmp_path)
+        code = _run(tmp_path, argv[0], "--model", f"{model}.json", *argv[1:])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("numerical error: ") and err.count("\n") == 1
+        assert "overflows" in err
+        assert not (tmp_path / "s.csv").exists()
+
+
 class TestSampleRareLevels:
     def test_draws_follow_the_lam_space_probabilities(self, tmp_path, rng, capsys):
         """An Ord(4) with b[1:] at -B_CAP, the value the fit gives an

@@ -221,6 +221,22 @@ class TestObservedDensityLookup:
                 observed_density(reader_schema, model, y)
 
 
+class TestPriorOverflow:
+    """A prior log-weight that overflows (G = 1e200, so |G^T u|^2 = inf)
+    raises ParameterError on every reader of the prior table."""
+
+    SCHEMA = VariableSchema([VariableDecl("v0", CAT, 2), VariableDecl("v1", CAT, 2)])
+    MODEL = FactorModel.canonical(b=np.zeros(2), G=np.full((2, 1), 1e200))
+
+    def test_the_table_raises(self):
+        with pytest.raises(ParameterError, match="^a prior log-weight overflows$"):
+            _prior_table(self.SCHEMA, self.MODEL.b, self.MODEL.G, self.MODEL.sigma_z)
+
+    def test_the_density_raises(self):
+        with pytest.raises(ParameterError, match="overflows"):
+            observed_density(self.SCHEMA, self.MODEL, (1, 0))
+
+
 def test_one_allowed_table_build_per_schema(monkeypatch, rng, tmp_path):
     """Repeated prior-table readers share one table per schema object; a
     `sample` command builds the table of the schema it loads once."""
@@ -603,8 +619,7 @@ class TestBiplot:
             str(tmp_path / "l.csv"),
         )
         assert np.abs(bp.loading_vectors).max() == 0.0
-        for point in bp.points:
-            np.testing.assert_allclose(point.score, 0.0, atol=1e-12)
+        np.testing.assert_allclose(bp.scores, 0.0, atol=1e-12)
 
     def test_duplicates_merge_with_multiplicity(self, reader_schema, tmp_path):
         model = FactorModel.canonical(
@@ -612,9 +627,9 @@ class TestBiplot:
         )
         rows = [Record((1, 2, 3)), Record((1, 2, 3)), Record((0, 0, 0))]
         bp = biplot_data(reader_schema, model, rows)
-        assert len(bp.points) == 2
-        assert bp.points[0].multiplicity == 2
-        assert bp.points[0].row_id == 0
+        assert len(bp.row_ids) == 2
+        assert bp.multiplicities[0] == 2
+        assert bp.row_ids[0] == 0
 
     def test_matches_per_record_grouping(self, reader_schema, rng):
         model = FactorModel.canonical(
@@ -630,12 +645,12 @@ class TestBiplot:
         rotated, _ = fix_rotation(model)
         for data in (rows, levels):
             bp = biplot_data(reader_schema, model, data)
-            assert [p.record for p in bp.points] == list(groups)
-            assert [p.row_id for p in bp.points] == [g[0] for g in groups.values()]
-            assert [p.multiplicity for p in bp.points] == [len(g) for g in groups.values()]
-            for p in bp.points:
-                want, _ = posterior(rotated, encode_record(reader_schema, Record(p.record)).bits)
-                assert np.array_equal(p.score, want)
+            assert list(map(tuple, bp.records.tolist())) == list(groups)
+            assert bp.row_ids.tolist() == [g[0] for g in groups.values()]
+            assert bp.multiplicities.tolist() == [len(g) for g in groups.values()]
+            for record, score in zip(bp.records.tolist(), bp.scores):
+                want, _ = posterior(rotated, encode_record(reader_schema, Record(tuple(record))).bits)
+                assert np.array_equal(score, want)
 
     @pytest.mark.parametrize("p_z", [0, 1, 2, 3])
     def test_scores_do_not_depend_on_the_batch(self, p_z):
@@ -659,12 +674,12 @@ class TestBiplot:
             for y, row in zip(bits, batch):
                 assert np.array_equal(posterior(model, y)[0], row)
             bp = biplot_data(schema, model, data)
-            assert bp.scores.shape == (len(bp.points), max(p_z, 2))
+            assert bp.scores.shape == (len(bp.records), max(p_z, 2))
             assert bp.padded == (p_z < 2)
             assert np.all(bp.scores[:, p_z:] == 0.0)
-            for p in bp.points:
-                want, _ = posterior(rotated, encode_record(schema, Record(p.record)).bits)
-                assert np.array_equal(p.score[:p_z], want)
+            for record, score in zip(bp.records.tolist(), bp.scores):
+                want, _ = posterior(rotated, encode_record(schema, Record(tuple(record))).bits)
+                assert np.array_equal(score[:p_z], want)
 
     def test_invalid_row_raises_the_encoder_error(self, reader_schema):
         model = FactorModel.canonical(

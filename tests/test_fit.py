@@ -1297,6 +1297,46 @@ class TestOneConstruction:
         assert finite >= 10
 
 
+class TestOneCheckOneRule:
+    """flat_params refuses a non-finite parameter on every path from a
+    StructuredParams; the likelihood gives +inf, never nan, where a finite
+    model overflows."""
+
+    @staticmethod
+    def _model(b, w):
+        """Cat(2)+Cat(2) with a = 1, omega = 1/2 and V = [[1e308], [0.5]]."""
+        schema = VariableSchema([VariableDecl(f"v{j}", CAT, 2) for j in range(2)])
+        sp = StructuredParams(tuple(np.array([v]) for v in b), tuple(np.array([v]) for v in w),
+                              np.array([[1e308], [0.5]]), np.full(1, 0.5))
+        return schema, sp
+
+    @pytest.mark.parametrize("rows", [[(1, 0), (0, 1), (0, 0)], [(1, 0), (1, 1)]],
+                             ids=["nan-signs", "every-sign-positive"])
+    def test_an_overflowing_model_has_infinite_nll_and_no_gradient(self, rows):
+        # x_0 = 5e307 is finite; x_0 w_0 = 5e308 and det Abar overflow.  A
+        # state at v0 = 0 meets inf * 0 in the GEMM and gets a nan sign; when
+        # every state has v0 = 1, every det is +inf, and only the NLL is nan
+        schema, sp = self._model((0.0, 0.0), (10.0, 1.0))
+        counts = state_counts(schema, rows)
+        assert negative_log_likelihood(schema, sp, counts) == np.inf
+        with pytest.raises(ParameterError, match="no gradient"):
+            nll_gradient(schema, sp, counts)
+
+    @pytest.mark.parametrize("call", ["assemble_lambda", "negative_log_likelihood",
+                                      "dominance_certificate"])
+    def test_a_nan_b_raises_the_one_message(self, call):
+        schema, sp = self._model((np.nan, 0.0), (1.0, 1.0))
+        sp = StructuredParams(sp.b, sp.w, np.full((2, 1), 0.5), sp.omega)
+        run = {
+            "assemble_lambda": lambda: assemble_lambda(schema, sp),
+            "negative_log_likelihood": lambda: negative_log_likelihood(
+                schema, sp, state_counts(schema, [(1, 0)])),
+            "dominance_certificate": lambda: dominance_certificate(schema, sp, np.eye(3)),
+        }[call]
+        with pytest.raises(ParameterError, match="^parameters contain non-finite entries$"):
+            run()
+
+
 class TestDegenerateData:
     def test_empty_counts_are_an_empty_dataset(self):
         schema = VariableSchema([VariableDecl("x", CAT, 3)])

@@ -16,6 +16,7 @@ from grasscat.grassmann import (
     marginal_params,
     moments,
     state_probabilities,
+    _probabilities,
 )
 from grasscat.oracle import brute_force_table, oracle_conditional, oracle_marginal
 
@@ -360,3 +361,31 @@ class TestClamp:
     def test_a_value_further_below_zero_is_returned_as_is(self):
         p = GrassmannParams.from_lambda(np.array([[1.0 - 5e-10]]))
         assert state_probabilities(p, np.array([[1]]))[0] == pytest.approx(-5e-10, rel=1e-6)
+
+
+class TestProbabilityRule:
+    def test_singular_minors_give_exact_plus_zero(self):
+        # lam - I = [[1, 1], [1, 1]] (a Cat(3) block at b = 0): the minor of
+        # both bits is exactly singular, so its log|det| is -inf
+        p = GrassmannParams.from_lambda(np.eye(2) + np.ones((2, 2)))
+        probs = state_probabilities(p, np.array([[0, 0], [1, 0], [0, 1], [1, 1]]))
+        np.testing.assert_allclose(probs[:3], 1 / 3, rtol=1e-15)
+        assert probs[3] == 0.0 and not np.signbit(probs[3])
+        table = all_state_probabilities(p)
+        assert table[3] == 0.0 and not np.signbit(table[3])
+        report = check_p0(p)
+        assert report.passed and report.min_probability == 0.0
+
+    def test_sign_zero_is_exempt_whatever_its_log_ratio(self):
+        probs = _probabilities(np.zeros(3), np.array([-np.inf, np.inf, np.nan]), -1.0)
+        assert np.array_equal(probs, np.zeros(3)) and not np.signbit(probs).any()
+
+    @pytest.mark.parametrize("sign,log_ratio,sign_norm", [
+        ([1.0, 1.0], [0.0, -np.inf], 1.0),  # a nonzero determinant over an infinite normalizer
+        ([1.0, -1.0], [np.nan, 0.0], 1.0),
+        ([1.0, 0.0], [800.0, -np.inf], 1.0),  # e^800 overflows
+        ([1.0, 1.0], [-1.0, -2.0], np.nan),  # a normalizer whose sign is nan
+    ], ids=["infinite-normalizer", "nan-log-ratio", "exp-overflow", "nan-normalizer-sign"])
+    def test_a_non_finite_log_ratio_or_probability_raises(self, sign, log_ratio, sign_norm):
+        with pytest.raises(ParameterError, match="overflows"):
+            _probabilities(np.array(sign), np.array(log_ratio), sign_norm)

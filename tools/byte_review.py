@@ -65,8 +65,10 @@ def write_inputs(inputs: str, seed: int) -> dict:
              "--seed", str(seed), "--out", os.path.join(inputs, workload)],
             check=True,
         )
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
     _write_determinism_inputs(os.path.join(inputs, "acc"))
     _write_rare_level_model(os.path.join(inputs, "query"))
+    _write_overflow_models(os.path.join(inputs, "overflow"))
     with open(os.path.join(inputs, "query", "expect.json"), encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -74,7 +76,6 @@ def write_inputs(inputs: str, seed: int) -> dict:
 def _write_determinism_inputs(out: str) -> None:
     """The schema, data and mixed model of tests/test_acceptance.py's
     test_11_cli_determinism."""
-    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
     import numpy as np
 
     from generators import reader_style_schema, reader_style_true_params, sample_rows_from_probs
@@ -120,6 +121,31 @@ def _write_rare_level_model(query: str) -> None:
         params["V"][r] = list(params["w"]["v1"])
     with open(os.path.join(query, "rare.model.json"), "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
+
+
+def _write_overflow_models(out: str) -> None:
+    """Finite models whose a-space terms or prior weights overflow, as in
+    tests/test_cli.py's TestOverflowingModelsExitTwo: Cat(2)+Cat(2) with
+    a = 1, omega = 1/2 and V = [[1e308], [0.5]] at b = (0, 0), w = (10, 1)
+    (``A.json``) and at b = (-2, 0), w = (1, 1) (``B.json``), and a factor
+    model with b = 0 and G = [[1e200], [1e200]] (``F.json``)."""
+    import numpy as np
+
+    from grasscat.factor import FactorModel
+    from grasscat.modelfile import ModelFile, save_model
+    from grasscat.schema import VariableDecl, VariableKind, VariableSchema
+    from grasscat.structure import StructuredParams
+
+    os.makedirs(out)
+    schema = VariableSchema([VariableDecl(f"v{j}", VariableKind.CATEGORICAL, 2)
+                             for j in range(2)])
+    V, omega = np.array([[1e308], [0.5]]), np.full(1, 0.5)
+    for name, b, w in (("A", (0.0, 0.0), (10.0, 1.0)), ("B", (-2.0, 0.0), (1.0, 1.0))):
+        sp = StructuredParams(tuple(np.array([v]) for v in b), tuple(np.array([v]) for v in w),
+                              V, omega)
+        save_model(ModelFile("grassmann", schema, sp, None), os.path.join(out, f"{name}.json"))
+    factor = FactorModel.canonical(b=np.zeros(2), G=np.full((2, 1), 1e200))
+    save_model(ModelFile("factor", schema, factor, None), os.path.join(out, "F.json"))
 
 
 def command_list(seed: int, pool: dict) -> list[tuple[list[str], list[str]]]:
@@ -178,6 +204,15 @@ def command_list(seed: int, pool: dict) -> list[tuple[list[str], list[str]]]:
     add(["prob", "--model", rare, "--query", "v1>=2"])
     add(["prob", "--model", rare, "--query", "v1=3", "--given", "v0=1"])
     add(["oracle", "check", "--model", rare])
+
+    # finite models whose a-space terms or prior weights overflow
+    for name in ("A", "B", "F"):
+        model = f"overflow/{name}.json"
+        add(["sample", "--model", model, "--n", "100", "--seed", str(seed),
+             "--out", f"overflow/{name}-sample.csv"], f"overflow/{name}-sample.csv")
+        if name != "F":
+            add(["prob", "--model", model, "--query", "v0=1"])
+        add(["moments", "--model", model])
 
     # the determinism test's commands
     add(["validate", "--schema", "acc/schema.json", "--data", "acc/data.csv"])

@@ -142,9 +142,9 @@ MUTANTS = [
     ("allowed-table-clamp", GRASSMANN,
      "prob[(-_CLAMP <= prob)", "prob[(-1e-9 <= prob)",
      ["tests/test_fit.py::TestAllowedStateTable"]),
-    ("decay-overflow-guard-inverted", FIT,
-     "    if not np.isfinite(x).all():\n        raise ParameterError(",
-     "    if np.isfinite(x).all():\n        raise ParameterError(",
+    ("decay-overflow-guard-inverted", GRASSMANN,
+     "    if not (np.isfinite(prob).all() and np.isfinite(log_ratio[sign != 0]).all()):\n",
+     "    if np.isfinite(prob).all() and np.isfinite(log_ratio[sign != 0]).all():\n",
      ["tests/test_fit.py::TestAllowedStateTable"]),
     ("table-rare-split-dropped", FIT,
      "rare = share < _BORDER_BELOW", "rare = share < 0.0",
@@ -230,6 +230,25 @@ MUTANTS = [
     ("prob-pattern-before-model", CLI,
      "        conditional_pattern_probability(mf.schema, mf.params, {}, {})\n", "",
      ["tests/test_patterns.py::TestProbCommand"]),
+    # one check on the way in, one rule on the way out: the probability
+    # rule, its sign-0 exemption, the prior's check and the NLL's rule
+    ("probability-rule-dropped", GRASSMANN,
+     "    if not (np.isfinite(prob).all() and np.isfinite(log_ratio[sign != 0]).all()):\n",
+     "    if False:\n",
+     ["tests/test_fit.py::TestAllowedStateTable::test_finite_parameters_whose_x_overflows_raise",
+      "tests/test_cli.py::TestOverflowingModelsExitTwo"]),
+    ("rule-sign-zero-not-exempt", GRASSMANN,
+     "np.isfinite(log_ratio[sign != 0]).all()", "np.isfinite(log_ratio).all()",
+     ["tests/test_grassmann.py::TestProbabilityRule::test_singular_minors_give_exact_plus_zero"]),
+    ("prior-overflow-check-dropped", FACTOR,
+     "    if not np.isfinite(logw).all():\n", "    if False:\n",
+     ["tests/test_factor.py::TestPriorOverflow", "tests/test_cli.py::TestOverflowingModelsExitTwo"]),
+    ("likelihood-nan-sign-passes", FIT,
+     "if not ((sign > 0).all() and np.isfinite(nll)):", "if (sign <= 0).any():",
+     ["tests/test_fit.py::TestOneCheckOneRule"]),
+    ("likelihood-nll-finiteness-dropped", FIT,
+     "if not ((sign > 0).all() and np.isfinite(nll)):", "if not (sign > 0).all():",
+     ["tests/test_fit.py::TestOneCheckOneRule"]),
 ]
 
 
