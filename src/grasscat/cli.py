@@ -45,7 +45,7 @@ from .fit import (
     state_counts,
     weighted_moments,
 )
-from .grassmann import _p0_report, all_state_probabilities, moments
+from .grassmann import _p0_report, moments
 from .mixed import MixedParams, MixedPartition, mixed_conditional_density
 from .modelfile import ModelFile, load_model, save_model
 from .oracle import brute_force_table, oracle_marginal
@@ -473,11 +473,21 @@ def _cmd_mixed_eval(args) -> int:
     return 0
 
 
+def _allowed_state_vector(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
+    """The allowed-state table's probabilities over all 2**q states, in
+    :func:`grassmann.all_state_probabilities`' order: allowed row s goes to
+    mask sum_i bit_i 2**i, and every other state is +0.0."""
+    bits = allowed_table(schema)[0]
+    probs = np.zeros(2**schema.q)
+    probs[bits @ (1 << np.arange(schema.q))] = _allowed_state_probabilities(schema, sp)
+    return probs
+
+
 def _cmd_oracle_check(args) -> int:
     mf = _load_grassmann(args.model)
     params = assemble_lambda(mf.schema, mf.params)
     table = brute_force_table(params)
-    probs = all_state_probabilities(params)
+    probs = _allowed_state_vector(mf.schema, mf.params)
     max_joint_err = float(np.abs(table.probs - probs).max())
     mean, cov = moments(params)
     mean_err = float(np.abs(mean - table.mean).max())

@@ -16,15 +16,16 @@ rows of a 0/1 matrix grouped by popcount, and one stacked ``slogdet`` per
 group.  :func:`state_probabilities` calls it for the rows it is given,
 :func:`all_state_probabilities` (and through it :func:`check_p0`) for each
 chunk of 2**14 masks, and the mixed densities of :mod:`grasscat.mixed` for
-the subsets they sum over.  ``moments``, ``check_p0`` and ``oracle check``
-read lam through this module.  A structured model's pattern probabilities
-(``prob``) and allowed states (``sample``, the fit's certificate) come
-from a x a determinants in :mod:`grasscat.fit` instead.  The marginal and
-conditional parameters serve a general lam.  Both end in one rule,
-:func:`_probabilities`, on parameters checked once, finiteness included
-(``GrassmannParams``, or :func:`structure.flat_params` for a structured
-model): a state of sign 0 gives +0.0 (a singular minor's log|det| is
--inf), and any other whose log-ratio or probability overflows raises.
+the subsets they sum over.  ``moments`` and ``check_p0`` read lam through
+this module.  A structured model's pattern probabilities (``prob``) and
+allowed states (``sample``, the fit's certificate, the program side of
+``oracle check``) come from a x a determinants in :mod:`grasscat.fit`
+instead.  The marginal and conditional parameters serve a general lam.
+Both end in one rule, :func:`_probabilities`, on parameters checked once,
+finiteness included (``GrassmannParams``, or :func:`structure.flat_params`
+for a structured model): a state of sign 0 gives +0.0 (a singular minor's
+log|det| is -inf), and any other whose log-ratio or probability overflows
+raises.
 """
 
 from __future__ import annotations

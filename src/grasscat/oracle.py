@@ -3,11 +3,17 @@
 Everything here recomputes probabilities from first principles with code
 paths deliberately different from the main modules: determinants come from
 Gaussian elimination with partial pivoting written out in numpy (no
-``np.linalg``, no ``scipy.linalg`` and no ``grassmann`` helper), and
-marginals/conditionals are plain summations and ratios over the full state
-table.  Independence is the point.  The table's moments are those of its
+``np.linalg``, no ``scipy.linalg`` and no ``grassmann`` or ``fit``
+helper), and marginals/conditionals are plain summations and ratios over
+the full state table.  Independence is the point.  The elimination holds a
+stack of n x n matrices matrix-index-first, as (n, n, N), so each pivot
+search, row swap and rank-1 update is a handful of operations on
+contiguous N-vectors; the table gathers each popcount group's minors of
+lam - I straight into that layout.  The table's moments are those of its
 weighted states (:func:`grasscat.fit.weighted_moments`), not the closed
 form of :func:`grasscat.grassmann.moments` that ``oracle check`` tests.
+``oracle check`` compares the table's states with the allowed-state
+table of :mod:`grasscat.fit`, the kernel ``sample`` and the fit run.
 """
 
 from __future__ import annotations
@@ -24,28 +30,40 @@ from .grassmann import GrassmannParams
 _CHUNK = 2**14  # masks per elimination pass: bounds the stacked minors
 
 
-def _naive_det(a: np.ndarray):
-    """Determinant of every matrix of a stack (..., n, n), a float for one
-    matrix: Gaussian elimination with partial pivoting, each row swap
-    flipping the sign.  Elimination meets an all-zero pivot column in a
-    matrix with repeated rows or a zero column, so its determinant is 0.0."""
-    a = np.asarray(a, dtype=float)
-    n = a.shape[-1]
-    stack = a.reshape(int(np.prod(a.shape[:-2])), n, n).copy()
-    det = np.ones(len(stack))
-    rows = np.arange(len(stack))
+def _eliminate(stack: np.ndarray) -> np.ndarray:
+    """Determinants of a stack held matrix-index-first, (n, n, N), so that
+    every pivot search, swap and rank-1 update works on contiguous N-vectors:
+    Gaussian elimination with partial pivoting, each row swap flipping the
+    sign.  The stack may be overwritten.  Elimination meets an all-zero pivot
+    column in a matrix with repeated rows or a zero column, so its
+    determinant is 0.0."""
+    n, _, m = stack.shape
+    flat = np.ascontiguousarray(stack).reshape(-1)
+    stack = flat.reshape(n, n, m)
+    cells = np.arange(n * m).reshape(n, m)  # offsets of (column, matrix) in a row
+    det = np.ones(m)
     for k in range(n):
-        piv = k + np.argmax(np.abs(stack[:, k:, k]), axis=1)
-        top = stack[:, k, k:].copy()
-        stack[:, k, k:] = stack[rows, piv, k:]
-        stack[rows, piv, k:] = top
+        piv = k + np.argmax(np.abs(stack[k:, k]), axis=0)
+        at = piv * (n * m) + cells[k:]  # row piv's columns k.. of each matrix
+        top = stack[k, k:].copy()
+        stack[k, k:] = flat.take(at)
+        flat.put(at, top)
         det[piv != k] *= -1.0
-        pivot = stack[:, k, k]
+        pivot = stack[k, k]
         det *= pivot
         # a zero pivot is the largest of an all-zero column: nothing to eliminate
-        factor = stack[:, k + 1 :, k] / np.where(pivot == 0.0, 1.0, pivot)[:, None]
-        stack[:, k + 1 :, k + 1 :] -= factor[:, :, None] * stack[:, None, k, k + 1 :]
-    det += 0.0  # no -0.0
+        factor = stack[k + 1 :, k] / np.where(pivot == 0.0, 1.0, pivot)
+        stack[k + 1 :, k + 1 :] -= factor[:, None, :] * stack[k, k + 1 :]
+    return det + 0.0  # no -0.0
+
+
+def _naive_det(a: np.ndarray):
+    """Determinant of every matrix of a stack (..., n, n), a float for one
+    matrix: :func:`_eliminate` on a matrix-index-first copy."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[-1]
+    stack = a.reshape(int(np.prod(a.shape[:-2])), n, n)
+    det = _eliminate(np.moveaxis(stack, 0, -1).copy())
     return float(det[0]) if a.ndim == 2 else det.reshape(a.shape[:-2])
 
 
@@ -66,7 +84,8 @@ class FullTable:
 
 def brute_force_table(p: GrassmannParams) -> FullTable:
     """Exact state table, state m holding bit i of mask m in column i: the
-    minors of each chunk of masks by one :func:`_naive_det` per popcount."""
+    minors of lam - I for each chunk of masks, gathered matrix-index-first
+    and eliminated by one :func:`_eliminate` per popcount."""
     q = p.q
     check_bit_cap(q)
     det_l = _naive_det(p.lam)
@@ -81,8 +100,9 @@ def brute_force_table(p: GrassmannParams) -> FullTable:
         popcounts = chunk.sum(axis=1)
         for k in range(1, q + 1):
             rows = np.flatnonzero(popcounts == k)
-            idx = np.nonzero(chunk[rows])[1].reshape(rows.size, k)
-            probs[lo + rows] = _naive_det(flat[idx[:, :, None] * q + idx[:, None, :]])
+            # a contiguous (k, N) index gathers a contiguous (k, k, N) stack
+            idx = np.nonzero(chunk[rows])[1].reshape(rows.size, k).T.copy()
+            probs[lo + rows] = _eliminate(flat[idx[:, None, :] * q + idx[None, :, :]])
     probs /= det_l
     mean, cov, corr = weighted_moments(states, probs)
     return FullTable(states=states, probs=probs, mean=mean, cov=cov, corr=corr)

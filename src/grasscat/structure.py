@@ -280,10 +280,16 @@ def extended_lambda(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
 
 def _raw_lambda(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
     """lam = I + K + W diag(omega) V^T as a bare array, from ``sp`` as
-    :func:`flat_params` checks it: no certificate, no inverse."""
+    :func:`flat_params` checks it: no certificate, no inverse.  A finite
+    ``sp`` whose lam overflows (e^b, or the product W diag(omega) V^T)
+    raises ParameterError."""
     b, w, V, omega = flat_params(schema, sp)
     W = _aux_loading(schema, w)
-    return np.eye(schema.q) + _quasi_diagonal(schema, b) + (W * omega[None, :]) @ V.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = np.eye(schema.q) + _quasi_diagonal(schema, b) + (W * omega[None, :]) @ V.T
+    if not np.isfinite(lam).all():
+        raise ParameterError("lam overflows: an entry of K + W diag(omega) V^T is not finite")
+    return lam
 
 
 def assemble_lambda(schema: VariableSchema, sp: StructuredParams) -> GrassmannParams:

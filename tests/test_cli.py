@@ -30,6 +30,9 @@ from grasscat.schema import DummyState, enumerate_allowed_states, schema_to_dict
 from grasscat.structure import assemble_lambda
 
 from generators import (
+    CAT,
+    ORD,
+    random_certified_structured,
     reader_style_schema,
     reader_style_true_params,
     sample_rows_from_probs,
@@ -552,6 +555,82 @@ class TestOracleCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["ok"]
 
+    # the program side of the check is the allowed-state table scattered to
+    # its 2**q masks; these schemas are asymmetric under a reversed bit order
+    SPECS = {
+        "q4": [(CAT, 3), (ORD, 3)],
+        "q8": [(CAT, 4), (ORD, 5), (CAT, 2)],
+        "q12": [(CAT, 3), (ORD, 4), (CAT, 4), (ORD, 3), (CAT, 2), (CAT, 2)],
+        "rare": [(CAT, 3), (ORD, 4), (CAT, 4)],
+    }
+    CASES = [("q4", 1), ("q4", 2), ("q8", 1), ("q8", 2), ("q12", 2), ("rare", 2)]
+
+    @classmethod
+    def _model(cls, name, a):
+        """A certified model of the named schema; ``rare`` is an Ord(4) with
+        b[1:] at -B_CAP and the V rows of those levels along its w, which
+        keeps their states positive."""
+        from grasscat.fit import B_CAP
+        from grasscat.schema import VariableDecl, VariableSchema
+        from grasscat.structure import StructuredParams
+
+        spec = cls.SPECS[name]
+        schema = VariableSchema([VariableDecl(f"v{i}", k, m) for i, (k, m) in enumerate(spec)])
+        sp = random_certified_structured(np.random.default_rng(len(spec) * 10 + a), schema, a)
+        if name == "rare":
+            b = (sp.b[0], np.concatenate([sp.b[1][:1], np.full(2, -B_CAP)]), sp.b[2])
+            V = sp.V.copy()
+            V[3:5] = sp.w[1]  # the bits levels 2 and 3 of v1 end on
+            sp = StructuredParams(b, sp.w, V, sp.omega)
+        return schema, sp
+
+    @pytest.mark.parametrize("name,a", CASES, ids=[f"{n}-a{a}" for n, a in CASES])
+    def test_program_side_matches_lam_space(self, name, a):
+        from grasscat.cli import _allowed_state_vector
+        from grasscat.grassmann import all_state_probabilities
+
+        schema, sp = self._model(name, a)
+        got = _allowed_state_vector(schema, sp)
+        want = all_state_probabilities(assemble_lambda(schema, sp))
+        assert got.shape == want.shape == (2**schema.q,)
+        assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("name,a", CASES, ids=[f"{n}-a{a}" for n, a in CASES])
+    def test_disallowed_states_are_positive_zero(self, name, a):
+        from grasscat.cli import _allowed_state_vector
+        from grasscat.errors import InvalidStateError
+        from grasscat.schema import decode_state
+
+        schema, sp = self._model(name, a)
+        got = _allowed_state_vector(schema, sp)
+        disallowed = []
+        for mask in range(2**schema.q):
+            try:
+                decode_state(schema, DummyState(tuple((mask >> i) & 1 for i in range(schema.q))))
+            except InvalidStateError:
+                disallowed.append(mask)
+        assert disallowed
+        assert got[disallowed].tolist() == [0.0] * len(disallowed)
+        assert not np.signbit(got[disallowed]).any()
+        assert got.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_state_cap_bounds_the_allowed_count(self, tmp_path, capsys, monkeypatch):
+        """query-q12's schema passes a bit cap of 12 but has 576 allowed
+        states: the check runs at a cap of 576 and exits 1 below it."""
+        schema, sp = self._model("q12", 2)
+        save_model(ModelFile("grassmann", schema, sp, None), str(tmp_path / "m.json"))
+        for cap in (12, 575):
+            monkeypatch.setenv("GRASSCAT_CAP", str(cap))
+            assert _run(tmp_path, "oracle", "check", "--model", "m.json") == 1
+            assert capsys.readouterr() == (
+                "", f"error: schema has 576 allowed states, exceeding the cap {cap}\n"
+            )
+        monkeypatch.setenv("GRASSCAT_CAP", "576")
+        assert _run(tmp_path, "oracle", "check", "--model", "m.json") == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["ok"] and out["n_states"] == 4096
+        assert out["max_joint_error"] <= 1e-12
+
 
 class TestModelFileStrictness:
     def test_unknown_field_rejected(self):
@@ -1058,15 +1137,28 @@ class TestOverflowingModelsExitTwo:
         ("B", ["prob", "--query", "v0=1"]),
         ("F", ["sample", "--n", "5", "--out", "s.csv"]),
         ("F", ["moments"]),
-    ], ids=["A-sample", "A-prob", "B-prob", "F-sample", "F-moments"])
+        ("A", ["moments"]),
+        ("A", ["oracle", "check"]),
+        ("B", ["oracle", "check"]),
+    ], ids=["A-sample", "A-prob", "B-prob", "F-sample", "F-moments", "A-moments", "A-oracle",
+            "B-oracle"])
     def test_exits_two_with_one_line(self, tmp_path, capsys, model, argv):
         self._save(tmp_path)
-        code = _run(tmp_path, argv[0], "--model", f"{model}.json", *argv[1:])
+        words = 2 if argv[0] == "oracle" else 1  # the subcommand, then its options
+        code = _run(tmp_path, *argv[:words], "--model", f"{model}.json", *argv[words:])
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
         assert err.startswith("numerical error: ") and err.count("\n") == 1
         assert "overflows" in err
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("argv", [["moments"], ["oracle", "check"]],
+                             ids=["moments", "oracle"])
+    def test_lam_commands_name_lam_on_a(self, tmp_path, capsys, argv):
+        """A's lam overflows (10 * 0.5 * 1e308); B's is finite."""
+        self._save(tmp_path)
+        assert _run(tmp_path, *argv, "--model", "A.json") == 2
+        assert capsys.readouterr().err.startswith("numerical error: lam overflows")
 
 
 class TestSampleRareLevels:

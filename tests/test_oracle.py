@@ -82,6 +82,17 @@ def test_naive_det_is_exactly_zero_on_singular_stacks():
     assert not np.signbit(got).any()
 
 
+def test_naive_det_leaves_its_input_unchanged():
+    """One matrix, a stack of one (both already contiguous after the move of
+    the stack axis) and a Fortran-ordered stack."""
+    rng = np.random.default_rng(9)
+    for a in (rng.normal(size=(4, 4)), rng.normal(size=(1, 4, 4)),
+              np.asfortranarray(rng.normal(size=(3, 4, 4)))):
+        before = a.copy()
+        _naive_det(a)
+        np.testing.assert_array_equal(a, before)
+
+
 def test_table_matches_kernel_on_certified_q12():
     spec = [(CAT, 3), (ORD, 4), (CAT, 4), (ORD, 3), (CAT, 2), (CAT, 2)]
     schema = VariableSchema([VariableDecl(f"v{i}", k, m) for i, (k, m) in enumerate(spec)])

@@ -170,6 +170,20 @@ class TestAssemble:
     def test_no_certificate_option(self):
         assert list(inspect.signature(assemble_lambda).parameters) == ["schema", "sp"]
 
+    @pytest.mark.parametrize("b, V0", [(800.0, 1.0), (0.0, 1e308)], ids=["e^b", "wV"])
+    def test_finite_parameters_whose_lam_overflows_raise(self, b, V0):
+        """e^800, and 10 * 0.5 * 1e308 in W diag(omega) V^T: one
+        ParameterError that names lam, and no numpy warning."""
+        import warnings
+
+        schema = VariableSchema([VariableDecl(f"v{j}", CAT, 2) for j in range(2)])
+        sp = StructuredParams((np.array([b]), np.zeros(1)), (np.array([10.0]), np.ones(1)),
+                              np.array([[V0], [0.5]]), np.full(1, 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="^lam overflows"):
+                assemble_lambda(schema, sp)
+
 
 class TestStructuralZeros:
     @pytest.mark.parametrize("seed", range(5))

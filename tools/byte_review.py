@@ -210,9 +210,10 @@ def command_list(seed: int, pool: dict) -> list[tuple[list[str], list[str]]]:
         model = f"overflow/{name}.json"
         add(["sample", "--model", model, "--n", "100", "--seed", str(seed),
              "--out", f"overflow/{name}-sample.csv"], f"overflow/{name}-sample.csv")
+        add(["moments", "--model", model])
         if name != "F":
             add(["prob", "--model", model, "--query", "v0=1"])
-        add(["moments", "--model", model])
+            add(["oracle", "check", "--model", model])
 
     # the determinism test's commands
     add(["validate", "--schema", "acc/schema.json", "--data", "acc/data.csv"])

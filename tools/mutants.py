@@ -88,6 +88,10 @@ MUTANTS = [
     ("oracle-moments-bit-order", "src/grasscat/oracle.py",
      "weighted_moments(states, probs)", "weighted_moments(states[:, ::-1], probs)",
      ["tests/test_oracle.py", "tests/test_cli.py::TestOracleCommand"]),
+    # oracle check's program side: the allowed-state table at its 2**q masks
+    ("oracle-scatter-bit-order", CLI,
+     "bits @ (1 << np.arange(schema.q))", "bits @ (1 << np.arange(schema.q)[::-1])",
+     ["tests/test_cli.py::TestOracleCommand"]),
     # the one text-file writer
     ("writer-drops-what", "src/grasscat/outputs.py",
      'f"cannot write {what}{path}: {exc}"', 'f"cannot write {path}: {exc}"',
