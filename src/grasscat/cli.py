@@ -265,9 +265,9 @@ def _cmd_moments(args) -> int:
     _emit(
         {
             "labels": list(labels),
-            "mean": [float(v) for v in mean],
-            "cov": [[float(v) for v in row] for row in cov],
-            "corr": [[float(v) for v in row] for row in corr],
+            "mean": mean.tolist(),
+            "cov": cov.tolist(),
+            "corr": corr.tolist(),
         }
     )
     return 0

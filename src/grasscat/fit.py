@@ -17,10 +17,13 @@ ending on bit r.  An evaluation holds the matrices structure of arrays, as
 one (a, a, m + 1) stack over the m distinct observed states with Abar
 last.  With E the (q, m) 0/1 indicator of the bits the states' levels end
 on, one GEMM gives every A_s - I = sum_r E[r, s] x_r w_r^T, one batched
-Gauss-Jordan elimination gives every sign, log|det| and, for the gradient,
+:func:`_gauss_jordan` gives every sign, log|det| and, for the gradient,
 inverse, and a second GEMM, E (n_s A_s^-1), gives the gradient's per-bit
 sums: O(m q a^2 + m a^3) arithmetic in O(a^2) numpy calls, whatever the
-states' popcounts, and no LAPACK call.
+states' popcounts, and no LAPACK call.  At a = 2, the default, that is a
+closed form (det = a d - b c, the inverse the adjugate over det); other
+sizes, and the 2 x 2 matrices whose det is zero or out of range, take a
+Gauss-Jordan elimination.
 
 The same per-bit tables give the probability of every allowed state,
 e^(sum_v beta_v(l_v) - sum_v log Z_v) det A_s / det Abar, for ``sample``
@@ -218,16 +221,51 @@ def _bit_maps(schema: VariableSchema) -> tuple[np.ndarray, np.ndarray]:
     return beta_of_b, members
 
 
+_DET_RANGE = (1e-300, 1e300)  # the |det| a 2 x 2 closed form keeps; the rest is eliminated
+
+
 def _gauss_jordan(
     A: np.ndarray, inverse: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Sign, log|det| and, if ``inverse``, the inverse of each matrix of an
     (a, a, n) stack held matrix index first, so that every step works on
-    contiguous n-vectors.  Gauss-Jordan elimination with partial pivoting,
-    each row swap flipping the sign; without ``inverse``, of the rows below
-    each pivot only.  A singular matrix meets a zero pivot; it gets sign 0,
-    and a unit pivot in its place lets the elimination run on without a
-    warning, leaving its log|det| and inverse meaningless."""
+    contiguous n-vectors.  A 2 x 2 stack is solved in closed form: det =
+    a d - b c, and the inverse is the adjugate over det.  Its matrices
+    whose det is not within [1e-300, 1e300] (singular, non-finite, or
+    with a product a d or b c that overflows or underflows) and stacks of
+    every other size go to :func:`_eliminate`."""
+    if A.shape[0] != 2:
+        return _eliminate(A, inverse)
+    (a, b), (c, d) = A
+    with np.errstate(over="ignore", invalid="ignore"):  # what leaves the range is eliminated
+        det = a * d - b * c
+    size = np.abs(det)
+    near = (size >= _DET_RANGE[0]) & (size <= _DET_RANGE[1])
+    far = None if near.all() else ~near
+    if far is not None:
+        det[far] = size[far] = 1.0
+    sign, logdet, inv = np.sign(det), np.log(size), None
+    if inverse:
+        inv = np.empty(A.shape)
+        inv[0, 0], inv[1, 1] = d, a
+        np.negative(b, out=inv[0, 1])
+        np.negative(c, out=inv[1, 0])
+        inv /= det
+    if far is not None:
+        sign[far], logdet[far], far_inv = _eliminate(A[:, :, far], inverse)
+        if inverse:
+            inv[:, :, far] = far_inv
+    return sign, logdet, inv
+
+
+def _eliminate(
+    A: np.ndarray, inverse: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """:func:`_gauss_jordan` by Gauss-Jordan elimination with partial
+    pivoting, each row swap flipping the sign; without ``inverse``, of the
+    rows below each pivot only.  A singular matrix meets a zero pivot; it
+    gets sign 0, and a unit pivot in its place lets the elimination run on
+    without a warning, leaving its log|det| and inverse meaningless."""
     a, n = A.shape[0], A.shape[2]
     width = 2 * a if inverse else a
     M = np.zeros((a, width, n))  # [A | I], reduced in place to [I | A^-1]

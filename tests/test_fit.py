@@ -397,9 +397,11 @@ class TestBatchedKernelIsExact:
 
     @pytest.mark.parametrize("w1, finite", [(1.0, True), (-1.0, False), (0.0, False)])
     def test_zero_leading_entry_swaps_rows(self, w1, finite):
-        """State (1, 0) has A_s = [[0, w1 / 2], [-1, 1 + w1 / 2]]: its
-        elimination must swap rows, and det A_s = w1 / 2 is positive,
-        negative or exactly zero.  The other states pivot in place."""
+        """State (1, 0) has A_s = [[0, w1 / 2], [-1, 1 + w1 / 2]], and det
+        A_s = w1 / 2 is positive, negative or exactly zero.  A 2 x 2 stack
+        is solved in closed form; only the singular A_s of w1 = 0 is
+        eliminated, with a row swap.  Nonsingular row swaps are tested at
+        a >= 3 (test_elimination_matches_lapack)."""
         schema = VariableSchema([VariableDecl("x", CAT, 2), VariableDecl("y", CAT, 3)])
         sp = StructuredParams(
             b=(np.zeros(1), np.array([0.3, -0.2])),
@@ -418,19 +420,39 @@ class TestBatchedKernelIsExact:
 
     def test_elimination_matches_lapack(self, rng):
         """Sign, log|det| and inverse of random stacks, a third of them
-        with a zero leading entry (singular at a = 1), against np.linalg."""
+        with a zero leading entry (singular at a = 1), against np.linalg,
+        with no warning.  At a = 2 also the 2 x 2 stack scaled by 1e200 and
+        by 1e-200, where a d - b c overflows or underflows, and singular
+        stacks whose a d - b c is exactly +0.0 or -0.0."""
+        stacks = {}
         for a in range(1, 6):
-            stack = rng.normal(size=(40, a, a))
-            stack[::3, 0, 0] = 0.0
-            sign, logdet, inv = _gauss_jordan(np.ascontiguousarray(stack.transpose(1, 2, 0)), True)
+            stacks[a] = rng.normal(size=(40, a, a))
+            stacks[a][::3, 0, 0] = 0.0
+        for scale in (1e200, 1e-200):
+            stacks[scale] = stacks[2] * scale
+        # the second row a power of 2 times the first, which starts with one,
+        # so that LAPACK's elimination meets an exact zero pivot too
+        rows = np.stack([rng.choice([-1.0, 1.0], 40) * 2.0 ** rng.integers(-3, 4, 40),
+                         rng.normal(size=40)], axis=1)[:, None, :]
+        singular = np.concatenate([rows, rows * 2.0 ** rng.integers(-3, 4, (40, 1, 1))], axis=1)
+        singular[::2, :, 0] = np.where(rng.random((20, 2)) < 0.5, -0.0, 0.0)  # a zero column
+        det = singular[:, 0, 0] * singular[:, 1, 1] - singular[:, 0, 1] * singular[:, 1, 0]
+        assert (det == 0.0).all() and np.signbit(det).any() and not np.signbit(det).all()
+        stacks["singular"] = singular
+        for key, stack in stacks.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sign, logdet, inv = _gauss_jordan(
+                    np.ascontiguousarray(stack.transpose(1, 2, 0)), True)
+                det_only = _gauss_jordan(stack.transpose(1, 2, 0), False)
             want_sign, want_logdet = np.linalg.slogdet(stack)
             np.testing.assert_array_equal(sign, want_sign)
             ok = want_sign != 0
-            assert ok.sum() == (40 if a > 1 else 26)
+            assert ok.sum() == {1: 26, "singular": 0}.get(key, 40)
             np.testing.assert_allclose(logdet[ok], want_logdet[ok], rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(inv.transpose(2, 0, 1)[ok], np.linalg.inv(stack[ok]),
-                                       rtol=1e-9, atol=1e-9)
-            det_only = _gauss_jordan(stack.transpose(1, 2, 0), False)
+            size = np.abs(stack[ok]).max(axis=(1, 2))[:, None, None]  # compares the inverse at O(1)
+            np.testing.assert_allclose(inv.transpose(2, 0, 1)[ok] * size,
+                                       np.linalg.inv(stack[ok]) * size, rtol=1e-9, atol=1e-9)
             np.testing.assert_array_equal(det_only[0], sign)
             assert det_only[2] is None
 

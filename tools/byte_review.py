@@ -68,6 +68,7 @@ def write_inputs(inputs: str, seed: int) -> dict:
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
     _write_determinism_inputs(os.path.join(inputs, "acc"))
     _write_rare_level_model(os.path.join(inputs, "query"))
+    _write_range_model(os.path.join(inputs, "query"))
     _write_overflow_models(os.path.join(inputs, "overflow"))
     with open(os.path.join(inputs, "query", "expect.json"), encoding="utf-8") as fh:
         return json.load(fh)
@@ -120,6 +121,27 @@ def _write_rare_level_model(query: str) -> None:
     for r in range(first + 1, first + len(b)):  # the bits levels 2, 3, ... end on
         params["V"][r] = list(params["w"]["v1"])
     with open(os.path.join(query, "rare.model.json"), "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+
+
+def _write_range_model(query: str) -> None:
+    """query-q12 (a = 2) with w_v scaled by 1e101 and each V row of v's bits
+    set to (1 + k / 10) w_v, k the row's place in the block, as
+    ``range.model.json``.  Each x_r is then a positive multiple of w_r, so
+    every A_s = I + sum_r x_r w_r^T is positive definite and every allowed
+    state has a positive probability.  A_s's entries reach about 1e200, where
+    a d - b c overflows, while lam's entries stay finite."""
+    with open(os.path.join(query, "query-q12.model.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    params = doc["params"]
+    row = 0
+    for var in doc["schema"]["variables"]:
+        w = [1e101 * v for v in params["w"][var["name"]]]
+        params["w"][var["name"]] = w
+        for k in range(var["levels"] - 1):
+            params["V"][row + k] = [(1.0 + k / 10.0) * v for v in w]
+        row += var["levels"] - 1
+    with open(os.path.join(query, "range.model.json"), "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 
 
@@ -204,6 +226,11 @@ def command_list(seed: int, pool: dict) -> list[tuple[list[str], list[str]]]:
     add(["prob", "--model", rare, "--query", "v1>=2"])
     add(["prob", "--model", rare, "--query", "v1=3", "--given", "v0=1"])
     add(["oracle", "check", "--model", rare])
+    wide = "query/range.model.json"
+    add(["sample", "--model", wide, "--n", "10000", "--seed", str(seed),
+         "--out", "query/range-sample.csv"], "query/range-sample.csv")
+    add(["prob", "--model", wide, "--query", "v1>=2"])
+    add(["prob", "--model", wide, "--query", "v2=3", "--given", "v0=1"])
 
     # finite models whose a-space terms or prior weights overflow
     for name in ("A", "B", "F"):

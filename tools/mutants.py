@@ -161,6 +161,9 @@ MUTANTS = [
     ("gauss-jordan-forward-only-inverse", FIT,
      "rows = M if inverse else M[j + 1 :]", "rows = M[j + 1 :]",
      ["tests/test_fit.py::TestBatchedKernelIsExact"]),
+    ("gauss-jordan-2x2-adjugate-sign", FIT,
+     "np.negative(b, out=inv[0, 1])", "np.copyto(inv[0, 1], b)",
+     ["tests/test_fit.py::TestBatchedKernelIsExact"]),
     ("ends-without-successor", FIT,
      "    ends[chained] -= ends[chained + 1]\n", "",
      ["tests/test_fit.py::TestOneConstruction"]),
