@@ -43,14 +43,11 @@ from .grassmann import (
     state_probabilities,
 )
 from .structure import (
-    DominanceReport,
     StructuredParams,
     assemble_lambda,
     aux_loading_matrix,
     categorical_pmf,
-    dominance_certificate,
     extended_lambda,
-    middle_factor,
     ordinal_pmf,
     quasi_diagonal_blocks,
 )

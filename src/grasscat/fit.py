@@ -14,9 +14,10 @@ block's first bit) and has logit beta_v(l): b_l if v is categorical, b_1 +
 1 + sum_l e^beta_v(l) and xbar_v = omega * sum_(r in v) V[r] / Z_v; level 0
 has beta = 0 and x = 0.  Write x_r and w_r for the x and w of the level
 ending on bit r.  An evaluation holds the matrices structure of arrays, as
-one (a, a, m + 1) stack over the m distinct observed states with Abar
-last.  With E the (q, m) 0/1 indicator of the bits the states' levels end
-on, one GEMM gives every A_s - I = sum_r E[r, s] x_r w_r^T, one batched
+one (a, a, m + 1) stack over the m states of its plan (the distinct
+observed states, or for the fit every allowed state) with Abar last.
+With E the (q, m) 0/1 indicator of the bits the states' levels end on, one
+GEMM gives every A_s - I = sum_r E[r, s] x_r w_r^T, one batched
 :func:`_gauss_jordan` gives every sign, log|det| and, for the gradient,
 inverse, and a second GEMM, E (n_s A_s^-1), gives the gradient's per-bit
 sums: O(m q a^2 + m a^3) arithmetic in O(a^2) numpy calls, whatever the
@@ -36,33 +37,43 @@ the pattern leaves it collapses to one column (:func:`_pattern_probabilities`),
 kept undivided in a border where its share is below 1e-3; a state with a
 level that rare is scored as the pattern that fixes every bit.
 
-The dominance conditions are enforced by a smooth squared-hinge penalty on
-the free-row margins of B = M C and on the strict margins of C, with the
-penalty weight raised on a schedule until the margins pass.  The penalty
-fills only the free rows of M and leaves them in place among zero rows, so
-every BLAS product rounds as the full-matrix one did; its gradient reaches
-the packed (b, w, V) through the schema's index maps, with no loop over
-the variables.  The slack matrix C rides along as extra optimization
-variables and is dropped after the fit; it never enters the likelihood.
-The margins do not certify positivity, so they are diagnostics: a fit is
-feasible when every allowed state, the only states whose minors the
-parametrization does not make zero, has a nonnegative probability.
+The fit maximizes this likelihood over a plan of every allowed state: the
+rows of :func:`schema.allowed_table`, each weighted by its observed count,
+or 0 when no row reaches it.  :func:`_likelihood` is +inf unless det A_s > 0
+for every allowed state and det Abar > 0, that is unless every allowed state
+has a positive probability: a principal-minor check, since an L-ensemble is
+valid exactly when every principal minor is nonnegative.  So every finite
+value is a certified model, and there it is the observed NLL, bit for bit:
+the plan holds the observed states as the public NLL does, and the states
+no row reaches apart, as ``rest``, whose determinants are taken for their
+signs only, without an inverse.  Where it is +inf the objective returns a
+finite wall, f0 + 1 + |f0| over the NLL f0 at the start of that L-BFGS-B
+run, with a zero gradient, since L-BFGS-B's line search assumes finite
+values.  Two rules keep the wall out of the way:
+
+  * the V row of a bit that no observed state ends on is held at 0 by its
+    bounds and starts there.  The data does not reach it, while x = e^-beta
+    omega * V would scale it by up to e^30; at 0, the likelihood's x on that
+    bit is exactly 0, and a state at that level has the determinant of the
+    same state at level 0;
+  * a random start that is not certified (a rare observed level has e^-beta
+    near 1 / its share) has its w and V halved, at most MAX_HALVINGS times,
+    toward independence, w = V = 0, where every A_s = I.
 
 Inside a fit the parameters live only in L-BFGS-B's flat vector (b, w, V,
-rho = logit(omega), C - I).  The objective, the ramp check (a zero penalty)
-and the restart key (the NLL, then the vector's norm) read views of it.  A
-StructuredParams is built once per fit, for the result only.  The public
-NLL and gradient, the table and ``prob`` check a StructuredParams once,
-finiteness included, with :func:`structure.flat_params`.  What overflows
-after it meets the one rule of :func:`grassmann._probabilities` (sign 0
-gives +0.0; a nonzero sign with a log-ratio or probability that is not
-finite raises), which the NLL keeps as +inf unless every sign is > 0 and
-the NLL is finite.
+rho = logit(omega)).  The objective and the restart key (the NLL, then the
+vector's norm) read views of it.  A StructuredParams is built once per fit,
+for the result only.  The public NLL and gradient, the table and ``prob``
+check a StructuredParams once, finiteness included, with
+:func:`structure.flat_params`.  What overflows after it meets the one rule
+of :func:`grassmann._probabilities` (sign 0 gives +0.0; a nonzero sign with
+a log-ratio or probability that is not finite raises), which the NLL keeps
+as +inf unless every sign is > 0 and the NLL is finite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
@@ -79,26 +90,19 @@ from .schema import (
     allowed_table,
     bits_of_levels,
     levels_of_bits,
+    table_rows,
 )
-from .structure import (
-    StructuredParams,
-    TAU_C,
-    _block_exps,
-    _middle,
-    assemble_lambda,
-    dominance_certificate,
-    flat_params,
-)
+from .structure import StructuredParams, assemble_lambda, flat_params
 
 if TYPE_CHECKING:
     from scipy.optimize import OptimizeResult
 
 INFEASIBLE_NLL = np.inf  # sentinel for states driven to the domain boundary
 
-MU0 = 10.0  # first dominance-penalty weight
 B_CAP = 30.0  # bound on every b entry; empirical log-odds are clipped to it
 INIT_SCALE = 0.1  # standard deviation of the random w and V starts
-MAX_RAMPS = 6  # penalty weights per restart, both estimators: weight0 * 10**k, k < 6
+MAX_RAMPS = 6  # penalty weights per restart: weight0 * 10**k, k < 6 (one for the structured fit)
+MAX_HALVINGS = 30  # halvings of an uncertified start's w and V toward independence
 
 
 @dataclass(frozen=True)
@@ -183,21 +187,37 @@ class _StatePlan:
     states: the (q, m) 0/1 indicator ``ends``, whose entry (r, s) is 1 when
     a level of state s ends on bit r; the states' counts; the count of the
     level each bit ends; the b -> beta map and the variables' bit
-    memberships."""
+    memberships; and ``rest``, the indicator, as ``ends``, of further states
+    whose det A_s must be positive too (none for the public NLL)."""
 
     ends: np.ndarray
     weights: np.ndarray
     bit_counts: np.ndarray
     beta_of_b: np.ndarray
     members: np.ndarray
+    rest: np.ndarray
 
 
 def _state_plan(schema: VariableSchema, counts: StateCounts) -> _StatePlan:
-    """The likelihood's per-dataset plan; every observed state must be allowed."""
+    """The likelihood's plan over the distinct observed states, each of
+    which must be allowed."""
     states, weights = counts.as_arrays()
     allowed_levels(schema, states)
     ends = _ends(schema, states)
-    return _StatePlan(ends, weights, ends @ weights, *_bit_maps(schema))
+    return _StatePlan(ends, weights, ends @ weights, *_bit_maps(schema),
+                      np.zeros((schema.q, 0)))
+
+
+def _table_plan(schema: VariableSchema, counts: StateCounts) -> _StatePlan:
+    """The fit's plan over every row of :func:`allowed_table`: the observed
+    states, as :func:`_state_plan` has them, and as ``rest`` every allowed
+    state no row reaches.  Those have weight 0, so only the sign of their
+    det A_s enters the likelihood, and they need no inverse."""
+    bits = allowed_table(schema)[0]
+    plan = _state_plan(schema, counts)
+    reached = np.zeros(len(bits), dtype=bool)
+    reached[table_rows(schema, levels_of_bits(schema, counts.as_arrays()[0]))] = True
+    return replace(plan, rest=_ends(schema, bits[~reached]))
 
 
 def _ends(schema: VariableSchema, bits: np.ndarray) -> np.ndarray:
@@ -338,9 +358,10 @@ def _likelihood(
 ) -> tuple[float, np.ndarray | None]:
     """The NLL and, if ``gradient``, its gradient in (b, w, V, omega) laid
     end to end, at b laid end to end and the (variables, a) w rows, from
-    a x a determinants; ``(inf, None)`` unless det A_s of every observed
-    state and det Abar have sign > 0 and the NLL is finite, so an overflow
-    (x, x w^T, the GEMM or an elimination) gives +inf, never nan."""
+    a x a determinants; ``(inf, None)`` unless det A_s of every state of
+    the plan, ``rest`` included, and det Abar have sign > 0 and the NLL is
+    finite, so an overflow (x, x w^T, the GEMM or an elimination) gives
+    +inf, never nan."""
     q, a = V.shape
     m = len(plan.weights)
     with np.errstate(over="ignore", invalid="ignore"):  # what overflows fails the rule below
@@ -348,17 +369,20 @@ def _likelihood(
                                                                   plan.members)
         decay, x = _bit_terms(beta, V, omega, plan.bit_counts > 0)
         w_bit = w.take(schema.block_maps.var, axis=0)  # each bit's w_v
+        terms = (x[:, :, None] * w_bit[:, None, :]).reshape(q, a * a).T
         # A_s - I = sum_r E[r, s] x_r w_r^T over the m states, then Abar - I: (a, a, m + 1)
         A = np.empty((a * a, m + 1))
-        np.matmul((x[:, :, None] * w_bit[:, None, :]).reshape(q, a * a).T, plan.ends,
-                  out=A[:, :m])
+        np.matmul(terms, plan.ends, out=A[:, :m])
         A[:, m] = (x_bar.T @ w).ravel()
         A[:: a + 1] += 1.0
         sign, logdet, inv = _gauss_jordan(A.reshape(a, a, m + 1), gradient)
+        rest = terms @ plan.rest
+        rest[:: a + 1] += 1.0
+        rest_sign = _gauss_jordan(rest.reshape(a, a, rest.shape[1]), False)[0]
         n = plan.weights.sum()
         nll = float(n * (log_z.sum() + logdet[m]) - plan.bit_counts @ beta
                     - plan.weights @ logdet[:m])
-    if not ((sign > 0).all() and np.isfinite(nll)):
+    if not ((sign > 0).all() and (rest_sign > 0).all() and np.isfinite(nll)):
         return INFEASIBLE_NLL, None
     if not gradient:
         return nll, None
@@ -516,57 +540,6 @@ def nll_gradient(
                        tuple(w.reshape(len(schema), sp.a)), V.reshape(sp.V.shape), omega)
 
 
-# -- dominance penalty -------------------------------------------------------
-
-_FLOORS = np.array([[0.0], [TAU_C]])  # the least passing margin of B's rows and of C's
-
-
-def dominance_penalty(
-    schema: VariableSchema, b: np.ndarray, w: np.ndarray, V: np.ndarray, C: np.ndarray, mu: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Squared-hinge penalty on negative free-row margins of B = M C and on
-    rows of the slack C below the strict threshold, at b laid end to end and
-    the (variables, a) w rows: its value, its gradient in (b, w, V) laid end
-    to end, and its gradient in C."""
-    q, a = V.shape
-    n = q + a
-    maps = schema.block_maps
-    # M's free rows, zero elsewhere, so B's other rows are zero and score nothing
-    exps = _block_exps(schema, b)
-    K = np.zeros((q, q))
-    K.ravel()[maps.first_dst] = exps.ravel()[maps.pad_dst]
-    W = np.zeros((q, a))
-    W[maps.starts] = w
-    M = _middle(K, W, V)
-    # one hinge over the stack [B, C]: margin = 2|diagonal entry| - row's absolute sum
-    T = np.empty((2, n, n))
-    np.matmul(M, C, out=T[0])
-    T[1] = C
-    A = np.abs(T)
-    margins = 2.0 * A.reshape(2, n * n)[:, :: n + 1] - A.sum(axis=2)
-    viol = np.maximum(0.0, _FLOORS - margins)
-    sums = (viol**2).sum(axis=1)
-    value = mu * float(sums[0] + sums[1])
-
-    coeff = -2.0 * mu * viol  # d value / d margin
-    S = np.sign(T)
-    G = -S * coeff[:, :, None]
-    G.reshape(2, n * n)[:, :: n + 1] += 2.0 * S.reshape(2, n * n)[:, :: n + 1] * coeff
-    G_B, G_C = G
-    G_M = G_B @ C.T
-    G_C += M.T @ G_B
-    G_K = G_M[:q, :q]
-    # d/db: e^beta times each bit's entry of G_K; an ordinal block sums it
-    # over the bit and the bits after it (a reversed cumulative sum)
-    padded = np.zeros((len(schema), maps.width))
-    padded.ravel()[maps.pad_dst] = G_K.ravel()[maps.first_dst]
-    padded *= exps
-    g_b = np.where(maps.ordinal, np.add.accumulate(padded[:, ::-1], axis=1)[:, ::-1], padded)
-    g_w = (G_K @ V - G_M[:q, q:])[maps.starts]
-    g_V = G_K.T @ W - G_M[q:, :q].T
-    return value, np.concatenate([g_b.ravel()[maps.pad_dst], g_w.ravel(), g_V.ravel()]), G_C
-
-
 # -- parameter packing -------------------------------------------------------
 
 def _logit(p: np.ndarray) -> np.ndarray:
@@ -578,53 +551,46 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 class _Packer:
-    """Flat-vector layout of (b, w, V, rho, E) with omega = sigmoid(rho) and
-    the penalty's slack C = I + E: b laid end to end, then the (variables,
-    a) w rows, V, rho and E, each flattened."""
+    """Flat-vector layout of (b, w, V, rho) with omega = sigmoid(rho): b laid
+    end to end, then the (variables, a) w rows, V and rho, each flattened.
+    The bounds hold the V rows of the bits flagged in ``unseen`` at 0."""
 
-    def __init__(self, schema: VariableSchema, a: int):
+    def __init__(self, schema: VariableSchema, a: int, unseen: np.ndarray):
         self.schema = schema
         self.a = a
         q, k = schema.q, len(schema)
-        self.cuts = tuple(np.cumsum([q, k * a, q * a, a]).tolist())  # where w, V, rho and E start
-        self.eye = np.eye(q + a)
+        self.cuts = tuple(np.cumsum([q, k * a, q * a]).tolist())  # where w, V and rho start
         self.bounds: list[tuple[float | None, float | None]] = (
             [(-B_CAP, B_CAP)] * q
-            + [(None, None)] * ((k + q) * a)
+            + [(None, None)] * (k * a)
+            + [(0.0, 0.0) if held else (None, None) for held in unseen for _ in range(a)]
             + [(-13.8, 13.8)] * a  # omega in [1.0156e-6, 1 - 1.0156e-6]: inside OMEGA_EPS
-            + [(None, None)] * (q + a) ** 2
         )
 
-    def pack(self, sp: StructuredParams, C: np.ndarray) -> np.ndarray:
+    def pack(self, sp: StructuredParams) -> np.ndarray:
         omega = np.clip(sp.omega, 1e-6, 1.0 - 1e-6)
-        return np.concatenate([*sp.b, *sp.w, sp.V.ravel(), _logit(omega),
-                               (C - self.eye).ravel()])
+        return np.concatenate([*sp.b, *sp.w, sp.V.ravel(), _logit(omega)])
 
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(b, w, V, omega, C) at ``x``: b, w and V are views of it."""
+        """(b, w, V, omega) at ``x``: b, w and V are views of it."""
         q, k, a = self.schema.q, len(self.schema), self.a
-        i, j, l, m = self.cuts
-        omega = _sigmoid(x[l:m])  # L-BFGS-B evaluates only inside rho's bounds
-        return (x[:i], x[i:j].reshape(k, a), x[j:l].reshape(q, a), omega,
-                self.eye + x[m:].reshape(q + a, q + a))
+        i, j, l = self.cuts
+        omega = _sigmoid(x[l:])  # L-BFGS-B evaluates only inside rho's bounds
+        return x[:i], x[i:j].reshape(k, a), x[j:l].reshape(q, a), omega
 
 
-def _penalized_objective(
-    x: np.ndarray, mu: float, packer: _Packer, plan: _StatePlan
+def _objective(
+    x: np.ndarray, f0: float, packer: _Packer, plan: _StatePlan
 ) -> tuple[float, np.ndarray]:
-    """NLL plus the dominance penalty at weight ``mu``, and its gradient, at
-    the flat vector ``x``; ``(inf, 0)`` outside the likelihood's domain."""
-    b, w, V, omega, C = packer.unpack(x)
+    """The NLL over ``plan`` and its gradient at the flat vector ``x``; where
+    the NLL is +inf, the finite wall f0 + 1 + |f0| above the run's starting
+    NLL ``f0``, with a zero gradient."""
+    b, w, V, omega = packer.unpack(x)
     nll, g = _likelihood(packer.schema, b, w, V, omega, plan, gradient=True)
     if g is None:
-        return INFEASIBLE_NLL, np.zeros_like(x)
-    pen, g_pen, g_c = dominance_penalty(packer.schema, b, w, V, C, mu)
-    _, _, i, m = packer.cuts  # g ends with the omega gradient; chain it to rho
-    grad = np.empty(len(x))
-    np.add(g[:i], g_pen, out=grad[:i])
-    grad[i:m] = g[i:] * omega * (1.0 - omega)
-    grad[m:] = g_c.ravel()
-    return nll + pen, grad
+        return f0 + 1.0 + abs(f0), np.zeros_like(x)
+    g[packer.cuts[2]:] *= omega * (1.0 - omega)  # g ends with the omega gradient; chain it to rho
+    return nll, g
 
 
 # -- the restart / penalty-ramp driver ---------------------------------------
@@ -655,7 +621,8 @@ def _penalized_fit(
         success = False
         for _ in range(MAX_RAMPS):
             # Restarting L-BFGS-B resets its curvature memory, which reliably
-            # escapes the flat-progress stalls the hinge kinks can cause.
+            # escapes the flat-progress stalls that a penalty's kinks or the
+            # certified fit's wall can cause.
             f_prev = np.inf
             for _ in range(10):
                 res = solve(x, weight)
@@ -714,9 +681,6 @@ class FitReport:
     iterations: int
     converged: bool
     feasible: bool
-    worst_margin_b: float
-    worst_margin_b_raw: float
-    worst_margin_c: float
     params: StructuredParams
     mean_model: np.ndarray
     mean_empirical: np.ndarray
@@ -731,9 +695,6 @@ class FitReport:
             "iterations": int(self.iterations),
             "converged": bool(self.converged),
             "feasible": bool(self.feasible),
-            "worst_margin_b": float(self.worst_margin_b),
-            "worst_margin_b_raw": float(self.worst_margin_b_raw),
-            "worst_margin_c": float(self.worst_margin_c),
             "p0_min": float(self.p0_min),
             "mean_model": [float(v) for v in self.mean_model],
             "mean_empirical": [float(v) for v in self.mean_empirical],
@@ -779,40 +740,50 @@ def fit_grassmann(
     data: Iterable[Record | Sequence[int]] | np.ndarray | StateCounts,
     config: FitConfig | None = None,
 ) -> FitReport:
-    """Penalized quasi-Newton maximum likelihood over the structured family.
+    """Quasi-Newton maximum likelihood over the structured family, certified.
 
     Runs ``config.restarts`` random initializations, each optimized with
-    L-BFGS-B under the squared-hinge dominance penalty whose weight is raised
-    until the free-row margins pass.  The lowest NLL wins, with ties broken
-    by the smaller norm of the optimizer vector, slack included.  The fit is
-    feasible when the fitted model gives no allowed state a probability
-    below -1e-12; the margins are reported but do not decide it.
+    L-BFGS-B over the allowed-state table, whose NLL is finite only where
+    every allowed state has a positive probability (see the module
+    docstring).  The lowest NLL wins, with ties broken by the smaller norm
+    of the optimizer vector.  The fit is feasible when the fitted model
+    gives no allowed state a probability below -1e-12.  A start still not
+    certified after MAX_HALVINGS halvings stays where it is, and the fit
+    reports it as it stands.
     """
     config = config or FitConfig()
     counts = data if isinstance(data, StateCounts) else state_counts(schema, data)
-    allowed_table(schema)  # the state cap fails before any optimizing
+    plan = _table_plan(schema, counts)  # the state cap fails before any optimizing
     a = config.a
     mean_emp, _, corr_emp = empirical_moments(schema, counts)
     warn: list[str] = []
-    packer = _Packer(schema, a)
-    plan = _state_plan(schema, counts)
-    x0 = np.zeros(len(packer.bounds))  # rho = logit(1/2) and C - I are zero
+    unseen = plan.bit_counts == 0  # the bits no observed state ends on
+    packer = _Packer(schema, a, unseen)
+    x0 = np.zeros(len(packer.bounds))  # rho = logit(1/2) is zero
     # the empty head keeps np.concatenate defined for a schema with no variables
     x0[: schema.q] = np.concatenate([np.zeros(0), *_initial_b(schema, counts, warn)])
-    i, _, l, _ = packer.cuts  # the w rows, then V, lie in x[i:l]
+    i, j, l = packer.cuts  # the w rows lie in x[i:j], V in x[j:l]
+
+    def nll_at(x: np.ndarray) -> float:
+        return _likelihood(schema, *packer.unpack(x), plan, gradient=False)[0]
 
     def start(rng: np.random.Generator) -> np.ndarray:
         x = x0.copy()
         x[i:l] = rng.normal(0.0, INIT_SCALE, l - i)
+        x[j:l].reshape(schema.q, a)[unseen] = 0.0
+        for _ in range(MAX_HALVINGS):
+            if np.isfinite(nll_at(x)):
+                break
+            x[i:l] *= 0.5
         return x
 
-    def solve(x: np.ndarray, mu: float) -> OptimizeResult:
+    def solve(x: np.ndarray, _: float) -> OptimizeResult:
         import scipy.optimize  # only the fits need it; read commands load faster without
 
         return scipy.optimize.minimize(
-            _penalized_objective,
+            _objective,
             x,
-            args=(mu, packer, plan),
+            args=(nll_at(x), packer, plan),
             method="L-BFGS-B",
             jac=True,
             bounds=packer.bounds,
@@ -820,21 +791,17 @@ def fit_grassmann(
                      "ftol": 1e-14},
         )
 
-    def constraint_met(x: np.ndarray) -> bool:
-        b, w, V, _, C = packer.unpack(x)
-        return dominance_penalty(schema, b, w, V, C, 1.0)[0] == 0.0
-
     def key(x: np.ndarray) -> tuple[float, float]:
-        nll = _likelihood(schema, *packer.unpack(x)[:4], plan, gradient=False)[0]
+        nll = nll_at(x)
         return nll, float(np.linalg.norm(x))
 
+    # no penalty: the ramp check always passes, so each restart runs one ramp
     (nll, _), x, success, iterations = _penalized_fit(
-        config.seed, config.restarts, MU0, start, solve, constraint_met, key,
+        config.seed, config.restarts, 0.0, start, solve, lambda x: True, key,
     )
-    b, w, V, omega, C = packer.unpack(x)
+    b, w, V, omega = packer.unpack(x)
     sp_fit = StructuredParams(tuple(b[s:e] for s, e in schema.blocks), tuple(w), V, omega)
     params = assemble_lambda(schema, sp_fit)
-    report = dominance_certificate(schema, sp_fit, C)
     mean_model, cov_model = moments(params)
     corr_model = _correlation(cov_model)
     p0_min = float(_allowed_state_probabilities(schema, sp_fit).min())
@@ -849,9 +816,6 @@ def fit_grassmann(
         iterations=iterations,
         converged=success and feasible,
         feasible=feasible,
-        worst_margin_b=report.worst_b_free,
-        worst_margin_b_raw=report.worst_b_raw,
-        worst_margin_c=report.worst_c,
         params=sp_fit,
         mean_model=mean_model,
         mean_empirical=mean_emp,

@@ -8,8 +8,8 @@ The on-disk document is
 with a fixed key order and strict parsing: unknown fields anywhere are
 rejected.  Serialization is canonical (two-space indent, LF), so
 parse -> serialize reproduces the input byte for byte.  The one exception
-is ``params.C`` of a grassmann model, the fit's slack matrix, which older
-files carry: it is shape-checked, then dropped.
+is ``params.C`` of a grassmann model, the slack matrix that older fits
+stored: it is shape-checked, then dropped.
 """
 
 from __future__ import annotations

@@ -214,11 +214,10 @@ class BlockMaps:
     K and the (q, a) loading matrix W of the structured parametrization,
     built once per schema (``VariableSchema.block_maps``).
 
-    ``sizes`` are the block sizes, ``starts`` the blocks' first bits, and
+    ``sizes`` are the block sizes, and
     ``ordinal`` flags the ordinal variables as a (variables, 1) column.
-    ``var[r]`` is the variable of bit r, ``pad_dst[r]`` its flat index in a
-    (variables, ``width``) array with one zero-padded block per row, and
-    ``first_dst[r]`` the flat index in K of its entry in its block's first row.
+    ``var[r]`` is the variable of bit r, and ``pad_dst[r]`` its flat index in
+    a (variables, ``width``) array with one zero-padded block per row.
     A bit *carries* its variable's row of K and its w in W if it is in a
     categorical block or first in an ordinal one.  ``w_src[r]`` is the
     variable whose w bit r carries, or the variable count if none.
@@ -229,10 +228,8 @@ class BlockMaps:
 
     sizes: tuple[int, ...]
     width: int
-    starts: np.ndarray
     var: np.ndarray
     pad_dst: np.ndarray
-    first_dst: np.ndarray
     ordinal: np.ndarray
     w_src: np.ndarray
     k_dst: np.ndarray
@@ -249,7 +246,6 @@ class BlockMaps:
         ordinal = [v.kind is VariableKind.ORDINAL for v in schema.variables]
         var: list[int] = []
         pad_dst: list[int] = []
-        first_dst: list[int] = []
         w_src: list[int] = []
         k_dst: list[int] = []
         k_src: list[int] = []
@@ -257,7 +253,6 @@ class BlockMaps:
         for j, (s, e) in enumerate(schema.blocks):
             var.extend([j] * (e - s))
             pad_dst.extend(range(j * width, j * width + e - s))
-            first_dst.extend(range(s * q + s, s * q + e))
             carrying = range(s, s + 1) if ordinal[j] else range(s, e)
             for r in carrying:
                 k_dst.extend(range(r * q + s, r * q + e))
@@ -268,10 +263,8 @@ class BlockMaps:
         return cls(
             sizes=sizes,
             width=width,
-            starts=np.array([s for s, _ in schema.blocks], dtype=int),
             var=np.array(var, dtype=int),
             pad_dst=np.array(pad_dst, dtype=int),
-            first_dst=np.array(first_dst, dtype=int),
             ordinal=np.array(ordinal, dtype=bool).reshape(k, 1),
             w_src=np.array(w_src, dtype=int),
             k_dst=np.array(k_dst, dtype=int),

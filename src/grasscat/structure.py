@@ -16,31 +16,18 @@ where K is block diagonal over the schema's variable blocks:
 W repeats a per-variable length-a row across categorical blocks and places it
 only on the first row of ordinal blocks, which preserves both zero patterns
 under the low-rank update.  The model is (b, w, V, omega); nothing else
-enters lam.  The dominance conditions pair a slack matrix C (strictly row
-dominant) with row dominance of B = M C, where M is the middle factor
-[[K + W V^T, -W], [-V^T, I]].  C is not a model parameter: the fit's
-dominance penalty optimizes it and passes it to :func:`dominance_certificate`.
-
-Row diagonal dominance of B is structurally unattainable on the repeated rows
-of categorical blocks and on the subdiagonal rows of ordinal blocks (those
-rows of M are forced and cannot be dominated for any C).  The dominance check
-here therefore scores the free rows only: the first row of every block plus
-the auxiliary rows.  Raw margins for all rows are still reported.  This
-free-row check is a penalty target, not a positivity certificate: parameters
-that pass it can still give an allowed state a negative probability.  The
-exhaustive check on the extended (q + a) matrix is a rigorous alternative,
-``check_p0(GrassmannParams.from_lambda(extended_lambda(schema, sp)))``:
-validity of the extended distribution implies validity of its observed
-marginal.  :func:`assemble_lambda` runs neither check.
+enters lam.  It is valid when every allowed state has a nonnegative
+probability; the fit certifies that on the allowed-state table
+(:mod:`grasscat.fit`).  An independent check works on the extended (q + a)
+parameter, ``check_p0(GrassmannParams.from_lambda(extended_lambda(schema,
+sp)))``: validity of the extended distribution implies validity of its
+observed marginal.  :func:`assemble_lambda` runs neither check.
 
 Parameters are checked once, where they are read: the public builders
 check their input, and :func:`flat_params` is the one check of a whole
 (b, w, V, omega), finiteness included, which every path from a
 StructuredParams runs; what overflows later meets the one probability rule,
-:func:`grassmann._probabilities`.  The fit's objective reads views of its
-optimizer vector, whose layout fixes the shapes, through the unchecked
-e^beta of K's first rows (:func:`_block_exps`) and the unchecked middle
-factor.
+:func:`grassmann._probabilities`.
 """
 
 from __future__ import annotations
@@ -54,7 +41,6 @@ from .grassmann import GrassmannParams, _freeze
 from .schema import VariableSchema
 
 OMEGA_EPS = 1e-6
-TAU_C = 1e-8
 
 
 @dataclass(frozen=True)
@@ -180,15 +166,9 @@ def _aux_loading(schema: VariableSchema, w: np.ndarray) -> np.ndarray:
     return rows.take(schema.block_maps.w_src, axis=0)
 
 
-def middle_factor(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
-    """The (q+a, q+a) factor [[K + W V^T, -W], [-V^T, I]] of the dominance
-    conditions.  Note omega does not appear."""
-    b, w, V, _ = flat_params(schema, sp)
-    return _middle(_quasi_diagonal(schema, b), _aux_loading(schema, w), V)
-
-
 def _middle(K: np.ndarray, W: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """The middle factor from K, W and V, unchecked."""
+    """The middle factor [[K + W V^T, -W], [-V^T, I]] from K, W and V,
+    unchecked; omega does not appear."""
     q, a = V.shape
     M = np.zeros((q + a, q + a))
     M[:q, :q] = K + W @ V.T
@@ -198,69 +178,6 @@ def _middle(K: np.ndarray, W: np.ndarray, V: np.ndarray) -> np.ndarray:
     return M
 
 
-def row_margins(mat: np.ndarray) -> np.ndarray:
-    """Per-row dominance margins |m_kk| - sum_{l != k} |m_kl|."""
-    d = np.abs(np.diag(mat))
-    return 2.0 * d - np.abs(mat).sum(axis=1)
-
-
-def free_row_indices(schema: VariableSchema, a: int) -> np.ndarray:
-    """Rows of B whose dominance is structurally attainable: the first row of
-    each variable block plus all auxiliary rows."""
-    return np.concatenate([schema.block_maps.starts, np.arange(schema.q, schema.q + a)])
-
-
-@dataclass(frozen=True)
-class DominanceReport:
-    """Row-dominance margins for B and C.
-
-    ``margins_b`` and ``margins_c`` cover every row.  ``free_rows`` lists the
-    structurally attainable rows of B; ``passed`` scores those rows only,
-    while ``passed_raw`` applies the unrestricted condition (attainable only
-    for schemas whose blocks are all of size one).  ``passed`` is a penalty
-    target, not a positivity certificate: see the module docstring.
-    """
-
-    margins_b: np.ndarray
-    margins_c: np.ndarray
-    free_rows: np.ndarray
-
-    @property
-    def worst_b_free(self) -> float:
-        return float(self.margins_b[self.free_rows].min())
-
-    @property
-    def worst_b_raw(self) -> float:
-        return float(self.margins_b.min())
-
-    @property
-    def worst_c(self) -> float:
-        return float(self.margins_c.min())
-
-    @property
-    def passed(self) -> bool:
-        return self.worst_b_free >= 0.0 and self.worst_c >= TAU_C
-
-    @property
-    def passed_raw(self) -> bool:
-        return self.worst_b_raw >= 0.0 and self.worst_c >= TAU_C
-
-
-def dominance_certificate(
-    schema: VariableSchema, sp: StructuredParams, C: np.ndarray
-) -> DominanceReport:
-    """Margins of B = M C and of the (q + a, q + a) slack C, plus pass flags."""
-    M = middle_factor(schema, sp)  # checks sp before anything reads sp.a
-    n = schema.q + sp.a
-    if C.shape != (n, n):
-        raise SchemaError(f"C has shape {C.shape}, expected ({n}, {n})")
-    return DominanceReport(
-        margins_b=row_margins(M @ C),
-        margins_c=row_margins(C),
-        free_rows=free_row_indices(schema, sp.a),
-    )
-
-
 def extended_lambda(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
     """The (q+a, q+a) parameter over observed plus auxiliary bits.
 
@@ -268,13 +185,13 @@ def extended_lambda(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
     full parameter whose observed marginal is the assembled one; its validity
     implies validity of the marginal.
     """
-    M = middle_factor(schema, sp)  # checks sp before anything reads sp.a
-    q, a = schema.q, sp.a
-    s = np.sqrt(1.0 / sp.omega - 1.0)
-    full = M.copy()
+    b, w, V, omega = flat_params(schema, sp)  # checks sp before anything reads sp.a
+    full = _middle(_quasi_diagonal(schema, b), _aux_loading(schema, w), V)
+    q, a = V.shape
+    s = np.sqrt(1.0 / omega - 1.0)
     full[:q, q:] *= s[None, :]
     full[q:, :q] *= s[:, None]
-    full[q:, q:] = np.diag(1.0 / sp.omega - 1.0)
+    full[q:, q:] = np.diag(1.0 / omega - 1.0)
     return np.eye(q + a) + full
 
 

@@ -8,7 +8,7 @@ Two families of valid parameters are used throughout:
   binary distributions.
 
 * ``random_certified_structured`` draws structured parameters and keeps a
-  draw when (a) the free-row dominance margins pass with slack C = I and
+  draw when (a) the free-row dominance margins of the middle factor pass and
   (b) the extended (q + a) parameter passes the exhaustive positivity check.
   Validity of the extended distribution implies validity of its observed
   marginal, so the generator never relies on enumerating the observed state
@@ -23,8 +23,9 @@ from grasscat.grassmann import GrassmannParams, check_p0
 from grasscat.schema import VariableDecl, VariableKind, VariableSchema
 from grasscat.structure import (
     StructuredParams,
-    dominance_certificate,
+    aux_loading_matrix,
     extended_lambda,
+    quasi_diagonal_blocks,
 )
 
 CAT = VariableKind.CATEGORICAL
@@ -114,6 +115,23 @@ def dominance_friendly_b(rng: np.random.Generator, schema: VariableSchema):
     return tuple(out)
 
 
+def _worst_free_row_margin(schema: VariableSchema, sp: StructuredParams) -> float:
+    """The least dominance margin 2|m_kk| - sum_l |m_kl| over the free rows
+    of the middle factor M = [[K + W V^T, -W], [-V^T, I]]: the first row of
+    each block and the auxiliary rows.  This is the margin of B = M C at
+    slack C = I; a draw filter only, since it does not certify positivity."""
+    q, a = schema.q, sp.a
+    M = np.zeros((q + a, q + a))
+    W = aux_loading_matrix(schema, sp.w, a)
+    M[:q, :q] = quasi_diagonal_blocks(schema, sp.b) + W @ sp.V.T
+    M[:q, q:] = -W
+    M[q:, :q] = -sp.V.T
+    M[q:, q:] = np.eye(a)
+    free = np.concatenate([[s for s, _ in schema.blocks], np.arange(q, q + a)]).astype(int)
+    A = np.abs(M[free])
+    return float((2.0 * A[np.arange(len(free)), free] - A.sum(axis=1)).min())
+
+
 def random_certified_structured(
     rng: np.random.Generator,
     schema: VariableSchema,
@@ -121,7 +139,7 @@ def random_certified_structured(
     max_tries: int = 200,
 ) -> StructuredParams:
     """Rejection-sample structured parameters that pass both the free-row
-    dominance margins (slack C = I) and the extended positivity enumeration."""
+    dominance margins and the extended positivity enumeration."""
     scale = 0.3
     for attempt in range(max_tries):
         sp = StructuredParams(
@@ -130,8 +148,7 @@ def random_certified_structured(
             V=rng.normal(0.0, scale, (schema.q, a)),
             omega=rng.uniform(0.2, 0.8, a),
         )
-        report = dominance_certificate(schema, sp, np.eye(schema.q + a))
-        if report.worst_b_free < 0.0:
+        if _worst_free_row_margin(schema, sp) < 0.0:
             scale *= 0.9
             continue
         ext = GrassmannParams.from_lambda(extended_lambda(schema, sp))

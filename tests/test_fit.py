@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from grasscat.errors import DataError, InvalidStateError, ParameterError, SchemaError
 from grasscat.fit import (
     B_CAP,
-    MU0,
+    INIT_SCALE,
     FitConfig,
     FitGradient,
     StateCounts,
@@ -23,9 +23,8 @@ from grasscat.fit import (
     _allowed_state_probabilities,
     _ends,
     _gauss_jordan,
-    _penalized_objective,
-    _state_plan,
-    dominance_penalty,
+    _objective,
+    _table_plan,
 )
 from grasscat.grassmann import GrassmannParams, state_probabilities
 from grasscat.oracle import brute_force_table
@@ -40,21 +39,16 @@ from grasscat.schema import (
     table_rows,
 )
 from grasscat.structure import (
-    TAU_C,
     StructuredParams,
     assemble_lambda,
     aux_loading_matrix,
-    dominance_certificate,
-    free_row_indices,
-    middle_factor,
+    extended_lambda,
     ordinal_pmf,
-    row_margins,
 )
 
 from generators import (
     CAT,
     ORD,
-    dominance_friendly_b,
     random_certified_structured,
     random_schema,
     random_structured,
@@ -359,6 +353,13 @@ def _assert_matches_reference(schema, sp, counts):
     return nll
 
 
+def _objective_parts(schema, counts, a):
+    """The packer and the allowed-state table plan of fit_grassmann's
+    objective on ``counts``."""
+    plan = _table_plan(schema, counts)
+    return _Packer(schema, a, plan.bit_counts == 0), plan
+
+
 def _one_factor_cat3(diagonal):
     """Cat(3), a = 1, three rows at level 1, with lam[0, 0] = diagonal: the
     observed minor lam[0, 0] - 1 = 1 + w / 2 is zero at diagonal 1 and
@@ -460,19 +461,17 @@ class TestBatchedKernelIsExact:
         schema = reader_style_schema()
         counts = state_counts(schema, np.stack(
             [rng.integers(0, v.levels, 300) for v in schema.variables], axis=1))
-        packer = _Packer(schema, 2)
-        plan = _state_plan(schema, counts)
-        sp = reader_style_true_params()
-        x = packer.pack(sp, np.eye(schema.q + 2))
-        value, grad = _penalized_objective(x, MU0, packer, plan)
-        assert np.isfinite(value)
+        packer, plan = _objective_parts(schema, counts, 2)
+        x = packer.pack(reader_style_true_params())
+        value, grad = _objective(x, 0.0, packer, plan)
+        assert np.isfinite(value) and value != 1.0  # not the wall above f0 = 0
 
         def lapack(*args, **kwargs):
             raise AssertionError("the objective called np.linalg")
 
         for name in ("slogdet", "inv", "det", "solve"):
             monkeypatch.setattr(np.linalg, name, lapack)
-        got_value, got_grad = _penalized_objective(x, MU0, packer, plan)
+        got_value, got_grad = _objective(x, 0.0, packer, plan)
         assert got_value == pytest.approx(value, rel=1e-12, abs=0)
         np.testing.assert_allclose(got_grad, grad, rtol=1e-12, atol=0)
 
@@ -482,45 +481,40 @@ class TestBatchedKernelIsExact:
         import grasscat.fit
 
         schema, sp, counts = q8
-        packer = _Packer(schema, sp.a)
-        plan = _state_plan(schema, counts)
-        x = packer.pack(sp, np.eye(schema.q + sp.a))
-        value, grad = _penalized_objective(x, MU0, packer, plan)
-        assert np.isfinite(value)
+        packer, plan = _objective_parts(schema, counts, sp.a)
+        x = packer.pack(sp)
+        value, grad = _objective(x, 0.0, packer, plan)
+        assert np.isfinite(value) and value != 1.0
 
         def typed(*args, **kwargs):
             raise AssertionError("the objective built a typed parameter object")
 
         monkeypatch.setattr(grasscat.fit, "StructuredParams", typed)
         monkeypatch.setattr(grasscat.fit, "FitGradient", typed)
-        got_value, got_grad = _penalized_objective(x, MU0, packer, plan)
+        got_value, got_grad = _objective(x, 0.0, packer, plan)
         assert got_value == value
         np.testing.assert_array_equal(got_grad, grad)
 
     @pytest.mark.parametrize("a", [0, 1, 2])
     def test_packed_gradient_matches_finite_differences(self, q8, rng, a):
-        """Central differences of the penalized objective in every coordinate
-        of the packed (b, w, V, rho, E) vector, where both the free-row hinge
-        and the slack hinge are active.  ``fit --latent-aux auto`` starts
+        """Central differences of the fit's objective, the NLL over the
+        allowed-state table, in every coordinate of the packed (b, w, V,
+        rho) vector, at a certified model.  ``fit --latent-aux auto`` starts
         every sweep at a = 0."""
         schema, sp, counts = q8
         if a != sp.a:
             sp = random_certified_structured(rng, schema, a)
-        packer = _Packer(schema, a)
-        plan = _state_plan(schema, counts)
-        C = np.eye(schema.q + a) + rng.normal(0.0, 0.3, (schema.q + a, schema.q + a))
-        x = packer.pack(sp, C)
-        margins = dominance_certificate(schema, sp, C)
-        assert margins.worst_b_free < 0.0 and margins.worst_c < TAU_C
-        value, grad = _penalized_objective(x, 100.0, packer, plan)
-        assert np.isfinite(value)
+        packer, plan = _objective_parts(schema, counts, a)
+        x = packer.pack(sp)
+        value, grad = _objective(x, 0.0, packer, plan)
+        assert value == pytest.approx(negative_log_likelihood(schema, sp, counts), rel=1e-12)
         h = 1e-6
         worst = 0.0
         for i in range(len(x)):
             step = np.zeros_like(x)
             step[i] = h
-            fd = (_penalized_objective(x + step, 100.0, packer, plan)[0]
-                  - _penalized_objective(x - step, 100.0, packer, plan)[0]) / (2 * h)
+            fd = (_objective(x + step, 0.0, packer, plan)[0]
+                  - _objective(x - step, 0.0, packer, plan)[0]) / (2 * h)
             worst = max(worst, abs(fd - grad[i]) / max(1.0, abs(fd)))
         assert worst <= 1e-5
 
@@ -644,41 +638,7 @@ class TestGradient:
         assert worst <= 1e-5
 
 
-def _margin_grad_rows(mat, coeff):
-    """Gradient of sum_k coeff_k * margin_k(mat) with margin = 2|d| - row sum."""
-    G = -np.sign(mat) * coeff[:, None]
-    diag = np.diag(G).copy() + 2.0 * np.sign(np.diag(mat)) * coeff
-    np.fill_diagonal(G, diag)
-    return G
-
-
-def _reference_penalty(schema, b, w, V, C, mu):
-    """The full-matrix dominance penalty the free-row one replaced: it builds
-    the whole middle factor M, takes the margins of every row of B = M C and
-    chains the gradient through per-variable loops."""
-    q, a = V.shape
-    sp = StructuredParams(tuple(b[s:e] for s, e in schema.blocks), tuple(w), V, np.full(a, 0.5))
-    W = aux_loading_matrix(schema, sp.w, a)
-    M = middle_factor(schema, sp)
-    B = M @ C
-    free = free_row_indices(schema, a)
-    mb = row_margins(B)
-    mc = row_margins(C)
-    viol_b = np.zeros_like(mb)
-    viol_b[free] = np.maximum(0.0, -mb[free])
-    viol_c = np.maximum(0.0, TAU_C - mc)
-    value = mu * float((viol_b**2).sum() + (viol_c**2).sum())
-    G_B = _margin_grad_rows(B, -2.0 * mu * viol_b)
-    G_C = _margin_grad_rows(C, -2.0 * mu * viol_c)
-    G_M = G_B @ C.T
-    G_C = G_C + M.T @ G_B
-    g_b = _chain_b(schema, sp.b, G_M[:q, :q])
-    g_w = _reduce_w(schema, G_M[:q, :q] @ V - G_M[:q, q:])
-    g_V = G_M[:q, :q].T @ W - G_M[q:, :q].T
-    return value, np.concatenate([*g_b, *g_w, g_V.ravel()]), G_C
-
-
-def _penalty_schema(rng):
+def _small_schema(rng):
     """One to five variables of either kind with 2 to 5 levels; Cat(2) and
     Ord(2) give blocks of one bit."""
     kinds = [CAT, ORD]
@@ -687,141 +647,10 @@ def _penalty_schema(rng):
     return VariableSchema(decls)
 
 
-def _penalty_point(rng, schema, a, passing):
-    """(b laid end to end, (variables, a) w rows, V, C): dominant first
-    rows, a weak coupling and C = I plus a little noise when ``passing``,
-    else everything at unit scale, with C = I plus large noise and a zero
-    on its diagonal."""
-    q, n = schema.q, schema.q + a
-    if passing:
-        b = np.concatenate(dominance_friendly_b(rng, schema))
-        scale, noise = 1e-3, 1e-4
-    else:
-        b = rng.normal(0.0, 1.0, q)
-        scale, noise = 1.0, 0.5
-    w = rng.normal(0.0, scale, (len(schema), a))
-    V = rng.normal(0.0, scale, (q, a))
-    C = np.eye(n) + rng.normal(0.0, noise, (n, n))
-    if not passing:
-        r = rng.integers(n)
-        C[r, r] = 0.0  # fails row r of C
-    return b, w, V, C
-
-
-def _certificate(schema, b, w, V, C):
-    sp = StructuredParams(tuple(b[s:e] for s, e in schema.blocks), tuple(w), V,
-                          np.full(V.shape[1], 0.5))
-    return dominance_certificate(schema, sp, C)
-
-
-class TestDominancePenalty:
-    """The penalty builds only M's free rows and no per-variable loop; it
-    returns the bits of the full-matrix penalty and vanishes exactly where
-    the dominance certificate passes."""
-
-    @pytest.mark.parametrize("a", [0, 1, 2, 3])
-    def test_matches_the_full_matrix_penalty_bit_for_bit(self, rng, a):
-        kinds = set()
-        for draw in range(60):
-            passing = draw % 3 == 0
-            while True:  # until a free row of B fails, as a 1 x 1 B never does
-                schema = _penalty_schema(rng)
-                b, w, V, C = _penalty_point(rng, schema, a, passing)
-                report = _certificate(schema, b, w, V, C)
-                if passing or report.worst_b_free < 0.0:
-                    break
-            assert report.passed if passing else report.worst_c < TAU_C
-            kinds.update((v.kind, v.block_size == 1) for v in schema.variables)
-            mu = float(10.0 ** rng.integers(0, 4))
-            value, grad, grad_c = dominance_penalty(schema, b, w, V, C, mu)
-            want_value, want_grad, want_c = _reference_penalty(schema, b, w, V, C, mu)
-            assert value == want_value
-            np.testing.assert_array_equal(grad, want_grad)
-            np.testing.assert_array_equal(grad_c, want_c)
-            assert (value == 0.0) == passing
-            if passing:
-                assert not grad.any() and not grad_c.any()
-        assert kinds == {(CAT, True), (CAT, False), (ORD, True), (ORD, False)}
-
-    @pytest.mark.parametrize("a", [0, 1, 2])
-    def test_vanishes_exactly_where_the_certificate_passes(self, rng, a):
-        outcomes = []
-        for _ in range(200):
-            schema = _penalty_schema(rng)
-            b, w, V, C = _penalty_point(rng, schema, a, passing=True)
-            t = rng.uniform(0.0, 4.5)  # from the passing point toward failing ones
-            w, V, C = w * 10.0**t, V * 10.0**t, np.eye(len(C)) + (C - np.eye(len(C))) * 10.0**t
-            passed = _certificate(schema, b, w, V, C).passed
-            assert (dominance_penalty(schema, b, w, V, C, 10.0)[0] == 0.0) == passed
-            outcomes.append(passed)
-        assert 40 <= sum(outcomes) <= 160, sum(outcomes)
-
-    @staticmethod
-    def _straddle(schema, point, lo, hi):
-        """Bisect the scalar t of ``point(t)`` down to the two adjacent
-        doubles where the certificate flips, from ``lo`` (fails) to ``hi``
-        (passes), and check that the penalty vanishes on the passing side
-        only."""
-        passes = lambda t: _certificate(schema, *point(t)).passed
-        assert not passes(lo) and passes(hi)
-        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-            lo, hi = (lo, mid) if passes(mid) else (mid, hi)
-        assert np.nextafter(lo, hi) == hi
-        assert dominance_penalty(schema, *point(lo), 1.0)[0] > 0.0
-        assert dominance_penalty(schema, *point(hi), 1.0)[0] == 0.0
-
-    @pytest.mark.parametrize("a", [0, 1, 2])
-    def test_agrees_on_both_sides_of_the_free_row_boundary(self, rng, a):
-        """The lead logit of one variable moves its free row of B across a
-        zero margin, with C = I."""
-        checked = 0
-        while checked < 10:
-            schema = _penalty_schema(rng)
-            b, w, V, _ = _penalty_point(rng, schema, a, passing=True)
-            w, V = w * 300.0, V * 300.0  # a coupling that a low lead cannot dominate
-            C = np.eye(schema.q + a)
-            s = schema.blocks[rng.integers(len(schema))][0]
-
-            def point(t):
-                moved = b.copy()
-                moved[s] = t
-                return moved, w, V, C
-
-            if _certificate(schema, *point(-6.0)).passed or not _certificate(
-                    schema, *point(6.0)).passed:
-                continue  # the row passes at both ends, or another row fails
-            self._straddle(schema, point, -6.0, 6.0)
-            checked += 1
-
-    @pytest.mark.parametrize("a", [0, 1, 2])
-    def test_agrees_on_both_sides_of_the_slack_threshold(self, rng, a):
-        """The diagonal entry of a row of C whose other entries are tiny
-        moves that row's margin across TAU_C.  The row is not a free row of
-        B, so B's free rows keep passing."""
-        checked = 0
-        while checked < 10:
-            schema = _penalty_schema(rng)
-            rows = np.setdiff1d(np.arange(schema.q), free_row_indices(schema, a))
-            if not rows.size:
-                continue  # every block has one bit
-            b, w, V, C = _penalty_point(rng, schema, a, passing=True)
-            r = rng.choice(rows)
-            tiny = rng.normal(0.0, 1e-9, len(C))
-
-            def point(t):
-                moved = C.copy()
-                moved[r] = tiny
-                moved[r, r] = t
-                return b, w, V, moved
-
-            self._straddle(schema, point, 0.0, 1.0)
-            checked += 1
-
-
 def _dominance_counterexample(pad: int) -> tuple[VariableSchema, StructuredParams]:
-    """An Ord(4), a = 1 model whose free-row margins pass (worst 0.1038) while
-    allowed state (1, 1, 1) has probability -6.319e-3, followed by ``pad``
-    uncoupled Cat(2) variables, which leave the margins unchanged and scale
+    """An Ord(4), a = 1 model whose free-row dominance margins pass (worst
+    0.1038, with slack C = I) while allowed state (1, 1, 1) has probability
+    -6.319e-3, followed by ``pad`` uncoupled Cat(2) variables, which scale
     that probability by 2**-pad."""
     schema = VariableSchema(
         [VariableDecl("x", ORD, 4)] + [VariableDecl(f"z{i}", CAT, 2) for i in range(pad)]
@@ -882,25 +711,7 @@ class TestFit:
         rows = sample_rows_from_probs(rng, schema, states, probs, 300)
         report = fit_grassmann(schema, rows, FitConfig(a=1, restarts=1, seed=5))
         assert report.feasible == (report.p0_min >= -1e-12)
-        assert np.isfinite([report.worst_margin_b, report.worst_margin_c]).all()
-
-    def test_failed_margins_do_not_make_a_fit_infeasible(self, monkeypatch):
-        import grasscat.fit
-        from grasscat.structure import DominanceReport
-
-        class Failed(DominanceReport):
-            passed = False
-
-        real = grasscat.fit.dominance_certificate
-        monkeypatch.setattr(
-            grasscat.fit, "dominance_certificate", lambda *args: Failed(**vars(real(*args)))
-        )
-        schema = VariableSchema([VariableDecl("x", CAT, 3)])
-        rows = [Record((0,))] * 25 + [Record((1,))] * 35 + [Record((2,))] * 40
-        report = fit_grassmann(schema, rows, FitConfig(a=0, restarts=1, seed=0))
-        assert report.p0_min >= -1e-12
-        assert report.feasible
-        assert report.converged
+        assert report.feasible and np.isfinite(report.nll)
 
     def test_negative_state_probability_is_not_feasible(self, monkeypatch):
         import grasscat.fit
@@ -920,7 +731,6 @@ class TestFit:
         assert not report.feasible
         assert not report.converged
         assert any("p0_min" in w for w in report.warnings)
-        assert report.worst_margin_b >= 0.0  # the dominance margins alone pass
 
     def test_adjacent_unobserved_ordinal_levels_start_at_zero_logit(self):
         # log(0) - log(0) is nan: the start maps it to 0 without a RuntimeWarning
@@ -948,22 +758,26 @@ class TestFit:
         lam_space = state_probabilities(params, allowed_table(schema)[0]).min()
         assert report.p0_min == pytest.approx(lam_space, rel=1e-12, abs=1e-15)
 
-    def test_dominance_margins_do_not_certify_positivity(self):
-        schema, sp = _dominance_counterexample(pad=0)
-        report = dominance_certificate(schema, sp, np.eye(schema.q + 1))
-        assert report.passed
-        assert report.worst_b_free == pytest.approx(0.1038, abs=1e-4)
+    def test_rows_near_the_dominance_counterexample_give_a_certified_fit(self, rng):
+        """The counterexample's table, its negative state clipped to 0, so
+        that level 3 goes unobserved: the fit is certified."""
+        schema, sp = _dominance_counterexample(pad=1)
         params = assemble_lambda(schema, sp)
-        assert joint_probability(params, [1, 1, 1]) == pytest.approx(-6.319e-3, abs=1e-6)
+        states = enumerate_allowed_states(schema)
+        probs = [joint_probability(params, s.bits) for s in states]
+        assert min(probs) == pytest.approx(-6.319e-3 / 2, abs=1e-6)
+        rows = sample_rows_from_probs(rng, schema, states, probs, 500)
+        for a in (1, 2):
+            report = fit_grassmann(schema, rows, FitConfig(a=a, seed=0))
+            assert report.feasible and report.p0_min >= -1e-12
+            assert np.isfinite(report.nll)
 
     def test_uncertified_fit_above_q14_is_not_feasible(self, monkeypatch):
         import grasscat.fit
 
         schema, sp = _dominance_counterexample(pad=12)
         assert schema.q == 15
-        C = np.eye(schema.q + 1)
-        assert dominance_certificate(schema, sp, C).worst_b_free == pytest.approx(0.1038, abs=1e-4)
-        fitted = ((0.0, 0.0), grasscat.fit._Packer(schema, 1).pack(sp, C), True, 0)
+        fitted = ((0.0, 0.0), _Packer(schema, 1, np.zeros(schema.q, bool)).pack(sp), True, 0)
         monkeypatch.setattr(grasscat.fit, "_penalized_fit", lambda *args: fitted)
         rows = [Record((0,) * len(schema))] * 10
         report = fit_grassmann(schema, rows, FitConfig(a=1, restarts=1, seed=0))
@@ -973,12 +787,13 @@ class TestFit:
         assert any("p0_min" in w for w in report.warnings)
 
     def test_plan_is_built_once_per_fit(self, monkeypatch):
+        """One allowed-state table plan per fit, whatever the restarts."""
         import grasscat.fit
 
         calls = []
-        build = grasscat.fit._state_plan
+        build = grasscat.fit._table_plan
         monkeypatch.setattr(
-            grasscat.fit, "_state_plan", lambda *args: calls.append(args) or build(*args)
+            grasscat.fit, "_table_plan", lambda *args: calls.append(args) or build(*args)
         )
         schema = VariableSchema([VariableDecl("x", CAT, 3), VariableDecl("y", ORD, 3)])
         rows = [Record((i % 3, i % 7 % 3)) for i in range(60)]
@@ -1014,11 +829,10 @@ class TestEmpiricalMoments:
 
 
 class TestMonotoneDescent:
-    def test_penalized_objective_never_increases_across_iterates(self, rng):
+    def test_objective_never_increases_across_iterates(self, rng):
         import scipy.optimize
 
-        from grasscat.fit import _Packer, _initial_b, _penalized_objective, _state_plan
-        from grasscat.structure import StructuredParams
+        from grasscat.fit import _initial_b
 
         schema = reader_style_schema()
         truth = assemble_lambda(schema, reader_style_true_params())
@@ -1026,7 +840,7 @@ class TestMonotoneDescent:
         probs = [joint_probability(truth, s.bits) for s in states]
         rows = sample_rows_from_probs(rng, schema, states, probs, 250)
         counts = state_counts(schema, rows)
-        packer = _Packer(schema, 2)
+        packer, plan = _objective_parts(schema, counts, 2)
         b0 = _initial_b(schema, counts, [])
         sp0 = StructuredParams(
             b=tuple(np.asarray(v) for v in b0),
@@ -1034,11 +848,12 @@ class TestMonotoneDescent:
             V=rng.normal(0, 0.1, (schema.q, 2)),
             omega=np.full(2, 0.5),
         )
-        mu = 10.0
-        plan = _state_plan(schema, counts)
+        x0 = packer.pack(sp0)
+        f0 = _objective(x0, 0.0, packer, plan)[0]
+        assert np.isfinite(f0)
 
         def objective(x):
-            return _penalized_objective(x, mu, packer, plan)
+            return _objective(x, f0, packer, plan)
 
         values = []
 
@@ -1047,7 +862,7 @@ class TestMonotoneDescent:
 
         scipy.optimize.minimize(
             objective,
-            packer.pack(sp0, np.eye(schema.q + 2)),
+            x0,
             method="L-BFGS-B",
             jac=True,
             callback=cb,
@@ -1055,8 +870,8 @@ class TestMonotoneDescent:
             options={"maxiter": 150, "ftol": 1e-14},
         )
         assert len(values) > 3
-        diffs = np.diff(np.asarray(values))
-        assert (diffs <= 1e-9 * np.maximum(1.0, np.abs(values[:-1]))).all()
+        diffs = np.diff(np.asarray([f0, *values]))
+        assert (diffs <= 1e-9 * np.maximum(1.0, np.abs([f0, *values[:-1]]))).all()
 
 
 class TestAllowedStateTable:
@@ -1345,7 +1160,7 @@ class TestOneCheckOneRule:
             nll_gradient(schema, sp, counts)
 
     @pytest.mark.parametrize("call", ["assemble_lambda", "negative_log_likelihood",
-                                      "dominance_certificate"])
+                                      "extended_lambda"])
     def test_a_nan_b_raises_the_one_message(self, call):
         schema, sp = self._model((np.nan, 0.0), (1.0, 1.0))
         sp = StructuredParams(sp.b, sp.w, np.full((2, 1), 0.5), sp.omega)
@@ -1353,7 +1168,7 @@ class TestOneCheckOneRule:
             "assemble_lambda": lambda: assemble_lambda(schema, sp),
             "negative_log_likelihood": lambda: negative_log_likelihood(
                 schema, sp, state_counts(schema, [(1, 0)])),
-            "dominance_certificate": lambda: dominance_certificate(schema, sp, np.eye(3)),
+            "extended_lambda": lambda: extended_lambda(schema, sp),
         }[call]
         with pytest.raises(ParameterError, match="^parameters contain non-finite entries$"):
             run()
@@ -1423,7 +1238,8 @@ class TestDocumentedRules:
         report = fit_grassmann(schema, rows, FitConfig(a=1, restarts=1, seed=0))
         assert starts[0][1] == -30.0
         assert any("clipped to +-30.0" in w for w in report.warnings)
-        assert _Packer(schema, 1).bounds[: schema.q] == [(-30.0, 30.0)] * schema.q
+        assert _Packer(schema, 1, np.zeros(schema.q, bool)).bounds[: schema.q] == [
+            (-30.0, 30.0)] * schema.q
 
 
 class TestFitConfigSeed:
@@ -1449,22 +1265,27 @@ def _driver_rules(monkeypatch, schema, rows, a):
     to the restart driver, and the packer of their vectors."""
     import grasscat.fit
 
-    captured = {"packer": _Packer(schema, a)}
+    captured = {}
+    build = grasscat.fit._Packer
+
+    def packer(*args):
+        captured["packer"] = build(*args)
+        return captured["packer"]
 
     def capture(seed, restarts, weight0, start, solve, constraint_met, key):
         captured.update(start=start, solve=solve, constraint_met=constraint_met, key=key)
         return (0.0, 0.0), start(np.random.default_rng(seed)), True, 0
 
+    monkeypatch.setattr(grasscat.fit, "_Packer", packer)
     monkeypatch.setattr(grasscat.fit, "_penalized_fit", capture)
     fit_grassmann(schema, rows, FitConfig(a=a, restarts=1, seed=0))
     return captured
 
 
 def _params_at(schema, packer, x):
-    """The model and the slack C at the optimizer vector ``x``."""
-    b, w, V, omega, C = packer.unpack(x)
-    sp = StructuredParams(tuple(b[s:e] for s, e in schema.blocks), tuple(w), V, omega)
-    return sp, C
+    """The model at the optimizer vector ``x``."""
+    b, w, V, omega = packer.unpack(x)
+    return StructuredParams(tuple(b[s:e] for s, e in schema.blocks), tuple(w), V, omega)
 
 
 def _random_rows(rng, schema, n=200):
@@ -1472,135 +1293,191 @@ def _random_rows(rng, schema, n=200):
 
 
 class TestFitDriverRules:
-    """The two rules fit_grassmann gives the restart driver: the restart key
-    is (the NLL, the norm of the optimizer vector), and the ramp stops
-    exactly when the dominance certificate passes."""
+    """The rules fit_grassmann gives the restart driver: the restart key is
+    (the NLL over the allowed-state table, the norm of the optimizer
+    vector), and the ramp check always passes, so one ramp runs."""
 
     def test_one_certificate_and_one_typed_model_per_fit(self, monkeypatch):
-        """Ramps and restarts read the optimizer vector; only the result
-        builds a StructuredParams and asks for the certificate."""
+        """Restarts read the optimizer vector; only the result builds a
+        StructuredParams and scores its allowed states."""
         import grasscat.fit
 
         calls = []
-        for name in ("dominance_certificate", "StructuredParams"):
+        for name in ("_allowed_state_probabilities", "StructuredParams"):
             real = getattr(grasscat.fit, name)
             monkeypatch.setattr(grasscat.fit, name, lambda *args, _real=real, _name=name:
                                 calls.append(_name) or _real(*args))
         schema = VariableSchema([VariableDecl("x", CAT, 3), VariableDecl("y", ORD, 3)])
         rows = [Record((i % 3, i % 7 % 3)) for i in range(60)]
         fit_grassmann(schema, rows, FitConfig(a=1, restarts=2, seed=0, max_iter=50))
-        assert sorted(calls) == ["StructuredParams", "dominance_certificate"]
+        assert sorted(calls) == ["StructuredParams", "_allowed_state_probabilities"]
 
     @pytest.mark.parametrize("a", [0, 1, 2])
     def test_key_is_the_nll_then_the_vector_norm(self, monkeypatch, rng, a):
-        schema = _penalty_schema(rng)
+        """The key's NLL is the observed NLL where every allowed state has a
+        positive probability, and +inf elsewhere."""
+        schema = _small_schema(rng)
         rows = _random_rows(rng, schema)
         rules = _driver_rules(monkeypatch, schema, rows, a)
         packer, counts = rules["packer"], state_counts(schema, rows)
+        assert rules["constraint_met"](rules["start"](rng))
+        finite = 0
         for _ in range(20):
             x = rules["start"](rng)
             x[: schema.q] += rng.normal(0.0, 0.5, schema.q)
-            sp, _ = _params_at(schema, packer, x)
-            assert rules["key"](x) == (
-                negative_log_likelihood(schema, sp, counts), float(np.linalg.norm(x))
-            )
+            x[packer.cuts[0]:packer.cuts[2]] *= 10.0 ** rng.uniform(0.0, 1.5)
+            sp = _params_at(schema, packer, x)
+            certified = _allowed_state_probabilities(schema, sp).min() > 0.0
+            want = negative_log_likelihood(schema, sp, counts) if certified else np.inf
+            nll, norm = rules["key"](x)
+            assert nll == pytest.approx(want, rel=1e-12) and norm == float(np.linalg.norm(x))
+            finite += certified
+        assert 0 < finite < 20 or a == 0
 
     def test_equal_nll_goes_to_the_smaller_norm(self, monkeypatch, rng):
-        """The slack C never enters the likelihood, so moving it changes the
-        norm alone."""
+        """At a = 1, doubling w and halving V leaves every x_r w_r^T and
+        xbar w^T bit for bit, so it changes the norm alone."""
         schema = VariableSchema([VariableDecl("x", CAT, 3), VariableDecl("y", ORD, 3)])
         rows = _random_rows(rng, schema)
         rules = _driver_rules(monkeypatch, schema, rows, 1)
-        _, _, _, m = rules["packer"].cuts
-        small = rules["start"](rng)
-        large = small.copy()
-        large[m:] += rng.normal(0.0, 1.0, len(large) - m)
-        key_small, key_large = rules["key"](small), rules["key"](large)
-        assert key_small[0] == key_large[0]
-        assert key_small < key_large
+        i, j, l = rules["packer"].cuts
+        one = rules["start"](rng)
+        other = one.copy()
+        other[i:j] *= 2.0
+        other[j:l] *= 0.5
+        key_one, key_other = rules["key"](one), rules["key"](other)
+        assert np.isfinite(key_one[0]) and key_one[0] == key_other[0]
+        assert key_one[1] != key_other[1]
+        assert min(key_one, key_other)[1] == min(key_one[1], key_other[1])
 
-    @pytest.mark.parametrize("a", [0, 1, 2])
-    def test_ramp_check_is_the_certificate_on_random_iterates(self, monkeypatch, rng, a):
-        outcomes = []
-        for _ in range(8):
-            schema = _penalty_schema(rng)
-            rows = _random_rows(rng, schema)
-            rules = _driver_rules(monkeypatch, schema, rows, a)
-            packer = rules["packer"]
-            for draw in range(24):
-                b, w, V, C = _penalty_point(rng, schema, a, passing=draw % 2 == 0)
-                sp = StructuredParams(tuple(b[s:e] for s, e in schema.blocks), tuple(w), V,
-                                      rng.uniform(0.1, 0.9, a))
-                x = packer.pack(sp, C)
-                x += rng.normal(0.0, 10.0 ** rng.uniform(-8.0, -2.0), len(x))
-                passed = dominance_certificate(schema, *_params_at(schema, packer, x)).passed
-                assert rules["constraint_met"](x) == passed
-                outcomes.append(passed)
-            # and the iterates of L-BFGS-B runs at the first two weights
-            x = rules["start"](rng)
-            for weight in (10.0, 100.0):
-                x = rules["solve"](x, weight).x
-                passed = dominance_certificate(schema, *_params_at(schema, packer, x)).passed
-                assert rules["constraint_met"](x) == passed
-        assert 0 < sum(outcomes) < len(outcomes)
 
-    @staticmethod
-    def _straddle(schema, packer, constraint_met, point, lo, hi):
-        """Bisect the scalar t of the vector ``point(t)`` down to the two
-        adjacent doubles where the certificate flips, from ``lo`` (fails) to
-        ``hi`` (passes); the ramp check must flip between the same two."""
-        passes = lambda t: dominance_certificate(
-            schema, *_params_at(schema, packer, point(t))).passed
-        assert not passes(lo) and passes(hi)
-        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-            lo, hi = (lo, mid) if passes(mid) else (mid, hi)
-        assert np.nextafter(lo, hi) == hi
-        assert not constraint_met(point(lo))
-        assert constraint_met(point(hi))
 
-    @pytest.mark.parametrize("a", [1, 2])
-    def test_ramp_check_flips_with_the_certificate_at_a_free_row(self, monkeypatch, rng, a):
-        """The lead logit of one variable moves its free row of B across a
-        zero margin, with C = I."""
-        checked = 0
-        while checked < 6:
-            schema = _penalty_schema(rng)
-            rows = _random_rows(rng, schema)
-            rules = _driver_rules(monkeypatch, schema, rows, a)
-            packer = rules["packer"]
-            b, w, V, _ = _penalty_point(rng, schema, a, passing=True)
-            s = schema.blocks[rng.integers(len(schema))][0]
-            sp = StructuredParams(tuple(b[i:e] for i, e in schema.blocks), tuple(w * 300.0),
-                                  V * 300.0, np.full(a, 0.5))
-            base = packer.pack(sp, np.eye(schema.q + a))
 
-            def point(t):
-                x = base.copy()
-                x[s] = t
-                return x
+def _unobserved_level_rows(rng):
+    """Cat(3) + Ord(4) + Cat(2) + Cat(3), 400 rows drawn from a coupled
+    a = 2 model with every allowed state positive, less x's level 2 and
+    y's level 3, which no row takes."""
+    schema = VariableSchema([VariableDecl("x", CAT, 3), VariableDecl("y", ORD, 4),
+                             VariableDecl("z", CAT, 2), VariableDecl("u", CAT, 3)])
+    while True:
+        probs = _allowed_state_probabilities(
+            schema, random_structured(rng, schema, 2, b_scale=0.5, w_scale=1.0))
+        if probs.min() > 0.0:
+            break
+    levels = allowed_table(schema)[1]
+    probs[(levels[:, 0] == 2) | (levels[:, 1] == 3)] = 0.0
+    return schema, levels[rng.choice(len(levels), 400, p=probs / probs.sum())]
 
-            if rules["constraint_met"](point(-6.0)) or not rules["constraint_met"](point(6.0)):
-                continue  # the row passes at both ends, or another row fails
-            self._straddle(schema, packer, rules["constraint_met"], point, -6.0, 6.0)
-            checked += 1
 
-    @pytest.mark.parametrize("a", [1, 2])
-    def test_ramp_check_at_the_smallest_ordinal_diagonal(self, monkeypatch, rng, a):
-        """An Ord(30) with every b at -B_CAP: its free row's diagonal is
-        e^-30 and its later entries underflow.  Scaling the coupling moves
-        that row across a zero margin."""
-        schema = VariableSchema([VariableDecl("o30", ORD, 30)])
-        rows = _random_rows(rng, schema)
+def _rare_level_rows(rng):
+    """Cat(3) + Ord(3) + Cat(2), 1000 rows, x's level 2 in one of them: its
+    e^-beta is about 600, so x = e^-beta omega V is large at a random V."""
+    schema = VariableSchema([VariableDecl("x", CAT, 3), VariableDecl("y", ORD, 3),
+                             VariableDecl("z", CAT, 2)])
+    rows = np.stack([rng.choice(3, 1000, p=[0.6, 0.4, 0.0]), rng.integers(0, 3, 1000),
+                     rng.integers(0, 2, 1000)], axis=1)
+    rows[0, 0] = 2
+    return schema, rows
+
+
+class TestCertifiedObjective:
+    """The fit's objective is the NLL over the allowed-state table: finite
+    exactly where every allowed state is positive, with a finite wall
+    elsewhere; the V rows of unobserved levels stay at 0, and a start that is
+    not certified is halved toward independence."""
+
+    def test_finite_exactly_where_every_allowed_state_is_positive(self, rng):
+        schema = VariableSchema([VariableDecl(f"v{j}", kind, levels)
+                                 for j, (kind, levels) in enumerate(_Q8)])
+        counts = state_counts(schema, _random_rows(rng, schema, 40))
+        walls = 0
+        for a in (1, 2, 3):
+            packer, plan = _objective_parts(schema, counts, a)
+            assert not (plan.bit_counts == 0).any() and plan.rest.shape[1] > 0
+            for _ in range(8):
+                sp = random_structured(rng, schema, a, w_scale=1.0)
+                value, grad = _objective(packer.pack(sp), 0.0, packer, plan)
+                if _allowed_state_probabilities(schema, sp).min() > 0.0:
+                    want = negative_log_likelihood(schema, sp, counts)
+                    assert value == pytest.approx(want, rel=1e-12)
+                else:
+                    assert value == 1.0 and not grad.any()
+                    walls += 1
+        assert 0 < walls < 24
+
+    @pytest.mark.parametrize("f0", [-7.5, 0.0, 1234.5])
+    def test_the_wall_is_finite_above_the_start(self, f0):
+        """A negative observed minor: the NLL is +inf, and the objective
+        returns f0 + 1 + |f0| with a zero gradient."""
+        schema, sp, counts = _one_factor_cat3(0.5)
+        assert negative_log_likelihood(schema, sp, counts) == np.inf
+        packer, plan = _objective_parts(schema, counts, 1)
+        value, grad = _objective(packer.pack(sp), f0, packer, plan)
+        assert value == f0 + 1.0 + abs(f0)
+        assert grad.shape == (len(packer.bounds),) and not grad.any()
+
+    def test_a_negative_state_no_row_takes_is_the_wall(self):
+        """Cat(2) + Cat(2), a = 1, w = 1, omega = 1/2, V = (-1.2, -1.2): det
+        A_s is 1 at (0, 0), 0.4 at (1, 0) and (0, 1), and det Abar is 0.4,
+        so the observed NLL is finite; but (1, 1), which no row takes, has
+        det A_s = -0.2."""
+        schema = VariableSchema([VariableDecl(f"v{j}", CAT, 2) for j in range(2)])
+        sp = StructuredParams((np.zeros(1),) * 2, (np.ones(1),) * 2, np.full((2, 1), -1.2),
+                              np.full(1, 0.5))
+        counts = state_counts(schema, [(0, 0), (1, 0), (0, 1)])
+        assert np.isfinite(negative_log_likelihood(schema, sp, counts))
+        assert _allowed_state_probabilities(schema, sp)[3] < 0.0  # the table's (1, 1)
+        packer, plan = _objective_parts(schema, counts, 1)
+        assert plan.rest.shape[1] == 1
+        value, grad = _objective(packer.pack(sp), 0.0, packer, plan)
+        assert value == 1.0 and not grad.any()
+
+    def test_unobserved_levels_hold_their_v_rows_at_zero(self, monkeypatch, rng):
+        """x's level 2 ends on bit 1 and y's level 3 on bit 4: their V rows
+        start at 0 and their bounds are (0, 0); every other V entry is free."""
+        schema, rows = _unobserved_level_rows(rng)
+        a = 2
         rules = _driver_rules(monkeypatch, schema, rows, a)
         packer = rules["packer"]
-        w = rng.normal(0.0, 1.0, (1, a))
-        V = rng.normal(0.0, 1e-3, (schema.q, a))  # weak enough for the auxiliary rows
-        V[0] = 0.0  # the diagonal stays e^-30; the coupling moves the rest of the row
+        _, j, l = packer.cuts
+        held = np.zeros(schema.q, bool)
+        held[[1, 4]] = True
+        want = [(0.0, 0.0) if h else (None, None) for h in held for _ in range(a)]
+        assert packer.bounds[j:l] == want
+        V = packer.unpack(rules["start"](rng))[2]
+        assert not V[held].any() and V[~held].all()
 
-        def point(t):
-            sp = StructuredParams((np.full(schema.q, -B_CAP),), (w[0] * t,), V, np.full(a, 0.5))
-            return packer.pack(sp, np.eye(schema.q + a))
+    @pytest.mark.parametrize("a", [1, 2])
+    def test_unobserved_levels_give_a_certified_fit(self, rng, a):
+        """The V rows held at 0 keep the fit off the e^30 scale of the
+        unobserved levels: the fit is certified and beats independence."""
+        schema, rows = _unobserved_level_rows(rng)
+        independent = fit_grassmann(schema, rows, FitConfig(a=0, seed=0))
+        report = fit_grassmann(schema, rows, FitConfig(a=a, seed=0))
+        assert report.feasible and report.p0_min >= -1e-12
+        assert report.nll < independent.nll
 
-        sp0, C0 = _params_at(schema, packer, point(0.0))
-        assert dominance_certificate(schema, sp0, C0).passed
-        self._straddle(schema, packer, rules["constraint_met"], point, 1.0, 0.0)
+    def test_an_uncertified_start_is_halved_toward_independence(self, monkeypatch, rng):
+        """The random draw of w and V puts a negative determinant on the
+        rare level's states; the start is that draw times 2**-k, k >= 1, the
+        first with a finite NLL."""
+        schema, rows = _rare_level_rows(rng)
+        rules = _driver_rules(monkeypatch, schema, rows, 2)
+        i, _, l = rules["packer"].cuts
+        halved = 0
+        for seed in range(6):
+            start = rules["start"](np.random.default_rng(seed))
+            draw = start.copy()
+            draw[i:l] = np.random.default_rng(seed).normal(0.0, INIT_SCALE, l - i)
+            ratio = start[i:l] / draw[i:l]
+            k = -np.log2(ratio[0])
+            assert k == int(k) and (ratio == ratio[0]).all()
+            assert np.isfinite(rules["key"](start)[0])
+            for t in range(int(k)):
+                partly = draw.copy()
+                partly[i:l] *= 0.5**t
+                assert rules["key"](partly)[0] == np.inf
+            halved += k > 0
+        assert halved >= 2
+        report = fit_grassmann(schema, rows, FitConfig(a=2, seed=0))
+        assert report.feasible and np.isfinite(report.nll)

@@ -580,8 +580,7 @@ def test_rho_bounds_keep_omega_inside_its_range():
     L-BFGS-B keeps rho in must map inside [OMEGA_EPS, 1 - OMEGA_EPS]."""
     schema = reader_style_schema()
     for a in (1, 3):
-        packer = _Packer(schema, a)
-        _, _, l, m = packer.cuts
-        assert packer.bounds[l:m] == [(-13.8, 13.8)] * a
+        packer = _Packer(schema, a, np.zeros(schema.q, bool))
+        assert packer.bounds[packer.cuts[2]:] == [(-13.8, 13.8)] * a
     lo, hi = _sigmoid(np.array([-13.8, 13.8]))
     assert OMEGA_EPS < lo < 1.1e-6 and 1.0 - 1.1e-6 < hi < 1.0 - OMEGA_EPS

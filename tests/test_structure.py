@@ -20,13 +20,9 @@ from grasscat.structure import (
     assemble_lambda,
     aux_loading_matrix,
     categorical_pmf,
-    dominance_certificate,
     extended_lambda,
-    free_row_indices,
-    middle_factor,
     ordinal_pmf,
     quasi_diagonal_blocks,
-    row_margins,
 )
 
 from generators import (
@@ -151,21 +147,15 @@ class TestAssemble:
         )
 
     def test_certificate_modes(self):
+        """The extended (q + a) check and the fit's allowed-state table agree
+        on a generated model: every allowed state is positive."""
+        from grasscat.fit import _allowed_state_probabilities
+
         schema = reader_style_schema()
         rng = np.random.default_rng(1)
         sp = random_certified_structured(rng, schema, a=2)
-        report = dominance_certificate(schema, sp, np.eye(schema.q + 2))
-        assert report.passed
         assert check_p0(GrassmannParams.from_lambda(extended_lambda(schema, sp))).passed
-        # the raw condition is unattainable for ordinal blocks
-        assert not report.passed_raw
-
-    def test_failed_certificate_reports_margin(self):
-        schema = VariableSchema([VariableDecl("x", CAT, 3)])
-        sp = StructuredParams.independent(schema, [np.array([0.0, 5.0])])
-        report = dominance_certificate(schema, sp, np.eye(2))
-        assert not report.passed
-        assert report.worst_b_free < 0
+        assert _allowed_state_probabilities(schema, sp).min() > 0.0
 
     def test_no_certificate_option(self):
         assert list(inspect.signature(assemble_lambda).parameters) == ["schema", "sp"]
@@ -196,68 +186,6 @@ class TestStructuralZeros:
         for bits in itertools.product((0, 1), repeat=schema.q):
             if bits not in allowed:
                 assert abs(joint_probability(params, bits)) <= 1e-12
-
-
-class TestDominance:
-    def test_block_diagonal_baseline(self):
-        schema = VariableSchema([VariableDecl("c", CAT, 3), VariableDecl("o", ORD, 3)])
-        b = [np.array([0.3, -0.4]), np.array([0.2, -0.9])]
-        sp = StructuredParams.independent(schema, b, a=0)
-        M = middle_factor(schema, sp)
-        K = quasi_diagonal_blocks(schema, b)
-        np.testing.assert_allclose(M, K, atol=1e-15)
-
-    def test_factorization_identity(self):
-        rng = np.random.default_rng(2)
-        schema = random_schema(rng, 6)
-        sp = random_structured(rng, schema, a=2)
-        C = np.eye(schema.q + 2) + rng.normal(0, 0.05, (schema.q + 2, schema.q + 2))
-        report = dominance_certificate(schema, sp, C)
-        np.testing.assert_array_equal(report.margins_b, row_margins(middle_factor(schema, sp) @ C))
-        np.testing.assert_array_equal(report.margins_c, row_margins(C))
-        with pytest.raises(SchemaError, match="C has shape"):
-            dominance_certificate(schema, sp, C[:-1])
-
-    def test_scalar_margins(self):
-        # single binary variable, a = 1: 2x2 case by hand
-        schema = VariableSchema([VariableDecl("x", CAT, 2)])
-        sp = StructuredParams(
-            b=(np.array([0.5]),),
-            w=(np.array([0.3]),),
-            V=np.array([[0.2]]),
-            omega=np.array([0.5]),
-        )
-        B = middle_factor(schema, sp)
-        eb = math.exp(0.5)
-        want = np.array([[eb + 0.3 * 0.2, -0.3], [-0.2, 1.0]])
-        np.testing.assert_allclose(B, want, atol=1e-12)
-        margins = row_margins(B)
-        np.testing.assert_allclose(
-            margins, [abs(want[0, 0]) - 0.3, 1.0 - 0.2], atol=1e-12
-        )
-
-    def test_free_rows(self):
-        schema = reader_style_schema()
-        np.testing.assert_array_equal(free_row_indices(schema, 2), [0, 1, 3, 6, 7])
-
-    def test_positivity_under_raw_certificate_binary_schemas(self):
-        # with all blocks of size one the unrestricted certificate is
-        # attainable and must imply nonnegativity of every state
-        rng = np.random.default_rng(3)
-        found = 0
-        while found < 25:
-            n_vars = int(rng.integers(2, 7))
-            schema = VariableSchema(
-                [VariableDecl(f"v{i}", CAT, 2) for i in range(n_vars)]
-            )
-            a = int(rng.integers(0, 3))
-            sp = random_structured(rng, schema, a, b_scale=0.8, w_scale=0.25)
-            report = dominance_certificate(schema, sp, np.eye(schema.q + a))
-            if not report.passed_raw:
-                continue
-            found += 1
-            params = assemble_lambda(schema, sp)
-            assert check_p0(params).min_probability >= -1e-12
 
 
 class TestExtended:
@@ -374,10 +302,8 @@ class TestOneDimensionalV:
         with pytest.raises(SchemaError, match=r"V has shape \(2,\), expected \(2, a\)"):
             assemble_lambda(schema, sp)
 
-    def test_dominance_certificate_and_extended_lambda_name_v(self):
+    def test_extended_lambda_names_v(self):
         schema, sp = self._one_dim_v()
-        with pytest.raises(SchemaError, match=r"V has shape \(2,\)"):
-            dominance_certificate(schema, sp, np.eye(3))
         with pytest.raises(SchemaError, match=r"V has shape \(2,\)"):
             extended_lambda(schema, sp)
 

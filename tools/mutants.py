@@ -64,10 +64,7 @@ MUTANTS = [
     ("norm-spread-tol", FACTOR,
      "NORM_SPREAD_TOL = 1e-3", "NORM_SPREAD_TOL = 1e-2",
      ["tests/test_factor.py::TestFactorFit"]),
-    # the fit driver's ramp check and restart key
-    ("ramp-check-always-met", FIT,
-     "C, 1.0)[0] == 0.0", "C, 1.0)[0] >= 0.0",
-     ["tests/test_fit.py::TestFitDriverRules"]),
+    # the fit driver's restart key
     ("key-without-norm", FIT,
      "return nll, float(np.linalg.norm(x))", "return nll, 0.0",
      ["tests/test_fit.py::TestFitDriverRules"]),
@@ -251,11 +248,28 @@ MUTANTS = [
      "    if not np.isfinite(logw).all():\n", "    if False:\n",
      ["tests/test_factor.py::TestPriorOverflow", "tests/test_cli.py::TestOverflowingModelsExitTwo"]),
     ("likelihood-nan-sign-passes", FIT,
-     "if not ((sign > 0).all() and np.isfinite(nll)):", "if (sign <= 0).any():",
+     "if not ((sign > 0).all() and (rest_sign > 0).all() and np.isfinite(nll)):",
+     "if (sign <= 0).any() or (rest_sign <= 0).any():",
      ["tests/test_fit.py::TestOneCheckOneRule"]),
     ("likelihood-nll-finiteness-dropped", FIT,
-     "if not ((sign > 0).all() and np.isfinite(nll)):", "if not (sign > 0).all():",
+     "if not ((sign > 0).all() and (rest_sign > 0).all() and np.isfinite(nll)):",
+     "if not ((sign > 0).all() and (rest_sign > 0).all()):",
      ["tests/test_fit.py::TestOneCheckOneRule"]),
+    # the certified objective: the signs of the states no row reaches, a
+    # finite wall, the V rows of unobserved levels held at 0, and an
+    # uncertified start halved
+    ("rest-signs-dropped", FIT,
+     "(sign > 0).all() and (rest_sign > 0).all() and", "(sign > 0).all() and",
+     ["tests/test_fit.py::TestCertifiedObjective"]),
+    ("wall-infinite", FIT,
+     "return f0 + 1.0 + abs(f0), np.zeros_like(x)", "return np.inf, np.zeros_like(x)",
+     ["tests/test_fit.py::TestCertifiedObjective"]),
+    ("unseen-v-rows-free", FIT,
+     "[(0.0, 0.0) if held else (None, None) for held", "[(None, None) for held",
+     ["tests/test_fit.py::TestCertifiedObjective"]),
+    ("start-not-halved", FIT,
+     "            x[i:l] *= 0.5\n", "",
+     ["tests/test_fit.py::TestCertifiedObjective"]),
 ]
 
 
