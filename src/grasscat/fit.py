@@ -14,17 +14,21 @@ block's first bit) and has logit beta_v(l): b_l if v is categorical, b_1 +
 1 + sum_l e^beta_v(l) and xbar_v = omega * sum_(r in v) V[r] / Z_v; level 0
 has beta = 0 and x = 0.  Write x_r and w_r for the x and w of the level
 ending on bit r.  An evaluation holds the matrices structure of arrays, as
-one (a, a, m + 1) stack over the m states of its plan (the distinct
-observed states, or for the fit every allowed state) with Abar last.
-With E the (q, m) 0/1 indicator of the bits the states' levels end on, one
-GEMM gives every A_s - I = sum_r E[r, s] x_r w_r^T, one batched
-:func:`_gauss_jordan` gives every sign, log|det| and, for the gradient,
-inverse, and a second GEMM, E (n_s A_s^-1), gives the gradient's per-bit
-sums: O(m q a^2 + m a^3) arithmetic in O(a^2) numpy calls, whatever the
-states' popcounts, and no LAPACK call.  At a = 2, the default, that is a
-closed form (det = a d - b c, the inverse the adjugate over det); other
-sizes, and the 2 x 2 matrices whose det is zero or out of range, take a
-Gauss-Jordan elimination.
+one (a, a, 1 + m + k) stack laid out [Abar | the m distinct observed states
+| the k states of the plan's ``rest``, none for the public NLL].  With E
+the (q, m) 0/1 indicator of the bits the states' levels end on, one GEMM
+gives every A_s - I = sum_r E[r, s] x_r w_r^T of the observed states and a
+second those of ``rest``; one batched :func:`_gauss_jordan` certifies the
+stack and gives log|det| and, for the gradient, the inverse of its head,
+Abar and the observed states; and a third GEMM, E (n_s A_s^-1), gives the
+gradient's per-bit sums: O((m + k) q a^2 + m a^3) arithmetic in O(a^2)
+numpy calls, whatever the states' popcounts, and no LAPACK call.  At a = 1
+and a = 2 (the default) that is a closed form, det = A or a d - b c and
+the inverse the adjugate over det, and two reductions, the least and the
+largest det, certify the whole stack: when every det is within [1e-300,
+1e300], every sign is 1, and only the head's logs and inverses are formed.
+Otherwise the head and ``rest`` are two stacks, and a det that is zero or
+out of range, or any a >= 3, takes a Gauss-Jordan elimination.
 
 The same per-bit tables give the probability of every allowed state,
 e^(sum_v beta_v(l_v) - sum_v log Z_v) det A_s / det Abar, for ``sample``
@@ -45,11 +49,11 @@ has a positive probability: a principal-minor check, since an L-ensemble is
 valid exactly when every principal minor is nonnegative.  So every finite
 value is a certified model, and there it is the observed NLL, bit for bit:
 the plan holds the observed states as the public NLL does, and the states
-no row reaches apart, as ``rest``, whose determinants are taken for their
-signs only, without an inverse.  Where it is +inf the objective returns a
-finite wall, f0 + 1 + |f0| over the NLL f0 at the start of that L-BFGS-B
-run, with a zero gradient, since L-BFGS-B's line search assumes finite
-values.  Two rules keep the wall out of the way:
+no row reaches apart, as ``rest``, the tail of the same stack, whose
+determinants are read for their signs only.  Where it is +inf the
+objective returns a finite wall, f0 + 1 + |f0| over the NLL f0 at the
+start of that L-BFGS-B run, with a zero gradient, since L-BFGS-B's line
+search assumes finite values.  Two rules keep the wall out of the way:
 
   * the V row of a bit that no observed state ends on is held at 0 by its
     bounds and starts there.  The data does not reach it, while x = e^-beta
@@ -188,7 +192,9 @@ class _StatePlan:
     a level of state s ends on bit r; the states' counts; the count of the
     level each bit ends; the b -> beta map and the variables' bit
     memberships; and ``rest``, the indicator, as ``ends``, of further states
-    whose det A_s must be positive too (none for the public NLL)."""
+    whose det A_s must be positive too (none for the public NLL).  The
+    likelihood's stack is [Abar | ``ends``' states | ``rest``'s states], of
+    which only the first 1 + m matrices get a log|det| and an inverse."""
 
     ends: np.ndarray
     weights: np.ndarray
@@ -241,36 +247,57 @@ def _bit_maps(schema: VariableSchema) -> tuple[np.ndarray, np.ndarray]:
     return beta_of_b, members
 
 
-_DET_RANGE = (1e-300, 1e300)  # the |det| a 2 x 2 closed form keeps; the rest is eliminated
+_DET_RANGE = (1e-300, 1e300)  # the |det| a closed form keeps; the rest is eliminated
 
 
 def _gauss_jordan(
-    A: np.ndarray, inverse: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    A: np.ndarray, inverse: bool, head: int | None = None
+) -> tuple[np.ndarray | float, np.ndarray, np.ndarray | None]:
     """Sign, log|det| and, if ``inverse``, the inverse of each matrix of an
     (a, a, n) stack held matrix index first, so that every step works on
-    contiguous n-vectors.  A 2 x 2 stack is solved in closed form: det =
-    a d - b c, and the inverse is the adjugate over det.  Its matrices
-    whose det is not within [1e-300, 1e300] (singular, non-finite, or
-    with a product a d or b c that overflows or underflows) and stacks of
-    every other size go to :func:`_eliminate`."""
-    if A.shape[0] != 2:
+    contiguous n-vectors.  A 1 x 1 or 2 x 2 stack is solved in closed form:
+    det = A or a d - b c, and the inverse is the adjugate (1, or d, -b, -c
+    and a) over det.  Two reductions, the least and the largest |det|, tell
+    whether every det is within [1e-300, 1e300]; when one is not (singular,
+    non-finite, or with a product a d or b c that overflows or underflows),
+    a mask sends those matrices to :func:`_eliminate`, as stacks of every
+    other size go.
+
+    With ``head``, the log|det| and inverse are of the first ``head``
+    matrices only, and the sign is one number, the least sign of all n
+    (nan if one is nan).  When the two reductions find every closed-form
+    det itself within [1e-300, 1e300], so positive (a nan fails both), it
+    is 1.0 and nothing else is formed for the rest.  Otherwise the head and
+    the rest are taken as two stacks, the rest without an inverse."""
+    dim, n = A.shape[0], A.shape[2]
+    near = False
+    if dim in (1, 2):
+        if dim == 1:
+            det = A[0, 0].copy()
+        else:
+            a, b, c, d = A[0, 0], A[0, 1], A[1, 0], A[1, 1]
+            with np.errstate(over="ignore", invalid="ignore"):  # what leaves the range is eliminated
+                det = a * d - b * c
+        size = det if head is not None else np.abs(det)  # a head's dets must be positive
+        near = not n or (size.min() >= _DET_RANGE[0] and size.max() <= _DET_RANGE[1])
+    if head is not None and not near:
+        sign, logdet, inv = _gauss_jordan(A[:, :, :head], inverse)
+        rest = _gauss_jordan(A[:, :, head:], False)[0]
+        return np.concatenate([sign, rest]).min(), logdet, inv
+    if dim not in (1, 2):
         return _eliminate(A, inverse)
-    (a, b), (c, d) = A
-    with np.errstate(over="ignore", invalid="ignore"):  # what leaves the range is eliminated
-        det = a * d - b * c
-    size = np.abs(det)
-    near = (size >= _DET_RANGE[0]) & (size <= _DET_RANGE[1])
-    far = None if near.all() else ~near
+    far = None if near else ~((size >= _DET_RANGE[0]) & (size <= _DET_RANGE[1]))
     if far is not None:
         det[far] = size[far] = 1.0
-    sign, logdet, inv = np.sign(det), np.log(size), None
+    h = n if head is None else head
+    sign, logdet, inv = np.sign(det) if head is None else 1.0, np.log(size[:h]), None
     if inverse:
-        inv = np.empty(A.shape)
-        inv[0, 0], inv[1, 1] = d, a
-        np.negative(b, out=inv[0, 1])
-        np.negative(c, out=inv[1, 0])
-        inv /= det
+        inv = np.ones((1, 1, h)) if dim == 1 else np.empty((2, 2, h))
+        if dim == 2:
+            inv[0, 0], inv[1, 1] = d[:h], a[:h]
+            np.negative(b[:h], out=inv[0, 1])
+            np.negative(c[:h], out=inv[1, 0])
+        inv /= det[:h]
     if far is not None:
         sign[far], logdet[far], far_inv = _eliminate(A[:, :, far], inverse)
         if inverse:
@@ -370,26 +397,25 @@ def _likelihood(
         decay, x = _bit_terms(beta, V, omega, plan.bit_counts > 0)
         w_bit = w.take(schema.block_maps.var, axis=0)  # each bit's w_v
         terms = (x[:, :, None] * w_bit[:, None, :]).reshape(q, a * a).T
-        # A_s - I = sum_r E[r, s] x_r w_r^T over the m states, then Abar - I: (a, a, m + 1)
-        A = np.empty((a * a, m + 1))
-        np.matmul(terms, plan.ends, out=A[:, :m])
-        A[:, m] = (x_bar.T @ w).ravel()
+        # Abar - I, then A_s - I = sum_r E[r, s] x_r w_r^T over the m observed
+        # states and over the states of rest: one (a, a, 1 + m + rest) stack
+        A = np.empty((a * a, 1 + m + plan.rest.shape[1]))
+        A[:, 0] = (x_bar.T @ w).ravel()
+        np.matmul(terms, plan.ends, out=A[:, 1 : m + 1])
+        np.matmul(terms, plan.rest, out=A[:, m + 1 :])
         A[:: a + 1] += 1.0
-        sign, logdet, inv = _gauss_jordan(A.reshape(a, a, m + 1), gradient)
-        rest = terms @ plan.rest
-        rest[:: a + 1] += 1.0
-        rest_sign = _gauss_jordan(rest.reshape(a, a, rest.shape[1]), False)[0]
+        sign, logdet, inv = _gauss_jordan(A.reshape(a, a, A.shape[1]), gradient, head=m + 1)
         n = plan.weights.sum()
-        nll = float(n * (log_z.sum() + logdet[m]) - plan.bit_counts @ beta
-                    - plan.weights @ logdet[:m])
-    if not ((sign > 0).all() and (rest_sign > 0).all() and np.isfinite(nll)):
+        nll = float(n * (log_z.sum() + logdet[0]) - plan.bit_counts @ beta
+                    - plan.weights @ logdet[1:])
+    if not (sign > 0 and np.isfinite(nll)):
         return INFEASIBLE_NLL, None
     if not gradient:
         return nll, None
     # d log det A = tr(A^-1 dA): d/dx_v is A^-T w_v and d/dw_v is A^-1 x_v.
     # T_r = sum_s E[r, s] n_s A_s^-1 gathers both per bit, in one GEMM.
-    inv_bar = inv[:, :, m]
-    T = (plan.ends @ (inv[:, :, :m] * plan.weights).reshape(a * a, m).T).reshape(q, a, a)
+    inv_bar = inv[:, :, 0]
+    T = (plan.ends @ (inv[:, :, 1:] * plan.weights).reshape(a * a, m).T).reshape(q, a, a)
     per_bit = (w_bit[:, :, None] * T).sum(axis=1)  # sum of n_s A_s^-T w_v, per bit
     to_x_bar = n * (w @ inv_bar)
     g_beta = (

@@ -21,8 +21,10 @@ from grasscat.fit import (
     state_counts,
     _Packer,
     _allowed_state_probabilities,
+    _eliminate,
     _ends,
     _gauss_jordan,
+    _likelihood,
     _objective,
     _table_plan,
 )
@@ -43,6 +45,7 @@ from grasscat.structure import (
     assemble_lambda,
     aux_loading_matrix,
     extended_lambda,
+    flat_params,
     ordinal_pmf,
 )
 
@@ -1481,3 +1484,155 @@ class TestCertifiedObjective:
         assert halved >= 2
         report = fit_grassmann(schema, rows, FitConfig(a=2, seed=0))
         assert report.feasible and np.isfinite(report.nll)
+
+
+def _two_stacks(A, inverse, head=None):
+    """The reference of the one-stack certificate: the head (Abar and the
+    observed states) with its inverse, then the rest for its signs, each a
+    stack of its own, a 1 x 1 stack eliminated; the sign is 1.0 when every
+    sign is > 0, else 0.0."""
+    solve = _eliminate if A.shape[0] == 1 else _gauss_jordan
+    if head is None:
+        return solve(A, inverse)
+    sign, logdet, inv = solve(A[:, :, :head], inverse)
+    rest = solve(A[:, :, head:], False)[0]
+    return (1.0 if (sign > 0).all() and (rest > 0).all() else 0.0), logdet, inv
+
+
+def _with_kernel(monkeypatch, kernel, *args):
+    """_likelihood(*args) with ``kernel`` as the fit module's _gauss_jordan."""
+    import grasscat.fit
+
+    with monkeypatch.context() as patched:
+        patched.setattr(grasscat.fit, "_gauss_jordan", kernel)
+        return _likelihood(*args)
+
+
+def _assert_same_bits(got, want):
+    """The same value, and the same gradient bits or both None."""
+    assert got[0] == want[0]
+    assert (got[1] is None) == (want[1] is None)
+    if got[1] is not None:
+        assert np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
+
+
+class TestOneStackCertificate:
+    """_likelihood certifies one a x a stack [Abar | observed | rest]: when
+    every closed-form det is within [1e-300, 1e300] it forms the log|det|
+    and inverse of the head only; otherwise the head and the rest are two
+    stacks, as in the reference.  Value and gradient are the reference's,
+    bit for bit."""
+
+    @pytest.mark.parametrize("a", [0, 1, 2, 3])
+    @pytest.mark.parametrize("decls, n_rows", [(_Q8, 40), (_Q8, 2000), (_Q16, 300)],
+                             ids=["q8", "q8-every-state", "q16"])
+    def test_matches_the_two_stacks_at_random_points(self, monkeypatch, rng, decls, n_rows, a):
+        schema = VariableSchema([VariableDecl(f"v{j}", kind, levels)
+                                 for j, (kind, levels) in enumerate(decls)])
+        plan = _table_plan(schema, state_counts(schema, _random_rows(rng, schema, n_rows)))
+        assert (plan.rest.shape[1] == 0) == (n_rows == 2000)
+        finite = 0
+        for i in range(200):
+            sp = random_structured(rng, schema, a, w_scale=(0.05, 0.3, 1.0)[i % 3])
+            args = (schema, *flat_params(schema, sp), plan, i % 2 == 0)
+            got = _likelihood(*args)
+            _assert_same_bits(got, _with_kernel(monkeypatch, _two_stacks, *args))
+            finite += np.isfinite(got[0])
+        assert finite >= 40 and (a == 0 or finite < 200)
+
+    @pytest.mark.parametrize("det", ["negative", "zero", "below-range", "above-range", "nan",
+                                     "inf"])
+    @pytest.mark.parametrize("a", [1, 2])
+    def test_crafted_unobserved_dets_take_the_two_stacks(self, monkeypatch, rng, a, det):
+        """The first state of rest is replaced by a matrix whose closed-form
+        det is -1, 0, 1e-310, 1e302, nan or inf; every other det of the
+        stack is certified.  Negative, zero and nan give +inf; the others
+        the reference's finite value."""
+        import grasscat.fit
+
+        one = {"negative": -1.0, "zero": 0.0, "below-range": 1e-310, "above-range": 1e302,
+               "nan": np.nan, "inf": np.inf}[det]
+        crafted = {
+            1: np.full((1, 1), one),
+            2: {"negative": [[0.0, 1.0], [1.0, 0.0]], "zero": [[1.0, 2.0], [2.0, 4.0]],
+                "below-range": [[1e-155, 0.0], [0.0, 1e-155]],
+                "above-range": [[1e151, 0.0], [0.0, 1e151]],
+                "nan": [[1e200, 1e200], [1e200, 1e200]],  # inf - inf
+                "inf": [[1e200, 0.0], [0.0, 1e200]]}[det],
+        }[a]
+        schema = VariableSchema([VariableDecl(f"v{j}", kind, levels)
+                                 for j, (kind, levels) in enumerate(_Q8)])
+        plan = _table_plan(schema, state_counts(schema, _random_rows(rng, schema, 40)))
+        sp = random_certified_structured(rng, schema, a)
+        args = (schema, *flat_params(schema, sp), plan, True)
+        assert np.isfinite(_likelihood(*args)[0])
+        calls = []
+
+        def crafting(kernel):
+            def run(A, inverse, head=None):
+                calls.append(head)
+                if head is not None:
+                    A[:, :, head] = crafted
+                return kernel(A, inverse, head)
+            return run
+
+        got = _with_kernel(monkeypatch, crafting(grasscat.fit._gauss_jordan), *args)
+        assert calls == [plan.weights.size + 1, None, None]  # the head, then the two stacks
+        want = _with_kernel(monkeypatch, crafting(_two_stacks), *args)
+        _assert_same_bits(got, want)
+        assert np.isfinite(got[0]) == (det in ("below-range", "above-range", "inf"))
+
+    @pytest.mark.parametrize("case", ["nan", "inf"])
+    def test_an_overflowing_x_on_an_unobserved_state(self, monkeypatch, case):
+        """Cat(2) + Cat(2), a = 2, b = -30: x is e^30 omega V, and Abar's
+        terms are e^-30 of x's.  Bit 0 has x w^T = [[p, 0], [x, 0]] and bit
+        1 [[0, y], [0, p]]; the observed states (0, 0), (1, 0) and (0, 1)
+        have det 1 or 1 + p, and Abar is near I + e^-30 (the sum).  The
+        unobserved (1, 1) has a d - b c = (1 + p)^2 - x y: inf - inf = nan
+        at p = x = 1e155, y = 5e154, and 1 + 1e310 = inf at p = 0, x = -y =
+        1e155.  Its det is positive, so the NLL is finite."""
+        import grasscat.fit
+
+        p, x, y = (1e155, 1e155, 5e154) if case == "nan" else (0.0, 1e155, -1e155)
+        schema = VariableSchema([VariableDecl(f"v{j}", CAT, 2) for j in range(2)])
+        scale = 0.5 * np.exp(30.0)  # omega e^-beta
+        sp = StructuredParams((np.full(1, -30.0),) * 2, (np.array([1.0, 0.0]), np.array([0.0, 1.0])),
+                              np.array([[p, x], [y, p]]) / scale, np.full(2, 0.5))
+        counts = state_counts(schema, [(0, 0)] * 5 + [(1, 0), (0, 1)])
+        plan = _table_plan(schema, counts)
+        assert plan.rest.shape[1] == 1
+        args = (schema, *flat_params(schema, sp), plan, True)
+        stacks = []
+
+        def recording(A, inverse, head=None):
+            stacks.append(A.copy())
+            return real(A, inverse, head)
+
+        real = grasscat.fit._gauss_jordan
+        got = _with_kernel(monkeypatch, recording, *args)
+        (a_, b_), (c_, d_) = stacks[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = a_ * d_ - b_ * c_
+        assert (1.0 <= det[:-1]).all() and (det[:-1] <= 1e300).all()  # Abar and the observed
+        assert np.isnan(det[-1]) if case == "nan" else det[-1] == np.inf
+        assert len(stacks) == 3  # the two stacks
+        assert np.isfinite(got[0])
+        _assert_same_bits(got, _with_kernel(monkeypatch, _two_stacks, *args))
+
+    def test_one_by_one_closed_form_is_the_elimination(self, rng):
+        """A 1 x 1 stack's sign, log|det| and inverse are _eliminate's, bit
+        for bit, on entries that include +-0, subnormals, the range's ends,
+        +-inf and nan, in one stack and one entry at a time."""
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-300, -1e-300, 9.9e-301, 1e300,
+                   -1e300, 1.1e300, np.inf, -np.inf, np.nan, 1.0, -2.5]
+        entries = np.concatenate([special, rng.normal(size=40), rng.normal(size=40) * 1e200])
+        stacks = [entries[None, None]] + [np.full((1, 1, 1), v) for v in special]
+        for stack in stacks:
+            for inverse in (True, False):
+                with np.errstate(over="ignore", invalid="ignore"):  # 1 / 5e-324, inf / inf
+                    got, want = _gauss_jordan(stack, inverse), _eliminate(stack, inverse)
+                for g, w in zip(got, want):
+                    if w is None:
+                        assert g is None
+                    else:
+                        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))

@@ -159,7 +159,7 @@ MUTANTS = [
      "rows = M if inverse else M[j + 1 :]", "rows = M[j + 1 :]",
      ["tests/test_fit.py::TestBatchedKernelIsExact"]),
     ("gauss-jordan-2x2-adjugate-sign", FIT,
-     "np.negative(b, out=inv[0, 1])", "np.copyto(inv[0, 1], b)",
+     "np.negative(b[:h], out=inv[0, 1])", "np.copyto(inv[0, 1], b[:h])",
      ["tests/test_fit.py::TestBatchedKernelIsExact"]),
     ("ends-without-successor", FIT,
      "    ends[chained] -= ends[chained + 1]\n", "",
@@ -248,18 +248,16 @@ MUTANTS = [
      "    if not np.isfinite(logw).all():\n", "    if False:\n",
      ["tests/test_factor.py::TestPriorOverflow", "tests/test_cli.py::TestOverflowingModelsExitTwo"]),
     ("likelihood-nan-sign-passes", FIT,
-     "if not ((sign > 0).all() and (rest_sign > 0).all() and np.isfinite(nll)):",
-     "if (sign <= 0).any() or (rest_sign <= 0).any():",
+     "if not (sign > 0 and np.isfinite(nll)):", "if sign <= 0:",
      ["tests/test_fit.py::TestOneCheckOneRule"]),
     ("likelihood-nll-finiteness-dropped", FIT,
-     "if not ((sign > 0).all() and (rest_sign > 0).all() and np.isfinite(nll)):",
-     "if not ((sign > 0).all() and (rest_sign > 0).all()):",
+     "if not (sign > 0 and np.isfinite(nll)):", "if not sign > 0:",
      ["tests/test_fit.py::TestOneCheckOneRule"]),
     # the certified objective: the signs of the states no row reaches, a
     # finite wall, the V rows of unobserved levels held at 0, and an
     # uncertified start halved
     ("rest-signs-dropped", FIT,
-     "(sign > 0).all() and (rest_sign > 0).all() and", "(sign > 0).all() and",
+     "return np.concatenate([sign, rest]).min(), logdet, inv", "return sign.min(), logdet, inv",
      ["tests/test_fit.py::TestCertifiedObjective"]),
     ("wall-infinite", FIT,
      "return f0 + 1.0 + abs(f0), np.zeros_like(x)", "return np.inf, np.zeros_like(x)",
@@ -270,6 +268,16 @@ MUTANTS = [
     ("start-not-halved", FIT,
      "            x[i:l] *= 0.5\n", "",
      ["tests/test_fit.py::TestCertifiedObjective"]),
+    # the one-stack certificate: its two reductions and the 1 x 1 closed form
+    ("certificate-lower-bound-dropped", FIT,
+     "size.min() >= _DET_RANGE[0] and ", "",
+     ["tests/test_fit.py::TestOneStackCertificate"]),
+    ("certificate-nanmin", FIT,
+     "size.min()", "np.nanmin(size)",
+     ["tests/test_fit.py::TestOneStackCertificate"]),
+    ("one-by-one-sign-dropped", FIT,
+     "det = A[0, 0].copy()", "det = np.abs(A[0, 0])",
+     ["tests/test_fit.py::TestOneStackCertificate"]),
 ]
 
 
