@@ -58,7 +58,6 @@ from .fit import (
     StateCounts,
     empirical_moments,
     fit_grassmann,
-    model_correlation,
     negative_log_likelihood,
     nll_gradient,
     state_counts,

@@ -41,11 +41,12 @@ from .fit import (
     _allowed_state_probabilities,
     _correlation,
     _pattern_probabilities,
+    _structured_moments,
     fit_grassmann,
     state_counts,
     weighted_moments,
 )
-from .grassmann import _p0_report, moments
+from .grassmann import _p0_report
 from .mixed import MixedParams, MixedPartition, mixed_conditional_density
 from .modelfile import ModelFile, load_model, save_model
 from .oracle import brute_force_table, oracle_marginal
@@ -250,21 +251,18 @@ def _cmd_fit(args) -> int:
 
 def _cmd_moments(args) -> int:
     mf = load_model(args.model)
+    schema = mf.schema
     if mf.kind == "grassmann":
-        schema, params = mf.schema, assemble_lambda(mf.schema, mf.params)
-        mean, cov = moments(params)
+        mean, cov = _structured_moments(schema, mf.params)
         corr = _correlation(cov)
-        labels = schema.index_labels()
     elif mf.kind == "factor":
-        schema = mf.schema
         states, w = _prior_table(schema, mf.params.b, mf.params.G, mf.params.sigma_z)
         mean, cov, corr = weighted_moments(states, w)
-        labels = schema.index_labels()
     else:
         raise DataError("moments supports grassmann and factor models")
     _emit(
         {
-            "labels": list(labels),
+            "labels": list(schema.index_labels()),
             "mean": mean.tolist(),
             "cov": cov.tolist(),
             "corr": corr.tolist(),
@@ -485,19 +483,19 @@ def _allowed_state_vector(schema: VariableSchema, sp: StructuredParams) -> np.nd
 
 def _cmd_oracle_check(args) -> int:
     mf = _load_grassmann(args.model)
-    params = assemble_lambda(mf.schema, mf.params)
-    table = brute_force_table(params)
-    probs = _allowed_state_vector(mf.schema, mf.params)
+    schema, sp = mf.schema, mf.params
+    table = brute_force_table(assemble_lambda(schema, sp))  # the one lam a command builds
+    probs = _allowed_state_vector(schema, sp)
     max_joint_err = float(np.abs(table.probs - probs).max())
-    mean, cov = moments(params)
+    mean, cov = _structured_moments(schema, sp)
     mean_err = float(np.abs(mean - table.mean).max())
     cov_err = float(np.abs(cov - table.cov).max())
+    ones = _pattern_probabilities(schema, sp, np.eye(schema.q), np.eye(schema.q))
     marg_err = 0.0
-    for t in range(params.q):
+    for t in range(schema.q):
         marg = oracle_marginal(table, [t])
-        m1 = 1.0 - params.sig[t, t]
-        marg_err = max(marg_err, abs(marg[(1,)] - m1))
-    report = _p0_report(probs, params.q)
+        marg_err = max(marg_err, abs(marg[(1,)] - ones[t]))
+    report = _p0_report(probs, schema.q)
     ok = (
         report.passed
         and max_joint_err <= 1e-10

@@ -32,14 +32,16 @@ out of range, or any a >= 3, takes a Gauss-Jordan elimination.
 
 The same per-bit tables give the probability of every allowed state,
 e^(sum_v beta_v(l_v) - sum_v log Z_v) det A_s / det Abar, for ``sample``
-and for the fit's certificate ``p0_min``; neither forms lam.  Each chunk
+and for the fit's certificate ``p0_min``.  Each chunk
 of 2**14 allowed states is built as the likelihood's stack is, by one GEMM
 against the chunk's E, with sum_v beta_v(l_v) as one more row.  A pattern
 of fixed bits, which ``prob`` scores, is one a x a determinant too: det A_s
 is affine in each variable's column, so a variable summed over the levels
 the pattern leaves it collapses to one column (:func:`_pattern_probabilities`),
 kept undivided in a border where its share is below 1e-3; a state with a
-level that rare is scored as the pattern that fixes every bit.
+level that rare is scored as the pattern that fixes every bit.  The
+moments invert lam by Woodbury from the same tables and Abar
+(:func:`_structured_moments`).  No path here forms lam.
 
 The fit maximizes this likelihood over a plan of every allowed state: the
 rows of :func:`schema.allowed_table`, each weighted by its observed count,
@@ -83,7 +85,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .grassmann import _CHUNK, _CLAMP, GrassmannParams, _probabilities, moments
+from .grassmann import _CHUNK, _CLAMP, _probabilities, _sigma_moments
 from .schema import (
     Record,
     VariableKind,
@@ -96,7 +98,7 @@ from .schema import (
     levels_of_bits,
     table_rows,
 )
-from .structure import StructuredParams, assemble_lambda, flat_params
+from .structure import StructuredParams, flat_params
 
 if TYPE_CHECKING:
     from scipy.optimize import OptimizeResult
@@ -172,15 +174,6 @@ def empirical_moments(
     """Empirical dummy mean, covariance, and Pearson correlation."""
     states, weights = counts.as_arrays()
     return weighted_moments(states, weights / weights.sum())
-
-
-def model_correlation(params: GrassmannParams) -> np.ndarray:
-    """Pearson correlation implied by the model moments; exact unit diagonal.
-
-    Entries whose variance vanishes are reported as nan.
-    """
-    _, cov = moments(params)
-    return _correlation(cov)
 
 
 # -- likelihood and analytic gradient ---------------------------------------
@@ -543,6 +536,31 @@ def _pattern_probabilities(
     return _probabilities(sign[:n], (np.log(s).sum(axis=0) + logdet - logdet[n])[:n], sign[n])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # what overflows raises below
+def _structured_moments(schema: VariableSchema, sp: StructuredParams) -> tuple[np.ndarray, ...]:
+    """Mean and covariance of the dummy bits under ``sp``, from sig = lam^-1
+    by Woodbury on lam = D + W Omega V^T, D = I + K, without lam.  Within a
+    block (D^-1)_rs = beta_of_b[r, s] - m_s, m = beta_of_b^T share being the
+    independence model's bit means, and D^-1 W has rows w_v / Z_v, so M =
+    I + Omega V^T D^-1 W is Abar and sig = D^-1 - (D^-1 W) M^-1 (Omega V^T
+    D^-1).  "lam is singular" when M is; a ParameterError that says
+    "overflows" when M, M^-1 or sig is not finite."""
+    b, w, V, omega = flat_params(schema, sp)
+    beta_of_b, members = _bit_maps(schema)
+    _, _, inv_z, _, x_bar, share = _variable_tables(b, V, omega, beta_of_b, members)
+    d_inv = beta_of_b - (members.T @ members) * (beta_of_b.T @ share)
+    M = np.eye(omega.size) + x_bar.T @ w  # built as the table and prob build Abar
+    sign, _, inv = _gauss_jordan(M[:, :, None], True)
+    finite = np.isfinite(M).all()
+    if finite and sign[0] == 0:
+        raise ParameterError("lam is singular")
+    var = schema.block_maps.var  # D^-1 W is inv_z[var] * w[var], and M^-1 is inv[:, :, 0]
+    sig = d_inv - (inv_z[var, None] * w[var]) @ inv[:, :, 0] @ (omega[:, None] * (V.T @ d_inv))
+    if not (finite and np.isfinite(inv).all() and np.isfinite(sig).all()):
+        raise ParameterError("a moment overflows: Abar, its inverse or sig = lam^-1 is not finite")
+    return _sigma_moments(sig)
+
+
 def negative_log_likelihood(
     schema: VariableSchema, sp: StructuredParams, counts: StateCounts
 ) -> float:
@@ -827,8 +845,7 @@ def fit_grassmann(
     )
     b, w, V, omega = packer.unpack(x)
     sp_fit = StructuredParams(tuple(b[s:e] for s, e in schema.blocks), tuple(w), V, omega)
-    params = assemble_lambda(schema, sp_fit)
-    mean_model, cov_model = moments(params)
+    mean_model, cov_model = _structured_moments(schema, sp_fit)
     corr_model = _correlation(cov_model)
     p0_min = float(_allowed_state_probabilities(schema, sp_fit).min())
     feasible = p0_min >= -_CLAMP

@@ -16,11 +16,12 @@ rows of a 0/1 matrix grouped by popcount, and one stacked ``slogdet`` per
 group.  :func:`state_probabilities` calls it for the rows it is given,
 :func:`all_state_probabilities` (and through it :func:`check_p0`) for each
 chunk of 2**14 masks, and the mixed densities of :mod:`grasscat.mixed` for
-the subsets they sum over.  ``moments`` and ``check_p0`` read lam through
-this module.  A structured model's pattern probabilities (``prob``) and
-allowed states (``sample``, the fit's certificate, the program side of
-``oracle check``) come from a x a determinants in :mod:`grasscat.fit`
-instead.  The marginal and conditional parameters serve a general lam.
+the subsets they sum over.  ``check_p0``, :func:`moments` and the
+marginal and conditional parameters serve a general lam.  A structured
+model's pattern probabilities (``prob``), allowed states (``sample``, the
+fit's certificate) and moments (``moments``, the fit's report), which
+``oracle check`` tests, come from a x a determinants in
+:mod:`grasscat.fit` instead; the moments share :func:`_sigma_moments`.
 Both end in one rule, :func:`_probabilities`, on parameters checked once,
 finiteness included (``GrassmannParams``, or :func:`structure.flat_params`
 for a structured model): a state of sign 0 gives +0.0 (a singular minor's
@@ -276,15 +277,20 @@ def conditional_params(p: GrassmannParams, part: IndexPartition) -> GrassmannPar
 
 
 def moments(p: GrassmannParams) -> tuple[np.ndarray, np.ndarray]:
-    """Mean vector and covariance matrix of the dummy bits.
+    """Mean vector and covariance matrix of the dummy bits, from ``p.sig``."""
+    return _sigma_moments(p.sig)
+
+
+def _sigma_moments(sig: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of the dummy bits from sig = lam^-1.
 
     mean_r = 1 - sig_rr; cov_rs = -sig_rs sig_sr off the diagonal; the
     diagonal carries the Bernoulli variance sig_rr (1 - sig_rr), which is
     forced by y_r**2 = y_r.
     """
-    d = np.diag(p.sig).copy()
+    d = np.diag(sig).copy()
     mean = 1.0 - d
-    cov = -(p.sig * p.sig.T)
+    cov = -(sig * sig.T)
     np.fill_diagonal(cov, d * (1.0 - d))
     return mean, cov
 

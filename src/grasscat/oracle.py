@@ -10,10 +10,12 @@ stack of n x n matrices matrix-index-first, as (n, n, N), so each pivot
 search, row swap and rank-1 update is a handful of operations on
 contiguous N-vectors; the table gathers each popcount group's minors of
 lam - I straight into that layout.  The table's moments are those of its
-weighted states (:func:`grasscat.fit.weighted_moments`), not the closed
-form of :func:`grasscat.grassmann.moments` that ``oracle check`` tests.
-``oracle check`` compares the table's states with the allowed-state
-table of :mod:`grasscat.fit`, the kernel ``sample`` and the fit run.
+weighted states (:func:`grasscat.fit.weighted_moments`), not the Woodbury
+form that ``oracle check`` tests.  ``oracle check`` compares the table with
+the a-space kernels of :mod:`grasscat.fit` that the commands run: the
+allowed-state table (``sample``, the fit), the moments (``moments``, the
+fit's report) and one-bit patterns (``prob``).  This table is the one
+place a command builds a structured model's lam.
 """
 
 from __future__ import annotations

@@ -21,7 +21,9 @@ probability; the fit certifies that on the allowed-state table
 (:mod:`grasscat.fit`).  An independent check works on the extended (q + a)
 parameter, ``check_p0(GrassmannParams.from_lambda(extended_lambda(schema,
 sp)))``: validity of the extended distribution implies validity of its
-observed marginal.  :func:`assemble_lambda` runs neither check.
+observed marginal.  :func:`assemble_lambda` runs neither check; no
+command reads it but ``oracle check``'s brute force, and the moments
+invert lam by Woodbury from D = I + K (:mod:`grasscat.fit`).
 
 Parameters are checked once, where they are read: the public builders
 check their input, and :func:`flat_params` is the one check of a whole

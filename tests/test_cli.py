@@ -614,6 +614,36 @@ class TestOracleCommand:
         assert not np.signbit(got[disallowed]).any()
         assert got.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("kernel,fields", [
+        ("_allowed_state_probabilities", ["max_joint_error"]),
+        ("_structured_moments", ["max_mean_error", "max_cov_error"]),
+        ("_pattern_probabilities", ["max_marginal_error"]),
+    ], ids=["table", "moments", "marginals"])
+    def test_each_kernel_is_checked(self, tmp_path, capsys, monkeypatch, kernel, fields):
+        """The program side is the a-space table, moments and one-bit
+        patterns: a 1e-6 error planted in one kernel shows in its fields
+        alone, and fails the check."""
+        import grasscat.cli
+
+        schema, sp = self._model("q8", 2)
+        save_model(ModelFile("grassmann", schema, sp, None), str(tmp_path / "m.json"))
+        real = getattr(grasscat.cli, kernel)
+
+        def planted(*args):
+            got = real(*args)
+            return (got[0] + 1e-6, got[1] + 1e-6) if kernel == "_structured_moments" else got + 1e-6
+
+        monkeypatch.setattr(grasscat.cli, kernel, planted)
+        capsys.readouterr()
+        assert _run(tmp_path, "oracle", "check", "--model", "m.json") == 2
+        out = json.loads(capsys.readouterr().out)
+        assert not out["ok"]
+        for name in ("max_joint_error", "max_mean_error", "max_cov_error", "max_marginal_error"):
+            if name in fields:
+                assert 0.5e-6 <= out[name] <= 2e-6
+            else:
+                assert out[name] <= 1e-12
+
     def test_state_cap_bounds_the_allowed_count(self, tmp_path, capsys, monkeypatch):
         """query-q12's schema passes a bit cap of 12 but has 576 allowed
         states: the check runs at a cap of 576 and exits 1 below it."""
@@ -1152,13 +1182,57 @@ class TestOverflowingModelsExitTwo:
         assert "overflows" in err
         assert not (tmp_path / "s.csv").exists()
 
-    @pytest.mark.parametrize("argv", [["moments"], ["oracle", "check"]],
+    @pytest.mark.parametrize("argv,message", [(["moments"], "a moment overflows"),
+                                              (["oracle", "check"], "lam overflows")],
                              ids=["moments", "oracle"])
-    def test_lam_commands_name_lam_on_a(self, tmp_path, capsys, argv):
-        """A's lam overflows (10 * 0.5 * 1e308); B's is finite."""
+    def test_lam_commands_name_lam_on_a(self, tmp_path, capsys, argv, message):
+        """A's lam overflows (10 * 0.5 * 1e308), and so does its Abar, which
+        ``moments`` inverts; ``oracle check`` builds lam first.  B's lam is
+        finite."""
         self._save(tmp_path)
         assert _run(tmp_path, *argv, "--model", "A.json") == 2
-        assert capsys.readouterr().err.startswith("numerical error: lam overflows")
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"numerical error: {message}")
+
+
+class TestRangeModel:
+    """A certified q = 12, a = 2 model with w_v scaled by 1e101 and each V
+    row of v's bits set to (1 + k / 10) w_v, k the row's place in its block,
+    as tools/byte_review.py writes range.model.json: every A_s is positive
+    definite, but lam's entries reach about 1e200."""
+
+    @staticmethod
+    def _save(tmp_path):
+        from grasscat.structure import StructuredParams
+
+        schema, sp = TestOracleCommand._model("q12", 2)
+        w = tuple(1e101 * v for v in sp.w)
+        V = np.concatenate([[(1.0 + k / 10.0) * w[j] for k in range(v.block_size)]
+                            for j, v in enumerate(schema.variables)])
+        sp = StructuredParams(sp.b, w, V, sp.omega)
+        save_model(ModelFile("grassmann", schema, sp, None), str(tmp_path / "range.json"))
+        return schema, sp
+
+    def test_moments_match_the_allowed_state_table(self, tmp_path, capsys):
+        from grasscat.fit import _allowed_state_probabilities, weighted_moments
+        from grasscat.schema import allowed_table
+
+        schema, sp = self._save(tmp_path)
+        bits = allowed_table(schema)[0].astype(float)
+        mean, cov, _ = weighted_moments(bits, _allowed_state_probabilities(schema, sp))
+        assert _run(tmp_path, "moments", "--model", "range.json") == 0
+        out = json.loads(capsys.readouterr().out)
+        assert np.abs(np.asarray(out["mean"]) - mean).max() <= 1e-13
+        assert np.abs(np.asarray(out["cov"]) - cov).max() <= 1e-13
+
+    def test_oracle_check_calls_lam_singular(self, tmp_path, capsys):
+        """The brute force needs lam, whose inverse fails at this scale."""
+        self._save(tmp_path)
+        assert _run(tmp_path, "oracle", "check", "--model", "range.json") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("numerical error: lam is singular")
 
 
 class TestSampleRareLevels:

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -15,20 +16,22 @@ from grasscat.fit import (
     StateCounts,
     empirical_moments,
     fit_grassmann,
-    model_correlation,
     negative_log_likelihood,
     nll_gradient,
     state_counts,
+    weighted_moments,
     _Packer,
     _allowed_state_probabilities,
+    _correlation,
     _eliminate,
     _ends,
     _gauss_jordan,
     _likelihood,
     _objective,
+    _structured_moments,
     _table_plan,
 )
-from grasscat.grassmann import GrassmannParams, state_probabilities
+from grasscat.grassmann import GrassmannParams, moments, state_probabilities
 from grasscat.oracle import brute_force_table
 from grasscat.schema import (
     Record,
@@ -804,6 +807,11 @@ class TestFit:
         assert len(calls) == 1
 
 
+def model_correlation(params: GrassmannParams) -> np.ndarray:
+    """Pearson correlation implied by lam's moments; exact unit diagonal."""
+    return _correlation(moments(params)[1])
+
+
 class TestModelCorrelation:
     def test_independent_is_identity(self):
         params = GrassmannParams.from_sigma(np.diag([0.3, 0.7, 0.5]))
@@ -972,7 +980,7 @@ class TestAllowedStateTable:
     def test_a_finite_model_builds_no_lambda(self, rng, monkeypatch, which):
         """Neither the per-bit GEMM nor the border of the rare states forms
         lam, even where e^-beta overflows."""
-        import grasscat.fit
+        import grasscat.structure
 
         def no_lambda(*args):
             raise AssertionError("the table assembled lam")
@@ -983,7 +991,8 @@ class TestAllowedStateTable:
         else:
             schema, sp = self._ord30_at_the_bound(rng, int(which[-1]))
         want = self._lam_space(schema, sp)
-        monkeypatch.setattr(grasscat.fit, "assemble_lambda", no_lambda)
+        monkeypatch.setattr(grasscat.structure, "_raw_lambda", no_lambda)
+        monkeypatch.setattr(GrassmannParams, "__post_init__", no_lambda)
         table = _allowed_state_probabilities(schema, sp)
         assert np.array_equal(np.sign(table), np.sign(want))
         assert np.abs(table - want).max() <= 1e-12
@@ -1046,8 +1055,9 @@ class TestAllowedStateTable:
 
     def test_singular_abar_raises(self):
         schema, sp = self._one_bit_each([-4.0])  # det Abar = 1 - 1 = 0
-        with pytest.raises(ParameterError, match="^lam is singular$"):
-            _allowed_state_probabilities(schema, sp)
+        for call in (_allowed_state_probabilities, _structured_moments):
+            with pytest.raises(ParameterError, match="^lam is singular$"):
+                call(schema, sp)
 
     def test_finite_parameters_whose_x_overflows_raise(self):
         # x_0 = e^2 * 1e308 / 2 overflows, though every parameter is finite
@@ -1636,3 +1646,119 @@ class TestOneStackCertificate:
                         assert g is None
                     else:
                         assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+
+class TestStructuredMoments:
+    """fit._structured_moments: the dummy bits' mean and covariance from
+    sig = lam^-1 by Woodbury, with no lam, against lam's closed form and
+    the allowed-state table's weighted moments."""
+
+    SCHEMAS = {
+        "q6": [(CAT, 3), (ORD, 4), (CAT, 2)],
+        "q8": [(ORD, 3), (CAT, 4), (ORD, 2), (CAT, 2)],
+        "q9": [(ORD, 5), (CAT, 3), (ORD, 3), (CAT, 2)],
+    }
+
+    @staticmethod
+    def _schema(decls):
+        return VariableSchema([VariableDecl(f"v{j}", kind, levels)
+                               for j, (kind, levels) in enumerate(decls)])
+
+    @staticmethod
+    def _table_moments(schema, sp):
+        bits = allowed_table(schema)[0].astype(float)
+        return weighted_moments(bits, _allowed_state_probabilities(schema, sp))[:2]
+
+    @pytest.mark.parametrize("a", [0, 1, 2, 3])
+    @pytest.mark.parametrize("name", list(SCHEMAS))
+    def test_matches_lam_and_the_table(self, rng, name, a):
+        schema = self._schema(self.SCHEMAS[name])
+        for _ in range(3):
+            sp = random_certified_structured(rng, schema, a)
+            got = _structured_moments(schema, sp)
+            for want, tol in ((moments(assemble_lambda(schema, sp)), 1e-14),
+                              (self._table_moments(schema, sp), 1e-13)):
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape
+                    assert np.abs(g - w).max() <= tol
+
+    @pytest.mark.parametrize("name", list(SCHEMAS))
+    def test_a_zero_is_the_independence_model(self, rng, name):
+        """Each variable's level probabilities p give its bits' means (a
+        categorical bit is one level, an ordinal bit every level from its
+        own up) and covariances; bits of two variables have covariance 0."""
+        schema = self._schema(self.SCHEMAS[name])
+        sp = random_structured(rng, schema, 0, b_scale=2.0)
+        mean, cov = _structured_moments(schema, sp)
+        for v, b, (lo, hi) in zip(schema.variables, sp.b, schema.blocks):
+            logits = b if v.kind is CAT else np.cumsum(b)
+            p = np.exp(np.concatenate([[0.0], logits]))
+            p /= p.sum()
+            m = p[1:] if v.kind is CAT else np.cumsum(p[::-1])[::-1][1:]
+            # E[y_r y_s]: 0 for two levels of one categorical; an ordinal's
+            # later bit is set only with every earlier one
+            idx = np.arange(hi - lo)
+            both = np.diag(m) if v.kind is CAT else m[np.maximum.outer(idx, idx)]
+            assert np.abs(mean[lo:hi] - m).max() <= 1e-15
+            assert np.abs(cov[lo:hi, lo:hi] - (both - np.outer(m, m))).max() <= 1e-15
+            outside = np.ones(schema.q, dtype=bool)
+            outside[lo:hi] = False
+            assert (cov[lo:hi][:, outside] == 0.0).all()
+
+    def test_b_800_matches_the_table(self, rng):
+        """A level 800 nats above the rest: e^b overflows, the shares do not."""
+        schema = self._schema(self.SCHEMAS["q8"])
+        sp = random_certified_structured(rng, schema, 2)
+        b = (sp.b[0] + np.array([800.0, 0.0]), *sp.b[1:])
+        sp = StructuredParams(b, sp.w, sp.V, sp.omega)
+        for g, w in zip(_structured_moments(schema, sp), self._table_moments(schema, sp)):
+            assert np.isfinite(g).all()
+            assert np.abs(g - w).max() <= 1e-12
+
+    def test_an_overflowing_abar_raises(self):
+        """Model A: Abar = 1 + 2.5e307 * 10 overflows.  Its elimination
+        alone would give the inverse 0 and the independence means (0.5,
+        0.5); the true means are (1, 0.5)."""
+        schema, sp = TestOneCheckOneRule._model((0.0, 0.0), (10.0, 1.0))
+        with pytest.raises(ParameterError, match="overflows"):
+            _structured_moments(schema, sp)
+
+    def test_a_finite_lam_beside_an_overflowing_x_matches_lam(self):
+        """Model B: x = e^2 * 1e308 / 2 overflows, so sample and prob refuse
+        it, but Abar and sig are finite."""
+        schema, sp = TestOneCheckOneRule._model((-2.0, 0.0), (1.0, 1.0))
+        got = _structured_moments(schema, sp)
+        for g, w in zip(got, moments(assemble_lambda(schema, sp))):
+            assert np.abs(g - w).max() <= 1e-15
+
+    @pytest.mark.parametrize("path", ["moments command", "fit report"])
+    def test_builds_no_lambda(self, rng, tmp_path, capsys, monkeypatch, path):
+        """Neither ``moments`` nor fit_grassmann's report forms lam, a
+        GrassmannParams or a q x q inverse."""
+        import grasscat.structure
+        from grasscat.cli import run_command
+        from grasscat.modelfile import ModelFile, save_model
+
+        schema = self._schema(self.SCHEMAS["q8"])
+        sp = random_certified_structured(rng, schema, 2)
+        want = moments(assemble_lambda(schema, sp))
+        counts = state_counts(schema, _random_rows(rng, schema, 200))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("lam was built")
+
+        for owner, name in ((grasscat.structure, "_raw_lambda"), (GrassmannParams, "__post_init__"),
+                            (np.linalg, "inv")):
+            monkeypatch.setattr(owner, name, refuse)
+        if path == "fit report":
+            report = fit_grassmann(schema, counts, FitConfig(a=1, restarts=1, max_iter=30))
+            mean, cov = _structured_moments(schema, report.params)
+            assert np.array_equal(report.mean_model, mean)
+            assert np.array_equal(report.corr_model, _correlation(cov), equal_nan=True)
+            return
+        save_model(ModelFile("grassmann", schema, sp, None), str(tmp_path / "m.json"))
+        capsys.readouterr()
+        assert run_command(["moments", "--model", str(tmp_path / "m.json")]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert np.abs(np.asarray(out["mean"]) - want[0]).max() <= 1e-14
+        assert np.abs(np.asarray(out["cov"]) - want[1]).max() <= 1e-14

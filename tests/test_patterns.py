@@ -14,7 +14,12 @@ import grasscat.grassmann
 import grasscat.structure
 from grasscat.cli import conditional_pattern_probability, parse_pattern, run_command
 from grasscat.errors import ConditioningError, ParameterError
-from grasscat.fit import B_CAP, _allowed_state_probabilities, _pattern_probabilities
+from grasscat.fit import (
+    B_CAP,
+    _allowed_state_probabilities,
+    _pattern_probabilities,
+    _structured_moments,
+)
 from grasscat.grassmann import (
     IndexPartition,
     conditional_params,
@@ -191,8 +196,10 @@ class TestRules:
 
     def test_singular_abar_raises(self):
         schema, sp = _one_bit_each([-4.0])  # det Abar = 1 - 1 = 0
-        with pytest.raises(ParameterError, match="^lam is singular$"):
-            conditional_pattern_probability(schema, sp, {}, {})
+        for call in (lambda: conditional_pattern_probability(schema, sp, {}, {}),
+                     lambda: _structured_moments(schema, sp)):
+            with pytest.raises(ParameterError, match="^lam is singular$"):
+                call()
 
     @pytest.mark.parametrize("field,value", [("b", np.inf), ("b", -np.inf), ("b", np.nan),
                                              ("w", np.nan), ("V", np.inf), ("omega", np.nan)])

@@ -231,6 +231,8 @@ def command_list(seed: int, pool: dict) -> list[tuple[list[str], list[str]]]:
          "--out", "query/range-sample.csv"], "query/range-sample.csv")
     add(["prob", "--model", wide, "--query", "v1>=2"])
     add(["prob", "--model", wide, "--query", "v2=3", "--given", "v0=1"])
+    add(["moments", "--model", wide])
+    add(["oracle", "check", "--model", wide])
 
     # finite models whose a-space terms or prior weights overflow
     for name in ("A", "B", "F"):

@@ -278,6 +278,13 @@ MUTANTS = [
     ("one-by-one-sign-dropped", FIT,
      "det = A[0, 0].copy()", "det = np.abs(A[0, 0])",
      ["tests/test_fit.py::TestOneStackCertificate"]),
+    # the a-space moments and the oracle's one-bit marginals
+    ("woodbury-correction-sign", FIT,
+     "sig = d_inv - (inv_z", "sig = d_inv + (inv_z",
+     ["tests/test_fit.py::TestStructuredMoments"]),
+    ("oracle-marginal-source", CLI,
+     "abs(marg[(1,)] - ones[t])", "abs(marg[(1,)] - mean[t])",
+     ["tests/test_cli.py::TestOracleCommand"]),
 ]
 
 
