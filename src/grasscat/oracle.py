@@ -2,20 +2,25 @@
 
 Everything here recomputes probabilities from first principles with code
 paths deliberately different from the main modules: determinants come from
-Gaussian elimination with partial pivoting written out in numpy (no
-``np.linalg``, no ``scipy.linalg`` and no ``grassmann`` or ``fit``
-helper), and marginals/conditionals are plain summations and ratios over
-the full state table.  Independence is the point.  The elimination holds a
-stack of n x n matrices matrix-index-first, as (n, n, N), so each pivot
+numpy written out here (no ``np.linalg``, no ``scipy.linalg`` and no
+``grassmann`` or ``fit`` helper), and marginals/conditionals are plain
+summations and ratios over the full state table.  Independence is the
+point.  The table's 2**q principal minors of lam - I come from one walk of
+the subset lattice by Schur complements (Griffin & Tsatsomeros, Linear
+Algebra Appl. 419, 2006), in q vectorized steps: including index j
+multiplies a minor by the current pivot, and excluding j drops its row and
+column.  That shares nothing with the a-space kernels' a x a determinants
+or ``grassmann``'s slogdet per popcount group.  What the recursion does not
+vouch for, and det lam, come from Gaussian elimination with partial
+pivoting over a stack held matrix-index-first, as (n, n, N), so each pivot
 search, row swap and rank-1 update is a handful of operations on
-contiguous N-vectors; the table gathers each popcount group's minors of
-lam - I straight into that layout.  The table's moments are those of its
-weighted states (:func:`grasscat.fit.weighted_moments`), not the Woodbury
-form that ``oracle check`` tests.  ``oracle check`` compares the table with
-the a-space kernels of :mod:`grasscat.fit` that the commands run: the
+contiguous N-vectors.  The table's moments are those of its weighted states
+(:func:`grasscat.fit.weighted_moments`), not the Woodbury form that
+``oracle check`` tests.  ``oracle check`` compares the table with the
+a-space kernels of :mod:`grasscat.fit` that the commands run: the
 allowed-state table (``sample``, the fit), the moments (``moments``, the
-fit's report) and one-bit patterns (``prob``).  This table is the one
-place a command builds a structured model's lam.
+fit's report) and one-bit patterns (``prob``).  This table is the one place
+a command builds a structured model's lam.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .fit import weighted_moments
 from .grassmann import GrassmannParams
 
 _CHUNK = 2**14  # masks per elimination pass: bounds the stacked minors
+_BIG = np.finfo(float).max / 16  # keeps the recursion's bound finite
 
 
 def _eliminate(stack: np.ndarray) -> np.ndarray:
@@ -84,28 +90,62 @@ class FullTable:
         return self.states.shape[1]
 
 
+def _schur_minors(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every principal minor of a q x q matrix, mask m's at row m, and the
+    masks the recursion does not vouch for.  Step j splits each matrix of
+    the stack, held matrix-index-first, in two: "j excluded" is rest, and
+    "j included" is rest - (col / p) row, its minor times p, so bit j of the
+    row means j included.  A pivot whose column or row is all zero leaves
+    rest as it is, and a zero pivot there is an exact 0.0.  A zero pivot
+    with a nonzero row and column, or an update beyond 16 max|mat|, flags
+    the included subtree, which carries rest unchanged and stays finite."""
+    bound = 16.0 * min(float(np.abs(mat).max(initial=0.0)), _BIG)
+    stack = mat[:, :, None]
+    det = np.ones(1)
+    flagged = np.zeros(1, dtype=bool)
+    for _ in range(mat.shape[0]):
+        p, col, row, rest = stack[0, 0], stack[1:, 0], stack[0, 1:], stack[1:, 1:]
+        with np.errstate(over="ignore", invalid="ignore"):  # what overflows fails the guard
+            mult = col / np.where(p == 0.0, 1.0, p)
+            size = np.abs(mult).max(axis=0, initial=0.0) * np.abs(row).max(axis=0, initial=0.0)
+        exact = ~(col.any(axis=0) & row.any(axis=0))
+        bad = ~exact & ((p == 0.0) | ~(size <= bound))
+        mult[:, exact | bad] = 0.0
+        stack = np.concatenate([rest, rest - mult[:, None, :] * row], axis=2)
+        det = np.concatenate([det, det * p])
+        flagged = np.concatenate([flagged, flagged | bad])
+    return det + 0.0, flagged  # no -0.0
+
+
+def _principal_minors(mat: np.ndarray) -> np.ndarray:
+    """All 2**q principal minors of a q x q matrix, mask m's at row m: by
+    :func:`_schur_minors`, and each mask it flags by one :func:`_eliminate`
+    per popcount of its chunk."""
+    q = mat.shape[0]
+    minors, flagged = _schur_minors(mat)
+    masks, flat = np.flatnonzero(flagged), mat.ravel()
+    for lo in range(0, masks.size, _CHUNK):
+        chunk = masks[lo : lo + _CHUNK]
+        bits = (chunk[:, None] >> np.arange(q)) & 1
+        popcounts = bits.sum(axis=1)
+        for k in np.unique(popcounts):
+            rows = np.flatnonzero(popcounts == k)
+            # a contiguous (k, N) index gathers a contiguous (k, k, N) stack
+            idx = np.nonzero(bits[rows])[1].reshape(rows.size, k).T.copy()
+            minors[chunk[rows]] = _eliminate(flat[idx[:, None, :] * q + idx[None, :, :]])
+    return minors
+
+
 def brute_force_table(p: GrassmannParams) -> FullTable:
     """Exact state table, state m holding bit i of mask m in column i: the
-    minors of lam - I for each chunk of masks, gathered matrix-index-first
-    and eliminated by one :func:`_eliminate` per popcount."""
+    principal minors of lam - I over det lam."""
     q = p.q
     check_bit_cap(q)
     det_l = _naive_det(p.lam)
     if det_l == 0.0:
         raise ParameterError("lam is singular")
-    flat = (p.lam - np.eye(q)).ravel()
-    n = 2**q
-    states = (np.arange(n)[:, None] >> np.arange(q)) & 1
-    probs = np.ones(n)
-    for lo in range(0, n, _CHUNK):
-        chunk = states[lo : lo + _CHUNK]
-        popcounts = chunk.sum(axis=1)
-        for k in range(1, q + 1):
-            rows = np.flatnonzero(popcounts == k)
-            # a contiguous (k, N) index gathers a contiguous (k, k, N) stack
-            idx = np.nonzero(chunk[rows])[1].reshape(rows.size, k).T.copy()
-            probs[lo + rows] = _eliminate(flat[idx[:, None, :] * q + idx[None, :, :]])
-    probs /= det_l
+    probs = _principal_minors(p.lam - np.eye(q)) / det_l
+    states = (np.arange(2**q)[:, None] >> np.arange(q)) & 1
     mean, cov, corr = weighted_moments(states, probs)
     return FullTable(states=states, probs=probs, mean=mean, cov=cov, corr=corr)
 

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -14,8 +15,11 @@ from grasscat.grassmann import (
     marginal_params,
     moments,
 )
+from grasscat import oracle
 from grasscat.oracle import (
     _naive_det,
+    _principal_minors,
+    _schur_minors,
     brute_force_table,
     oracle_conditional,
     oracle_marginal,
@@ -215,3 +219,83 @@ def test_oracle_and_core_agree_across_queries():
                     assert joint_probability(c, pattern) == pytest.approx(
                         target, abs=1e-9
                     )
+
+
+def _schema(spec) -> VariableSchema:
+    return VariableSchema([VariableDecl(f"v{i}", k, m) for i, (k, m) in enumerate(spec)])
+
+
+def _bench_model(name, spec):
+    """bench/data.py's certified a = 2 query model of that name."""
+    schema = _schema(spec)
+    tag = int.from_bytes(hashlib.sha256(name.encode()).digest()[:4], "little")
+    return assemble_lambda(schema, random_certified_structured(np.random.default_rng([0, tag]),
+                                                               schema, 2))
+
+
+_Q12 = [(CAT, 3), (ORD, 4), (CAT, 4), (ORD, 3), (CAT, 2), (CAT, 2)]
+
+
+class TestSchurMinors:
+    """The table's minors come from the Schur-complement recursion over the
+    subset lattice; a zero pivot with a nonzero row and column, or an update
+    beyond 16 max|lam - I|, sends its included subtree to pivoted
+    elimination."""
+
+    @staticmethod
+    def _certified(a, seed):
+        """A certified model of a q = 12 schema with categorical and ordinal
+        blocks; at a = 3 and seed 0, lam - I meets exact zero pivots with a
+        nonzero row and column."""
+        schema = _schema(_Q12)
+        return assemble_lambda(schema, random_certified_structured(np.random.default_rng(seed),
+                                                                   schema, a))
+
+    @staticmethod
+    def _per_minor(p):
+        """det (lam - I)[R, R] / det lam for every mask, one _naive_det each."""
+        mat = p.lam - np.eye(p.q)
+        out = np.ones(2**p.q)
+        for mask in range(1, 2**p.q):
+            idx = [i for i in range(p.q) if mask >> i & 1]
+            out[mask] = _naive_det(mat[np.ix_(idx, idx)])
+        return out / _naive_det(p.lam)
+
+    def test_every_mask_matches_its_own_elimination(self):
+        models = [self._certified(2, 12), self._certified(3, 0)]
+        models += [random_valid_params(np.random.default_rng(q), q) for q in range(1, 11)]
+        assert _schur_minors(models[1].lam - np.eye(12))[1].any()
+        for p in models:
+            got = brute_force_table(p).probs
+            assert np.abs(got - self._per_minor(p)).max() <= 1e-15
+
+    def test_zero_pivot_falls_back_exactly(self):
+        mat = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+        assert np.flatnonzero(_schur_minors(mat)[1]).tolist() == [1, 3, 5, 7]
+        got = _principal_minors(mat)
+        assert got.tolist() == [1.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0, 2.0]
+        assert not np.signbit(got).any()
+
+    def test_tiny_pivot_is_guarded(self):
+        # without the bound the 1e-20 pivot's update of 1e20 rounds its
+        # complement to four equal entries, and the full minor reads 0.0
+        mat = np.array([[1e-20, 1.0, 1.0], [1.0, 1.0, 2.0], [1.0, 3.0, 1.0]])
+        assert _schur_minors(mat)[1][7]
+        assert _principal_minors(mat)[7] == 3.0
+
+    def test_elimination_runs_only_for_flagged_masks(self, monkeypatch):
+        calls = []
+
+        def _counted(stack):
+            calls.append(stack.shape[-1])
+            return eliminate(stack)
+
+        eliminate = oracle._eliminate
+        monkeypatch.setattr(oracle, "_eliminate", _counted)
+        for name, spec in (("query-q12", _Q12), ("query-q16", _Q12 + [(ORD, 3), (CAT, 3)])):
+            calls.clear()
+            brute_force_table(_bench_model(name, spec))
+            assert calls == [1]  # det lam alone
+        calls.clear()
+        brute_force_table(self._certified(3, 0))
+        assert len(calls) > 1 and sum(calls[1:]) == 1024

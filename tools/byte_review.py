@@ -215,6 +215,7 @@ def command_list(seed: int, pool: dict) -> list[tuple[list[str], list[str]]]:
          "--out", "query/q16-sample.csv"], "query/q16-sample.csv")
     add(["moments", "--model", q16])
     add(["oracle", "check", "--model", q12])
+    add(["oracle", "check", "--model", q16])
     for item in pool["marginal"] + pool["conditional"]:
         add(["prob", "--model", q16, "--query", item["query"]]
             + (["--given", item["given"]] if item["given"] else []))

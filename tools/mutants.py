@@ -191,6 +191,12 @@ MUTANTS = [
     ("naive-det-swap-parity", "src/grasscat/oracle.py",
      "det[piv != k] *= -1.0", "det[piv != k] *= 1.0",
      ["tests/test_oracle.py"]),
+    ("oracle-schur-unguarded", "src/grasscat/oracle.py",
+     "((p == 0.0) | ~(size <= bound))", "(p == 0.0)",
+     ["tests/test_oracle.py::TestSchurMinors"]),
+    ("oracle-schur-multiplier-side", "src/grasscat/oracle.py",
+     "p, col, row, rest = stack[0, 0]", "p, row, col, rest = stack[0, 0]",
+     ["tests/test_oracle.py::TestSchurMinors"]),
     ("bits-of-levels-ordinal", SCHEMA,
      "else col >= steps", "else col > steps",
      ["tests/test_schema.py"]),
@@ -283,7 +289,7 @@ MUTANTS = [
      "sig = d_inv - (inv_z", "sig = d_inv + (inv_z",
      ["tests/test_fit.py::TestStructuredMoments"]),
     ("oracle-marginal-source", CLI,
-     "abs(marg[(1,)] - ones[t])", "abs(marg[(1,)] - mean[t])",
+     "np.abs(table.mean - ones)", "np.abs(table.mean - mean)",
      ["tests/test_cli.py::TestOracleCommand"]),
 ]
 
