@@ -36,17 +36,8 @@ from .factor import (
     fit_factor_model,
     select_dimension_bic,
 )
-from .fit import (
-    FitConfig,
-    _allowed_state_probabilities,
-    _correlation,
-    _pattern_probabilities,
-    _structured_moments,
-    fit_grassmann,
-    state_counts,
-    weighted_moments,
-)
-from .grassmann import _p0_report
+from .fit import FitConfig, fit_grassmann, state_counts
+from .grassmann import _correlation, _p0_report, weighted_moments
 from .mixed import MixedParams, MixedPartition, mixed_conditional_density
 from .modelfile import ModelFile, load_model, save_model
 from .oracle import brute_force_table
@@ -59,7 +50,10 @@ from .schema import (
     load_data_levels,
     load_schema,
 )
-from .structure import StructuredParams, assemble_lambda
+from .structure import (
+    StructuredParams, _allowed_state_probabilities, _pattern_probabilities, _structured_moments,
+    assemble_lambda,
+)
 
 
 class _UsageError(Exception):
@@ -163,7 +157,7 @@ def conditional_pattern_probability(
 ) -> float:
     """p(query-pattern | given-pattern) under the structured parameters
     ``sp``: the ratio of P(query and given) to P(given), both from one call
-    of :func:`fit._pattern_probabilities` (not enumeration)."""
+    of :func:`structure._pattern_probabilities` (not enumeration)."""
     overlap = set(query) & set(given)
     if overlap:
         raise DataError(f"query and given overlap on dummy indices {sorted(overlap)}")

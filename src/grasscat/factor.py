@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import DataError, InvalidStateError, ParameterError, SchemaError
 from .fit import (
-    StateCounts, _check_integers, _level_logits, _penalized_fit, empirical_moments, state_counts,
+    StateCounts, _check_integers, _level_logits, _repeat_lbfgs, _restarts, empirical_moments,
+    state_counts,
 )
 from .grassmann import _freeze
 from .outputs import SvgCanvas, _csv_rows, write_csv
@@ -50,6 +51,7 @@ from .schema import (
 
 _NORM_EPS = 1e-12
 KAPPA0 = 1.0  # first equal-norm penalty weight
+MAX_RAMPS = 6  # penalty weights per restart: KAPPA0 * 10**k, k < 6
 GRAD_TOL = 1e-7  # L-BFGS-B projected-gradient tolerance
 NORM_SPREAD_TOL = 1e-3  # relative spread of the loading norms that ends the ramps
 INIT_SCALE = 0.1  # standard deviation of the random G and W starts
@@ -533,13 +535,23 @@ def fit_factor_model(
         scale = max(float(norms.mean()), _NORM_EPS)
         return float(norms.max() - norms.min()) / scale
 
+    def descend(xvec):
+        # each penalty weight repeats L-BFGS-B; kappa grows tenfold until the
+        # spread is met (at p_z = 0 there are no loadings, so one weight runs)
+        kappa, iterations = KAPPA0, 0
+        for _ in range(MAX_RAMPS):
+            xvec, success, nit = _repeat_lbfgs(xvec, lambda x: solve(x, kappa))
+            iterations += nit
+            if norm_spread(xvec) <= NORM_SPREAD_TOL:
+                break
+            kappa *= 10.0
+        return xvec, success, iterations
+
     def key(xvec):
         return float(objective(xvec, 0.0)[0]), float(np.linalg.norm(xvec))
 
-    # With p_z = 0 there are no loadings: the spread is 0 and one ramp runs.
-    (nll_final, _), xbest, success, total_iters = _penalized_fit(
-        config.seed, config.restarts, KAPPA0, start, solve,
-        lambda xvec: norm_spread(xvec) <= NORM_SPREAD_TOL, key,
+    (nll_final, _), xbest, success, total_iters = _restarts(
+        config.seed, config.restarts, start, descend, key,
     )
     b_f, G_f, s_f, mu_f, tau_f, W_f = split(xbest)
     model = FactorModel.canonical(

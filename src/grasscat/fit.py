@@ -1,47 +1,22 @@
 """Maximum-likelihood estimation of the structured parameters.
 
-The objective is the exact negative log likelihood, with an analytic
-gradient from d log det A = trace(A^-1 dA).  Since lam - I = K + W Omega V^T
-with K block diagonal, the matrix determinant lemma leaves only a x a
-determinants (a is the auxiliary dimension):
+The objective is the exact negative log likelihood, from the a x a
+determinants of :mod:`grasscat.structure`, in its notation (beta, x_r, w_r,
+Z_v, xbar_v, A_s, Abar), with an analytic gradient from d log det A =
+trace(A^-1 dA):
 
     nll = sum_s n_s [ sum_v (log Z_v - beta_v(l_sv)) + log det Abar - log det A_s ]
-    A_s = I + sum_v x_v(l_sv) w_v^T,     Abar = I + sum_v xbar_v w_v^T
 
-Level l >= 1 of variable v ends on bit r_v(l) = s_v + l - 1 (s_v is the
-block's first bit) and has logit beta_v(l): b_l if v is categorical, b_1 +
-... + b_l if ordinal.  Then x_v(l) = e^-beta_v(l) omega * V[r_v(l)], Z_v =
-1 + sum_l e^beta_v(l) and xbar_v = omega * sum_(r in v) V[r] / Z_v; level 0
-has beta = 0 and x = 0.  Write x_r and w_r for the x and w of the level
-ending on bit r.  An evaluation holds the matrices structure of arrays, as
-one (a, a, 1 + m + k) stack laid out [Abar | the m distinct observed states
-| the k states of the plan's ``rest``, none for the public NLL].  With E
-the (q, m) 0/1 indicator of the bits the states' levels end on, one GEMM
-gives every A_s - I = sum_r E[r, s] x_r w_r^T of the observed states and a
-second those of ``rest``; one batched :func:`_gauss_jordan` certifies the
-stack and gives log|det| and, for the gradient, the inverse of its head,
-Abar and the observed states; and a third GEMM, E (n_s A_s^-1), gives the
-gradient's per-bit sums: O((m + k) q a^2 + m a^3) arithmetic in O(a^2)
-numpy calls, whatever the states' popcounts, and no LAPACK call.  At a = 1
-and a = 2 (the default) that is a closed form, det = A or a d - b c and
-the inverse the adjugate over det, and two reductions, the least and the
-largest det, certify the whole stack: when every det is within [1e-300,
-1e300], every sign is 1, and only the head's logs and inverses are formed.
-Otherwise the head and ``rest`` are two stacks, and a det that is zero or
-out of range, or any a >= 3, takes a Gauss-Jordan elimination.
-
-The same per-bit tables give the probability of every allowed state,
-e^(sum_v beta_v(l_v) - sum_v log Z_v) det A_s / det Abar, for ``sample``
-and for the fit's certificate ``p0_min``.  Each chunk
-of 2**14 allowed states is built as the likelihood's stack is, by one GEMM
-against the chunk's E, with sum_v beta_v(l_v) as one more row.  A pattern
-of fixed bits, which ``prob`` scores, is one a x a determinant too: det A_s
-is affine in each variable's column, so a variable summed over the levels
-the pattern leaves it collapses to one column (:func:`_pattern_probabilities`),
-kept undivided in a border where its share is below 1e-3; a state with a
-level that rare is scored as the pattern that fixes every bit.  The
-moments invert lam by Woodbury from the same tables and Abar
-(:func:`_structured_moments`).  No path here forms lam.
+An evaluation holds one (a, a, 1 + m + k) stack [Abar | the m distinct
+observed states | the k states of the plan's ``rest``, none for the public
+NLL], filled by two GEMMs against the states' level-end indicators E.  One
+batched :func:`structure._gauss_jordan` certifies it and gives log|det|
+and, for the gradient, the inverse of its head, Abar and the observed
+states; a third GEMM, E (n_s A_s^-1), gives the gradient's per-bit sums:
+O((m + k) q a^2 + m a^3) arithmetic in O(a^2) numpy calls.  At a = 1 and
+a = 2, when the two reductions find every det within [1e-300, 1e300],
+every sign is 1, and only the head's logs and inverses are formed;
+otherwise the head and ``rest`` are two stacks.
 
 The fit maximizes this likelihood over a plan of every allowed state: the
 rows of :func:`schema.allowed_table`, each weighted by its observed count,
@@ -68,9 +43,11 @@ search assumes finite values.  Two rules keep the wall out of the way:
 
 Inside a fit the parameters live only in L-BFGS-B's flat vector (b, w, V,
 rho = logit(omega)).  The objective and the restart key (the NLL, then the
-vector's norm) read views of it.  A StructuredParams is built once per fit,
-for the result only.  The public NLL and gradient, the table and ``prob``
-check a StructuredParams once, finiteness included, with
+vector's norm) read views of it.  Each seeded restart repeats L-BFGS-B
+until a run gains less than 1e-9 relative (:func:`_repeat_lbfgs`), and
+:func:`_restarts`, which the factor fit shares, keeps the best.  A
+StructuredParams is built once per fit, for the result only.  The public
+NLL and gradient check a StructuredParams once, finiteness included, with
 :func:`structure.flat_params`.  What overflows after it meets the one rule
 of :func:`grassmann._probabilities` (sign 0 gives +0.0; a nonzero sign with
 a log-ratio or probability that is not finite raises), which the NLL keeps
@@ -85,7 +62,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .grassmann import _CHUNK, _CLAMP, _probabilities, _sigma_moments
+from .grassmann import _CLAMP, _correlation, weighted_moments
 from .schema import (
     Record,
     VariableKind,
@@ -98,7 +75,10 @@ from .schema import (
     levels_of_bits,
     table_rows,
 )
-from .structure import StructuredParams, flat_params
+from .structure import (
+    StructuredParams, _allowed_state_probabilities, _bit_terms, _ends, _gauss_jordan,
+    _structured_moments, _variable_tables, flat_params,
+)
 
 if TYPE_CHECKING:
     from scipy.optimize import OptimizeResult
@@ -107,7 +87,6 @@ INFEASIBLE_NLL = np.inf  # sentinel for states driven to the domain boundary
 
 B_CAP = 30.0  # bound on every b entry; empirical log-odds are clipped to it
 INIT_SCALE = 0.1  # standard deviation of the random w and V starts
-MAX_RAMPS = 6  # penalty weights per restart: weight0 * 10**k, k < 6 (one for the structured fit)
 MAX_HALVINGS = 30  # halvings of an uncertified start's w and V toward independence
 
 
@@ -149,25 +128,6 @@ def state_counts(
     return StateCounts(items=tuple(zip(map(tuple, bits), counts.tolist())))
 
 
-def weighted_moments(
-    states: np.ndarray, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean, covariance, and Pearson correlation of the rows of ``states``
-    under the probability weights ``w``."""
-    mean = w @ states
-    centered = states - mean
-    cov = (w[:, None] * centered).T @ centered
-    return mean, cov, _correlation(cov)
-
-
-def _correlation(cov: np.ndarray) -> np.ndarray:
-    std = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        corr = cov / np.outer(std, std)
-    np.fill_diagonal(corr, 1.0)
-    return corr
-
-
 def empirical_moments(
     schema: VariableSchema, counts: StateCounts
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -183,17 +143,14 @@ class _StatePlan:
     """Per-dataset arrays of the likelihood over the m distinct observed
     states: the (q, m) 0/1 indicator ``ends``, whose entry (r, s) is 1 when
     a level of state s ends on bit r; the states' counts; the count of the
-    level each bit ends; the b -> beta map and the variables' bit
-    memberships; and ``rest``, the indicator, as ``ends``, of further states
-    whose det A_s must be positive too (none for the public NLL).  The
+    level each bit ends; and ``rest``, the indicator, as ``ends``, of further
+    states whose det A_s must be positive too (none for the public NLL).  The
     likelihood's stack is [Abar | ``ends``' states | ``rest``'s states], of
     which only the first 1 + m matrices get a log|det| and an inverse."""
 
     ends: np.ndarray
     weights: np.ndarray
     bit_counts: np.ndarray
-    beta_of_b: np.ndarray
-    members: np.ndarray
     rest: np.ndarray
 
 
@@ -203,8 +160,7 @@ def _state_plan(schema: VariableSchema, counts: StateCounts) -> _StatePlan:
     states, weights = counts.as_arrays()
     allowed_levels(schema, states)
     ends = _ends(schema, states)
-    return _StatePlan(ends, weights, ends @ weights, *_bit_maps(schema),
-                      np.zeros((schema.q, 0)))
+    return _StatePlan(ends, weights, ends @ weights, np.zeros((schema.q, 0)))
 
 
 def _table_plan(schema: VariableSchema, counts: StateCounts) -> _StatePlan:
@@ -217,149 +173,6 @@ def _table_plan(schema: VariableSchema, counts: StateCounts) -> _StatePlan:
     reached = np.zeros(len(bits), dtype=bool)
     reached[table_rows(schema, levels_of_bits(schema, counts.as_arrays()[0]))] = True
     return replace(plan, rest=_ends(schema, bits[~reached]))
-
-
-def _ends(schema: VariableSchema, bits: np.ndarray) -> np.ndarray:
-    """The C-contiguous (q, n) 0/1 indicator of the bits the levels of the
-    (n, q) allowed states ``bits`` end on: the set bits, less each ordinal
-    bit whose successor in its block is also set."""
-    var = schema.block_maps.var
-    chained = np.flatnonzero(schema.block_maps.ordinal[var[:-1], 0] & (var[:-1] == var[1:]))
-    ends = bits.T.astype(float, order="C")
-    ends[chained] -= ends[chained + 1]
-    return ends
-
-
-def _bit_maps(schema: VariableSchema) -> tuple[np.ndarray, np.ndarray]:
-    """The (q, q) b -> beta map and the (variables, q) bit memberships."""
-    maps, q = schema.block_maps, schema.q
-    # beta_r sums b over bit r alone (categorical) or its block's bits up to r
-    same = np.tril(maps.var[:, None] == maps.var)
-    beta_of_b = (same & (maps.ordinal[maps.var] | np.eye(q, dtype=bool))).astype(float)
-    members = (np.arange(len(schema))[:, None] == maps.var).astype(float)
-    return beta_of_b, members
-
-
-_DET_RANGE = (1e-300, 1e300)  # the |det| a closed form keeps; the rest is eliminated
-
-
-def _gauss_jordan(
-    A: np.ndarray, inverse: bool, head: int | None = None
-) -> tuple[np.ndarray | float, np.ndarray, np.ndarray | None]:
-    """Sign, log|det| and, if ``inverse``, the inverse of each matrix of an
-    (a, a, n) stack held matrix index first, so that every step works on
-    contiguous n-vectors.  A 1 x 1 or 2 x 2 stack is solved in closed form:
-    det = A or a d - b c, and the inverse is the adjugate (1, or d, -b, -c
-    and a) over det.  Two reductions, the least and the largest |det|, tell
-    whether every det is within [1e-300, 1e300]; when one is not (singular,
-    non-finite, or with a product a d or b c that overflows or underflows),
-    a mask sends those matrices to :func:`_eliminate`, as stacks of every
-    other size go.
-
-    With ``head``, the log|det| and inverse are of the first ``head``
-    matrices only, and the sign is one number, the least sign of all n
-    (nan if one is nan).  When the two reductions find every closed-form
-    det itself within [1e-300, 1e300], so positive (a nan fails both), it
-    is 1.0 and nothing else is formed for the rest.  Otherwise the head and
-    the rest are taken as two stacks, the rest without an inverse."""
-    dim, n = A.shape[0], A.shape[2]
-    near = False
-    if dim in (1, 2):
-        if dim == 1:
-            det = A[0, 0].copy()
-        else:
-            a, b, c, d = A[0, 0], A[0, 1], A[1, 0], A[1, 1]
-            with np.errstate(over="ignore", invalid="ignore"):  # what leaves the range is eliminated
-                det = a * d - b * c
-        size = det if head is not None else np.abs(det)  # a head's dets must be positive
-        near = not n or (size.min() >= _DET_RANGE[0] and size.max() <= _DET_RANGE[1])
-    if head is not None and not near:
-        sign, logdet, inv = _gauss_jordan(A[:, :, :head], inverse)
-        rest = _gauss_jordan(A[:, :, head:], False)[0]
-        return np.concatenate([sign, rest]).min(), logdet, inv
-    if dim not in (1, 2):
-        return _eliminate(A, inverse)
-    far = None if near else ~((size >= _DET_RANGE[0]) & (size <= _DET_RANGE[1]))
-    if far is not None:
-        det[far] = size[far] = 1.0
-    h = n if head is None else head
-    sign, logdet, inv = np.sign(det) if head is None else 1.0, np.log(size[:h]), None
-    if inverse:
-        inv = np.ones((1, 1, h)) if dim == 1 else np.empty((2, 2, h))
-        if dim == 2:
-            inv[0, 0], inv[1, 1] = d[:h], a[:h]
-            np.negative(b[:h], out=inv[0, 1])
-            np.negative(c[:h], out=inv[1, 0])
-        inv /= det[:h]
-    if far is not None:
-        sign[far], logdet[far], far_inv = _eliminate(A[:, :, far], inverse)
-        if inverse:
-            inv[:, :, far] = far_inv
-    return sign, logdet, inv
-
-
-def _eliminate(
-    A: np.ndarray, inverse: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """:func:`_gauss_jordan` by Gauss-Jordan elimination with partial
-    pivoting, each row swap flipping the sign; without ``inverse``, of the
-    rows below each pivot only.  A singular matrix meets a zero pivot; it
-    gets sign 0, and a unit pivot in its place lets the elimination run on
-    without a warning, leaving its log|det| and inverse meaningless."""
-    a, n = A.shape[0], A.shape[2]
-    width = 2 * a if inverse else a
-    M = np.zeros((a, width, n))  # [A | I], reduced in place to [I | A^-1]
-    M[:, :a] = A
-    if inverse:
-        M.reshape(width * a, n)[a :: width + 1] = 1.0
-    pivots = np.empty((a, n))
-    sign = np.ones(n)
-    for j in range(a):
-        for r in range(j + 1, a):  # ends with the largest |M[r, j]|, r >= j, in row j
-            swap = np.abs(M[r, j]) > np.abs(M[j, j])
-            if swap.any():
-                top = M[j].copy()
-                np.copyto(M[j], M[r], where=swap)
-                np.copyto(M[r], top, where=swap)
-                np.negative(sign, out=sign, where=swap)
-        d = pivots[j]
-        d[:] = M[j, j]
-        if not d.all():
-            zero = d == 0.0
-            sign[zero] = 0.0
-            d[zero] = 1.0
-        row = M[j] / d
-        rows = M if inverse else M[j + 1 :]
-        rows -= rows[:, j, None] * row
-        M[j] = row
-    sign *= np.sign(pivots).prod(axis=0)
-    return sign, np.log(np.abs(pivots)).sum(axis=0), M[:, a:] if inverse else None
-
-
-def _variable_tables(
-    b: np.ndarray, V: np.ndarray, omega: np.ndarray, beta_of_b: np.ndarray,
-    members: np.ndarray,
-) -> tuple[np.ndarray, ...]:
-    """beta, log Z_v, 1 / Z_v, the V sums over each block divided by Z_v,
-    xbar_v and each bit's level's share e^beta / Z_v, at b laid end to end."""
-    beta = beta_of_b @ b
-    # log Z_v with the largest of 0 and the block's beta factored out
-    top = (members * beta).max(axis=1, initial=0.0)
-    log_z = top + np.log(np.exp(-top) + members @ np.exp(beta - top @ members))
-    inv_z = np.exp(-log_z)
-    sums = (members @ V) * inv_z[:, None]
-    return beta, log_z, inv_z, sums, sums * omega, np.exp(beta - log_z @ members)
-
-
-def _bit_terms(
-    beta: np.ndarray, V: np.ndarray, omega: np.ndarray, on: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """e^-beta and x of the a-space determinants, computed on the bits of
-    the boolean mask ``on`` and 0 elsewhere; an overflow is left as inf or
-    nan for the caller's rule, under the caller's errstate."""
-    decay = np.zeros(len(beta))
-    decay[on] = np.exp(-beta[on])
-    return decay, decay[:, None] * V * omega  # x_v(l) on the bit each level ends on
 
 
 @dataclass(frozen=True)
@@ -384,11 +197,11 @@ def _likelihood(
     +inf, never nan."""
     q, a = V.shape
     m = len(plan.weights)
+    maps = schema.block_maps
     with np.errstate(over="ignore", invalid="ignore"):  # what overflows fails the rule below
-        beta, log_z, inv_z, sums, x_bar, share = _variable_tables(b, V, omega, plan.beta_of_b,
-                                                                  plan.members)
+        beta, log_z, inv_z, sums, x_bar, share = _variable_tables(b, V, omega, maps)
         decay, x = _bit_terms(beta, V, omega, plan.bit_counts > 0)
-        w_bit = w.take(schema.block_maps.var, axis=0)  # each bit's w_v
+        w_bit = w.take(maps.var, axis=0)  # each bit's w_v
         terms = (x[:, :, None] * w_bit[:, None, :]).reshape(q, a * a).T
         # Abar - I, then A_s - I = sum_r E[r, s] x_r w_r^T over the m observed
         # states and over the states of rest: one (a, a, 1 + m + rest) stack
@@ -413,152 +226,14 @@ def _likelihood(
     to_x_bar = n * (w @ inv_bar)
     g_beta = (
         (x * per_bit).sum(axis=1) - plan.bit_counts
-        + share * ((n - (x_bar * to_x_bar).sum(axis=1)) @ plan.members)
+        + share * ((n - (x_bar * to_x_bar).sum(axis=1)) @ maps.members)
     )
-    g_w = n * x_bar @ inv_bar.T - plan.members @ (T * x[:, None, :]).sum(axis=2)
-    g_V = omega * (plan.members.T @ (to_x_bar * inv_z[:, None]) - decay[:, None] * per_bit)
+    g_w = n * x_bar @ inv_bar.T - maps.members @ (T * x[:, None, :]).sum(axis=2)
+    g_V = omega * (maps.members.T @ (to_x_bar * inv_z[:, None]) - decay[:, None] * per_bit)
     g_omega = (to_x_bar * sums).sum(axis=0) - (decay[:, None] * V * per_bit).sum(axis=0)
     return nll, np.concatenate(
-        [plan.beta_of_b.T @ g_beta, g_w.ravel(), g_V.ravel(), g_omega]
+        [maps.beta_of_b.T @ g_beta, g_w.ravel(), g_V.ravel(), g_omega]
     )
-
-
-_BORDER_BELOW = 1e-3  # s_v under which a column is bordered, not divided by s_v
-
-
-@np.errstate(over="ignore", invalid="ignore")  # what overflows fails _probabilities' rule
-def _allowed_state_probabilities(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
-    """Probability of every row of :func:`allowed_table` under ``sp``, from
-    a x a determinants: e^(sum_v beta_v(l_v) - sum_v log Z_v) det A_s / det Abar.
-
-    Each chunk of 2**14 rows is built as :func:`_likelihood` builds its
-    states: one GEMM of the per-bit terms (x_r w_r^T flattened, beta_r)
-    against the chunk's :func:`_ends` gives every (A_s - I, sum_v beta_v).
-    x_r divides by its level's share e^beta / Z_v, so it is formed only where
-    the share is at least 1e-3; a state with a rarer level is the pattern
-    fixing every bit, for the border of :func:`_pattern_probabilities`.  The
-    rule of :func:`grassmann._probabilities` holds: [-1e-12, 0) becomes 0.0,
-    a singular A_s gives +0.0, and an overflow (x, x w^T, the GEMM, Abar),
-    a singular Abar (so lam) or a non-finite parameter raises ParameterError."""
-    b, w, V, omega = flat_params(schema, sp)
-    q, a = V.shape
-    bits = allowed_table(schema)[0]
-    beta, log_z, _, _, x_bar, share = _variable_tables(b, V, omega, *_bit_maps(schema))
-    rare = share < _BORDER_BELOW
-    x = _bit_terms(beta, V, omega, ~rare)[1]
-    sign_bar, logdet_bar, _ = _gauss_jordan((np.eye(a) + x_bar.T @ w)[:, :, None], False)
-    if sign_bar[0] == 0:
-        raise ParameterError("lam is singular")
-    w_bit = w.take(schema.block_maps.var, axis=0)
-    terms = np.vstack([(x[:, :, None] * w_bit[:, None, :]).reshape(q, a * a).T, beta])
-    log_norm = log_z.sum() + logdet_bar[0]
-    probs = np.empty(len(bits))
-    for lo in range(0, len(bits), _CHUNK):
-        chunk = terms @ _ends(schema, bits[lo : lo + _CHUNK])
-        n = chunk.shape[1]
-        A = chunk[: a * a]  # A_s - I over the chunk's states
-        A[:: a + 1] += 1.0
-        sign, logdet, _ = _gauss_jordan(A.reshape(a, a, n), False)
-        probs[lo : lo + n] = _probabilities(sign, chunk[a * a] + logdet - log_norm, sign_bar[0])
-        if rare.any():  # the states with a level on a rare bit
-            rows = lo + np.flatnonzero(rare @ _ends(schema, bits[lo : lo + _CHUNK]))
-            probs[rows] = _pattern_probabilities(schema, sp, np.ones((rows.size, q)), bits[rows])
-    return probs
-
-
-@np.errstate(over="ignore", invalid="ignore")  # what overflows fails _probabilities' rule
-def _pattern_probabilities(
-    schema: VariableSchema, sp: StructuredParams, fixed: np.ndarray, values: np.ndarray
-) -> np.ndarray:
-    """Probability under ``sp`` of each pattern of dummy bits, from a x a
-    determinants: row i of the (n, q) 0/1 arrays ``fixed`` and ``values``
-    marks the bits pattern i fixes and gives their values.
-
-    det A_s is affine in each variable's column, and e^beta_v(l) x_v(l) =
-    omega * V[r_v(l)], so summing variable v over the set L_v of its levels
-    whose bits agree with the pattern gives one column.  With s_v =
-    sum_(l in L_v) e^beta_v(l) / Z_v and u_v = omega * sum_(l in L_v)
-    V[r_v(l)] / Z_v, that column is u_v / s_v, and
-
-        P = prod_(constrained v) s_v * det A_L / det Abar,   A_L = I + sum_v (u_v / s_v) w_v^T.
-
-    A variable the pattern leaves free keeps s_v = 1 and u_v = xbar_v
-    exactly, and A_L is built as Abar plus the constrained variables'
-    changes, so the empty pattern gives exactly 1.0.  Dividing by s_v costs
-    about eps / s_v of relative accuracy, and cannot divide by s_v = 0, so a
-    constrained variable with s_v < 1e-3 keeps its column undivided in a
-    border instead: row a + j holds (-w_v, s_v) and column a + j holds
-    u_v - s_v xbar_v, and the bordered determinant is s_v times the divided
-    one.  The border is as wide as the most such variables of any pattern,
-    with a unit diagonal in unused slots; usually it is empty.  A pattern
-    that leaves a variable no level has a zero border column, so it gives
-    +0.0.  The patterns and Abar, last, are one stacked elimination.  The
-    rule of :func:`grassmann._probabilities` holds; an overflow, a singular
-    Abar (so lam) or a non-finite parameter raises ParameterError."""
-    b, w, V, omega = flat_params(schema, sp)
-    q, a = V.shape
-    n = len(fixed)
-    var = schema.block_maps.var
-    beta_of_b, members = _bit_maps(schema)
-    beta, log_z, inv_z, _, x_bar, share = _variable_tables(b, V, omega, beta_of_b, members)
-    # the bits each pattern, then Abar's empty one, fixes, and those it fixes to 1
-    fixes = np.zeros((2, q, n + 1))
-    fixes[0, :, :n] = fixed.T
-    fixes[1, :, :n] = (fixed * values).T
-    set_bits = members @ fixes[1]
-    # the level ending on bit r sets the bits of row r of beta_of_b and clears
-    # the rest of its block; level 0 clears the whole block
-    agree = beta_of_b @ (fixes[0] - 2.0 * fixes[1]) + set_bits[var] == 0
-    mass = members @ (share[:, None] * agree) + inv_z[:, None] * (set_bits == 0)
-    constrained = members @ fixes[0] > 0
-    border = constrained & (mass < _BORDER_BELOW)
-    s = np.where(constrained & ~border, mass, 1.0)
-    # A_L - Abar = sum_r E[r] omega V[r] w_r^T / Z_v, E[r] = [level agrees] / s_v - 1
-    per_bit = V * (omega * inv_z[var, None])
-    terms = (per_bit[:, :, None] * w[var][:, None, :]).reshape(q, a * a).T
-    A = terms @ np.where(border[var], 0.0, agree / s[var] - 1.0)
-    A += (np.eye(a) + x_bar.T @ w).reshape(a * a, 1)
-    M = A.reshape(a, a, n + 1)
-    if border.any():
-        v, i = np.nonzero(border)
-        j = a + np.cumsum(border, axis=0)[v, i] - 1
-        k = int(j.max()) + 1
-        bordered = np.zeros((k, k, n + 1))
-        bordered[:a, :a] = M
-        bordered[a:, a:] = np.eye(k - a)[:, :, None]
-        bordered[:a, j, i] = per_bit.T @ (members[v].T * agree[:, i]) - x_bar[v].T * mass[v, i]
-        bordered[j, :a, i] = -w[v]
-        bordered[j, j, i] = mass[v, i]
-        M = bordered
-    sign, logdet, _ = _gauss_jordan(M, False)
-    if sign[n] == 0:
-        raise ParameterError("lam is singular")
-    return _probabilities(sign[:n], (np.log(s).sum(axis=0) + logdet - logdet[n])[:n], sign[n])
-
-
-@np.errstate(over="ignore", invalid="ignore")  # what overflows raises below
-def _structured_moments(schema: VariableSchema, sp: StructuredParams) -> tuple[np.ndarray, ...]:
-    """Mean and covariance of the dummy bits under ``sp``, from sig = lam^-1
-    by Woodbury on lam = D + W Omega V^T, D = I + K, without lam.  Within a
-    block (D^-1)_rs = beta_of_b[r, s] - m_s, m = beta_of_b^T share being the
-    independence model's bit means, and D^-1 W has rows w_v / Z_v, so M =
-    I + Omega V^T D^-1 W is Abar and sig = D^-1 - (D^-1 W) M^-1 (Omega V^T
-    D^-1).  "lam is singular" when M is; a ParameterError that says
-    "overflows" when M, M^-1 or sig is not finite."""
-    b, w, V, omega = flat_params(schema, sp)
-    beta_of_b, members = _bit_maps(schema)
-    _, _, inv_z, _, x_bar, share = _variable_tables(b, V, omega, beta_of_b, members)
-    d_inv = beta_of_b - (members.T @ members) * (beta_of_b.T @ share)
-    M = np.eye(omega.size) + x_bar.T @ w  # built as the table and prob build Abar
-    sign, _, inv = _gauss_jordan(M[:, :, None], True)
-    finite = np.isfinite(M).all()
-    if finite and sign[0] == 0:
-        raise ParameterError("lam is singular")
-    var = schema.block_maps.var  # D^-1 W is inv_z[var] * w[var], and M^-1 is inv[:, :, 0]
-    sig = d_inv - (inv_z[var, None] * w[var]) @ inv[:, :, 0] @ (omega[:, None] * (V.T @ d_inv))
-    if not (finite and np.isfinite(inv).all() and np.isfinite(sig).all()):
-        raise ParameterError("a moment overflows: Abar, its inverse or sig = lam^-1 is not finite")
-    return _sigma_moments(sig)
 
 
 def negative_log_likelihood(
@@ -637,53 +312,45 @@ def _objective(
     return nll, g
 
 
-# -- the restart / penalty-ramp driver ---------------------------------------
+# -- the restart driver ------------------------------------------------------
 
-def _penalized_fit(
-    seed: int, restarts: int, weight0: float,
+def _restarts(
+    seed: int, restarts: int,
     start: Callable[[np.random.Generator], np.ndarray],
-    solve: Callable[[np.ndarray, float], OptimizeResult],
-    constraint_met: Callable[[np.ndarray], bool],
+    descend: Callable[[np.ndarray], tuple[np.ndarray, bool, int]],
     key: Callable[[np.ndarray], tuple],
 ) -> tuple[tuple, np.ndarray, bool, int]:
-    """Best of ``restarts`` penalized fits: (key, x, success, iterations).
+    """Best of ``restarts`` descents: (key, x, success, iterations).  Restart
+    r runs ``descend(start(rng))``, rng from the r-th child of
+    ``SeedSequence(seed)``, to (x, success, L-BFGS-B iterations).  The least
+    ``key(x)`` wins, ties keep the earlier restart, and iterations add up."""
+    children = np.random.SeedSequence(seed).spawn(restarts)
+    runs = [descend(start(np.random.default_rng(child))) for child in children]
+    keys = [key(x) for x, _, _ in runs]
+    best = min(range(len(runs)), key=keys.__getitem__)  # min keeps the first of equal keys
+    return keys[best], runs[best][0], runs[best][1], sum(nit for _, _, nit in runs)
 
-    Restart r starts at ``start(rng)``, rng from the r-th child of
-    ``SeedSequence(seed)``.  Each ramp repeats ``solve(x, weight)``, one
-    L-BFGS-B run, until a run gains less than 1e-9 relative (at most 10
-    runs); ramps stop once ``constraint_met(x)``, else the weight grows
-    tenfold.  The smallest ``key(x)`` wins and ties keep the earlier
-    restart.  ``success``: the winner's last run converged or hit its
-    iteration limit.  ``solve`` is defined in the caller's module because
-    the benchmark tracer names each L-BFGS-B call after its calling module.
-    """
-    best: tuple[tuple, np.ndarray, bool] | None = None
+
+def _repeat_lbfgs(
+    x: np.ndarray, run: Callable[[np.ndarray], OptimizeResult]
+) -> tuple[np.ndarray, bool, int]:
+    """Repeat ``run(x)``, one L-BFGS-B run from x, until a run gains less
+    than 1e-9 relative, at most 10 runs: (x, success, iterations), success
+    if the last run converged or hit its iteration limit.  A new run resets
+    L-BFGS-B's curvature memory, which escapes the flat-progress stalls of a
+    penalty's kinks or the certified fit's wall.  ``run`` is defined in the
+    caller's module: the benchmark tracer names each L-BFGS-B call after it."""
+    f_prev = np.inf
     iterations = 0
-    for child in np.random.SeedSequence(seed).spawn(restarts):
-        x = start(np.random.default_rng(child))
-        weight = weight0
-        success = False
-        for _ in range(MAX_RAMPS):
-            # Restarting L-BFGS-B resets its curvature memory, which reliably
-            # escapes the flat-progress stalls that a penalty's kinks or the
-            # certified fit's wall can cause.
-            f_prev = np.inf
-            for _ in range(10):
-                res = solve(x, weight)
-                x = res.x
-                iterations += int(res.nit)
-                success = bool(res.success) or res.status == 1
-                if f_prev - res.fun < 1e-9 * max(1.0, abs(res.fun)):
-                    break
-                f_prev = res.fun
-            if constraint_met(x):
-                break
-            weight *= 10.0
-        k = key(x)
-        if best is None or k < best[0]:
-            best = (k, x, success)
-    assert best is not None
-    return (*best, iterations)
+    for _ in range(10):
+        res = run(x)
+        x = res.x
+        iterations += int(res.nit)
+        success = bool(res.success) or res.status == 1
+        if f_prev - res.fun < 1e-9 * max(1.0, abs(res.fun)):
+            break
+        f_prev = res.fun
+    return x, success, iterations
 
 
 # -- fit_grassmann -----------------------------------------------------------
@@ -821,7 +488,7 @@ def fit_grassmann(
             x[i:l] *= 0.5
         return x
 
-    def solve(x: np.ndarray, _: float) -> OptimizeResult:
+    def solve(x: np.ndarray) -> OptimizeResult:
         import scipy.optimize  # only the fits need it; read commands load faster without
 
         return scipy.optimize.minimize(
@@ -839,9 +506,8 @@ def fit_grassmann(
         nll = nll_at(x)
         return nll, float(np.linalg.norm(x))
 
-    # no penalty: the ramp check always passes, so each restart runs one ramp
-    (nll, _), x, success, iterations = _penalized_fit(
-        config.seed, config.restarts, 0.0, start, solve, lambda x: True, key,
+    (nll, _), x, success, iterations = _restarts(
+        config.seed, config.restarts, start, lambda x: _repeat_lbfgs(x, solve), key,
     )
     b, w, V, omega = packer.unpack(x)
     sp_fit = StructuredParams(tuple(b[s:e] for s, e in schema.blocks), tuple(w), V, omega)

@@ -21,7 +21,7 @@ marginal and conditional parameters serve a general lam.  A structured
 model's pattern probabilities (``prob``), allowed states (``sample``, the
 fit's certificate) and moments (``moments``, the fit's report), which
 ``oracle check`` tests, come from a x a determinants in
-:mod:`grasscat.fit` instead; the moments share :func:`_sigma_moments`.
+:mod:`grasscat.structure` instead; the moments share :func:`_sigma_moments`.
 Both end in one rule, :func:`_probabilities`, on parameters checked once,
 finiteness included (``GrassmannParams``, or :func:`structure.flat_params`
 for a structured model): a state of sign 0 gives +0.0 (a singular minor's
@@ -293,6 +293,27 @@ def _sigma_moments(sig: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cov = -(sig * sig.T)
     np.fill_diagonal(cov, d * (1.0 - d))
     return mean, cov
+
+
+def weighted_moments(
+    states: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, covariance, and Pearson correlation of the rows of ``states``
+    under the probability weights ``w``."""
+    mean = w @ states
+    centered = states - mean
+    cov = (w[:, None] * centered).T @ centered
+    return mean, cov, _correlation(cov)
+
+
+def _correlation(cov: np.ndarray) -> np.ndarray:
+    """Pearson correlation of a covariance matrix: 1.0 on the diagonal, and
+    NaN, never +-inf, for a pair whose product of standard deviations is 0.0."""
+    std = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    scale = np.outer(std, std)
+    corr = np.divide(cov, scale, out=np.full_like(cov, np.nan), where=scale != 0.0)
+    np.fill_diagonal(corr, 1.0)
+    return corr
 
 
 def conditional_zero_moments(p: GrassmannParams, r: int, s: int) -> tuple[float, float]:

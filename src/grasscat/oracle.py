@@ -15,9 +15,9 @@ vouch for, and det lam, come from Gaussian elimination with partial
 pivoting over a stack held matrix-index-first, as (n, n, N), so each pivot
 search, row swap and rank-1 update is a handful of operations on
 contiguous N-vectors.  The table's moments are those of its weighted states
-(:func:`grasscat.fit.weighted_moments`), not the Woodbury form that
+(:func:`grasscat.grassmann.weighted_moments`), not the Woodbury form that
 ``oracle check`` tests.  ``oracle check`` compares the table with the
-a-space kernels of :mod:`grasscat.fit` that the commands run: the
+a-space kernels of :mod:`grasscat.structure` that the commands run: the
 allowed-state table (``sample``, the fit), the moments (``moments``, the
 fit's report) and one-bit patterns (``prob``).  This table is the one place
 a command builds a structured model's lam.
@@ -31,8 +31,7 @@ import numpy as np
 
 from .caps import check_bit_cap
 from .errors import ParameterError
-from .fit import weighted_moments
-from .grassmann import GrassmannParams
+from .grassmann import GrassmannParams, weighted_moments
 
 _CHUNK = 2**14  # masks per elimination pass: bounds the stacked minors
 _BIG = np.finfo(float).max / 16  # keeps the recursion's bound finite

@@ -224,6 +224,9 @@ class BlockMaps:
     ``k_dst`` are the flat indices in K of the carrying bits' block entries
     and ``k_src`` the flat indices of their values in the padded array;
     ``sub_dst`` are the flat indices of the ordinal blocks' subdiagonal -1s.
+    ``beta_of_b`` is the (q, q) 0/1 map from b laid end to end to the logit
+    of the level ending on each bit, and ``members`` are the (variables, q)
+    0/1 bit memberships.
     """
 
     sizes: tuple[int, ...]
@@ -235,6 +238,8 @@ class BlockMaps:
     k_dst: np.ndarray
     k_src: np.ndarray
     sub_dst: np.ndarray
+    beta_of_b: np.ndarray
+    members: np.ndarray
 
     @classmethod
     def of(cls, schema: "VariableSchema") -> "BlockMaps":
@@ -260,16 +265,22 @@ class BlockMaps:
             w_src.extend(j if r in carrying else k for r in range(s, e))
             if ordinal[j]:
                 sub_dst.extend(r * q + r - 1 for r in range(s + 1, e))
+        bit_var = np.array(var, dtype=int)
+        ordinal_col = np.array(ordinal, dtype=bool).reshape(k, 1)
+        # beta_r sums b over bit r alone (categorical) or its block's bits up to r
+        same = np.tril(bit_var[:, None] == bit_var)
         return cls(
             sizes=sizes,
             width=width,
-            var=np.array(var, dtype=int),
+            var=bit_var,
             pad_dst=np.array(pad_dst, dtype=int),
-            ordinal=np.array(ordinal, dtype=bool).reshape(k, 1),
+            ordinal=ordinal_col,
             w_src=np.array(w_src, dtype=int),
             k_dst=np.array(k_dst, dtype=int),
             k_src=np.array(k_src, dtype=int),
             sub_dst=np.array(sub_dst, dtype=int),
+            beta_of_b=(same & (ordinal_col[bit_var] | np.eye(q, dtype=bool))).astype(float),
+            members=(np.arange(k)[:, None] == bit_var).astype(float),
         )
 
 

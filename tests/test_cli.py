@@ -1195,6 +1195,17 @@ class TestOverflowingModelsExitTwo:
         assert out == "" and err.count("\n") == 1
         assert err.startswith(f"numerical error: {message}")
 
+    def test_b_moments_print_no_infinite_correlation(self, tmp_path, capsys):
+        """B's var(bit 0) rounds to 0.0 beside cov(0, 1) = -1.25e-309, so
+        their correlation is NaN, as a 0/0 one is, never -inf."""
+        self._save(tmp_path)
+        assert _run(tmp_path, "moments", "--model", "B.json") == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["cov"][0][0] == 0.0 and out["cov"][0][1] != 0.0
+        corr = np.asarray(out["corr"])
+        assert np.isnan(corr[0, 1]) and np.isnan(corr[1, 0])
+        assert np.all(np.isnan(corr) | (np.abs(corr) <= 1.0))
+
 
 class TestRangeModel:
     """A certified q = 12, a = 2 model with w_v scaled by 1e101 and each V
@@ -1215,8 +1226,9 @@ class TestRangeModel:
         return schema, sp
 
     def test_moments_match_the_allowed_state_table(self, tmp_path, capsys):
-        from grasscat.fit import _allowed_state_probabilities, weighted_moments
+        from grasscat.grassmann import weighted_moments
         from grasscat.schema import allowed_table
+        from grasscat.structure import _allowed_state_probabilities
 
         schema, sp = self._save(tmp_path)
         bits = allowed_table(schema)[0].astype(float)

@@ -568,6 +568,25 @@ class TestFactorFit:
         )
         assert report.norm_spread <= 1e-3 * 1.5 + 1e-6
 
+    def test_penalty_weight_ramps_through_at_most_six_weights(self, monkeypatch, rng):
+        """A minimizer that never moves leaves the random start's loading
+        norms apart, so the restart ramps kappa through 1, 10, ..., 1e5."""
+        from types import SimpleNamespace
+
+        import scipy.optimize
+
+        kappas = []
+
+        def stub(fun, x0, args, **kwargs):
+            kappas.append(args[0])
+            return SimpleNamespace(x=x0, fun=1.0, nit=1, success=True, status=0)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", stub)
+        schema = VariableSchema([VariableDecl("a", CAT, 3), VariableDecl("b", ORD, 3)])
+        rows = np.stack([rng.integers(0, 3, 60), rng.integers(0, 3, 60)], axis=1)
+        fit_factor_model(schema, rows, 2, FactorFitConfig(restarts=1))
+        assert sorted(set(kappas)) == [1.0, 10.0, 1e2, 1e3, 1e4, 1e5]
+
     def test_continuous_block_gradient(self, rng):
         schema = VariableSchema([VariableDecl("x", CAT, 3)])
         p_z, p_x, n = 1, 2, 40
@@ -886,11 +905,11 @@ class TestFactorFitOnThePriorTable:
 
         captured = {}
 
-        def capture(seed, restarts, weight0, start, solve, constraint_met, key):
+        def capture(seed, restarts, start, descend, key):
             captured.update(start=start, key=key)
             return (0.0, 0.0), start(np.random.default_rng(seed)), True, 0
 
-        monkeypatch.setattr(grasscat.factor, "_penalized_fit", capture)
+        monkeypatch.setattr(grasscat.factor, "_restarts", capture)
         return captured
 
     @pytest.mark.parametrize("bad", [(1, 1, 0, 0), (0, 0, 0, 1), (0, 2, 0, 0)])
@@ -961,37 +980,36 @@ class TestFactorObjectiveGradient:
     def test_gradient_with_a_continuous_block_matches_finite_differences(
             self, monkeypatch, rng):
         """Central differences of the factor fit's penalized objective in
-        every coordinate of (b, G, s, mu_x, tau, W), taken from the solve
-        that fit_factor_model hands to the restart driver."""
+        every coordinate of (b, G, s, mu_x, tau, W), taken from the call
+        that fit_factor_model makes to a stubbed scipy.optimize.minimize,
+        which returns its start unmoved."""
         from types import SimpleNamespace
 
         import scipy.optimize
 
-        import grasscat.factor
-
         captured = {}
 
-        def capture(seed, restarts, weight0, start, solve, constraint_met, key):
-            captured.update(start=start, solve=solve)
-            return (0.0, 0.0), start(np.random.default_rng(seed)), True, 0
+        def stub(fun, x0, args, **kwargs):
+            captured.setdefault("start", x0)
+            captured["fun"] = fun
+            return SimpleNamespace(x=x0, fun=0.0, nit=0, success=True, status=0)
 
-        monkeypatch.setattr(grasscat.factor, "_penalized_fit", capture)
+        monkeypatch.setattr(scipy.optimize, "minimize", stub)
         schema = VariableSchema([VariableDecl("a", CAT, 3), VariableDecl("b", ORD, 3)])
         n, p_z, p_x = 60, 2, 2
         rows = np.stack([rng.integers(0, 3, n), rng.integers(0, 3, n)], axis=1)
         fit_factor_model(schema, rows, p_z, FactorFitConfig(restarts=1),
                          x_data=rng.normal(0.0, 1.0, (n, p_x)))
-        monkeypatch.setattr(scipy.optimize, "minimize",
-                            lambda fun, x0, args, **kw: SimpleNamespace(fun=fun, args=args))
-        res = captured["solve"](None, 10.0)  # kappa = 10: the equal-norm penalty is live
-        x = captured["start"](rng) + rng.normal(0.0, 0.3, 1)
-        value, grad = res.fun(x, *res.args)
+        args = (10.0,)  # kappa = 10: the equal-norm penalty is live
+        fun = captured["fun"]
+        x = captured["start"] + rng.normal(0.0, 0.3, 1)
+        value, grad = fun(x, *args)
         assert len(x) == schema.q * (1 + p_z) + 1 + p_x * (2 + p_z)
         h = 1e-6
         for i in range(len(x)):
             step = np.zeros_like(x)
             step[i] = h
-            fd = (res.fun(x + step, *res.args)[0] - res.fun(x - step, *res.args)[0]) / (2 * h)
+            fd = (fun(x + step, *args)[0] - fun(x - step, *args)[0]) / (2 * h)
             assert fd == pytest.approx(grad[i], rel=1e-5, abs=1e-5), i
 
 

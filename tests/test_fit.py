@@ -19,19 +19,18 @@ from grasscat.fit import (
     negative_log_likelihood,
     nll_gradient,
     state_counts,
-    weighted_moments,
     _Packer,
-    _allowed_state_probabilities,
-    _correlation,
-    _eliminate,
-    _ends,
-    _gauss_jordan,
     _likelihood,
     _objective,
-    _structured_moments,
     _table_plan,
 )
-from grasscat.grassmann import GrassmannParams, moments, state_probabilities
+from grasscat.grassmann import (
+    GrassmannParams,
+    _correlation,
+    moments,
+    state_probabilities,
+    weighted_moments,
+)
 from grasscat.oracle import brute_force_table
 from grasscat.schema import (
     Record,
@@ -45,6 +44,11 @@ from grasscat.schema import (
 )
 from grasscat.structure import (
     StructuredParams,
+    _allowed_state_probabilities,
+    _eliminate,
+    _ends,
+    _gauss_jordan,
+    _structured_moments,
     assemble_lambda,
     aux_loading_matrix,
     extended_lambda,
@@ -784,7 +788,7 @@ class TestFit:
         schema, sp = _dominance_counterexample(pad=12)
         assert schema.q == 15
         fitted = ((0.0, 0.0), _Packer(schema, 1, np.zeros(schema.q, bool)).pack(sp), True, 0)
-        monkeypatch.setattr(grasscat.fit, "_penalized_fit", lambda *args: fitted)
+        monkeypatch.setattr(grasscat.fit, "_restarts", lambda *args: fitted)
         rows = [Record((0,) * len(schema))] * 10
         report = fit_grassmann(schema, rows, FitConfig(a=1, restarts=1, seed=0))
         assert report.p0_min == pytest.approx(-1.543e-6, abs=1e-9)
@@ -943,17 +947,17 @@ class TestAllowedStateTable:
         below 1e-3, so exactly the states at level 4 or above, the ones whose
         level ends on such a bit, are scored by the pattern kernel's border,
         and the table matches lam-space and sums to 1."""
-        import grasscat.fit
+        import grasscat.structure
 
         schema, sp = self._ord30_at_the_bound(rng, a)
         scored = []
-        real = grasscat.fit._pattern_probabilities
+        real = grasscat.structure._pattern_probabilities
 
         def recording(schema, sp, fixed, values):
             scored.append(values)
             return real(schema, sp, fixed, values)
 
-        monkeypatch.setattr(grasscat.fit, "_pattern_probabilities", recording)
+        monkeypatch.setattr(grasscat.structure, "_pattern_probabilities", recording)
         table = self._assert_matches(schema, sp)
         assert table.sum() == pytest.approx(1.0, abs=1e-12)
         bits, levels = allowed_table(schema)
@@ -999,19 +1003,19 @@ class TestAllowedStateTable:
 
     @pytest.mark.parametrize("decls", [[(CAT, 3)] * 9, [(CAT, 2)] * 15, [(ORD, 5), (CAT, 4)] * 4])
     def test_chunks_of_at_most_2_14_states(self, rng, monkeypatch, decls):
-        import grasscat.fit
+        import grasscat.structure
 
         schema = VariableSchema([VariableDecl(f"v{j}", kind, levels)
                                  for j, (kind, levels) in enumerate(decls)])
         assert schema.n_states() > 2**14
         sizes = []
-        real = grasscat.fit._gauss_jordan
+        real = grasscat.structure._gauss_jordan
 
         def recording(A, inverse):
             sizes.append(A.shape[2])
             return real(A, inverse)
 
-        monkeypatch.setattr(grasscat.fit, "_gauss_jordan", recording)
+        monkeypatch.setattr(grasscat.structure, "_gauss_jordan", recording)
         self._assert_matches(schema, random_structured(rng, schema, 2, b_scale=0.5))
         assert sizes[0] == 1  # det Abar
         assert len(sizes) > 2 and max(sizes) <= 2**14
@@ -1221,31 +1225,16 @@ class TestDocumentedRules:
         assert not report.converged
         assert any("p0_min" in w for w in report.warnings)
 
-    def test_penalty_weight_ramps_through_at_most_six_weights(self):
-        from types import SimpleNamespace
-
-        from grasscat.fit import _penalized_fit
-
-        weights = []
-
-        def solve(x, weight):
-            weights.append(weight)
-            return SimpleNamespace(x=x, fun=1.0, nit=1, success=True, status=0)
-
-        _penalized_fit(0, 1, 10.0, lambda rng: np.zeros(1), solve,
-                       lambda x: False, lambda x: (0.0,))
-        assert sorted(set(weights)) == [10.0, 1e2, 1e3, 1e4, 1e5, 1e6]
-
     def test_unobserved_level_starts_at_minus_30(self, monkeypatch):
         import grasscat.fit
 
         starts = []
 
-        def start_only(seed, restarts, weight0, start, *rest):
+        def start_only(seed, restarts, start, descend, key):
             starts.append(start(np.random.default_rng(seed)))
             return (0.0, 0.0), starts[-1], True, 0
 
-        monkeypatch.setattr(grasscat.fit, "_penalized_fit", start_only)
+        monkeypatch.setattr(grasscat.fit, "_restarts", start_only)
         schema = VariableSchema([VariableDecl("x", CAT, 3)])
         rows = [Record((0,))] * 10 + [Record((1,))] * 10  # level 2 never seen
         report = fit_grassmann(schema, rows, FitConfig(a=1, restarts=1, seed=0))
@@ -1274,8 +1263,8 @@ class TestFitConfigIntegers:
 
 
 def _driver_rules(monkeypatch, schema, rows, a):
-    """The start, solve, ramp check and restart key that fit_grassmann hands
-    to the restart driver, and the packer of their vectors."""
+    """The start, descent and restart key that fit_grassmann hands to the
+    restart driver, and the packer of their vectors."""
     import grasscat.fit
 
     captured = {}
@@ -1285,12 +1274,12 @@ def _driver_rules(monkeypatch, schema, rows, a):
         captured["packer"] = build(*args)
         return captured["packer"]
 
-    def capture(seed, restarts, weight0, start, solve, constraint_met, key):
-        captured.update(start=start, solve=solve, constraint_met=constraint_met, key=key)
+    def capture(seed, restarts, start, descend, key):
+        captured.update(start=start, descend=descend, key=key)
         return (0.0, 0.0), start(np.random.default_rng(seed)), True, 0
 
     monkeypatch.setattr(grasscat.fit, "_Packer", packer)
-    monkeypatch.setattr(grasscat.fit, "_penalized_fit", capture)
+    monkeypatch.setattr(grasscat.fit, "_restarts", capture)
     fit_grassmann(schema, rows, FitConfig(a=a, restarts=1, seed=0))
     return captured
 
@@ -1308,7 +1297,7 @@ def _random_rows(rng, schema, n=200):
 class TestFitDriverRules:
     """The rules fit_grassmann gives the restart driver: the restart key is
     (the NLL over the allowed-state table, the norm of the optimizer
-    vector), and the ramp check always passes, so one ramp runs."""
+    vector)."""
 
     def test_one_certificate_and_one_typed_model_per_fit(self, monkeypatch):
         """Restarts read the optimizer vector; only the result builds a
@@ -1333,7 +1322,6 @@ class TestFitDriverRules:
         rows = _random_rows(rng, schema)
         rules = _driver_rules(monkeypatch, schema, rows, a)
         packer, counts = rules["packer"], state_counts(schema, rows)
-        assert rules["constraint_met"](rules["start"](rng))
         finite = 0
         for _ in range(20):
             x = rules["start"](rng)
@@ -1510,11 +1498,14 @@ def _two_stacks(A, inverse, head=None):
 
 
 def _with_kernel(monkeypatch, kernel, *args):
-    """_likelihood(*args) with ``kernel`` as the fit module's _gauss_jordan."""
+    """_likelihood(*args) with ``kernel`` as _gauss_jordan, in the fit module
+    that calls it and the structure module where its head recurses."""
     import grasscat.fit
+    import grasscat.structure
 
     with monkeypatch.context() as patched:
-        patched.setattr(grasscat.fit, "_gauss_jordan", kernel)
+        for module in (grasscat.fit, grasscat.structure):
+            patched.setattr(module, "_gauss_jordan", kernel)
         return _likelihood(*args)
 
 
@@ -1586,7 +1577,7 @@ class TestOneStackCertificate:
                 return kernel(A, inverse, head)
             return run
 
-        got = _with_kernel(monkeypatch, crafting(grasscat.fit._gauss_jordan), *args)
+        got = _with_kernel(monkeypatch, crafting(_gauss_jordan), *args)
         assert calls == [plan.weights.size + 1, None, None]  # the head, then the two stacks
         want = _with_kernel(monkeypatch, crafting(_two_stacks), *args)
         _assert_same_bits(got, want)
@@ -1618,7 +1609,7 @@ class TestOneStackCertificate:
             stacks.append(A.copy())
             return real(A, inverse, head)
 
-        real = grasscat.fit._gauss_jordan
+        real = _gauss_jordan
         got = _with_kernel(monkeypatch, recording, *args)
         (a_, b_), (c_, d_) = stacks[0]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -1649,7 +1640,7 @@ class TestOneStackCertificate:
 
 
 class TestStructuredMoments:
-    """fit._structured_moments: the dummy bits' mean and covariance from
+    """structure._structured_moments: the dummy bits' mean and covariance from
     sig = lam^-1 by Woodbury, with no lam, against lam's closed form and
     the allowed-state table's weighted moments."""
 
@@ -1730,6 +1721,18 @@ class TestStructuredMoments:
         got = _structured_moments(schema, sp)
         for g, w in zip(got, moments(assemble_lambda(schema, sp))):
             assert np.abs(g - w).max() <= 1e-15
+
+    def test_model_b_correlation_is_nan_where_a_deviation_is_zero(self):
+        """Model B's var(bit 0) rounds to 0.0 while cov(0, 1) is -1.25e-309:
+        the pair's correlation is NaN, as a 0/0 pair's is, not -inf."""
+        schema, sp = TestOneCheckOneRule._model((-2.0, 0.0), (1.0, 1.0))
+        cov = _structured_moments(schema, sp)[1]
+        assert cov[0, 0] == 0.0 and cov[0, 1] < 0.0
+        corr = _correlation(cov)
+        assert np.isnan(corr[0, 1]) and np.isnan(corr[1, 0])
+        assert (np.diag(corr) == 1.0).all()
+        zero = np.zeros((2, 2))
+        assert np.isnan(_correlation(zero)[0, 1])  # 0/0
 
     @pytest.mark.parametrize("path", ["moments command", "fit report"])
     def test_builds_no_lambda(self, rng, tmp_path, capsys, monkeypatch, path):

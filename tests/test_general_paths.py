@@ -30,7 +30,6 @@ from grasscat.factor import (
     posterior,
 )
 from grasscat.fit import (
-    _allowed_state_probabilities,
     _Packer,
     _sigmoid,
     _state_plan,
@@ -47,7 +46,7 @@ from grasscat.grassmann import (
 from grasscat.mixed import MixedParams, conditional_binary_given_continuous
 from grasscat.oracle import brute_force_table, oracle_conditional
 from grasscat.schema import VariableDecl, VariableKind, VariableSchema, allowed_table
-from grasscat.structure import OMEGA_EPS, StructuredParams
+from grasscat.structure import OMEGA_EPS, StructuredParams, _allowed_state_probabilities
 
 from generators import CAT, ORD, random_schema, random_valid_params, reader_style_schema
 from test_mixed import random_mixed
@@ -434,7 +433,8 @@ def test_oracle_conditional_on_nothing_matches_the_selection(rng, q):
 
 
 def _ref_state_plan(schema, counts):
-    """_state_plan's per-variable loop with its own block starts."""
+    """_state_plan's per-variable loop with its own block starts, and the
+    schema's b -> beta map and bit memberships."""
     from grasscat.schema import levels_of_bits
 
     states, weights = counts.as_arrays()
@@ -468,7 +468,8 @@ def test_state_plan_matches_the_per_variable_loop(rng):
         levels = table[rng.integers(0, len(table), 30)]
         counts = state_counts(schema, levels)
         plan = _state_plan(schema, counts)
-        got = (plan.ends, plan.weights, plan.bit_counts, plan.beta_of_b, plan.members)
+        maps = schema.block_maps
+        got = (plan.ends, plan.weights, plan.bit_counts, maps.beta_of_b, maps.members)
         for g, w in zip(got, _ref_state_plan(schema, counts)):
             assert_same(g, w)
             assert g.flags.c_contiguous == w.flags.c_contiguous

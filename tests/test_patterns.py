@@ -1,5 +1,5 @@
 """Pattern probabilities of a structured model from a x a determinants
-(``fit._pattern_probabilities`` and the ``prob`` command), against the
+(``structure._pattern_probabilities`` and the ``prob`` command), against the
 lam-space marginal and conditional formulas and against signed sums over the
 allowed-state table."""
 
@@ -9,17 +9,11 @@ import numpy as np
 import pytest
 
 import grasscat.cli
-import grasscat.fit
 import grasscat.grassmann
 import grasscat.structure
 from grasscat.cli import conditional_pattern_probability, parse_pattern, run_command
 from grasscat.errors import ConditioningError, ParameterError
-from grasscat.fit import (
-    B_CAP,
-    _allowed_state_probabilities,
-    _pattern_probabilities,
-    _structured_moments,
-)
+from grasscat.fit import B_CAP
 from grasscat.grassmann import (
     IndexPartition,
     conditional_params,
@@ -28,7 +22,13 @@ from grasscat.grassmann import (
 )
 from grasscat.modelfile import ModelFile, save_model
 from grasscat.schema import VariableDecl, VariableSchema, allowed_table
-from grasscat.structure import StructuredParams, assemble_lambda
+from grasscat.structure import (
+    StructuredParams,
+    _allowed_state_probabilities,
+    _pattern_probabilities,
+    _structured_moments,
+    assemble_lambda,
+)
 
 from generators import CAT, ORD, random_certified_structured, random_schema, random_structured
 
@@ -149,7 +149,7 @@ class TestAgreement:
             sp = random_structured(rng, schema, a)
             patterns = [_query_and_given(rng, schema)[0] for _ in range(6)]
             divided = _probs(schema, sp, *patterns)
-            monkeypatch.setattr(grasscat.fit, "_BORDER_BELOW", 2.0)
+            monkeypatch.setattr(grasscat.structure, "_BORDER_BELOW", 2.0)
             bordered = _probs(schema, sp, *patterns)
             monkeypatch.undo()
             assert np.allclose(bordered, divided, rtol=1e-12, atol=1e-15)

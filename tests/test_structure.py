@@ -149,7 +149,7 @@ class TestAssemble:
     def test_certificate_modes(self):
         """The extended (q + a) check and the fit's allowed-state table agree
         on a generated model: every allowed state is positive."""
-        from grasscat.fit import _allowed_state_probabilities
+        from grasscat.structure import _allowed_state_probabilities
 
         schema = reader_style_schema()
         rng = np.random.default_rng(1)

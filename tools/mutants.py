@@ -35,6 +35,7 @@ GRASSMANN = "src/grasscat/grassmann.py"
 MIXED = "src/grasscat/mixed.py"
 MODELFILE = "src/grasscat/modelfile.py"
 SCHEMA = "src/grasscat/schema.py"
+STRUCTURE = "src/grasscat/structure.py"
 
 # (name, file, old text, new text, tests): the old text occurs once in the file
 MUTANTS = [
@@ -45,16 +46,16 @@ MUTANTS = [
     ("feasible-threshold", FIT,
      "feasible = p0_min >= -_CLAMP", "feasible = p0_min >= -1e-9",
      ["tests/test_fit.py::TestDocumentedRules"]),
-    ("max-ramps", FIT,
+    ("max-ramps", FACTOR,
      "MAX_RAMPS = 6", "MAX_RAMPS = 5",
-     ["tests/test_fit.py::TestDocumentedRules"]),
+     ["tests/test_factor.py::TestFactorFit"]),
     ("b-cap", FIT,
      "B_CAP = 30.0", "B_CAP = 20.0",
      ["tests/test_fit.py::TestDocumentedRules"]),
     ("latent-aux-saturation", CLI,
      "if rel < 1e-3:", "if rel < 1e-2:",
      ["tests/test_cli.py::TestFitSweepStopRule"]),
-    ("gauss-jordan-swap-sign", FIT,
+    ("gauss-jordan-swap-sign", STRUCTURE,
      "                np.negative(sign, out=sign, where=swap)\n", "",
      ["tests/test_fit.py::TestBatchedKernelIsExact"]),
     ("strict-levels-always-falls-back", SCHEMA,
@@ -110,7 +111,7 @@ MUTANTS = [
      "restarts=args.restarts, seed=args.seed)", "restarts=args.restarts, seed=0)",
      ["tests/test_cli.py::TestFactorCommandConfig"]),
     # the checks this change added
-    ("flat-params-1d-v", "src/grasscat/structure.py",
+    ("flat-params-1d-v", STRUCTURE,
      "    if sp.V.ndim != 2:\n", "    if sp.V.ndim > 2:\n",
      ["tests/test_structure.py"]),
     ("config-accepts-bool", FIT,
@@ -137,7 +138,7 @@ MUTANTS = [
      "    p_z = min(p_z, q + p_x)\n", "",
      ["tests/test_factor.py::TestBicCount"]),
     # the a-space table of every allowed state, and the likelihood's state plan
-    ("allowed-table-abar-sign-dropped", FIT,
+    ("allowed-table-abar-sign-dropped", STRUCTURE,
      "log_norm, sign_bar[0])", "log_norm, 1.0)",
      ["tests/test_fit.py::TestAllowedStateTable"]),
     ("allowed-table-clamp", GRASSMANN,
@@ -147,24 +148,27 @@ MUTANTS = [
      "    if not (np.isfinite(prob).all() and np.isfinite(log_ratio[sign != 0]).all()):\n",
      "    if np.isfinite(prob).all() and np.isfinite(log_ratio[sign != 0]).all():\n",
      ["tests/test_fit.py::TestAllowedStateTable"]),
-    ("table-rare-split-dropped", FIT,
+    ("table-rare-split-dropped", STRUCTURE,
      "rare = share < _BORDER_BELOW", "rare = share < 0.0",
      ["tests/test_fit.py::TestAllowedStateTable::test_levels_at_the_bound_match_lam_space"]),
-    ("state-plan-ends-predecessor", FIT,
+    ("beta-map-ordinal-as-categorical", SCHEMA,
+     "(ordinal_col[bit_var] | np.eye(q, dtype=bool))", "np.eye(q, dtype=bool)",
+     ["tests/test_fit.py::TestBatchedKernelIsExact", "tests/test_fit.py::TestNll"]),
+    ("state-plan-ends-predecessor", STRUCTURE,
      "ends[chained] -= ends[chained + 1]", "ends[chained + 1] -= ends[chained]",
      ["tests/test_general_paths.py::test_state_plan_matches_the_per_variable_loop",
       "tests/test_fit.py::TestNll"]),
     # one construction for the table and the likelihood, and one probability rule
-    ("gauss-jordan-forward-only-inverse", FIT,
+    ("gauss-jordan-forward-only-inverse", STRUCTURE,
      "rows = M if inverse else M[j + 1 :]", "rows = M[j + 1 :]",
      ["tests/test_fit.py::TestBatchedKernelIsExact"]),
-    ("gauss-jordan-2x2-adjugate-sign", FIT,
+    ("gauss-jordan-2x2-adjugate-sign", STRUCTURE,
      "np.negative(b[:h], out=inv[0, 1])", "np.copyto(inv[0, 1], b[:h])",
      ["tests/test_fit.py::TestBatchedKernelIsExact"]),
-    ("ends-without-successor", FIT,
+    ("ends-without-successor", STRUCTURE,
      "    ends[chained] -= ends[chained + 1]\n", "",
      ["tests/test_fit.py::TestOneConstruction"]),
-    ("ends-ordinal-mask-dropped", FIT,
+    ("ends-ordinal-mask-dropped", STRUCTURE,
      "schema.block_maps.ordinal[var[:-1], 0] & (var[:-1] == var[1:])", "(var[:-1] == var[1:])",
      ["tests/test_fit.py::TestOneConstruction"]),
     ("probabilities-negative-zero", GRASSMANN,
@@ -173,11 +177,11 @@ MUTANTS = [
     # the kernels: the likelihood's gradient terms, the minors' popcount
     # groups, the oracle's determinant, the dummy encoding, the distinct-row
     # order, the CSV template and the model file's shape checks
-    ("likelihood-share-dropped", FIT,
+    ("likelihood-share-dropped", STRUCTURE,
      "np.exp(beta - log_z @ members)", "np.exp(beta)",
      ["tests/test_fit.py::TestBatchedKernelIsExact"]),
     ("likelihood-g-w-sign", FIT,
-     "g_w = n * x_bar @ inv_bar.T - plan.members", "g_w = n * x_bar @ inv_bar.T + plan.members",
+     "g_w = n * x_bar @ inv_bar.T - maps.members", "g_w = n * x_bar @ inv_bar.T + maps.members",
      ["tests/test_fit.py::TestBatchedKernelIsExact"]),
     ("likelihood-g-v-decay-sign", FIT,
      "- decay[:, None] * per_bit)", "+ decay[:, None] * per_bit)",
@@ -221,14 +225,14 @@ MUTANTS = [
     # prob's pattern probabilities: the impossible pattern's zero, the
     # constrained-only product, the border row, the given's sign checks and
     # the model checked before the patterns
-    ("pattern-impossible-divided", FIT,
+    ("pattern-impossible-divided", STRUCTURE,
      "border = constrained & (mass < _BORDER_BELOW)",
      "border = constrained & (mass > 0.0) & (mass < _BORDER_BELOW)",
      ["tests/test_patterns.py::TestRules"]),
-    ("pattern-free-variable-mass", FIT,
+    ("pattern-free-variable-mass", STRUCTURE,
      "s = np.where(constrained & ~border, mass, 1.0)", "s = np.where(~border, mass, 1.0)",
      ["tests/test_patterns.py::TestRules"]),
-    ("pattern-border-row-sign", FIT,
+    ("pattern-border-row-sign", STRUCTURE,
      "bordered[j, :a, i] = -w[v]", "bordered[j, :a, i] = w[v]",
      ["tests/test_patterns.py::TestAgreement"]),
     ("prob-given-zero-unchecked", CLI,
@@ -262,7 +266,7 @@ MUTANTS = [
     # the certified objective: the signs of the states no row reaches, a
     # finite wall, the V rows of unobserved levels held at 0, and an
     # uncertified start halved
-    ("rest-signs-dropped", FIT,
+    ("rest-signs-dropped", STRUCTURE,
      "return np.concatenate([sign, rest]).min(), logdet, inv", "return sign.min(), logdet, inv",
      ["tests/test_fit.py::TestCertifiedObjective"]),
     ("wall-infinite", FIT,
@@ -275,17 +279,17 @@ MUTANTS = [
      "            x[i:l] *= 0.5\n", "",
      ["tests/test_fit.py::TestCertifiedObjective"]),
     # the one-stack certificate: its two reductions and the 1 x 1 closed form
-    ("certificate-lower-bound-dropped", FIT,
+    ("certificate-lower-bound-dropped", STRUCTURE,
      "size.min() >= _DET_RANGE[0] and ", "",
      ["tests/test_fit.py::TestOneStackCertificate"]),
-    ("certificate-nanmin", FIT,
+    ("certificate-nanmin", STRUCTURE,
      "size.min()", "np.nanmin(size)",
      ["tests/test_fit.py::TestOneStackCertificate"]),
-    ("one-by-one-sign-dropped", FIT,
+    ("one-by-one-sign-dropped", STRUCTURE,
      "det = A[0, 0].copy()", "det = np.abs(A[0, 0])",
      ["tests/test_fit.py::TestOneStackCertificate"]),
     # the a-space moments and the oracle's one-bit marginals
-    ("woodbury-correction-sign", FIT,
+    ("woodbury-correction-sign", STRUCTURE,
      "sig = d_inv - (inv_z", "sig = d_inv + (inv_z",
      ["tests/test_fit.py::TestStructuredMoments"]),
     ("oracle-marginal-source", CLI,
