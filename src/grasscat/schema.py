@@ -12,8 +12,8 @@ is reordered behind the user's back.
 
 The allowed states, the Cartesian product of the block patterns, are one
 cached table per schema (:func:`allowed_table`) that every enumeration reads.
-The index maps that place per-variable parameters into the structured
-parametrization's matrices (:class:`BlockMaps`) are cached per schema too.
+The maps from the dummy bits to their variables and to the levels' logits
+(:class:`BlockMaps`) are cached per schema too.
 
 A data file is read into one (n, len(schema)) levels array
 (:func:`load_data_levels`), range-checked as one array and encoded by the
@@ -129,7 +129,7 @@ class VariableSchema:
 
     @functools.cached_property
     def block_maps(self) -> "BlockMaps":
-        """Index maps of the structured parametrization, built on first use."""
+        """The bit-to-variable and b-to-beta maps, built on first use."""
         return BlockMaps.of(self)
 
     def index_labels(self) -> tuple[str, ...]:
@@ -210,34 +210,19 @@ def _build_allowed_table(schema: VariableSchema) -> tuple[np.ndarray, np.ndarray
 
 @dataclass(frozen=True)
 class BlockMaps:
-    """Index maps from per-variable vectors to the q x q block-diagonal core
-    K and the (q, a) loading matrix W of the structured parametrization,
-    built once per schema (``VariableSchema.block_maps``).
+    """Maps from the q dummy bits to their variables and to beta, built once
+    per schema (``VariableSchema.block_maps``).
 
-    ``sizes`` are the block sizes, and
+    ``sizes`` are the block sizes, ``var[r]`` is the variable of bit r, and
     ``ordinal`` flags the ordinal variables as a (variables, 1) column.
-    ``var[r]`` is the variable of bit r, and ``pad_dst[r]`` its flat index in
-    a (variables, ``width``) array with one zero-padded block per row.
-    A bit *carries* its variable's row of K and its w in W if it is in a
-    categorical block or first in an ordinal one.  ``w_src[r]`` is the
-    variable whose w bit r carries, or the variable count if none.
-    ``k_dst`` are the flat indices in K of the carrying bits' block entries
-    and ``k_src`` the flat indices of their values in the padded array;
-    ``sub_dst`` are the flat indices of the ordinal blocks' subdiagonal -1s.
     ``beta_of_b`` is the (q, q) 0/1 map from b laid end to end to the logit
     of the level ending on each bit, and ``members`` are the (variables, q)
     0/1 bit memberships.
     """
 
     sizes: tuple[int, ...]
-    width: int
     var: np.ndarray
-    pad_dst: np.ndarray
     ordinal: np.ndarray
-    w_src: np.ndarray
-    k_dst: np.ndarray
-    k_src: np.ndarray
-    sub_dst: np.ndarray
     beta_of_b: np.ndarray
     members: np.ndarray
 
@@ -245,40 +230,16 @@ class BlockMaps:
     def of(cls, schema: "VariableSchema") -> "BlockMaps":
         q, k = schema.q, len(schema)
         sizes = tuple(v.block_size for v in schema.variables)
-        width = max(sizes, default=0)
-        # plain lists beat array ops at these sizes; every command that
-        # assembles a lambda builds the maps of its freshly loaded schema
-        ordinal = [v.kind is VariableKind.ORDINAL for v in schema.variables]
-        var: list[int] = []
-        pad_dst: list[int] = []
-        w_src: list[int] = []
-        k_dst: list[int] = []
-        k_src: list[int] = []
-        sub_dst: list[int] = []
-        for j, (s, e) in enumerate(schema.blocks):
-            var.extend([j] * (e - s))
-            pad_dst.extend(range(j * width, j * width + e - s))
-            carrying = range(s, s + 1) if ordinal[j] else range(s, e)
-            for r in carrying:
-                k_dst.extend(range(r * q + s, r * q + e))
-                k_src.extend(range(j * width, j * width + e - s))
-            w_src.extend(j if r in carrying else k for r in range(s, e))
-            if ordinal[j]:
-                sub_dst.extend(r * q + r - 1 for r in range(s + 1, e))
-        bit_var = np.array(var, dtype=int)
-        ordinal_col = np.array(ordinal, dtype=bool).reshape(k, 1)
+        bit_var = np.repeat(np.arange(k), sizes)
+        ordinal_col = np.array(
+            [v.kind is VariableKind.ORDINAL for v in schema.variables], dtype=bool
+        ).reshape(k, 1)
         # beta_r sums b over bit r alone (categorical) or its block's bits up to r
         same = np.tril(bit_var[:, None] == bit_var)
         return cls(
             sizes=sizes,
-            width=width,
             var=bit_var,
-            pad_dst=np.array(pad_dst, dtype=int),
             ordinal=ordinal_col,
-            w_src=np.array(w_src, dtype=int),
-            k_dst=np.array(k_dst, dtype=int),
-            k_src=np.array(k_src, dtype=int),
-            sub_dst=np.array(sub_dst, dtype=int),
             beta_of_b=(same & (ordinal_col[bit_var] | np.eye(q, dtype=bool))).astype(float),
             members=(np.arange(k)[:, None] == bit_var).astype(float),
         )

@@ -22,7 +22,9 @@ probability; the fit certifies that on the allowed-state table
 parameter, ``check_p0(GrassmannParams.from_lambda(extended_lambda(schema,
 sp)))``: validity of the extended distribution implies validity of its
 observed marginal.  :func:`assemble_lambda` runs neither check; no
-command reads it but ``oracle check``'s brute force.
+command reads it but ``oracle check``'s brute force.  K and W are built
+block by block (:func:`_quasi_diagonal`, :func:`_aux_loading`), for that
+lam and for the test generators' extended parameter.
 
 The commands read a model through a x a determinants instead (a is the
 auxiliary dimension), which the matrix determinant lemma leaves since K is
@@ -62,7 +64,7 @@ import numpy as np
 
 from .errors import ParameterError, SchemaError
 from .grassmann import _CHUNK, GrassmannParams, _freeze, _probabilities, _sigma_moments
-from .schema import BlockMaps, VariableSchema, allowed_table
+from .schema import BlockMaps, VariableKind, VariableSchema, allowed_table
 
 OMEGA_EPS = 1e-6
 
@@ -313,14 +315,15 @@ def _allowed_state_probabilities(schema: VariableSchema, sp: StructuredParams) -
     log_norm = log_z.sum() + logdet_bar[0]
     probs = np.empty(len(bits))
     for lo in range(0, len(bits), _CHUNK):
-        chunk = terms @ _ends(schema, bits[lo : lo + _CHUNK])
+        ends = _ends(schema, bits[lo : lo + _CHUNK])
+        chunk = terms @ ends
         n = chunk.shape[1]
         A = chunk[: a * a]  # A_s - I over the chunk's states
         A[:: a + 1] += 1.0
         sign, logdet, _ = _gauss_jordan(A.reshape(a, a, n), False)
         probs[lo : lo + n] = _probabilities(sign, chunk[a * a] + logdet - log_norm, sign_bar[0])
         if rare.any():  # the states with a level on a rare bit
-            rows = lo + np.flatnonzero(rare @ _ends(schema, bits[lo : lo + _CHUNK]))
+            rows = lo + np.flatnonzero(rare @ ends)
             probs[rows] = _pattern_probabilities(schema, sp, np.ones((rows.size, q)), bits[rows])
     return probs
 
@@ -429,24 +432,16 @@ def quasi_diagonal_blocks(schema: VariableSchema, b_vectors) -> np.ndarray:
 
 
 def _quasi_diagonal(schema: VariableSchema, b: np.ndarray) -> np.ndarray:
-    """K from the b vectors laid end to end, unchecked."""
-    maps = schema.block_maps
+    """K from the b vectors laid end to end, unchecked, one block at a time."""
     K = np.zeros((schema.q, schema.q))
-    K.ravel()[maps.k_dst] = _block_exps(schema, b).ravel()[maps.k_src]
-    K.ravel()[maps.sub_dst] = -1.0
+    for v, (s, e) in zip(schema.variables, schema.blocks):
+        if v.kind is VariableKind.CATEGORICAL:
+            K[s:e, s:e] = np.exp(b[s:e])
+        else:
+            K[s, s:e] = np.exp(np.cumsum(b[s:e]))
+            r = np.arange(s + 1, e)
+            K[r, r - 1] = -1.0
     return K
-
-
-def _block_exps(schema: VariableSchema, b: np.ndarray) -> np.ndarray:
-    """The entries e^beta of every block's first row of K, from the b
-    vectors laid end to end: one row per variable, zero-padded to the
-    widest block before the exponential."""
-    maps = schema.block_maps
-    padded = np.zeros((len(schema), maps.width))
-    padded.ravel()[maps.pad_dst] = b
-    # a categorical row keeps b; an ordinal row's exponents are its
-    # cumulative sums (np.add.accumulate is np.cumsum without its wrapper)
-    return np.exp(np.where(maps.ordinal, np.add.accumulate(padded, axis=1), padded))
 
 
 def aux_loading_matrix(schema: VariableSchema, w_vectors, a: int) -> np.ndarray:
@@ -457,22 +452,12 @@ def aux_loading_matrix(schema: VariableSchema, w_vectors, a: int) -> np.ndarray:
 
 
 def _aux_loading(schema: VariableSchema, w: np.ndarray) -> np.ndarray:
-    """W from the (variables, a) w rows, unchecked."""
-    rows = np.zeros((len(schema) + 1, w.shape[1]))  # the last row is the zero row
-    rows[:-1] = w
-    return rows.take(schema.block_maps.w_src, axis=0)
-
-
-def _middle(K: np.ndarray, W: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """The middle factor [[K + W V^T, -W], [-V^T, I]] from K, W and V,
-    unchecked; omega does not appear."""
-    q, a = V.shape
-    M = np.zeros((q + a, q + a))
-    M[:q, :q] = K + W @ V.T
-    M[:q, q:] = -W
-    M[q:, :q] = -V.T
-    M[q:, q:] = np.eye(a)
-    return M
+    """W from the (variables, a) w rows, unchecked: each variable's row on
+    every bit of a categorical block and on the first bit of an ordinal one."""
+    W = np.zeros((schema.q, w.shape[1]))
+    for v, (s, e), row in zip(schema.variables, schema.blocks, w):
+        W[s : s + 1 if v.kind is VariableKind.ORDINAL else e] = row
+    return W
 
 
 def extended_lambda(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
@@ -483,13 +468,13 @@ def extended_lambda(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
     implies validity of the marginal.
     """
     b, w, V, omega = flat_params(schema, sp)  # checks sp before anything reads sp.a
-    full = _middle(_quasi_diagonal(schema, b), _aux_loading(schema, w), V)
-    q, a = V.shape
+    W = _aux_loading(schema, w)
     s = np.sqrt(1.0 / omega - 1.0)
-    full[:q, q:] *= s[None, :]
-    full[q:, :q] *= s[:, None]
-    full[q:, q:] = np.diag(1.0 / omega - 1.0)
-    return np.eye(q + a) + full
+    full = np.block([
+        [_quasi_diagonal(schema, b) + W @ V.T, (-W) * s],
+        [(-V.T) * s[:, None], np.diag(1.0 / omega - 1.0)],
+    ])
+    return np.eye(len(full)) + full
 
 
 def _raw_lambda(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:

@@ -980,6 +980,31 @@ class TestAllowedStateTable:
             assert np.abs(table - self._lam_space(schema, sp)).max() <= 1e-12
             assert table.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("chunk", [None, 4])
+    def test_each_chunk_builds_its_level_ends_once(self, rng, monkeypatch, chunk):
+        """A Cat(3) with one b at -30 has a rare level, so its rows take the
+        pattern border too; the GEMM and the rare rows read one indicator
+        per chunk of the 9 states (one chunk, or three of 4)."""
+        import grasscat.structure
+
+        schema = VariableSchema([VariableDecl("c", CAT, 3), VariableDecl("o", ORD, 3)])
+        sp = random_structured(rng, schema, 2)
+        sp = StructuredParams((np.array([sp.b[0][0], -30.0]), sp.b[1]), sp.w, sp.V, sp.omega)
+        want = self._lam_space(schema, sp)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _ends(*args)
+
+        monkeypatch.setattr(grasscat.structure, "_ends", counted)
+        if chunk is not None:
+            monkeypatch.setattr(grasscat.structure, "_CHUNK", chunk)
+        table = _allowed_state_probabilities(schema, sp)
+        assert len(calls) == (1 if chunk is None else 3)
+        assert np.array_equal(np.sign(table), np.sign(want))
+        assert np.abs(table - want).max() <= 1e-12
+
     @pytest.mark.parametrize("which", ["random", *(f"ord30 at a = {a}" for a in range(4))])
     def test_a_finite_model_builds_no_lambda(self, rng, monkeypatch, which):
         """Neither the per-bit GEMM nor the border of the rare states forms

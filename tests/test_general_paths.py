@@ -434,7 +434,8 @@ def test_oracle_conditional_on_nothing_matches_the_selection(rng, q):
 
 def _ref_state_plan(schema, counts):
     """_state_plan's per-variable loop with its own block starts, and the
-    schema's b -> beta map and bit memberships."""
+    schema's b -> beta map, bit memberships, bit variables, ordinal flags
+    and block sizes."""
     from grasscat.schema import levels_of_bits
 
     states, weights = counts.as_arrays()
@@ -447,11 +448,16 @@ def _ref_state_plan(schema, counts):
     ends = ends[:q]
     beta_of_b = np.zeros((q, q))
     members = np.zeros((k, q))
+    var = np.zeros(q, dtype=int)
+    ordinal = np.zeros((k, 1), dtype=bool)
     for j, (v, (s, e)) in enumerate(zip(schema.variables, schema.blocks)):
         block = np.eye if v.kind is VariableKind.CATEGORICAL else np.tri
         beta_of_b[s:e, s:e] = block(e - s)
         members[j, s:e] = 1.0
-    return ends, weights, ends @ weights, beta_of_b, members
+        var[s:e] = j
+        ordinal[j, 0] = v.kind is VariableKind.ORDINAL
+    sizes = tuple(e - s for s, e in schema.blocks)
+    return (ends, weights, ends @ weights, beta_of_b, members, var, ordinal), sizes
 
 
 def _schemas(rng):
@@ -469,10 +475,14 @@ def test_state_plan_matches_the_per_variable_loop(rng):
         counts = state_counts(schema, levels)
         plan = _state_plan(schema, counts)
         maps = schema.block_maps
-        got = (plan.ends, plan.weights, plan.bit_counts, maps.beta_of_b, maps.members)
-        for g, w in zip(got, _ref_state_plan(schema, counts)):
+        got = (plan.ends, plan.weights, plan.bit_counts, maps.beta_of_b, maps.members,
+               maps.var, maps.ordinal)
+        want, sizes = _ref_state_plan(schema, counts)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
             assert_same(g, w)
             assert g.flags.c_contiguous == w.flags.c_contiguous
+        assert type(maps.sizes) is tuple and maps.sizes == sizes
 
 
 @pytest.mark.parametrize("a", [0, 2])

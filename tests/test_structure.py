@@ -86,8 +86,8 @@ class TestAuxLoading:
 
 
 def _reference_k_and_w(schema, sp):
-    """K and W built one block at a time: the loops the cached index maps
-    replaced, kept as their reference."""
+    """K and W built one block at a time, as the paper lays them out: the
+    reference the builders are held to bit for bit."""
     K = np.zeros((schema.q, schema.q))
     W = np.zeros((schema.q, sp.a))
     for v, (s, e), bv, wv in zip(schema.variables, schema.blocks, sp.b, sp.w):

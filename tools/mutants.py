@@ -154,6 +154,13 @@ MUTANTS = [
     ("beta-map-ordinal-as-categorical", SCHEMA,
      "(ordinal_col[bit_var] | np.eye(q, dtype=bool))", "np.eye(q, dtype=bool)",
      ["tests/test_fit.py::TestBatchedKernelIsExact", "tests/test_fit.py::TestNll"]),
+    # K and W built block by block
+    ("k-ordinal-subdiagonal-sign", STRUCTURE,
+     "K[r, r - 1] = -1.0", "K[r, r - 1] = 1.0",
+     ["tests/test_structure.py::TestQuasiDiagonalBlocks::test_ordinal_zero_bias"]),
+    ("w-ordinal-on-every-row", STRUCTURE,
+     "W[s : s + 1 if v.kind is VariableKind.ORDINAL else e] = row", "W[s:e] = row",
+     ["tests/test_structure.py::TestAuxLoading::test_ordinal_first_row_only"]),
     ("state-plan-ends-predecessor", STRUCTURE,
      "ends[chained] -= ends[chained + 1]", "ends[chained + 1] -= ends[chained]",
      ["tests/test_general_paths.py::test_state_plan_matches_the_per_variable_loop",
