@@ -45,11 +45,9 @@ from .grassmann import (
 from .structure import (
     StructuredParams,
     assemble_lambda,
-    aux_loading_matrix,
     categorical_pmf,
     extended_lambda,
     ordinal_pmf,
-    quasi_diagonal_blocks,
 )
 from .fit import (
     FitConfig,

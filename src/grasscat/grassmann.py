@@ -251,17 +251,14 @@ def conditional_params(p: GrassmannParams, part: IndexPartition) -> GrassmannPar
         raise ParameterError("conditional target set S must be nonempty")
 
     tilde = p.sig.copy()
-    if T1.size:  # at T1 = {} the two skips save 32-47 us (24-37%) of a q = 16 call
-        tilde[:, T1] *= -1.0
-        tilde[T1, T1] += 1.0
+    tilde[:, T1] *= -1.0
+    tilde[T1, T1] += 1.0
     tt = tilde[np.ix_(T, T)]
     solve_ts = _solve_pivot(tt, tilde[np.ix_(T, S)], "the conditioning block")
     schur = tilde[np.ix_(S, S)] - tilde[np.ix_(S, T)] @ solve_ts
 
     # cross-check through the lam-side formula whenever it is defined
-    lam_form = p.lam[np.ix_(S, S)]
-    if T1.size:  # skips np.ix_ on empty sets and a 0 x 0 solve, as above
-        lam_form = lam_form - _pivot_correction(p.lam, S, T1)
+    lam_form = p.lam[np.ix_(S, S)] - _pivot_correction(p.lam, S, T1)
     try:
         sig_from_lam = np.linalg.inv(lam_form)
     except np.linalg.LinAlgError as exc:
@@ -319,6 +316,8 @@ def _correlation(cov: np.ndarray) -> np.ndarray:
 def conditional_zero_moments(p: GrassmannParams, r: int, s: int) -> tuple[float, float]:
     """Conditional mean of y_r and covariance of (y_r, y_s) given that every
     other bit is observed as zero."""
+    if not (0 <= r < p.q and 0 <= s < p.q):
+        raise ParameterError(f"indices r={r} and s={s} must lie in [0, {p.q})")
     if r == s:
         raise ParameterError("indices r and s must differ")
     lam = p.lam

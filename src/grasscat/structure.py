@@ -23,8 +23,8 @@ parameter, ``check_p0(GrassmannParams.from_lambda(extended_lambda(schema,
 sp)))``: validity of the extended distribution implies validity of its
 observed marginal.  :func:`assemble_lambda` runs neither check; no
 command reads it but ``oracle check``'s brute force.  K and W are built
-block by block (:func:`_quasi_diagonal`, :func:`_aux_loading`), for that
-lam and for the test generators' extended parameter.
+block by block in one loop (:func:`_k_and_w`), for that lam and for the
+extended parameter.
 
 The commands read a model through a x a determinants instead (a is the
 auxiliary dimension), which the matrix determinant lemma leaves since K is
@@ -423,41 +423,21 @@ def _structured_moments(schema: VariableSchema, sp: StructuredParams) -> tuple[n
     return _sigma_moments(sig)
 
 
-def quasi_diagonal_blocks(schema: VariableSchema, b_vectors) -> np.ndarray:
-    """The block-diagonal core K: repeated exponential rows for categorical
-    blocks, subdiagonal -1 plus a cumulative-product first row for ordinal
-    blocks.  Off-block entries are exactly zero."""
-    b = _checked_vectors(schema, b_vectors, "b", schema.block_maps.sizes)
-    return _quasi_diagonal(schema, b)
-
-
-def _quasi_diagonal(schema: VariableSchema, b: np.ndarray) -> np.ndarray:
-    """K from the b vectors laid end to end, unchecked, one block at a time."""
+def _k_and_w(schema: VariableSchema, b: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K and W from the b vectors laid end to end and the (variables, a) w
+    rows, unchecked, in one loop over the blocks; off-block entries are
+    exactly zero."""
     K = np.zeros((schema.q, schema.q))
-    for v, (s, e) in zip(schema.variables, schema.blocks):
+    W = np.zeros((schema.q, w.shape[1]))
+    for v, (s, e), row in zip(schema.variables, schema.blocks, w):
         if v.kind is VariableKind.CATEGORICAL:
             K[s:e, s:e] = np.exp(b[s:e])
         else:
             K[s, s:e] = np.exp(np.cumsum(b[s:e]))
             r = np.arange(s + 1, e)
             K[r, r - 1] = -1.0
-    return K
-
-
-def aux_loading_matrix(schema: VariableSchema, w_vectors, a: int) -> np.ndarray:
-    """The (q, a) matrix W: identical rows within categorical blocks, only
-    the first row nonzero within ordinal blocks."""
-    w = _checked_vectors(schema, w_vectors, "w", [a] * len(schema))
-    return _aux_loading(schema, w.reshape(len(schema), a))
-
-
-def _aux_loading(schema: VariableSchema, w: np.ndarray) -> np.ndarray:
-    """W from the (variables, a) w rows, unchecked: each variable's row on
-    every bit of a categorical block and on the first bit of an ordinal one."""
-    W = np.zeros((schema.q, w.shape[1]))
-    for v, (s, e), row in zip(schema.variables, schema.blocks, w):
         W[s : s + 1 if v.kind is VariableKind.ORDINAL else e] = row
-    return W
+    return K, W
 
 
 def extended_lambda(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
@@ -468,10 +448,10 @@ def extended_lambda(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
     implies validity of the marginal.
     """
     b, w, V, omega = flat_params(schema, sp)  # checks sp before anything reads sp.a
-    W = _aux_loading(schema, w)
+    K, W = _k_and_w(schema, b, w)
     s = np.sqrt(1.0 / omega - 1.0)
     full = np.block([
-        [_quasi_diagonal(schema, b) + W @ V.T, (-W) * s],
+        [K + W @ V.T, (-W) * s],
         [(-V.T) * s[:, None], np.diag(1.0 / omega - 1.0)],
     ])
     return np.eye(len(full)) + full
@@ -483,9 +463,9 @@ def _raw_lambda(schema: VariableSchema, sp: StructuredParams) -> np.ndarray:
     ``sp`` whose lam overflows (e^b, or the product W diag(omega) V^T)
     raises ParameterError."""
     b, w, V, omega = flat_params(schema, sp)
-    W = _aux_loading(schema, w)
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = np.eye(schema.q) + _quasi_diagonal(schema, b) + (W * omega[None, :]) @ V.T
+        K, W = _k_and_w(schema, b, w)
+        lam = np.eye(schema.q) + K + (W * omega[None, :]) @ V.T
     if not np.isfinite(lam).all():
         raise ParameterError("lam overflows: an entry of K + W diag(omega) V^T is not finite")
     return lam

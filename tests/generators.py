@@ -21,12 +21,7 @@ import numpy as np
 
 from grasscat.grassmann import GrassmannParams, check_p0
 from grasscat.schema import VariableDecl, VariableKind, VariableSchema
-from grasscat.structure import (
-    StructuredParams,
-    aux_loading_matrix,
-    extended_lambda,
-    quasi_diagonal_blocks,
-)
+from grasscat.structure import StructuredParams, _k_and_w, extended_lambda
 
 CAT = VariableKind.CATEGORICAL
 ORD = VariableKind.ORDINAL
@@ -122,8 +117,8 @@ def _worst_free_row_margin(schema: VariableSchema, sp: StructuredParams) -> floa
     slack C = I; a draw filter only, since it does not certify positivity."""
     q, a = schema.q, sp.a
     M = np.zeros((q + a, q + a))
-    W = aux_loading_matrix(schema, sp.w, a)
-    M[:q, :q] = quasi_diagonal_blocks(schema, sp.b) + W @ sp.V.T
+    K, W = _k_and_w(schema, np.concatenate(sp.b), np.reshape(sp.w, (len(schema), a)))
+    M[:q, :q] = K + W @ sp.V.T
     M[:q, q:] = -W
     M[q:, :q] = -sp.V.T
     M[q:, q:] = np.eye(a)

@@ -48,9 +48,9 @@ from grasscat.structure import (
     _eliminate,
     _ends,
     _gauss_jordan,
+    _k_and_w,
     _structured_moments,
     assemble_lambda,
-    aux_loading_matrix,
     extended_lambda,
     flat_params,
     ordinal_pmf,
@@ -336,7 +336,7 @@ def _reference_natural_grad(schema, sp, lam, counts):
     """_reference_grad chained to (b, w, V, omega), the chain rule the
     a-space kernel replaced."""
     G = _reference_grad(lam, counts)
-    W = aux_loading_matrix(schema, sp.w, sp.a)
+    _, W = _k_and_w(schema, np.concatenate(sp.b), np.reshape(sp.w, (len(schema), sp.a)))
     return FitGradient(
         b=_chain_b(schema, sp.b, G),
         w=_reduce_w(schema, G @ sp.V * sp.omega[None, :]),

@@ -231,6 +231,14 @@ class TestConditionalZeroMoments:
         with pytest.raises(ParameterError):
             conditional_zero_moments(p, 1, 1)
 
+    @pytest.mark.parametrize("r, s", [(-1, 0), (-1, 2), (3, 0), (0, 3)])
+    def test_indices_outside_the_range_rejected(self, r, s):
+        """-1 would alias bit q - 1, -1 and 2 would pass the r != s check,
+        and q would index past lam."""
+        p = GrassmannParams.from_lambda(np.diag([2.0, 3.0, 4.0]))
+        with pytest.raises(ParameterError, match=r"must lie in \[0, 3\)"):
+            conditional_zero_moments(p, r, s)
+
 
 class TestCheckP0:
     def test_independent_passes(self):

@@ -16,13 +16,12 @@ from grasscat.schema import (
 )
 from grasscat.structure import (
     StructuredParams,
+    _k_and_w,
     _raw_lambda,
     assemble_lambda,
-    aux_loading_matrix,
     categorical_pmf,
     extended_lambda,
     ordinal_pmf,
-    quasi_diagonal_blocks,
 )
 
 from generators import (
@@ -39,24 +38,24 @@ from reference_values import READER_LAMBDA_MINUS_I
 class TestQuasiDiagonalBlocks:
     def test_categorical_zero_bias_is_all_ones(self):
         schema = VariableSchema([VariableDecl("x", CAT, 4)])
-        K = quasi_diagonal_blocks(schema, [np.zeros(3)])
+        K, _ = _k_and_w(schema, np.zeros(3), np.zeros((1, 0)))
         np.testing.assert_allclose(K, np.ones((3, 3)))
 
     def test_ordinal_zero_bias(self):
         schema = VariableSchema([VariableDecl("x", ORD, 4)])
-        K = quasi_diagonal_blocks(schema, [np.zeros(3)])
+        K, _ = _k_and_w(schema, np.zeros(3), np.zeros((1, 0)))
         want = np.array([[1.0, 1.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
         np.testing.assert_allclose(K, want)
 
     def test_ordinal_first_row_is_cumulative_products(self):
         schema = VariableSchema([VariableDecl("x", ORD, 4)])
         b = np.array([0.2, -0.5, 1.1])
-        K = quasi_diagonal_blocks(schema, [b])
+        K, _ = _k_and_w(schema, b, np.zeros((1, 0)))
         np.testing.assert_allclose(K[0], np.exp(np.cumsum(b)))
 
     def test_mixed_layout_off_block_zero(self):
         schema = VariableSchema([VariableDecl("c", CAT, 2), VariableDecl("o", ORD, 3)])
-        K = quasi_diagonal_blocks(schema, [np.array([0.7]), np.array([0.1, 0.2])])
+        K, _ = _k_and_w(schema, np.array([0.7, 0.1, 0.2]), np.zeros((2, 0)))
         assert K.shape == (3, 3)
         np.testing.assert_allclose(K[0, 0], math.exp(0.7))
         np.testing.assert_allclose(K[0, 1:], 0.0)
@@ -64,30 +63,31 @@ class TestQuasiDiagonalBlocks:
 
     def test_length_mismatch(self):
         schema = VariableSchema([VariableDecl("x", CAT, 4)])
+        sp = StructuredParams.independent(schema, [np.zeros(2)])
         with pytest.raises(SchemaError):
-            quasi_diagonal_blocks(schema, [np.zeros(2)])
+            extended_lambda(schema, sp)
 
 
 class TestAuxLoading:
     def test_categorical_rows_repeat(self):
         schema = VariableSchema([VariableDecl("x", CAT, 3)])
-        W = aux_loading_matrix(schema, [np.array([1.0, 2.0])], a=2)
+        _, W = _k_and_w(schema, np.zeros(2), np.array([[1.0, 2.0]]))
         np.testing.assert_allclose(W, [[1.0, 2.0], [1.0, 2.0]])
 
     def test_ordinal_first_row_only(self):
         schema = VariableSchema([VariableDecl("x", ORD, 3)])
-        W = aux_loading_matrix(schema, [np.array([1.0, 2.0])], a=2)
+        _, W = _k_and_w(schema, np.zeros(2), np.array([[1.0, 2.0]]))
         np.testing.assert_allclose(W, [[1.0, 2.0], [0.0, 0.0]])
 
     def test_zero_aux_dimension(self):
         schema = VariableSchema([VariableDecl("x", CAT, 3)])
-        W = aux_loading_matrix(schema, [np.zeros(0)], a=0)
+        _, W = _k_and_w(schema, np.zeros(2), np.zeros((1, 0)))
         assert W.shape == (2, 0)
 
 
 def _reference_k_and_w(schema, sp):
     """K and W built one block at a time, as the paper lays them out: the
-    reference the builders are held to bit for bit."""
+    reference the builder is held to bit for bit."""
     K = np.zeros((schema.q, schema.q))
     W = np.zeros((schema.q, sp.a))
     for v, (s, e), bv, wv in zip(schema.variables, schema.blocks, sp.b, sp.w):
@@ -106,13 +106,15 @@ def test_index_maps_match_the_block_loops_bit_for_bit(rng):
         schema = random_schema(rng, int(rng.integers(1, 25)), max_levels=int(rng.integers(2, 9)))
         sp = random_structured(rng, schema, int(rng.integers(0, 5)), b_scale=3.0)
         K, W = _reference_k_and_w(schema, sp)
-        assert np.array_equal(quasi_diagonal_blocks(schema, sp.b), K)
-        assert np.array_equal(aux_loading_matrix(schema, sp.w, sp.a), W)
+        got_k, got_w = _k_and_w(schema, np.concatenate(sp.b), np.reshape(sp.w, (len(schema), sp.a)))
+        assert np.array_equal(got_k, K)
+        assert np.array_equal(got_w, W)
         lam = np.eye(schema.q) + K + (W * sp.omega[None, :]) @ sp.V.T
         assert np.array_equal(_raw_lambda(schema, sp), lam)
     empty = VariableSchema([])
-    assert quasi_diagonal_blocks(empty, []).shape == (0, 0)
-    assert aux_loading_matrix(empty, [], 2).shape == (0, 2)
+    got_k, got_w = _k_and_w(empty, np.zeros(0), np.zeros((0, 2)))
+    assert got_k.shape == (0, 0)
+    assert got_w.shape == (0, 2)
 
 
 class TestAssemble:
@@ -198,11 +200,8 @@ class TestExtended:
             full = extended_lambda(schema, sp)
             sig_full = np.linalg.inv(full)
             q = schema.q
-            want = np.linalg.inv(
-                quasi_diagonal_blocks(schema, sp.b)
-                + np.eye(q)
-                + (aux_loading_matrix(schema, sp.w, a) * sp.omega[None, :]) @ sp.V.T
-            )
+            K, W = _k_and_w(schema, np.concatenate(sp.b), np.reshape(sp.w, (len(schema), a)))
+            want = np.linalg.inv(K + np.eye(q) + (W * sp.omega[None, :]) @ sp.V.T)
             np.testing.assert_allclose(sig_full[:q, :q], want, atol=1e-9)
 
     def test_extended_positivity_implies_observed(self):

@@ -165,6 +165,13 @@ MUTANTS = [
      "ends[chained] -= ends[chained + 1]", "ends[chained + 1] -= ends[chained]",
      ["tests/test_general_paths.py::test_state_plan_matches_the_per_variable_loop",
       "tests/test_fit.py::TestNll"]),
+    # conditional_params, one path for every T1, T1 = {} included
+    ("conditional-t1-columns-not-negated", GRASSMANN,
+     "tilde[:, T1] *= -1.0", "tilde[:, T1] *= 1.0",
+     ["tests/test_grassmann.py::TestConditional"]),
+    ("conditional-t1-diagonal-unshifted", GRASSMANN,
+     "    tilde[T1, T1] += 1.0\n", "",
+     ["tests/test_grassmann.py::TestConditional"]),
     # one construction for the table and the likelihood, and one probability rule
     ("gauss-jordan-forward-only-inverse", STRUCTURE,
      "rows = M if inverse else M[j + 1 :]", "rows = M[j + 1 :]",
