@@ -173,10 +173,10 @@ def conditional_pattern_probability(
 
 # -- model loading helpers ------------------------------------------------------
 
-def _load_grassmann(path: str) -> ModelFile:
+def _load_kind(path: str, kind: str) -> ModelFile:
     mf = load_model(path)
-    if mf.kind != "grassmann":
-        raise DataError(f"model {path} has kind {mf.kind!r}; expected 'grassmann'")
+    if mf.kind != kind:
+        raise DataError(f"model {path} has kind {mf.kind!r}; expected {kind!r}")
     return mf
 
 
@@ -266,7 +266,7 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_prob(args) -> int:
-    mf = _load_grassmann(args.model)
+    mf = _load_kind(args.model, "grassmann")
     try:
         query = parse_pattern(mf.schema, args.query)
         given = parse_pattern(mf.schema, args.given) if args.given else {}
@@ -324,17 +324,6 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _parse_dim_range(text: str) -> range:
-    lo, sep, hi = text.partition(":")
-    try:
-        lo_i, hi_i = int(lo), int(hi if sep else lo)
-    except ValueError:
-        raise DataError(f"--bic-range must look like A:B, got {text!r}") from None
-    if lo_i > hi_i or lo_i < 0:
-        raise DataError(f"--bic-range {text!r} is empty or negative")
-    return range(lo_i, hi_i + 1)
-
-
 def _factor_inputs(args) -> tuple:
     """The schema, the data's state counts and the fit config of ``fa fit``
     and ``fa bic``, read in that order."""
@@ -346,23 +335,10 @@ def _factor_inputs(args) -> tuple:
 
 def _cmd_fa_fit(args) -> int:
     schema, counts, config = _factor_inputs(args)
-    out: dict = {"out": args.out}
-    if (args.latent_dim is None) == (args.bic_range is None):
-        raise DataError("give exactly one of --latent-dim or --bic-range")
-    if args.bic_range is not None:
-        table, model, report = select_dimension_bic(
-            schema, counts, _parse_dim_range(args.bic_range), config
-        )
-        latent_dim = table.chosen
-        out["bic_table"] = table.to_dict()
-    else:
-        latent_dim = args.latent_dim
-        model, report = fit_factor_model(schema, counts, latent_dim, config)
+    model, report = fit_factor_model(schema, counts, args.latent_dim, config)
     mf = ModelFile(kind="factor", schema=schema, params=model, fit_report=report.to_dict())
     save_model(mf, args.out)
-    out["latent_dim"] = latent_dim
-    out["report"] = report.to_dict()
-    _emit(out)
+    _emit({"out": args.out, "latent_dim": args.latent_dim, "report": report.to_dict()})
     return 0
 
 
@@ -385,9 +361,7 @@ def _cmd_fa_bic(args) -> int:
 
 
 def _cmd_fa_biplot(args) -> int:
-    mf = load_model(args.model)
-    if mf.kind != "factor":
-        raise DataError(f"model {args.model} has kind {mf.kind!r}; expected 'factor'")
+    mf = _load_kind(args.model, "factor")
     if mf.params.p_x:  # the data CSV holds no continuous columns
         raise DataError(
             f"model {args.model} has a continuous block (p_x = {mf.params.p_x}); "
@@ -435,9 +409,7 @@ def _parse_mixed_tokens(text: str, kind: str) -> list[tuple[str, float]]:
 
 
 def _cmd_mixed_eval(args) -> int:
-    mf = load_model(args.model)
-    if mf.kind != "mixed":
-        raise DataError(f"model {args.model} has kind {mf.kind!r}; expected 'mixed'")
+    mf = _load_kind(args.model, "mixed")
     mp: MixedParams = mf.params
     x_tokens = _parse_mixed_tokens(args.x or "", "x")
     y_tokens = _parse_mixed_tokens(args.y or "", "y")
@@ -476,7 +448,7 @@ def _allowed_state_vector(schema: VariableSchema, sp: StructuredParams) -> np.nd
 
 
 def _cmd_oracle_check(args) -> int:
-    mf = _load_grassmann(args.model)
+    mf = _load_kind(args.model, "grassmann")
     schema, sp = mf.schema, mf.params
     table = brute_force_table(assemble_lambda(schema, sp))  # the one lam a command builds
     probs = _allowed_state_vector(schema, sp)
@@ -557,9 +529,7 @@ def build_parser() -> _Parser:
     p = fa_sub.add_parser("fit", help="fit the latent-factor model")
     p.add_argument("--schema", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--latent-dim", type=_nonnegative_int, default=None)
-    p.add_argument("--bic-range", default=None,
-                   help="A:B; select the dimension by BIC before fitting")
+    p.add_argument("--latent-dim", type=_nonnegative_int, required=True)
     p.add_argument("--restarts", type=_positive_int, default=3)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--max-iter", type=_positive_int, default=1000)
@@ -574,7 +544,7 @@ def build_parser() -> _Parser:
     p.add_argument("--restarts", type=_positive_int, default=2)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--max-iter", type=_positive_int, default=1000)
-    p.add_argument("--out")
+    p.add_argument("--out", help="save the chosen model, its report under fit_report")
     p.set_defaults(func=_cmd_fa_bic)
 
     p = fa_sub.add_parser("biplot", help="export scores, loadings, and the SVG biplot")

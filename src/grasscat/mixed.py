@@ -110,6 +110,14 @@ class MixedPartition:
             raise ParameterError(f"(S, U, T) must partition 0..{q - 1}")
 
 
+def _bits(y, name: str) -> np.ndarray:
+    """``y`` as an int array, after checking that every entry is 0 or 1."""
+    y = np.asarray(y)
+    if not ((y == 0) | (y == 1)).all():
+        raise ParameterError(f"{name} entries must be 0 or 1")
+    return y.astype(int)
+
+
 def _mask(indices) -> int:
     return sum(1 << int(i) for i in indices)
 
@@ -186,8 +194,7 @@ def mixed_conditional_density(
     check_bit_cap(mp.q)
     x_J = np.asarray(x_J, dtype=float)
     x_K = np.asarray(x_K, dtype=float)
-    y_S = np.asarray(y_S, dtype=int)
-    y_T = np.asarray(y_T, dtype=int)
+    y_S, y_T = _bits(y_S, "y_S"), _bits(y_T, "y_T")
     J, L, K = list(part.J), list(part.L), list(part.K)
     S, U, T = list(part.S), list(part.U), list(part.T)
     if x_J.shape != (len(J),) or x_K.shape != (len(K),):
@@ -265,7 +272,9 @@ def conditional_binary_given_continuous(
     if x.shape != (mp.p,):
         raise ParameterError(f"x must have length {mp.p}")
     T = tuple(sorted(int(t) for t in T))
-    y_T = np.asarray(y_T, dtype=int)
+    if len(set(T)) != len(T) or any(t < 0 or t >= mp.q for t in T):
+        raise ParameterError(f"T {T} must be distinct indices in [0, {mp.q})")
+    y_T = _bits(y_T, "y_T")
     if y_T.shape != (len(T),):
         raise ParameterError("y_T length must match T")
     S = tuple(i for i in range(mp.q) if i not in set(T))

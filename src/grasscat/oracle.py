@@ -178,6 +178,9 @@ def oracle_conditional(table: FullTable, S, T, y_T) -> OracleConditional:
     """p(y_S | y_T) by summation and ratio."""
     S = tuple(sorted(int(s) for s in S))
     T = tuple(sorted(int(t) for t in T))
+    for index_set in (S, T):
+        if any(i < 0 or i >= table.q for i in index_set):
+            raise ParameterError(f"index set {index_set} out of range")
     y_T = tuple(int(b) for b in y_T)
     if len(y_T) != len(T):
         raise ParameterError("y_T length must match T")

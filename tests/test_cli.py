@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import grasscat
 from grasscat.cli import (
     conditional_pattern_probability,
     parse_pattern,
@@ -837,35 +838,29 @@ class TestFitSweep:
         assert len(calls) == 1
 
 
-class TestFaFitBicRange:
-    def test_bic_range_selects_and_fits(self, workdir, capsys):
-        code = _run(
-            workdir,
-            "fa", "fit",
-            "--schema", "schema.json",
-            "--data", "data.csv",
-            "--bic-range", "0:1",
-            "--restarts", "1",
-            "--seed", "5",
-            "--max-iter", "200",
-            "--out", "fa.json",
-        )
-        assert code == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["latent_dim"] in (0, 1)
-        assert "bic_table" in out
+class TestFaBicOut:
+    """``fa bic --out`` is the one route that selects the latent dimension by
+    BIC and saves the chosen model; ``fa fit`` fits the one ``--latent-dim``."""
 
-    def test_both_dim_flags_rejected(self, workdir, capsys):
-        code = _run(
-            workdir,
-            "fa", "fit",
-            "--schema", "schema.json",
-            "--data", "data.csv",
-            "--latent-dim", "1",
-            "--bic-range", "0:1",
-            "--out", "fa.json",
-        )
-        assert code == 1
+    OPTIONS = ("--schema", "schema.json", "--data", "data.csv",
+               "--restarts", "1", "--seed", "5", "--max-iter", "200")
+
+    def test_fa_fit_without_latent_dim_is_a_usage_error(self, workdir, capsys):
+        assert _run(workdir, "fa", "fit", *self.OPTIONS, "--out", "fa.json") == 64
+        assert "--latent-dim" in capsys.readouterr().err
+        assert not (workdir / "fa.json").exists()
+
+    def test_out_saves_the_fit_of_the_chosen_dimension(self, workdir, capsys):
+        argv = ("fa", "bic", *self.OPTIONS, "--min-dim", "1", "--max-dim", "2")
+        assert _run(workdir, *argv, "--out", "bic.json") == 0
+        chosen = json.loads(capsys.readouterr().out)["table"]["chosen"]
+        assert _run(workdir, "fa", "fit", *self.OPTIONS, "--latent-dim", str(chosen),
+                    "--out", "fa.json") == 0
+        capsys.readouterr()
+        saved, fitted = (load_model(str(workdir / name)) for name in ("bic.json", "fa.json"))
+        assert saved.params.p_z == chosen
+        assert saved.fit_report == fitted.fit_report
+        assert (workdir / "bic.json").read_bytes() == (workdir / "fa.json").read_bytes()
 
 
 class TestSampleBytesPinned:
@@ -1391,8 +1386,29 @@ class TestNumericOptionRange:
         assert "Traceback" not in err
 
 
+class TestReadmeWalkthrough:
+    README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+    def test_every_command_parses(self):
+        """Each ``grasscat`` line of the README's CLI walkthrough, with its
+        backslash continuations joined, is accepted by the parser."""
+        import shlex
+
+        from grasscat.cli import build_parser
+
+        text = self.README.read_text(encoding="utf-8")
+        block = text.split("## CLI walkthrough", 1)[1].split("```")[1]
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("grasscat ")]
+        assert commands
+        parser = build_parser()
+        for argv in commands:
+            parser.parse_args(argv)
+
+
 class TestConsoleScript:
     ROOT = pathlib.Path(__file__).resolve().parents[1]
+    SRC = str(pathlib.Path(grasscat.__file__).resolve().parents[1])  # the tree under test
 
     def test_main_exit_codes(self, tmp_path):
         script = (
@@ -1405,7 +1421,7 @@ class TestConsoleScript:
             "    except SystemExit as exc:\n"
             "        print('exit', exc.code)\n"
         )
-        env = {**os.environ, "PYTHONPATH": str(self.ROOT / "src")}
+        env = {**os.environ, "PYTHONPATH": self.SRC}
         proc = subprocess.run(
             [sys.executable, "-c", script], cwd=tmp_path, env=env,
             capture_output=True, text=True, timeout=60,
@@ -1421,7 +1437,7 @@ class TestConsoleScript:
             "code = run_command(['prob', '--model', 'grassmann.json', '--query', 'Age=1'])\n"
             "print('exit', code, 'scipy' in sys.modules)\n"
         )
-        env = {**os.environ, "PYTHONPATH": str(self.ROOT / "src")}
+        env = {**os.environ, "PYTHONPATH": self.SRC}
         proc = subprocess.run(
             [sys.executable, "-c", script], cwd=model_files, env=env,
             capture_output=True, text=True, timeout=60,
@@ -1430,7 +1446,7 @@ class TestConsoleScript:
 
     def test_module_runs_main(self, tmp_path):
         """``python -m grasscat.cli`` runs the CLI rather than only importing it."""
-        env = {**os.environ, "PYTHONPATH": str(self.ROOT / "src")}
+        env = {**os.environ, "PYTHONPATH": self.SRC}
         proc = subprocess.run(
             [sys.executable, "-m", "grasscat.cli", "--version"], cwd=tmp_path, env=env,
             capture_output=True, text=True, timeout=60,

@@ -275,6 +275,37 @@ class TestValidation:
             )
 
 
+class TestIndexAndBitChecks:
+    """T must hold distinct indices of the binary block, and every y entry
+    must be a bit: -1 would alias bit q - 1, a repeated index would pivot
+    twice, and a 2 would read as a 1."""
+
+    @pytest.mark.parametrize("T", [(-1,), (4,), (1, 1)])
+    def test_conditional_parameter_rejects_bad_t(self, rng, T):
+        mp = random_mixed(rng, 2, 4)
+        with pytest.raises(ParameterError, match="distinct indices"):
+            conditional_binary_given_continuous(mp, mp.mu, T=T, y_T=(1,) * len(T))
+
+    @pytest.mark.parametrize("y_T", [(2,), (-1,), (0.5,)])
+    def test_conditional_parameter_rejects_non_bits(self, rng, y_T):
+        mp = random_mixed(rng, 2, 4)
+        with pytest.raises(ParameterError, match="y_T entries must be 0 or 1"):
+            conditional_binary_given_continuous(mp, mp.mu, T=(1,), y_T=y_T)
+
+    def test_densities_reject_non_bits(self, rng):
+        mp = random_mixed(rng, 2, 4)
+        x = rng.normal(0, 1, 2)
+        with pytest.raises(ParameterError, match="y_S entries must be 0 or 1"):
+            mixed_joint_density(mp, x, (2, 0, 1, 0))
+        part = MixedPartition(J=(0,), L=(), K=(1,), S=(0, 1), U=(2,), T=(3,))
+        with pytest.raises(ParameterError, match="y_S entries must be 0 or 1"):
+            mixed_conditional_density(mp, part, x[:1], (1, -1), x[1:], (0,))
+        with pytest.raises(ParameterError, match="y_T entries must be 0 or 1"):
+            mixed_conditional_density(mp, part, x[:1], (1, 0), x[1:], (2,))
+        with pytest.raises(ParameterError, match="entries must be 0 or 1"):
+            mixed_marginal_density(mp, part, x[1:], (2,))
+
+
 # -- per-subset reference ------------------------------------------------------
 # Reference densities computed one subset at a time: one det and one Gaussian
 # per subset, summed in subset order.  The batched densities must match them.

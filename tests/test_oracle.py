@@ -188,6 +188,16 @@ def test_conditional_on_zero_probability_event_flagged():
     assert not both.defined
 
 
+@pytest.mark.parametrize("S, T", [
+    ((-1,), (0,)), ((3,), (0,)), ((0,), (-1,)), ((0,), (3,)),
+])
+def test_conditional_index_sets_are_range_checked(S, T):
+    """An index -1 would alias bit q - 1, and q would be a bare IndexError."""
+    table = brute_force_table(random_valid_params(np.random.default_rng(4), 3))
+    with pytest.raises(ParameterError, match="out of range"):
+        oracle_conditional(table, S, T, [1])
+
+
 def test_cap_respected(monkeypatch):
     rng = np.random.default_rng(10)
     p = random_valid_params(rng, 4)

@@ -309,6 +309,16 @@ MUTANTS = [
     ("oracle-marginal-source", CLI,
      "np.abs(table.mean - ones)", "np.abs(table.mean - mean)",
      ["tests/test_cli.py::TestOracleCommand"]),
+    # the index and bit checks of the mixed functions and the oracle's conditional
+    ("mixed-t-unchecked", MIXED,
+     "if len(set(T)) != len(T) or any(t < 0 or t >= mp.q for t in T):", "if False:",
+     ["tests/test_mixed.py::TestIndexAndBitChecks"]),
+    ("mixed-bits-unchecked", MIXED,
+     "if not ((y == 0) | (y == 1)).all():", "if False:",
+     ["tests/test_mixed.py::TestIndexAndBitChecks"]),
+    ("oracle-conditional-range-unchecked", "src/grasscat/oracle.py",
+     "if any(i < 0 or i >= table.q for i in index_set):", "if False:",
+     ["tests/test_oracle.py::test_conditional_index_sets_are_range_checked"]),
 ]
 
 
