@@ -32,7 +32,6 @@ from .schema import (
 )
 from .grassmann import (
     GrassmannParams,
-    IndexPartition,
     P0Report,
     check_p0,
     conditional_params,

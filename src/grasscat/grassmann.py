@@ -27,6 +27,10 @@ finiteness included (``GrassmannParams``, or :func:`structure.flat_params`
 for a structured model): a state of sign 0 gives +0.0 (a singular minor's
 log|det| is -inf), and any other whose log-ratio or probability overflows
 raises.
+
+Index sets keep the caller's order, and results follow it.  Observed bits
+are one pair (T, y_T), y_T[k] the value of bit T[k], checked by
+:func:`_observed_bits`; the target set S is every other bit, in order.
 """
 
 from __future__ import annotations
@@ -106,37 +110,30 @@ class GrassmannParams:
         return self.lam.shape[0]
 
 
-@dataclass(frozen=True)
-class IndexPartition:
-    """Disjoint split of 0..q-1 into S and T, with T further split by
-    observed value: T1 (observed 1) and T0 = T minus T1 (observed 0)."""
-
-    S: tuple[int, ...]
-    T: tuple[int, ...]
-    T1: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        S, T, T1 = map(tuple, (sorted(self.S), sorted(self.T), sorted(self.T1)))
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "T1", T1)
-        if set(S) & set(T):
-            raise ParameterError(f"S and T overlap: {set(S) & set(T)}")
-        if not set(T1) <= set(T):
-            raise ParameterError("T1 must be a subset of T")
-
-    def validate_cover(self, q: int) -> None:
-        if set(self.S) | set(self.T) != set(range(q)):
-            raise ParameterError(f"S + T must cover 0..{q - 1}")
+def _index_set(T: Sequence[int], q: int) -> list[int]:
+    """``T`` as a list of ints in the caller's order; ParameterError unless
+    its indices are distinct and in [0, q)."""
+    T = [int(t) for t in T]
+    if len(set(T)) != len(T) or any(t < 0 or t >= q for t in T):
+        raise ParameterError(f"T {tuple(T)} must be distinct indices in [0, {q})")
+    return T
 
 
-def _as_index_set(T: Sequence[int], q: int) -> np.ndarray:
-    idx = np.asarray(sorted(T), dtype=int)
-    if idx.size != len(set(int(i) for i in T)):
-        raise ParameterError(f"index set {T} contains duplicates")
-    if idx.size and (idx[0] < 0 or idx[-1] >= q):
-        raise ParameterError(f"index set {T} out of range 0..{q - 1}")
-    return idx
+def _bits(y, name: str) -> np.ndarray:
+    """``y`` as an int array, after checking that every entry is 0 or 1."""
+    y = np.asarray(y)
+    if not ((y == 0) | (y == 1)).all():
+        raise ParameterError(f"{name} entries must be 0 or 1")
+    return y.astype(int)
+
+
+def _observed_bits(T, y_T, q: int) -> tuple[list[int], np.ndarray]:
+    """The observed bits (T, y_T) in the caller's order, y_T[k] the value of
+    bit T[k]; ParameterError unless y_T holds one 0/1 entry per index."""
+    T, y_T = _index_set(T, q), _bits(y_T, "y_T")
+    if y_T.shape != (len(T),):
+        raise ParameterError("y_T length must match T")
+    return T, y_T
 
 
 def joint_probability(p: GrassmannParams, y: Sequence[int]) -> float:
@@ -200,14 +197,13 @@ def _probabilities(sign: np.ndarray, log_ratio: np.ndarray, sign_norm: float) ->
 
 def marginal_params(p: GrassmannParams, T: Sequence[int]) -> GrassmannParams:
     """Parameter of the marginal distribution over index set T: just sig[T, T]."""
-    idx = _as_index_set(T, p.q)
-    if idx.size == 0:
+    T = _index_set(T, p.q)
+    if not T:
         raise ParameterError("marginal index set must be nonempty")
-    sub = p.sig[np.ix_(idx, idx)]
     try:
-        return GrassmannParams.from_sigma(sub)
+        return GrassmannParams.from_sigma(p.sig[np.ix_(T, T)])
     except ParameterError as exc:
-        raise ParameterError(f"sig[T, T] is singular for T={list(idx)}") from exc
+        raise ParameterError(f"sig[T, T] is singular for T={T}") from exc
 
 
 def _solve_pivot(block: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -234,8 +230,10 @@ def _pivot_correction(lam: np.ndarray, S, T1) -> np.ndarray:
     return lam[np.ix_(S, T1)] @ _solve_pivot(pivot, lam[np.ix_(T1, S)], "lam[T1,T1] - I")
 
 
-def conditional_params(p: GrassmannParams, part: IndexPartition) -> GrassmannParams:
-    """Parameter of the conditional distribution of y_S given y_T.
+def conditional_params(p: GrassmannParams, T: Sequence[int], y_T) -> GrassmannParams:
+    """Parameter of the conditional distribution of y_S given the observed
+    bits y_T, y_T[k] the value of bit T[k]; S is every other bit, in
+    increasing order, and T1 the entries of T observed as 1.
 
     The conditioning matrix is sig with its T1 columns negated and the
     identity added on the T1 diagonal; the conditional parameter is its Schur
@@ -243,10 +241,10 @@ def conditional_params(p: GrassmannParams, part: IndexPartition) -> GrassmannPar
     ``inv(lam[S,S] - lam[S,T1] inv(lam[T1,T1] - I) lam[T1,S])`` is evaluated
     as well and the two are required to agree within 1e-9.
     """
-    part.validate_cover(p.q)
-    S = np.asarray(part.S, dtype=int)
-    T = np.asarray(part.T, dtype=int)
-    T1 = np.asarray(part.T1, dtype=int)
+    T, y_T = _observed_bits(T, y_T, p.q)
+    S = np.setdiff1d(np.arange(p.q), T)
+    T1 = np.asarray([t for t, bit in zip(T, y_T) if bit], dtype=int)
+    T = np.asarray(T, dtype=int)
     if S.size == 0:
         raise ParameterError("conditional target set S must be nonempty")
 

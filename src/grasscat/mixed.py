@@ -13,7 +13,9 @@ exponential tilt applied columnwise.
 
 Index bookkeeping follows an explicit partition: continuous indices split
 into (J, L, K) and binary into (S, U, T), where J/S are query coordinates,
-L/U are marginalized (missing), and K/T are conditioned on.
+L/U are marginalized (missing), and K/T are conditioned on.  Each set keeps
+the caller's order, and the values x_J, y_S, x_K and y_T follow it: entry k
+belongs to the k-th index of its set.
 
 Every density is :func:`mixed_conditional_density`; the joint and the
 marginal densities are conditionals with nothing given.  A query lists the
@@ -38,7 +40,8 @@ import numpy as np
 from .caps import check_bit_cap
 from .errors import ParameterError
 from .grassmann import (
-    _CHUNK, GrassmannParams, _freeze, _log_minors, _mask_bits, _pivot_correction,
+    _CHUNK, GrassmannParams, _bits, _freeze, _log_minors, _mask_bits, _observed_bits,
+    _pivot_correction,
 )
 
 _LOG2PI = float(np.log(2.0 * np.pi))
@@ -88,7 +91,8 @@ class MixedParams:
 @dataclass(frozen=True)
 class MixedPartition:
     """Explicit split of continuous indices into (J, L, K) and binary indices
-    into (S, U, T): query / marginalized / conditioned."""
+    into (S, U, T): query / marginalized / conditioned, each in the caller's
+    order."""
 
     J: tuple[int, ...]
     L: tuple[int, ...]
@@ -99,7 +103,7 @@ class MixedPartition:
 
     def __post_init__(self) -> None:
         for name in ("J", "L", "K", "S", "U", "T"):
-            object.__setattr__(self, name, tuple(sorted(getattr(self, name))))
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     def validate(self, p: int, q: int) -> None:
         cont = (*self.J, *self.L, *self.K)
@@ -108,14 +112,6 @@ class MixedPartition:
         binr = (*self.S, *self.U, *self.T)
         if sorted(binr) != list(range(q)):
             raise ParameterError(f"(S, U, T) must partition 0..{q - 1}")
-
-
-def _bits(y, name: str) -> np.ndarray:
-    """``y`` as an int array, after checking that every entry is 0 or 1."""
-    y = np.asarray(y)
-    if not ((y == 0) | (y == 1)).all():
-        raise ParameterError(f"{name} entries must be 0 or 1")
-    return y.astype(int)
 
 
 def _mask(indices) -> int:
@@ -261,7 +257,8 @@ def conditional_binary_given_continuous(
     T: tuple[int, ...] = (),
     y_T=(),
 ) -> GrassmannParams:
-    """Parameter of p(y_S | x, y_T) where S is the complement of T.
+    """Parameter of p(y_S | x, y_T), y_T[k] the value of bit T[k] and S every
+    other bit, in increasing order.
 
     The parameter is I + C_st Exp, with C_st the pivot-reduced block
     (lam - I)[S,S] - lam[S,T1] inv(lam[T1,T1] - I) lam[T1,S] and Exp the
@@ -271,19 +268,13 @@ def conditional_binary_given_continuous(
     x = np.asarray(x, dtype=float)
     if x.shape != (mp.p,):
         raise ParameterError(f"x must have length {mp.p}")
-    T = tuple(sorted(int(t) for t in T))
-    if len(set(T)) != len(T) or any(t < 0 or t >= mp.q for t in T):
-        raise ParameterError(f"T {T} must be distinct indices in [0, {mp.q})")
-    y_T = _bits(y_T, "y_T")
-    if y_T.shape != (len(T),):
-        raise ParameterError("y_T length must match T")
-    S = tuple(i for i in range(mp.q) if i not in set(T))
+    T, y_T = _observed_bits(T, y_T, mp.q)
+    S = [i for i in range(mp.q) if i not in T]
     if not S:
         raise ParameterError("S is empty; nothing to condition")
     t1 = [t for t, bit in zip(T, y_T) if bit]
-    Sl = list(S)
     lam_mi = mp.lam - np.eye(mp.q)
-    core = lam_mi[np.ix_(Sl, Sl)] - _pivot_correction(mp.lam, Sl, t1)
-    tilt = np.exp(mp.G[Sl, :] @ (x - mp.mu))
-    lam_cond = np.eye(len(Sl)) + core * tilt[None, :]
+    core = lam_mi[np.ix_(S, S)] - _pivot_correction(mp.lam, S, t1)
+    tilt = np.exp(mp.G[S, :] @ (x - mp.mu))
+    lam_cond = np.eye(len(S)) + core * tilt[None, :]
     return GrassmannParams.from_lambda(lam_cond)

@@ -149,11 +149,21 @@ def brute_force_table(p: GrassmannParams) -> FullTable:
     return FullTable(states=states, probs=probs, mean=mean, cov=cov, corr=corr)
 
 
+def _table_indices(table: FullTable, index_set) -> tuple[int, ...]:
+    """``index_set`` as a tuple of ints in the caller's order; ParameterError
+    for an index outside [0, q) or a repeated one."""
+    index_set = tuple(int(i) for i in index_set)
+    if any(i < 0 or i >= table.q for i in index_set):
+        raise ParameterError(f"index set {index_set} out of range")
+    if len(set(index_set)) != len(index_set):
+        raise ParameterError(f"index set {index_set} repeats an index")
+    return index_set
+
+
 def oracle_marginal(table: FullTable, T) -> dict[tuple[int, ...], float]:
-    """Marginal probabilities of y_T by direct summation over the complement."""
-    T = tuple(sorted(int(t) for t in T))
-    if any(t < 0 or t >= table.q for t in T):
-        raise ParameterError(f"index set {T} out of range")
+    """Marginal probabilities of y_T by direct summation over the complement,
+    each key's k-th entry the value of bit T[k]."""
+    T = _table_indices(table, T)
     # key code: y_T read as a binary number, first index most significant, so
     # codes ascend in key order; bincount adds each code's terms in state order
     m = len(T)
@@ -175,12 +185,11 @@ class OracleConditional:
 
 
 def oracle_conditional(table: FullTable, S, T, y_T) -> OracleConditional:
-    """p(y_S | y_T) by summation and ratio."""
-    S = tuple(sorted(int(s) for s in S))
-    T = tuple(sorted(int(t) for t in T))
-    for index_set in (S, T):
-        if any(i < 0 or i >= table.q for i in index_set):
-            raise ParameterError(f"index set {index_set} out of range")
+    """p(y_S | y_T) by summation and ratio, y_T[k] the value of bit T[k] and
+    each key's k-th entry the value of bit S[k]."""
+    S, T = _table_indices(table, S), _table_indices(table, T)
+    if set(S) & set(T):
+        raise ParameterError(f"S {S} and T {T} share an index")
     y_T = tuple(int(b) for b in y_T)
     if len(y_T) != len(T):
         raise ParameterError("y_T length must match T")

@@ -36,7 +36,6 @@ from grasscat.fit import (
     state_counts,
 )
 from grasscat.grassmann import (
-    IndexPartition,
     all_state_probabilities,
     conditional_params,
     conditional_zero_moments,
@@ -236,9 +235,7 @@ def test_05_marginal_conditional_consistency():
                             want = oracle_conditional(table, S, T, y_T)
                             if not want.defined:
                                 continue
-                            c = conditional_params(
-                                params, IndexPartition(S=S, T=T, T1=T1)
-                            )
+                            c = conditional_params(params, T, y_T)
                             for pattern, target in want.probs.items():
                                 got = joint_probability(c, pattern)
                                 assert abs(got - target) <= 1e-9

@@ -757,6 +757,40 @@ class TestModelFileStrictness:
         with pytest.raises(SchemaError, match=rf"^{re.escape(message)}$"):
             model_from_document(doc)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: [d], "model document must be an object"),
+            (lambda d: {k: v for k, v in d.items() if k != "fit_report"},
+             "model: missing fields ['fit_report']"),
+            (lambda d: {**d, "kind": "ising"},
+             "unknown model kind 'ising'; expected one of ('grassmann', 'factor', 'mixed')"),
+            (lambda d: {**d, "schema": None}, "kind 'grassmann' requires a schema"),
+            (lambda d: {**d, "fit_report": [1.0]}, "fit_report must be an object or null"),
+            (lambda d: {**d, "params": {**d["params"], "b": {"Age": [0.0, 0.0]}}},
+             "params.b: keys must match schema variables ['Working', 'Age', 'Edu']"),
+            (lambda d: {**d, "params": {**d["params"], "w": [0.0]}},
+             "params.w: keys must match schema variables ['Working', 'Age', 'Edu']"),
+        ],
+        ids=["not-object", "missing-field", "unknown-kind", "no-schema", "report-not-object",
+             "b-keys", "w-not-dict"],
+    )
+    def test_each_envelope_check_names_its_fault(self, tmp_path, edit, message):
+        from grasscat.errors import SchemaError
+
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(edit(self._document("grassmann"))))
+        with pytest.raises(SchemaError, match=rf"^{re.escape(message)}$"):
+            load_model(str(path))
+
+    def test_factor_kind_requires_a_schema(self, tmp_path):
+        from grasscat.errors import SchemaError
+
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**self._document("factor"), "schema": None}))
+        with pytest.raises(SchemaError, match=r"^kind 'factor' requires a schema$"):
+            load_model(str(path))
+
     def test_legacy_slack_is_checked_then_dropped(self):
         from grasscat.errors import SchemaError
 
@@ -1111,6 +1145,60 @@ class TestMalformedFiles:
         assert capsys.readouterr().err.startswith("error: bad.csv:3: field larger than field limit")
 
 
+class TestRefusals:
+    """Input that a command refuses: its exit code and its one stderr line."""
+
+    @pytest.fixture
+    def files(self, model_files):
+        mixed = MixedParams(mu=np.zeros(3), sigma=np.eye(3), lam=2.0 * np.eye(2),
+                            G=np.zeros((2, 3)))
+        save_model(ModelFile("mixed", None, mixed, None), str(model_files / "mixed3.json"))
+        return model_files
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["prob", "--model", "grassmann.json", "--query", "Age"],
+             "cannot parse clause 'Age': expected Var=l or Var>=l"),
+            (["prob", "--model", "grassmann.json", "--query", "Age=x"],
+             "clause 'Age=x': level must be an integer"),
+            (["prob", "--model", "grassmann.json", "--query", "Age=1", "--given", "Age=1"],
+             "query and given overlap on dummy indices [1, 2]"),
+            (["prob", "--model", "factor.json", "--query", "Age=1"],
+             "model factor.json has kind 'factor'; expected 'grassmann'"),
+            (["moments", "--model", "mixed.json"],
+             "moments supports grassmann and factor models"),
+            (["sample", "--model", "mixed.json", "--n", "5", "--out", "s.csv"],
+             "sampling supports grassmann and factor models"),
+            (["fa", "bic", "--schema", "schema.json", "--data", "data.csv",
+              "--min-dim", "3", "--max-dim", "1"],
+             "--min-dim must not exceed --max-dim"),
+            (["mixed", "eval", "--model", "mixed3.json", "--x", "1", "--y", "0,0"],
+             "--x must have 3 comma-separated tokens"),
+            (["mixed", "eval", "--model", "mixed3.json", "--x", "a,b,c", "--y", "0,0"],
+             "bad x token 'a'"),
+            (["mixed", "eval", "--model", "mixed3.json", "--x", "0,0,0", "--y", "2,0"],
+             "y values must be bits (0 or 1)"),
+        ],
+        ids=["clause-without-operator", "level-not-integer", "query-given-overlap",
+             "prob-on-factor", "moments-on-mixed", "sample-on-mixed", "bic-dims-reversed",
+             "x-token-count", "x-token-not-number", "y-token-not-bit"],
+    )
+    def test_exits_one_with_one_line(self, files, capsys, argv, message):
+        assert _run(files, *argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (files / "s.csv").exists()
+
+    def test_tol_that_is_not_a_number_is_a_usage_error(self, files, capsys):
+        argv = ["fit", "--schema", "schema.json", "--data", "data.csv", "--out", "m.json",
+                "--tol", "abc"]
+        assert _run(files, *argv) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("grasscat fit: ")
+        assert err.splitlines()[0] == "grasscat fit: argument --tol: expected a number, got 'abc'"
+        assert not (files / "m.json").exists()
+
+
 class TestSampleRefusesNegativeProbabilities:
     def test_any_negative_value_exits_two(self, model_files, capsys, monkeypatch):
         import grasscat.cli
@@ -1404,6 +1492,28 @@ class TestReadmeWalkthrough:
         parser = build_parser()
         for argv in commands:
             parser.parse_args(argv)
+
+
+class TestReadmeLibraryExample:
+    README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+    def test_library_block_runs(self, tmp_path, monkeypatch, capsys):
+        """The README's python block runs as written on a 300-row reader-style
+        ``data.csv`` in the working directory."""
+        schema = reader_style_schema()
+        params = assemble_lambda(schema, reader_style_true_params())
+        states = enumerate_allowed_states(schema)
+        probs = [joint_probability(params, s.bits) for s in states]
+        rows = sample_rows_from_probs(np.random.default_rng(1111), schema, states, probs, 300)
+        lines = [",".join(schema.names)] + [",".join(map(str, r.values)) for r in rows]
+        (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+        text = self.README.read_text(encoding="utf-8")
+        block = text.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(tmp_path)
+        namespace: dict = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+        assert namespace["c"].q == 1 and namespace["m"].q == 3
+        assert "passed=True" in capsys.readouterr().out
 
 
 class TestConsoleScript:

@@ -37,7 +37,6 @@ from grasscat.fit import (
 )
 from grasscat.grassmann import (
     GrassmannParams,
-    IndexPartition,
     _log_minors,
     _solve_pivot,
     conditional_params,
@@ -124,11 +123,11 @@ def test_state_probabilities_match_guarded_determinant(rng, q):
         assert_same(state_probabilities(p, states), _ref_state_probabilities(p, states))
 
 
-def _ref_conditional_params(p, part):
+def _ref_conditional_params(p, T, y_T):
     """conditional_params with its T = {} fork."""
-    S = np.asarray(part.S, dtype=int)
-    T = np.asarray(part.T, dtype=int)
-    T1 = np.asarray(part.T1, dtype=int)
+    S = np.setdiff1d(np.arange(p.q), T)
+    T1 = np.asarray([t for t, bit in zip(T, y_T) if bit], dtype=int)
+    T = np.asarray(T, dtype=int)
     tilde = p.sig.copy()
     if T1.size:
         tilde[:, T1] *= -1.0
@@ -150,9 +149,9 @@ def test_conditional_params_with_empty_sets_match_the_fork(rng, q):
         S = tuple(i for i in range(q) if i not in T)
         if not S:
             continue
-        for part in (IndexPartition(S=range(q), T=(), T1=()), IndexPartition(S=S, T=T, T1=())):
-            got = conditional_params(p, part)
-            want = _ref_conditional_params(p, part)
+        for given in ((), T):
+            got = conditional_params(p, given, (0,) * len(given))
+            want = _ref_conditional_params(p, given, (0,) * len(given))
             assert_same(got.sig, want.sig)
             assert_same(got.lam, want.lam)
 

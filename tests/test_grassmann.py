@@ -7,7 +7,6 @@ import pytest
 from grasscat.errors import ParameterError
 from grasscat.grassmann import (
     GrassmannParams,
-    IndexPartition,
     all_state_probabilities,
     check_p0,
     conditional_params,
@@ -104,13 +103,27 @@ class TestMarginal:
         with pytest.raises(ParameterError):
             marginal_params(p, [])
 
+    def test_unsorted_set_follows_the_callers_order(self):
+        """marginal_params(p, (2, 0)) is the law of (y2, y0): each pattern
+        is read in the caller's order, as oracle_marginal keys it."""
+        rng = np.random.default_rng(12)
+        p = random_valid_params(rng, 4)
+        table = brute_force_table(p)
+        m = marginal_params(p, (2, 0))
+        expected = oracle_marginal(table, (2, 0))
+        assert len(expected) == 4
+        for pattern, want in expected.items():
+            assert joint_probability(m, pattern) == pytest.approx(want, abs=1e-12)
+        truth = table.probs[(table.states[:, 2] == 1) & (table.states[:, 0] == 0)].sum()
+        assert joint_probability(m, (1, 0)) == pytest.approx(truth, abs=1e-12)
+        assert expected[(1, 0)] == pytest.approx(truth, abs=1e-15)
+
 
 class TestConditional:
     def test_unconditioned_independent_block(self):
         sig = np.diag([0.3, 0.4, 0.7])
         p = GrassmannParams.from_sigma(sig)
-        part = IndexPartition(S=(0, 1), T=(2,), T1=())
-        c = conditional_params(p, part)
+        c = conditional_params(p, (2,), (0,))
         np.testing.assert_allclose(c.sig, sig[:2, :2], atol=1e-12)
 
     def test_zero_covariance_conditional_equals_marginal(self):
@@ -118,16 +131,15 @@ class TestConditional:
         # off diagonal fully zero the conditional collapses to the marginal
         sig = np.array([[0.4, 0.0], [0.0, 0.6]])
         p = GrassmannParams.from_sigma(sig)
-        for t1 in ((), (1,)):
-            c = conditional_params(p, IndexPartition(S=(0,), T=(1,), T1=t1))
+        for y_1 in (0, 1):
+            c = conditional_params(p, (1,), (y_1,))
             np.testing.assert_allclose(c.sig, [[0.4]], atol=1e-12)
 
     def test_ratio_against_enumeration(self):
         rng = np.random.default_rng(5)
         p = random_valid_params(rng, 3)
         table = brute_force_table(p)
-        part = IndexPartition(S=(0, 1), T=(2,), T1=(2,))
-        c = conditional_params(p, part)
+        c = conditional_params(p, (2,), (1,))
         expected = oracle_conditional(table, (0, 1), (2,), (1,))
         assert expected.defined
         for pattern, want in expected.probs.items():
@@ -149,20 +161,50 @@ class TestConditional:
                             want = oracle_conditional(table, S, T, y_T)
                             if not want.defined:
                                 continue
-                            c = conditional_params(
-                                p, IndexPartition(S=S, T=T, T1=T1)
-                            )
+                            c = conditional_params(p, T, y_T)
                             for pattern, target in want.probs.items():
                                 got = joint_probability(c, pattern)
                                 assert got == pytest.approx(target, abs=1e-9)
 
+    def test_unsorted_t_follows_the_callers_order(self):
+        """y_T[k] is the value of bit T[k]: a permuted T with y_T permuted
+        along gives the same conditional distribution of y_S."""
+        rng = np.random.default_rng(29)
+        for q in (3, 4, 5):
+            p = random_valid_params(rng, q)
+            table = brute_force_table(p)
+            for T in itertools.permutations(range(1, q)):
+                for y_T in itertools.product((0, 1), repeat=q - 1):
+                    want = oracle_conditional(table, (0,), T, y_T)
+                    if not want.defined:
+                        continue
+                    c = conditional_params(p, T, y_T)
+                    for pattern, target in want.probs.items():
+                        assert joint_probability(c, pattern) == pytest.approx(target, abs=1e-9)
+        p = random_valid_params(rng, 4)
+        sorted_c = conditional_params(p, (1, 3), (1, 0))
+        permuted_c = conditional_params(p, (3, 1), (0, 1))
+        np.testing.assert_allclose(permuted_c.sig, sorted_c.sig, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("T, y_T, match", [
+        ((-1,), (1,), "distinct indices"),
+        ((4,), (1,), "distinct indices"),
+        ((1, 1), (1, 0), "distinct indices"),
+        ((1,), (2,), "y_T entries must be 0 or 1"),
+        ((1, 2), (1,), "y_T length must match T"),
+        ((0, 1, 2, 3), (0, 0, 0, 0), "S must be nonempty"),
+    ])
+    def test_observed_bits_are_checked(self, T, y_T, match):
+        p = random_valid_params(np.random.default_rng(31), 4)
+        with pytest.raises(ParameterError, match=match):
+            conditional_params(p, T, y_T)
+
     def test_product_rule(self):
         rng = np.random.default_rng(23)
         p = random_valid_params(rng, 4)
-        part = IndexPartition(S=(0, 3), T=(1, 2), T1=(1,))
-        c = conditional_params(p, part)
-        m = marginal_params(p, part.T)
         y_T = [1, 0]
+        c = conditional_params(p, (1, 2), y_T)
+        m = marginal_params(p, (1, 2))
         for y_S in itertools.product((0, 1), repeat=2):
             joint = joint_probability(p, [y_S[0], y_T[0], y_T[1], y_S[1]])
             assert joint_probability(c, y_S) * joint_probability(m, y_T) == pytest.approx(
@@ -266,8 +308,8 @@ def test_one_sided_zero_covariance_conditional_equals_marginal():
     mean, cov = moments(p)
     assert cov[0, 1] == 0.0
     marg = marginal_params(p, [0])
-    for t1 in ((), (1,)):
-        c = conditional_params(p, IndexPartition(S=(0,), T=(1,), T1=t1))
+    for y_1 in (0, 1):
+        c = conditional_params(p, (1,), (y_1,))
         np.testing.assert_allclose(c.sig, marg.sig, atol=1e-12)
 
 

@@ -306,6 +306,41 @@ class TestIndexAndBitChecks:
             mixed_marginal_density(mp, part, x[1:], (2,))
 
 
+class TestIndexOrder:
+    """Index sets keep the caller's order: entry k of x_J, y_S, x_K or y_T
+    belongs to the k-th index of its set, whatever that order is."""
+
+    def test_conditional_density_follows_the_callers_order(self, rng):
+        for _ in range(5):
+            mp = random_mixed(rng, 5, 6)
+            x, y = rng.normal(0, 1, 5), rng.integers(0, 2, 6)
+            y[[1, 2]] = (1, 0)  # y_T not constant, so a re-sort would move a bit
+            part = MixedPartition(J=(0, 3), L=(4,), K=(1, 2), S=(0, 4), U=(5,), T=(1, 2, 3))
+            want = mixed_conditional_density(mp, part, x[[0, 3]], y[[0, 4]], x[[1, 2]],
+                                              y[[1, 2, 3]])
+            J, K, S, T = [3, 0], [2, 1], [4, 0], [3, 1, 2]
+            permuted = MixedPartition(J=J, L=(4,), K=K, S=S, U=(5,), T=T)
+            got = mixed_conditional_density(mp, permuted, x[J], y[S], x[K], y[T])
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_marginal_density_follows_the_callers_order(self, rng):
+        mp = random_mixed(rng, 3, 4)
+        x = rng.normal(0, 1, 3)
+        part = MixedPartition(J=(1,), L=(), K=(0, 2), S=(1, 2), U=(), T=(0, 3))
+        want = mixed_marginal_density(mp, part, x[[0, 2]], (1, 0))
+        permuted = MixedPartition(J=(1,), L=(), K=(2, 0), S=(2, 1), U=(), T=(3, 0))
+        got = mixed_marginal_density(mp, permuted, x[[2, 0]], (0, 1))
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_conditional_parameter_follows_the_callers_order(self, rng):
+        for _ in range(5):
+            mp = random_mixed(rng, 2, 5)
+            x = rng.normal(0, 1, 2)
+            want = conditional_binary_given_continuous(mp, x, T=(0, 2, 3), y_T=(1, 0, 1))
+            got = conditional_binary_given_continuous(mp, x, T=(3, 0, 2), y_T=(1, 1, 0))
+            np.testing.assert_allclose(got.lam, want.lam, rtol=1e-12, atol=0.0)
+
+
 # -- per-subset reference ------------------------------------------------------
 # Reference densities computed one subset at a time: one det and one Gaussian
 # per subset, summed in subset order.  The batched densities must match them.

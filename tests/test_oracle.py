@@ -8,7 +8,6 @@ import scipy.linalg
 from grasscat.errors import EnumerationCapError, InvalidStateError, ParameterError
 from grasscat.grassmann import (
     GrassmannParams,
-    IndexPartition,
     all_state_probabilities,
     conditional_params,
     joint_probability,
@@ -198,6 +197,43 @@ def test_conditional_index_sets_are_range_checked(S, T):
         oracle_conditional(table, S, T, [1])
 
 
+def test_conditional_follows_the_callers_order():
+    """y_T[k] is the value of bit T[k], and a key's k-th entry is bit S[k]."""
+    table = brute_force_table(random_valid_params(np.random.default_rng(14), 5))
+    want = oracle_conditional(table, (0, 1), (2, 3, 4), (1, 0, 1))
+    got = oracle_conditional(table, (0, 1), (4, 2, 3), (1, 1, 0))
+    assert want.defined and got.probs == want.probs
+    swapped = oracle_conditional(table, (1, 0), (2, 3, 4), (1, 0, 1))
+    assert swapped.probs == {(b, a): prob for (a, b), prob in want.probs.items()}
+    for (y1, y0), prob in swapped.probs.items():
+        event = np.all(table.states[:, [2, 3, 4]] == (1, 0, 1), axis=1)
+        pick = event & (table.states[:, 1] == y1) & (table.states[:, 0] == y0)
+        assert prob == pytest.approx(table.probs[pick].sum() / table.probs[event].sum(),
+                                     abs=1e-15)
+
+
+def test_marginal_follows_the_callers_order():
+    table = brute_force_table(random_valid_params(np.random.default_rng(15), 3))
+    marg = oracle_marginal(table, (2, 0))
+    for (y2, y0), prob in marg.items():
+        pick = (table.states[:, 2] == y2) & (table.states[:, 0] == y0)
+        assert prob == pytest.approx(table.probs[pick].sum(), abs=1e-15)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda t: oracle_marginal(t, (0, 0)), "repeats an index"),
+    (lambda t: oracle_conditional(t, (0,), (1, 1), (1, 0)), "repeats an index"),
+    (lambda t: oracle_conditional(t, (0, 0), (1,), (1,)), "repeats an index"),
+    (lambda t: oracle_conditional(t, (0,), (0,), (1,)), "share an index"),
+])
+def test_repeated_and_shared_indices_are_rejected(call, match):
+    """A repeated index would key a marginal by an impossible pattern, and an
+    index in both S and T would condition a bit on itself."""
+    table = brute_force_table(random_valid_params(np.random.default_rng(4), 3))
+    with pytest.raises(ParameterError, match=match):
+        call(table)
+
+
 def test_cap_respected(monkeypatch):
     rng = np.random.default_rng(10)
     p = random_valid_params(rng, 4)
@@ -224,7 +260,7 @@ def test_oracle_and_core_agree_across_queries():
             t1 = tuple(t for t in T if rng.random() < 0.5)
             want = oracle_conditional(table, S, tuple(T), [1 if t in t1 else 0 for t in T])
             if want.defined:
-                c = conditional_params(p, IndexPartition(S=S, T=tuple(T), T1=t1))
+                c = conditional_params(p, T, [1 if t in t1 else 0 for t in T])
                 for pattern, target in want.probs.items():
                     assert joint_probability(c, pattern) == pytest.approx(
                         target, abs=1e-9

@@ -15,7 +15,6 @@ from grasscat.cli import conditional_pattern_probability, parse_pattern, run_com
 from grasscat.errors import ConditioningError, ParameterError
 from grasscat.fit import B_CAP
 from grasscat.grassmann import (
-    IndexPartition,
     conditional_params,
     joint_probability,
     marginal_params,
@@ -74,9 +73,8 @@ def _lam_space(params, query, given):
     conditional parameter of the bits given leaves free, then the marginal
     parameter of the query's bits and its joint probability."""
     if given:
-        T = tuple(sorted(given))
         S = tuple(i for i in range(params.q) if i not in given)
-        params = conditional_params(params, IndexPartition(S, T, tuple(t for t in T if given[t])))
+        params = conditional_params(params, tuple(given), tuple(given.values()))
         pos = {bit: k for k, bit in enumerate(S)}
         query = {pos[bit]: value for bit, value in query.items()}
     if not query:

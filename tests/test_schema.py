@@ -1,5 +1,7 @@
 import csv
 import itertools
+import json
+import re
 
 import numpy as np
 import pytest
@@ -287,6 +289,34 @@ class TestSchemaFile:
     def test_bad_kind_rejected(self):
         with pytest.raises(SchemaError, match="kind"):
             schema_from_dict({"variables": [{"name": "a", "kind": "real", "levels": 2}]})
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "schema document must be an object, got list"),
+            ({}, 'schema document must contain a "variables" list'),
+            ({"variables": {"a": 1}}, 'schema document must contain a "variables" list'),
+            ({"variables": ["a"]}, "variables[0] must be an object"),
+            ({"variables": [{"name": 1, "kind": "ordinal", "levels": 2}]},
+             "variables[0]: name must be a string"),
+            ({"variables": [{"name": "a", "kind": "ordinal", "levels": "2"}]},
+             "variables[0]: levels must be an integer"),
+            ({"variables": [{"name": "a", "kind": "ordinal", "levels": True}]},
+             "variables[0]: levels must be an integer"),
+        ],
+        ids=["not-object", "no-variables", "variables-not-list", "entry-not-object",
+             "name-not-string", "levels-string", "levels-bool"],
+    )
+    def test_each_document_check_names_its_fault(self, tmp_path, doc, message):
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=rf"^{re.escape(message)}$"):
+            load_schema(str(path))
+
+    def test_unreadable_file_is_a_data_error(self, tmp_path):
+        path = tmp_path / "missing.json"
+        with pytest.raises(DataError, match=rf"^cannot read schema file {re.escape(str(path))}: "):
+            load_schema(str(path))
 
     def test_load_files(self, tmp_path):
         path = tmp_path / "schema.json"

@@ -273,16 +273,15 @@ class TestOmegaBounds:
 
 def test_conditioning_on_impossible_pattern_raises():
     from grasscat.errors import ConditioningError
-    from grasscat.grassmann import IndexPartition, conditional_params
+    from grasscat.grassmann import conditional_params
 
     schema = reader_style_schema()
     rng = np.random.default_rng(12)
     sp = random_structured(rng, schema, a=2)
     params = assemble_lambda(schema, sp)
     # both bits of the 3-category block set: a structurally impossible event
-    part = IndexPartition(S=(0, 3, 4, 5), T=(1, 2), T1=(1, 2))
     with pytest.raises(ConditioningError):
-        conditional_params(params, part)
+        conditional_params(params, (1, 2), (1, 1))
 
 
 class TestOneDimensionalV:

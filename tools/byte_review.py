@@ -235,6 +235,22 @@ def command_list(seed: int, pool: dict) -> list[tuple[list[str], list[str]]]:
     add(["moments", "--model", wide])
     add(["oracle", "check", "--model", wide])
 
+    # refusals: each exits nonzero with one stderr line
+    add(["prob", "--model", q16, "--query", "v0"])
+    add(["prob", "--model", q16, "--query", "v0=x"])
+    add(["prob", "--model", q16, "--query", "v0=1", "--given", "v0=1"])
+    add(["prob", "--model", fa, "--query", "v0=1"])
+    add(["moments", "--model", mixed])
+    add(["sample", "--model", mixed, "--n", "10", "--out", "query/mixed-sample.csv"],
+        "query/mixed-sample.csv")
+    add(["fa", "bic", "--schema", "factor/fa-q12.schema.json", "--data", "factor/fa-q12.csv",
+         "--min-dim", "3", "--max-dim", "1"])
+    y_bits = ",".join(["0"] * 10)
+    for x, y in (("1", y_bits), ("a,b,c", y_bits), ("0,0,0", "2" + y_bits[1:])):
+        add(["mixed", "eval", "--model", mixed, "--x", x, "--y", y])
+    add(["fit", "--schema", "fit/fit-q8.schema.json", "--data", "fit/fit-q8.csv",
+         "--tol", "abc", "--out", "fit/tol.model.json"], "fit/tol.model.json")
+
     # finite models whose a-space terms or prior weights overflow
     for name in ("A", "B", "F"):
         model = f"overflow/{name}.json"

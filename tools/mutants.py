@@ -310,15 +310,28 @@ MUTANTS = [
      "np.abs(table.mean - ones)", "np.abs(table.mean - mean)",
      ["tests/test_cli.py::TestOracleCommand"]),
     # the index and bit checks of the mixed functions and the oracle's conditional
-    ("mixed-t-unchecked", MIXED,
-     "if len(set(T)) != len(T) or any(t < 0 or t >= mp.q for t in T):", "if False:",
+    ("mixed-t-unchecked", GRASSMANN,
+     "if len(set(T)) != len(T) or any(t < 0 or t >= q for t in T):", "if False:",
      ["tests/test_mixed.py::TestIndexAndBitChecks"]),
-    ("mixed-bits-unchecked", MIXED,
+    ("mixed-bits-unchecked", GRASSMANN,
      "if not ((y == 0) | (y == 1)).all():", "if False:",
      ["tests/test_mixed.py::TestIndexAndBitChecks"]),
     ("oracle-conditional-range-unchecked", "src/grasscat/oracle.py",
      "if any(i < 0 or i >= table.q for i in index_set):", "if False:",
      ["tests/test_oracle.py::test_conditional_index_sets_are_range_checked"]),
+    # index sets in the caller's order: each value stays with its index
+    ("index-set-sorted", GRASSMANN,
+     "T = [int(t) for t in T]", "T = sorted(int(t) for t in T)",
+     ["tests/test_grassmann.py::TestConditional::test_unsorted_t_follows_the_callers_order",
+      "tests/test_grassmann.py::TestMarginal::test_unsorted_set_follows_the_callers_order",
+      "tests/test_mixed.py::TestIndexOrder"]),
+    ("mixed-partition-sorted", MIXED,
+     "tuple(getattr(self, name))", "tuple(sorted(getattr(self, name)))",
+     ["tests/test_mixed.py::TestIndexOrder"]),
+    ("oracle-conditional-sorts-t", "src/grasscat/oracle.py",
+     "S, T = _table_indices(table, S), _table_indices(table, T)",
+     "S, T = _table_indices(table, S), tuple(sorted(_table_indices(table, T)))",
+     ["tests/test_oracle.py::test_conditional_follows_the_callers_order"]),
 ]
 
 
