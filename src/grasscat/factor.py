@@ -18,6 +18,7 @@ fit report, the observed density, moments and sampling all read.  The fit
 reads the same table: the data are one count per allowed state, and the
 gradient in (b, G) is each state's expected minus observed count applied
 to u and u u^T.  The factor score of a data row is the posterior mean m.
+Parameters, x and y go through the rules of :mod:`grasscat.mixed` and ``grassmann``.
 The model's rotational freedom is fixed by diagonalizing G^T G (its nonzero
 spectrum equals that of G G^T), with axes ordered by decreasing eigenvalue
 share.
@@ -35,7 +36,8 @@ from .fit import (
     StateCounts, _check_integers, _level_logits, _repeat_lbfgs, _restarts, empirical_moments,
     state_counts,
 )
-from .grassmann import _freeze
+from .grassmann import _bits, _freeze
+from .mixed import _check_finite, _covariance_root, _log_normals
 from .outputs import SvgCanvas, _csv_rows, write_csv
 from .schema import (
     Record,
@@ -88,14 +90,10 @@ class FactorModel:
             raise ParameterError(f"sigma_z shape {self.sigma_z.shape} != ({p_z},{p_z})")
         if self.psi_noise.shape != (p_x,):
             raise ParameterError("psi_noise must be the diagonal, one entry per x")
+        _check_finite(self)  # first: a NaN passes the covariance check
         if np.any(self.psi_noise <= 0):
             raise ParameterError("psi_noise entries must be positive")
-        if np.abs(self.sigma_z - self.sigma_z.T).max(initial=0.0) > 1e-10:
-            raise ParameterError("sigma_z must be symmetric")
-        try:
-            np.linalg.cholesky(self.sigma_z)
-        except np.linalg.LinAlgError as exc:
-            raise ParameterError("sigma_z must be positive definite") from exc
+        _covariance_root(self.sigma_z, "sigma_z")
 
     @property
     def p_x(self) -> int:
@@ -152,10 +150,7 @@ def _prior_table(
     pi_u propto exp(u^T b + u^T G sigma_z G^T u / 2), which sum to one.
     ParameterError when a log-weight is not finite (it overflows)."""
     Y = allowed_table(schema)[0].astype(float)
-    try:
-        root = np.linalg.cholesky(sigma_z)
-    except np.linalg.LinAlgError as exc:
-        raise ParameterError("sigma_z must be positive definite") from exc
+    root = _covariance_root(sigma_z, "sigma_z")
     with np.errstate(over="ignore", invalid="ignore"):
         logw = _quadratic_log_weight(Y, b, G @ root)[0]
     if not np.isfinite(logw).all():
@@ -176,16 +171,6 @@ def mixture_weights(
     return {tuple(row): wi for row, wi in zip(Y.astype(int).tolist(), w.tolist())}
 
 
-def _gaussian_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
-    d = x - mean
-    n = d.shape[0]
-    chol = np.linalg.cholesky(cov)
-    sol = np.linalg.solve(chol, d)
-    return float(
-        -0.5 * sol @ sol - np.log(np.diag(chol)).sum() - 0.5 * n * np.log(2 * np.pi)
-    )
-
-
 def observed_density(
     schema: VariableSchema,
     model: FactorModel,
@@ -194,10 +179,10 @@ def observed_density(
 ) -> float:
     """Joint density of (x, y); the prior weight alone when p_x = 0.
 
-    Disallowed states return exactly 0; a y whose length is not the schema's
-    dummy dimension raises ParameterError.
+    A y that is not an allowed 0/1 state returns exactly 0; a y whose length
+    is not the schema's dummy dimension raises ParameterError.
     """
-    yv = np.asarray([int(v) for v in y], dtype=float)
+    yv = np.asarray(y, dtype=float)
     if yv.shape != (schema.q,):
         raise ParameterError(f"y must have length {schema.q}, got shape {yv.shape}")
     w = _prior_table(schema, model.b, model.G, model.sigma_z)[1]
@@ -213,7 +198,7 @@ def observed_density(
     if x is None:
         raise ParameterError("model has a continuous block; x is required")
     means, cov = _x_given_states(model, yv[None, :])
-    return pi * np.exp(_gaussian_logpdf(np.asarray(x, dtype=float), means[0], cov))
+    return pi * np.exp(_log_normals(np.asarray(x, dtype=float), np.asarray(means), cov)[0])
 
 
 def _x_given_states(
@@ -232,8 +217,8 @@ def _x_given_states(
 def posterior(
     model: FactorModel, y: Sequence[int], x: Sequence[float] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean (the factor score) and covariance of z given (x, y)."""
-    yv = np.asarray(y, dtype=float)
+    """Posterior mean (the factor score) and covariance of z given (x, y), y of 0/1 bits."""
+    yv = _bits(y, "y").astype(float)
     if yv.shape != (model.q,):
         raise ParameterError(f"y must have length {model.q}")
     if model.p_x:

@@ -120,8 +120,10 @@ def _index_set(T: Sequence[int], q: int) -> list[int]:
 
 
 def _bits(y, name: str) -> np.ndarray:
-    """``y`` as an int array, after checking that every entry is 0 or 1."""
+    """``y`` as an int array (a bool one as it is) after checking that every entry is 0 or 1."""
     y = np.asarray(y)
+    if y.dtype == bool:
+        return y
     if not ((y == 0) | (y == 1)).all():
         raise ParameterError(f"{name} entries must be 0 or 1")
     return y.astype(int)
@@ -138,8 +140,8 @@ def _observed_bits(T, y_T, q: int) -> tuple[list[int], np.ndarray]:
 
 def joint_probability(p: GrassmannParams, y: Sequence[int]) -> float:
     """Probability of the full bit vector ``y``: :func:`state_probabilities`
-    of the one row ``y``."""
-    y = np.asarray(y)
+    of the one row ``y``; ParameterError unless every entry is 0 or 1."""
+    y = _bits(y, "y")
     if y.shape != (p.q,):
         raise ParameterError(f"y must have length {p.q}, got shape {y.shape}")
     return float(state_probabilities(p, y[None, :])[0])
@@ -168,9 +170,9 @@ def state_probabilities(p: GrassmannParams, states: np.ndarray) -> np.ndarray:
     Each is det((lam - I)[R1, R1]) / det(lam), with the minors from
     :func:`_log_minors`.  Values within 1e-12 below zero are clamped to
     exactly zero; anything more negative is returned as is so invalid
-    parameters remain visible.
+    parameters remain visible.  An entry other than 0 or 1 raises.
     """
-    states = np.asarray(states)
+    states = _bits(states, "states")
     if states.ndim != 2 or states.shape[1] != p.q:
         raise ParameterError(f"states must have shape (n, {p.q}), got {states.shape}")
     sign_l, logdet_l = np.linalg.slogdet(p.lam)

@@ -28,12 +28,13 @@ overflow; the Gaussian factor of all rows comes from one Cholesky factor and
 one solve against it.  Nothing is cached on the model: a conditional costs
 2**(free bits) minors, a joint or marginal 2**q for its normalizer.  Sums over
 rows run in mask order through numpy, not one subset at a time, so a density
-can differ from a plain loop over subsets in its last digits.
+can differ from a plain loop over subsets in its last digits.  The factor
+model reads its Gaussian block by this module's checks and normal density.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,6 +46,25 @@ from .grassmann import (
 )
 
 _LOG2PI = float(np.log(2.0 * np.pi))
+
+
+def _check_finite(params) -> None:
+    """ParameterError naming the first field of ``params`` that is not finite."""
+    for f in fields(params):
+        if not np.isfinite(getattr(params, f.name)).all():
+            raise ParameterError(f"{f.name} contains non-finite entries")
+
+
+def _covariance_root(cov, name: str) -> np.ndarray:
+    """Lower Cholesky factor of ``cov``; ParameterError unless it is symmetric within
+    1e-10 (tested first: the factor reads one triangle) and positive definite."""
+    cov = np.asarray(cov, dtype=float)
+    if cov.shape == cov.T.shape and np.abs(cov - cov.T).max(initial=0.0) > 1e-10:
+        raise ParameterError(f"{name} must be symmetric")
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
+        raise ParameterError(f"{name} must be positive definite") from exc
 
 
 @dataclass(frozen=True, eq=False)  # array fields: compare by identity
@@ -69,15 +89,8 @@ class MixedParams:
             raise ParameterError("lam must be square")
         if G.shape != (q, p):
             raise ParameterError(f"G shape {G.shape} != ({q},{p})")
-        for name, arr in (("mu", mu), ("sigma", sigma), ("lam", lam), ("G", G)):
-            if not np.isfinite(arr).all():
-                raise ParameterError(f"{name} contains non-finite entries")
-        if np.abs(sigma - sigma.T).max(initial=0.0) > 1e-10:
-            raise ParameterError("sigma must be symmetric")
-        try:
-            np.linalg.cholesky(sigma)
-        except np.linalg.LinAlgError as exc:
-            raise ParameterError("sigma must be positive definite") from exc
+        _check_finite(self)
+        _covariance_root(sigma, "sigma")
 
     @property
     def p(self) -> int:

@@ -190,6 +190,8 @@ def oracle_conditional(table: FullTable, S, T, y_T) -> OracleConditional:
     S, T = _table_indices(table, S), _table_indices(table, T)
     if set(S) & set(T):
         raise ParameterError(f"S {S} and T {T} share an index")
+    if any(bit not in (0, 1) for bit in y_T):
+        raise ParameterError("y_T entries must be 0 or 1")
     y_T = tuple(int(b) for b in y_T)
     if len(y_T) != len(T):
         raise ParameterError("y_T length must match T")

@@ -20,7 +20,6 @@ import grasscat as gc
 from grasscat.cli import run_command
 from grasscat.factor import (
     FactorModel,
-    _gaussian_logpdf,
     bic_parameter_count,
     combined_loadings,
     fix_rotation,
@@ -77,6 +76,7 @@ from generators import (
     reader_style_true_params,
     sample_rows_from_probs,
 )
+from normal_reference import gaussian_logpdf
 from test_mixed import gauss_hermite_integral, random_mixed
 
 
@@ -361,7 +361,7 @@ def test_08_factor_bayes_consistency():
             dens *= pmf(beta[s:e], block)
         if model.p_x:
             mean = model.mu_x + model.W_load @ (z - model.mu_z)
-            dens *= math.exp(_gaussian_logpdf(x, mean, np.diag(model.psi_noise)))
+            dens *= math.exp(gaussian_logpdf(x, mean, np.diag(model.psi_noise)))
         return dens
 
     def prior_density(schema, model, z):
@@ -369,7 +369,7 @@ def test_08_factor_bayes_consistency():
         total = 0.0
         for bits, w in weights.items():
             mean = model.mu_z + model.sigma_z @ model.G.T @ np.asarray(bits, float)
-            total += w * math.exp(_gaussian_logpdf(z, mean, model.sigma_z))
+            total += w * math.exp(gaussian_logpdf(z, mean, model.sigma_z))
         return total
 
     with Criterion(8, "factor model Bayes consistency", 20.0):
@@ -401,7 +401,7 @@ def test_08_factor_bayes_consistency():
                 lhs = conditional_density(schema, model, y, z, x) * prior_density(
                     schema, model, z
                 )
-                rhs = math.exp(_gaussian_logpdf(z, m, cov)) * pxy
+                rhs = math.exp(gaussian_logpdf(z, m, cov)) * pxy
                 assert abs(lhs / rhs - 1.0) <= 1e-8
 
 

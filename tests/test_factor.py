@@ -13,7 +13,6 @@ from grasscat.errors import (
 from grasscat.factor import (
     FactorFitConfig,
     FactorModel,
-    _gaussian_logpdf,
     _loading_coefficients,
     _prior_table,
     _scores,
@@ -39,10 +38,12 @@ from grasscat.schema import (
     enumerate_allowed_states,
 )
 from grasscat.fit import StateCounts, state_counts
+from grasscat.mixed import _log_normals
 from grasscat.modelfile import ModelFile, save_model
 from grasscat.structure import categorical_pmf, ordinal_pmf
 
 from generators import CAT, ORD, reader_style_schema, reader_style_true_params
+from normal_reference import gaussian_logpdf
 
 
 def _variable_pmf_product(schema, beta, bits):
@@ -60,7 +61,7 @@ def _conditional_observation_density(schema, model, y, z, x=None):
     dens = _variable_pmf_product(schema, beta, y)
     if model.p_x:
         mean = model.mu_x + model.W_load @ (z - model.mu_z)
-        dens *= math.exp(_gaussian_logpdf(np.asarray(x), mean, np.diag(model.psi_noise)))
+        dens *= math.exp(gaussian_logpdf(np.asarray(x), mean, np.diag(model.psi_noise)))
     return dens
 
 
@@ -69,7 +70,7 @@ def _prior_density(schema, model, z):
     total = 0.0
     for bits, w in weights.items():
         mean = model.mu_z + model.sigma_z @ model.G.T @ np.asarray(bits, dtype=float)
-        total += w * math.exp(_gaussian_logpdf(z, mean, model.sigma_z))
+        total += w * math.exp(gaussian_logpdf(z, mean, model.sigma_z))
     return total
 
 
@@ -158,7 +159,7 @@ class TestObservedDensity:
             mean = model.mu_x + model.W_load @ model.sigma_z @ model.G.T @ np.asarray(
                 bits, dtype=float
             )
-            direct += w * math.exp(_gaussian_logpdf(x, mean, cov))
+            direct += w * math.exp(gaussian_logpdf(x, mean, cov))
         assert total == pytest.approx(direct, rel=1e-10)
 
 
@@ -173,7 +174,8 @@ class TestObservedDensityLookup:
 
     @staticmethod
     def _scan(schema, model, y, x):
-        """The whole-table row scan that preceded the row lookup."""
+        """The whole-table row scan that preceded the row lookup; x is
+        scored by the mixed model's normal density, as the lookup scores it."""
         Y, w = _prior_table(schema, model.b, model.G, model.sigma_z)
         yv = np.asarray([int(v) for v in y], dtype=float)
         row = np.flatnonzero((Y == yv).all(axis=1))
@@ -183,7 +185,7 @@ class TestObservedDensityLookup:
         if model.p_x == 0:
             return pi
         means, cov = _x_given_states(model, yv[None, :])
-        return pi * np.exp(_gaussian_logpdf(np.asarray(x, dtype=float), means[0], cov))
+        return pi * np.exp(_log_normals(np.asarray(x, dtype=float), means[0][None, :], cov)[0])
 
     @pytest.mark.parametrize("p_x", [0, 2])
     def test_equals_full_scan_on_every_bit_vector(self, rng, p_x):
@@ -219,6 +221,77 @@ class TestObservedDensityLookup:
         for y in [(), (1, 0), (0,) * (reader_schema.q + 1)]:
             with pytest.raises(ParameterError, match="length"):
                 observed_density(reader_schema, model, y)
+
+
+class TestSharedChecks:
+    """The factor model reads its inputs through the rules the mixed and
+    binary models own: one finiteness check, one covariance check (symmetry
+    before the Cholesky factor, which reads one triangle) and 0/1 bits."""
+
+    FIELDS = ("mu_x", "psi_noise", "W_load", "b", "G", "mu_z", "sigma_z")
+
+    @staticmethod
+    def _fields(q):
+        return dict(mu_x=np.zeros(1), psi_noise=np.ones(1), W_load=np.full((1, 1), 0.3),
+                    b=np.zeros(q), G=np.full((q, 1), 0.2), mu_z=np.zeros(1),
+                    sigma_z=np.eye(1))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_a_non_finite_field_is_refused(self, name, value):
+        fields = self._fields(3)
+        fields[name] = fields[name].copy()
+        fields[name].flat[0] = value
+        with pytest.raises(ParameterError, match=f"^{name} contains non-finite entries$"):
+            FactorModel(**fields)
+
+    def test_a_non_symmetric_sigma_z_is_refused_by_the_prior(self, rng, reader_schema):
+        """Its lower triangle is the identity's, which alone would pass."""
+        q = reader_schema.q
+        b, G = rng.normal(0, 1, q), rng.normal(0, 0.5, (q, 2))
+        with pytest.raises(ParameterError, match="^sigma_z must be symmetric$"):
+            mixture_weights(reader_schema, b, G, [[1.0, 0.9], [0.0, 1.0]])
+
+    def test_a_nan_model_file_exits_two(self, tmp_path, capsys, monkeypatch):
+        """A NaN in b used to load, and ``moments`` then blamed an overflow."""
+        schema = VariableSchema([VariableDecl("v0", CAT, 2), VariableDecl("v1", CAT, 2)])
+        path = tmp_path / "nan.json"
+        save_model(ModelFile("factor", schema, FactorModel.canonical(
+            b=np.zeros(2), G=np.full((2, 1), 0.5)), None), str(path))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["params"]["b"][0] = float("nan")
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        for argv in (["moments"], ["sample", "--n", "5", "--out", "s.csv"]):
+            assert run_command([argv[0], "--model", "nan.json", *argv[1:]]) == 2
+            out, err = capsys.readouterr()
+            assert (out, err) == ("", "numerical error: b contains non-finite entries\n")
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("p_x", [0, 1])
+    def test_a_half_entry_is_not_an_allowed_state(self, rng, reader_schema, p_x):
+        model = FactorModel.canonical(
+            b=rng.normal(0, 1, reader_schema.q), G=rng.normal(0, 0.5, (reader_schema.q, 1)),
+            mu_x=np.zeros(p_x), psi_noise=np.ones(p_x), W_load=np.full((p_x, 1), 0.4),
+        )
+        x = np.full(p_x, 0.3) if p_x else None
+        y = encode_record(reader_schema, Record((0, 1, 2))).bits
+        assert y[0] == 0 and observed_density(reader_schema, model, y, x) > 0.0
+        for entry in (0.5, 2):
+            assert observed_density(reader_schema, model, (entry, *y[1:]), x) == 0.0
+
+    @pytest.mark.parametrize("entry", [2, 0.5, -1])
+    @pytest.mark.parametrize("p_x", [0, 1])
+    def test_posterior_refuses_a_non_bit(self, rng, reader_schema, entry, p_x):
+        model = FactorModel.canonical(
+            b=rng.normal(0, 1, reader_schema.q), G=rng.normal(0, 0.5, (reader_schema.q, 1)),
+            mu_x=np.zeros(p_x), psi_noise=np.ones(p_x), W_load=np.full((p_x, 1), 0.4),
+        )
+        x = np.full(p_x, 0.3) if p_x else None
+        y = encode_record(reader_schema, Record((1, 1, 2))).bits
+        posterior(model, y, x)
+        with pytest.raises(ParameterError, match="^y entries must be 0 or 1$"):
+            posterior(model, (entry, *y[1:]), x)
 
 
 class TestPriorOverflow:
@@ -394,7 +467,7 @@ class TestPosterior:
             lhs = _conditional_observation_density(reader_schema, model, y, z, x) * (
                 _prior_density(reader_schema, model, z)
             )
-            rhs = math.exp(_gaussian_logpdf(z, m, cov)) * pxy
+            rhs = math.exp(gaussian_logpdf(z, m, cov)) * pxy
             assert lhs == pytest.approx(rhs, rel=1e-8)
 
 

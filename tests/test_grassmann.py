@@ -370,6 +370,30 @@ class TestStateProbabilities:
             state_probabilities(reader_params(), np.zeros((3, 5)))
 
 
+class TestStatesAreBits:
+    """A state entry other than 0 or 1 is refused, not read as 1 (the minors
+    take the state's nonzero entries as its index set)."""
+
+    P = random_valid_params(np.random.default_rng(0), 3)
+
+    @pytest.mark.parametrize("first", [2, 0.5, -1])
+    def test_joint_probability_refuses_a_non_bit(self, first):
+        assert joint_probability(self.P, (1, 0, 1)) > 0.0
+        with pytest.raises(ParameterError, match="^y entries must be 0 or 1$"):
+            joint_probability(self.P, (first, 0, 1))
+
+    @pytest.mark.parametrize("first", [2, 0.5, -1])
+    def test_state_probabilities_refuses_a_non_bit(self, first):
+        with pytest.raises(ParameterError, match="^states entries must be 0 or 1$"):
+            state_probabilities(self.P, [(1, 0, 1), (first, 0, 1)])
+
+    def test_a_bool_matrix_reads_as_its_int_matrix(self):
+        states = np.array(list(itertools.product((0, 1), repeat=3)))
+        want = state_probabilities(self.P, states)
+        assert np.array_equal(state_probabilities(self.P, states.astype(bool)), want)
+        assert np.array_equal(state_probabilities(self.P, states.astype(float)), want)
+
+
 class TestPrincipalMinorTable:
     def test_q18_memory_and_values(self):
         # 2**18 probabilities in chunks: the peak stays far below the (2**q, q)

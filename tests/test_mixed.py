@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from grasscat.errors import ConditioningError, EnumerationCapError, ParameterError
-from grasscat.factor import FactorModel, _gaussian_logpdf, mixture_weights, posterior
+from grasscat.factor import FactorModel, mixture_weights, observed_density, posterior
 import grasscat.mixed
 from grasscat.grassmann import GrassmannParams, _log_minors, _mask_bits, joint_probability
 from grasscat.mixed import (
@@ -16,10 +16,13 @@ from grasscat.mixed import (
     mixed_joint_density,
     mixed_marginal_density,
 )
-from grasscat.schema import Record, VariableDecl, VariableSchema, encode_record
+from grasscat.schema import (
+    Record, VariableDecl, VariableSchema, encode_record, enumerate_allowed_states,
+)
 from grasscat.structure import StructuredParams, assemble_lambda, categorical_pmf, ordinal_pmf
 
-from generators import CAT, ORD, random_dominant
+from generators import CAT, ORD, random_dominant, random_schema
+from normal_reference import gaussian_logpdf
 
 
 def random_mixed(rng, p, q, g_scale=0.4):
@@ -55,7 +58,7 @@ class TestJoint:
     def test_no_binary_block_is_plain_normal(self, rng):
         mp = random_mixed(rng, 2, 0)
         x = rng.normal(0, 1, 2)
-        want = math.exp(_gaussian_logpdf(x, mp.mu, mp.sigma))
+        want = math.exp(gaussian_logpdf(x, mp.mu, mp.sigma))
         assert mixed_joint_density(mp, x, []) == pytest.approx(want, rel=1e-12)
 
     def test_no_interaction_factorizes(self, rng):
@@ -64,7 +67,7 @@ class TestJoint:
         x = rng.normal(0, 1, 2)
         for bits in itertools.product((0, 1), repeat=3):
             want = joint_probability(gp, bits) * math.exp(
-                _gaussian_logpdf(x, mp.mu, mp.sigma)
+                gaussian_logpdf(x, mp.mu, mp.sigma)
             )
             assert mixed_joint_density(mp, x, bits) == pytest.approx(want, rel=1e-11)
 
@@ -157,7 +160,7 @@ class TestConditional:
             + schur * float(mp.G[:, 0] @ ind)
         )
         want = math.exp(
-            _gaussian_logpdf(x[[0]], np.array([mean]), np.array([[schur]]))
+            gaussian_logpdf(x[[0]], np.array([mean]), np.array([[schur]]))
         )
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -251,8 +254,66 @@ class TestFactorBridge:
         for _ in range(3):
             z = rng.normal(0, 1, 1)
             got = mixed_conditional_density(mp, part, z, (), np.zeros(0), bits)
-            want = math.exp(_gaussian_logpdf(z, m, cov))
+            want = math.exp(gaussian_logpdf(z, m, cov))
             assert got == pytest.approx(want, rel=1e-10)
+
+
+class TestFactorIsMixed:
+    """A factor model with a continuous block is the a = 0 structured mixed
+    model over (z, x): mu = (mu_z, mu_x), sigma = [[S, S W^T], [W S,
+    diag(psi) + W S W^T]] with S = sigma_z, lam = I + K(b), and the
+    interaction [G, 0].  Its observed density is that model's density of
+    (x, y) with z marginalized, and its posterior is the density of z given
+    (x, y).  The mixed side takes each disallowed subset's minor from
+    ``slogdet``, which is not always exactly zero, so the match is to
+    1e-9 relative, not to the last bit."""
+
+    N_MODELS = 120
+
+    @staticmethod
+    def _pairs():
+        rng = np.random.default_rng(2929)
+        for _ in range(TestFactorIsMixed.N_MODELS):
+            schema = random_schema(rng, 6, min_vars=2, max_levels=3)
+            q = schema.q
+            p_z, p_x = (int(k) for k in rng.integers(1, 3, size=2))
+            A = rng.normal(0, 1, (p_z, p_z))
+            model = FactorModel(
+                mu_x=rng.normal(0, 1, p_x), psi_noise=rng.uniform(0.5, 1.5, p_x),
+                W_load=rng.normal(0, 0.7, (p_x, p_z)), b=rng.normal(0, 0.8, q),
+                G=rng.normal(0, 0.5, (q, p_z)), mu_z=rng.normal(0, 1, p_z),
+                sigma_z=A @ A.T + 0.3 * np.eye(p_z),
+            )
+            S, W = model.sigma_z, model.W_load
+            blocks = [model.b[s:e] for s, e in schema.blocks]
+            mp = MixedParams(
+                mu=np.concatenate([model.mu_z, model.mu_x]),
+                sigma=np.block([[S, S @ W.T], [W @ S, np.diag(model.psi_noise) + W @ S @ W.T]]),
+                lam=assemble_lambda(schema, StructuredParams.independent(schema, blocks)).lam,
+                G=np.hstack([model.G, np.zeros((q, p_x))]),
+            )
+            yield rng, schema, model, mp, tuple(range(p_z)), tuple(range(p_z, p_z + p_x))
+
+    def test_observed_density_is_the_marginal_density(self):
+        for rng, schema, model, mp, z_idx, x_idx in self._pairs():
+            x = rng.normal(0, 1, len(x_idx))
+            part = MixedPartition(J=x_idx, L=z_idx, K=(), S=range(schema.q), U=(), T=())
+            for state in enumerate_allowed_states(schema):
+                want = mixed_conditional_density(mp, part, x, state.bits, (), ())
+                got = observed_density(schema, model, state.bits, x)
+                assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_posterior_is_the_conditional_density_of_z(self):
+        for rng, schema, model, mp, z_idx, x_idx in self._pairs():
+            x = rng.normal(0, 1, len(x_idx))
+            states = enumerate_allowed_states(schema)
+            y = states[int(rng.integers(len(states)))].bits
+            m, cov = posterior(model, y, x)
+            part = MixedPartition(J=z_idx, L=(), K=x_idx, S=(), U=(), T=range(schema.q))
+            for z in m + rng.normal(0, 1, (3, len(z_idx))):
+                want = mixed_conditional_density(mp, part, z, (), x, y)
+                got = math.exp(gaussian_logpdf(z, m, cov))
+                assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 class TestValidation:

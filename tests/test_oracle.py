@@ -197,6 +197,15 @@ def test_conditional_index_sets_are_range_checked(S, T):
         oracle_conditional(table, S, T, [1])
 
 
+@pytest.mark.parametrize("y_T", [(2,), (0.5,), (-1,)])
+def test_conditional_refuses_a_non_bit_y_t(y_T):
+    """2 or -1 would read as an event of probability zero, and 0.5 as 0."""
+    table = brute_force_table(random_valid_params(np.random.default_rng(0), 3))
+    assert oracle_conditional(table, (0,), (1,), (1,)).defined
+    with pytest.raises(ParameterError, match="^y_T entries must be 0 or 1$"):
+        oracle_conditional(table, (0,), (1,), y_T)
+
+
 def test_conditional_follows_the_callers_order():
     """y_T[k] is the value of bit T[k], and a key's k-th entry is bit S[k]."""
     table = brute_force_table(random_valid_params(np.random.default_rng(14), 5))

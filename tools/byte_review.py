@@ -150,7 +150,9 @@ def _write_overflow_models(out: str) -> None:
     tests/test_cli.py's TestOverflowingModelsExitTwo: Cat(2)+Cat(2) with
     a = 1, omega = 1/2 and V = [[1e308], [0.5]] at b = (0, 0), w = (10, 1)
     (``A.json``) and at b = (-2, 0), w = (1, 1) (``B.json``), and a factor
-    model with b = 0 and G = [[1e200], [1e200]] (``F.json``)."""
+    model with b = 0 and G = [[1e200], [1e200]] (``F.json``).  Beside them,
+    F with b[0] = NaN (``F-nan.json``), written as JSON text because the
+    model constructor refuses it."""
     import numpy as np
 
     from grasscat.factor import FactorModel
@@ -168,6 +170,11 @@ def _write_overflow_models(out: str) -> None:
         save_model(ModelFile("grassmann", schema, sp, None), os.path.join(out, f"{name}.json"))
     factor = FactorModel.canonical(b=np.zeros(2), G=np.full((2, 1), 1e200))
     save_model(ModelFile("factor", schema, factor, None), os.path.join(out, "F.json"))
+    with open(os.path.join(out, "F.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["params"]["b"][0] = float("nan")
+    with open(os.path.join(out, "F-nan.json"), "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
 
 
 def command_list(seed: int, pool: dict) -> list[tuple[list[str], list[str]]]:
@@ -251,13 +258,13 @@ def command_list(seed: int, pool: dict) -> list[tuple[list[str], list[str]]]:
     add(["fit", "--schema", "fit/fit-q8.schema.json", "--data", "fit/fit-q8.csv",
          "--tol", "abc", "--out", "fit/tol.model.json"], "fit/tol.model.json")
 
-    # finite models whose a-space terms or prior weights overflow
-    for name in ("A", "B", "F"):
+    # finite models whose a-space terms or prior weights overflow, and F with a NaN
+    for name in ("A", "B", "F", "F-nan"):
         model = f"overflow/{name}.json"
         add(["sample", "--model", model, "--n", "100", "--seed", str(seed),
              "--out", f"overflow/{name}-sample.csv"], f"overflow/{name}-sample.csv")
         add(["moments", "--model", model])
-        if name != "F":
+        if not name.startswith("F"):
             add(["prob", "--model", model, "--query", "v0=1"])
             add(["oracle", "check", "--model", model])
 

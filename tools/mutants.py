@@ -332,6 +332,23 @@ MUTANTS = [
      "S, T = _table_indices(table, S), _table_indices(table, T)",
      "S, T = _table_indices(table, S), tuple(sorted(_table_indices(table, T)))",
      ["tests/test_oracle.py::test_conditional_follows_the_callers_order"]),
+    # one finiteness check, one covariance check and 0/1 bits for every reader
+    ("factor-finiteness-skipped", FACTOR,
+     "        _check_finite(self)  # first: a NaN passes the covariance check\n", "",
+     ["tests/test_factor.py::TestSharedChecks"]),
+    ("covariance-symmetry-dropped", MIXED,
+     "if cov.shape == cov.T.shape and np.abs(cov - cov.T).max(initial=0.0) > 1e-10:",
+     "if False:",
+     ["tests/test_factor.py::TestSharedChecks"]),
+    ("state-probabilities-without-bits", GRASSMANN,
+     'states = _bits(states, "states")', "states = np.asarray(states)",
+     ["tests/test_grassmann.py::TestStatesAreBits"]),
+    ("posterior-without-bits", FACTOR,
+     'yv = _bits(y, "y").astype(float)', "yv = np.asarray(y, dtype=float)",
+     ["tests/test_factor.py::TestSharedChecks::test_posterior_refuses_a_non_bit"]),
+    ("oracle-conditional-bits-unchecked", "src/grasscat/oracle.py",
+     "if any(bit not in (0, 1) for bit in y_T):", "if False:",
+     ["tests/test_oracle.py::test_conditional_refuses_a_non_bit_y_t"]),
 ]
 
 
