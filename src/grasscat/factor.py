@@ -90,7 +90,7 @@ class FactorModel:
             raise ParameterError(f"sigma_z shape {self.sigma_z.shape} != ({p_z},{p_z})")
         if self.psi_noise.shape != (p_x,):
             raise ParameterError("psi_noise must be the diagonal, one entry per x")
-        _check_finite(self)  # first: a NaN passes the covariance check
+        _check_finite(**vars(self))  # first: a NaN passes the covariance check
         if np.any(self.psi_noise <= 0):
             raise ParameterError("psi_noise entries must be positive")
         _covariance_root(self.sigma_z, "sigma_z")
@@ -148,7 +148,9 @@ def _prior_table(
     """The prior mixture: the allowed states as rows of a 0/1 matrix Y, in
     :func:`allowed_table` order, and their weights
     pi_u propto exp(u^T b + u^T G sigma_z G^T u / 2), which sum to one.
-    ParameterError when a log-weight is not finite (it overflows)."""
+    ParameterError naming b, G or sigma_z when it holds a NaN or an infinity,
+    and when a log-weight is not finite (it overflows)."""
+    _check_finite(b=b, G=G, sigma_z=sigma_z)  # first: a NaN passes the covariance check
     Y = allowed_table(schema)[0].astype(float)
     root = _covariance_root(sigma_z, "sigma_z")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -180,11 +182,16 @@ def observed_density(
     """Joint density of (x, y); the prior weight alone when p_x = 0.
 
     A y that is not an allowed 0/1 state returns exactly 0; a y whose length
-    is not the schema's dummy dimension raises ParameterError.
+    is not the schema's dummy dimension, or an x whose length is not p_x,
+    raises ParameterError.
     """
     yv = np.asarray(y, dtype=float)
     if yv.shape != (schema.q,):
         raise ParameterError(f"y must have length {schema.q}, got shape {yv.shape}")
+    if model.p_x:
+        x = _checked_x(model, x)
+    elif x is not None and len(np.atleast_1d(x)):
+        raise ParameterError("model has no continuous block but x was given")
     w = _prior_table(schema, model.b, model.G, model.sigma_z)[1]
     try:
         row = table_rows(schema, allowed_levels(schema, yv[None, :]))[0]
@@ -192,13 +199,20 @@ def observed_density(
         return 0.0
     pi = float(w[row])
     if model.p_x == 0:
-        if x is not None and len(np.atleast_1d(x)):
-            raise ParameterError("model has no continuous block but x was given")
         return pi
+    means, cov = _x_given_states(model, yv[None, :])
+    return pi * np.exp(_log_normals(x, np.asarray(means), cov)[0])
+
+
+def _checked_x(model: FactorModel, x) -> np.ndarray:
+    """``x`` as a float vector; ParameterError when it is missing or its
+    length is not the model's p_x."""
     if x is None:
         raise ParameterError("model has a continuous block; x is required")
-    means, cov = _x_given_states(model, yv[None, :])
-    return pi * np.exp(_log_normals(np.asarray(x, dtype=float), np.asarray(means), cov)[0])
+    x = np.asarray(x, dtype=float)
+    if x.shape != (model.p_x,):
+        raise ParameterError(f"x must have length {model.p_x}")
+    return x
 
 
 def _x_given_states(
@@ -222,9 +236,7 @@ def posterior(
     if yv.shape != (model.q,):
         raise ParameterError(f"y must have length {model.q}")
     if model.p_x:
-        if x is None:
-            raise ParameterError("model has a continuous block; x is required")
-        x = np.asarray(x, dtype=float)
+        x = _checked_x(model, x)
         prec_z = np.linalg.inv(model.sigma_z)
         wp = model.W_load.T / model.psi_noise[None, :]
         cov = np.linalg.inv(prec_z + wp @ model.W_load)

@@ -11,12 +11,13 @@ to be a P0-matrix (all principal minors nonnegative) and det(lam) > 0, which
 together make every state probability nonnegative; the probabilities then sum
 to one identically.
 
-Every principal minor comes from one kernel, :func:`_log_minors`: the
-rows of a 0/1 matrix grouped by popcount, and one stacked ``slogdet`` per
-group.  :func:`state_probabilities` calls it for the rows it is given,
-:func:`all_state_probabilities` (and through it :func:`check_p0`) for each
-chunk of 2**14 masks, and the mixed densities of :mod:`grasscat.mixed` for
-the subsets they sum over.  ``check_p0``, :func:`moments` and the
+Every principal minor here comes from one kernel, :func:`_log_minors`:
+the rows of a 0/1 matrix grouped by popcount, and one stacked ``slogdet``
+per group.  :func:`state_probabilities` calls it for the rows it is given,
+and :func:`all_state_probabilities` (and through it :func:`check_p0`) for
+each chunk of 2**14 masks.  The mixed densities of :mod:`grasscat.mixed`
+walk the subsets they sum over by Schur complements instead, and take from
+it only the minors that walk flags or cannot start.  ``check_p0``, :func:`moments` and the
 marginal and conditional parameters serve a general lam.  A structured
 model's pattern probabilities (``prob``), allowed states (``sample``, the
 fit's certificate) and moments (``moments``, the fit's report), which

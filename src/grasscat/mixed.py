@@ -18,23 +18,30 @@ the caller's order, and the values x_J, y_S, x_K and y_T follow it: entry k
 belongs to the k-th index of its set.
 
 Every density is :func:`mixed_conditional_density`; the joint and the
-marginal densities are conditionals with nothing given.  A query lists the
-subsets it sums over (the observed bits plus every subset of the free ones),
-forms G^T 1_{R1} for each by doubling, and takes their log principal minors
-of lam - I from :func:`grasscat.grassmann._log_minors` in chunks of 2**14.
-It adds the exponential tilt in log space and subtracts the largest
-log-weight before ``exp``, so conditioning values far in the tails do not
-overflow; the Gaussian factor of all rows comes from one Cholesky factor and
-one solve against it.  Nothing is cached on the model: a conditional costs
-2**(free bits) minors, a joint or marginal 2**q for its normalizer.  Sums over
-rows run in mask order through numpy, not one subset at a time, so a density
+marginal densities are conditionals with nothing given.  A query sums over
+the sets T1 + R: T1 the observed bits that are 1, and R every subset of the
+free (queried and marginalized) bits.  It walks those sets by Schur
+complements (:func:`_subset_minors`): T1's block is folded in by one block
+elimination, then each free bit is one vectorized step that doubles the
+sets' masks, their G^T 1_{R1} rows and the signs and log|det| of their
+principal minors of lam - I.  Only the sets the walk flags (a zero pivot
+with a nonzero row and column, or growth beyond 16 max|lam - I|), and all
+of them when T1's block is singular or its fold grows past that bound, take
+their minors from :func:`grasscat.grassmann._log_minors`, in chunks of
+2**14.  One walk serves every query shape.  The density adds the
+exponential tilt in log space and subtracts the largest log-weight before
+``exp``, so conditioning values far in the tails do not overflow; the
+Gaussian factor of all rows comes from one Cholesky factor and one solve
+against it.  Nothing is cached on the model: a conditional costs 2**(free
+bits) minors, a joint or marginal 2**q for its normalizer.  Sums over rows
+run in mask order through numpy, not one subset at a time, so a density
 can differ from a plain loop over subsets in its last digits.  The factor
 model reads its Gaussian block by this module's checks and normal density.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,13 +53,14 @@ from .grassmann import (
 )
 
 _LOG2PI = float(np.log(2.0 * np.pi))
+_BIG = np.finfo(float).max / 16  # keeps the walk's growth bound finite
 
 
-def _check_finite(params) -> None:
-    """ParameterError naming the first field of ``params`` that is not finite."""
-    for f in fields(params):
-        if not np.isfinite(getattr(params, f.name)).all():
-            raise ParameterError(f"{f.name} contains non-finite entries")
+def _check_finite(**arrays) -> None:
+    """ParameterError naming the first of ``arrays`` that is not finite."""
+    for name, value in arrays.items():
+        if not np.isfinite(value).all():
+            raise ParameterError(f"{name} contains non-finite entries")
 
 
 def _covariance_root(cov, name: str) -> np.ndarray:
@@ -89,7 +97,7 @@ class MixedParams:
             raise ParameterError("lam must be square")
         if G.shape != (q, p):
             raise ParameterError(f"G shape {G.shape} != ({q},{p})")
-        _check_finite(self)
+        _check_finite(**vars(self))
         _covariance_root(sigma, "sigma")
 
     @property
@@ -131,19 +139,66 @@ def _mask(indices) -> int:
     return sum(1 << int(i) for i in indices)
 
 
-def _subset_sums(base, free, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sets base + R for every subset R of ``free``: their bit masks and
-    their rows of G summed (G^T 1_{R1}, one row per set).
+def _subset_minors(
+    lam_mi: np.ndarray, base, free, G: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The sets base + R for every subset R of ``free``: their bit masks, their
+    rows of G summed (G^T 1_{R1}, one row per set), and the sign and log|det|
+    of their principal minors of ``lam_mi``.
 
-    Built by doubling, so free[k] is bit k of the row number; with base empty
-    and free = 0..q-1 the rows are in mask order.
+    One walk of the subset lattice by Schur complements (Griffin &
+    Tsatsomeros, Linear Algebra Appl. 419, 2006).  The base block is folded
+    in first: its ``slogdet``, and the Schur complement onto the free bits by
+    one solve.  Then each free bit is one step that doubles the four arrays,
+    so free[k] is bit k of the row number; with base empty and free =
+    0..q-1 the rows are in mask order.  A step splits each matrix of the
+    stack, held matrix-index-first, in two: "excluded" is rest, and
+    "included" is rest - (col / p) row, its minor times p.  A zero pivot
+    whose row or column is all zero leaves rest as it is, and its minor is
+    an exact 0.  A zero pivot with a nonzero row and column, or an update
+    beyond 16 max|lam_mi|, flags the included subtree, which carries rest
+    unchanged; a singular base block, or an update of it beyond that bound,
+    flags every row.  A flagged row's log|det| is NaN until
+    :func:`_log_minors` gives its minor.
     """
+    q, b = lam_mi.shape[0], len(base)
+    bound = 16.0 * min(float(np.abs(lam_mi).max(initial=0.0)), _BIG)
+    mat = lam_mi[np.ix_([*base, *free], [*base, *free])]
+    stack = mat[b:, b:]
     masks = np.array([_mask(base)], dtype=np.int64)
     sums = G[list(base)].sum(axis=0, keepdims=True)
-    for i in free:
-        masks = np.concatenate([masks, masks | (1 << int(i))])
-        sums = np.concatenate([sums, sums + G[i]])
-    return masks, sums
+    sign, logdet = np.ones(1), np.zeros(1)
+    if b:
+        sign[0], logdet[0] = np.linalg.slogdet(mat[:b, :b])
+        update = mat[b:, :b] @ np.linalg.solve(mat[:b, :b], mat[:b, b:]) if sign[0] else np.inf
+        if np.abs(update).max(initial=0.0) <= bound:
+            stack = stack - update
+        else:
+            logdet[0] = np.nan
+    stack = stack[:, :, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in free:
+            p, col, row, rest = stack[0, 0], stack[1:, 0], stack[0, 1:], stack[1:, 1:]
+            mult = col / p  # at a zero p, inf or NaN: the guard flags it
+            size = np.abs(mult).max(axis=0, initial=0.0) * np.abs(row).max(axis=0, initial=0.0)
+            zero = p == 0.0
+            if zero.any():  # unless its row or column is all zero: no update, an exact 0
+                exact = zero & ~(col.any(axis=0) & row.any(axis=0))
+                mult[:, exact], size[exact] = 0.0, 0.0
+            log_p = np.log(np.abs(p))
+            bad = ~(size <= bound)
+            if bad.any():
+                mult[:, bad], log_p[bad] = 0.0, np.nan
+            stack = np.concatenate([rest, rest - mult[:, None, :] * row], axis=2)
+            sign = np.concatenate([sign, sign * np.sign(p)])
+            logdet = np.concatenate([logdet, logdet + log_p])
+            masks = np.concatenate([masks, masks | (1 << int(i))])
+            sums = np.concatenate([sums, sums + G[i]])
+    redo = np.flatnonzero(np.isnan(logdet))
+    for lo in range(0, redo.size, _CHUNK):
+        chunk = redo[lo : lo + _CHUNK]
+        sign[chunk], logdet[chunk] = _log_minors(lam_mi, _mask_bits(masks[chunk], q))
+    return masks, sums, sign, logdet
 
 
 def _quad(v: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -228,12 +283,7 @@ def mixed_conditional_density(
 
     t1 = [t for t, bit in zip(T, y_T) if bit]
     s1 = [s for s, bit in zip(S, y_S) if bit]
-    masks, v = _subset_sums(t1, sorted(S + U), mp.G)
-    sign, log_w = np.empty(masks.size), np.empty(masks.size)
-    lam_mi = mp.lam - np.eye(mp.q)
-    for lo in range(0, masks.size, _CHUNK):
-        chunk = slice(lo, lo + _CHUNK)
-        sign[chunk], log_w[chunk] = _log_minors(lam_mi, _mask_bits(masks[chunk], mp.q))
+    masks, v, sign, log_w = _subset_minors(mp.lam - np.eye(mp.q), t1, sorted(S + U), mp.G)
     # a zero minor weighs zero whatever its tilt
     live = sign != 0.0
     masks, v, sign = masks[live], v[live], sign[live]

@@ -39,7 +39,7 @@ CASES = {
     "check_p0": (_check_p0, [(grasscat.grassmann, "_log_minors")]),
     "mixed": (
         _mixed,
-        [(grasscat.mixed, "_log_minors"), (grasscat.mixed, "_subset_sums")],
+        [(grasscat.mixed, "_log_minors"), (grasscat.mixed, "_subset_minors")],
     ),
     "oracle": (_oracle, [(grasscat.oracle, "_naive_det")]),
 }

@@ -252,6 +252,32 @@ class TestSharedChecks:
         with pytest.raises(ParameterError, match="^sigma_z must be symmetric$"):
             mixture_weights(reader_schema, b, G, [[1.0, 0.9], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["b", "G", "sigma_z"])
+    def test_the_prior_refuses_a_non_finite_input_by_name(self, rng, reader_schema, name, value):
+        """It used to blame a log-weight overflow."""
+        q = reader_schema.q
+        inputs = dict(b=rng.normal(0, 1, q), G=rng.normal(0, 0.5, (q, 1)), sigma_z=np.eye(1))
+        inputs[name].flat[0] = value
+        with pytest.raises(ParameterError, match=f"^{name} contains non-finite entries$"):
+            mixture_weights(reader_schema, inputs["b"], inputs["G"], inputs["sigma_z"])
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_an_x_of_the_wrong_length_is_refused(self, rng, reader_schema, length):
+        """x = (0.3,) used to broadcast to (0.3, 0.3), and a length of 3
+        raised a bare numpy error."""
+        model = FactorModel.canonical(
+            b=rng.normal(0, 1, reader_schema.q), G=rng.normal(0, 0.5, (reader_schema.q, 1)),
+            mu_x=np.zeros(2), psi_noise=np.ones(2), W_load=np.full((2, 1), 0.4),
+        )
+        y = encode_record(reader_schema, Record((0, 1, 2))).bits
+        assert observed_density(reader_schema, model, y, np.full(2, 0.3)) > 0.0
+        posterior(model, y, np.full(2, 0.3))
+        for call in (lambda x: observed_density(reader_schema, model, y, x),
+                     lambda x: posterior(model, y, x)):
+            with pytest.raises(ParameterError, match="^x must have length 2$"):
+                call(np.full(length, 0.3))
+
     def test_a_nan_model_file_exits_two(self, tmp_path, capsys, monkeypatch):
         """A NaN in b used to load, and ``moments`` then blamed an overflow."""
         schema = VariableSchema([VariableDecl("v0", CAT, 2), VariableDecl("v1", CAT, 2)])

@@ -264,9 +264,9 @@ class TestFactorIsMixed:
     diag(psi) + W S W^T]] with S = sigma_z, lam = I + K(b), and the
     interaction [G, 0].  Its observed density is that model's density of
     (x, y) with z marginalized, and its posterior is the density of z given
-    (x, y).  The mixed side takes each disallowed subset's minor from
-    ``slogdet``, which is not always exactly zero, so the match is to
-    1e-9 relative, not to the last bit."""
+    (x, y).  The mixed side's minor of a disallowed subset, from its Schur
+    walk, is not always exactly zero, so the match is to 1e-9 relative, not
+    to the last bit."""
 
     N_MODELS = 120
 
@@ -613,7 +613,7 @@ class TestBatchedMatchesSubsetLoops:
             raise AssertionError("2**q work started before the cap check")
 
         monkeypatch.setattr(grasscat.mixed, "_log_minors", fail)
-        monkeypatch.setattr(grasscat.mixed, "_subset_sums", fail)
+        monkeypatch.setattr(grasscat.mixed, "_subset_minors", fail)
         mp = random_mixed(rng, 2, 4)
         part = MixedPartition(J=(0,), L=(), K=(1,), S=(0,), U=(1, 2), T=(3,))
         monkeypatch.setenv("GRASSCAT_CAP", "3")
@@ -633,3 +633,105 @@ class TestBatchedMatchesSubsetLoops:
         mixed_marginal_density(mp, part, np.zeros(1), (1, 0, 1))
         mixed_conditional_density(mp, part, np.zeros(1), (1,), np.zeros(1), (0, 1, 0))
         assert set(vars(mp)) == {"mu", "sigma", "lam", "G"}
+
+
+class TestSubsetMinors:
+    """The densities' subset walk: masks, G^T 1_R rows and log minors of
+    lam - I, each equal to a per-subset ``slogdet``; the rows it flags, and a
+    singular base block, take their minors from ``_log_minors``."""
+
+    @staticmethod
+    def _walk(monkeypatch, lam_mi, base, free, G):
+        """The walk's four arrays and the masks it sent to the fallback."""
+        sent = []
+
+        def counted(mat, states):
+            sent.extend(int(m) for m in states @ (1 << np.arange(mat.shape[0])))
+            return _log_minors(mat, states)
+
+        monkeypatch.setattr(grasscat.mixed, "_log_minors", counted)
+        return (*grasscat.mixed._subset_minors(lam_mi, base, free, G), sent)
+
+    @staticmethod
+    def _check(lam_mi, base, free, G, masks, sums, sign, logdet, rtol=1e-12):
+        """Row r holds base plus free[k] for every bit k of r, their rows of G
+        summed, and the sign and log|det| of their minor by ``slogdet``."""
+        assert masks.size == sums.shape[0] == sign.size == logdet.size == 2 ** len(free)
+        for r, mask in enumerate(masks.tolist()):
+            idx = list(base) + [f for k, f in enumerate(free) if r >> k & 1]
+            assert mask == sum(1 << i for i in idx)
+            np.testing.assert_allclose(sums[r], G[idx].sum(axis=0), rtol=0.0, atol=1e-14)
+            idx = sorted(idx)
+            want = np.linalg.slogdet(lam_mi[np.ix_(idx, idx)]) if idx else (1.0, 0.0)
+            assert sign[r] == want[0]
+            if want[0] != 0.0:
+                assert abs(logdet[r] - want[1]) <= rtol, (r, logdet[r], want[1])
+
+    @pytest.mark.parametrize("q", [1, 3, 6, 8])
+    def test_random_models_with_and_without_base(self, rng, monkeypatch, q):
+        for _ in range(3):
+            mp = random_mixed(rng, 2, q)
+            lam_mi = mp.lam - np.eye(q)
+            order = rng.permutation(q).tolist()
+            for n_base in sorted({0, 1, q // 2}):
+                base, free = order[:n_base], sorted(order[n_base:])
+                *arrays, sent = self._walk(monkeypatch, lam_mi, base, free, mp.G)
+                self._check(lam_mi, base, free, mp.G, *arrays)
+                assert sent == []
+
+    def test_unsorted_free_set_follows_its_order(self, rng, monkeypatch):
+        mp = random_mixed(rng, 2, 7)
+        lam_mi = mp.lam - np.eye(7)
+        base, free = [4, 1], [3, 0, 6, 2]
+        *arrays, sent = self._walk(monkeypatch, lam_mi, base, free, mp.G)
+        self._check(lam_mi, base, free, mp.G, *arrays)
+        assert arrays[0][:3].tolist() == [0b10010, 0b11010, 0b10011]  # free[k] is bit k of the row
+        assert sent == []
+
+    def test_singular_base_block_falls_back_for_every_row(self, rng, monkeypatch):
+        mp = random_mixed(rng, 2, 6)
+        lam_mi = mp.lam - np.eye(6)
+        lam_mi[np.ix_([0, 2], [0, 2])] = 1.0  # the base block [[1, 1], [1, 1]]
+        *arrays, sent = self._walk(monkeypatch, lam_mi, [2, 0], [1, 3, 4, 5], mp.G)
+        self._check(lam_mi, [2, 0], [1, 3, 4, 5], mp.G, *arrays)
+        assert sorted(sent) == sorted(arrays[0].tolist())
+        assert arrays[2][0] == 0.0 and (arrays[2][1:] != 0.0).all()
+
+    def test_zero_pivot_with_nonzero_row_and_column_falls_back(self, monkeypatch):
+        lam_mi = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+        G = np.arange(6.0).reshape(3, 2)
+        *arrays, sent = self._walk(monkeypatch, lam_mi, [], [0, 1, 2], G)
+        self._check(lam_mi, [], [0, 1, 2], G, *arrays)
+        assert sorted(sent) == [1, 3, 5, 7]  # bit 0 included
+        assert arrays[2].tolist() == [1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0]
+
+    def test_zero_pivot_with_a_zero_row_is_an_exact_zero(self, rng, monkeypatch):
+        mp = random_mixed(rng, 2, 5)
+        lam_mi = mp.lam - np.eye(5)
+        lam_mi[2, :] = 0.0
+        *arrays, sent = self._walk(monkeypatch, lam_mi, [4], [0, 1, 2, 3], mp.G)
+        self._check(lam_mi, [4], [0, 1, 2, 3], mp.G, *arrays)
+        assert sent == []
+        assert (arrays[2][(arrays[0] & 4) != 0] == 0.0).all()
+
+    def test_growth_guard_sends_a_tiny_pivot_to_the_fallback(self, monkeypatch):
+        # without the bound the 1e-20 pivot's update of 1e20 rounds its
+        # complement to four equal entries, and the full minor reads 0
+        lam_mi = np.array([[1e-20, 1.0, 1.0], [1.0, 1.0, 2.0], [1.0, 3.0, 1.0]])
+        G = np.ones((3, 1))
+        *arrays, sent = self._walk(monkeypatch, lam_mi, [], [0, 1, 2], G)
+        self._check(lam_mi, [], [0, 1, 2], G, *arrays)
+        assert sorted(sent) == [1, 3, 5, 7]  # bit 0 included
+        assert arrays[2][7] == 1.0 and arrays[3][7] == pytest.approx(np.log(3.0), abs=1e-15)
+        # the same pivot in the base block: its update flags every row
+        *arrays, sent = self._walk(monkeypatch, lam_mi, [0], [1, 2], G)
+        self._check(lam_mi, [0], [1, 2], G, *arrays)
+        assert sorted(sent) == [1, 3, 5, 7]
+
+    def test_scaled_entries_trip_the_growth_guard(self, rng, monkeypatch):
+        mp = random_mixed(rng, 2, 6)
+        lam_mi = mp.lam - np.eye(6)
+        lam_mi[0, 0] = 1e-13  # the first step's update grows to about 1e13
+        *arrays, sent = self._walk(monkeypatch, lam_mi, [], list(range(6)), mp.G)
+        self._check(lam_mi, [], list(range(6)), mp.G, *arrays)
+        assert sorted(sent) == list(range(1, 64, 2))  # bit 0 included

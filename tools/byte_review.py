@@ -70,6 +70,7 @@ def write_inputs(inputs: str, seed: int) -> dict:
     _write_rare_level_model(os.path.join(inputs, "query"))
     _write_range_model(os.path.join(inputs, "query"))
     _write_overflow_models(os.path.join(inputs, "overflow"))
+    _write_wide_mixed_model(os.path.join(inputs, "query"))
     with open(os.path.join(inputs, "query", "expect.json"), encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -177,6 +178,25 @@ def _write_overflow_models(out: str) -> None:
         json.dump(doc, fh)
 
 
+def _write_wide_mixed_model(query: str) -> None:
+    """A mixed model with p = 3 and q = 16, drawn from a fixed seed the way
+    the benchmark's q = 10 one is, as ``mixed-q16.model.json``."""
+    import numpy as np
+
+    from generators import random_dominant
+    from grasscat.mixed import MixedParams
+    from grasscat.modelfile import ModelFile, save_model
+
+    rng = np.random.default_rng(1616)
+    p, q = 3, 16
+    A = rng.normal(0, 1, (p, p))
+    lam = np.eye(q) + random_dominant(rng, q, strict=False, scale=0.5) @ np.linalg.inv(
+        random_dominant(rng, q, strict=True, scale=0.5))
+    mp = MixedParams(mu=rng.normal(0, 1, p), sigma=A @ A.T / p + 0.5 * np.eye(p), lam=lam,
+                     G=rng.normal(0, 0.4, (q, p)))
+    save_model(ModelFile("mixed", None, mp, None), os.path.join(query, "mixed-q16.model.json"))
+
+
 def command_list(seed: int, pool: dict) -> list[tuple[list[str], list[str]]]:
     """(argv, output files) of every command, paths relative to the work
     directory."""
@@ -228,6 +248,13 @@ def command_list(seed: int, pool: dict) -> list[tuple[list[str], list[str]]]:
             + (["--given", item["given"]] if item["given"] else []))
     for item in pool["mixed"]:
         add(["mixed", "eval", "--model", mixed, f"--x={item['x']}", f"--y={item['y']}"])
+    # q = 16: a joint, a marginal, one given bit with 15 free, and half the bits given
+    bits = "1,0,0,1,1,0,1,0"
+    for x, y in (("0.3,-0.2,0.5", f"{bits},0,1,1,0,0,1,0,1"),
+                 ("0.3,?,-0.4", f"{bits}" + ",?" * 8),
+                 ("0.3,g:-0.2,?", "g:1,0,1,1,0,0,1,0" + ",?" * 8),
+                 ("g:0.1,0.4,?", ",".join(f"g:{b}" for b in bits.split(",")) + ",1,0,0,1,?,?,?,?")):
+        add(["mixed", "eval", "--model", "query/mixed-q16.model.json", f"--x={x}", f"--y={y}"])
     rare = "query/rare.model.json"
     add(["sample", "--model", rare, "--n", "10000", "--seed", str(seed),
          "--out", "query/rare-sample.csv"], "query/rare-sample.csv")

@@ -334,7 +334,7 @@ MUTANTS = [
      ["tests/test_oracle.py::test_conditional_follows_the_callers_order"]),
     # one finiteness check, one covariance check and 0/1 bits for every reader
     ("factor-finiteness-skipped", FACTOR,
-     "        _check_finite(self)  # first: a NaN passes the covariance check\n", "",
+     "        _check_finite(**vars(self))  # first: a NaN passes the covariance check\n", "",
      ["tests/test_factor.py::TestSharedChecks"]),
     ("covariance-symmetry-dropped", MIXED,
      "if cov.shape == cov.T.shape and np.abs(cov - cov.T).max(initial=0.0) > 1e-10:",
@@ -349,6 +349,21 @@ MUTANTS = [
     ("oracle-conditional-bits-unchecked", "src/grasscat/oracle.py",
      "if any(bit not in (0, 1) for bit in y_T):", "if False:",
      ["tests/test_oracle.py::test_conditional_refuses_a_non_bit_y_t"]),
+    # the mixed densities' subset walk: its growth guard and its fallback
+    ("mixed-walk-unguarded", MIXED,
+     "bad = ~(size <= bound)", "bad = ~(size <= np.inf)",
+     ["tests/test_mixed.py::TestSubsetMinors"]),
+    ("mixed-walk-fallback-skipped", MIXED,
+     "for lo in range(0, redo.size, _CHUNK):", "for lo in range(0, 0, _CHUNK):",
+     ["tests/test_mixed.py::TestSubsetMinors"]),
+    # the factor readers' checks of x's length and of the prior's raw inputs
+    ("factor-x-length-unchecked", FACTOR,
+     "    if x.shape != (model.p_x,):\n", "    if False:\n",
+     ["tests/test_factor.py::TestSharedChecks"]),
+    ("prior-finiteness-skipped", FACTOR,
+     "    _check_finite(b=b, G=G, sigma_z=sigma_z)  # first: a NaN passes the covariance check\n",
+     "",
+     ["tests/test_factor.py::TestSharedChecks"]),
 ]
 
 
