@@ -464,7 +464,7 @@ def fit_grassmann(
     """
     config = config or FitConfig()
     counts = data if isinstance(data, StateCounts) else state_counts(schema, data)
-    plan = _table_plan(schema, counts)  # the state cap fails before any optimizing
+    plan = _table_plan(schema, counts)  # the cap fails before any optimizing
     a = config.a
     mean_emp, _, corr_emp = empirical_moments(schema, counts)
     warn: list[str] = []

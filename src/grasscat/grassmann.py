@@ -29,7 +29,8 @@ for a structured model): a state of sign 0 gives +0.0 (a singular minor's
 log|det| is -inf), and any other whose log-ratio or probability overflows
 raises.
 
-Index sets keep the caller's order, and results follow it.  Observed bits
+Index sets keep the caller's order, and results follow it; an index must
+be an integer in value (:func:`_integral`).  Observed bits
 are one pair (T, y_T), y_T[k] the value of bit T[k], checked by
 :func:`_observed_bits`; the target set S is every other bit, in order.
 """
@@ -41,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .caps import check_bit_cap
+from .caps import check_cap
 from .errors import ConditioningError, ParameterError
 
 _CLAMP = 1e-12  # exact-zero structure produces tiny negative round-off
@@ -111,13 +112,22 @@ class GrassmannParams:
         return self.lam.shape[0]
 
 
+def _integral(v) -> bool:
+    """Whether int(v) == v: true of 2, 2.0 and np.int64(2), false of 1.5, "1" and NaN."""
+    try:
+        return int(v) == v
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def _index_set(T: Sequence[int], q: int) -> list[int]:
     """``T`` as a list of ints in the caller's order; ParameterError unless
-    its indices are distinct and in [0, q)."""
-    T = [int(t) for t in T]
-    if len(set(T)) != len(T) or any(t < 0 or t >= q for t in T):
-        raise ParameterError(f"T {tuple(T)} must be distinct indices in [0, {q})")
-    return T
+    its indices are integral (:func:`_integral`), distinct and in [0, q)."""
+    T = tuple(T)
+    ints = [int(t) for t in T if _integral(t)]
+    if len(set(ints)) != len(T) or any(t < 0 or t >= q for t in ints):
+        raise ParameterError(f"T {T} must be distinct indices in [0, {q})")
+    return ints
 
 
 def _bits(y, name: str) -> np.ndarray:
@@ -317,8 +327,9 @@ def _correlation(cov: np.ndarray) -> np.ndarray:
 def conditional_zero_moments(p: GrassmannParams, r: int, s: int) -> tuple[float, float]:
     """Conditional mean of y_r and covariance of (y_r, y_s) given that every
     other bit is observed as zero."""
-    if not (0 <= r < p.q and 0 <= s < p.q):
+    if not (_integral(r) and _integral(s) and 0 <= r < p.q and 0 <= s < p.q):
         raise ParameterError(f"indices r={r} and s={s} must lie in [0, {p.q})")
+    r, s = int(r), int(s)
     if r == s:
         raise ParameterError("indices r and s must differ")
     lam = p.lam
@@ -344,7 +355,7 @@ def all_state_probabilities(p: GrassmannParams) -> np.ndarray:
     """Probabilities of all 2**q states, ordered by the binary value of the
     bit vector with bit 0 least significant: :func:`state_probabilities` of
     each chunk of 2**14 masks, so memory stays bounded at large q."""
-    check_bit_cap(p.q)
+    check_cap(2**p.q, f"a q={p.q} model")
     probs = np.empty(2**p.q)
     for lo in range(0, probs.size, _CHUNK):
         masks = np.arange(lo, min(lo + _CHUNK, probs.size))

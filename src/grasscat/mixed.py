@@ -45,10 +45,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caps import check_bit_cap
+from .caps import check_cap
 from .errors import ParameterError
 from .grassmann import (
-    _CHUNK, GrassmannParams, _bits, _freeze, _log_minors, _mask_bits, _observed_bits,
+    _CHUNK, GrassmannParams, _bits, _freeze, _integral, _log_minors, _mask_bits, _observed_bits,
     _pivot_correction,
 )
 
@@ -128,10 +128,10 @@ class MixedPartition:
 
     def validate(self, p: int, q: int) -> None:
         cont = (*self.J, *self.L, *self.K)
-        if sorted(cont) != list(range(p)):
+        if not all(map(_integral, cont)) or sorted(cont) != list(range(p)):
             raise ParameterError(f"(J, L, K) must partition 0..{p - 1}")
         binr = (*self.S, *self.U, *self.T)
-        if sorted(binr) != list(range(q)):
+        if not all(map(_integral, binr)) or sorted(binr) != list(range(q)):
             raise ParameterError(f"(S, U, T) must partition 0..{q - 1}")
 
 
@@ -255,12 +255,12 @@ def mixed_conditional_density(
     (x_J, y_S), and with L and U empty as well the joint density.
     """
     part.validate(mp.p, mp.q)
-    check_bit_cap(mp.q)
+    check_cap(2**mp.q, f"a q={mp.q} model")
     x_J = np.asarray(x_J, dtype=float)
     x_K = np.asarray(x_K, dtype=float)
     y_S, y_T = _bits(y_S, "y_S"), _bits(y_T, "y_T")
-    J, L, K = list(part.J), list(part.L), list(part.K)
-    S, U, T = list(part.S), list(part.U), list(part.T)
+    J, L, K = ([int(i) for i in s] for s in (part.J, part.L, part.K))
+    S, U, T = ([int(i) for i in s] for s in (part.S, part.U, part.T))
     if x_J.shape != (len(J),) or x_K.shape != (len(K),):
         raise ParameterError("x_J or x_K has the wrong length")
     if y_S.shape != (len(S),) or y_T.shape != (len(T),):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .caps import check_bit_cap
+from .caps import check_cap
 from .errors import ParameterError
 from .grassmann import GrassmannParams, weighted_moments
 
@@ -139,7 +139,7 @@ def brute_force_table(p: GrassmannParams) -> FullTable:
     """Exact state table, state m holding bit i of mask m in column i: the
     principal minors of lam - I over det lam."""
     q = p.q
-    check_bit_cap(q)
+    check_cap(2**q, f"a q={q} model")
     det_l = _naive_det(p.lam)
     if det_l == 0.0:
         raise ParameterError("lam is singular")
@@ -151,10 +151,15 @@ def brute_force_table(p: GrassmannParams) -> FullTable:
 
 def _table_indices(table: FullTable, index_set) -> tuple[int, ...]:
     """``index_set`` as a tuple of ints in the caller's order; ParameterError
-    for an index outside [0, q) or a repeated one."""
-    index_set = tuple(int(i) for i in index_set)
-    if any(i < 0 or i >= table.q for i in index_set):
-        raise ParameterError(f"index set {index_set} out of range")
+    for an index outside [0, q) or not an integer in value (``int(i) == i``:
+    2.0 is one, 1.5, "1" and NaN are not), or a repeated one."""
+    given = tuple(index_set)
+    try:
+        index_set = tuple(int(i) for i in given)
+    except (TypeError, ValueError, OverflowError):  # "x", NaN, inf, None
+        index_set = None
+    if index_set != given or any(i < 0 or i >= table.q for i in index_set):
+        raise ParameterError(f"index set {given} out of range")
     if len(set(index_set)) != len(index_set):
         raise ParameterError(f"index set {index_set} repeats an index")
     return index_set

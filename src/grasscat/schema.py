@@ -37,8 +37,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .caps import state_cap
-from .errors import DataError, EnumerationCapError, InvalidStateError, SchemaError
+from .caps import check_cap
+from .errors import DataError, InvalidStateError, SchemaError
 
 
 class VariableKind(Enum):
@@ -249,15 +249,10 @@ def allowed_table(schema: VariableSchema) -> tuple[np.ndarray, np.ndarray]:
     """The allowed states as read-only arrays: (n, q) 0/1 ``bits`` and
     (n, len(schema)) ``levels`` in the smallest unsigned dtype.  Row r is the
     state whose levels have mixed-radix code r, first variable most
-    significant.  Built once per schema instance; the state cap (10**6 unless
-    GRASSCAT_CAP sets it) is checked on every call and raises
-    EnumerationCapError."""
-    n = schema.n_states()
-    limit = state_cap()
-    if n > limit:
-        raise EnumerationCapError(
-            f"schema has {n} allowed states, exceeding the cap {limit}"
-        )
+    significant.  Built once per schema instance; the enumeration cap
+    (:func:`grasscat.caps.check_cap`, 2**20 states unless GRASSCAT_CAP sets
+    it) is checked on every call and raises EnumerationCapError."""
+    check_cap(schema.n_states(), "schema", "allowed states")
     return schema._allowed
 
 

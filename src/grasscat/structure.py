@@ -482,7 +482,7 @@ def assemble_lambda(schema: VariableSchema, sp: StructuredParams) -> GrassmannPa
 def categorical_pmf(b: np.ndarray, y_block) -> float:
     """exp(y^T b) / (1 + sum_l exp(b_l)) for a one-hot-or-zero block."""
     b = np.asarray(b, dtype=float)
-    y = np.asarray(y_block, dtype=int)
+    y = np.asarray(y_block, dtype=float)  # not int: 0.5 must not read as 0
     if y.shape != b.shape:
         raise SchemaError(f"block shape {y.shape} does not match b shape {b.shape}")
     if y.sum() > 1 or np.any((y != 0) & (y != 1)):
@@ -493,10 +493,10 @@ def categorical_pmf(b: np.ndarray, y_block) -> float:
 def ordinal_pmf(b: np.ndarray, y_block) -> float:
     """exp(y^T b) / (1 + sum_l prod_{m<=l} exp(b_m)) for a prefix block."""
     b = np.asarray(b, dtype=float)
-    y = np.asarray(y_block, dtype=int)
+    y = np.asarray(y_block, dtype=float)  # not int: 0.7 must not read as 0
     if y.shape != b.shape:
         raise SchemaError(f"block shape {y.shape} does not match b shape {b.shape}")
-    level = int(y.sum())
+    level = int((y == 1).sum())  # a prefix of that many ones, or no prefix
     if not np.array_equal(y, np.asarray([1] * level + [0] * (len(y) - level))):
         raise SchemaError(f"block {y_block} is not a left-flushed prefix")
     denom = 1.0 + np.exp(np.cumsum(b)).sum()

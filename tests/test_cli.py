@@ -646,17 +646,18 @@ class TestOracleCommand:
                 assert out[name] <= 1e-12
 
     def test_state_cap_bounds_the_allowed_count(self, tmp_path, capsys, monkeypatch):
-        """query-q12's schema passes a bit cap of 12 but has 576 allowed
-        states: the check runs at a cap of 576 and exits 1 below it."""
+        """query-q12's brute force scans 2**12 = 4096 states, more than its
+        576 allowed states: the check runs at a cap of 4096 and exits 1 below
+        it, on the scan's count."""
         schema, sp = self._model("q12", 2)
         save_model(ModelFile("grassmann", schema, sp, None), str(tmp_path / "m.json"))
-        for cap in (12, 575):
+        for cap in (12, 4095):
             monkeypatch.setenv("GRASSCAT_CAP", str(cap))
             assert _run(tmp_path, "oracle", "check", "--model", "m.json") == 1
             assert capsys.readouterr() == (
-                "", f"error: schema has 576 allowed states, exceeding the cap {cap}\n"
+                "", f"error: a q=12 model has 4096 states, exceeding the cap {cap}\n"
             )
-        monkeypatch.setenv("GRASSCAT_CAP", "576")
+        monkeypatch.setenv("GRASSCAT_CAP", "4096")
         assert _run(tmp_path, "oracle", "check", "--model", "m.json") == 0
         out = json.loads(capsys.readouterr().out)
         assert out["ok"] and out["n_states"] == 4096
@@ -1408,11 +1409,11 @@ class TestCapAtCli:
             ),
             (
                 ["oracle", "check", "--model", "grassmann.json"],
-                "error: q=6 exceeds the 2**q enumeration cap 3\n",
+                "error: a q=6 model has 64 states, exceeding the cap 3\n",
             ),
             (
                 ["mixed", "eval", "--model", "mixed.json", "--x", "0.5", "--y", "1,0,1,0"],
-                "error: q=4 exceeds the 2**q enumeration cap 3\n",
+                "error: a q=4 model has 16 states, exceeding the cap 3\n",
             ),
         ],
         ids=[

@@ -28,6 +28,7 @@ _IGNORE = shutil.ignore_patterns(
     ".git", "__pycache__", "*.pyc", ".pytest_cache", ".hypothesis", ".bench_*", ".benchmarks"
 )
 
+CAPS = "src/grasscat/caps.py"
 CLI = "src/grasscat/cli.py"
 FACTOR = "src/grasscat/factor.py"
 FIT = "src/grasscat/fit.py"
@@ -311,17 +312,18 @@ MUTANTS = [
      ["tests/test_cli.py::TestOracleCommand"]),
     # the index and bit checks of the mixed functions and the oracle's conditional
     ("mixed-t-unchecked", GRASSMANN,
-     "if len(set(T)) != len(T) or any(t < 0 or t >= q for t in T):", "if False:",
+     "if len(set(ints)) != len(T) or any(t < 0 or t >= q for t in ints):", "if False:",
      ["tests/test_mixed.py::TestIndexAndBitChecks"]),
     ("mixed-bits-unchecked", GRASSMANN,
      "if not ((y == 0) | (y == 1)).all():", "if False:",
      ["tests/test_mixed.py::TestIndexAndBitChecks"]),
     ("oracle-conditional-range-unchecked", "src/grasscat/oracle.py",
-     "if any(i < 0 or i >= table.q for i in index_set):", "if False:",
+     "any(i < 0 or i >= table.q for i in index_set)", "False",
      ["tests/test_oracle.py::test_conditional_index_sets_are_range_checked"]),
     # index sets in the caller's order: each value stays with its index
     ("index-set-sorted", GRASSMANN,
-     "T = [int(t) for t in T]", "T = sorted(int(t) for t in T)",
+     "ints = [int(t) for t in T if _integral(t)]",
+     "ints = sorted(int(t) for t in T if _integral(t))",
      ["tests/test_grassmann.py::TestConditional::test_unsorted_t_follows_the_callers_order",
       "tests/test_grassmann.py::TestMarginal::test_unsorted_set_follows_the_callers_order",
       "tests/test_mixed.py::TestIndexOrder"]),
@@ -364,6 +366,30 @@ MUTANTS = [
      "    _check_finite(b=b, G=G, sigma_z=sigma_z)  # first: a NaN passes the covariance check\n",
      "",
      ["tests/test_factor.py::TestSharedChecks"]),
+    # one enumeration cap in one unit, the items walked: its comparison, its
+    # default, and the 2**q count at each scan
+    ("cap-inclusive", CAPS,
+     "if n > limit:", "if n >= limit:",
+     ["tests/test_caps.py"]),
+    ("cap-default-lowered", CAPS,
+     "CAP_DEFAULT = 2**20", "CAP_DEFAULT = 2**20 - 1",
+     ["tests/test_caps.py"]),
+    ("cap-check-p0-counts-bits", GRASSMANN,
+     "check_cap(2**p.q,", "check_cap(p.q,",
+     ["tests/test_caps.py::TestOneUnit"]),
+    ("cap-mixed-counts-bits", MIXED,
+     "check_cap(2**mp.q,", "check_cap(mp.q,",
+     ["tests/test_caps.py::TestOneUnit"]),
+    ("cap-oracle-counts-bits", "src/grasscat/oracle.py",
+     "check_cap(2**q,", "check_cap(q,",
+     ["tests/test_caps.py::TestOneUnit"]),
+    # one index rule, int(v) == v, in the library's reader and the oracle's own
+    ("index-set-truncates", GRASSMANN,
+     "ints = [int(t) for t in T if _integral(t)]", "ints = [int(t) for t in T]",
+     ["tests/test_index_rule.py"]),
+    ("oracle-indices-truncate", "src/grasscat/oracle.py",
+     "if index_set != given or any(", "if any(",
+     ["tests/test_index_rule.py::TestOracle"]),
 ]
 
 
